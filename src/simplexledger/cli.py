@@ -189,7 +189,8 @@ def _run_fits(rows, year_window, out_path: Path, k: int, refinement: str) -> Non
                 pass
 
 
-def _write_charts(rows, out_dir: Path, k: int, refinement: str) -> None:
+def _write_charts(rows, out_dir: Path, k: int, refinement: str) -> list[str]:
+    """The four SVG charts of one (k, refinement); returns their file names."""
     tag = f"k{k}_{refinement}"
     by_articles = paired_series(rows, "articles")
     by_vocab = paired_series(rows, "vocabulary")
@@ -239,6 +240,10 @@ def _write_charts(rows, out_dir: Path, k: int, refinement: str) -> None:
         xlabel="year",
         ylabel="rate",
     )
+    return [
+        f"{stem}_{tag}.svg"
+        for stem in ("c_vs_articles", "c_vs_vocab", "coverage_vs_vocab", "rates")
+    ]
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -298,7 +303,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "branches": args.branches,
         "shard_count": args.shard_count,
         "memory_budget": args.memory_budget,
-        "threads": args.threads,
         "fit_window": args.fit_window,
     }
     config_hash = hashlib.sha256(
@@ -326,7 +330,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                         shard_count=args.shard_count,
                         memory_budget_bytes=args.memory_budget,
                         spill_directory=spill_root,
-                        threads=args.threads,
                     )
                     series = tabulate(corpus, config)
                     _consistency_check(series)
@@ -338,11 +341,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                         write_metrics_csv(rows, f)
                     fits_csv = out_dir / f"fits_{tag}.csv"
                     _run_fits(rows, year_window, fits_csv, k, refinement)
-                    _write_charts(rows, out_dir, k, refinement)
+                    charts = _write_charts(rows, out_dir, k, refinement)
                     manifest["artifacts"] += [
                         ledger_csv.name,
                         metrics_csv.name,
                         fits_csv.name,
+                        *charts,
                     ]
         except Exception:
             manifest_path.write_text(json.dumps(manifest, indent=1))
@@ -453,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--shard-count", type=int, default=1)
     p.add_argument("--memory-budget", type=int, default=256 << 20)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument(
         "--fit-window",
         default=None,

@@ -335,14 +335,18 @@ def _write_varint(buf: BinaryIO, value: int) -> None:
             return
 
 
+def _read_exact(src: BinaryIO, n: int) -> bytes:
+    data = src.read(n)
+    if len(data) != n:
+        raise CorpusError("truncated store file")
+    return data
+
+
 def _read_varint(buf: BinaryIO) -> int:
     shift = 0
     value = 0
     while True:
-        chunk = buf.read(1)
-        if not chunk:
-            raise CorpusError("truncated store file")
-        byte = chunk[0]
+        byte = _read_exact(buf, 1)[0]
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
             return value
@@ -376,22 +380,25 @@ def load_store(src: BinaryIO) -> CorpusStore:
     magic = src.read(len(_MAGIC))
     if magic != _MAGIC:
         raise CorpusError(f"bad magic {magic!r}; not a store file")
-    version, n_years = struct.unpack("<BI", src.read(5))
+    version, n_years = struct.unpack("<BI", _read_exact(src, 5))
     if version != _STORE_VERSION:
         raise CorpusError(f"unsupported store version {version}")
     store = CorpusStore()
     for _ in range(n_years):
-        year, n_records = struct.unpack("<iI", src.read(8))
+        year, n_records = struct.unpack("<iI", _read_exact(src, 8))
         for _ in range(n_records):
-            (id_len,) = struct.unpack("<H", src.read(2))
-            article_id = src.read(id_len).decode("utf-8")
+            (id_len,) = struct.unpack("<H", _read_exact(src, 2))
+            try:
+                article_id = _read_exact(src, id_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"article id is not UTF-8: {exc}") from exc
             n_ids = _read_varint(src)
             ids = []
             prev = 0
             for _ in range(n_ids):
                 prev += _read_varint(src)
                 ids.append(prev)
-            mask = src.read((n_ids + 7) // 8)
+            mask = _read_exact(src, (n_ids + 7) // 8)
             major = frozenset(
                 kid
                 for i, kid in enumerate(ids)
@@ -405,4 +412,6 @@ def load_store(src: BinaryIO) -> CorpusStore:
                     major_keywords=major,
                 )
             )
+    if src.read(1):
+        raise CorpusError("trailing bytes after the last year block")
     return store

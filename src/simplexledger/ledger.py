@@ -6,12 +6,14 @@ article and never earlier.  New combinations containing a keyword whose
 debut year (under the same refinement) is t are classified peripheral, the
 rest core.
 
-Deduplication is external: combinations are packed into 64-bit keys, hash
-sharded, and each shard keeps sorted run files on disk.  A year-end merge
-diffs the year's sorted unique keys against the shard's history, so tallies
-are exact at scales far beyond memory, and the result is identical for any
-shard count or thread count.  A manifest written after each completed year
-allows restart from the last watermark.
+Deduplication is external: combinations are packed into 64-bit keys and
+hash sharded.  Each shard keeps one sorted history file of every key it has
+seen.  At year end a single streaming pass steps the year's sorted unique
+keys against that file, counts the keys it lacks, and writes the merged
+history as the next file, so tallies are exact at scales far beyond memory
+and the result is identical for any shard count.  A manifest written after
+each completed year names every shard's history file and allows restart
+from the last watermark.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import os
 import shutil
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -35,10 +37,9 @@ from simplexledger.corpus import ALL, REFINEMENTS, ArticleRecord, CorpusStore
 SPILL_ENV_VAR = "SLEDGER_TMP"
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 1
+_MANIFEST_VERSION = 2
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 18  # keys per emission batch
-_RUN_COMPACT_THRESHOLD = 8
 
 # Bits per keyword id in the packed 64-bit key, by combination size.
 _ARITY_BITS = {1: 32, 2: 32, 3: 21, 4: 16}
@@ -81,7 +82,6 @@ class LedgerConfig:
     shard_count: int = 1
     memory_budget_bytes: int = 256 << 20
     spill_directory: str | os.PathLike | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.k not in (0, 1, 2, 3):
@@ -90,8 +90,6 @@ class LedgerConfig:
             raise LedgerError(f"unknown refinement {self.refinement!r}")
         if self.shard_count < 1:
             raise LedgerError("shard_count must be >= 1")
-        if self.threads < 1:
-            raise LedgerError("threads must be >= 1")
         if self.memory_budget_bytes < _MIN_MEMORY_BUDGET:
             raise LedgerError(
                 f"memory_budget_bytes={self.memory_budget_bytes} is below the "
@@ -127,18 +125,6 @@ class LedgerSeries:
     @property
     def cum_articles(self) -> list[int]:
         return list(itertools.accumulate(self.articles_processed))
-
-    def row(self, year: int) -> dict[str, int]:
-        i = self.years.index(year)
-        return {
-            "year": year,
-            "new_simplices": self.new_simplices[i],
-            "new_peripheral": self.new_peripheral[i],
-            "new_keywords": self.new_keywords[i],
-            "articles_processed": self.articles_processed[i],
-            "cum_simplices": self.cum_simplices[i],
-            "cum_keywords": self.cum_keywords[i],
-        }
 
 
 # --- packing ---------------------------------------------------------------
@@ -237,118 +223,73 @@ def _iter_file(path: Path, chunk_elems: int) -> Iterator[np.ndarray]:
             yield arr
 
 
-def _merge_streams(
-    sources: list[Iterator[np.ndarray]], dedup: bool
-) -> Iterator[np.ndarray]:
-    """Merge sorted (unique-per-source) chunk streams into one sorted stream.
+def _dedup_sorted(keys: np.ndarray) -> np.ndarray:
+    if keys.size > 1:
+        keep = np.empty(keys.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+    return keys
 
-    Works on the invariant that any value <= the minimum of the buffers'
-    last elements is already present in the buffers.
+
+def _step_streams(sources: list[Iterator[np.ndarray]]) -> Iterator[list[np.ndarray]]:
+    """Advance sorted, unique-per-source chunk streams in step.
+
+    Each round yields one slice per source, in source order.  Together the
+    slices hold every not-yet-yielded element up to a common boundary, the
+    smallest last element among the buffered chunks; any value at or below
+    it is already buffered because each source is sorted.  An exhausted
+    source contributes empty slices.
     """
-    buffers: list[np.ndarray | None] = []
-    iters: list[Iterator[np.ndarray] | None] = []
-    for src in sources:
-        buffers.append(None)
-        iters.append(src)
-    n = len(sources)
-
-    def refill(i: int) -> None:
-        if iters[i] is None:
-            return
-        buf = buffers[i]
-        if buf is not None and buf.size:
-            return
-        for chunk in iters[i]:  # type: ignore[union-attr]
-            if chunk.size:
-                buffers[i] = chunk
-                return
-        iters[i] = None
-        buffers[i] = None
-
+    buffers = [np.empty(0, dtype=np.uint64)] * len(sources)
+    live = [True] * len(sources)
     while True:
-        for i in range(n):
-            refill(i)
-        live = [b for b in buffers if b is not None and b.size]
-        if not live:
+        for i, src in enumerate(sources):
+            while live[i] and not buffers[i].size:
+                chunk = next(src, None)
+                if chunk is None:
+                    live[i] = False
+                else:
+                    buffers[i] = chunk
+        tails = [int(b[-1]) for b in buffers if b.size]
+        if not tails:
             return
-        boundary = min(int(b[-1]) for b in live)
+        boundary = np.uint64(min(tails))
         parts = []
-        for i in range(n):
-            buf = buffers[i]
-            if buf is None or not buf.size:
-                continue
-            cut = int(np.searchsorted(buf, np.uint64(boundary), side="right"))
-            if cut:
-                parts.append(buf[:cut])
-                buffers[i] = buf[cut:]
-        out = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
-        if dedup and out.size > 1:
-            keep = np.empty(out.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(out[1:], out[:-1], out=keep[1:])
-            out = out[keep]
-        if out.size:
-            yield out
+        for i, buf in enumerate(buffers):
+            cut = int(np.searchsorted(buf, boundary, side="right"))
+            parts.append(buf[:cut])
+            buffers[i] = buf[cut:]
+        yield parts
 
 
-def _diff_streams(
-    year_iter: Iterator[np.ndarray], hist_iter: Iterator[np.ndarray]
-) -> Iterator[np.ndarray]:
-    """Elements of the year stream absent from the history stream.
-
-    Both streams are globally sorted and unique.
-    """
-    ybuf = np.empty(0, dtype=np.uint64)
-    hbuf = np.empty(0, dtype=np.uint64)
-    y_done = h_done = False
-    while True:
-        if not ybuf.size and not y_done:
-            ybuf = next(year_iter, None)  # type: ignore[assignment]
-            if ybuf is None:
-                ybuf = np.empty(0, dtype=np.uint64)
-                y_done = True
-        if not ybuf.size:
-            return
-        if not hbuf.size and not h_done:
-            hbuf = next(hist_iter, None)  # type: ignore[assignment]
-            if hbuf is None:
-                hbuf = np.empty(0, dtype=np.uint64)
-                h_done = True
-        if h_done and not hbuf.size:
-            yield ybuf
-            ybuf = np.empty(0, dtype=np.uint64)
-            continue
-        boundary = min(int(ybuf[-1]), int(hbuf[-1]))
-        ycut = int(np.searchsorted(ybuf, np.uint64(boundary), side="right"))
-        hcut = int(np.searchsorted(hbuf, np.uint64(boundary), side="right"))
-        ypart, ybuf = ybuf[:ycut], ybuf[ycut:]
-        hpart, hbuf = hbuf[:hcut], hbuf[hcut:]
-        if ypart.size:
-            if hpart.size:
-                new = ypart[~np.isin(ypart, hpart, assume_unique=True)]
-            else:
-                new = ypart
-            if new.size:
-                yield new
+def _merge_unique(sources: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
+    """One sorted, duplicate-free stream from several sorted sources."""
+    # A stable sort (timsort) merges already-sorted parts without re-sorting.
+    for parts in _step_streams(sources):
+        parts = [p for p in parts if p.size]
+        if len(parts) == 1:
+            yield parts[0]
+        else:
+            yield _dedup_sorted(np.sort(np.concatenate(parts), kind="stable"))
 
 
 # --- shard state -----------------------------------------------------------
 
 
 class _Shard:
-    """One hash partition: sorted, pairwise-disjoint run files on disk."""
+    """One hash partition: a single sorted history file of every key seen."""
 
-    def __init__(self, directory: Path, chunk_elems: int) -> None:
+    def __init__(self, directory: Path, chunk_elems: int, frame_elems: int) -> None:
         self.directory = directory
+        # A year-end pass reads chunk_elems per open stream, fewer if its
+        # streams would together hold more than frame_elems.
         self.chunk_elems = chunk_elems
-        self.runs: list[str] = []
+        self.frame_elems = frame_elems
+        self.history: str | None = None
         self.batch: list[np.ndarray] = []
         self.spills: list[Path] = []
-        self._spill_serial = 0
         directory.mkdir(parents=True, exist_ok=True)
-
-    def batch_bytes(self) -> int:
-        return sum(a.nbytes for a in self.batch)
 
     def add(self, keys: np.ndarray) -> None:
         if keys.size:
@@ -359,88 +300,68 @@ class _Shard:
             return np.empty(0, dtype=np.uint64)
         merged = np.concatenate(self.batch) if len(self.batch) > 1 else self.batch[0]
         self.batch = []
-        merged = np.sort(merged)
-        if merged.size > 1:
-            keep = np.empty(merged.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-            merged = merged[keep]
-        return merged
+        return _dedup_sorted(np.sort(merged))
 
     def spill(self) -> None:
         arr = self._drain_batch()
         if not arr.size:
             return
-        path = self.directory / f"spill{self._spill_serial:04d}.tmp"
-        self._spill_serial += 1
+        path = self.directory / f"spill{len(self.spills):04d}.tmp"
         arr.tofile(path)
         self.spills.append(path)
 
     def finish_year(
-        self, run_name: str, debut_ids: np.ndarray, s: int
+        self, history_name: str, is_debut: np.ndarray | None, s: int
     ) -> tuple[int, int]:
-        """Diff the year's unique keys against history; append the new run.
+        """Merge the year's unique keys into history, counting the new ones.
 
-        Returns (new_count, new_peripheral_count).
+        The merged history is written to ``history_name``, which becomes
+        this shard's history; the previous file is left for the caller to
+        delete once the manifest names the new one.  A shard without new
+        keys keeps its history file.  Returns (new_count, new_peripheral).
         """
         tail = self._drain_batch()
-        sources: list[Iterator[np.ndarray]] = [
-            _iter_file(p, self.chunk_elems) for p in self.spills
-        ]
+        streams = len(self.spills) + (self.history is not None)
+        elems = max(1, min(self.chunk_elems, self.frame_elems // max(streams, 1)))
+        year_sources = [_iter_file(p, elems) for p in self.spills]
         if tail.size:
-            sources.append(iter([tail]))
-        if not sources:
+            year_sources.append(iter([tail]))
+        if not year_sources:
             return 0, 0
-        year_iter = _merge_streams(sources, dedup=True)
-        hist_iter = _merge_streams(
-            [_iter_file(self.directory / r, self.chunk_elems) for r in self.runs],
-            dedup=False,
+        hist_source = (
+            _iter_file(self.directory / self.history, elems)
+            if self.history is not None
+            else iter(())
         )
         new_count = 0
         peripheral = 0
-        tmp_path = self.directory / (run_name + ".tmp")
+        tmp_path = self.directory / (history_name + ".tmp")
         with open(tmp_path, "wb") as out:
-            for chunk in _diff_streams(year_iter, hist_iter):
-                new_count += chunk.size
-                if debut_ids.size:
-                    ids = _unpack(chunk, s)
-                    peripheral += int(
-                        np.isin(ids, debut_ids, assume_unique=False)
-                        .any(axis=1)
-                        .sum()
-                    )
-                chunk.tofile(out)
+            for year_keys, hist_keys in _step_streams(
+                [_merge_unique(year_sources), hist_source]
+            ):
+                if not hist_keys.size:
+                    new = merged = year_keys
+                elif not year_keys.size:
+                    new, merged = year_keys, hist_keys
+                else:
+                    pos = np.searchsorted(hist_keys, year_keys)
+                    seen = hist_keys[np.minimum(pos, hist_keys.size - 1)] == year_keys
+                    new = year_keys[~seen]
+                    merged = np.sort(np.concatenate([hist_keys, new]), kind="stable")
+                new_count += new.size
+                if is_debut is not None and new.size:
+                    peripheral += int(is_debut[_unpack(new, s)].any(axis=1).sum())
+                merged.tofile(out)
         for p in self.spills:
             p.unlink(missing_ok=True)
         self.spills = []
-        self._spill_serial = 0
         if new_count:
-            os.replace(tmp_path, self.directory / run_name)
-            self.runs.append(run_name)
+            os.replace(tmp_path, self.directory / history_name)
+            self.history = history_name
         else:
-            tmp_path.unlink(missing_ok=True)
+            tmp_path.unlink()
         return new_count, peripheral
-
-    def compact(self, run_name: str) -> list[Path]:
-        """Merge all runs into a single run file (they are disjoint).
-
-        Old run files are kept on disk and returned so the caller can
-        delete them only after the manifest records the new inventory.
-        """
-        if len(self.runs) < 2:
-            return []
-        merged_iter = _merge_streams(
-            [_iter_file(self.directory / r, self.chunk_elems) for r in self.runs],
-            dedup=False,
-        )
-        tmp_path = self.directory / (run_name + ".tmp")
-        with open(tmp_path, "wb") as out:
-            for chunk in merged_iter:
-                chunk.tofile(out)
-        old = [self.directory / r for r in self.runs]
-        os.replace(tmp_path, self.directory / run_name)
-        self.runs = [run_name]
-        return old
 
 
 # --- manifest --------------------------------------------------------------
@@ -476,13 +397,14 @@ def _load_manifest(path: Path, fingerprint: str) -> dict | None:
 # --- tabulate --------------------------------------------------------------
 
 
-def _resolve_workdir(config: LedgerConfig) -> Path:
+def _workdir(config: LedgerConfig) -> AbstractContextManager:
+    """The spill root; a temporary one is removed when the context exits."""
     if config.spill_directory is not None:
-        return Path(config.spill_directory)
+        return nullcontext(config.spill_directory)
     env = os.environ.get(SPILL_ENV_VAR)
     if env:
-        return Path(env)
-    return Path(tempfile.mkdtemp(prefix="sledger-"))
+        return nullcontext(env)
+    return tempfile.TemporaryDirectory(prefix="sledger-")
 
 
 def tabulate(
@@ -502,120 +424,107 @@ def tabulate(
     if not corpus_years:
         return series
 
-    _check_capacity(corpus.max_keyword_id(), s)
+    max_id = corpus.max_keyword_id()
+    _check_capacity(max_id, s)
 
-    workdir = _resolve_workdir(config)
-    ledger_dir = workdir / f"k{config.k}" / config.refinement
-    try:
-        ledger_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise LedgerError(f"spill directory unwritable: {exc}") from exc
+    with _workdir(config) as workdir:
+        ledger_dir = Path(workdir) / f"k{config.k}" / config.refinement
+        try:
+            ledger_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise LedgerError(f"spill directory unwritable: {exc}") from exc
 
-    fingerprint = _fingerprint(corpus.digest(), config)
-    manifest_path = ledger_dir / _MANIFEST_NAME
-    manifest = _load_manifest(manifest_path, fingerprint)
-    if manifest is None or manifest.get("shard_count") != config.shard_count:
-        # Fresh start: clear any stale state.
-        if ledger_dir.exists():
-            shutil.rmtree(ledger_dir)
-        ledger_dir.mkdir(parents=True)
-        manifest = {
-            "version": _MANIFEST_VERSION,
-            "fingerprint": fingerprint,
-            "shard_count": config.shard_count,
-            "watermark": None,
-            "runs": {str(i): [] for i in range(config.shard_count)},
-            "rows": [],
-        }
-
-    chunk_elems = max(
-        1024, config.memory_budget_bytes // (8 * 8 * max(config.shard_count, 1))
-    )
-    shards = [
-        _Shard(ledger_dir / f"shard{i:04d}", chunk_elems)
-        for i in range(config.shard_count)
-    ]
-    for i, shard in enumerate(shards):
-        shard.runs = list(manifest["runs"][str(i)])
-        # Drop files not in the committed inventory (partial year leftovers).
-        for p in shard.directory.iterdir():
-            if p.name not in shard.runs:
-                p.unlink()
-
-    debut = keyword_debut_years(corpus, config.refinement)
-    grouped: dict[int, list[int]] = {}
-    for kid, year in debut.items():
-        grouped.setdefault(year, []).append(kid)
-    debut_by_year = {
-        y: np.sort(np.array(ids, dtype=np.uint64)) for y, ids in grouped.items()
-    }
-
-    rows = list(manifest["rows"])
-    watermark = manifest["watermark"]
-    all_years = list(range(corpus_years[0], corpus_years[-1] + 1))
-    spill_threshold = config.memory_budget_bytes // 2
-
-    for year in all_years:
-        if watermark is not None and year <= watermark:
-            continue
-        records = corpus.records_in(year)
-        processed = sum(
-            1 for r in records if len(r.keywords(config.refinement)) >= s
-        )
-        debut_ids = debut_by_year.get(year, np.empty(0, dtype=np.uint64))
-
-        buffered = 0
-        for keys in _emit_year_keys(records, config.refinement, s):
-            if config.shard_count == 1:
-                shards[0].add(keys)
-            else:
-                sid = _mix64(keys) % np.uint64(config.shard_count)
-                for i in range(config.shard_count):
-                    shards[i].add(keys[sid == np.uint64(i)])
-            buffered += keys.nbytes
-            if buffered > spill_threshold:
-                for shard in shards:
-                    shard.spill()
-                buffered = 0
-
-        run_name = f"run{len(rows):04d}.bin"
-
-        def finish(shard: _Shard) -> tuple[int, int]:
-            return shard.finish_year(run_name, debut_ids, s)
-
-        if config.threads > 1 and config.shard_count > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(finish, shards))
-        else:
-            results = [finish(shard) for shard in shards]
-
-        new_count = sum(r[0] for r in results)
-        peripheral = sum(r[1] for r in results)
-
-        garbage: list[Path] = []
-        for shard in shards:
-            if len(shard.runs) > _RUN_COMPACT_THRESHOLD:
-                garbage.extend(shard.compact(f"run{len(rows):04d}c.bin"))
-
-        rows.append(
-            {
-                "year": year,
-                "new_simplices": new_count,
-                "new_peripheral": peripheral,
-                "new_keywords": int(debut_ids.size),
-                "articles_processed": processed,
+        fingerprint = _fingerprint(corpus.digest(), config)
+        manifest_path = ledger_dir / _MANIFEST_NAME
+        manifest = _load_manifest(manifest_path, fingerprint)
+        if manifest is None or manifest.get("shard_count") != config.shard_count:
+            # Fresh start: clear any stale state.
+            if ledger_dir.exists():
+                shutil.rmtree(ledger_dir)
+            ledger_dir.mkdir(parents=True)
+            manifest = {
+                "version": _MANIFEST_VERSION,
+                "fingerprint": fingerprint,
+                "shard_count": config.shard_count,
+                "watermark": None,
+                "history": [None] * config.shard_count,
+                "rows": [],
             }
+
+        chunk_elems = max(
+            1024, config.memory_budget_bytes // (8 * 8 * max(config.shard_count, 1))
         )
-        manifest.update(
-            watermark=year,
-            rows=rows,
-            runs={str(i): list(sh.runs) for i, sh in enumerate(shards)},
-        )
-        _write_manifest(manifest_path, manifest)
-        for p in garbage:
-            p.unlink(missing_ok=True)
-        if progress_callback is not None:
-            progress_callback(year)
+        frame_elems = config.memory_budget_bytes // 2 // 8
+        shards = [
+            _Shard(ledger_dir / f"shard{i:04d}", chunk_elems, frame_elems)
+            for i in range(config.shard_count)
+        ]
+        for shard, history in zip(shards, manifest["history"]):
+            shard.history = history
+            # Drop files not in the committed state (partial year leftovers).
+            for p in shard.directory.iterdir():
+                if p.name != history:
+                    p.unlink()
+
+        debut = keyword_debut_years(corpus, config.refinement)
+        debut_ids = np.fromiter(debut.keys(), dtype=np.intp, count=len(debut))
+        debut_years = np.fromiter(debut.values(), dtype=np.int64, count=len(debut))
+
+        rows = list(manifest["rows"])
+        watermark = manifest["watermark"]
+        all_years = list(range(corpus_years[0], corpus_years[-1] + 1))
+        spill_threshold = config.memory_budget_bytes // 2
+
+        for year in all_years:
+            if watermark is not None and year <= watermark:
+                continue
+            records = corpus.records_in(year)
+            processed = sum(
+                1 for r in records if len(r.keywords(config.refinement)) >= s
+            )
+            is_debut = np.zeros(max_id + 1, dtype=bool)
+            is_debut[debut_ids[debut_years == year]] = True
+            new_keywords = int(is_debut.sum())
+
+            buffered = 0
+            for keys in _emit_year_keys(records, config.refinement, s):
+                if config.shard_count == 1:
+                    shards[0].add(keys)
+                else:
+                    sid = _mix64(keys) % np.uint64(config.shard_count)
+                    for i in range(config.shard_count):
+                        shards[i].add(keys[sid == np.uint64(i)])
+                buffered += keys.nbytes
+                if buffered > spill_threshold:
+                    for shard in shards:
+                        shard.spill()
+                    buffered = 0
+
+            previous = [shard.history for shard in shards]
+            history_name = f"hist{len(rows):04d}.bin"
+            results = [
+                shard.finish_year(history_name, is_debut if new_keywords else None, s)
+                for shard in shards
+            ]
+            rows.append(
+                {
+                    "year": year,
+                    "new_simplices": sum(r[0] for r in results),
+                    "new_peripheral": sum(r[1] for r in results),
+                    "new_keywords": new_keywords,
+                    "articles_processed": processed,
+                }
+            )
+            manifest.update(
+                watermark=year, rows=rows, history=[sh.history for sh in shards]
+            )
+            # Old history files go only once the manifest names their successors.
+            _write_manifest(manifest_path, manifest)
+            for shard, old in zip(shards, previous):
+                if old is not None and old != shard.history:
+                    (shard.directory / old).unlink()
+            if progress_callback is not None:
+                progress_callback(year)
 
     for row in rows:
         series.years.append(row["year"])

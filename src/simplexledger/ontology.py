@@ -61,9 +61,6 @@ class Ontology:
     def __len__(self) -> int:
         return len(self.descriptors)
 
-    def by_id(self, keyword_id: int) -> Descriptor:
-        return self.descriptors[keyword_id]
-
     def by_code(self, external_code: str) -> Descriptor | None:
         return self._by_code.get(external_code)
 

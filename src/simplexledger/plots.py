@@ -7,7 +7,6 @@ fixed frame; optional log scaling drops non-positive points.
 from __future__ import annotations
 
 import math
-import time
 from pathlib import Path
 
 WIDTH, HEIGHT = 720, 480
@@ -63,7 +62,6 @@ def svg_line_chart(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f"<!-- generated {time.strftime('%Y-%m-%dT%H:%M:%S')} -->",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     plot_w = WIDTH - MARGIN_L - MARGIN_R

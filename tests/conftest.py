@@ -16,6 +16,11 @@ D000007\tEta Entity\tC04.5
 D000008\tTheta Factor\tB02.2
 """
 
+DEMO_CORPUS = """\
+p1\t2000\tJournal Article\t*D000001;*D000002;*D000007
+p2\t2001\tJournal Article\t*D000002;*D000007;*D000008
+"""
+
 
 @pytest.fixture
 def ontology():

@@ -5,12 +5,7 @@ import pytest
 
 from simplexledger.cli import main
 
-from conftest import ONTOLOGY_TSV
-
-DEMO_CORPUS = """\
-p1\t2000\tJournal Article\t*D000001;*D000002;*D000007
-p2\t2001\tJournal Article\t*D000002;*D000007;*D000008
-"""
+from conftest import DEMO_CORPUS, ONTOLOGY_TSV
 
 
 @pytest.fixture
@@ -64,8 +59,16 @@ def test_run_demo_corpus_metrics_row(tmp_path, demo_files):
 def test_run_is_byte_deterministic(tmp_path, demo_files):
     a = _run_dir(tmp_path, "runA", demo_files)
     b = _run_dir(tmp_path, "runB", demo_files)
-    for name in ("ledger_k1_major.csv", "metrics_k1_major.csv", "fits_k1_major.csv"):
+    charts = [
+        f"{stem}_k1_major.svg"
+        for stem in ("c_vs_articles", "c_vs_vocab", "coverage_vs_vocab", "rates")
+    ]
+    csvs = ["ledger_k1_major.csv", "metrics_k1_major.csv", "fits_k1_major.csv"]
+    for name in csvs + charts:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+    artifacts = json.loads((a / "run_manifest.json").read_text())["artifacts"]
+    assert set(charts) <= set(artifacts)
+    assert all((a / name).exists() for name in artifacts)
 
 
 def test_run_emits_charts(tmp_path, demo_files):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from simplexledger.corpus import (
+    ArticleRecord,
     CorpusError,
     CorpusStore,
     FilterConfig,
@@ -240,6 +241,37 @@ def test_store_roundtrip_and_byte_determinism():
 def test_store_rejects_bad_magic():
     with pytest.raises(CorpusError, match="magic"):
         load_store(io.BytesIO(b"NOTSTORE" + b"\0" * 16))
+
+
+def _small_store_bytes():
+    store = CorpusStore()
+    store.add(ArticleRecord("a1", 1999, frozenset({1, 5, 300}), frozenset({5})))
+    store.add(ArticleRecord("a2", 1999, frozenset({2, 3}), frozenset()))
+    store.add(ArticleRecord("b1", 2003, frozenset({4, 9, 200000}), frozenset({4, 9})))
+    buf = io.BytesIO()
+    save_store(store, buf)
+    return buf.getvalue()
+
+
+_SMALL_STORE = _small_store_bytes()
+
+
+@pytest.mark.parametrize("length", range(len(_SMALL_STORE)))
+def test_truncated_store_raises_corpus_error(length):
+    with pytest.raises(CorpusError):
+        load_store(io.BytesIO(_SMALL_STORE[:length]))
+
+
+def test_store_with_trailing_byte_rejected():
+    assert len(load_store(io.BytesIO(_SMALL_STORE))) == 3
+    with pytest.raises(CorpusError, match="trailing"):
+        load_store(io.BytesIO(_SMALL_STORE + b"\0"))
+
+
+def test_store_with_non_utf8_article_id_rejected():
+    corrupt = _SMALL_STORE.replace(b"a1", b"\xff1", 1)
+    with pytest.raises(CorpusError, match="UTF-8"):
+        load_store(io.BytesIO(corrupt))
 
 
 def test_p_counts_monotone_and_major_below_all():

@@ -1,10 +1,13 @@
+import json
 import math
 import os
 import random
 import stat
+import tempfile
 
 import pytest
 
+import simplexledger.ledger as ledger_mod
 from simplexledger.corpus import ArticleRecord, CorpusStore
 from simplexledger.ledger import (
     LedgerConfig,
@@ -189,27 +192,6 @@ def test_shard_count_does_not_change_result(tmp_path):
     assert results[0] == results[1] == results[2]
 
 
-def test_threads_do_not_change_result(tmp_path):
-    corpus = _random_corpus(98, n_articles=400)
-    single = tabulate(
-        corpus,
-        LedgerConfig(
-            k=2, refinement="all", spill_directory=tmp_path / "t1", shard_count=8
-        ),
-    )
-    multi = tabulate(
-        corpus,
-        LedgerConfig(
-            k=2,
-            refinement="all",
-            spill_directory=tmp_path / "t4",
-            shard_count=8,
-            threads=4,
-        ),
-    )
-    assert single == multi
-
-
 def test_within_year_article_order_is_irrelevant(tmp_path):
     base = CorpusStore()
     shuffled = CorpusStore()
@@ -343,6 +325,122 @@ def test_crash_restart_yields_identical_series(tmp_path):
         corpus, LedgerConfig(k=2, refinement="all", spill_directory=tmp_path / "clean")
     )
     assert resumed == clean
+
+
+def test_crash_after_history_commit_before_manifest(tmp_path, monkeypatch):
+    corpus = _random_corpus(12, n_articles=500, years=12)
+    config = LedgerConfig(
+        k=2,
+        refinement="all",
+        spill_directory=tmp_path / "resume",
+        shard_count=4,
+        memory_budget_bytes=1 << 20,
+    )
+    ledger_dir = tmp_path / "resume" / "k2" / "all"
+    crash_year = corpus.years[0] + 5
+
+    class Interrupt(Exception):
+        pass
+
+    write_manifest = ledger_mod._write_manifest
+
+    def failing_write(path, payload):
+        if payload["watermark"] == crash_year:
+            raise Interrupt
+        write_manifest(path, payload)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ledger_mod, "_write_manifest", failing_write)
+        with pytest.raises(Interrupt):
+            tabulate(corpus, config)
+    manifest = json.loads((ledger_dir / "manifest.json").read_text())
+    assert manifest["watermark"] == crash_year - 1
+    on_disk = {p.name for p in ledger_dir.glob("shard*/*")}
+    assert on_disk - set(manifest["history"]), "no uncommitted history file"
+
+    resumed = tabulate(corpus, config)
+    clean = tabulate(
+        corpus, LedgerConfig(k=2, refinement="all", spill_directory=tmp_path / "clean")
+    )
+    assert resumed == clean == oracle_tabulate(corpus, 2, "all")
+    manifest = json.loads((ledger_dir / "manifest.json").read_text())
+    for i, name in enumerate(manifest["history"]):
+        files = [p.name for p in (ledger_dir / f"shard{i:04d}").iterdir()]
+        assert files == ([name] if name else [])
+
+
+def test_version_one_manifest_starts_fresh(tmp_path):
+    corpus = _random_corpus(13, n_articles=300)
+    config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
+    tabulate(corpus, config)
+    # Rewrite the state in the version-1 layout: a list of run files per
+    # shard.  Its rows are off by one, so trusting them would show.
+    ledger_dir = tmp_path / "k1" / "all"
+    manifest_path = ledger_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    runs = {}
+    for i, name in enumerate(manifest.pop("history")):
+        shard = ledger_dir / f"shard{i:04d}"
+        if name is not None:
+            (shard / name).rename(shard / "run0000.bin")
+        runs[str(i)] = ["run0000.bin"] if name is not None else []
+    manifest.update(
+        version=1,
+        runs=runs,
+        rows=[dict(r, new_simplices=r["new_simplices"] + 1) for r in manifest["rows"]],
+    )
+    manifest_path.write_text(json.dumps(manifest))
+    assert tabulate(corpus, config) == oracle_tabulate(corpus, 1, "all")
+
+
+def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.delenv(ledger_mod.SPILL_ENV_VAR, raising=False)
+    tabulate(two_article_corpus, LedgerConfig(k=1))
+    assert list(tmp_path.iterdir()) == []
+
+    def boom(year):
+        raise RuntimeError(year)
+
+    with pytest.raises(RuntimeError):
+        tabulate(two_article_corpus, LedgerConfig(k=1), progress_callback=boom)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_merge_frame_stays_within_memory_budget(tmp_path, monkeypatch):
+    # One year of 5.6e6 pair emissions against a 1 MiB budget: every
+    # emission batch spills, so the year-end pass opens 20+ spill files.
+    rng = random.Random(21)
+    store = CorpusStore()
+    for i in range(13_000):
+        kws = frozenset(rng.sample(range(2000), 30))
+        store.add(ArticleRecord(f"a{i:05d}", 2000, kws, kws))
+    budget = 1 << 20
+    iter_file = ledger_mod._iter_file
+    held = {}
+    opened = []
+    peak = 0
+
+    def tracked(path, chunk_elems):
+        nonlocal peak
+        opened.append(path.name)
+        key = len(opened)
+        try:
+            for chunk in iter_file(path, chunk_elems):
+                held[key] = chunk.nbytes
+                peak = max(peak, sum(held.values()))
+                yield chunk
+        finally:
+            held.pop(key, None)
+
+    monkeypatch.setattr(ledger_mod, "_iter_file", tracked)
+    spilled = tabulate(
+        store,
+        LedgerConfig(k=1, spill_directory=tmp_path / "b", memory_budget_bytes=budget),
+    )
+    assert sum(name.startswith("spill") for name in opened) >= 20
+    assert 0 < peak <= budget
+    assert spilled == tabulate(store, LedgerConfig(k=1, spill_directory=tmp_path / "m"))
 
 
 def test_restart_ignores_state_from_different_corpus(tmp_path):
