@@ -1,8 +1,10 @@
 """Command-line surface: ingest, run, synth, verify, report.
 
-A `run` owns its output directory via a lock file and writes, per order and
-refinement: ledger CSV, metrics CSV, fit CSV, and SVG charts, plus a run
-manifest recording the config hash, input digests, and tool version.  All
+A `run` owns its output directory through an ``flock`` on ``.lock`` and
+writes, per order and refinement: ledger CSV, metrics CSV, fit CSV, and SVG
+charts, plus a run manifest recording the config hash, input digests, and
+tool version.  Once the manifest says the run is complete, the ledgers'
+spill state is deleted; an interrupted run keeps it to resume from.  All
 randomness is seed-pinned; CSV output is byte-deterministic for identical
 config and inputs.
 """
@@ -11,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import hashlib
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -94,26 +98,34 @@ def _load_corpus(args: argparse.Namespace) -> tuple[CorpusStore, list[Path]]:
 
 
 class _OutputLock:
-    """Exclusive ownership of an output directory."""
+    """Exclusive ownership of an output directory.
+
+    An ``flock`` on ``.lock`` is held for the whole run.  The kernel drops
+    it when the process ends, however it ends, so a file left behind by a
+    killed run does not block the next one.
+    """
 
     def __init__(self, directory: Path) -> None:
         self.path = directory / ".lock"
         directory.mkdir(parents=True, exist_ok=True)
 
     def __enter__(self) -> "_OutputLock":
+        self.fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self.fd)
             raise SystemExit(
-                f"output directory is locked by {self.path}; remove the lock "
-                "if no other run is active"
+                f"output directory is locked by another run ({self.path})"
             )
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        os.ftruncate(self.fd, 0)
+        os.write(self.fd, str(os.getpid()).encode())
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self.path.unlink(missing_ok=True)
+        # The file stays: unlinking it would let a run that opened it just
+        # before lock a file the next run no longer sees.
+        os.close(self.fd)
 
 
 def _write_ledger_csv(series: LedgerSeries, path: Path) -> None:
@@ -319,7 +331,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     with _OutputLock(out_dir):
         manifest_path = out_dir / "run_manifest.json"
-        spill_root = os.environ.get("SLEDGER_TMP") or str(out_dir / "spill")
+        env_root = os.environ.get("SLEDGER_TMP")
+        spill_root = Path(env_root) if env_root else out_dir / "spill"
         try:
             for k in ks:
                 for refinement in refinements:
@@ -353,8 +366,29 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise
         manifest["status"] = "complete"
         manifest_path.write_text(json.dumps(manifest, indent=1))
+        _remove_ledger_state(spill_root, ks, refinements)
+        if not env_root:
+            _remove_if_empty(spill_root)
     print(f"run complete; artifacts in {out_dir}")
     return 0
+
+
+def _remove_ledger_state(
+    spill_root: Path, ks: list[int], refinements: list[str]
+) -> None:
+    """Delete the ledger directories of a complete run, each ``tabulate``'s
+    ``k{k}/{refinement}``, and the order directories this leaves empty."""
+    for k in ks:
+        for refinement in refinements:
+            shutil.rmtree(spill_root / f"k{k}" / refinement, ignore_errors=True)
+        _remove_if_empty(spill_root / f"k{k}")
+
+
+def _remove_if_empty(directory: Path) -> None:
+    try:
+        directory.rmdir()
+    except OSError:
+        pass
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -5,21 +5,38 @@ configured research-content types, (b) at least two branch-eligible keywords
 remain after vocabulary filtering, and (c) the year is present and not
 before the configured minimum.  Rejections are counted, never raised.
 
-The store is grouped by year so that the ledger's ascending-year sweep is a
-sequential scan.  It serializes to a versioned binary file with magic
-``SLEDGER1``: year-partitioned blocks of delta-encoded sorted keyword id
-lists plus a major-flag bitmask per article.
+The store holds every article in one CSR (compressed sparse row) layout,
+the same in memory and on disk, sorted by (year, article id) so that each
+year of the ledger's ascending sweep is one contiguous slice:
+
+- ``years`` (int32), one per article;
+- ``offsets`` (int64, articles + 1): article ``i`` owns
+  ``ids[offsets[i]:offsets[i+1]]``;
+- ``ids`` (uint32), ascending within each article;
+- ``major``, one Major-topic flag per id;
+- the article ids, UTF-8, each followed by a NUL byte.
+
+A store file (format version 2) is a 40-byte header (magic ``SLEDGER1``,
+version, article count, id count, article-id bytes), the raw little-endian
+``offsets``, ``years`` and ``ids`` arrays, the ``major`` flags packed eight
+to a byte, the article ids, and a SHA-256 trailer over everything before
+it.  Loading runs the structural checks first, so that each error names its
+cause, and then the checksum, which catches corruption that leaves the
+structure valid; the checksum doubles as the store's digest.  A version-1
+file (varint-encoded year blocks) is refused: re-run ingest.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
+import itertools
 import logging
 import struct
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
+
+import numpy as np
 
 from simplexledger.ontology import BranchFilter, Ontology, is_eligible
 
@@ -33,7 +50,10 @@ DEFAULT_PUB_TYPES = frozenset({"Journal Article", "Review"})
 DEFAULT_MIN_YEAR = 1902
 
 _MAGIC = b"SLEDGER1"
-_STORE_VERSION = 1
+_STORE_VERSION = 2
+# Magic, version, article count, keyword id count, article-id bytes.
+_HEADER = struct.Struct("<8sB7xQQQ")
+_TRAILER_SIZE = 32  # SHA-256 of everything before it
 
 
 class CorpusError(ValueError):
@@ -92,41 +112,145 @@ class RawArticle:
 
 
 class CorpusStore:
-    """Year-partitioned collection of ArticleRecords."""
+    """Articles in one CSR layout, sorted by (year, article id).
+
+    Article ``i`` appeared in ``years[i]`` and carries the keyword ids
+    ``ids[offsets[i]:offsets[i+1]]``, ascending, with ``major`` flagging its
+    Major keywords.  Added records are staged and folded into the columns
+    by the first read; an add after a read unfolds them again.
+    """
 
     def __init__(self) -> None:
-        self._by_year: dict[int, dict[str, ArticleRecord]] = {}
-        self._year_of: dict[str, int] = {}
         self.stats = IngestStats()
+        self._staged: dict[str, tuple] | None = {}
+        self._set_columns(
+            np.empty(0, np.int32),
+            np.zeros(1, np.int64),
+            np.empty(0, np.uint32),
+            np.empty(0, bool),
+            b"",
+        )
+
+    def _set_columns(self, years, offsets, ids, major, article_ids, digest=None):
+        self._years = years
+        self._offsets = offsets
+        self._ids = ids
+        self._major = major
+        # UTF-8 article ids, each followed by a NUL byte.
+        self._article_ids = article_ids
+        # Values derived from the columns, dropped whenever they change.
+        self._cache: dict = {} if digest is None else {"digest": digest}
 
     def add(self, record: ArticleRecord) -> None:
+        if not record.major_keywords <= record.all_keywords:
+            raise CorpusError(
+                f"article {record.article_id!r} has Major keywords outside "
+                "its keyword set"
+            )
+        if "\0" in record.article_id:
+            raise CorpusError(f"article id {record.article_id!r} contains NUL")
+        if self._staged is None:
+            self._staged = {r.article_id: _staged(r) for r in self.iter_records()}
         # Duplicate ids are last-wins; the old copy is evicted even if it
         # landed in a different year.
-        old_year = self._year_of.get(record.article_id)
-        if old_year is not None:
-            del self._by_year[old_year][record.article_id]
+        if record.article_id in self._staged:
             self.stats.duplicate_article_ids += 1
-        self._by_year.setdefault(record.year, {})[record.article_id] = record
-        self._year_of[record.article_id] = record.year
+        self._staged[record.article_id] = _staged(record)
+
+    def _fold(self) -> None:
+        """Build the columns from the staged records, if any are staged."""
+        if self._staged is None:
+            return
+        staged = self._staged
+        # Two stable sorts give (year, article id) order without key tuples.
+        names = sorted(staged)
+        names.sort(key=lambda name: staged[name][0])
+        entries = [staged[name] for name in names]
+        n = len(entries)
+        counts = np.fromiter((len(ids) for _, ids, _ in entries), np.int64, n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        total = int(offsets[-1])
+        chain = itertools.chain.from_iterable
+        try:
+            years = np.fromiter((year for year, _, _ in entries), np.int32, n)
+            ids = np.fromiter(chain(ids for _, ids, _ in entries), np.uint32, total)
+        except OverflowError as exc:
+            raise CorpusError(f"year or keyword id out of range: {exc}") from exc
+        major = np.fromiter(chain(flags for _, _, flags in entries), bool, total)
+        article_ids = "\0".join([*names, ""]).encode("utf-8")
+        self._staged = None
+        self._set_columns(years, offsets, ids, major, article_ids)
+
+    def _cached(self, key: str, compute: Callable[[], object]):
+        self._fold()
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     def __len__(self) -> int:
-        return sum(len(g) for g in self._by_year.values())
+        self._fold()
+        return len(self._years)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CorpusStore):
             return NotImplemented
-        return self._contents() == other._contents()
-
-    def _contents(self) -> dict[int, frozenset[ArticleRecord]]:
-        return {y: frozenset(g.values()) for y, g in self._by_year.items() if g}
+        mine, theirs = self.csr(ALL), other.csr(ALL)
+        return (
+            self._article_ids == other._article_ids
+            and np.array_equal(self._major, other._major)
+            and all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+        )
 
     @property
     def years(self) -> list[int]:
-        return sorted(y for y, g in self._by_year.items() if g)
+        """The distinct publication years, ascending."""
+        return self._cached("years", lambda: np.unique(self._years).tolist())
+
+    def year_range(self, year: int) -> tuple[int, int]:
+        """The article index range [lo, hi) of one year."""
+        self._fold()
+        lo, hi = np.searchsorted(self._years, (year, year + 1))
+        return int(lo), int(hi)
+
+    def csr(self, refinement: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(years, offsets, ids) of every article under one refinement."""
+        self._fold()
+        if refinement == ALL:
+            return self._years, self._offsets, self._ids
+        if refinement == MAJOR:
+            return self._cached("major_csr", self._major_csr)
+        raise ValueError(f"unknown refinement {refinement!r}")
+
+    def _major_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        running = np.zeros(self._major.size + 1, dtype=np.int64)
+        np.cumsum(self._major, out=running[1:])
+        return self._years, running[self._offsets], self._ids[self._major]
 
     def records_in(self, year: int) -> list[ArticleRecord]:
-        group = self._by_year.get(year, {})
-        return [group[key] for key in sorted(group)]
+        """The year's articles as records, in article-id order."""
+        lo, hi = self.year_range(year)
+        names = self._cached(
+            "article_ids", lambda: self._article_ids.decode("utf-8").split("\0")
+        )
+        base, top = self._offsets[lo], self._offsets[hi]
+        ids = self._ids[base:top].tolist()
+        major = self._major[base:top].tolist()
+        bounds = (self._offsets[lo : hi + 1] - base).tolist()
+        records = []
+        for i, a, b in zip(range(lo, hi), bounds, bounds[1:]):
+            kws = ids[a:b]
+            records.append(
+                ArticleRecord(
+                    article_id=names[i],
+                    year=year,
+                    all_keywords=frozenset(kws),
+                    major_keywords=frozenset(
+                        kid for kid, flag in zip(kws, major[a:b]) if flag
+                    ),
+                )
+            )
+        return records
 
     def iter_records(self) -> Iterator[ArticleRecord]:
         for year in self.years:
@@ -134,24 +258,44 @@ class CorpusStore:
 
     def articles_with_at_least(self, s: int, refinement: str, year: int) -> int:
         """Count of year-``year`` articles carrying >= s keywords."""
-        return sum(
-            1
-            for r in self._by_year.get(year, {}).values()
-            if len(r.keywords(refinement)) >= s
-        )
+        _, offsets, _ = self.csr(refinement)
+        lo, hi = self.year_range(year)
+        return int(np.count_nonzero(np.diff(offsets[lo : hi + 1]) >= s))
 
     def max_keyword_id(self) -> int:
-        best = -1
-        for record in self.iter_records():
-            if record.all_keywords:
-                best = max(best, max(record.all_keywords))
-        return best
+        return self._cached(
+            "max_id", lambda: int(self._ids.max()) if self._ids.size else -1
+        )
 
     def digest(self) -> str:
-        """Content hash over the canonical serialization."""
-        buf = io.BytesIO()
-        save_store(self, buf)
-        return hashlib.sha256(buf.getvalue()).hexdigest()
+        """SHA-256 of the store file's contents, its checksum trailer."""
+        return self._cached("digest", lambda: _sha256(self._file_chunks()).hex())
+
+    def _file_chunks(self) -> Iterator[bytes | memoryview]:
+        """The store file's contents up to the checksum trailer."""
+        years, offsets, ids = self.csr(ALL)
+        yield _HEADER.pack(
+            _MAGIC, _STORE_VERSION, len(years), len(ids), len(self._article_ids)
+        )
+        for column, dtype in ((offsets, "<i8"), (years, "<i4"), (ids, "<u4")):
+            yield memoryview(np.ascontiguousarray(column, dtype=dtype))
+        yield memoryview(np.packbits(self._major, bitorder="little"))
+        yield self._article_ids
+
+
+def _staged(record: ArticleRecord) -> tuple[int, tuple[int, ...], tuple[bool, ...]]:
+    """A record as staged until the columns are built: its year, its ids
+    ascending and their Major flags.  Tuples keep a staged corpus several
+    times smaller than its records' frozensets."""
+    ids = tuple(sorted(record.all_keywords))
+    return record.year, ids, tuple(kid in record.major_keywords for kid in ids)
+
+
+def _sha256(chunks: Iterable[bytes | memoryview]) -> bytes:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.digest()
 
 
 def filter_article(
@@ -324,94 +468,60 @@ def ingest_pubmed_xml(
 # --- binary store serialization -------------------------------------------
 
 
-def _write_varint(buf: BinaryIO, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.write(bytes((byte | 0x80,)))
-        else:
-            buf.write(bytes((byte,)))
-            return
-
-
-def _read_exact(src: BinaryIO, n: int) -> bytes:
-    data = src.read(n)
-    if len(data) != n:
-        raise CorpusError("truncated store file")
-    return data
-
-
-def _read_varint(buf: BinaryIO) -> int:
-    shift = 0
-    value = 0
-    while True:
-        byte = _read_exact(buf, 1)[0]
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value
-        shift += 7
-
-
 def save_store(store: CorpusStore, out: BinaryIO) -> None:
-    out.write(_MAGIC)
-    out.write(struct.pack("<BI", _STORE_VERSION, len(store.years)))
-    for year in store.years:
-        records = store.records_in(year)
-        out.write(struct.pack("<iI", year, len(records)))
-        for record in records:
-            ident = record.article_id.encode("utf-8")
-            out.write(struct.pack("<H", len(ident)))
-            out.write(ident)
-            ids = sorted(record.all_keywords)
-            _write_varint(out, len(ids))
-            prev = 0
-            for kid in ids:
-                _write_varint(out, kid - prev)
-                prev = kid
-            mask = bytearray((len(ids) + 7) // 8)
-            for i, kid in enumerate(ids):
-                if kid in record.major_keywords:
-                    mask[i // 8] |= 1 << (i % 8)
-            out.write(bytes(mask))
+    """Write the store file: header and columns, then their SHA-256."""
+    for chunk in store._file_chunks():
+        out.write(chunk)
+    out.write(bytes.fromhex(store.digest()))
 
 
 def load_store(src: BinaryIO) -> CorpusStore:
-    magic = src.read(len(_MAGIC))
+    """Read a store file, checking its structure and then its checksum."""
+    data = src.read()
+    magic = data[: len(_MAGIC)]
     if magic != _MAGIC:
         raise CorpusError(f"bad magic {magic!r}; not a store file")
-    version, n_years = struct.unpack("<BI", _read_exact(src, 5))
+    if len(data) == len(_MAGIC):
+        raise CorpusError("truncated store file")
+    version = data[len(_MAGIC)]
     if version != _STORE_VERSION:
-        raise CorpusError(f"unsupported store version {version}")
+        raise CorpusError(f"unsupported store version {version}; re-run ingest")
+    if len(data) < _HEADER.size:
+        raise CorpusError("truncated store file")
+    _, _, n, n_ids, n_names = _HEADER.unpack_from(data)
+    sizes = (8 * (n + 1), 4 * n, 4 * n_ids, (n_ids + 7) // 8, n_names)
+    expected = _HEADER.size + sum(sizes) + _TRAILER_SIZE
+    if len(data) < expected:
+        raise CorpusError("truncated store file")
+    if len(data) > expected:
+        raise CorpusError("trailing bytes after the checksum")
+    starts = list(itertools.accumulate(sizes, initial=_HEADER.size))
+    offsets = np.frombuffer(data, "<i8", n + 1, starts[0])
+    years = np.frombuffer(data, "<i4", n, starts[1])
+    ids = np.frombuffer(data, "<u4", n_ids, starts[2])
+    packed = np.frombuffer(data, np.uint8, sizes[3], starts[3])
+    names = data[starts[4] : starts[5]]
+
+    if offsets[0] != 0 or offsets[-1] != n_ids or (np.diff(offsets) < 0).any():
+        raise CorpusError("keyword offsets do not rise monotonically to the id count")
+    if (np.diff(years) < 0).any():
+        raise CorpusError("article years decrease")
+    first = np.zeros(n_ids, dtype=bool)
+    first[offsets[:-1][offsets[:-1] < n_ids]] = True
+    if ((ids[1:] <= ids[:-1]) & ~first[1:]).any():
+        raise CorpusError("keyword ids are not strictly ascending within an article")
+    if names.count(b"\0") != n or (n_names and not names.endswith(b"\0")):
+        raise CorpusError(f"article id count does not match the {n} articles")
+    try:
+        names.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"article id is not UTF-8: {exc}") from exc
+    checksum = _sha256([memoryview(data)[:-_TRAILER_SIZE]])
+    if checksum != data[-_TRAILER_SIZE:]:
+        raise CorpusError("store checksum mismatch; the file is corrupt")
+
     store = CorpusStore()
-    for _ in range(n_years):
-        year, n_records = struct.unpack("<iI", _read_exact(src, 8))
-        for _ in range(n_records):
-            (id_len,) = struct.unpack("<H", _read_exact(src, 2))
-            try:
-                article_id = _read_exact(src, id_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"article id is not UTF-8: {exc}") from exc
-            n_ids = _read_varint(src)
-            ids = []
-            prev = 0
-            for _ in range(n_ids):
-                prev += _read_varint(src)
-                ids.append(prev)
-            mask = _read_exact(src, (n_ids + 7) // 8)
-            major = frozenset(
-                kid
-                for i, kid in enumerate(ids)
-                if mask[i // 8] & (1 << (i % 8))
-            )
-            store.add(
-                ArticleRecord(
-                    article_id=article_id,
-                    year=year,
-                    all_keywords=frozenset(ids),
-                    major_keywords=major,
-                )
-            )
-    if src.read(1):
-        raise CorpusError("trailing bytes after the last year block")
+    store._staged = None
+    major = np.unpackbits(packed, count=n_ids, bitorder="little").view(bool)
+    store._set_columns(years, offsets, ids, major, names, checksum.hex())
     return store

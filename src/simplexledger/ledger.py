@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from simplexledger.corpus import ALL, REFINEMENTS, ArticleRecord, CorpusStore
+from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore
 
 SPILL_ENV_VAR = "SLEDGER_TMP"
 
@@ -66,13 +66,11 @@ def keyword_debut_years(corpus: CorpusStore, refinement: str = ALL) -> dict[int,
     """Earliest year each keyword appears in any article, per refinement."""
     if refinement not in REFINEMENTS:
         raise LedgerError(f"unknown refinement {refinement!r}")
-    debut: dict[int, int] = {}
-    for year in corpus.years:
-        for record in corpus.records_in(year):
-            for kid in record.keywords(refinement):
-                if kid not in debut:
-                    debut[kid] = year
-    return debut
+    years, offsets, ids = corpus.csr(refinement)
+    # Articles are sorted by year, so a keyword's first position is its debut.
+    kids, first = np.unique(ids, return_index=True)
+    article = np.searchsorted(offsets, first, side="right") - 1
+    return dict(zip(kids.tolist(), years[article].tolist()))
 
 
 @dataclass(frozen=True)
@@ -188,27 +186,23 @@ def _comb_indices(m: int, s: int) -> np.ndarray:
 
 
 def _emit_year_keys(
-    records: list[ArticleRecord], refinement: str, s: int
+    offsets: np.ndarray, ids: np.ndarray, lo: int, hi: int, s: int
 ) -> Iterator[np.ndarray]:
-    """Packed keys for all size-s combinations of the year's articles.
+    """Packed keys for all size-s combinations of articles lo..hi-1.
 
-    Articles are grouped by keyword count so the combination gather is
-    vectorized across articles.
+    Articles are grouped by keyword count m, so that one gather builds a
+    batch's (articles, m) id matrix and another its combinations.
     """
-    groups: dict[int, list[list[int]]] = {}
-    for record in records:
-        ids = sorted(record.keywords(refinement))
-        if len(ids) >= s:
-            groups.setdefault(len(ids), []).append(ids)
-    for m in sorted(groups):
-        rows = groups[m]
+    starts = offsets[lo:hi]
+    counts = offsets[lo + 1 : hi + 1] - starts
+    for m in np.unique(counts[counts >= s]).tolist():
+        group = starts[counts == m]
         idx = _comb_indices(m, s)
-        per_article = len(idx)
-        batch = max(1, _EMIT_CHUNK // max(per_article, 1))
-        for start in range(0, len(rows), batch):
-            mat = np.array(rows[start : start + batch], dtype=np.uint64)
-            combos = mat[:, idx].reshape(-1, s)
-            yield _pack(combos, s)
+        batch = max(1, _EMIT_CHUNK // len(idx))
+        columns = np.arange(m)
+        for start in range(0, group.size, batch):
+            rows = ids[group[start : start + batch, None] + columns]
+            yield _pack(rows[:, idx].reshape(-1, s), s)
 
 
 # --- chunked sorted-stream machinery --------------------------------------
@@ -467,6 +461,7 @@ def tabulate(
                     p.unlink()
 
         debut = keyword_debut_years(corpus, config.refinement)
+        _, offsets, ids = corpus.csr(config.refinement)
         debut_ids = np.fromiter(debut.keys(), dtype=np.intp, count=len(debut))
         debut_years = np.fromiter(debut.values(), dtype=np.int64, count=len(debut))
 
@@ -478,16 +473,14 @@ def tabulate(
         for year in all_years:
             if watermark is not None and year <= watermark:
                 continue
-            records = corpus.records_in(year)
-            processed = sum(
-                1 for r in records if len(r.keywords(config.refinement)) >= s
-            )
+            lo, hi = corpus.year_range(year)
+            processed = corpus.articles_with_at_least(s, config.refinement, year)
             is_debut = np.zeros(max_id + 1, dtype=bool)
             is_debut[debut_ids[debut_years == year]] = True
             new_keywords = int(is_debut.sum())
 
             buffered = 0
-            for keys in _emit_year_keys(records, config.refinement, s):
+            for keys in _emit_year_keys(offsets, ids, lo, hi, s):
                 if config.shard_count == 1:
                     shards[0].add(keys)
                 else:

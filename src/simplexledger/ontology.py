@@ -64,12 +64,6 @@ class Ontology:
     def by_code(self, external_code: str) -> Descriptor | None:
         return self._by_code.get(external_code)
 
-    def eligible_ids(self, branch_filter: BranchFilter | None = None) -> frozenset[int]:
-        branch_filter = branch_filter or BranchFilter()
-        return frozenset(
-            d.id for d in self.descriptors if is_eligible(d, branch_filter)
-        )
-
 
 def load_ontology(source: Iterable[str] | TextIO) -> Ontology:
     """Build an Ontology from TSV rows, assigning dense ids in source order.

@@ -1,4 +1,5 @@
 import csv
+import fcntl
 import json
 
 import pytest
@@ -91,20 +92,37 @@ def test_ledger_csv_header_frozen(tmp_path, demo_files):
 def test_locked_output_directory_refused(tmp_path, demo_files):
     out = tmp_path / "locked"
     out.mkdir()
-    (out / ".lock").write_text("123")
     ontology, corpus = demo_files
-    with pytest.raises(SystemExit, match="lock"):
-        main(
-            [
-                "run",
-                "--ontology",
-                str(ontology),
-                "--input",
-                str(corpus),
-                "--out",
-                str(out),
-            ]
-        )
+    with open(out / ".lock", "w") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(SystemExit, match="lock"):
+            main(
+                [
+                    "run",
+                    "--ontology",
+                    str(ontology),
+                    "--input",
+                    str(corpus),
+                    "--out",
+                    str(out),
+                ]
+            )
+
+
+def test_leftover_unlocked_lock_file_does_not_block(tmp_path, demo_files):
+    out = tmp_path / "killed"
+    out.mkdir()
+    # What a killed run leaves: the file, without the lock the kernel held.
+    (out / ".lock").write_text("123")
+    _run_dir(tmp_path, "killed", demo_files)
+    assert json.loads((out / "run_manifest.json").read_text())["status"] == "complete"
+
+
+def test_complete_run_removes_spill_state(tmp_path, demo_files):
+    out = _run_dir(tmp_path, "spilled", demo_files)
+    assert json.loads((out / "run_manifest.json").read_text())["status"] == "complete"
+    assert not list(out.rglob("hist*.bin"))
+    assert not (out / "spill").exists()
 
 
 def test_ingest_then_run_from_store(tmp_path, demo_files):

@@ -1,7 +1,9 @@
 import io
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexledger.corpus import (
     ArticleRecord,
@@ -16,6 +18,7 @@ from simplexledger.corpus import (
     load_store,
     save_store,
 )
+from simplexledger.ontology import is_eligible
 from simplexledger.synth import SynthParams, generate_synthetic
 
 
@@ -274,6 +277,120 @@ def test_store_with_non_utf8_article_id_rejected():
         load_store(io.BytesIO(corrupt))
 
 
+def test_version_one_store_refused():
+    with pytest.raises(CorpusError, match="version 1; re-run ingest"):
+        load_store(io.BytesIO(b"SLEDGER1\x01" + struct.pack("<I", 0)))
+
+
+# Byte offsets in the small store: a 40-byte header, then the offsets of its
+# three articles (4 x int64), their years (3 x int32) and the 8 ids (uint32).
+_OFFSETS, _YEARS, _IDS = 40, 72, 84
+
+
+def _patched(offset, fmt, value):
+    data = bytearray(_SMALL_STORE)
+    struct.pack_into(fmt, data, offset, value)
+    return io.BytesIO(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, cause",
+    [
+        (_OFFSETS + 8, "<q", 6, "offsets do not rise"),
+        (_OFFSETS + 24, "<q", 7, "offsets do not rise"),
+        (_YEARS + 4, "<i", 1990, "years decrease"),
+        (_IDS + 4, "<I", 1, "not strictly ascending"),
+        (len(_SMALL_STORE) - 33, "<B", ord("x"), "article id count"),
+        # Still ascending: only the checksum sees it.
+        (_IDS + 28, "<I", 200001, "checksum"),
+    ],
+)
+def test_store_structure_errors_name_their_cause(offset, fmt, value, cause):
+    with pytest.raises(CorpusError, match=cause):
+        load_store(_patched(offset, fmt, value))
+
+
+def test_add_order_does_not_change_digest_or_file():
+    records = list(
+        generate_synthetic(
+            SynthParams(n_articles=120, vocab_size=30, seed=3, major_fraction=0.5)
+        ).iter_records()
+    )
+    forward, backward = CorpusStore(), CorpusStore()
+    for record in records:
+        forward.add(record)
+    for record in reversed(records):
+        backward.add(record)
+    assert forward.digest() == backward.digest()
+    a, b = io.BytesIO(), io.BytesIO()
+    save_store(forward, a)
+    save_store(backward, b)
+    assert a.getvalue() == b.getvalue()
+    assert load_store(io.BytesIO(a.getvalue())).digest() == forward.digest()
+
+
+@pytest.mark.parametrize(
+    "record, cause",
+    [
+        (ArticleRecord("a", 1999, frozenset({1, 2}), frozenset({3})), "Major"),
+        (ArticleRecord("a\0b", 1999, frozenset({1, 2}), frozenset()), "NUL"),
+        (ArticleRecord("a", 1999, frozenset({-1, 2}), frozenset()), "range"),
+        (ArticleRecord("a", 1999, frozenset({1, 1 << 32}), frozenset()), "range"),
+        (ArticleRecord("a", 1 << 31, frozenset({1, 2}), frozenset()), "range"),
+    ],
+)
+def test_store_rejects_records_it_cannot_represent(record, cause):
+    store = CorpusStore()
+    with pytest.raises(CorpusError, match=cause):
+        store.add(record)
+        len(store)
+
+
+def test_add_after_read_keeps_last_wins():
+    store = CorpusStore()
+    store.add(ArticleRecord("a", 1999, frozenset({1, 2}), frozenset({2})))
+    assert store.max_keyword_id() == 2
+    store.add(ArticleRecord("a", 2001, frozenset({3, 4}), frozenset()))
+    store.add(ArticleRecord("b", 1999, frozenset({5, 6}), frozenset({5})))
+    assert store.max_keyword_id() == 6
+    assert store.years == [1999, 2001]
+    assert [r.article_id for r in store.iter_records()] == ["b", "a"]
+    assert store.stats.duplicate_article_ids == 1
+
+
+@st.composite
+def _articles(draw):
+    ids = draw(st.frozensets(st.integers(0, 70_000), max_size=5))
+    name = st.characters(blacklist_characters="\0", blacklist_categories=("Cs",))
+    major = st.frozensets(st.sampled_from(sorted(ids))) if ids else st.just(ids)
+    return ArticleRecord(
+        article_id=draw(st.text(name, max_size=4)),
+        year=draw(st.integers(1902, 1910)),
+        all_keywords=ids,
+        major_keywords=draw(major),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=st.lists(_articles(), max_size=4), data=st.data())
+def test_damaged_store_raises_only_corpus_error(records, data):
+    store = CorpusStore()
+    for record in records:
+        store.add(record)
+    buf = io.BytesIO()
+    save_store(store, buf)
+    blob = buf.getvalue()
+    assert load_store(io.BytesIO(blob)) == store
+    for length in range(len(blob)):
+        with pytest.raises(CorpusError):
+            load_store(io.BytesIO(blob[:length]))
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), max_size=16)):
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 1 << bit % 8
+        with pytest.raises(CorpusError):
+            load_store(io.BytesIO(bytes(damaged)))
+
+
 def test_p_counts_monotone_and_major_below_all():
     corpus = generate_synthetic(
         SynthParams(
@@ -305,7 +422,8 @@ def test_every_stored_record_satisfies_invariants(ontology):
         ptype = rng.choice(["Journal Article", "Review", "Letter", "Editorial"])
         rows.append(f"p{i}\t{rng.randint(1880, 2020)}\t{ptype}\t{kws}")
     store = ingest_tsv(iter(rows), ontology)
-    eligible = ontology.eligible_ids()
+    allowed = FilterConfig().branch_filter
+    eligible = {d.id for d in ontology.descriptors if is_eligible(d, allowed)}
     for record in store.iter_records():
         assert record.major_keywords <= record.all_keywords
         assert record.year >= 1902

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -7,8 +8,9 @@ import tempfile
 
 import pytest
 
+import simplexledger.corpus as corpus_mod
 import simplexledger.ledger as ledger_mod
-from simplexledger.corpus import ArticleRecord, CorpusStore
+from simplexledger.corpus import ArticleRecord, CorpusStore, load_store, save_store
 from simplexledger.ledger import (
     LedgerConfig,
     LedgerError,
@@ -251,6 +253,30 @@ def test_order_zero_ledger_equals_vocabulary_tally(tmp_path):
     debut = keyword_debut_years(corpus, "all")
     assert sum(series.new_simplices) == len(debut)
     assert series.new_simplices == series.new_keywords
+
+
+def test_loaded_store_tabulates_from_columns(tmp_path, monkeypatch):
+    buf = io.BytesIO()
+    save_store(_random_corpus(91, n_articles=300), buf)
+    hashed = []
+    sha256 = corpus_mod._sha256
+    monkeypatch.setattr(
+        corpus_mod, "_sha256", lambda chunks: hashed.append(1) or sha256(chunks)
+    )
+    store = load_store(io.BytesIO(buf.getvalue()))
+    pairs = [(k, r) for k in (1, 2, 3) for r in ("all", "major")]
+    expected = {pair: oracle_tabulate(store, *pair) for pair in pairs}
+
+    def no_records(self, year):
+        raise AssertionError("tabulate read per-article records")
+
+    monkeypatch.setattr(CorpusStore, "records_in", no_records)
+    for k, refinement in pairs:
+        config = LedgerConfig(
+            k=k, refinement=refinement, spill_directory=tmp_path / f"{k}{refinement}"
+        )
+        assert tabulate(store, config) == expected[k, refinement]
+    assert len(hashed) <= 1
 
 
 # --- configuration and failure modes --------------------------------------

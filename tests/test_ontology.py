@@ -79,7 +79,7 @@ def test_invalid_branch_codes_rejected():
 
 
 def test_eligible_partition_covers_all_descriptors(ontology):
-    eligible = ontology.eligible_ids()
+    eligible = {d.id for d in ontology.descriptors if is_eligible(d, BranchFilter())}
     excluded_only = {
         d.id
         for d in ontology.descriptors
