@@ -516,6 +516,13 @@ def load_store(src: BinaryIO) -> CorpusStore:
         names.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"article id is not UTF-8: {exc}") from exc
+    # UTF-8 bytes sort as their code points, the order `add` folds in.
+    article_ids = np.array(names.split(b"\0")[:n], dtype=bytes)
+    if ((years[1:] == years[:-1]) & (article_ids[1:] <= article_ids[:-1])).any():
+        raise CorpusError("article ids are not strictly ascending within a year")
+    article_ids.sort()
+    if (article_ids[1:] == article_ids[:-1]).any():
+        raise CorpusError("an article id repeats in another year")
     checksum = _sha256([memoryview(data)[:-_TRAILER_SIZE]])
     if checksum != data[-_TRAILER_SIZE:]:
         raise CorpusError("store checksum mismatch; the file is corrupt")

@@ -6,6 +6,9 @@ article and never earlier.  New combinations containing a keyword whose
 debut year (under the same refinement) is t are classified peripheral, the
 rest core.
 
+Keyword ids are renumbered per refinement in debut order, so the keywords
+debuting in one year form one contiguous range of dense ids and a new
+combination is peripheral iff its largest dense id falls in that range.
 Deduplication is external: combinations are packed into 64-bit keys and
 hash sharded.  Each shard keeps one sorted history file of every key it has
 seen.  At year end a single streaming pass steps the year's sorted unique
@@ -37,7 +40,7 @@ from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore
 SPILL_ENV_VAR = "SLEDGER_TMP"
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 2
+_MANIFEST_VERSION = 3
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 18  # keys per emission batch
 
@@ -66,11 +69,27 @@ def keyword_debut_years(corpus: CorpusStore, refinement: str = ALL) -> dict[int,
     """Earliest year each keyword appears in any article, per refinement."""
     if refinement not in REFINEMENTS:
         raise LedgerError(f"unknown refinement {refinement!r}")
+    keywords, debuts, _ = _debut_order(corpus, refinement)
+    return dict(zip(keywords.tolist(), debuts.tolist()))
+
+
+def _debut_order(
+    corpus: CorpusStore, refinement: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The refinement's keywords renumbered in debut order.
+
+    Returns (keywords, debuts, dense): the distinct keyword ids in order of
+    first appearance, their debut years (non-decreasing), and the CSR's ids
+    replaced by their positions in ``keywords``.
+    """
     years, offsets, ids = corpus.csr(refinement)
     # Articles are sorted by year, so a keyword's first position is its debut.
-    kids, first = np.unique(ids, return_index=True)
-    article = np.searchsorted(offsets, first, side="right") - 1
-    return dict(zip(kids.tolist(), years[article].tolist()))
+    kids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(kids.size, dtype=ids.dtype)
+    rank[order] = np.arange(kids.size, dtype=ids.dtype)
+    article = np.searchsorted(offsets, first[order], side="right") - 1
+    return kids[order], years[article], rank[inverse]
 
 
 @dataclass(frozen=True)
@@ -128,14 +147,13 @@ class LedgerSeries:
 # --- packing ---------------------------------------------------------------
 
 
-def _check_capacity(max_id: int, s: int) -> int:
+def _check_capacity(n_keywords: int, s: int) -> None:
     bits = _ARITY_BITS[s]
-    if max_id >= (1 << bits):
+    if n_keywords > (1 << bits):
         raise LedgerError(
-            f"keyword id {max_id} exceeds the {bits}-bit capacity for "
-            f"combinations of size {s}"
+            f"{n_keywords} distinct keywords exceed the {bits}-bit capacity "
+            f"({1 << bits} keywords) for combinations of size {s}"
         )
-    return bits
 
 
 def _pack(rows: np.ndarray, s: int) -> np.ndarray:
@@ -145,17 +163,6 @@ def _pack(rows: np.ndarray, s: int) -> np.ndarray:
     for col in range(1, s):
         keys = (keys << np.uint64(bits)) | rows[:, col].astype(np.uint64)
     return keys
-
-
-def _unpack(keys: np.ndarray, s: int) -> np.ndarray:
-    bits = np.uint64(_ARITY_BITS[s])
-    mask = np.uint64((1 << _ARITY_BITS[s]) - 1)
-    cols = []
-    work = keys.copy()
-    for _ in range(s):
-        cols.append(work & mask)
-        work = work >> bits
-    return np.stack(cols[::-1], axis=1)
 
 
 def _mix64(keys: np.ndarray) -> np.ndarray:
@@ -191,7 +198,8 @@ def _emit_year_keys(
     """Packed keys for all size-s combinations of articles lo..hi-1.
 
     Articles are grouped by keyword count m, so that one gather builds a
-    batch's (articles, m) id matrix and another its combinations.
+    batch's (articles, m) id matrix and, once each row is sorted, another
+    its combinations.
     """
     starts = offsets[lo:hi]
     counts = offsets[lo + 1 : hi + 1] - starts
@@ -202,6 +210,7 @@ def _emit_year_keys(
         columns = np.arange(m)
         for start in range(0, group.size, batch):
             rows = ids[group[start : start + batch, None] + columns]
+            rows.sort(axis=1)
             yield _pack(rows[:, idx].reshape(-1, s), s)
 
 
@@ -265,7 +274,9 @@ def _merge_unique(sources: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
         if len(parts) == 1:
             yield parts[0]
         else:
-            yield _dedup_sorted(np.sort(np.concatenate(parts), kind="stable"))
+            merged = np.concatenate(parts)
+            merged.sort(kind="stable")
+            yield _dedup_sorted(merged)
 
 
 # --- shard state -----------------------------------------------------------
@@ -274,11 +285,10 @@ def _merge_unique(sources: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
 class _Shard:
     """One hash partition: a single sorted history file of every key seen."""
 
-    def __init__(self, directory: Path, chunk_elems: int, frame_elems: int) -> None:
+    def __init__(self, directory: Path, frame_elems: int) -> None:
         self.directory = directory
-        # A year-end pass reads chunk_elems per open stream, fewer if its
-        # streams would together hold more than frame_elems.
-        self.chunk_elems = chunk_elems
+        # Shards finish one at a time, so a year-end pass splits the whole
+        # frame of frame_elems keys across its open streams.
         self.frame_elems = frame_elems
         self.history: str | None = None
         self.batch: list[np.ndarray] = []
@@ -305,18 +315,21 @@ class _Shard:
         self.spills.append(path)
 
     def finish_year(
-        self, history_name: str, is_debut: np.ndarray | None, s: int
+        self, history_name: str, debut_key: np.uint64 | None, mask: np.uint64
     ) -> tuple[int, int]:
         """Merge the year's unique keys into history, counting the new ones.
 
-        The merged history is written to ``history_name``, which becomes
-        this shard's history; the previous file is left for the caller to
-        delete once the manifest names the new one.  A shard without new
-        keys keeps its history file.  Returns (new_count, new_peripheral).
+        A new key is peripheral iff its low field (its largest dense id,
+        selected by ``mask``) is at least ``debut_key``, the year's first
+        debuting id; None means no keyword debuts this year.  The merged
+        history is written to ``history_name``, which becomes this shard's
+        history; the previous file is left for the caller to delete once the
+        manifest names the new one.  A shard without new keys keeps its
+        history file.  Returns (new_count, new_peripheral).
         """
         tail = self._drain_batch()
         streams = len(self.spills) + (self.history is not None)
-        elems = max(1, min(self.chunk_elems, self.frame_elems // max(streams, 1)))
+        elems = max(1, self.frame_elems // max(streams, 1))
         year_sources = [_iter_file(p, elems) for p in self.spills]
         if tail.size:
             year_sources.append(iter([tail]))
@@ -340,12 +353,13 @@ class _Shard:
                     new, merged = year_keys, hist_keys
                 else:
                     pos = np.searchsorted(hist_keys, year_keys)
-                    seen = hist_keys[np.minimum(pos, hist_keys.size - 1)] == year_keys
-                    new = year_keys[~seen]
-                    merged = np.sort(np.concatenate([hist_keys, new]), kind="stable")
+                    np.minimum(pos, hist_keys.size - 1, out=pos)
+                    new = year_keys[hist_keys[pos] != year_keys]
+                    merged = np.concatenate([hist_keys, new])
+                    merged.sort(kind="stable")
                 new_count += new.size
-                if is_debut is not None and new.size:
-                    peripheral += int(is_debut[_unpack(new, s)].any(axis=1).sum())
+                if debut_key is not None and new.size:
+                    peripheral += int(np.count_nonzero((new & mask) >= debut_key))
                 merged.tofile(out)
         for p in self.spills:
             p.unlink(missing_ok=True)
@@ -370,7 +384,7 @@ def _fingerprint(corpus_digest: str, config: LedgerConfig) -> str:
 
 def _write_manifest(path: Path, payload: dict) -> None:
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, indent=1))
+    tmp.write_text(json.dumps(payload, separators=(",", ":")))
     os.replace(tmp, path)
 
 
@@ -418,8 +432,10 @@ def tabulate(
     if not corpus_years:
         return series
 
-    max_id = corpus.max_keyword_id()
-    _check_capacity(max_id, s)
+    _, debuts, dense = _debut_order(corpus, config.refinement)
+    _check_capacity(debuts.size, s)
+    _, offsets, _ = corpus.csr(config.refinement)
+    mask = np.uint64((1 << _ARITY_BITS[s]) - 1)
 
     with _workdir(config) as workdir:
         ledger_dir = Path(workdir) / f"k{config.k}" / config.refinement
@@ -445,12 +461,9 @@ def tabulate(
                 "rows": [],
             }
 
-        chunk_elems = max(
-            1024, config.memory_budget_bytes // (8 * 8 * max(config.shard_count, 1))
-        )
         frame_elems = config.memory_budget_bytes // 2 // 8
         shards = [
-            _Shard(ledger_dir / f"shard{i:04d}", chunk_elems, frame_elems)
+            _Shard(ledger_dir / f"shard{i:04d}", frame_elems)
             for i in range(config.shard_count)
         ]
         for shard, history in zip(shards, manifest["history"]):
@@ -459,11 +472,6 @@ def tabulate(
             for p in shard.directory.iterdir():
                 if p.name != history:
                     p.unlink()
-
-        debut = keyword_debut_years(corpus, config.refinement)
-        _, offsets, ids = corpus.csr(config.refinement)
-        debut_ids = np.fromiter(debut.keys(), dtype=np.intp, count=len(debut))
-        debut_years = np.fromiter(debut.values(), dtype=np.int64, count=len(debut))
 
         rows = list(manifest["rows"])
         watermark = manifest["watermark"]
@@ -475,12 +483,13 @@ def tabulate(
                 continue
             lo, hi = corpus.year_range(year)
             processed = corpus.articles_with_at_least(s, config.refinement, year)
-            is_debut = np.zeros(max_id + 1, dtype=bool)
-            is_debut[debut_ids[debut_years == year]] = True
-            new_keywords = int(is_debut.sum())
+            # The year's debuting keywords are the dense ids first..last-1.
+            first, last = np.searchsorted(debuts, (year, year + 1)).tolist()
+            new_keywords = last - first
+            debut_key = np.uint64(first) if new_keywords else None
 
             buffered = 0
-            for keys in _emit_year_keys(offsets, ids, lo, hi, s):
+            for keys in _emit_year_keys(offsets, dense, lo, hi, s):
                 if config.shard_count == 1:
                     shards[0].add(keys)
                 else:
@@ -496,7 +505,7 @@ def tabulate(
             previous = [shard.history for shard in shards]
             history_name = f"hist{len(rows):04d}.bin"
             results = [
-                shard.finish_year(history_name, is_debut if new_keywords else None, s)
+                shard.finish_year(history_name, debut_key, mask)
                 for shard in shards
             ]
             rows.append(

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 import struct
@@ -301,6 +302,8 @@ def _patched(offset, fmt, value):
         (_YEARS + 4, "<i", 1990, "years decrease"),
         (_IDS + 4, "<I", 1, "not strictly ascending"),
         (len(_SMALL_STORE) - 33, "<B", ord("x"), "article id count"),
+        # "a2" becomes a second "a1" in 1999.
+        (len(_SMALL_STORE) - 37, "<B", ord("1"), "article ids are not strictly"),
         # Still ascending: only the checksum sees it.
         (_IDS + 28, "<I", 200001, "checksum"),
     ],
@@ -308,6 +311,20 @@ def _patched(offset, fmt, value):
 def test_store_structure_errors_name_their_cause(offset, fmt, value, cause):
     with pytest.raises(CorpusError, match=cause):
         load_store(_patched(offset, fmt, value))
+
+
+def test_store_with_article_id_repeated_in_another_year_rejected(
+    two_article_corpus,
+):
+    # "b" (2001) renamed to "a" (2000) with the checksum recomputed, so
+    # only the structure check can refuse it.
+    buf = io.BytesIO()
+    save_store(two_article_corpus, buf)
+    body = buf.getvalue()[:-32]
+    assert body.endswith(b"a\0b\0")
+    body = body[:-2] + b"a\0"
+    with pytest.raises(CorpusError, match="repeats in another year"):
+        load_store(io.BytesIO(body + hashlib.sha256(body).digest()))
 
 
 def test_add_order_does_not_change_digest_or_file():

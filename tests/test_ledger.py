@@ -6,6 +6,7 @@ import random
 import stat
 import tempfile
 
+import numpy as np
 import pytest
 
 import simplexledger.corpus as corpus_mod
@@ -312,14 +313,39 @@ def test_unwritable_spill_directory_aborts(two_article_corpus, tmp_path):
         os.chmod(locked, stat.S_IRWXU)
 
 
-def test_keyword_id_capacity_enforced(tmp_path):
+def test_keyword_capacity_counts_distinct_used_keywords(tmp_path):
+    # 65,536 keywords in quartets fill the 16-bit per-id capacity exactly,
+    # although their even ids run up to 131,070.
     store = CorpusStore()
-    big = 1 << 17  # over the 16-bit per-id capacity for quartets
-    store.add(
-        ArticleRecord("a", 2000, frozenset({1, 2, 3, big}), frozenset())
-    )
+    for i in range(1 << 14):
+        kws = frozenset(range(8 * i, 8 * i + 8, 2))
+        store.add(ArticleRecord(f"a{i:05d}", 2000, kws, frozenset()))
+    config = LedgerConfig(k=3, spill_directory=tmp_path / "fits")
+    assert tabulate(store, config) == oracle_tabulate(store, 3, "all")
+    # One more keyword, even in an article too small for a quartet.
+    store.add(ArticleRecord("b", 2001, frozenset({1}), frozenset()))
     with pytest.raises(LedgerError, match="capacity"):
-        tabulate(store, LedgerConfig(k=3, spill_directory=tmp_path))
+        tabulate(store, LedgerConfig(k=3, spill_directory=tmp_path / "over"))
+    assert not (tmp_path / "over").exists()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sparse_keyword_ids_fit_packed_keys(tmp_path, k):
+    # Ids far over the 16-bit (quartet) and 21-bit (triad) fields.
+    big = [1 << 17, 1 << 21, 1 << 30, (1 << 32) - 1]
+    store = CorpusStore()
+    store.add(ArticleRecord("a", 2000, frozenset({1, 2, 3, big[0]}), frozenset()))
+    store.add(
+        ArticleRecord("b", 2001, frozenset({2, 3, *big}), frozenset({2, *big[1:]}))
+    )
+    store.add(
+        ArticleRecord("c", 2003, frozenset({1, 5, *big}), frozenset({1, 5, *big[:3]}))
+    )
+    for refinement in ("all", "major"):
+        config = LedgerConfig(
+            k=k, refinement=refinement, spill_directory=tmp_path, shard_count=2
+        )
+        assert tabulate(store, config) == oracle_tabulate(store, k, refinement)
 
 
 # --- crash-restart ---------------------------------------------------------
@@ -395,26 +421,40 @@ def test_crash_after_history_commit_before_manifest(tmp_path, monkeypatch):
         assert files == ([name] if name else [])
 
 
-def test_version_one_manifest_starts_fresh(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_manifest_version_starts_fresh(tmp_path, version):
     corpus = _random_corpus(13, n_articles=300)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
     tabulate(corpus, config)
-    # Rewrite the state in the version-1 layout: a list of run files per
-    # shard.  Its rows are off by one, so trusting them would show.
+    # Rewrite the state in an older layout.  Its rows are off by one, so
+    # trusting them would show.
     ledger_dir = tmp_path / "k1" / "all"
     manifest_path = ledger_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    runs = {}
-    for i, name in enumerate(manifest.pop("history")):
-        shard = ledger_dir / f"shard{i:04d}"
-        if name is not None:
-            (shard / name).rename(shard / "run0000.bin")
-        runs[str(i)] = ["run0000.bin"] if name is not None else []
     manifest.update(
-        version=1,
-        runs=runs,
+        version=version,
         rows=[dict(r, new_simplices=r["new_simplices"] + 1) for r in manifest["rows"]],
     )
+    if version == 1:
+        # A list of run files per shard.
+        runs = {}
+        for i, name in enumerate(manifest.pop("history")):
+            shard = ledger_dir / f"shard{i:04d}"
+            if name is not None:
+                (shard / name).rename(shard / "run0000.bin")
+            runs[str(i)] = ["run0000.bin"] if name is not None else []
+        manifest["runs"] = runs
+    else:
+        # One history file per shard, its keys packed from raw keyword ids.
+        pairs = [
+            pair
+            for record in corpus.iter_records()
+            for pair in enumerate_simplices(record.all_keywords, 1)
+        ]
+        keys = np.unique(ledger_mod._pack(np.array(pairs, dtype=np.uint32), 2))
+        shard_of = ledger_mod._mix64(keys) % np.uint64(2)
+        for i, name in enumerate(manifest["history"]):
+            keys[shard_of == i].tofile(ledger_dir / f"shard{i:04d}" / name)
     manifest_path.write_text(json.dumps(manifest))
     assert tabulate(corpus, config) == oracle_tabulate(corpus, 1, "all")
 
@@ -433,7 +473,8 @@ def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_merge_frame_stays_within_memory_budget(tmp_path, monkeypatch):
+@pytest.mark.parametrize("shard_count", [1, 4])
+def test_merge_frame_stays_within_memory_budget(tmp_path, monkeypatch, shard_count):
     # One year of 5.6e6 pair emissions against a 1 MiB budget: every
     # emission batch spills, so the year-end pass opens 20+ spill files.
     rng = random.Random(21)
@@ -462,7 +503,12 @@ def test_merge_frame_stays_within_memory_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(ledger_mod, "_iter_file", tracked)
     spilled = tabulate(
         store,
-        LedgerConfig(k=1, spill_directory=tmp_path / "b", memory_budget_bytes=budget),
+        LedgerConfig(
+            k=1,
+            shard_count=shard_count,
+            spill_directory=tmp_path / "b",
+            memory_budget_bytes=budget,
+        ),
     )
     assert sum(name.startswith("spill") for name in opened) >= 20
     assert 0 < peak <= budget
