@@ -227,6 +227,30 @@ class CorpusStore:
         np.cumsum(self._major, out=running[1:])
         return self._years, running[self._offsets], self._ids[self._major]
 
+    def debut_order(
+        self, refinement: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The refinement's keywords renumbered in debut order.
+
+        Returns (keywords, debuts, dense): the distinct keyword ids in order
+        of first appearance, their debut years (non-decreasing), and the
+        refinement's CSR ids replaced by their positions in ``keywords``.
+        Cached per refinement until the columns change.
+        """
+        return self._cached(
+            f"debut_order_{refinement}", lambda: self._debut_order(refinement)
+        )
+
+    def _debut_order(self, refinement: str):
+        years, offsets, ids = self.csr(refinement)
+        # Articles are sorted by year, so a keyword's first position is its debut.
+        kids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(kids.size, dtype=ids.dtype)
+        rank[order] = np.arange(kids.size, dtype=ids.dtype)
+        article = np.searchsorted(offsets, first[order], side="right") - 1
+        return kids[order], years[article], rank[inverse]
+
     def records_in(self, year: int) -> list[ArticleRecord]:
         """The year's articles as records, in article-id order."""
         lo, hi = self.year_range(year)
@@ -468,6 +492,24 @@ def ingest_pubmed_xml(
 # --- binary store serialization -------------------------------------------
 
 
+def _fixed_width(names: bytes) -> np.ndarray:
+    """The NUL-terminated article ids as one fixed-width bytes array.
+
+    Each id is padded with NULs, which no id contains, so the array orders
+    the ids as bytes do; UTF-8 bytes sort as their code points, the order
+    `add` folds in.
+    """
+    blob = np.frombuffer(names, np.uint8)
+    ends = np.flatnonzero(blob == 0)
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    lengths = ends - starts
+    width = max(1, int(lengths.max(initial=0)))
+    padded = np.concatenate((blob, np.zeros(width, np.uint8)))
+    grid = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
+    grid[np.arange(width) >= lengths[:, None]] = 0
+    return grid.view(f"S{width}").ravel()
+
+
 def save_store(store: CorpusStore, out: BinaryIO) -> None:
     """Write the store file: header and columns, then their SHA-256."""
     for chunk in store._file_chunks():
@@ -516,8 +558,7 @@ def load_store(src: BinaryIO) -> CorpusStore:
         names.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"article id is not UTF-8: {exc}") from exc
-    # UTF-8 bytes sort as their code points, the order `add` folds in.
-    article_ids = np.array(names.split(b"\0")[:n], dtype=bytes)
+    article_ids = _fixed_width(names)
     if ((years[1:] == years[:-1]) & (article_ids[1:] <= article_ids[:-1])).any():
         raise CorpusError("article ids are not strictly ascending within a year")
     article_ids.sort()

@@ -10,13 +10,16 @@ Keyword ids are renumbered per refinement in debut order, so the keywords
 debuting in one year form one contiguous range of dense ids and a new
 combination is peripheral iff its largest dense id falls in that range.
 Deduplication is external: combinations are packed into 64-bit keys and
-hash sharded.  Each shard keeps one sorted history file of every key it has
-seen.  At year end a single streaming pass steps the year's sorted unique
-keys against that file, counts the keys it lacks, and writes the merged
-history as the next file, so tallies are exact at scales far beyond memory
-and the result is identical for any shard count.  A manifest written after
-each completed year names every shard's history file and allows restart
-from the last watermark.
+hash sharded.  Each shard keeps the sorted set of every key it has seen, its
+history.  At year end a single streaming pass steps the year's sorted unique
+keys against that history and counts the keys it lacks, so tallies are exact
+at scales far beyond memory and the result is identical for any shard count.
+A history that fits the shard's share of the memory budget stays resident
+in memory and the pass appends the year's new keys to the shard's log file;
+once it outgrows the share, the pass writes it out as a sorted history file
+and from then on writes each year's merged history as the next file.  A
+manifest written after each completed year names every shard's file and its
+committed key count, and allows restart from the last watermark.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 import os
 import shutil
 import tempfile
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager, ExitStack, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -40,7 +43,8 @@ from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore
 SPILL_ENV_VAR = "SLEDGER_TMP"
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 3
+_MANIFEST_VERSION = 4
+_LOG_NAME = "log.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 18  # keys per emission batch
 
@@ -69,27 +73,8 @@ def keyword_debut_years(corpus: CorpusStore, refinement: str = ALL) -> dict[int,
     """Earliest year each keyword appears in any article, per refinement."""
     if refinement not in REFINEMENTS:
         raise LedgerError(f"unknown refinement {refinement!r}")
-    keywords, debuts, _ = _debut_order(corpus, refinement)
+    keywords, debuts, _ = corpus.debut_order(refinement)
     return dict(zip(keywords.tolist(), debuts.tolist()))
-
-
-def _debut_order(
-    corpus: CorpusStore, refinement: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The refinement's keywords renumbered in debut order.
-
-    Returns (keywords, debuts, dense): the distinct keyword ids in order of
-    first appearance, their debut years (non-decreasing), and the CSR's ids
-    replaced by their positions in ``keywords``.
-    """
-    years, offsets, ids = corpus.csr(refinement)
-    # Articles are sorted by year, so a keyword's first position is its debut.
-    kids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(kids.size, dtype=ids.dtype)
-    rank[order] = np.arange(kids.size, dtype=ids.dtype)
-    article = np.searchsorted(offsets, first[order], side="right") - 1
-    return kids[order], years[article], rank[inverse]
 
 
 @dataclass(frozen=True)
@@ -283,17 +268,41 @@ def _merge_unique(sources: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
 
 
 class _Shard:
-    """One hash partition: a single sorted history file of every key seen."""
+    """One hash partition and the sorted history of every key it has seen.
 
-    def __init__(self, directory: Path, frame_elems: int) -> None:
+    The history is resident (a sorted array, persisted as the log of each
+    year's new keys) while it fits ``share`` keys, and otherwise one sorted
+    history file, rewritten in each year with new keys.  ``file`` names the
+    log or the history file and ``keys`` counts the committed keys in it.
+    """
+
+    def __init__(
+        self, directory: Path, frame_elems: int, share: int, file: str, keys: int
+    ) -> None:
         self.directory = directory
         # Shards finish one at a time, so a year-end pass splits the whole
-        # frame of frame_elems keys across its open streams.
+        # frame of frame_elems keys across its open file streams.
         self.frame_elems = frame_elems
-        self.history: str | None = None
+        self.share = share
+        self.file = file
+        self.keys = keys
+        self.resident: np.ndarray | None = None
         self.batch: list[np.ndarray] = []
         self.spills: list[Path] = []
         directory.mkdir(parents=True, exist_ok=True)
+        # Drop files not in the committed state (partial year leftovers).
+        for p in directory.iterdir():
+            if p.name != file:
+                p.unlink()
+        if file == _LOG_NAME:
+            # Keys past the committed count are an uncommitted year's.
+            log = directory / file
+            if log.exists():
+                os.truncate(log, 8 * keys)
+            # The log holds one sorted run per year; one sort rebuilds the set.
+            self.resident = np.empty(0, dtype=np.uint64)
+            if keys:
+                self.resident = np.sort(np.fromfile(log, dtype=np.uint64))
 
     def add(self, keys: np.ndarray) -> None:
         if keys.size:
@@ -321,29 +330,38 @@ class _Shard:
 
         A new key is peripheral iff its low field (its largest dense id,
         selected by ``mask``) is at least ``debut_key``, the year's first
-        debuting id; None means no keyword debuts this year.  The merged
-        history is written to ``history_name``, which becomes this shard's
-        history; the previous file is left for the caller to delete once the
-        manifest names the new one.  A shard without new keys keeps its
-        history file.  Returns (new_count, new_peripheral).
+        debuting id; None means no keyword debuts this year.  A resident
+        history keeps the merged keys and appends the new ones to the log.
+        A history file, or a resident history whose merged keys pass the
+        share, is written whole to ``history_name``, which becomes this
+        shard's file; the previous file is left for the caller to delete
+        once the manifest names the new one.  A history file without new
+        keys stays as it is.  Returns (new_count, new_peripheral).
         """
         tail = self._drain_batch()
-        streams = len(self.spills) + (self.history is not None)
+        if not self.spills and not tail.size:
+            return 0, 0
+        resident = self.resident
+        streams = len(self.spills) + (resident is None)
         elems = max(1, self.frame_elems // max(streams, 1))
         year_sources = [_iter_file(p, elems) for p in self.spills]
         if tail.size:
             year_sources.append(iter([tail]))
-        if not year_sources:
-            return 0, 0
-        hist_source = (
-            _iter_file(self.directory / self.history, elems)
-            if self.history is not None
-            else iter(())
-        )
+        if resident is None:
+            hist_source = _iter_file(self.directory / self.file, elems)
+        else:
+            hist_source = iter([resident])
         new_count = 0
         peripheral = 0
+        # A resident pass keeps the merged history and the new keys.
+        kept: list[np.ndarray] = []
+        fresh: list[np.ndarray] = []
+        kept_size = 0
         tmp_path = self.directory / (history_name + ".tmp")
-        with open(tmp_path, "wb") as out:
+        with ExitStack() as files:
+            out = None
+            if resident is None:
+                out = files.enter_context(open(tmp_path, "wb"))
             for year_keys, hist_keys in _step_streams(
                 [_merge_unique(year_sources), hist_source]
             ):
@@ -360,13 +378,33 @@ class _Shard:
                 new_count += new.size
                 if debut_key is not None and new.size:
                     peripheral += int(np.count_nonzero((new & mask) >= debut_key))
-                merged.tofile(out)
+                if out is not None:
+                    merged.tofile(out)
+                    continue
+                kept.append(merged)
+                fresh.append(new)
+                kept_size += merged.size
+                if kept_size > self.share:
+                    # Outgrew the share: the history moves to a file for good.
+                    out = files.enter_context(open(tmp_path, "wb"))
+                    for chunk in kept:
+                        chunk.tofile(out)
+                    kept, fresh = [], []
         for p in self.spills:
             p.unlink(missing_ok=True)
         self.spills = []
-        if new_count:
+        self.keys += new_count
+        if out is None:
+            if new_count:
+                # The log ends at the committed count whenever a pass starts.
+                with open(self.directory / _LOG_NAME, "ab") as log:
+                    for chunk in fresh:
+                        chunk.tofile(log)
+                self.resident = np.concatenate(kept)
+        elif new_count:
             os.replace(tmp_path, self.directory / history_name)
-            self.history = history_name
+            self.file = history_name
+            self.resident = None
         else:
             tmp_path.unlink()
         return new_count, peripheral
@@ -402,6 +440,21 @@ def _load_manifest(path: Path, fingerprint: str) -> dict | None:
     return payload
 
 
+def _committed_state_intact(ledger_dir: Path, manifest: dict) -> bool:
+    """Whether every shard file holds at least its committed keys.
+
+    A history file must hold exactly its committed keys; a log may hold
+    more, the new keys of a year whose manifest was never written.
+    """
+    for i, shard in enumerate(manifest["shards"]):
+        path = ledger_dir / f"shard{i:04d}" / shard["file"]
+        size = path.stat().st_size if path.exists() else 0
+        committed = 8 * shard["keys"]
+        if size < committed or (shard["file"] != _LOG_NAME and size != committed):
+            return False
+    return True
+
+
 # --- tabulate --------------------------------------------------------------
 
 
@@ -432,7 +485,7 @@ def tabulate(
     if not corpus_years:
         return series
 
-    _, debuts, dense = _debut_order(corpus, config.refinement)
+    _, debuts, dense = corpus.debut_order(config.refinement)
     _check_capacity(debuts.size, s)
     _, offsets, _ = corpus.csr(config.refinement)
     mask = np.uint64((1 << _ARITY_BITS[s]) - 1)
@@ -447,7 +500,11 @@ def tabulate(
         fingerprint = _fingerprint(corpus.digest(), config)
         manifest_path = ledger_dir / _MANIFEST_NAME
         manifest = _load_manifest(manifest_path, fingerprint)
-        if manifest is None or manifest.get("shard_count") != config.shard_count:
+        if (
+            manifest is None
+            or manifest.get("shard_count") != config.shard_count
+            or not _committed_state_intact(ledger_dir, manifest)
+        ):
             # Fresh start: clear any stale state.
             if ledger_dir.exists():
                 shutil.rmtree(ledger_dir)
@@ -457,26 +514,23 @@ def tabulate(
                 "fingerprint": fingerprint,
                 "shard_count": config.shard_count,
                 "watermark": None,
-                "history": [None] * config.shard_count,
+                "shards": [{"file": _LOG_NAME, "keys": 0}] * config.shard_count,
                 "rows": [],
             }
 
+        # Half the budget is the year-end frame.  The other half holds the
+        # resident histories, at most a quarter of the budget, and buffers
+        # the year's keys in what they leave.
         frame_elems = config.memory_budget_bytes // 2 // 8
+        share = config.memory_budget_bytes // 4 // 8 // config.shard_count
         shards = [
-            _Shard(ledger_dir / f"shard{i:04d}", frame_elems)
-            for i in range(config.shard_count)
+            _Shard(ledger_dir / f"shard{i:04d}", frame_elems, share, **state)
+            for i, state in enumerate(manifest["shards"])
         ]
-        for shard, history in zip(shards, manifest["history"]):
-            shard.history = history
-            # Drop files not in the committed state (partial year leftovers).
-            for p in shard.directory.iterdir():
-                if p.name != history:
-                    p.unlink()
 
         rows = list(manifest["rows"])
         watermark = manifest["watermark"]
         all_years = list(range(corpus_years[0], corpus_years[-1] + 1))
-        spill_threshold = config.memory_budget_bytes // 2
 
         for year in all_years:
             if watermark is not None and year <= watermark:
@@ -489,6 +543,9 @@ def tabulate(
             debut_key = np.uint64(first) if new_keywords else None
 
             buffered = 0
+            spill_threshold = config.memory_budget_bytes // 2 - sum(
+                sh.resident.nbytes for sh in shards if sh.resident is not None
+            )
             for keys in _emit_year_keys(offsets, dense, lo, hi, s):
                 if config.shard_count == 1:
                     shards[0].add(keys)
@@ -502,7 +559,7 @@ def tabulate(
                         shard.spill()
                     buffered = 0
 
-            previous = [shard.history for shard in shards]
+            previous = [shard.file for shard in shards]
             history_name = f"hist{len(rows):04d}.bin"
             results = [
                 shard.finish_year(history_name, debut_key, mask)
@@ -518,13 +575,15 @@ def tabulate(
                 }
             )
             manifest.update(
-                watermark=year, rows=rows, history=[sh.history for sh in shards]
+                watermark=year,
+                rows=rows,
+                shards=[{"file": sh.file, "keys": sh.keys} for sh in shards],
             )
-            # Old history files go only once the manifest names their successors.
+            # Old files go only once the manifest names their successors.
             _write_manifest(manifest_path, manifest)
             for shard, old in zip(shards, previous):
-                if old is not None and old != shard.history:
-                    (shard.directory / old).unlink()
+                if old != shard.file:
+                    (shard.directory / old).unlink(missing_ok=True)
             if progress_callback is not None:
                 progress_callback(year)
 

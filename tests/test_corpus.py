@@ -327,6 +327,34 @@ def test_store_with_article_id_repeated_in_another_year_rejected(
         load_store(io.BytesIO(body + hashlib.sha256(body).digest()))
 
 
+def test_article_ids_ordered_as_bytes_not_by_length():
+    # "a10" sorts before "a9" as bytes, though it is longer.
+    store = CorpusStore()
+    store.add(ArticleRecord("a9", 1999, frozenset({1, 2}), frozenset()))
+    store.add(ArticleRecord("a10", 1999, frozenset({3, 4}), frozenset()))
+    buf = io.BytesIO()
+    save_store(store, buf)
+    data = buf.getvalue()
+    assert data[:-32].endswith(b"a10\0a9\0")
+    assert load_store(io.BytesIO(data)) == store
+    swapped = data[:-39] + b"a9\0a10\0" + data[-32:]
+    with pytest.raises(CorpusError, match="not strictly ascending within a year"):
+        load_store(io.BytesIO(swapped))
+    # "b" repeated in a later year, where the padding of the shorter id
+    # must not pick up the bytes of the id after it.
+    store = CorpusStore()
+    store.add(ArticleRecord("b", 1999, frozenset({1, 2}), frozenset()))
+    store.add(ArticleRecord("a10", 2000, frozenset({3, 4}), frozenset()))
+    store.add(ArticleRecord("c", 2000, frozenset({5, 6}), frozenset()))
+    buf = io.BytesIO()
+    save_store(store, buf)
+    body = buf.getvalue()[:-32]
+    assert body.endswith(b"b\0a10\0c\0")
+    body = body[:-2] + b"b\0"
+    with pytest.raises(CorpusError, match="repeats in another year"):
+        load_store(io.BytesIO(body + hashlib.sha256(body).digest()))
+
+
 def test_add_order_does_not_change_digest_or_file():
     records = list(
         generate_synthetic(

@@ -158,9 +158,26 @@ def test_oracle_guard():
 # --- pipeline equivalence and invariants ----------------------------------
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_tabulate_matches_oracle(seed, tmp_path):
+# At 1 MiB every shard history stays resident; at the smallest budget the
+# larger ones move to history files mid-run.
+_MIN_BUDGET = ledger_mod._MIN_MEMORY_BUDGET
+_BUDGETS = [pytest.param(1 << 20, id="1MiB"), pytest.param(_MIN_BUDGET, id="min")]
+
+
+def _shard_files(ledger_dir):
+    """The file each shard's committed state names, by shard."""
+    manifest = json.loads((ledger_dir / "manifest.json").read_text())
+    return [shard["file"] for shard in manifest["shards"]]
+
+
+@pytest.mark.parametrize(
+    "seed, budget",
+    [pytest.param(seed, 1 << 20, id=str(seed)) for seed in range(8)]
+    + [pytest.param(seed, _MIN_BUDGET, id=f"{seed}-min") for seed in range(8)],
+)
+def test_tabulate_matches_oracle(seed, budget, tmp_path):
     corpus = _random_corpus(seed)
+    files = set()
     for k in (0, 1, 2, 3):
         for refinement in ("all", "major"):
             oracle = oracle_tabulate(corpus, k, refinement)
@@ -171,10 +188,16 @@ def test_tabulate_matches_oracle(seed, tmp_path):
                     refinement=refinement,
                     spill_directory=tmp_path / f"s{seed}",
                     shard_count=3,
-                    memory_budget_bytes=1 << 20,
+                    memory_budget_bytes=budget,
                 ),
             )
             assert exact == oracle
+            files.update(_shard_files(tmp_path / f"s{seed}" / f"k{k}" / refinement))
+    assert "log.bin" in files
+    if budget == _MIN_BUDGET:
+        assert any(name.startswith("hist") for name in files)
+    else:
+        assert files == {"log.bin"}
 
 
 def test_shard_count_does_not_change_result(tmp_path):
@@ -280,6 +303,34 @@ def test_loaded_store_tabulates_from_columns(tmp_path, monkeypatch):
     assert len(hashed) <= 1
 
 
+def test_debut_order_is_computed_once_per_refinement(tmp_path, monkeypatch):
+    store = _random_corpus(93, n_articles=300)
+    computed = []
+    debut_order = CorpusStore._debut_order
+
+    def counting(self, refinement):
+        computed.append(refinement)
+        return debut_order(self, refinement)
+
+    monkeypatch.setattr(CorpusStore, "_debut_order", counting)
+    for k in (1, 2, 3):
+        for refinement in ("all", "major"):
+            config = LedgerConfig(
+                k=k, refinement=refinement, spill_directory=tmp_path / "a"
+            )
+            tabulate(store, config)
+    assert sorted(computed) == ["all", "major"]
+    # An added article debuts keywords, so a stale renumbering would show.
+    late = store.years[-1] + 1
+    store.add(ArticleRecord("z", late, frozenset({1, 500, 501}), frozenset({500})))
+    for refinement in ("all", "major"):
+        config = LedgerConfig(
+            k=1, refinement=refinement, spill_directory=tmp_path / "b"
+        )
+        assert tabulate(store, config) == oracle_tabulate(store, 1, refinement)
+    assert len(computed) == 4
+
+
 # --- configuration and failure modes --------------------------------------
 
 
@@ -351,14 +402,36 @@ def test_sparse_keyword_ids_fit_packed_keys(tmp_path, k):
 # --- crash-restart ---------------------------------------------------------
 
 
-def test_crash_restart_yields_identical_series(tmp_path):
+@pytest.fixture
+def manifest_forms(monkeypatch):
+    """The shard file forms ("log", "history") of every manifest written."""
+    forms = set()
+    write_manifest = ledger_mod._write_manifest
+
+    def recording_write(path, payload):
+        forms.update(
+            "log" if shard["file"] == "log.bin" else "history"
+            for shard in payload["shards"]
+        )
+        write_manifest(path, payload)
+
+    monkeypatch.setattr(ledger_mod, "_write_manifest", recording_write)
+    return forms
+
+
+def _expected_forms(budget):
+    return {"log", "history"} if budget == _MIN_BUDGET else {"log"}
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+def test_crash_restart_yields_identical_series(tmp_path, manifest_forms, budget):
     corpus = _random_corpus(12, n_articles=500, years=12)
     config = LedgerConfig(
         k=2,
         refinement="all",
         spill_directory=tmp_path / "resume",
         shard_count=4,
-        memory_budget_bytes=1 << 20,
+        memory_budget_bytes=budget,
     )
 
     class Interrupt(Exception):
@@ -373,23 +446,15 @@ def test_crash_restart_yields_identical_series(tmp_path):
     with pytest.raises(Interrupt):
         tabulate(corpus, config, progress_callback=boom)
     resumed = tabulate(corpus, config)
+    assert manifest_forms == _expected_forms(budget)
     clean = tabulate(
         corpus, LedgerConfig(k=2, refinement="all", spill_directory=tmp_path / "clean")
     )
     assert resumed == clean
 
 
-def test_crash_after_history_commit_before_manifest(tmp_path, monkeypatch):
-    corpus = _random_corpus(12, n_articles=500, years=12)
-    config = LedgerConfig(
-        k=2,
-        refinement="all",
-        spill_directory=tmp_path / "resume",
-        shard_count=4,
-        memory_budget_bytes=1 << 20,
-    )
-    ledger_dir = tmp_path / "resume" / "k2" / "all"
-    crash_year = corpus.years[0] + 5
+def _interrupt_before_manifest(monkeypatch, corpus, config, crash_year):
+    """Run through the year-end pass of crash_year; fail its manifest write."""
 
     class Interrupt(Exception):
         pass
@@ -405,23 +470,110 @@ def test_crash_after_history_commit_before_manifest(tmp_path, monkeypatch):
         patch.setattr(ledger_mod, "_write_manifest", failing_write)
         with pytest.raises(Interrupt):
             tabulate(corpus, config)
+
+
+def _assert_committed_layout(ledger_dir):
+    """Each shard holds exactly the file its manifest names, at its size."""
+    manifest = json.loads((ledger_dir / "manifest.json").read_text())
+    for i, shard in enumerate(manifest["shards"]):
+        directory = ledger_dir / f"shard{i:04d}"
+        assert [p.name for p in directory.iterdir()] == [shard["file"]]
+        assert (directory / shard["file"]).stat().st_size == 8 * shard["keys"]
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+def test_crash_after_history_commit_before_manifest(
+    tmp_path, monkeypatch, manifest_forms, budget
+):
+    corpus = _random_corpus(12, n_articles=500, years=12)
+    config = LedgerConfig(
+        k=2,
+        refinement="all",
+        spill_directory=tmp_path / "resume",
+        shard_count=4,
+        memory_budget_bytes=budget,
+    )
+    ledger_dir = tmp_path / "resume" / "k2" / "all"
+    crash_year = corpus.years[0] + 5
+    _interrupt_before_manifest(monkeypatch, corpus, config, crash_year)
     manifest = json.loads((ledger_dir / "manifest.json").read_text())
     assert manifest["watermark"] == crash_year - 1
-    on_disk = {p.name for p in ledger_dir.glob("shard*/*")}
-    assert on_disk - set(manifest["history"]), "no uncommitted history file"
+    # The failed year left uncommitted state: a history file the manifest
+    # does not name, or a log longer than its committed keys.
+    uncommitted = []
+    for i, shard in enumerate(manifest["shards"]):
+        for p in (ledger_dir / f"shard{i:04d}").iterdir():
+            if p.name != shard["file"] or p.stat().st_size > 8 * shard["keys"]:
+                uncommitted.append(p.name)
+    assert uncommitted, "no uncommitted shard state"
 
     resumed = tabulate(corpus, config)
+    assert manifest_forms == _expected_forms(budget)
     clean = tabulate(
         corpus, LedgerConfig(k=2, refinement="all", spill_directory=tmp_path / "clean")
     )
     assert resumed == clean == oracle_tabulate(corpus, 2, "all")
+    _assert_committed_layout(ledger_dir)
+
+
+def test_crash_between_log_append_and_manifest(tmp_path, monkeypatch):
+    corpus = _random_corpus(14, n_articles=400, years=10)
+    config = LedgerConfig(k=2, spill_directory=tmp_path, shard_count=2)
+    ledger_dir = tmp_path / "k2" / "all"
+    _interrupt_before_manifest(monkeypatch, corpus, config, corpus.years[0] + 4)
     manifest = json.loads((ledger_dir / "manifest.json").read_text())
-    for i, name in enumerate(manifest["history"]):
-        files = [p.name for p in (ledger_dir / f"shard{i:04d}").iterdir()]
-        assert files == ([name] if name else [])
+    for i, shard in enumerate(manifest["shards"]):
+        assert shard["file"] == "log.bin"
+        log = ledger_dir / f"shard{i:04d}" / "log.bin"
+        assert log.stat().st_size > 8 * shard["keys"]
+        # A torn write: the next append was cut off mid-key.
+        with open(log, "ab") as f:
+            f.write(b"\xff" * 13)
+    assert tabulate(corpus, config) == oracle_tabulate(corpus, 2, "all")
+    _assert_committed_layout(ledger_dir)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+def _repeating_corpus():
+    """Every year repeats the first year's articles, so each key that a
+    damaged history lost would be counted as new again the next year."""
+    rng = random.Random(5)
+    sets = [frozenset(rng.sample(range(200), 10)) for _ in range(100)]
+    store = CorpusStore()
+    for year in range(2000, 2006):
+        for i, kws in enumerate(sets):
+            store.add(ArticleRecord(f"{year}-{i:03d}", year, kws, kws))
+    return store
+
+
+@pytest.mark.parametrize(
+    "budget, form",
+    [
+        pytest.param(1 << 20, "log.bin", id="log"),
+        pytest.param(_MIN_BUDGET, "hist", id="history"),
+    ],
+)
+def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, form):
+    corpus = _repeating_corpus()
+    config = LedgerConfig(k=1, spill_directory=tmp_path, memory_budget_bytes=budget)
+
+    class Interrupt(Exception):
+        pass
+
+    def boom(year):
+        if year == 2002:
+            raise Interrupt
+
+    with pytest.raises(Interrupt):
+        tabulate(corpus, config, progress_callback=boom)
+    ledger_dir = tmp_path / "k1" / "all"
+    (name,) = _shard_files(ledger_dir)
+    assert name.startswith(form)
+    path = ledger_dir / "shard0000" / name
+    os.truncate(path, path.stat().st_size - 8)
+    assert tabulate(corpus, config) == oracle_tabulate(corpus, 1, "all")
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_manifest_version_starts_fresh(tmp_path, version):
     corpus = _random_corpus(13, n_articles=300)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
@@ -435,17 +587,16 @@ def test_old_manifest_version_starts_fresh(tmp_path, version):
         version=version,
         rows=[dict(r, new_simplices=r["new_simplices"] + 1) for r in manifest["rows"]],
     )
+    assert [shard["file"] for shard in manifest.pop("shards")] == ["log.bin"] * 2
+    logs = [ledger_dir / f"shard{i:04d}" / "log.bin" for i in range(2)]
     if version == 1:
         # A list of run files per shard.
-        runs = {}
-        for i, name in enumerate(manifest.pop("history")):
-            shard = ledger_dir / f"shard{i:04d}"
-            if name is not None:
-                (shard / name).rename(shard / "run0000.bin")
-            runs[str(i)] = ["run0000.bin"] if name is not None else []
-        manifest["runs"] = runs
+        for log in logs:
+            log.rename(log.with_name("run0000.bin"))
+        manifest["runs"] = {str(i): ["run0000.bin"] for i in range(2)}
     else:
-        # One history file per shard, its keys packed from raw keyword ids.
+        # One sorted history file per shard: version 3 with these dense
+        # keys, version 2 with keys packed from raw keyword ids.
         pairs = [
             pair
             for record in corpus.iter_records()
@@ -453,8 +604,14 @@ def test_old_manifest_version_starts_fresh(tmp_path, version):
         ]
         keys = np.unique(ledger_mod._pack(np.array(pairs, dtype=np.uint32), 2))
         shard_of = ledger_mod._mix64(keys) % np.uint64(2)
-        for i, name in enumerate(manifest["history"]):
-            keys[shard_of == i].tofile(ledger_dir / f"shard{i:04d}" / name)
+        for i, log in enumerate(logs):
+            if version == 2:
+                history = keys[shard_of == i]
+            else:
+                history = np.sort(np.fromfile(log, dtype=np.uint64))
+            history.tofile(log.with_name("hist0000.bin"))
+            log.unlink()
+        manifest["history"] = ["hist0000.bin"] * 2
     manifest_path.write_text(json.dumps(manifest))
     assert tabulate(corpus, config) == oracle_tabulate(corpus, 1, "all")
 
@@ -482,24 +639,40 @@ def test_merge_frame_stays_within_memory_budget(tmp_path, monkeypatch, shard_cou
     for i in range(13_000):
         kws = frozenset(rng.sample(range(2000), 30))
         store.add(ArticleRecord(f"a{i:05d}", 2000, kws, kws))
+    # A year before it whose 21,000 keys stay resident in every shard.
+    for i in range(50):
+        kws = frozenset(rng.sample(range(2000), 30))
+        store.add(ArticleRecord(f"b{i:05d}", 1999, kws, kws))
     budget = 1 << 20
     iter_file = ledger_mod._iter_file
+    shards = []
     held = {}
     opened = []
     peak = 0
+    peak_resident = 0
+
+    class Shard(ledger_mod._Shard):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            shards.append(self)
 
     def tracked(path, chunk_elems):
-        nonlocal peak
+        nonlocal peak, peak_resident
         opened.append(path.name)
         key = len(opened)
         try:
             for chunk in iter_file(path, chunk_elems):
                 held[key] = chunk.nbytes
-                peak = max(peak, sum(held.values()))
+                resident = sum(
+                    sh.resident.nbytes for sh in shards if sh.resident is not None
+                )
+                peak_resident = max(peak_resident, resident)
+                peak = max(peak, sum(held.values()) + resident)
                 yield chunk
         finally:
             held.pop(key, None)
 
+    monkeypatch.setattr(ledger_mod, "_Shard", Shard)
     monkeypatch.setattr(ledger_mod, "_iter_file", tracked)
     spilled = tabulate(
         store,
@@ -511,6 +684,7 @@ def test_merge_frame_stays_within_memory_budget(tmp_path, monkeypatch, shard_cou
         ),
     )
     assert sum(name.startswith("spill") for name in opened) >= 20
+    assert peak_resident > 0
     assert 0 < peak <= budget
     assert spilled == tabulate(store, LedgerConfig(k=1, spill_directory=tmp_path / "m"))
 
