@@ -489,7 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--refinement", default="all", help="comma-separated: all,major"
     )
-    p.add_argument("--shard-count", type=int, default=1)
+    p.add_argument(
+        "--shard-count",
+        type=int,
+        default=1,
+        help="minimum number of hash partitions; the memory budget may add more",
+    )
     p.add_argument("--memory-budget", type=int, default=256 << 20)
     p.add_argument(
         "--fit-window",

@@ -111,6 +111,18 @@ class RawArticle:
     keywords: list[tuple[int, bool]]  # (keyword id, major flag)
 
 
+def run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values.
+
+    Applied to a sorted array it selects the distinct values, without the
+    ``numpy.ma`` import that ``np.unique`` costs on its first call.
+    """
+    heads = np.empty(values.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
 class CorpusStore:
     """Articles in one CSR layout, sorted by (year, article id).
 
@@ -205,7 +217,9 @@ class CorpusStore:
     @property
     def years(self) -> list[int]:
         """The distinct publication years, ascending."""
-        return self._cached("years", lambda: np.unique(self._years).tolist())
+        return self._cached(
+            "years", lambda: self._years[run_heads(self._years)].tolist()
+        )
 
     def year_range(self, year: int) -> tuple[int, int]:
         """The article index range [lo, hi) of one year."""
@@ -243,8 +257,14 @@ class CorpusStore:
 
     def _debut_order(self, refinement: str):
         years, offsets, ids = self.csr(refinement)
-        # Articles are sorted by year, so a keyword's first position is its debut.
-        kids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        # Articles are sorted by year, so a keyword's first position is its
+        # debut; a stable sort keeps each keyword's first position at its head.
+        by_id = ids.argsort(kind="stable")
+        sorted_ids = ids[by_id]
+        heads = run_heads(sorted_ids)
+        kids, first = sorted_ids[heads], by_id[heads]
+        inverse = np.empty(ids.size, dtype=np.intp)
+        inverse[by_id] = np.cumsum(heads) - 1
         order = np.argsort(first)
         rank = np.empty(kids.size, dtype=ids.dtype)
         rank[order] = np.arange(kids.size, dtype=ids.dtype)

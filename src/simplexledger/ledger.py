@@ -6,20 +6,19 @@ article and never earlier.  New combinations containing a keyword whose
 debut year (under the same refinement) is t are classified peripheral, the
 rest core.
 
-Keyword ids are renumbered per refinement in debut order, so the keywords
-debuting in one year form one contiguous range of dense ids and a new
-combination is peripheral iff its largest dense id falls in that range.
-Deduplication is external: combinations are packed into 64-bit keys and
-hash sharded.  Each shard keeps the sorted set of every key it has seen, its
-history.  At year end a single streaming pass steps the year's sorted unique
-keys against that history and counts the keys it lacks, so tallies are exact
-at scales far beyond memory and the result is identical for any shard count.
-A history that fits the shard's share of the memory budget stays resident
-in memory and the pass appends the year's new keys to the shard's log file;
-once it outgrows the share, the pass writes it out as a sorted history file
-and from then on writes each year's merged history as the next file.  A
-manifest written after each completed year names every shard's file and its
-committed key count, and allows restart from the last watermark.
+Keyword ids are renumbered per refinement in debut order, so a new
+combination is peripheral iff its largest dense id debuted in its first
+year.  Combinations are packed into 64-bit keys.  A combination's first year
+is the smallest year among its emissions, so one pass over the emissions is
+enough.  The emission pass deduplicates each buffer of keys and appends it,
+split by hash, to B bucket files; after each year it records every bucket's
+key count in ``ends.bin`` and writes a manifest that allows restart from
+that year.  The bucket pass then sorts one bucket at a time and takes each
+key's smallest year, which the recorded counts give for every position.  B
+is fixed before any work from the exact emission count and the memory
+budget, so that every bucket fits in memory; the result is identical for
+any B.  Once every bucket is counted, the manifest holds the tallies and the
+bucket files are deleted.
 """
 
 from __future__ import annotations
@@ -31,22 +30,27 @@ import math
 import os
 import shutil
 import tempfile
-from contextlib import AbstractContextManager, ExitStack, nullcontext
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore
+from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, run_heads
 
 SPILL_ENV_VAR = "SLEDGER_TMP"
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 4
-_LOG_NAME = "log.bin"
+_MANIFEST_VERSION = 5
+_ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 18  # keys per emission batch
+# Bytes of budget per key in the bucket pass, whose peak is about 24.
+_PASS_BYTES_PER_KEY = 32
+# Bucket ids are routed as uint16.
+_MAX_BUCKETS = 1 << 16
+_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 # Bits per keyword id in the packed 64-bit key, by combination size.
 _ARITY_BITS = {1: 32, 2: 32, 3: 21, 4: 16}
@@ -95,8 +99,7 @@ class LedgerConfig:
         if self.memory_budget_bytes < _MIN_MEMORY_BUDGET:
             raise LedgerError(
                 f"memory_budget_bytes={self.memory_budget_bytes} is below the "
-                f"minimum merge frame; need at least {_MIN_MEMORY_BUDGET} "
-                "bytes (raise the budget or lower shard_count)"
+                f"minimum merge frame; need at least {_MIN_MEMORY_BUDGET} bytes"
             )
 
 
@@ -151,7 +154,7 @@ def _pack(rows: np.ndarray, s: int) -> np.ndarray:
 
 
 def _mix64(keys: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; balances shard assignment."""
+    """splitmix64 finalizer; balances bucket assignment."""
     x = keys.copy()
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
@@ -178,20 +181,21 @@ def _comb_indices(m: int, s: int) -> np.ndarray:
 
 
 def _emit_year_keys(
-    offsets: np.ndarray, ids: np.ndarray, lo: int, hi: int, s: int
+    offsets: np.ndarray, ids: np.ndarray, lo: int, hi: int, s: int, batch_keys: int
 ) -> Iterator[np.ndarray]:
     """Packed keys for all size-s combinations of articles lo..hi-1.
 
     Articles are grouped by keyword count m, so that one gather builds a
     batch's (articles, m) id matrix and, once each row is sorted, another
-    its combinations.
+    its combinations.  A batch holds at most ``batch_keys`` keys, unless a
+    single article has more combinations.
     """
     starts = offsets[lo:hi]
     counts = offsets[lo + 1 : hi + 1] - starts
-    for m in np.unique(counts[counts >= s]).tolist():
+    for m in (np.flatnonzero(np.bincount(counts)[s:]) + s).tolist():
         group = starts[counts == m]
         idx = _comb_indices(m, s)
-        batch = max(1, _EMIT_CHUNK // len(idx))
+        batch = max(1, batch_keys // len(idx))
         columns = np.arange(m)
         for start in range(0, group.size, batch):
             rows = ids[group[start : start + batch, None] + columns]
@@ -199,215 +203,92 @@ def _emit_year_keys(
             yield _pack(rows[:, idx].reshape(-1, s), s)
 
 
-# --- chunked sorted-stream machinery --------------------------------------
+# --- bucket files ----------------------------------------------------------
 
 
-def _iter_file(path: Path, chunk_elems: int) -> Iterator[np.ndarray]:
-    with open(path, "rb") as f:
-        while True:
-            arr = np.fromfile(f, dtype=np.uint64, count=chunk_elems)
-            if arr.size == 0:
-                return
-            yield arr
+def _bucket_name(i: int) -> str:
+    return f"b{i:05d}.bin"
 
 
-def _dedup_sorted(keys: np.ndarray) -> np.ndarray:
-    if keys.size > 1:
-        keep = np.empty(keys.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        keys = keys[keep]
-    return keys
+def _bucket_count(offsets: np.ndarray, s: int, config: LedgerConfig) -> int:
+    """The run's bucket count: at least ``shard_count``, and enough that the
+    bucket pass over one bucket's share of every emission fits the budget."""
+    sizes = np.bincount(np.diff(offsets)).tolist()
+    emissions = sum(math.comb(m, s) * n for m, n in enumerate(sizes))
+    needed = -(-_PASS_BYTES_PER_KEY * emissions // config.memory_budget_bytes)
+    buckets = max(config.shard_count, needed)
+    if buckets > _MAX_BUCKETS:
+        raise LedgerError(
+            f"{emissions} combinations need {buckets} buckets at "
+            f"memory_budget_bytes={config.memory_budget_bytes}, over the "
+            f"limit of {_MAX_BUCKETS}; raise the budget"
+        )
+    return buckets
 
 
-def _step_streams(sources: list[Iterator[np.ndarray]]) -> Iterator[list[np.ndarray]]:
-    """Advance sorted, unique-per-source chunk streams in step.
+def _flush(buffer: list[np.ndarray], directory: str, filled: np.ndarray) -> None:
+    """Append the buffered keys, sorted and deduplicated, to their buckets.
 
-    Each round yields one slice per source, in source order.  Together the
-    slices hold every not-yet-yielded element up to a common boundary, the
-    smallest last element among the buffered chunks; any value at or below
-    it is already buffered because each source is sorted.  An exhausted
-    source contributes empty slices.
+    Empties ``buffer``.  Each bucket's slice is one append to a file opened
+    for it alone, so no bucket file stays open whatever the bucket count.
+    ``filled`` counts the keys in each bucket file and gains the appended
+    ones.
     """
-    buffers = [np.empty(0, dtype=np.uint64)] * len(sources)
-    live = [True] * len(sources)
-    while True:
-        for i, src in enumerate(sources):
-            while live[i] and not buffers[i].size:
-                chunk = next(src, None)
-                if chunk is None:
-                    live[i] = False
-                else:
-                    buffers[i] = chunk
-        tails = [int(b[-1]) for b in buffers if b.size]
-        if not tails:
-            return
-        boundary = np.uint64(min(tails))
-        parts = []
-        for i, buf in enumerate(buffers):
-            cut = int(np.searchsorted(buf, boundary, side="right"))
-            parts.append(buf[:cut])
-            buffers[i] = buf[cut:]
-        yield parts
+    keys = np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
+    buffer.clear()
+    keys.sort()
+    keys = keys[run_heads(keys)]
+    route = _mix64(keys)
+    route %= np.uint64(filled.size)
+    route = route.astype(np.uint16)
+    counts = np.bincount(route, minlength=filled.size)
+    # numpy sorts 16-bit keys stably by radix sort, in linear time.
+    keys = keys[route.argsort(kind="stable")]
+    del route
+    view = keys.data
+    stop = 0
+    for i, size in enumerate(counts.tolist()):
+        if size:
+            start, stop = stop, stop + size
+            path = f"{directory}/{_bucket_name(i)}"
+            fd = os.open(path, _APPEND, 0o666)
+            try:
+                # A regular file takes a short write only when it is full.
+                if os.write(fd, view[start:stop]) != 8 * size:
+                    raise OSError(f"short write to {path}")
+            finally:
+                os.close(fd)
+    filled += counts
 
 
-def _merge_unique(sources: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
-    """One sorted, duplicate-free stream from several sorted sources."""
-    # A stable sort (timsort) merges already-sorted parts without re-sorting.
-    for parts in _step_streams(sources):
-        parts = [p for p in parts if p.size]
-        if len(parts) == 1:
-            yield parts[0]
-        else:
-            merged = np.concatenate(parts)
-            merged.sort(kind="stable")
-            yield _dedup_sorted(merged)
+def _count_bucket(
+    path: Path, lengths: np.ndarray, debut_index: np.ndarray, mask: np.uint64
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-year new and peripheral key counts of one bucket file.
 
-
-# --- shard state -----------------------------------------------------------
-
-
-class _Shard:
-    """One hash partition and the sorted history of every key it has seen.
-
-    The history is resident (a sorted array, persisted as the log of each
-    year's new keys) while it fits ``share`` keys, and otherwise one sorted
-    history file, rewritten in each year with new keys.  ``file`` names the
-    log or the history file and ``keys`` counts the committed keys in it.
+    ``lengths`` holds the bucket's committed keys of each year, and
+    ``debut_index`` each dense keyword's debut as a year index.  Sorting
+    the keys brings each key's copies together; the smallest year among
+    them is its first.  Each array is dropped once used, which holds the
+    peak near 24 bytes per key.
     """
-
-    def __init__(
-        self, directory: Path, frame_elems: int, share: int, file: str, keys: int
-    ) -> None:
-        self.directory = directory
-        # Shards finish one at a time, so a year-end pass splits the whole
-        # frame of frame_elems keys across its open file streams.
-        self.frame_elems = frame_elems
-        self.share = share
-        self.file = file
-        self.keys = keys
-        self.resident: np.ndarray | None = None
-        self.batch: list[np.ndarray] = []
-        self.spills: list[Path] = []
-        directory.mkdir(parents=True, exist_ok=True)
-        # Drop files not in the committed state (partial year leftovers).
-        for p in directory.iterdir():
-            if p.name != file:
-                p.unlink()
-        if file == _LOG_NAME:
-            # Keys past the committed count are an uncommitted year's.
-            log = directory / file
-            if log.exists():
-                os.truncate(log, 8 * keys)
-            # The log holds one sorted run per year; one sort rebuilds the set.
-            self.resident = np.empty(0, dtype=np.uint64)
-            if keys:
-                self.resident = np.sort(np.fromfile(log, dtype=np.uint64))
-
-    def add(self, keys: np.ndarray) -> None:
-        if keys.size:
-            self.batch.append(keys)
-
-    def _drain_batch(self) -> np.ndarray:
-        if not self.batch:
-            return np.empty(0, dtype=np.uint64)
-        merged = np.concatenate(self.batch) if len(self.batch) > 1 else self.batch[0]
-        self.batch = []
-        return _dedup_sorted(np.sort(merged))
-
-    def spill(self) -> None:
-        arr = self._drain_batch()
-        if not arr.size:
-            return
-        path = self.directory / f"spill{len(self.spills):04d}.tmp"
-        arr.tofile(path)
-        self.spills.append(path)
-
-    def finish_year(
-        self, history_name: str, debut_key: np.uint64 | None, mask: np.uint64
-    ) -> tuple[int, int]:
-        """Merge the year's unique keys into history, counting the new ones.
-
-        A new key is peripheral iff its low field (its largest dense id,
-        selected by ``mask``) is at least ``debut_key``, the year's first
-        debuting id; None means no keyword debuts this year.  A resident
-        history keeps the merged keys and appends the new ones to the log.
-        A history file, or a resident history whose merged keys pass the
-        share, is written whole to ``history_name``, which becomes this
-        shard's file; the previous file is left for the caller to delete
-        once the manifest names the new one.  A history file without new
-        keys stays as it is.  Returns (new_count, new_peripheral).
-        """
-        tail = self._drain_batch()
-        if not self.spills and not tail.size:
-            return 0, 0
-        resident = self.resident
-        streams = len(self.spills) + (resident is None)
-        elems = max(1, self.frame_elems // max(streams, 1))
-        year_sources = [_iter_file(p, elems) for p in self.spills]
-        if tail.size:
-            year_sources.append(iter([tail]))
-        if resident is None:
-            hist_source = _iter_file(self.directory / self.file, elems)
-        else:
-            hist_source = iter([resident])
-        new_count = 0
-        peripheral = 0
-        # A resident pass keeps the merged history and the new keys.
-        kept: list[np.ndarray] = []
-        fresh: list[np.ndarray] = []
-        kept_size = 0
-        tmp_path = self.directory / (history_name + ".tmp")
-        with ExitStack() as files:
-            out = None
-            if resident is None:
-                out = files.enter_context(open(tmp_path, "wb"))
-            for year_keys, hist_keys in _step_streams(
-                [_merge_unique(year_sources), hist_source]
-            ):
-                if not hist_keys.size:
-                    new = merged = year_keys
-                elif not year_keys.size:
-                    new, merged = year_keys, hist_keys
-                else:
-                    pos = np.searchsorted(hist_keys, year_keys)
-                    np.minimum(pos, hist_keys.size - 1, out=pos)
-                    new = year_keys[hist_keys[pos] != year_keys]
-                    merged = np.concatenate([hist_keys, new])
-                    merged.sort(kind="stable")
-                new_count += new.size
-                if debut_key is not None and new.size:
-                    peripheral += int(np.count_nonzero((new & mask) >= debut_key))
-                if out is not None:
-                    merged.tofile(out)
-                    continue
-                kept.append(merged)
-                fresh.append(new)
-                kept_size += merged.size
-                if kept_size > self.share:
-                    # Outgrew the share: the history moves to a file for good.
-                    out = files.enter_context(open(tmp_path, "wb"))
-                    for chunk in kept:
-                        chunk.tofile(out)
-                    kept, fresh = [], []
-        for p in self.spills:
-            p.unlink(missing_ok=True)
-        self.spills = []
-        self.keys += new_count
-        if out is None:
-            if new_count:
-                # The log ends at the committed count whenever a pass starts.
-                with open(self.directory / _LOG_NAME, "ab") as log:
-                    for chunk in fresh:
-                        chunk.tofile(log)
-                self.resident = np.concatenate(kept)
-        elif new_count:
-            os.replace(tmp_path, self.directory / history_name)
-            self.file = history_name
-            self.resident = None
-        else:
-            tmp_path.unlink()
-        return new_count, peripheral
+    keys = np.fromfile(path, dtype=np.uint64, count=int(lengths.sum()))
+    perm = keys.argsort()
+    keys = keys[perm]
+    index = np.arange(lengths.size, dtype=np.min_scalar_type(lengths.size))
+    year = np.repeat(index, lengths)[perm]
+    del perm
+    heads = run_heads(keys)
+    uniq = keys[heads]
+    del keys
+    year = np.minimum.reduceat(year, np.flatnonzero(heads))
+    del heads
+    new = np.bincount(year, minlength=lengths.size)
+    # The largest dense id of a key debuted last among its keywords.
+    uniq &= mask
+    peripheral = debut_index[uniq] == year
+    del uniq
+    return new, np.bincount(year[peripheral], minlength=lengths.size)
 
 
 # --- manifest --------------------------------------------------------------
@@ -440,19 +321,44 @@ def _load_manifest(path: Path, fingerprint: str) -> dict | None:
     return payload
 
 
-def _committed_state_intact(ledger_dir: Path, manifest: dict) -> bool:
-    """Whether every shard file holds at least its committed keys.
+def _keep_only(ledger_dir: Path, named: set[str]) -> dict[str, int]:
+    """Delete every entry not in ``named``; the sizes of those that are."""
+    sizes = {}
+    for p in ledger_dir.iterdir():
+        if p.name in named:
+            sizes[p.name] = p.stat().st_size
+        else:
+            p.unlink()
+    return sizes
 
-    A history file must hold exactly its committed keys; a log may hold
-    more, the new keys of a year whose manifest was never written.
+
+def _restore(ledger_dir: Path, manifest: dict) -> np.ndarray | None:
+    """Cut ``ends.bin`` and the bucket files back to the committed years.
+
+    Returns each bucket's committed key count, or None when a file is
+    shorter than its committed state, so that the ledger starts fresh.
+    Bytes past the committed state are an uncommitted year's.
     """
-    for i, shard in enumerate(manifest["shards"]):
-        path = ledger_dir / f"shard{i:04d}" / shard["file"]
-        size = path.stat().st_size if path.exists() else 0
-        committed = 8 * shard["keys"]
-        if size < committed or (shard["file"] != _LOG_NAME and size != committed):
-            return False
-    return True
+    buckets, years = manifest["buckets"], len(manifest["rows"])
+    names = [_bucket_name(i) for i in range(buckets)]
+    sizes = _keep_only(ledger_dir, {_MANIFEST_NAME, _ENDS_NAME, *names})
+    ends_path = ledger_dir / _ENDS_NAME
+    committed = 8 * buckets * years
+    if sizes.get(_ENDS_NAME, 0) < committed:
+        return None
+    filled = np.zeros(buckets, dtype=np.int64)
+    if years:
+        os.truncate(ends_path, committed)
+        filled = np.fromfile(
+            ends_path, dtype=np.int64, count=buckets, offset=committed - 8 * buckets
+        )
+    for name, keys in zip(names, filled.tolist()):
+        size = sizes.get(name, 0)
+        if size < 8 * keys:
+            return None
+        if size > 8 * keys:
+            os.truncate(ledger_dir / name, 8 * keys)
+    return filled
 
 
 # --- tabulate --------------------------------------------------------------
@@ -476,8 +382,9 @@ def tabulate(
     """Sweep years ascending, tallying first occurrences exactly.
 
     Resumes from the manifest's year watermark when the spill directory
-    already holds state for the same corpus and configuration.  The
-    optional callback fires after each year is durably committed.
+    already holds state for the same corpus and configuration, and with at
+    least as many buckets as this configuration needs.  The optional
+    callback fires after each year's keys are durably committed.
     """
     s = config.k + 1
     series = LedgerSeries(k=config.k, refinement=config.refinement)
@@ -488,7 +395,9 @@ def tabulate(
     _, debuts, dense = corpus.debut_order(config.refinement)
     _check_capacity(debuts.size, s)
     _, offsets, _ = corpus.csr(config.refinement)
+    buckets = _bucket_count(offsets, s, config)
     mask = np.uint64((1 << _ARITY_BITS[s]) - 1)
+    all_years = list(range(corpus_years[0], corpus_years[-1] + 1))
 
     with _workdir(config) as workdir:
         ledger_dir = Path(workdir) / f"k{config.k}" / config.refinement
@@ -499,93 +408,88 @@ def tabulate(
 
         fingerprint = _fingerprint(corpus.digest(), config)
         manifest_path = ledger_dir / _MANIFEST_NAME
+        ends_path = ledger_dir / _ENDS_NAME
         manifest = _load_manifest(manifest_path, fingerprint)
-        if (
-            manifest is None
-            or manifest.get("shard_count") != config.shard_count
-            or not _committed_state_intact(ledger_dir, manifest)
-        ):
-            # Fresh start: clear any stale state.
-            if ledger_dir.exists():
-                shutil.rmtree(ledger_dir)
+        filled = None
+        if manifest is not None and not manifest["complete"]:
+            # More buckets than needed only makes each smaller, so a resume
+            # keeps the recorded count unless this budget needs more.
+            if manifest["buckets"] >= buckets:
+                buckets = manifest["buckets"]
+                filled = _restore(ledger_dir, manifest)
+            if filled is None:
+                manifest = None
+        if manifest is None:
+            shutil.rmtree(ledger_dir)
             ledger_dir.mkdir(parents=True)
             manifest = {
                 "version": _MANIFEST_VERSION,
                 "fingerprint": fingerprint,
-                "shard_count": config.shard_count,
+                "buckets": buckets,
                 "watermark": None,
-                "shards": [{"file": _LOG_NAME, "keys": 0}] * config.shard_count,
                 "rows": [],
+                "complete": False,
             }
+            filled = np.zeros(buckets, dtype=np.int64)
 
-        # Half the budget is the year-end frame.  The other half holds the
-        # resident histories, at most a quarter of the budget, and buffers
-        # the year's keys in what they leave.
-        frame_elems = config.memory_budget_bytes // 2 // 8
-        share = config.memory_budget_bytes // 4 // 8 // config.shard_count
-        shards = [
-            _Shard(ledger_dir / f"shard{i:04d}", frame_elems, share, **state)
-            for i, state in enumerate(manifest["shards"])
-        ]
+        rows = manifest["rows"]
+        if not manifest["complete"]:
+            # A quarter of the budget buffers keys; a flush's copies of them
+            # fit in the rest.
+            buffer_keys = config.memory_budget_bytes // 4 // 8
+            batch_keys = min(_EMIT_CHUNK, buffer_keys)
+            directory = str(ledger_dir)
+            watermark = manifest["watermark"]
+            for year in all_years:
+                if watermark is not None and year <= watermark:
+                    continue
+                lo, hi = corpus.year_range(year)
+                buffer: list[np.ndarray] = []
+                buffered = 0
+                for keys in _emit_year_keys(offsets, dense, lo, hi, s, batch_keys):
+                    if buffered + keys.size > buffer_keys and buffer:
+                        _flush(buffer, directory, filled)
+                        buffered = 0
+                    buffer.append(keys)
+                    buffered += keys.size
+                if buffer:
+                    _flush(buffer, directory, filled)
+                with open(ends_path, "ab") as f:
+                    f.write(filled.data)
+                first, last = np.searchsorted(debuts, (year, year + 1)).tolist()
+                rows.append(
+                    {
+                        "year": year,
+                        "new_keywords": last - first,
+                        "articles_processed": corpus.articles_with_at_least(
+                            s, config.refinement, year
+                        ),
+                    }
+                )
+                manifest.update(watermark=year, rows=rows)
+                _write_manifest(manifest_path, manifest)
+                if progress_callback is not None:
+                    progress_callback(year)
 
-        rows = list(manifest["rows"])
-        watermark = manifest["watermark"]
-        all_years = list(range(corpus_years[0], corpus_years[-1] + 1))
-
-        for year in all_years:
-            if watermark is not None and year <= watermark:
-                continue
-            lo, hi = corpus.year_range(year)
-            processed = corpus.articles_with_at_least(s, config.refinement, year)
-            # The year's debuting keywords are the dense ids first..last-1.
-            first, last = np.searchsorted(debuts, (year, year + 1)).tolist()
-            new_keywords = last - first
-            debut_key = np.uint64(first) if new_keywords else None
-
-            buffered = 0
-            spill_threshold = config.memory_budget_bytes // 2 - sum(
-                sh.resident.nbytes for sh in shards if sh.resident is not None
-            )
-            for keys in _emit_year_keys(offsets, dense, lo, hi, s):
-                if config.shard_count == 1:
-                    shards[0].add(keys)
-                else:
-                    sid = _mix64(keys) % np.uint64(config.shard_count)
-                    for i in range(config.shard_count):
-                        shards[i].add(keys[sid == np.uint64(i)])
-                buffered += keys.nbytes
-                if buffered > spill_threshold:
-                    for shard in shards:
-                        shard.spill()
-                    buffered = 0
-
-            previous = [shard.file for shard in shards]
-            history_name = f"hist{len(rows):04d}.bin"
-            results = [
-                shard.finish_year(history_name, debut_key, mask)
-                for shard in shards
-            ]
-            rows.append(
-                {
-                    "year": year,
-                    "new_simplices": sum(r[0] for r in results),
-                    "new_peripheral": sum(r[1] for r in results),
-                    "new_keywords": new_keywords,
-                    "articles_processed": processed,
-                }
-            )
-            manifest.update(
-                watermark=year,
-                rows=rows,
-                shards=[{"file": sh.file, "keys": sh.keys} for sh in shards],
-            )
-            # Old files go only once the manifest names their successors.
+            # The bucket pass only reads committed files; a resume after a
+            # kill inside it runs it again.
+            ends = np.fromfile(ends_path, dtype=np.int64, count=len(rows) * buckets)
+            ends = ends.reshape(len(rows), buckets)
+            lengths = np.diff(ends, axis=0, prepend=0).T.copy()
+            debut_index = debuts - all_years[0]
+            new = np.zeros(len(rows), dtype=np.int64)
+            peripheral = np.zeros(len(rows), dtype=np.int64)
+            for i in np.flatnonzero(ends[-1]).tolist():
+                n, p = _count_bucket(
+                    ledger_dir / _bucket_name(i), lengths[i], debut_index, mask
+                )
+                new += n
+                peripheral += p
+            for row, n, p in zip(rows, new.tolist(), peripheral.tolist()):
+                row.update(new_simplices=n, new_peripheral=p)
+            manifest.update(rows=rows, complete=True)
             _write_manifest(manifest_path, manifest)
-            for shard, old in zip(shards, previous):
-                if old != shard.file:
-                    (shard.directory / old).unlink(missing_ok=True)
-            if progress_callback is not None:
-                progress_callback(year)
+        _keep_only(ledger_dir, {_MANIFEST_NAME})
 
     for row in rows:
         series.years.append(row["year"])

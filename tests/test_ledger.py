@@ -4,7 +4,11 @@ import math
 import os
 import random
 import stat
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,16 +162,14 @@ def test_oracle_guard():
 # --- pipeline equivalence and invariants ----------------------------------
 
 
-# At 1 MiB every shard history stays resident; at the smallest budget the
-# larger ones move to history files mid-run.
+# At 1 MiB every ledger here takes shard_count buckets; at the smallest
+# budget some need more.
 _MIN_BUDGET = ledger_mod._MIN_MEMORY_BUDGET
 _BUDGETS = [pytest.param(1 << 20, id="1MiB"), pytest.param(_MIN_BUDGET, id="min")]
 
 
-def _shard_files(ledger_dir):
-    """The file each shard's committed state names, by shard."""
-    manifest = json.loads((ledger_dir / "manifest.json").read_text())
-    return [shard["file"] for shard in manifest["shards"]]
+def _manifest(ledger_dir):
+    return json.loads((ledger_dir / "manifest.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -177,7 +179,10 @@ def _shard_files(ledger_dir):
 )
 def test_tabulate_matches_oracle(seed, budget, tmp_path):
     corpus = _random_corpus(seed)
-    files = set()
+    # At the smallest budget one partition is the floor, so that the budget
+    # alone sets the bucket count.
+    shard_count = 3 if budget > _MIN_BUDGET else 1
+    buckets = set()
     for k in (0, 1, 2, 3):
         for refinement in ("all", "major"):
             oracle = oracle_tabulate(corpus, k, refinement)
@@ -187,17 +192,19 @@ def test_tabulate_matches_oracle(seed, budget, tmp_path):
                     k=k,
                     refinement=refinement,
                     spill_directory=tmp_path / f"s{seed}",
-                    shard_count=3,
+                    shard_count=shard_count,
                     memory_budget_bytes=budget,
                 ),
             )
             assert exact == oracle
-            files.update(_shard_files(tmp_path / f"s{seed}" / f"k{k}" / refinement))
-    assert "log.bin" in files
+            ledger_dir = tmp_path / f"s{seed}" / f"k{k}" / refinement
+            buckets.add(_manifest(ledger_dir)["buckets"])
+            # A complete ledger keeps only its manifest.
+            assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
     if budget == _MIN_BUDGET:
-        assert any(name.startswith("hist") for name in files)
+        assert max(buckets) > shard_count
     else:
-        assert files == {"log.bin"}
+        assert buckets == {shard_count}
 
 
 def test_shard_count_does_not_change_result(tmp_path):
@@ -403,28 +410,41 @@ def test_sparse_keyword_ids_fit_packed_keys(tmp_path, k):
 
 
 @pytest.fixture
-def manifest_forms(monkeypatch):
-    """The shard file forms ("log", "history") of every manifest written."""
-    forms = set()
+def manifest_buckets(monkeypatch):
+    """The bucket count of every manifest written."""
+    buckets = set()
     write_manifest = ledger_mod._write_manifest
 
     def recording_write(path, payload):
-        forms.update(
-            "log" if shard["file"] == "log.bin" else "history"
-            for shard in payload["shards"]
-        )
+        buckets.add(payload["buckets"])
         write_manifest(path, payload)
 
     monkeypatch.setattr(ledger_mod, "_write_manifest", recording_write)
-    return forms
+    return buckets
 
 
-def _expected_forms(budget):
-    return {"log", "history"} if budget == _MIN_BUDGET else {"log"}
+def _assert_buckets(buckets, budget, shard_count):
+    assert len(buckets) == 1
+    if budget == _MIN_BUDGET:
+        assert buckets.pop() > shard_count
+    else:
+        assert buckets == {shard_count}
+
+
+class Interrupt(Exception):
+    pass
+
+
+def _interrupt_at(year):
+    def boom(committed):
+        if committed == year:
+            raise Interrupt
+
+    return boom
 
 
 @pytest.mark.parametrize("budget", _BUDGETS)
-def test_crash_restart_yields_identical_series(tmp_path, manifest_forms, budget):
+def test_crash_restart_yields_identical_series(tmp_path, manifest_buckets, budget):
     corpus = _random_corpus(12, n_articles=500, years=12)
     config = LedgerConfig(
         k=2,
@@ -433,20 +453,10 @@ def test_crash_restart_yields_identical_series(tmp_path, manifest_forms, budget)
         shard_count=4,
         memory_budget_bytes=budget,
     )
-
-    class Interrupt(Exception):
-        pass
-
-    crash_year = corpus.years[0] + 5
-
-    def boom(year):
-        if year == crash_year:
-            raise Interrupt
-
     with pytest.raises(Interrupt):
-        tabulate(corpus, config, progress_callback=boom)
+        tabulate(corpus, config, progress_callback=_interrupt_at(corpus.years[0] + 5))
     resumed = tabulate(corpus, config)
-    assert manifest_forms == _expected_forms(budget)
+    _assert_buckets(manifest_buckets, budget, 4)
     clean = tabulate(
         corpus, LedgerConfig(k=2, refinement="all", spill_directory=tmp_path / "clean")
     )
@@ -454,11 +464,7 @@ def test_crash_restart_yields_identical_series(tmp_path, manifest_forms, budget)
 
 
 def _interrupt_before_manifest(monkeypatch, corpus, config, crash_year):
-    """Run through the year-end pass of crash_year; fail its manifest write."""
-
-    class Interrupt(Exception):
-        pass
-
+    """Run through the bucket appends of crash_year; fail its manifest write."""
     write_manifest = ledger_mod._write_manifest
 
     def failing_write(path, payload):
@@ -472,19 +478,43 @@ def _interrupt_before_manifest(monkeypatch, corpus, config, crash_year):
             tabulate(corpus, config)
 
 
+def _bucket_sizes(ledger_dir):
+    return {p.name: p.stat().st_size for p in ledger_dir.glob("b*.bin")}
+
+
 def _assert_committed_layout(ledger_dir):
-    """Each shard holds exactly the file its manifest names, at its size."""
-    manifest = json.loads((ledger_dir / "manifest.json").read_text())
-    for i, shard in enumerate(manifest["shards"]):
-        directory = ledger_dir / f"shard{i:04d}"
-        assert [p.name for p in directory.iterdir()] == [shard["file"]]
-        assert (directory / shard["file"]).stat().st_size == 8 * shard["keys"]
+    """The directory holds the manifest, ends.bin with one row per committed
+    year, and each bucket file at its committed length, and nothing else."""
+    manifest = _manifest(ledger_dir)
+    buckets = manifest["buckets"]
+    ends = np.fromfile(ledger_dir / "ends.bin", dtype=np.int64)
+    assert ends.size == buckets * len(manifest["rows"])
+    committed = {
+        f"b{i:05d}.bin": 8 * n for i, n in enumerate(ends[-buckets:].tolist()) if n
+    }
+    assert _bucket_sizes(ledger_dir) == committed
+    names = {p.name for p in ledger_dir.iterdir()}
+    assert names == {"manifest.json", "ends.bin", *committed}
+
+
+def _resume_until(corpus, config, year):
+    """Resume, stopping once ``year`` is committed; the years committed."""
+    committed = []
+
+    def record(y):
+        committed.append(y)
+        _interrupt_at(year)(y)
+
+    with pytest.raises(Interrupt):
+        tabulate(corpus, config, progress_callback=record)
+    return committed
 
 
 @pytest.mark.parametrize("budget", _BUDGETS)
 def test_crash_after_history_commit_before_manifest(
-    tmp_path, monkeypatch, manifest_forms, budget
+    tmp_path, monkeypatch, manifest_buckets, budget
 ):
+    # The year's keys and its ends.bin row are written; its manifest is not.
     corpus = _random_corpus(12, n_articles=500, years=12)
     config = LedgerConfig(
         k=2,
@@ -496,46 +526,116 @@ def test_crash_after_history_commit_before_manifest(
     ledger_dir = tmp_path / "resume" / "k2" / "all"
     crash_year = corpus.years[0] + 5
     _interrupt_before_manifest(monkeypatch, corpus, config, crash_year)
-    manifest = json.loads((ledger_dir / "manifest.json").read_text())
+    manifest = _manifest(ledger_dir)
     assert manifest["watermark"] == crash_year - 1
-    # The failed year left uncommitted state: a history file the manifest
-    # does not name, or a log longer than its committed keys.
-    uncommitted = []
-    for i, shard in enumerate(manifest["shards"]):
-        for p in (ledger_dir / f"shard{i:04d}").iterdir():
-            if p.name != shard["file"] or p.stat().st_size > 8 * shard["keys"]:
-                uncommitted.append(p.name)
-    assert uncommitted, "no uncommitted shard state"
+    ends = ledger_dir / "ends.bin"
+    assert ends.stat().st_size > 8 * manifest["buckets"] * len(manifest["rows"])
+    before = _bucket_sizes(ledger_dir)
+    # The resume cuts every file back to the committed years, then
+    # appends the crash year again.
+    assert _resume_until(corpus, config, crash_year) == [crash_year]
+    assert _bucket_sizes(ledger_dir) == before
+    _assert_committed_layout(ledger_dir)
 
     resumed = tabulate(corpus, config)
-    assert manifest_forms == _expected_forms(budget)
+    _assert_buckets(manifest_buckets, budget, 4)
     clean = tabulate(
         corpus, LedgerConfig(k=2, refinement="all", spill_directory=tmp_path / "clean")
     )
     assert resumed == clean == oracle_tabulate(corpus, 2, "all")
-    _assert_committed_layout(ledger_dir)
+    assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
 
 
 def test_crash_between_log_append_and_manifest(tmp_path, monkeypatch):
+    # Bucket files are append-only logs of keys.
     corpus = _random_corpus(14, n_articles=400, years=10)
     config = LedgerConfig(k=2, spill_directory=tmp_path, shard_count=2)
     ledger_dir = tmp_path / "k2" / "all"
-    _interrupt_before_manifest(monkeypatch, corpus, config, corpus.years[0] + 4)
-    manifest = json.loads((ledger_dir / "manifest.json").read_text())
-    for i, shard in enumerate(manifest["shards"]):
-        assert shard["file"] == "log.bin"
-        log = ledger_dir / f"shard{i:04d}" / "log.bin"
-        assert log.stat().st_size > 8 * shard["keys"]
+    crash_year = corpus.years[0] + 4
+    _interrupt_before_manifest(monkeypatch, corpus, config, crash_year)
+    # A stray file from the failed year goes too.
+    (ledger_dir / "b00007.bin").write_bytes(b"\0" * 8)
+    for name in _bucket_sizes(ledger_dir):
         # A torn write: the next append was cut off mid-key.
-        with open(log, "ab") as f:
+        with open(ledger_dir / name, "ab") as f:
             f.write(b"\xff" * 13)
-    assert tabulate(corpus, config) == oracle_tabulate(corpus, 2, "all")
+    assert _resume_until(corpus, config, crash_year) == [crash_year]
     _assert_committed_layout(ledger_dir)
+    assert tabulate(corpus, config) == oracle_tabulate(corpus, 2, "all")
+
+
+def test_bucket_without_keys_resumes(tmp_path):
+    corpus = _random_corpus(15, n_articles=60, years=6)
+    config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=512)
+    ledger_dir = tmp_path / "k1" / "all"
+    with pytest.raises(Interrupt):
+        tabulate(corpus, config, progress_callback=_interrupt_at(corpus.years[0] + 2))
+    # Some buckets have not received a key, so they have no file yet.
+    assert 0 < len(_bucket_sizes(ledger_dir)) < 512
+    _assert_committed_layout(ledger_dir)
+    assert tabulate(corpus, config) == oracle_tabulate(corpus, 1, "all")
+
+
+def test_kill_inside_bucket_pass_reruns_it(tmp_path, monkeypatch):
+    corpus = _random_corpus(16, n_articles=400, years=8)
+    config = LedgerConfig(k=2, spill_directory=tmp_path, shard_count=4)
+    count_bucket = ledger_mod._count_bucket
+    counted = []
+
+    def failing_count(*args):
+        if counted:
+            raise Interrupt
+        counted.append(args[0])
+        return count_bucket(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ledger_mod, "_count_bucket", failing_count)
+        with pytest.raises(Interrupt):
+            tabulate(corpus, config)
+    assert len(counted) == 1
+    ledger_dir = tmp_path / "k2" / "all"
+    assert not _manifest(ledger_dir)["complete"]
+    _assert_committed_layout(ledger_dir)
+    # Every year is committed, so the resume only reruns the bucket pass.
+    committed = []
+    resumed = tabulate(corpus, config, progress_callback=committed.append)
+    assert committed == []
+    assert resumed == oracle_tabulate(corpus, 2, "all")
+
+
+@pytest.mark.parametrize(
+    "first, second, restarts",
+    [
+        pytest.param(_MIN_BUDGET, 4 * _MIN_BUDGET, False, id="larger"),
+        pytest.param(1 << 20, _MIN_BUDGET, True, id="smaller"),
+    ],
+)
+def test_resume_keeps_recorded_buckets(tmp_path, first, second, restarts):
+    # A budget that needs no more buckets than the recorded count resumes
+    # with that count; one that needs more starts fresh.
+    corpus = _random_corpus(12, n_articles=500, years=12)
+    crash_year = corpus.years[0] + 5
+
+    def config(budget):
+        return LedgerConfig(
+            k=2, spill_directory=tmp_path, shard_count=2, memory_budget_bytes=budget
+        )
+
+    with pytest.raises(Interrupt):
+        tabulate(corpus, config(first), progress_callback=_interrupt_at(crash_year))
+    recorded = _manifest(tmp_path / "k2" / "all")["buckets"]
+    committed = []
+    resumed = tabulate(corpus, config(second), progress_callback=committed.append)
+    assert resumed == oracle_tabulate(corpus, 2, "all")
+    expected = corpus.years[0] if restarts else crash_year + 1
+    assert committed == list(range(expected, corpus.years[-1] + 1))
+    final = _manifest(tmp_path / "k2" / "all")["buckets"]
+    assert (final > recorded) if restarts else (final == recorded > 2)
 
 
 def _repeating_corpus():
     """Every year repeats the first year's articles, so each key that a
-    damaged history lost would be counted as new again the next year."""
+    damaged bucket lost would be counted as new again the next year."""
     rng = random.Random(5)
     sets = [frozenset(rng.sample(range(200), 10)) for _ in range(100)]
     store = CorpusStore()
@@ -546,34 +646,30 @@ def _repeating_corpus():
 
 
 @pytest.mark.parametrize(
-    "budget, form",
+    "budget, damaged",
     [
-        pytest.param(1 << 20, "log.bin", id="log"),
-        pytest.param(_MIN_BUDGET, "hist", id="history"),
+        # A bucket file, the log of its keys.
+        pytest.param(1 << 20, "b00000.bin", id="log"),
+        # ends.bin, the history of every bucket's committed length.
+        pytest.param(_MIN_BUDGET, "ends.bin", id="history"),
     ],
 )
-def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, form):
+def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, damaged):
     corpus = _repeating_corpus()
     config = LedgerConfig(k=1, spill_directory=tmp_path, memory_budget_bytes=budget)
-
-    class Interrupt(Exception):
-        pass
-
-    def boom(year):
-        if year == 2002:
-            raise Interrupt
-
     with pytest.raises(Interrupt):
-        tabulate(corpus, config, progress_callback=boom)
+        tabulate(corpus, config, progress_callback=_interrupt_at(2002))
     ledger_dir = tmp_path / "k1" / "all"
-    (name,) = _shard_files(ledger_dir)
-    assert name.startswith(form)
-    path = ledger_dir / "shard0000" / name
+    path = ledger_dir / damaged
     os.truncate(path, path.stat().st_size - 8)
-    assert tabulate(corpus, config) == oracle_tabulate(corpus, 1, "all")
+    committed = []
+    assert tabulate(corpus, config, progress_callback=committed.append) == (
+        oracle_tabulate(corpus, 1, "all")
+    )
+    assert committed[0] == 2000
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_manifest_version_starts_fresh(tmp_path, version):
     corpus = _random_corpus(13, n_articles=300)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
@@ -581,39 +677,46 @@ def test_old_manifest_version_starts_fresh(tmp_path, version):
     # Rewrite the state in an older layout.  Its rows are off by one, so
     # trusting them would show.
     ledger_dir = tmp_path / "k1" / "all"
-    manifest_path = ledger_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest.update(
-        version=version,
-        rows=[dict(r, new_simplices=r["new_simplices"] + 1) for r in manifest["rows"]],
-    )
-    assert [shard["file"] for shard in manifest.pop("shards")] == ["log.bin"] * 2
-    logs = [ledger_dir / f"shard{i:04d}" / "log.bin" for i in range(2)]
+    manifest = _manifest(ledger_dir)
+    rows = [
+        {**r, "new_simplices": r["new_simplices"] + 1} for r in manifest["rows"]
+    ]
+    manifest = {
+        "version": version,
+        "fingerprint": manifest["fingerprint"],
+        "shard_count": 2,
+        "watermark": rows[-1]["year"],
+        "rows": rows,
+    }
+    # Every pair, packed from raw keyword ids for version 2 and from dense
+    # debut-order ids after it, split into two shards.
+    _, _, dense = corpus.debut_order("all")
+    _, offsets, raw = corpus.csr("all")
+    ids = raw if version == 2 else dense
+    pairs = [
+        pair
+        for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())
+        for pair in enumerate_simplices(ids[a:b].tolist(), 1)
+    ]
+    keys = np.unique(ledger_mod._pack(np.array(pairs, dtype=np.uint32), 2))
+    shard_of = ledger_mod._mix64(keys) % np.uint64(2)
+    name = {1: "run0000.bin", 2: "hist0000.bin", 3: "hist0000.bin", 4: "log.bin"}
+    for i in range(2):
+        shard_dir = ledger_dir / f"shard{i:04d}"
+        shard_dir.mkdir()
+        keys[shard_of == i].tofile(shard_dir / name[version])
     if version == 1:
-        # A list of run files per shard.
-        for log in logs:
-            log.rename(log.with_name("run0000.bin"))
         manifest["runs"] = {str(i): ["run0000.bin"] for i in range(2)}
-    else:
-        # One sorted history file per shard: version 3 with these dense
-        # keys, version 2 with keys packed from raw keyword ids.
-        pairs = [
-            pair
-            for record in corpus.iter_records()
-            for pair in enumerate_simplices(record.all_keywords, 1)
-        ]
-        keys = np.unique(ledger_mod._pack(np.array(pairs, dtype=np.uint32), 2))
-        shard_of = ledger_mod._mix64(keys) % np.uint64(2)
-        for i, log in enumerate(logs):
-            if version == 2:
-                history = keys[shard_of == i]
-            else:
-                history = np.sort(np.fromfile(log, dtype=np.uint64))
-            history.tofile(log.with_name("hist0000.bin"))
-            log.unlink()
+    elif version in (2, 3):
         manifest["history"] = ["hist0000.bin"] * 2
-    manifest_path.write_text(json.dumps(manifest))
+    else:
+        manifest["shards"] = [
+            {"file": "log.bin", "keys": int(np.count_nonzero(shard_of == i))}
+            for i in range(2)
+        ]
+    (ledger_dir / "manifest.json").write_text(json.dumps(manifest))
     assert tabulate(corpus, config) == oracle_tabulate(corpus, 1, "all")
+    assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
 
 
 def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch):
@@ -632,61 +735,77 @@ def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("shard_count", [1, 4])
 def test_merge_frame_stays_within_memory_budget(tmp_path, monkeypatch, shard_count):
-    # One year of 5.6e6 pair emissions against a 1 MiB budget: every
-    # emission batch spills, so the year-end pass opens 20+ spill files.
+    # One year of 5.6e6 pair emissions against a 1 MiB budget: the year
+    # flushes its buffer 100+ times into 100+ buckets.
     rng = random.Random(21)
     store = CorpusStore()
     for i in range(13_000):
         kws = frozenset(rng.sample(range(2000), 30))
         store.add(ArticleRecord(f"a{i:05d}", 2000, kws, kws))
-    # A year before it whose 21,000 keys stay resident in every shard.
-    for i in range(50):
-        kws = frozenset(rng.sample(range(2000), 30))
-        store.add(ArticleRecord(f"b{i:05d}", 1999, kws, kws))
     budget = 1 << 20
-    iter_file = ledger_mod._iter_file
-    shards = []
-    held = {}
-    opened = []
+    calls = {"_flush": 0, "_count_bucket": 0}
     peak = 0
-    peak_resident = 0
 
-    class Shard(ledger_mod._Shard):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            shards.append(self)
+    def measured(name):
+        fn = getattr(ledger_mod, name)
 
-    def tracked(path, chunk_elems):
-        nonlocal peak, peak_resident
-        opened.append(path.name)
-        key = len(opened)
-        try:
-            for chunk in iter_file(path, chunk_elems):
-                held[key] = chunk.nbytes
-                resident = sum(
-                    sh.resident.nbytes for sh in shards if sh.resident is not None
-                )
-                peak_resident = max(peak_resident, resident)
-                peak = max(peak, sum(held.values()) + resident)
-                yield chunk
-        finally:
-            held.pop(key, None)
+        def wrapper(*args):
+            # The flush's buffer is held when it starts; everything else
+            # either call holds is allocated inside it.
+            nonlocal peak
+            held = sum(a.nbytes for a in args[0]) if name == "_flush" else 0
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(*args)
+            peak = max(peak, held + tracemalloc.get_traced_memory()[1] - start)
+            calls[name] += 1
+            return result
 
-    monkeypatch.setattr(ledger_mod, "_Shard", Shard)
-    monkeypatch.setattr(ledger_mod, "_iter_file", tracked)
-    spilled = tabulate(
-        store,
-        LedgerConfig(
-            k=1,
-            shard_count=shard_count,
-            spill_directory=tmp_path / "b",
-            memory_budget_bytes=budget,
-        ),
+        monkeypatch.setattr(ledger_mod, name, wrapper)
+
+    measured("_flush")
+    measured("_count_bucket")
+    config = LedgerConfig(
+        k=1,
+        shard_count=shard_count,
+        spill_directory=tmp_path / "b",
+        memory_budget_bytes=budget,
     )
-    assert sum(name.startswith("spill") for name in opened) >= 20
-    assert peak_resident > 0
+    tracemalloc.start()
+    try:
+        spilled = tabulate(store, config)
+    finally:
+        tracemalloc.stop()
+    assert calls["_flush"] >= 100 and calls["_count_bucket"] >= 100
     assert 0 < peak <= budget
     assert spilled == tabulate(store, LedgerConfig(k=1, spill_directory=tmp_path / "m"))
+
+
+def test_tabulate_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 30 ms to import; np.unique imports it.
+    child = """
+import sys
+from simplexledger.ledger import LedgerConfig, tabulate
+from simplexledger.synth import SynthParams, generate_synthetic
+
+store = generate_synthetic(SynthParams(n_articles=300, vocab_size=60, seed=3))
+config = LedgerConfig(
+    k=2, refinement="major", memory_budget_bytes=1 << 16, spill_directory=sys.argv[1]
+)
+tabulate(store, config)
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(ledger_mod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["False"]
 
 
 def test_restart_ignores_state_from_different_corpus(tmp_path):
