@@ -87,14 +87,12 @@ def _load_corpus(args: argparse.Namespace) -> tuple[CorpusStore, list[Path]]:
         raise SystemExit("need either --store or both --input and --ontology")
     ontology_path, input_path = Path(args.ontology), Path(args.input)
     inputs.extend([ontology_path, input_path])
-    with open(ontology_path, encoding="utf-8") as f:
+    # Binary, so that the readers can name the line of a non-UTF-8 byte.
+    with open(ontology_path, "rb") as f:
         ontology = load_ontology(f)
-    config = _filter_config(args)
-    if args.format == "xml":
-        with open(input_path, "rb") as f:
-            return ingest_pubmed_xml(f, ontology, config), inputs
-    with open(input_path, encoding="utf-8") as f:
-        return ingest_tsv(f, ontology, config), inputs
+    ingest = ingest_pubmed_xml if args.format == "xml" else ingest_tsv
+    with open(input_path, "rb") as f:
+        return ingest(f, ontology, _filter_config(args)), inputs
 
 
 class _OutputLock:
@@ -153,14 +151,10 @@ def _write_ledger_csv(series: LedgerSeries, path: Path) -> None:
 
 
 def _consistency_check(series: LedgerSeries) -> None:
-    """Re-verify prefix sums and bounds before artifacts are accepted."""
-    total = 0
-    for i in range(len(series.years)):
-        total += series.new_simplices[i]
-        if series.cum_simplices[i] != total:
-            raise SystemExit(f"cumulative mismatch at {series.years[i]}")
+    """Re-verify the peripheral bound before artifacts are accepted."""
+    for i, year in enumerate(series.years):
         if not 0 <= series.new_peripheral[i] <= series.new_simplices[i]:
-            raise SystemExit(f"peripheral bound violated at {series.years[i]}")
+            raise SystemExit(f"peripheral bound violated at {year}")
 
 
 def _parse_window(text: str) -> tuple[float, float]:

@@ -16,6 +16,11 @@ year of the ledger's ascending sweep is one contiguous slice:
 - ``major``, one Major-topic flag per id;
 - the article ids, UTF-8, each followed by a NUL byte.
 
+``add`` stages articles in the same layout, as column tails in add order,
+and refuses a record the layout cannot hold.  The next read folds the tails
+into the columns with stable numpy sorts; the last copy of each article id
+wins, even across years, and the dropped copies count as duplicates.
+
 A store file (format version 2) is a 40-byte header (magic ``SLEDGER1``,
 version, article count, id count, article-id bytes), the raw little-endian
 ``offsets``, ``years`` and ``ids`` arrays, the ``major`` flags packed eight
@@ -33,12 +38,13 @@ import itertools
 import logging
 import struct
 import xml.etree.ElementTree as ET
+from array import array
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from simplexledger.ontology import BranchFilter, Ontology, is_eligible
+from simplexledger.ontology import BranchFilter, Ontology, is_eligible, numbered_lines
 
 log = logging.getLogger(__name__)
 
@@ -128,13 +134,13 @@ class CorpusStore:
 
     Article ``i`` appeared in ``years[i]`` and carries the keyword ids
     ``ids[offsets[i]:offsets[i+1]]``, ascending, with ``major`` flagging its
-    Major keywords.  Added records are staged and folded into the columns
-    by the first read; an add after a read unfolds them again.
+    Major keywords.  Added articles wait in column tails until the next
+    read folds them in, keeping the last copy of each article id.
     """
 
     def __init__(self) -> None:
-        self.stats = IngestStats()
-        self._staged: dict[str, tuple] | None = {}
+        self._stats = IngestStats()
+        self._clear_tails()
         self._set_columns(
             np.empty(0, np.int32),
             np.zeros(1, np.int64),
@@ -142,6 +148,14 @@ class CorpusStore:
             np.empty(0, bool),
             b"",
         )
+
+    def _clear_tails(self) -> None:
+        # The articles added since the last fold, in the columns' layout.
+        self._tail_years = array("i")
+        self._tail_counts = array("I")
+        self._tail_ids = array("I")
+        self._tail_major = bytearray()
+        self._tail_names = bytearray()
 
     def _set_columns(self, years, offsets, ids, major, article_ids, digest=None):
         self._years = years
@@ -153,7 +167,14 @@ class CorpusStore:
         # Values derived from the columns, dropped whenever they change.
         self._cache: dict = {} if digest is None else {"digest": digest}
 
+    @property
+    def stats(self) -> IngestStats:
+        """Ingest counters; reading them folds, so duplicates are counted."""
+        self._fold()
+        return self._stats
+
     def add(self, record: ArticleRecord) -> None:
+        """Stage one article, or raise before staging anything."""
         if not record.major_keywords <= record.all_keywords:
             raise CorpusError(
                 f"article {record.article_id!r} has Major keywords outside "
@@ -161,38 +182,50 @@ class CorpusStore:
             )
         if "\0" in record.article_id:
             raise CorpusError(f"article id {record.article_id!r} contains NUL")
-        if self._staged is None:
-            self._staged = {r.article_id: _staged(r) for r in self.iter_records()}
-        # Duplicate ids are last-wins; the old copy is evicted even if it
-        # landed in a different year.
-        if record.article_id in self._staged:
-            self.stats.duplicate_article_ids += 1
-        self._staged[record.article_id] = _staged(record)
-
-    def _fold(self) -> None:
-        """Build the columns from the staged records, if any are staged."""
-        if self._staged is None:
-            return
-        staged = self._staged
-        # Two stable sorts give (year, article id) order without key tuples.
-        names = sorted(staged)
-        names.sort(key=lambda name: staged[name][0])
-        entries = [staged[name] for name in names]
-        n = len(entries)
-        counts = np.fromiter((len(ids) for _, ids, _ in entries), np.int64, n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        chain = itertools.chain.from_iterable
         try:
-            years = np.fromiter((year for year, _, _ in entries), np.int32, n)
-            ids = np.fromiter(chain(ids for _, ids, _ in entries), np.uint32, total)
+            name = record.article_id.encode("utf-8")
+            year = array("i", (record.year,))
+            ids = array("I", sorted(record.all_keywords))
+        except UnicodeEncodeError as exc:
+            raise CorpusError(f"article id {record.article_id!r} is not UTF-8") from exc
         except OverflowError as exc:
             raise CorpusError(f"year or keyword id out of range: {exc}") from exc
-        major = np.fromiter(chain(flags for _, _, flags in entries), bool, total)
-        article_ids = "\0".join([*names, ""]).encode("utf-8")
-        self._staged = None
-        self._set_columns(years, offsets, ids, major, article_ids)
+        major = record.major_keywords
+        self._tail_years += year
+        self._tail_counts.append(len(ids))
+        self._tail_ids += ids
+        self._tail_major += bytes([kid in major for kid in ids])
+        self._tail_names += name + b"\0"
+
+    def _fold(self) -> None:
+        """Merge the column tails, if any, into the columns; these are just
+        the first chunk, so an add after a read needs no other path."""
+        if not self._tail_years:
+            return
+        years = np.concatenate((self._years, self._tail_years))
+        counts = np.concatenate((np.diff(self._offsets), self._tail_counts))
+        ids = np.concatenate((self._ids, self._tail_ids))
+        major = np.concatenate((self._major, np.frombuffer(self._tail_major, bool)))
+        names, lengths = _fixed_width(self._article_ids + self._tail_names)
+        self._clear_tails()
+        # A stable sort puts each id's copies in add order, so the last of
+        # each run is the one that wins, whatever its year.
+        by_name = names.argsort(kind="stable")
+        keep = by_name[run_heads(names[by_name][::-1])[::-1]]
+        self._stats.duplicate_article_ids += len(years) - len(keep)
+        # ``keep`` is in id order; a stable sort by year gives (year, id).
+        order = keep[years[keep].argsort(kind="stable")]
+        starts = np.cumsum(counts) - counts
+        offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(counts[order], out=offsets[1:])
+        gather = np.arange(offsets[-1], dtype=np.int64)
+        gather += np.repeat(starts[order] - offsets[:-1], counts[order])
+        # Each row of the fixed-width ids up to its length and one NUL.
+        grid = names[order].view(np.uint8).reshape(len(order), names.itemsize)
+        article_ids = grid[np.arange(names.itemsize) <= lengths[order, None]]
+        self._set_columns(
+            years[order], offsets, ids[gather], major[gather], article_ids.tobytes()
+        )
 
     def _cached(self, key: str, compute: Callable[[], object]):
         self._fold()
@@ -327,14 +360,6 @@ class CorpusStore:
         yield self._article_ids
 
 
-def _staged(record: ArticleRecord) -> tuple[int, tuple[int, ...], tuple[bool, ...]]:
-    """A record as staged until the columns are built: its year, its ids
-    ascending and their Major flags.  Tuples keep a staged corpus several
-    times smaller than its records' frozensets."""
-    ids = tuple(sorted(record.all_keywords))
-    return record.year, ids, tuple(kid in record.major_keywords for kid in ids)
-
-
 def _sha256(chunks: Iterable[bytes | memoryview]) -> bytes:
     digest = hashlib.sha256()
     for chunk in chunks:
@@ -389,7 +414,7 @@ def _resolve_keywords(
 
 
 def ingest_tsv(
-    stream: Iterable[str] | TextIO,
+    stream: Iterable[str] | TextIO | BinaryIO,
     ontology: Ontology,
     config: FilterConfig | None = None,
 ) -> CorpusStore:
@@ -397,14 +422,13 @@ def ingest_tsv(
 
     The keyword list is ``;``-separated external codes; a ``*`` prefix marks
     a Major keyword.  Multiple publication types may be ``|``-separated.
+    A binary stream is decoded line by line, so a byte that is not UTF-8
+    raises a `CorpusError` naming its line.
     """
     config = config or FilterConfig()
     store = CorpusStore()
     stats = store.stats
-    for lineno, raw_line in enumerate(stream, start=1):
-        line = raw_line.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
+    for lineno, line in numbered_lines(stream, CorpusError):
         parts = line.split("\t")
         if len(parts) != 4:
             stats.rejected_malformed += 1
@@ -512,22 +536,22 @@ def ingest_pubmed_xml(
 # --- binary store serialization -------------------------------------------
 
 
-def _fixed_width(names: bytes) -> np.ndarray:
-    """The NUL-terminated article ids as one fixed-width bytes array.
+def _fixed_width(names: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The NUL-terminated article ids as one fixed-width bytes array, and
+    their lengths in bytes.
 
-    Each id is padded with NULs, which no id contains, so the array orders
-    the ids as bytes do; UTF-8 bytes sort as their code points, the order
-    `add` folds in.
+    Each id is padded with at least one NUL, which no id contains, so the
+    array orders the ids as bytes do; UTF-8 bytes sort as their code points.
     """
     blob = np.frombuffer(names, np.uint8)
     ends = np.flatnonzero(blob == 0)
     starts = np.concatenate(([0], ends + 1))[:-1]
     lengths = ends - starts
-    width = max(1, int(lengths.max(initial=0)))
+    width = int(lengths.max(initial=0)) + 1
     padded = np.concatenate((blob, np.zeros(width, np.uint8)))
     grid = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
     grid[np.arange(width) >= lengths[:, None]] = 0
-    return grid.view(f"S{width}").ravel()
+    return grid.view(f"S{width}").ravel(), lengths
 
 
 def save_store(store: CorpusStore, out: BinaryIO) -> None:
@@ -578,7 +602,7 @@ def load_store(src: BinaryIO) -> CorpusStore:
         names.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"article id is not UTF-8: {exc}") from exc
-    article_ids = _fixed_width(names)
+    article_ids, _ = _fixed_width(names)
     if ((years[1:] == years[:-1]) & (article_ids[1:] <= article_ids[:-1])).any():
         raise CorpusError("article ids are not strictly ascending within a year")
     article_ids.sort()
@@ -589,7 +613,6 @@ def load_store(src: BinaryIO) -> CorpusStore:
         raise CorpusError("store checksum mismatch; the file is corrupt")
 
     store = CorpusStore()
-    store._staged = None
     major = np.unpackbits(packed, count=n_ids, bitorder="little").view(bool)
     store._set_columns(years, offsets, ids, major, names, checksum.hex())
     return store

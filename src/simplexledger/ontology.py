@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 # Branches retained by default: the biomedical-oriented subset of the
 # top-level tree categories.
@@ -65,18 +65,30 @@ class Ontology:
         return self._by_code.get(external_code)
 
 
-def load_ontology(source: Iterable[str] | TextIO) -> Ontology:
+def numbered_lines(source: Iterable, error: type) -> Iterator[tuple[int, str]]:
+    """The non-empty lines of a TSV source, numbered from 1, without their
+    endings.  Bytes are decoded a line at a time, so that a non-UTF-8 byte
+    raises ``error`` naming its line, which a text stream cannot tell."""
+    for lineno, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"line {lineno}: not UTF-8: {exc}") from None
+        line = raw.rstrip("\n").rstrip("\r")
+        if line:
+            yield lineno, line
+
+
+def load_ontology(source: Iterable[str] | TextIO | BinaryIO) -> Ontology:
     """Build an Ontology from TSV rows, assigning dense ids in source order.
 
     A leading header row is detected by a literal first cell
-    ``external_code`` and skipped.  Duplicate codes and malformed rows are
-    rejected with the offending code / line number.
+    ``external_code`` and skipped.  Duplicate codes, malformed rows and
+    non-UTF-8 bytes are rejected with the offending code / line number.
     """
     ontology = Ontology()
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
+    for lineno, line in numbered_lines(source, OntologyError):
         parts = line.split("\t")
         if lineno == 1 and parts[0] == "external_code":
             continue

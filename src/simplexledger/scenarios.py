@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import IO
 
-from simplexledger.corpus import REFINEMENTS, CorpusStore
+from simplexledger.corpus import REFINEMENTS
 from simplexledger.ledger import LedgerConfig, LedgerSeries, oracle_tabulate, tabulate
 from simplexledger.metrics import build_metrics
 from simplexledger.synth import SynthParams, generate_synthetic
@@ -114,9 +114,7 @@ def _compare(exact: LedgerSeries, oracle: LedgerSeries) -> list[str]:
     return problems
 
 
-def _check_expectation(
-    expectation: str, corpus: CorpusStore, oracle: LedgerSeries
-) -> str | None:
+def _check_expectation(expectation: str, oracle: LedgerSeries) -> str | None:
     """None means the qualitative expectation holds."""
     rows = build_metrics(oracle)
     if expectation == "none":
@@ -146,38 +144,26 @@ def _check_expectation(
     raise ScenarioError(f"unknown expectation {expectation!r}")
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    workdir: str | Path | None = None,
-    ks: tuple[int, ...] = (1, 2, 3),
-    refinements: tuple[str, ...] = REFINEMENTS,
-) -> ScenarioReport:
+def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """Generate, tabulate both ways, and compare; exact match required."""
     report = ScenarioReport(scenario=spec.name, ok=True)
     corpus = generate_synthetic(spec.params)
-    own_tmp = workdir is None
-    workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="scn-"))
-    for k in ks:
-        for refinement in refinements:
-            oracle = oracle_tabulate(corpus, k, refinement)
-            config = LedgerConfig(
-                k=k, refinement=refinement, spill_directory=workdir / spec.name
-            )
-            exact = tabulate(corpus, config)
-            problems = _compare(exact, oracle)
-            if problems:
-                report.add(k, refinement, "mismatch", "; ".join(problems[:5]))
-            else:
-                report.add(k, refinement, "ok")
+    with tempfile.TemporaryDirectory(prefix="scn-") as spill:
+        for k in (1, 2, 3):
+            for refinement in REFINEMENTS:
+                oracle = oracle_tabulate(corpus, k, refinement)
+                config = LedgerConfig(k=k, refinement=refinement, spill_directory=spill)
+                exact = tabulate(corpus, config)
+                problems = _compare(exact, oracle)
+                if problems:
+                    report.add(k, refinement, "mismatch", "; ".join(problems[:5]))
+                else:
+                    report.add(k, refinement, "ok")
     # Qualitative check on the pairwise / all-refinement view.
     oracle = oracle_tabulate(corpus, 1, "all")
-    failure = _check_expectation(spec.expectation, corpus, oracle)
+    failure = _check_expectation(spec.expectation, oracle)
     if failure is not None:
         report.add(1, "all", "expectation-failed", failure)
-    if own_tmp:
-        import shutil
-
-        shutil.rmtree(workdir, ignore_errors=True)
     return report
 
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from simplexledger.cli import main
+from simplexledger.corpus import CorpusError
+from simplexledger.ontology import OntologyError
 
 from conftest import DEMO_CORPUS, ONTOLOGY_TSV
 
@@ -151,6 +153,21 @@ def test_ingest_then_run_from_store(tmp_path, demo_files):
         == 0
     )
     assert (out / "metrics_k2_all.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "damaged, error",
+    [("corpus", CorpusError), ("ontology", OntologyError)],
+)
+def test_ingest_names_the_line_of_a_non_utf8_byte(tmp_path, demo_files, damaged, error):
+    ontology, corpus = demo_files
+    path = {"corpus": corpus, "ontology": ontology}[damaged]
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b"\t", b"\xff\t", 1)
+    path.write_bytes(b"".join(lines))
+    argv = ["ingest", "--ontology", str(ontology), "--input", str(corpus)]
+    with pytest.raises(error, match="line 2: not UTF-8"):
+        main([*argv, "--output", str(tmp_path / "corpus.bin")])
 
 
 def test_synth_and_verify_and_report(tmp_path):

@@ -382,13 +382,28 @@ def test_add_order_does_not_change_digest_or_file():
         (ArticleRecord("a", 1999, frozenset({-1, 2}), frozenset()), "range"),
         (ArticleRecord("a", 1999, frozenset({1, 1 << 32}), frozenset()), "range"),
         (ArticleRecord("a", 1 << 31, frozenset({1, 2}), frozenset()), "range"),
+        (ArticleRecord("a", -(1 << 31) - 1, frozenset({1, 2}), frozenset()), "range"),
+        (ArticleRecord("a\ud800", 1999, frozenset({1, 2}), frozenset()), "UTF-8"),
     ],
 )
 def test_store_rejects_records_it_cannot_represent(record, cause):
-    store = CorpusStore()
-    with pytest.raises(CorpusError, match=cause):
-        store.add(record)
-        len(store)
+    # The record raises from ``add`` itself and stages nothing, whether or
+    # not the store was read before.
+    def store_with_one_article():
+        store = CorpusStore()
+        store.add(ArticleRecord("a", 2000, frozenset({3, 4}), frozenset({4})))
+        return store
+
+    for read_first in (False, True):
+        store = store_with_one_article()
+        if read_first:
+            len(store)
+        with pytest.raises(CorpusError, match=cause):
+            store.add(record)
+        expected = store_with_one_article()
+        assert store == expected
+        assert store.digest() == expected.digest()
+        assert store.stats.duplicate_article_ids == 0
 
 
 def test_add_after_read_keeps_last_wins():
@@ -403,6 +418,20 @@ def test_add_after_read_keeps_last_wins():
     assert store.stats.duplicate_article_ids == 1
 
 
+def test_duplicate_count_is_current_when_ingest_returns(ontology):
+    rows = [
+        "p1\t1998\tReview\tD000001;D000002",
+        "p2\t1998\tReview\tD000001;D000002",
+        "p1\t1999\tReview\tD000005;D000007",
+        "p1\t1997\tReview\tD000002;D000007",
+    ]
+    assert ingest_tsv(iter(rows), ontology).stats.duplicate_article_ids == 2
+    doc = _xml_doc(
+        [("1", 1998, ["Review"], [("D000001", False), ("D000002", False)])] * 3
+    )
+    assert ingest_pubmed_xml(doc, ontology).stats.duplicate_article_ids == 2
+
+
 @st.composite
 def _articles(draw):
     ids = draw(st.frozensets(st.integers(0, 70_000), max_size=5))
@@ -414,6 +443,55 @@ def _articles(draw):
         all_keywords=ids,
         major_keywords=draw(major),
     )
+
+
+@st.composite
+def _repeating_articles(draw):
+    """Articles over a few ids, so that ids repeat within and across years."""
+    ids = sorted(draw(st.frozensets(st.integers(0, 70_000), max_size=5)))
+    major = [kid for kid in ids if draw(st.booleans())]
+    return ArticleRecord(
+        article_id=draw(st.sampled_from(["", "a", "a1", "b", "é", "ab\u4e2d"])),
+        year=draw(st.integers(1902, 1906)),
+        all_keywords=frozenset(ids),
+        major_keywords=frozenset(major),
+    )
+
+
+_READS = [
+    len,
+    CorpusStore.digest,
+    lambda store: store.csr("major"),
+    lambda store: store.stats,
+    lambda store: [store.records_in(year) for year in store.years],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(_repeating_articles(), st.sampled_from(_READS)), max_size=30)
+)
+def test_interleaved_adds_and_reads_match_a_last_wins_model(steps):
+    store = CorpusStore()
+    model: dict[str, ArticleRecord] = {}
+    duplicates = 0
+    for step in steps:
+        if isinstance(step, ArticleRecord):
+            duplicates += step.article_id in model
+            model[step.article_id] = step
+            store.add(step)
+        else:
+            step(store)
+    once = CorpusStore()
+    for record in model.values():
+        once.add(record)
+    mine, theirs = io.BytesIO(), io.BytesIO()
+    save_store(store, mine)
+    save_store(once, theirs)
+    assert mine.getvalue() == theirs.getvalue()
+    assert store.digest() == once.digest()
+    assert store.stats.duplicate_article_ids == duplicates
+    assert once.stats.duplicate_article_ids == 0
 
 
 @settings(max_examples=40, deadline=None)

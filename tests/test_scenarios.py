@@ -1,8 +1,10 @@
 import io
 import json
+import tempfile
 
 import pytest
 
+from simplexledger import scenarios
 from simplexledger.scenarios import (
     ScenarioError,
     ScenarioReport,
@@ -39,11 +41,24 @@ def test_duplicate_scenario_names_rejected(tmp_path):
         "bursty-entry",
     ],
 )
-def test_scenario_pipeline_matches_oracle(name, tmp_path):
+def test_scenario_pipeline_matches_oracle(name):
     (spec,) = [s for s in load_scenarios() if s.name == name]
-    report = run_scenario(spec, workdir=tmp_path)
+    report = run_scenario(spec)
     failures = [r for r in report.rows if r["status"] != "ok"]
     assert report.ok, failures
+
+
+def test_scenario_removes_its_workdir_when_tabulate_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+    def boom(corpus, config):
+        raise RuntimeError("tabulate failed")
+
+    monkeypatch.setattr(scenarios, "tabulate", boom)
+    (spec,) = [s for s in load_scenarios() if s.name == "frozen-vocabulary"]
+    with pytest.raises(RuntimeError, match="tabulate failed"):
+        run_scenario(spec)
+    assert not list(tmp_path.glob("scn-*"))
 
 
 def test_report_csv_shape():
