@@ -7,6 +7,11 @@ tool version.  Once the manifest says the run is complete, the ledgers'
 spill state is deleted; an interrupted run keeps it to resume from.  All
 randomness is seed-pinned; CSV output is byte-deterministic for identical
 config and inputs.
+
+`metrics` writes and reads the per-year CSVs, and one writer makes the fits
+and charts of both `run` and `report`: a `report` on a run's metrics CSV with
+the same fit window reproduces that run's fits and charts.  The corpus flags
+other than `--store` apply to raw input only, and `run --store` refuses them.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import csv
 import fcntl
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -39,25 +45,27 @@ from simplexledger.fitting import (
     fit_exponential,
     fit_linear,
 )
-from simplexledger.ledger import LedgerConfig, LedgerSeries, tabulate
-from simplexledger.metrics import build_metrics, paired_series, write_metrics_csv
+from simplexledger.ledger import (
+    SPILL_ENV_VAR,
+    LedgerConfig,
+    LedgerSeries,
+    tabulate,
+    write_text_atomic,
+)
+from simplexledger.metrics import (
+    build_metrics,
+    paired_series,
+    read_metrics_csv,
+    write_ledger_csv,
+    write_metrics_csv,
+)
 from simplexledger.ontology import BranchFilter, load_ontology
 from simplexledger.plots import svg_line_chart
 from simplexledger.scenarios import load_scenarios, run_scenario, write_report_csv
 from simplexledger.synth import SynthParams, generate_synthetic
 
-LEDGER_CSV_COLUMNS = [
-    "year",
-    "k",
-    "refinement",
-    "new_simplices",
-    "new_peripheral",
-    "new_keywords",
-    "articles_processed",
-    "cum_simplices",
-    "cum_keywords",
-    "cum_articles",
-]
+# Corpus flags that only raw input uses; `run --store` refuses them.
+_INGEST_ONLY = ("ontology", "format", "min_year", "branches")
 
 
 def _sha256_file(path: Path) -> str:
@@ -69,29 +77,33 @@ def _sha256_file(path: Path) -> str:
 
 
 def _filter_config(args: argparse.Namespace) -> FilterConfig:
-    branch_filter = (
-        BranchFilter(frozenset(args.branches)) if args.branches else BranchFilter()
-    )
-    return FilterConfig(min_year=args.min_year, branch_filter=branch_filter)
+    """The filter flags given; `FilterConfig`'s defaults fill the rest."""
+    options: dict = {}
+    if args.min_year is not None:
+        options["min_year"] = args.min_year
+    if args.branches:
+        options["branch_filter"] = BranchFilter(frozenset(args.branches))
+    return FilterConfig(**options)
 
 
 def _load_corpus(args: argparse.Namespace) -> tuple[CorpusStore, list[Path]]:
     """Corpus from a store file or from raw input + ontology."""
-    inputs: list[Path] = []
     if getattr(args, "store", None):
+        for name in _INGEST_ONLY:
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise SystemExit(f"{flag} applies to --input, not to --store")
         path = Path(args.store)
-        inputs.append(path)
         with open(path, "rb") as f:
-            return load_store(f), inputs
-    if not args.input or not args.ontology:
-        raise SystemExit("need either --store or both --input and --ontology")
-    ontology_path, input_path = Path(args.ontology), Path(args.input)
-    inputs.extend([ontology_path, input_path])
+            return load_store(f), [path]
+    if not (args.input and args.ontology):
+        raise SystemExit("raw input needs both --input and --ontology")
+    inputs = [Path(args.ontology), Path(args.input)]
     # Binary, so that the readers can name the line of a non-UTF-8 byte.
-    with open(ontology_path, "rb") as f:
+    with open(inputs[0], "rb") as f:
         ontology = load_ontology(f)
     ingest = ingest_pubmed_xml if args.format == "xml" else ingest_tsv
-    with open(input_path, "rb") as f:
+    with open(inputs[1], "rb") as f:
         return ingest(f, ontology, _filter_config(args)), inputs
 
 
@@ -126,30 +138,6 @@ class _OutputLock:
         os.close(self.fd)
 
 
-def _write_ledger_csv(series: LedgerSeries, path: Path) -> None:
-    cum_s = series.cum_simplices
-    cum_k = series.cum_keywords
-    cum_a = series.cum_articles
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(LEDGER_CSV_COLUMNS)
-        for i, year in enumerate(series.years):
-            writer.writerow(
-                [
-                    year,
-                    series.k,
-                    series.refinement,
-                    series.new_simplices[i],
-                    series.new_peripheral[i],
-                    series.new_keywords[i],
-                    series.articles_processed[i],
-                    cum_s[i],
-                    cum_k[i],
-                    cum_a[i],
-                ]
-            )
-
-
 def _consistency_check(series: LedgerSeries) -> None:
     """Re-verify the peripheral bound before artifacts are accepted."""
     for i, year in enumerate(series.years):
@@ -167,89 +155,58 @@ def _parse_window(text: str) -> tuple[float, float]:
         raise SystemExit(f"bad fit window {text!r}; use a preset or LO:HI")
 
 
-def _run_fits(rows, year_window, out_path: Path, k: int, refinement: str) -> None:
-    """Linear fit on the article axis, exponential on the vocabulary axis."""
-    with open(out_path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(FIT_CSV_COLUMNS)
-        selections = [("full", rows)]
-        if year_window is not None:
-            lo, hi = year_window
-            selections.append(
-                ("window", [r for r in rows if lo <= r.year <= hi])
-            )
-        for _, selection in selections:
-            if len(selection) < 2:
-                continue
-            by_articles = paired_series(selection, "articles")
-            by_vocab = paired_series(selection, "vocabulary")
-            try:
-                result = fit_linear(by_articles["cum_simplices"])
-                writer.writerow(fit_csv_row(result, k, refinement, "articles"))
-            except FitError:
-                pass
-            try:
-                result = fit_exponential(by_vocab["cum_simplices"])
-                writer.writerow(fit_csv_row(result, k, refinement, "vocabulary"))
-            except FitError:
-                pass
+def _try_fit(fit, points):
+    try:
+        return fit(points)
+    except FitError:
+        return None
 
 
-def _write_charts(rows, out_dir: Path, k: int, refinement: str) -> list[str]:
-    """The four SVG charts of one (k, refinement); returns their file names."""
+def _write_report(rows, k: int, refinement: str, window, out_dir: Path) -> list[str]:
+    """Write the fits CSV and four SVG charts of one (k, refinement) and
+    return their file names.  Cumulative combinations get a linear fit on
+    articles and an exponential fit on vocabulary, over every year and then
+    over the year window; the full-range exponential is the chart overlay."""
     tag = f"k{k}_{refinement}"
     by_articles = paired_series(rows, "articles")
     by_vocab = paired_series(rows, "vocabulary")
-    by_year = paired_series(rows, "year")
-    svg_line_chart(
-        [("cumulative combinations", by_articles["cum_simplices"])],
-        out_dir / f"c_vs_articles_{tag}.svg",
-        title=f"Distinct combinations vs articles ({tag})",
-        xlabel="cumulative articles",
-        ylabel="cumulative distinct combinations",
-    )
-    series = [("cumulative combinations", by_vocab["cum_simplices"])]
-    try:
-        fit = fit_exponential(by_vocab["cum_simplices"])
-        import math
+    selections = [(by_articles, by_vocab)]
+    if window is not None:
+        chosen = [r for r in rows if window[0] <= r.year <= window[1]]
+        selections.append(
+            (paired_series(chosen, "articles"), paired_series(chosen, "vocabulary"))
+        )
+    fits = []
+    for articles, vocab in selections:
+        fits.append(("articles", _try_fit(fit_linear, articles["cum_simplices"])))
+        fits.append(("vocabulary", _try_fit(fit_exponential, vocab["cum_simplices"])))
+    with open(out_dir / f"fits_{tag}.csv", "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(FIT_CSV_COLUMNS)
+        writer.writerows(fit_csv_row(fit, k, refinement, x) for x, fit in fits if fit)
 
-        overlay = [
-            (x, fit.A * math.exp(fit.slope * x))
-            for x, _ in by_vocab["cum_simplices"]
-        ]
-        series.append(("exponential fit", overlay))
-    except FitError:
-        pass
-    svg_line_chart(
-        series,
-        out_dir / f"c_vs_vocab_{tag}.svg",
-        title=f"Distinct combinations vs vocabulary ({tag})",
-        xlabel="cumulative vocabulary",
-        ylabel="cumulative distinct combinations",
-        log_y=True,
-    )
-    svg_line_chart(
-        [("coverage", by_vocab["coverage"])],
-        out_dir / f"coverage_vs_vocab_{tag}.svg",
-        title=f"Coverage of possible combinations ({tag})",
-        xlabel="cumulative vocabulary",
-        ylabel="coverage fraction",
-        log_y=True,
-    )
-    svg_line_chart(
-        [
-            ("conceptual rate", by_year["r_m"]),
-            ("peripheral rate", by_year["r_p"]),
-        ],
-        out_dir / f"rates_{tag}.svg",
-        title=f"Innovation rates ({tag})",
-        xlabel="year",
-        ylabel="rate",
-    )
-    return [
-        f"{stem}_{tag}.svg"
-        for stem in ("c_vs_articles", "c_vs_vocab", "coverage_vs_vocab", "rates")
+    combinations = by_vocab["cum_simplices"]
+    vocab_series = [("cumulative combinations", combinations)]
+    overlay = fits[1][1]
+    if overlay is not None:
+        curve = [(x, overlay.A * math.exp(overlay.slope * x)) for x, _ in combinations]
+        vocab_series.append(("exponential fit", curve))
+    by_year = paired_series(rows, "year")
+    y_label, vocabulary = "cumulative distinct combinations", "cumulative vocabulary"
+    charts = [  # (stem, title, x label, y label, log y, series)
+        ("c_vs_articles", "Distinct combinations vs articles", "cumulative articles",
+         y_label, False, [("cumulative combinations", by_articles["cum_simplices"])]),
+        ("c_vs_vocab", "Distinct combinations vs vocabulary", vocabulary,
+         y_label, True, vocab_series),
+        ("coverage_vs_vocab", "Coverage of possible combinations", vocabulary,
+         "coverage fraction", True, [("coverage", by_vocab["coverage"])]),
+        ("rates", "Innovation rates", "year", "rate", False,
+         [("conceptual rate", by_year["r_m"]), ("peripheral rate", by_year["r_p"])]),
     ]
+    for stem, title, xlabel, ylabel, log_y, series in charts:
+        svg_line_chart(series, out_dir / f"{stem}_{tag}.svg", title=f"{title} ({tag})",
+                       xlabel=xlabel, ylabel=ylabel, log_y=log_y)
+    return [f"fits_{tag}.csv", *(f"{chart[0]}_{tag}.svg" for chart in charts)]
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -269,10 +226,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.params:
-        raw = json.loads(Path(args.params).read_text())
-        from simplexledger.scenarios import _params_from_json
-
-        params = _params_from_json(raw)
+        params = SynthParams.from_json(json.loads(Path(args.params).read_text()))
     else:
         params = SynthParams(
             n_articles=args.n_articles,
@@ -305,12 +259,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         "command": "run",
         "k": ks,
         "refinement": refinements,
-        "min_year": args.min_year,
-        "branches": args.branches,
         "shard_count": args.shard_count,
         "memory_budget": args.memory_budget,
         "fit_window": args.fit_window,
     }
+    if args.input:  # the filter applies to raw input only
+        run_config["min_year"] = _filter_config(args).min_year
+        run_config["branches"] = args.branches
     config_hash = hashlib.sha256(
         json.dumps(run_config, sort_keys=True).encode()
     ).hexdigest()
@@ -325,7 +280,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     with _OutputLock(out_dir):
         manifest_path = out_dir / "run_manifest.json"
-        env_root = os.environ.get("SLEDGER_TMP")
+        env_root = os.environ.get(SPILL_ENV_VAR)
         spill_root = Path(env_root) if env_root else out_dir / "spill"
         try:
             for k in ks:
@@ -340,26 +295,21 @@ def cmd_run(args: argparse.Namespace) -> int:
                     )
                     series = tabulate(corpus, config)
                     _consistency_check(series)
-                    ledger_csv = out_dir / f"ledger_{tag}.csv"
-                    _write_ledger_csv(series, ledger_csv)
+                    with open(out_dir / f"ledger_{tag}.csv", "w", newline="") as f:
+                        write_ledger_csv(series, f)
                     rows = build_metrics(series)
-                    metrics_csv = out_dir / f"metrics_{tag}.csv"
-                    with open(metrics_csv, "w", newline="") as f:
+                    with open(out_dir / f"metrics_{tag}.csv", "w", newline="") as f:
                         write_metrics_csv(rows, f)
-                    fits_csv = out_dir / f"fits_{tag}.csv"
-                    _run_fits(rows, year_window, fits_csv, k, refinement)
-                    charts = _write_charts(rows, out_dir, k, refinement)
                     manifest["artifacts"] += [
-                        ledger_csv.name,
-                        metrics_csv.name,
-                        fits_csv.name,
-                        *charts,
+                        f"ledger_{tag}.csv",
+                        f"metrics_{tag}.csv",
+                        *_write_report(rows, k, refinement, year_window, out_dir),
                     ]
         except Exception:
-            manifest_path.write_text(json.dumps(manifest, indent=1))
+            write_text_atomic(manifest_path, json.dumps(manifest, indent=1))
             raise
         manifest["status"] = "complete"
-        manifest_path.write_text(json.dumps(manifest, indent=1))
+        write_text_atomic(manifest_path, json.dumps(manifest, indent=1))
         _remove_ledger_state(spill_root, ks, refinements)
         if not env_root:
             _remove_if_empty(spill_root)
@@ -404,52 +354,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Recompute fits and charts from an existing metrics CSV."""
-    from simplexledger.metrics import MetricsRow
-
-    rows = []
     with open(args.metrics, newline="") as f:
-        for record in csv.DictReader(f):
-            def num(field: str) -> float | None:
-                return float(record[field]) if record[field] != "" else None
-
-            rows.append(
-                MetricsRow(
-                    year=int(record["year"]),
-                    k=int(record["k"]),
-                    refinement=record["refinement"],
-                    new_simplices=int(record["new_simplices"]),
-                    cum_simplices=int(record["cum_simplices"]),
-                    new_peripheral=int(record["new_peripheral"]),
-                    new_mesh=int(record["new_mesh"]),
-                    cum_mesh=int(record["cum_mesh"]),
-                    cum_articles=int(record["cum_articles"]),
-                    coverage=num("coverage"),
-                    r_m=num("r_m"),
-                    r_p=num("r_p"),
-                    r_c=num("r_c"),
-                )
-            )
+        rows = read_metrics_csv(f)
     if not rows:
         raise SystemExit("metrics CSV has no rows")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     k, refinement = rows[0].k, rows[0].refinement
     year_window = _parse_window(args.fit_window) if args.fit_window else None
-    _run_fits(rows, year_window, out_dir / f"fits_k{k}_{refinement}.csv", k, refinement)
-    _write_charts(rows, out_dir, k, refinement)
+    _write_report(rows, k, refinement, year_window, out_dir)
     print(f"report written to {out_dir}")
     return 0
 
 
-def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--store", help="existing binary corpus store")
-    parser.add_argument("--input", help="raw corpus file (TSV or PubMed XML)")
+def _add_corpus_args(parser: argparse.ArgumentParser, source) -> None:
+    """The raw-input flags; ``--input`` goes to ``source``, which is the
+    parser itself or a group that makes it exclusive with ``--store``."""
+    source.add_argument("--input", help="raw corpus file (TSV or PubMed XML)")
     parser.add_argument("--ontology", help="descriptor TSV")
-    parser.add_argument("--format", choices=("tsv", "xml"), default="tsv")
-    parser.add_argument("--min-year", type=int, default=1902)
-    parser.add_argument(
-        "--branches", default=None, help="allowed branch letters, e.g. ABCDEFGJLN"
-    )
+    parser.add_argument("--format", choices=("tsv", "xml"), help="default: tsv")
+    parser.add_argument("--min-year", type=int, help="default: 1902")
+    parser.add_argument("--branches", help="allowed branch letters, e.g. ABCDEFGJLN")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="filter a raw corpus into a binary store")
-    _add_corpus_args(p)
+    _add_corpus_args(p, p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ingest)
 
@@ -478,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="tabulate, derive metrics, fit, and chart")
-    _add_corpus_args(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--store", help="existing binary corpus store")
+    _add_corpus_args(p, source)
     p.add_argument("--k", default="1", help="comma-separated orders, e.g. 1,2,3")
     p.add_argument(
         "--refinement", default="all", help="comma-separated: all,major"

@@ -301,10 +301,16 @@ def _fingerprint(corpus_digest: str, config: LedgerConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _write_manifest(path: Path, payload: dict) -> None:
+def write_text_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` by ``text`` in one step: a kill leaves the old file
+    or the new one, never a torn one."""
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, separators=(",", ":")))
+    tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _write_manifest(path: Path, payload: dict) -> None:
+    write_text_atomic(path, json.dumps(payload, separators=(",", ":")))
 
 
 def _load_manifest(path: Path, fingerprint: str) -> dict | None:

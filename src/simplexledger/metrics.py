@@ -1,20 +1,37 @@
-"""Derived series: cumulatives, exact coverage fractions, innovation rates.
+"""Derived series and the per-year CSV formats.
 
 Coverage denominators are exact binomial counts over the vocabulary used so
 far, held as arbitrary-precision integers; division to floating point
 happens once, at the end.  Years where a rate is undefined (no new
 combinations) carry ``None``, never NaN.
+
+Only this module knows the per-year CSV layouts: it writes the ledger CSV,
+and writes and reads the metrics CSV, whose empty cells are ``None`` and
+whose floats are ``repr``-exact, so a read gives back the rows written.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import IO, Iterable
 
 from simplexledger.ledger import LedgerSeries
+
+LEDGER_CSV_COLUMNS = [
+    "year",
+    "k",
+    "refinement",
+    "new_simplices",
+    "new_peripheral",
+    "new_keywords",
+    "articles_processed",
+    "cum_simplices",
+    "cum_keywords",
+    "cum_articles",
+]
 
 CSV_COLUMNS = [
     "year",
@@ -152,11 +169,59 @@ def _cell(value: int | float | str | None) -> str:
     return str(value)
 
 
+def write_ledger_csv(series: LedgerSeries, out: IO[str]) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(LEDGER_CSV_COLUMNS)
+    # After year, k and refinement, every column is a per-year series.
+    per_year = [getattr(series, col) for col in LEDGER_CSV_COLUMNS[3:]]
+    for year, *counts in zip(series.years, *per_year):
+        writer.writerow([year, series.k, series.refinement, *counts])
+
+
 def write_metrics_csv(rows: Iterable[MetricsRow], out: IO[str]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         writer.writerow([_cell(getattr(row, col)) for col in CSV_COLUMNS])
+
+
+# Cell parser per MetricsRow field annotation.
+_PARSERS = {"int": int, "str": str, "float | None": lambda c: float(c) if c else None}
+
+
+def read_metrics_csv(stream: IO[str]) -> list[MetricsRow]:
+    """The rows `write_metrics_csv` wrote; an empty cell reads as None.
+
+    A wrong header, a row of the wrong width or a cell of the wrong type
+    raises `MetricsError` naming its line.
+    """
+    types = {f.name: f.type for f in fields(MetricsRow)}
+    parsers = [(col, _PARSERS[types[col]]) for col in CSV_COLUMNS]
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header != CSV_COLUMNS:
+        raise MetricsError(
+            f"line 1: expected the header {','.join(CSV_COLUMNS)}, got "
+            f"{','.join(header) if header else 'nothing'}"
+        )
+    rows = []
+    for record in reader:
+        if len(record) != len(CSV_COLUMNS):
+            raise MetricsError(
+                f"line {reader.line_num}: expected {len(CSV_COLUMNS)} cells, "
+                f"got {len(record)}"
+            )
+        values = {}
+        for (col, parse), cell in zip(parsers, record):
+            try:
+                values[col] = parse(cell)
+            except ValueError:
+                raise MetricsError(
+                    f"line {reader.line_num}: {col} {cell!r} is not "
+                    f"{types[col]}"
+                ) from None
+        rows.append(MetricsRow(**values))
+    return rows
 
 
 def paired_series(

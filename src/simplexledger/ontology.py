@@ -68,16 +68,21 @@ class Ontology:
 def numbered_lines(source: Iterable, error: type) -> Iterator[tuple[int, str]]:
     """The non-empty lines of a TSV source, numbered from 1, without their
     endings.  Bytes are decoded a line at a time, so that a non-UTF-8 byte
-    raises ``error`` naming its line, which a text stream cannot tell."""
-    for lineno, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(f"line {lineno}: not UTF-8: {exc}") from None
-        line = raw.rstrip("\n").rstrip("\r")
-        if line:
-            yield lineno, line
+    raises ``error`` naming its line.  A text stream decodes ahead of the
+    line it yields, so its decode error can only name the last good line."""
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(source, start=1):
+            if isinstance(raw, bytes):
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(f"line {lineno}: not UTF-8: {exc}") from None
+            line = raw.rstrip("\n").rstrip("\r")
+            if line:
+                yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise error(f"after line {lineno}: not UTF-8: {exc}") from None
 
 
 def load_ontology(source: Iterable[str] | TextIO | BinaryIO) -> Ontology:

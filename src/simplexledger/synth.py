@@ -39,6 +39,20 @@ class SynthParams:
     def years(self) -> list[int]:
         return list(range(self.year_start, self.year_end + 1))
 
+    @classmethod
+    def from_json(cls, raw: dict) -> "SynthParams":
+        """Parameters from a JSON object: year keys may be strings and
+        ``keywords_per_article`` a two-element list."""
+        data = dict(raw)
+        for key in ("new_keywords_per_year", "articles_per_year"):
+            value = data.get(key)
+            if isinstance(value, dict):
+                data[key] = {int(y): int(c) for y, c in value.items()}
+        kpa = data.get("keywords_per_article")
+        if isinstance(kpa, list):
+            data["keywords_per_article"] = (int(kpa[0]), int(kpa[1]))
+        return cls(**data)
+
 
 def _validate(params: SynthParams) -> None:
     if params.n_articles <= 0 and params.articles_per_year is None:

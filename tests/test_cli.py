@@ -1,12 +1,14 @@
 import csv
 import fcntl
 import json
+from pathlib import Path
 
 import pytest
 
+from simplexledger import cli
 from simplexledger.cli import main
-from simplexledger.corpus import CorpusError
-from simplexledger.ontology import OntologyError
+from simplexledger.corpus import CorpusError, ingest_tsv
+from simplexledger.ontology import OntologyError, load_ontology
 
 from conftest import DEMO_CORPUS, ONTOLOGY_TSV
 
@@ -127,6 +129,23 @@ def test_complete_run_removes_spill_state(tmp_path, demo_files):
     assert not (out / "spill").exists()
 
 
+def test_run_manifest_survives_a_kill_mid_write(tmp_path, demo_files, monkeypatch):
+    out = _run_dir(tmp_path, "atomic", demo_files)
+    before = (out / "run_manifest.json").read_text()
+    write_text = Path.write_text
+
+    def killed_mid_write(path, data, *args, **kwargs):
+        if not path.name.startswith("run_manifest"):
+            return write_text(path, data, *args, **kwargs)
+        write_text(path, data[: len(data) // 2], *args, **kwargs)
+        raise KeyboardInterrupt("killed")
+
+    monkeypatch.setattr(Path, "write_text", killed_mid_write)
+    with pytest.raises(KeyboardInterrupt):
+        _run_dir(tmp_path, "atomic", demo_files)
+    assert (out / "run_manifest.json").read_text() == before
+
+
 def test_ingest_then_run_from_store(tmp_path, demo_files):
     ontology, corpus = demo_files
     store = tmp_path / "corpus.bin"
@@ -168,6 +187,136 @@ def test_ingest_names_the_line_of_a_non_utf8_byte(tmp_path, demo_files, damaged,
     argv = ["ingest", "--ontology", str(ontology), "--input", str(corpus)]
     with pytest.raises(error, match="line 2: not UTF-8"):
         main([*argv, "--output", str(tmp_path / "corpus.bin")])
+
+
+@pytest.mark.parametrize("damaged", ["corpus", "ontology"])
+def test_text_mode_readers_name_a_non_utf8_byte(demo_files, damaged):
+    ontology, corpus = demo_files
+    path = {"corpus": corpus, "ontology": ontology}[damaged]
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b"\t", b"\xff\t", 1)
+    path.write_bytes(b"".join(lines))
+    # A text stream decodes ahead, so the error names the last line read.
+    with open(ontology, encoding="utf-8") as f:
+        if damaged == "ontology":
+            with pytest.raises(OntologyError, match="after line 0: not UTF-8"):
+                load_ontology(f)
+            return
+        parsed = load_ontology(f)
+    with open(corpus, encoding="utf-8") as f:
+        with pytest.raises(CorpusError, match="after line 0: not UTF-8"):
+            ingest_tsv(f, parsed)
+
+
+def _synth(tmp_path, *flags):
+    store = tmp_path / "syn.bin"
+    argv = ["synth", "--n-articles", "400", "--vocab-size", "60", "--year-start",
+            "1994", "--year-end", "2008", "--new-per-year", "3", "--seed", "5"]
+    assert main([*argv, *flags, "--output", str(store)]) == 0
+    return store
+
+
+def test_synth_params_file_matches_flags(tmp_path):
+    store = _synth(tmp_path)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({
+        "n_articles": 400, "vocab_size": 60, "year_start": 1994, "year_end": 2008,
+        "new_keywords_per_year": 3, "seed": 5,
+    }))
+    from_file = tmp_path / "from_file.bin"
+    assert main(["synth", "--params", str(params), "--output", str(from_file)]) == 0
+    assert from_file.read_bytes() == store.read_bytes()
+
+
+_REPORT_FILES = ["fits_{}.csv"] + [
+    f"{stem}_{{}}.svg"
+    for stem in ("c_vs_articles", "c_vs_vocab", "coverage_vs_vocab", "rates")
+]
+
+
+@pytest.mark.parametrize("window", [None, "paper-recent", "1996:2001"])
+def test_report_reproduces_the_runs_fits_and_charts(tmp_path, window):
+    store = _synth(tmp_path)
+    window_flags = ["--fit-window", window] if window else []
+    out = tmp_path / "run"
+    argv = ["run", "--store", str(store), "--k", "1,2", "--refinement", "all,major"]
+    assert main([*argv, *window_flags, "--out", str(out)]) == 0
+    for k in (1, 2):
+        for refinement in ("all", "major"):
+            tag = f"k{k}_{refinement}"
+            rerun = tmp_path / f"report_{tag}"
+            metrics = str(out / f"metrics_{tag}.csv")
+            assert main(["report", "--metrics", metrics, *window_flags,
+                         "--out", str(rerun)]) == 0
+            for name in (template.format(tag) for template in _REPORT_FILES):
+                assert (rerun / name).read_bytes() == (out / name).read_bytes()
+    fits = (out / "fits_k1_all.csv").read_text().splitlines()
+    assert len(fits) == (5 if window else 3)
+
+
+def test_each_fit_runs_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(name, fit):
+        def wrapper(points):
+            calls.append(name)
+            return fit(points)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "fit_linear", counted("linear", cli.fit_linear))
+    monkeypatch.setattr(cli, "fit_exponential", counted("exp", cli.fit_exponential))
+    store = _synth(tmp_path)
+    argv = ["run", "--store", str(store), "--k", "1,2", "--refinement", "all,major"]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    # Four (k, refinement) pairs; the chart reuses the full-range fit.
+    assert calls.count("linear") == 4 and calls.count("exp") == 4
+    calls.clear()
+    window = ["--fit-window", "1996:2001"]
+    assert main([*argv, *window, "--out", str(tmp_path / "windowed")]) == 0
+    assert calls.count("linear") == 8 and calls.count("exp") == 8
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--ontology", "x.tsv"), ("--format", "xml"), ("--min-year", "2010"),
+     ("--branches", "Z")],
+)
+def test_run_from_store_refuses_ingest_flags(tmp_path, flag, value):
+    store = _synth(tmp_path)
+    argv = ["run", "--store", str(store), flag, value, "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit, match=f"{flag} applies to --input"):
+        main(argv)
+    assert not (tmp_path / "o").exists()
+
+
+def test_store_and_input_are_exclusive(tmp_path, demo_files, capsys):
+    ontology, corpus = demo_files
+    argv = ["run", "--store", "s.bin", "--input", str(corpus),
+            "--ontology", str(ontology), "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_ingest_has_no_store_option(tmp_path, capsys):
+    store = _synth(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ingest", "--store", str(store), "--output", str(tmp_path / "c.bin")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --store" in capsys.readouterr().err
+
+
+def test_manifest_records_filters_only_for_raw_input(tmp_path, demo_files):
+    out = _run_dir(tmp_path, "raw", demo_files, ["--min-year", "2001"])
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert config["min_year"] == 2001 and config["branches"] is None
+    store = _synth(tmp_path)
+    out = tmp_path / "stored"
+    assert main(["run", "--store", str(store), "--out", str(out)]) == 0
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert "min_year" not in config and "branches" not in config
 
 
 def test_synth_and_verify_and_report(tmp_path):

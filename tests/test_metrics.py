@@ -5,7 +5,7 @@ import random
 import pytest
 
 from simplexledger.fitting import fit_linear
-from simplexledger.ledger import LedgerConfig, oracle_tabulate, tabulate
+from simplexledger.ledger import LedgerConfig, LedgerSeries, oracle_tabulate, tabulate
 from simplexledger.metrics import (
     CSV_COLUMNS,
     MetricsError,
@@ -14,6 +14,8 @@ from simplexledger.metrics import (
     exact_binomial,
     innovation_rates,
     paired_series,
+    read_metrics_csv,
+    write_ledger_csv,
     write_metrics_csv,
 )
 from simplexledger.synth import SynthParams, generate_synthetic
@@ -147,6 +149,92 @@ def test_order_zero_identity_through_metrics():
     order1 = oracle_tabulate(corpus, 1, "all")
     # The order-0 ledger tally is the vocabulary series used by metrics.
     assert order0.cum_simplices == order1.cum_keywords
+
+
+def _sparse_series():
+    """k = 2 with empty early years: no keywords in 2000, two in 2001 (fewer
+    than k + 1, so no coverage), then combinations from 2002 on."""
+    return LedgerSeries(
+        k=2,
+        refinement="major",
+        years=[2000, 2001, 2002, 2003],
+        new_simplices=[0, 0, 1, 4],
+        new_peripheral=[0, 0, 1, 3],
+        new_keywords=[0, 2, 1, 3],
+        articles_processed=[1, 1, 2, 3],
+    )
+
+
+def _metrics_text(rows):
+    out = io.StringIO()
+    write_metrics_csv(rows, out)
+    return out.getvalue()
+
+
+def test_metrics_csv_round_trips_with_none_cells():
+    rows = build_metrics(_sparse_series())
+    assert rows[0].r_m is None and rows[0].r_p is None
+    assert rows[1].coverage is None and rows[3].coverage == 0.25
+    text = _metrics_text(rows)
+    assert read_metrics_csv(io.StringIO(text)) == rows
+    assert _metrics_text(read_metrics_csv(io.StringIO(text))) == text
+
+
+def test_metrics_csv_round_trips_random_corpus():
+    corpus = generate_synthetic(SynthParams(n_articles=300, vocab_size=40, seed=3))
+    rows = build_metrics(oracle_tabulate(corpus, 2, "all"))
+    assert read_metrics_csv(io.StringIO(_metrics_text(rows))) == rows
+
+
+def _damaged(edit):
+    lines = _metrics_text(build_metrics(_sparse_series())).splitlines()
+    edit(lines)
+    return io.StringIO("\n".join(lines) + "\n")
+
+
+def _drop_last_column(lines):
+    lines[:] = [line.rsplit(",", 1)[0] for line in lines]
+
+
+def _rename_column(lines):
+    lines[0] = lines[0].replace("r_c", "r_x")
+
+
+def _bad_cell(lines):
+    cells = lines[3].split(",")
+    cells[CSV_COLUMNS.index("cum_mesh")] = "three"
+    lines[3] = ",".join(cells)
+
+
+def _short_row(lines):
+    lines[2] = lines[2].rsplit(",", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_rename_column, "line 1: expected the header"),
+        (_drop_last_column, "line 1: expected the header"),
+        (_bad_cell, "line 4: cum_mesh 'three' is not int"),
+        (_short_row, "line 3: expected 13 cells, got 12"),
+    ],
+)
+def test_read_metrics_csv_names_the_bad_line(edit, message):
+    with pytest.raises(MetricsError, match=message):
+        read_metrics_csv(_damaged(edit))
+
+
+def test_read_metrics_csv_refuses_an_empty_file():
+    with pytest.raises(MetricsError, match="line 1: .* got nothing"):
+        read_metrics_csv(io.StringIO(""))
+
+
+def test_ledger_csv_rows():
+    out = io.StringIO()
+    write_ledger_csv(_sparse_series(), out)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 5
+    assert lines[4] == "2003,2,major,4,3,3,3,5,6,7"
 
 
 def test_paired_series_year_identity(two_article_corpus):

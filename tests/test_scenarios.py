@@ -61,6 +61,26 @@ def test_scenario_removes_its_workdir_when_tabulate_raises(tmp_path, monkeypatch
     assert not list(tmp_path.glob("scn-*"))
 
 
+@pytest.mark.parametrize(
+    "name, metrics_builds",
+    [("bursty-entry", 0), ("frozen-vocabulary", 1)],
+)
+def test_one_oracle_pass_per_order_and_refinement(monkeypatch, name, metrics_builds):
+    calls = []
+
+    for attr in ("oracle_tabulate", "build_metrics"):
+
+        def wrapper(*args, fn=getattr(scenarios, attr), attr=attr):
+            calls.append(attr)
+            return fn(*args)
+
+        monkeypatch.setattr(scenarios, attr, wrapper)
+    (spec,) = [s for s in load_scenarios() if s.name == name]
+    assert run_scenario(spec).ok
+    assert calls.count("oracle_tabulate") == 6
+    assert calls.count("build_metrics") == metrics_builds
+
+
 def test_report_csv_shape():
     report = ScenarioReport(scenario="x", ok=True)
     report.add(1, "all", "ok")
