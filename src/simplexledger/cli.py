@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -354,13 +355,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Recompute fits and charts from an existing metrics CSV."""
-    with open(args.metrics, newline="") as f:
+    path = Path(args.metrics)
+    with open(path, newline="") as f:
         rows = read_metrics_csv(f)
-    if not rows:
-        raise SystemExit("metrics CSV has no rows")
+    if rows:
+        k, refinement = rows[0].k, rows[0].refinement
+    else:
+        # `run` writes a header-only CSV when no article was admitted; its
+        # name, ``metrics_k{k}_{refinement}.csv``, still carries the two.
+        pattern = rf"metrics_k([1-9][0-9]*)_({'|'.join(REFINEMENTS)})\.csv"
+        name = re.fullmatch(pattern, path.name)
+        if name is None:
+            raise SystemExit("metrics CSV has no rows")
+        k, refinement = int(name[1]), name[2]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    k, refinement = rows[0].k, rows[0].refinement
     year_window = _parse_window(args.fit_window) if args.fit_window else None
     _write_report(rows, k, refinement, year_window, out_dir)
     print(f"report written to {out_dir}")

@@ -1,9 +1,14 @@
 """Article ingestion, filtering, and storage.
 
-Articles survive ingestion when (a) their publication type intersects the
-configured research-content types, (b) at least two branch-eligible keywords
-remain after vocabulary filtering, and (c) the year is present and not
-before the configured minimum.  Rejections are counted, never raised.
+Both readers hand each parsed article to one admission step, which stages
+it straight into the store's column tails.  It maps each keyword code
+through a table built once per ingest from the vocabulary and the branch
+filter (code to id, or to None for a branch the filter drops; an unknown
+code is counted), merges repeated codes into one keyword that is Major if
+any copy is, and then admits the article when, in this order, (a) a
+publication type is Journal Article or Review, (b) the year is present, not
+before the configured minimum and within int32, and (c) at least two
+keywords remain.  Rejections are counted, never raised.
 
 The store holds every article in one CSR (compressed sparse row) layout,
 the same in memory and on disk, sorted by (year, article id) so that each
@@ -16,10 +21,11 @@ year of the ledger's ascending sweep is one contiguous slice:
 - ``major``, one Major-topic flag per id;
 - the article ids, UTF-8, each followed by a NUL byte.
 
-``add`` stages articles in the same layout, as column tails in add order,
-and refuses a record the layout cannot hold.  The next read folds the tails
-into the columns with stable numpy sorts; the last copy of each article id
-wins, even across years, and the dropped copies count as duplicates.
+``add`` and the admission step stage articles in the same layout, as
+column tails in add order, through one ``_stage``, which refuses an article
+the layout cannot hold.  The next read folds the tails into the columns
+with stable numpy sorts; the last copy of each article id wins, even across
+years, and the dropped copies count as duplicates.
 
 A store file (format version 2) is a 40-byte header (magic ``SLEDGER1``,
 version, article count, id count, article-id bytes), the raw little-endian
@@ -52,8 +58,13 @@ ALL = "all"
 MAJOR = "major"
 REFINEMENTS = (ALL, MAJOR)
 
-DEFAULT_PUB_TYPES = frozenset({"Journal Article", "Review"})
+# The research-content publication types and the fewest keywords an
+# admitted article carries; the minimum year is configurable.
+PUB_TYPES = frozenset({"Journal Article", "Review"})
+MIN_KEYWORDS = 2
 DEFAULT_MIN_YEAR = 1902
+# The years the int32 year column holds.
+_INT32 = range(-(1 << 31), 1 << 31)
 
 _MAGIC = b"SLEDGER1"
 _STORE_VERSION = 2
@@ -85,12 +96,10 @@ class ArticleRecord:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Article admission rules applied during ingestion."""
+    """The configurable admission rules applied during ingestion."""
 
-    pub_types: frozenset[str] = DEFAULT_PUB_TYPES
     min_year: int = DEFAULT_MIN_YEAR
     branch_filter: BranchFilter = field(default_factory=BranchFilter)
-    min_keywords: int = 2
 
 
 @dataclass
@@ -105,16 +114,6 @@ class IngestStats:
     duplicate_article_ids: int = 0
     unknown_keyword_codes: int = 0
     malformed_lines: list[int] = field(default_factory=list)
-
-
-@dataclass
-class RawArticle:
-    """Parsed but unfiltered article, shared by the TSV and XML paths."""
-
-    article_id: str
-    year: int | None
-    pub_types: list[str]
-    keywords: list[tuple[int, bool]]  # (keyword id, major flag)
 
 
 def run_heads(values: np.ndarray) -> np.ndarray:
@@ -180,21 +179,29 @@ class CorpusStore:
                 f"article {record.article_id!r} has Major keywords outside "
                 "its keyword set"
             )
-        if "\0" in record.article_id:
-            raise CorpusError(f"article id {record.article_id!r} contains NUL")
+        ids = sorted(record.all_keywords)
+        major = record.major_keywords
+        self._stage(record.article_id, record.year, ids, [kid in major for kid in ids])
+
+    def _stage(
+        self, article_id: str, year: int, ids: list[int], major_flags: list[bool]
+    ) -> None:
+        """Append one article, its keyword ids ascending, to the column
+        tails, or raise before appending anything."""
+        if "\0" in article_id:
+            raise CorpusError(f"article id {article_id!r} contains NUL")
         try:
-            name = record.article_id.encode("utf-8")
-            year = array("i", (record.year,))
-            ids = array("I", sorted(record.all_keywords))
+            name = article_id.encode("utf-8")
+            years = array("i", (year,))
+            id_column = array("I", ids)
         except UnicodeEncodeError as exc:
-            raise CorpusError(f"article id {record.article_id!r} is not UTF-8") from exc
+            raise CorpusError(f"article id {article_id!r} is not UTF-8") from exc
         except OverflowError as exc:
             raise CorpusError(f"year or keyword id out of range: {exc}") from exc
-        major = record.major_keywords
-        self._tail_years += year
-        self._tail_counts.append(len(ids))
-        self._tail_ids += ids
-        self._tail_major += bytes([kid in major for kid in ids])
+        self._tail_years += years
+        self._tail_counts.append(len(id_column))
+        self._tail_ids += id_column
+        self._tail_major += bytes(major_flags)
         self._tail_names += name + b"\0"
 
     def _fold(self) -> None:
@@ -367,50 +374,46 @@ def _sha256(chunks: Iterable[bytes | memoryview]) -> bytes:
     return digest.digest()
 
 
-def filter_article(
-    raw: RawArticle,
+def _code_table(ontology: Ontology, config: FilterConfig) -> dict[str, int | None]:
+    """Each external code's keyword id, or None if the branch filter drops
+    it; codes outside the vocabulary are absent."""
+    return {
+        d.external_code: d.id if is_eligible(d, config.branch_filter) else None
+        for d in ontology.descriptors
+    }
+
+
+def _admit(
+    store: CorpusStore,
+    table: dict[str, int | None],
     config: FilterConfig,
-    stats: IngestStats | None = None,
-) -> ArticleRecord | None:
-    """Apply the admission rules; None means rejected (and counted)."""
-    stats = stats if stats is not None else IngestStats()
-    if not set(raw.pub_types) & config.pub_types:
-        stats.rejected_pub_type += 1
-        return None
-    if raw.year is None or raw.year < config.min_year:
-        stats.rejected_year += 1
-        return None
-    all_kw = frozenset(kid for kid, _ in raw.keywords)
-    major_kw = frozenset(kid for kid, major in raw.keywords if major)
-    if len(all_kw) < config.min_keywords:
-        stats.rejected_too_few_keywords += 1
-        return None
-    stats.accepted += 1
-    return ArticleRecord(
-        article_id=raw.article_id,
-        year=raw.year,
-        all_keywords=all_kw,
-        major_keywords=major_kw,
-    )
-
-
-def _resolve_keywords(
+    article_id: str,
+    year: int | None,
+    pub_types: list[str],
     codes: Iterable[tuple[str, bool]],
-    ontology: Ontology,
-    branch_filter: BranchFilter,
-    stats: IngestStats,
-) -> list[tuple[int, bool]]:
-    """Map external codes to ids, dropping unknown and branch-ineligible ones."""
-    out: list[tuple[int, bool]] = []
+) -> None:
+    """Resolve one parsed article's (code, major) pairs, apply the admission
+    rules, and stage the article or count its rejection."""
+    stats = store._stats
+    major_of: dict[int, bool] = {}
     for code, major in codes:
-        descriptor = ontology.by_code(code)
-        if descriptor is None:
+        try:
+            kid = table[code]
+        except KeyError:
             stats.unknown_keyword_codes += 1
             continue
-        if not is_eligible(descriptor, branch_filter):
-            continue
-        out.append((descriptor.id, major))
-    return out
+        if kid is not None:
+            major_of[kid] = major or major_of.get(kid, False)
+    if PUB_TYPES.isdisjoint(pub_types):
+        stats.rejected_pub_type += 1
+    elif year is None or year < config.min_year or year not in _INT32:
+        stats.rejected_year += 1
+    elif len(major_of) < MIN_KEYWORDS:
+        stats.rejected_too_few_keywords += 1
+    else:
+        ids = sorted(major_of)
+        store._stage(article_id, year, ids, [major_of[kid] for kid in ids])
+        stats.accepted += 1
 
 
 def ingest_tsv(
@@ -426,6 +429,7 @@ def ingest_tsv(
     raises a `CorpusError` naming its line.
     """
     config = config or FilterConfig()
+    table = _code_table(ontology, config)
     store = CorpusStore()
     stats = store.stats
     for lineno, line in numbered_lines(stream, CorpusError):
@@ -437,7 +441,7 @@ def ingest_tsv(
             continue
         article_id, year_text, pub_type, kw_text = parts
         try:
-            year: int | None = int(year_text)
+            year = int(year_text)
         except ValueError:
             stats.rejected_malformed += 1
             stats.malformed_lines.append(lineno)
@@ -446,19 +450,10 @@ def ingest_tsv(
         codes = []
         for token in kw_text.split(";"):
             token = token.strip()
-            if not token:
-                continue
-            major = token.startswith("*")
-            codes.append((token.lstrip("*"), major))
-        raw = RawArticle(
-            article_id=article_id,
-            year=year,
-            pub_types=[t.strip() for t in pub_type.split("|")],
-            keywords=_resolve_keywords(codes, ontology, config.branch_filter, stats),
-        )
-        record = filter_article(raw, config, stats)
-        if record is not None:
-            store.add(record)
+            if token:
+                codes.append((token.lstrip("*"), token.startswith("*")))
+        pub_types = [t.strip() for t in pub_type.split("|")]
+        _admit(store, table, config, article_id, year, pub_types, codes)
     return store
 
 
@@ -493,8 +488,8 @@ def ingest_pubmed_xml(
     parser's position.
     """
     config = config or FilterConfig()
+    table = _code_table(ontology, config)
     store = CorpusStore()
-    stats = store.stats
     try:
         for _, article in ET.iterparse(stream, events=("end",)):
             if article.tag != "PubmedArticle":
@@ -516,17 +511,8 @@ def ingest_pubmed_xml(
                 major = descriptor.get("MajorTopicYN", "N") == "Y"
                 codes.append((code, major))
             years = _xml_years(article)
-            raw = RawArticle(
-                article_id=pmid,
-                year=min(years) if years else None,
-                pub_types=pub_types,
-                keywords=_resolve_keywords(
-                    codes, ontology, config.branch_filter, stats
-                ),
-            )
-            record = filter_article(raw, config, stats)
-            if record is not None:
-                store.add(record)
+            year = min(years) if years else None
+            _admit(store, table, config, pmid, year, pub_types, codes)
             article.clear()
     except ET.ParseError as exc:
         raise CorpusError(f"malformed XML: {exc}") from exc

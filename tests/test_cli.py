@@ -254,6 +254,41 @@ def test_report_reproduces_the_runs_fits_and_charts(tmp_path, window):
     assert len(fits) == (5 if window else 3)
 
 
+@pytest.fixture
+def empty_run(tmp_path, demo_files):
+    """A run whose only article has one keyword, so none is admitted."""
+    ontology, corpus = demo_files
+    corpus.write_text("p1\t2000\tJournal Article\tD000001\n")
+    out = tmp_path / "run"
+    argv = ["run", "--ontology", str(ontology), "--input", str(corpus)]
+    argv += ["--k", "1,2", "--refinement", "all,major", "--out", str(out)]
+    assert main(argv) == 0
+    return out
+
+
+def test_report_reproduces_a_run_with_no_admitted_article(tmp_path, empty_run):
+    for tag in ("k1_all", "k1_major", "k2_all", "k2_major"):
+        metrics = empty_run / f"metrics_{tag}.csv"
+        assert len(metrics.read_text().splitlines()) == 1
+        rerun = tmp_path / f"report_{tag}"
+        assert main(["report", "--metrics", str(metrics), "--out", str(rerun)]) == 0
+        for name in (template.format(tag) for template in _REPORT_FILES):
+            assert (rerun / name).read_bytes() == (empty_run / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["empty.csv", "metrics_k1_none.csv", "metrics_k01_all.csv", "metrics_k1_all.csv.1"],
+)
+def test_report_refuses_other_empty_metrics_csv(tmp_path, empty_run, name):
+    metrics = tmp_path / name
+    metrics.write_bytes((empty_run / "metrics_k1_all.csv").read_bytes())
+    out = tmp_path / "report"
+    with pytest.raises(SystemExit, match="metrics CSV has no rows"):
+        main(["report", "--metrics", str(metrics), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_each_fit_runs_once(tmp_path, monkeypatch):
     calls = []
 

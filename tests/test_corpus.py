@@ -12,8 +12,6 @@ from simplexledger.corpus import (
     CorpusStore,
     FilterConfig,
     IngestStats,
-    RawArticle,
-    filter_article,
     ingest_pubmed_xml,
     ingest_tsv,
     load_store,
@@ -21,46 +19,6 @@ from simplexledger.corpus import (
 )
 from simplexledger.ontology import is_eligible
 from simplexledger.synth import SynthParams, generate_synthetic
-
-
-def _raw(pub_types, year, keywords):
-    return RawArticle("x", year, pub_types, keywords)
-
-
-def test_editorial_rejected():
-    stats = IngestStats()
-    out = filter_article(
-        _raw(["Editorial"], 1998, [(0, False), (1, False)]), FilterConfig(), stats
-    )
-    assert out is None
-    assert stats.rejected_pub_type == 1
-
-
-def test_review_with_three_keywords_accepted():
-    out = filter_article(
-        _raw(["Review"], 1998, [(0, True), (1, False), (4, False)]), FilterConfig()
-    )
-    assert out is not None
-    assert len(out.all_keywords) == 3
-    assert out.major_keywords == frozenset({0})
-
-
-def test_too_few_keywords_after_branch_filter_rejected():
-    stats = IngestStats()
-    out = filter_article(
-        _raw(["Journal Article"], 1998, [(0, False)]), FilterConfig(), stats
-    )
-    assert out is None
-    assert stats.rejected_too_few_keywords == 1
-
-
-def test_pre_minimum_year_rejected():
-    stats = IngestStats()
-    out = filter_article(
-        _raw(["Review"], 1890, [(0, False), (1, False)]), FilterConfig(), stats
-    )
-    assert out is None
-    assert stats.rejected_year == 1
 
 
 def test_rejection_counters_account_for_every_input(ontology):
@@ -149,6 +107,149 @@ def _xml_doc(articles):
         )
     parts.append("</PubmedArticleSet>")
     return io.BytesIO("".join(parts).encode())
+
+
+def _tsv_row(pmid, year, ptypes, mesh):
+    kws = ";".join(("*" if major else "") + code for code, major in mesh)
+    return f"{pmid}\t{year}\t{'|'.join(ptypes)}\t{kws}"
+
+
+def _ingest_both(ontology, articles, config=None):
+    """Ingest the articles through both readers, check that the stores and
+    the counters agree, and return one of the stores."""
+    via_tsv = ingest_tsv(iter(_tsv_row(*a) for a in articles), ontology, config)
+    via_xml = ingest_pubmed_xml(_xml_doc(articles), ontology, config)
+    assert via_tsv == via_xml
+    assert via_tsv.digest() == via_xml.digest()
+    assert via_tsv.stats == via_xml.stats
+    return via_tsv
+
+
+_TWO = [("D000001", False), ("D000002", False)]
+# Each case: publication types, year, (code, major) pairs, the counters it
+# leaves, and the admitted article's (keyword codes, Major codes) or None.
+_ADMISSION_CASES = {
+    "editorial": (["Editorial"], 1998, _TWO, {"rejected_pub_type": 1}, None),
+    "before-1902": (["Review"], 1890, _TWO, {"rejected_year": 1}, None),
+    "too-few-after-branch-filter": (
+        ["Journal Article"],
+        1998,
+        [("D000001", True), ("D000003", False), ("D000006", True)],
+        {"rejected_too_few_keywords": 1},
+        None,
+    ),
+    "review-with-three": (
+        ["Review"],
+        1998,
+        [("D000001", True), ("D000002", False), ("D000005", False)],
+        {"accepted": 1},
+        (["D000001", "D000002", "D000005"], ["D000001"]),
+    ),
+    # Codes are resolved before the rules run, so a rejected article's
+    # unknown code is still counted.
+    "unknown-code-in-rejected-article": (
+        ["Editorial"],
+        1890,
+        [("D000001", False), ("D999999", True), ("D000002", False)],
+        {"rejected_pub_type": 1, "unknown_keyword_codes": 1},
+        None,
+    ),
+    "repeated-code-major-first": (
+        ["Journal Article"],
+        1998,
+        [("D000001", True), ("D000001", False), ("D000002", False)],
+        {"accepted": 1},
+        (["D000001", "D000002"], ["D000001"]),
+    ),
+    "repeated-code-major-last": (
+        ["Journal Article", "Letter"],
+        1998,
+        [("D000001", False), ("D000002", False), ("D000001", True)],
+        {"accepted": 1},
+        (["D000001", "D000002"], ["D000001"]),
+    ),
+    "repeated-code-alone": (
+        ["Review"],
+        1998,
+        [("D000001", True), ("D000001", False)],
+        {"rejected_too_few_keywords": 1},
+        None,
+    ),
+    "largest-int32-year": (
+        ["Review"], (1 << 31) - 1, _TWO, {"accepted": 1}, (["D000001", "D000002"], [])
+    ),
+    "year-beyond-int32": (["Review"], 1 << 31, _TWO, {"rejected_year": 1}, None),
+    "year-far-beyond-int32": (["Review"], 99999999999, _TWO, {"rejected_year": 1}, None),
+}
+
+
+@pytest.mark.parametrize(
+    "ptypes, year, mesh, counters, admitted",
+    list(_ADMISSION_CASES.values()),
+    ids=list(_ADMISSION_CASES),
+)
+def test_admission_rules_agree_across_readers(
+    ontology, ptypes, year, mesh, counters, admitted
+):
+    store = _ingest_both(ontology, [("p1", year, ptypes, mesh)])
+    assert store.stats == IngestStats(**counters)
+    if admitted is None:
+        assert len(store) == 0
+        return
+
+    def ids_of(codes):
+        return sorted(ontology.by_code(code).id for code in codes)
+
+    keywords, major = admitted
+    years, _, ids = store.csr("all")
+    assert years.tolist() == [year]
+    assert ids.tolist() == ids_of(keywords)  # one entry per keyword
+    assert store.csr("major")[2].tolist() == ids_of(major)
+
+
+def test_year_below_int32_is_rejected_whatever_the_minimum(ontology):
+    config = FilterConfig(min_year=-(1 << 40))
+    lowest = -(1 << 31)
+    articles = [("p1", lowest - 1, ["Review"], _TWO), ("p2", lowest, ["Review"], _TWO)]
+    store = _ingest_both(ontology, articles, config)
+    assert store.stats == IngestStats(accepted=1, rejected_year=1)
+    assert store.years == [lowest]
+
+
+def _seeded_articles(ontology, seed, n):
+    """Articles that exercise every admission rule: unknown and branch-dropped
+    codes, repeated codes with mixed Major flags, rejected publication types
+    and years, too few keywords, and non-ASCII ids repeated across years."""
+    rng = random.Random(seed)
+    codes = [d.external_code for d in ontology.descriptors] + ["D999999", "X1"]
+    names = ["pé1", "文献2", "Ωmega3"] + [f"p{i}" for i in range(4, 40)]
+    ptypes = ["Journal Article", "Review", "Editorial", "Letter"]
+    articles = []
+    for _ in range(n):
+        size = rng.randint(0, 7)
+        mesh = [(rng.choice(codes), rng.random() < 0.4) for _ in range(size)]
+        articles.append(
+            (
+                rng.choice(names),
+                rng.randint(1895, 2005),
+                rng.sample(ptypes, rng.randint(1, 2)),
+                mesh,
+            )
+        )
+    return articles
+
+
+def test_admission_keeps_the_store_bytes(ontology):
+    # The digest is pinned: a change to the admission step that reorders,
+    # drops or adds a keyword, a flag or an article changes it.
+    store = _ingest_both(ontology, _seeded_articles(ontology, 17, 400))
+    stats = store.stats
+    assert stats.accepted > 0 and stats.duplicate_article_ids > 0
+    assert stats.rejected_pub_type > 0 and stats.rejected_year > 0
+    assert stats.rejected_too_few_keywords > 0 and stats.unknown_keyword_codes > 0
+    assert store.digest() == (
+        "5e01663fb5026bee28b1905dd84543bb0b6fb5972fc60f16049d5308b1cc43c1"
+    )
 
 
 def test_xml_major_topic_flag(ontology):
