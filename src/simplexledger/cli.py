@@ -3,10 +3,13 @@
 A `run` owns its output directory through an ``flock`` on ``.lock`` and
 writes, per order and refinement: ledger CSV, metrics CSV, fit CSV, and SVG
 charts, plus a run manifest recording the config hash, input digests, and
-tool version.  Once the manifest says the run is complete, the ledgers'
-spill state is deleted; an interrupted run keeps it to resume from.  All
-randomness is seed-pinned; CSV output is byte-deterministic for identical
-config and inputs.
+tool version.  The lock also guards the run's spill root: ``out/spill``, or
+under ``$SLEDGER_TMP`` a directory named from the resolved output path, so
+runs on different outputs never share one.  `run` is the only reader of
+that variable.  Once the manifest says the run is complete, the spill root
+is deleted; an interrupted run keeps it to resume from.  All randomness is
+seed-pinned; CSV output is byte-deterministic for identical config and
+inputs.
 
 `metrics` writes and reads the per-year CSVs, and one writer makes the fits
 and charts of both `run` and `report`: a `report` on a run's metrics CSV with
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -47,7 +51,6 @@ from simplexledger.fitting import (
     fit_linear,
 )
 from simplexledger.ledger import (
-    SPILL_ENV_VAR,
     LedgerConfig,
     LedgerSeries,
     tabulate,
@@ -226,24 +229,32 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    """`SynthParams` from its defaults or ``--params``, then the flags given."""
     if args.params:
         params = SynthParams.from_json(json.loads(Path(args.params).read_text()))
     else:
-        params = SynthParams(
-            n_articles=args.n_articles,
-            vocab_size=args.vocab_size,
-            year_start=args.year_start,
-            year_end=args.year_end,
-            keywords_per_article=args.keywords,
-            major_fraction=args.major_fraction,
-            new_keywords_per_year=args.new_per_year,
-            seed=args.seed,
-        )
+        params = SynthParams()
+    given = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(SynthParams)
+        if getattr(args, f.name, None) is not None
+    }
+    params = dataclasses.replace(params, **given)
     store = generate_synthetic(params)
     with open(args.output, "wb") as f:
         save_store(store, f)
     print(f"wrote {len(store)} synthetic articles to {args.output}")
     return 0
+
+
+def _spill_root(out_dir: Path) -> Path:
+    """``out/spill``, or under ``$SLEDGER_TMP`` one directory per resolved
+    output path, so that only the run holding its lock uses it."""
+    env_root = os.environ.get("SLEDGER_TMP")
+    if not env_root:
+        return out_dir / "spill"
+    name = hashlib.sha256(str(out_dir.resolve()).encode()).hexdigest()[:16]
+    return Path(env_root) / f"spill-{name}"
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -281,8 +292,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     with _OutputLock(out_dir):
         manifest_path = out_dir / "run_manifest.json"
-        env_root = os.environ.get(SPILL_ENV_VAR)
-        spill_root = Path(env_root) if env_root else out_dir / "spill"
+        spill_root = _spill_root(out_dir)
         try:
             for k in ks:
                 for refinement in refinements:
@@ -311,29 +321,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise
         manifest["status"] = "complete"
         write_text_atomic(manifest_path, json.dumps(manifest, indent=1))
-        _remove_ledger_state(spill_root, ks, refinements)
-        if not env_root:
-            _remove_if_empty(spill_root)
+        shutil.rmtree(spill_root, ignore_errors=True)
     print(f"run complete; artifacts in {out_dir}")
     return 0
-
-
-def _remove_ledger_state(
-    spill_root: Path, ks: list[int], refinements: list[str]
-) -> None:
-    """Delete the ledger directories of a complete run, each ``tabulate``'s
-    ``k{k}/{refinement}``, and the order directories this leaves empty."""
-    for k in ks:
-        for refinement in refinements:
-            shutil.rmtree(spill_root / f"k{k}" / refinement, ignore_errors=True)
-        _remove_if_empty(spill_root / f"k{k}")
-
-
-def _remove_if_empty(directory: Path) -> None:
-    try:
-        directory.rmdir()
-    except OSError:
-        pass
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -399,15 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus store")
+    # Each flag's dest is a `SynthParams` field; a flag given overrides that
+    # field of --params, or of the defaults there.
     p.add_argument("--params", help="JSON file of generator parameters")
-    p.add_argument("--n-articles", type=int, default=1000)
-    p.add_argument("--vocab-size", type=int, default=100)
-    p.add_argument("--year-start", type=int, default=1990)
-    p.add_argument("--year-end", type=int, default=2009)
-    p.add_argument("--keywords", type=int, default=6)
-    p.add_argument("--major-fraction", type=float, default=0.5)
-    p.add_argument("--new-per-year", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-articles", type=int)
+    p.add_argument("--vocab-size", type=int)
+    p.add_argument("--year-start", type=int)
+    p.add_argument("--year-end", type=int)
+    p.add_argument("--keywords", type=int, dest="keywords_per_article")
+    p.add_argument("--major-fraction", type=float)
+    p.add_argument("--new-per-year", type=int, dest="new_keywords_per_year")
+    p.add_argument("--seed", type=int)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_synth)
 

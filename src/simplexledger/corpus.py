@@ -416,6 +416,13 @@ def _admit(
         stats.accepted += 1
 
 
+def _reject_line(stats: IngestStats, lineno: int, message: str, *args) -> None:
+    """Count a malformed TSV line and log why."""
+    stats.rejected_malformed += 1
+    stats.malformed_lines.append(lineno)
+    log.warning("tsv line %d: " + message, lineno, *args)
+
+
 def ingest_tsv(
     stream: Iterable[str] | TextIO | BinaryIO,
     ontology: Ontology,
@@ -435,17 +442,16 @@ def ingest_tsv(
     for lineno, line in numbered_lines(stream, CorpusError):
         parts = line.split("\t")
         if len(parts) != 4:
-            stats.rejected_malformed += 1
-            stats.malformed_lines.append(lineno)
-            log.warning("tsv line %d: expected 4 fields, got %d", lineno, len(parts))
+            _reject_line(stats, lineno, "expected 4 fields, got %d", len(parts))
             continue
         article_id, year_text, pub_type, kw_text = parts
+        if "\0" in article_id:
+            _reject_line(stats, lineno, "article id %r contains NUL", article_id)
+            continue
         try:
             year = int(year_text)
         except ValueError:
-            stats.rejected_malformed += 1
-            stats.malformed_lines.append(lineno)
-            log.warning("tsv line %d: unparseable year %r", lineno, year_text)
+            _reject_line(stats, lineno, "unparseable year %r", year_text)
             continue
         codes = []
         for token in kw_text.split(";"):
@@ -483,9 +489,10 @@ def ingest_pubmed_xml(
 ) -> CorpusStore:
     """Ingest a PubMed-format citation XML stream.
 
-    A record's year is the earliest year among its dated elements.  Records
-    missing a year are skipped with a counter; malformed XML aborts with the
-    parser's position.
+    A record's id is its ``MedlineCitation/PMID`` and its year the earliest
+    year among its dated elements.  Records missing a year are skipped with
+    a counter, records missing that PMID are counted as malformed, and
+    malformed XML aborts with the parser's position.
     """
     config = config or FilterConfig()
     table = _code_table(ontology, config)
@@ -494,7 +501,13 @@ def ingest_pubmed_xml(
         for _, article in ET.iterparse(stream, events=("end",)):
             if article.tag != "PubmedArticle":
                 continue
-            pmid = article.findtext(".//PMID") or ""
+            # The record's own PMID; a cited article's sits deeper.
+            pmid = article.findtext("MedlineCitation/PMID")
+            if not pmid:
+                store._stats.rejected_malformed += 1
+                log.warning("PubmedArticle without MedlineCitation/PMID skipped")
+                article.clear()
+                continue
             pub_types = [
                 pt.text.strip()
                 for pt in article.iter("PublicationType")

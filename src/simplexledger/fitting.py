@@ -47,22 +47,16 @@ class FitResult:
 
 
 def _select(
-    points: Sequence[tuple[float, float]], x_range: tuple[float, float] | None
+    points: Sequence[tuple[float, float]],
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    if not points:
-        raise FitError("no points to fit")
+    """The points as X and Y arrays, and the range of X."""
+    if len(points) < 2:
+        raise FitError(f"need at least 2 points, got {len(points)}")
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
-    if x_range is None:
-        x_range = (float(xs.min()), float(xs.max()))
-    lo, hi = x_range
-    mask = (xs >= lo) & (xs <= hi)
-    xs, ys = xs[mask], ys[mask]
-    if len(xs) < 2:
-        raise FitError(f"need at least 2 points inside x_range {x_range}")
     if np.all(xs == xs[0]):
         raise FitError("degenerate fit: all X values are equal")
-    return xs, ys, (lo, hi)
+    return xs, ys, (float(xs.min()), float(xs.max()))
 
 
 def _ols(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -83,12 +77,9 @@ def _ols(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return intercept, slope, r_squared
 
 
-def fit_linear(
-    points: Sequence[tuple[float, float]],
-    x_range: tuple[float, float] | None = None,
-) -> FitResult:
+def fit_linear(points: Sequence[tuple[float, float]]) -> FitResult:
     """Least-squares line; the slope is new units of Y per unit of X."""
-    xs, ys, x_range = _select(points, x_range)
+    xs, ys, x_range = _select(points)
     intercept, slope, r_squared = _ols(xs, ys)
     return FitResult(
         model="linear",
@@ -100,12 +91,9 @@ def fit_linear(
     )
 
 
-def fit_exponential(
-    points: Sequence[tuple[float, float]],
-    x_range: tuple[float, float] | None = None,
-) -> FitResult:
+def fit_exponential(points: Sequence[tuple[float, float]]) -> FitResult:
     """Log-linear least squares; A is the prefactor, slope the growth rate."""
-    xs, ys, x_range = _select(points, x_range)
+    xs, ys, x_range = _select(points)
     if np.any(ys <= 0):
         bad = xs[ys <= 0][0]
         raise FitError(f"exponential fit requires Y > 0; offending X = {bad}")

@@ -18,7 +18,8 @@ key's smallest year, which the recorded counts give for every position.  B
 is fixed before any work from the exact emission count and the memory
 budget, so that every bucket fits in memory; the result is identical for
 any B.  Once every bucket is counted, the manifest holds the tallies and the
-bucket files are deleted.
+bucket files are deleted.  A spill directory given in the config belongs
+to the caller, who deletes it; the ledger reads no environment variable.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, run_heads
-
-SPILL_ENV_VAR = "SLEDGER_TMP"
 
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_VERSION = 5
@@ -371,12 +370,10 @@ def _restore(ledger_dir: Path, manifest: dict) -> np.ndarray | None:
 
 
 def _workdir(config: LedgerConfig) -> AbstractContextManager:
-    """The spill root; a temporary one is removed when the context exits."""
+    """The spill root: the caller's, which it owns and keeps, or else a
+    temporary directory under ``$TMPDIR``, removed when the context exits."""
     if config.spill_directory is not None:
         return nullcontext(config.spill_directory)
-    env = os.environ.get(SPILL_ENV_VAR)
-    if env:
-        return nullcontext(env)
     return tempfile.TemporaryDirectory(prefix="sledger-")
 
 
@@ -387,10 +384,12 @@ def tabulate(
 ) -> LedgerSeries:
     """Sweep years ascending, tallying first occurrences exactly.
 
-    Resumes from the manifest's year watermark when the spill directory
-    already holds state for the same corpus and configuration, and with at
-    least as many buckets as this configuration needs.  The optional
-    callback fires after each year's keys are durably committed.
+    Resumes from the manifest's year watermark when
+    ``config.spill_directory`` already holds state for the same corpus and
+    configuration, and with at least as many buckets as this configuration
+    needs.  Without a spill directory it works in a temporary directory
+    under ``$TMPDIR`` and removes it.  The optional callback fires after
+    each year's keys are durably committed.
     """
     s = config.k + 1
     series = LedgerSeries(k=config.k, refinement=config.refinement)

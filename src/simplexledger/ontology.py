@@ -53,16 +53,12 @@ def is_eligible(descriptor: Descriptor, branch_filter: BranchFilter) -> bool:
 
 @dataclass
 class Ontology:
-    """Immutable-after-load vocabulary with id and code lookups."""
+    """Immutable-after-load vocabulary; a descriptor's id is its index."""
 
     descriptors: list[Descriptor] = field(default_factory=list)
-    _by_code: dict[str, Descriptor] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.descriptors)
-
-    def by_code(self, external_code: str) -> Descriptor | None:
-        return self._by_code.get(external_code)
 
 
 def numbered_lines(source: Iterable, error: type) -> Iterator[tuple[int, str]]:
@@ -93,6 +89,7 @@ def load_ontology(source: Iterable[str] | TextIO | BinaryIO) -> Ontology:
     non-UTF-8 bytes are rejected with the offending code / line number.
     """
     ontology = Ontology()
+    codes: set[str] = set()
     for lineno, line in numbered_lines(source, OntologyError):
         parts = line.split("\t")
         if lineno == 1 and parts[0] == "external_code":
@@ -104,7 +101,7 @@ def load_ontology(source: Iterable[str] | TextIO | BinaryIO) -> Ontology:
         code, name, trees = parts
         if not code:
             raise OntologyError(f"line {lineno}: empty external code")
-        if code in ontology._by_code:
+        if code in codes:
             raise OntologyError(f"duplicate external code {code!r} at line {lineno}")
         tree_numbers = tuple(t for t in trees.split(";") if t)
         descriptor = Descriptor(
@@ -114,5 +111,5 @@ def load_ontology(source: Iterable[str] | TextIO | BinaryIO) -> Ontology:
             tree_numbers=tree_numbers,
         )
         ontology.descriptors.append(descriptor)
-        ontology._by_code[code] = descriptor
+        codes.add(code)
     return ontology

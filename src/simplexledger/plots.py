@@ -45,7 +45,6 @@ def svg_line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    log_x: bool = False,
     log_y: bool = False,
 ) -> None:
     """Write a multi-series line chart to ``path``."""
@@ -53,9 +52,9 @@ def svg_line_chart(
     for label, raw in series:
         cleaned = []
         for x, y in raw:
-            tx, ty = _transform(x, log_x), _transform(y, log_y)
-            if tx is not None and ty is not None:
-                cleaned.append((tx, ty))
+            ty = _transform(y, log_y)
+            if ty is not None:
+                cleaned.append((x, ty))
         if cleaned:
             pts.append((label, cleaned))
 
@@ -91,7 +90,7 @@ def svg_line_chart(
             )
             parts.append(
                 f'<text x="{px:.1f}" y="{MARGIN_T + plot_h + 18}" '
-                f'font-size="11" text-anchor="middle">{_fmt(tick, log_x)}</text>'
+                f'font-size="11" text-anchor="middle">{_fmt(tick, False)}</text>'
             )
         for tick in _ticks(y_lo, y_hi):
             py = sy(tick)

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+import simplexledger.ledger as ledger_mod
 from simplexledger import cli
 from simplexledger.cli import main
-from simplexledger.corpus import CorpusError, ingest_tsv
+from simplexledger.corpus import CorpusError, ingest_tsv, load_store
+from simplexledger.ledger import oracle_tabulate
+from simplexledger.metrics import write_ledger_csv
 from simplexledger.ontology import OntologyError, load_ontology
 
 from conftest import DEMO_CORPUS, ONTOLOGY_TSV
@@ -122,11 +125,94 @@ def test_leftover_unlocked_lock_file_does_not_block(tmp_path, demo_files):
     assert json.loads((out / "run_manifest.json").read_text())["status"] == "complete"
 
 
-def test_complete_run_removes_spill_state(tmp_path, demo_files):
+def test_complete_run_removes_spill_state(tmp_path, demo_files, monkeypatch):
+    monkeypatch.delenv("SLEDGER_TMP", raising=False)
     out = _run_dir(tmp_path, "spilled", demo_files)
     assert json.loads((out / "run_manifest.json").read_text())["status"] == "complete"
     assert not list(out.rglob("hist*.bin"))
     assert not (out / "spill").exists()
+
+
+def test_complete_run_leaves_sledger_tmp_empty(tmp_path, demo_files, monkeypatch):
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    monkeypatch.setenv("SLEDGER_TMP", str(spill))
+    out = _run_dir(tmp_path, "spilled", demo_files)
+    assert json.loads((out / "run_manifest.json").read_text())["status"] == "complete"
+    assert list(spill.iterdir()) == []
+    assert not (out / "spill").exists()
+
+
+def _run_argv(store, out):
+    return ["run", "--store", str(store), "--k", "1", "--shard-count", "2",
+            "--memory-budget", "65536", "--out", str(out)]
+
+
+def _assert_ledger_is_oracle(store_path, out):
+    with open(store_path, "rb") as f:
+        series = oracle_tabulate(load_store(f), 1, "all")
+    expected = out.parent / f"oracle_{out.name}.csv"
+    with open(expected, "w", newline="") as f:
+        write_ledger_csv(series, f)
+    assert (out / "ledger_k1_all.csv").read_bytes() == expected.read_bytes()
+
+
+def test_runs_on_different_outputs_never_share_spill_state(tmp_path, monkeypatch):
+    # Two corpora, two outputs, one SLEDGER_TMP; the second run starts and
+    # completes inside the first one's ledger, after its first year.
+    spill = tmp_path / "spill"
+    monkeypatch.setenv("SLEDGER_TMP", str(spill))
+    stores, outs = [], []
+    for seed in ("5", "6"):
+        (tmp_path / seed).mkdir()
+        stores.append(_synth(tmp_path / seed, "--seed", seed))
+        outs.append(tmp_path / seed / "out")
+    write_manifest = ledger_mod._write_manifest
+    nested = []
+
+    def interleaved(path, payload):
+        write_manifest(path, payload)
+        if not nested:
+            nested.append(path)
+            assert main(_run_argv(stores[1], outs[1])) == 0
+
+    monkeypatch.setattr(ledger_mod, "_write_manifest", interleaved)
+    assert main(_run_argv(stores[0], outs[0])) == 0
+    assert nested
+    for store, out in zip(stores, outs):
+        _assert_ledger_is_oracle(store, out)
+    assert list(spill.iterdir()) == []
+
+
+def test_rerun_on_the_same_output_resumes_under_sledger_tmp(tmp_path, monkeypatch):
+    spill = tmp_path / "spill"
+    monkeypatch.setenv("SLEDGER_TMP", str(spill))
+    store, out = _synth(tmp_path), tmp_path / "out"
+    write_manifest = ledger_mod._write_manifest
+
+    def killed(path, payload):
+        write_manifest(path, payload)
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(ledger_mod, "_write_manifest", killed)
+    with pytest.raises(RuntimeError, match="killed"):
+        main(_run_argv(store, out))
+    monkeypatch.setattr(ledger_mod, "_write_manifest", write_manifest)
+    assert [p.name for p in spill.iterdir()] == [cli._spill_root(out).name]
+
+    load_manifest = ledger_mod._load_manifest
+    watermarks = []
+
+    def recording(path, fingerprint):
+        manifest = load_manifest(path, fingerprint)
+        watermarks.append(manifest and manifest["watermark"])
+        return manifest
+
+    monkeypatch.setattr(ledger_mod, "_load_manifest", recording)
+    assert main(_run_argv(store, out)) == 0
+    assert watermarks == [1994]
+    _assert_ledger_is_oracle(store, out)
+    assert list(spill.iterdir()) == []
 
 
 def test_run_manifest_survives_a_kill_mid_write(tmp_path, demo_files, monkeypatch):
@@ -225,6 +311,19 @@ def test_synth_params_file_matches_flags(tmp_path):
     }))
     from_file = tmp_path / "from_file.bin"
     assert main(["synth", "--params", str(params), "--output", str(from_file)]) == 0
+    assert from_file.read_bytes() == store.read_bytes()
+
+
+def test_synth_flags_override_the_params_file(tmp_path):
+    store = _synth(tmp_path)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({
+        "n_articles": 400, "vocab_size": 60, "year_start": 1994, "year_end": 2008,
+        "new_keywords_per_year": 3, "seed": 1,
+    }))
+    from_file = tmp_path / "from_file.bin"
+    argv = ["synth", "--params", str(params), "--seed", "5", "--output", str(from_file)]
+    assert main(argv) == 0
     assert from_file.read_bytes() == store.read_bytes()
 
 

@@ -198,7 +198,8 @@ def test_admission_rules_agree_across_readers(
         return
 
     def ids_of(codes):
-        return sorted(ontology.by_code(code).id for code in codes)
+        by_code = {d.external_code: d.id for d in ontology.descriptors}
+        return sorted(by_code[code] for code in codes)
 
     keywords, major = admitted
     years, _, ids = store.csr("all")
@@ -258,9 +259,8 @@ def test_xml_major_topic_flag(ontology):
     )
     store = ingest_pubmed_xml(doc, ontology)
     (record,) = store.iter_records()
-    assert record.major_keywords == frozenset(
-        {ontology.by_code("D000001").id}
-    )
+    by_code = {d.external_code: d.id for d in ontology.descriptors}
+    assert record.major_keywords == frozenset({by_code["D000001"]})
 
 
 def test_xml_and_tsv_produce_identical_records(ontology):
@@ -310,6 +310,41 @@ def test_xml_missing_year_skipped_with_counter(ontology):
 def test_xml_malformed_aborts(ontology):
     with pytest.raises(CorpusError, match="malformed XML"):
         ingest_pubmed_xml(io.BytesIO(b"<PubmedArticleSet><oops"), ontology)
+
+
+def test_xml_record_without_its_own_pmid_is_malformed(ontology, caplog):
+    # The second record cites article 100 and the third cites nothing;
+    # neither has a PMID of its own, so neither may take an id.
+    mesh = [("D000005", False), ("D000007", False)]
+    doc = _xml_doc([
+        ("100", 1998, ["Review"], [("D000001", True), ("D000002", False)]),
+        ("CITING", 1999, ["Review"], mesh),
+        ("NONE", 2000, ["Review"], mesh),
+    ]).getvalue().decode()
+    cited = (
+        '<CommentsCorrectionsList><CommentsCorrections RefType="CommentOn">'
+        '<RefSource>x</RefSource><PMID Version="1">100</PMID>'
+        "</CommentsCorrections></CommentsCorrectionsList>"
+    )
+    doc = doc.replace("<PMID>CITING</PMID>", cited).replace("<PMID>NONE</PMID>", "")
+    store = ingest_pubmed_xml(io.BytesIO(doc.encode()), ontology)
+    assert store.stats == IngestStats(accepted=1, rejected_malformed=2)
+    (record,) = store.iter_records()
+    assert (record.article_id, record.year) == ("100", 1998)
+    assert "without MedlineCitation/PMID" in caplog.text
+
+
+def test_tsv_nul_in_article_id_is_malformed(ontology, caplog):
+    rows = [
+        "p1\t1998\tReview\tD000001;D000002",
+        "p\x002\t1998\tReview\tD000001;D000002",
+    ]
+    store = ingest_tsv(iter(rows), ontology)
+    assert store.stats == IngestStats(
+        accepted=1, rejected_malformed=1, malformed_lines=[2]
+    )
+    assert [r.article_id for r in store.iter_records()] == ["p1"]
+    assert "tsv line 2" in caplog.text
 
 
 def test_xml_fixture_equals_hand_converted_tsv(ontology):

@@ -93,16 +93,6 @@ def test_degenerate_x_rejected():
 def test_too_few_points_rejected():
     with pytest.raises(FitError):
         fit_linear([(1, 1)])
-    with pytest.raises(FitError):
-        fit_linear([(x, x) for x in range(10)], x_range=(100, 200))
-
-
-def test_x_range_filters_points():
-    points = [(x, x) for x in range(10)] + [(20, 999)]
-    fit = fit_linear(points, x_range=(0, 10))
-    assert fit.n_points == 10
-    assert fit.slope == pytest.approx(1.0, abs=1e-12)
-    assert fit.x_range == (0, 10)
 
 
 def test_recent_window_preset():

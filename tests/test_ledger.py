@@ -721,7 +721,6 @@ def test_old_manifest_version_starts_fresh(tmp_path, version):
 
 def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.delenv(ledger_mod.SPILL_ENV_VAR, raising=False)
     tabulate(two_article_corpus, LedgerConfig(k=1))
     assert list(tmp_path.iterdir()) == []
 
@@ -731,6 +730,20 @@ def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch)
     with pytest.raises(RuntimeError):
         tabulate(two_article_corpus, LedgerConfig(k=1), progress_callback=boom)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_tabulate_ignores_sledger_tmp(two_article_corpus, tmp_path, monkeypatch):
+    # The variable is `run`'s: without a spill directory the ledger works in
+    # a temporary directory and leaves nothing under it.
+    spill, temp = tmp_path / "spill", tmp_path / "temp"
+    spill.mkdir()
+    temp.mkdir()
+    monkeypatch.setenv("SLEDGER_TMP", str(spill))
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    series = tabulate(two_article_corpus, LedgerConfig(k=1))
+    assert series == oracle_tabulate(two_article_corpus, 1, "all")
+    assert list(spill.iterdir()) == []
+    assert list(temp.iterdir()) == []
 
 
 @pytest.mark.parametrize("shard_count", [1, 4])

@@ -20,7 +20,7 @@ def test_load_assigns_dense_ids_in_source_order():
     ontology = load_ontology(io.StringIO(text))
     assert len(ontology) == 3
     assert [d.id for d in ontology.descriptors] == [0, 1, 2]
-    assert ontology.by_code("D2").id == 1
+    assert {d.external_code: d.id for d in ontology.descriptors}["D2"] == 1
 
 
 def test_header_row_is_detected_and_skipped():
@@ -48,7 +48,8 @@ def test_load_is_deterministic():
 
 def test_telomere_style_row_lands_in_branch_g():
     ontology = load_ontology(io.StringIO("D016615\tTelomere\tG05.360.80\n"))
-    descriptor = ontology.by_code("D016615")
+    (descriptor,) = ontology.descriptors
+    assert descriptor.external_code == "D016615"
     assert descriptor.tree_numbers == ("G05.360.80",)
     assert is_eligible(descriptor, BranchFilter())
 
