@@ -65,6 +65,9 @@ MIN_KEYWORDS = 2
 DEFAULT_MIN_YEAR = 1902
 # The years the int32 year column holds.
 _INT32 = range(-(1 << 31), 1 << 31)
+# The longest article id, in UTF-8 bytes.  A fold lays every id out at the
+# longest one's width, so one long id would widen them all.
+_MAX_ID_BYTES = 64
 
 _MAGIC = b"SLEDGER1"
 _STORE_VERSION = 2
@@ -198,6 +201,11 @@ class CorpusStore:
             raise CorpusError(f"article id {article_id!r} is not UTF-8") from exc
         except OverflowError as exc:
             raise CorpusError(f"year or keyword id out of range: {exc}") from exc
+        if len(name) > _MAX_ID_BYTES:
+            raise CorpusError(
+                f"article id {article_id[:16]!r}... has {len(name)} bytes, "
+                f"over the limit of {_MAX_ID_BYTES}"
+            )
         self._tail_years += years
         self._tail_counts.append(len(id_column))
         self._tail_ids += id_column
@@ -416,6 +424,14 @@ def _admit(
         stats.accepted += 1
 
 
+def _id_too_long(article_id: str) -> bool:
+    # A character takes at most 4 bytes; a lone surrogate, which the store
+    # refuses anyway, counts 3.
+    return len(article_id) > _MAX_ID_BYTES // 4 and (
+        len(article_id.encode("utf-8", "surrogatepass")) > _MAX_ID_BYTES
+    )
+
+
 def _reject_line(stats: IngestStats, lineno: int, message: str, *args) -> None:
     """Count a malformed TSV line and log why."""
     stats.rejected_malformed += 1
@@ -447,6 +463,12 @@ def ingest_tsv(
         article_id, year_text, pub_type, kw_text = parts
         if "\0" in article_id:
             _reject_line(stats, lineno, "article id %r contains NUL", article_id)
+            continue
+        if _id_too_long(article_id):
+            _reject_line(
+                stats, lineno, "article id over %d bytes: %r...", _MAX_ID_BYTES,
+                article_id[:16],
+            )
             continue
         try:
             year = int(year_text)
@@ -491,8 +513,9 @@ def ingest_pubmed_xml(
 
     A record's id is its ``MedlineCitation/PMID`` and its year the earliest
     year among its dated elements.  Records missing a year are skipped with
-    a counter, records missing that PMID are counted as malformed, and
-    malformed XML aborts with the parser's position.
+    a counter, records missing that PMID or with one over 64 bytes are
+    counted as malformed, and malformed XML aborts with the parser's
+    position.
     """
     config = config or FilterConfig()
     table = _code_table(ontology, config)
@@ -503,9 +526,12 @@ def ingest_pubmed_xml(
                 continue
             # The record's own PMID; a cited article's sits deeper.
             pmid = article.findtext("MedlineCitation/PMID")
-            if not pmid:
+            if not pmid or _id_too_long(pmid):
                 store._stats.rejected_malformed += 1
-                log.warning("PubmedArticle without MedlineCitation/PMID skipped")
+                log.warning(
+                    "PubmedArticle without MedlineCitation/PMID, or with one "
+                    "over %d bytes, skipped", _MAX_ID_BYTES,
+                )
                 article.clear()
                 continue
             pub_types = [

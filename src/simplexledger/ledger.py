@@ -8,18 +8,22 @@ rest core.
 
 Keyword ids are renumbered per refinement in debut order, so a new
 combination is peripheral iff its largest dense id debuted in its first
-year.  Combinations are packed into 64-bit keys.  A combination's first year
-is the smallest year among its emissions, so one pass over the emissions is
-enough.  The emission pass deduplicates each buffer of keys and appends it,
-split by hash, to B bucket files; after each year it records every bucket's
-key count in ``ends.bin`` and writes a manifest that allows restart from
-that year.  The bucket pass then sorts one bucket at a time and takes each
-key's smallest year, which the recorded counts give for every position.  B
-is fixed before any work from the exact emission count and the memory
-budget, so that every bucket fits in memory; the result is identical for
-any B.  Once every bucket is counted, the manifest holds the tallies and the
-bucket files are deleted.  A spill directory given in the config belongs
-to the caller, who deletes it; the ledger reads no environment variable.
+year.  A combination packs its dense ids into a key of w bits, which a
+bijection on w bits hashes; B hash ranges, the buckets, split the keys so
+that each bucket fits in memory.  A combination's first year is the
+smallest year among its emissions, so one pass over the emissions is
+enough.  The emission pass sorts and deduplicates each buffer of hashes,
+tags each with its year, and appends the buffer to one key log,
+``keys.bin``, in one write; sorted, the buffer is already grouped by
+bucket, and one row of ``ends.bin`` records where each bucket's part of it
+ends.  After each year a manifest records the flushes committed, which
+allows restart from that year.  The bucket pass then reads each bucket's
+parts of every flush, sorts them, and takes each key's first word, whose
+year is the smallest.  B is fixed before any work from the exact emission
+count and the memory budget; the result is identical for any B.  Once
+every bucket is counted, the manifest holds the tallies and the log and its
+index are deleted.  A spill directory given in the config belongs to the
+caller, who deletes it; the ledger reads no environment variable.
 """
 
 from __future__ import annotations
@@ -41,18 +45,21 @@ import numpy as np
 from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, run_heads
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 5
+_MANIFEST_VERSION = 6
+_LOG_NAME = "keys.bin"
 _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 18  # keys per emission batch
-# Bytes of budget per key in the bucket pass, whose peak is about 24.
+# Bytes of budget per key in the bucket pass, whose peak is about 19.
 _PASS_BYTES_PER_KEY = 32
-# Bucket ids are routed as uint16.
+# Each flush appends an index row of 8 bytes per bucket, and the bucket
+# pass reads one part per bucket and flush.
 _MAX_BUCKETS = 1 << 16
-_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
-
-# Bits per keyword id in the packed 64-bit key, by combination size.
-_ARITY_BITS = {1: 32, 2: 32, 3: 21, 4: 16}
+# splitmix64's multipliers (Steele et al., OOPSLA 2014).
+_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+# Keys per step of the in-place hash: its scratch stays small, and its
+# steps over one chunk run in cache.
+_HASH_CHUNK = 1 << 14
 
 
 class LedgerError(ValueError):
@@ -98,7 +105,7 @@ class LedgerConfig:
         if self.memory_budget_bytes < _MIN_MEMORY_BUDGET:
             raise LedgerError(
                 f"memory_budget_bytes={self.memory_budget_bytes} is below the "
-                f"minimum merge frame; need at least {_MIN_MEMORY_BUDGET} bytes"
+                f"minimum; need at least {_MIN_MEMORY_BUDGET} bytes"
             )
 
 
@@ -131,11 +138,12 @@ class LedgerSeries:
         return list(itertools.accumulate(self.articles_processed))
 
 
-# --- packing ---------------------------------------------------------------
+# --- keys and words --------------------------------------------------------
 
 
 def _check_capacity(n_keywords: int, s: int) -> None:
-    bits = _ARITY_BITS[s]
+    # Dense ids are uint32, and s of them share a 64-bit key.
+    bits = min(32, 64 // s)
     if n_keywords > (1 << bits):
         raise LedgerError(
             f"{n_keywords} distinct keywords exceed the {bits}-bit capacity "
@@ -143,24 +151,80 @@ def _check_capacity(n_keywords: int, s: int) -> None:
         )
 
 
-def _pack(rows: np.ndarray, s: int) -> np.ndarray:
-    """Pack (n, s) ascending id rows into sortable uint64 keys."""
-    bits = _ARITY_BITS[s]
+@dataclass(frozen=True)
+class _Layout:
+    """How one ledger's keys become the words of its log.
+
+    A key packs s dense ids of ``bits`` bits each, w = s * bits bits in
+    all, and ``_hash`` maps it to a hash below 2^w.  Bucket i holds the
+    hashes in [ceil(i 2^w / B), ceil((i+1) 2^w / B)).  A key's word is its
+    hash shifted left over the y bits of its year index; the shift drops
+    the hash's top w + y - 64 bits, if any, and the bucket's range gives
+    them back, which holds when no range spans more than 2^(64-y) hashes.
+    """
+
+    bits: int
+    width: int
+    year_bits: int
+    years: int
+
+    @classmethod
+    def of(cls, n_keywords: int, s: int, years: int) -> _Layout:
+        bits = max(1, (n_keywords - 1).bit_length())
+        return cls(bits, s * bits, (years - 1).bit_length(), years)
+
+    @property
+    def min_buckets(self) -> int:
+        """The fewest buckets whose ranges each span at most 2^(64-y)."""
+        return 1 << max(0, self.width + self.year_bits - 64)
+
+    def starts(self, buckets: int) -> np.ndarray:
+        """Each bucket's smallest hash."""
+        width = self.width
+        return np.array(
+            [-(-(i << width) // buckets) for i in range(buckets)], dtype=np.uint64
+        )
+
+
+def _pack(rows: np.ndarray, bits: int) -> np.ndarray:
+    """Pack (n, s) ascending id rows into keys of ``bits`` bits per id."""
     keys = rows[:, 0].astype(np.uint64)
-    for col in range(1, s):
-        keys = (keys << np.uint64(bits)) | rows[:, col].astype(np.uint64)
+    for col in range(1, rows.shape[1]):
+        keys <<= np.uint64(bits)
+        keys |= rows[:, col]
     return keys
 
 
-def _mix64(keys: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; balances bucket assignment."""
-    x = keys.copy()
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
+def _mix(keys: np.ndarray, width: int, multipliers: Iterable[int]) -> None:
+    """In place: xorshift, then per multiplier a product mod 2^width and a
+    xorshift.  Each shift is at least width / 2, so each xorshift is its
+    own inverse, and the inverse multipliers in reverse order undo it."""
+    shift = np.uint64((width + 1) // 2)
+    mask = np.uint64((1 << width) - 1)
+    factors = [np.uint64(m) for m in multipliers]
+    scratch = np.empty(min(keys.size, _HASH_CHUNK), dtype=np.uint64)
+    for start in range(0, keys.size, _HASH_CHUNK):
+        x = keys[start : start + _HASH_CHUNK]
+        t = scratch[: x.size]
+        np.right_shift(x, shift, out=t)
+        x ^= t
+        for factor in factors:
+            x *= factor
+            if width < 64:
+                x &= mask
+            np.right_shift(x, shift, out=t)
+            x ^= t
+
+
+def _hash(keys: np.ndarray, width: int) -> None:
+    """Hash keys below 2^width in place, by a bijection on width bits:
+    splitmix64's finalizer with its steps taken mod 2^width."""
+    _mix(keys, width, [m % (1 << width) for m in _MULTIPLIERS])
+
+
+def _unhash(keys: np.ndarray, width: int) -> None:
+    """Invert ``_hash`` in place."""
+    _mix(keys, width, [pow(m, -1, 1 << width) for m in reversed(_MULTIPLIERS)])
 
 
 # --- emission --------------------------------------------------------------
@@ -180,7 +244,13 @@ def _comb_indices(m: int, s: int) -> np.ndarray:
 
 
 def _emit_year_keys(
-    offsets: np.ndarray, ids: np.ndarray, lo: int, hi: int, s: int, batch_keys: int
+    offsets: np.ndarray,
+    ids: np.ndarray,
+    lo: int,
+    hi: int,
+    s: int,
+    bits: int,
+    batch_keys: int,
 ) -> Iterator[np.ndarray]:
     """Packed keys for all size-s combinations of articles lo..hi-1.
 
@@ -199,95 +269,195 @@ def _emit_year_keys(
         for start in range(0, group.size, batch):
             rows = ids[group[start : start + batch, None] + columns]
             rows.sort(axis=1)
-            yield _pack(rows[:, idx].reshape(-1, s), s)
+            yield _pack(rows[:, idx].reshape(-1, s), bits)
 
 
-# --- bucket files ----------------------------------------------------------
+# --- the key log -----------------------------------------------------------
 
 
-def _bucket_name(i: int) -> str:
-    return f"b{i:05d}.bin"
-
-
-def _bucket_count(offsets: np.ndarray, s: int, config: LedgerConfig) -> int:
-    """The run's bucket count: at least ``shard_count``, and enough that the
-    bucket pass over one bucket's share of every emission fits the budget."""
+def _emissions(offsets: np.ndarray, s: int) -> int:
+    """The exact number of size-s combinations over all articles."""
     sizes = np.bincount(np.diff(offsets)).tolist()
-    emissions = sum(math.comb(m, s) * n for m, n in enumerate(sizes))
+    return sum(math.comb(m, s) * n for m, n in enumerate(sizes))
+
+
+def _bucket_count(emissions: int, layout: _Layout, config: LedgerConfig) -> int:
+    """The run's bucket count: at least ``shard_count`` and the layout's
+    floor, and enough that the bucket pass over one bucket's share of every
+    emission fits the budget."""
     needed = -(-_PASS_BYTES_PER_KEY * emissions // config.memory_budget_bytes)
-    buckets = max(config.shard_count, needed)
+    buckets = max(config.shard_count, needed, layout.min_buckets)
     if buckets > _MAX_BUCKETS:
         raise LedgerError(
-            f"{emissions} combinations need {buckets} buckets at "
-            f"memory_budget_bytes={config.memory_budget_bytes}, over the "
-            f"limit of {_MAX_BUCKETS}; raise the budget"
+            f"{emissions} combinations over {layout.years} years need "
+            f"{buckets} buckets at memory_budget_bytes="
+            f"{config.memory_budget_bytes}, over the limit of {_MAX_BUCKETS}"
         )
     return buckets
 
 
-def _flush(buffer: list[np.ndarray], directory: str, filled: np.ndarray) -> None:
-    """Append the buffered keys, sorted and deduplicated, to their buckets.
+def _check_disk(root: str | os.PathLike, log_bytes: int, index_bytes: int) -> None:
+    """Raise unless the file system holding ``root``, which need not exist
+    yet, has room for the log and index bounds."""
+    path = Path(root).absolute()
+    while not path.exists():
+        path = path.parent
+    free = shutil.disk_usage(path).free
+    if log_bytes + index_bytes > free:
+        raise LedgerError(
+            f"the ledger may spill {log_bytes + index_bytes} bytes "
+            f"({log_bytes} of keys, {index_bytes} of index), but {path} has "
+            f"{free} bytes free"
+        )
 
-    Empties ``buffer``.  Each bucket's slice is one append to a file opened
-    for it alone, so no bucket file stays open whatever the bucket count.
-    ``filled`` counts the keys in each bucket file and gains the appended
-    ones.
+
+def _append(fd: int, words: np.ndarray) -> None:
+    """Append ``words`` in one write; only a write past 2 GiB takes more."""
+    view = memoryview(words).cast("B")
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read_into(fd: int, view: memoryview, offset: int) -> None:
+    """Fill the bytes of ``view`` from ``fd`` at byte ``offset``."""
+    while view:
+        got = os.preadv(fd, [view], offset)
+        if not got:
+            raise LedgerError("a spill file is shorter than its committed state")
+        view, offset = view[got:], offset + got
+
+
+def _flush(
+    buffer: list[np.ndarray],
+    log: int,
+    index: int,
+    layout: _Layout,
+    starts: np.ndarray,
+    year: int,
+    end: int,
+) -> int:
+    """Append the buffered keys to the log as one hashed, sorted,
+    deduplicated slice tagged with year index ``year``, and its bucket ends
+    to the index.
+
+    Empties ``buffer``.  ``end`` is the log's length in words before the
+    append; returns its length after.
     """
     keys = np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
     buffer.clear()
+    _hash(keys, layout.width)
     keys.sort()
     keys = keys[run_heads(keys)]
-    route = _mix64(keys)
-    route %= np.uint64(filled.size)
-    route = route.astype(np.uint16)
-    counts = np.bincount(route, minlength=filled.size)
-    # numpy sorts 16-bit keys stably by radix sort, in linear time.
-    keys = keys[route.argsort(kind="stable")]
-    del route
-    view = keys.data
-    stop = 0
-    for i, size in enumerate(counts.tolist()):
-        if size:
-            start, stop = stop, stop + size
-            path = f"{directory}/{_bucket_name(i)}"
-            fd = os.open(path, _APPEND, 0o666)
-            try:
-                # A regular file takes a short write only when it is full.
-                if os.write(fd, view[start:stop]) != 8 * size:
-                    raise OSError(f"short write to {path}")
-            finally:
-                os.close(fd)
-    filled += counts
+    row = np.empty(starts.size, dtype=np.int64)
+    row[:-1] = np.searchsorted(keys, starts[1:])
+    row[-1] = keys.size
+    row += end
+    keys <<= np.uint64(layout.year_bits)
+    keys |= np.uint64(year)
+    _append(log, keys)
+    _append(index, row)
+    return end + keys.size
+
+
+def _index_block(
+    index: int, flushes: int, buckets: int, first: int, count: int
+) -> np.ndarray:
+    """Where buckets ``first`` to ``first + count - 1`` lie in each flush.
+
+    Row f holds index entries f * B + first - 1 onwards, so that bucket
+    ``first + j``'s part of flush f is log words ``[f, j]:[f, j + 1]``: a
+    part starts where the entry before its end says, the log's first at 0.
+    """
+    block = np.zeros((flushes, count + 1), dtype=np.int64)
+    view = memoryview(block).cast("B")
+    row = 8 * (count + 1)
+    for f in range(flushes):
+        at = 8 * (f * buckets + first - 1)
+        skip = 8 if at < 0 else 0
+        _read_into(index, view[f * row + skip : (f + 1) * row], at + skip)
+    return block
 
 
 def _count_bucket(
-    path: Path, lengths: np.ndarray, debut_index: np.ndarray, mask: np.uint64
+    log: int,
+    begins: np.ndarray,
+    ends: np.ndarray,
+    base: int,
+    layout: _Layout,
+    debut_index: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-year new and peripheral key counts of one bucket file.
+    """Per-year new and peripheral key counts of one bucket.
 
-    ``lengths`` holds the bucket's committed keys of each year, and
-    ``debut_index`` each dense keyword's debut as a year index.  Sorting
-    the keys brings each key's copies together; the smallest year among
-    them is its first.  Each array is dropped once used, which holds the
-    peak near 24 bytes per key.
+    Its part of flush f is log words ``begins[f]:ends[f]``, and its
+    smallest hash is ``base``.  ``debut_index`` holds each dense keyword's
+    debut as a year index.  Sorted, a key's words run together with the
+    smallest year first.  Each array is dropped once used, which holds the
+    peak near 19 bytes per word.
     """
-    keys = np.fromfile(path, dtype=np.uint64, count=int(lengths.sum()))
-    perm = keys.argsort()
-    keys = keys[perm]
-    index = np.arange(lengths.size, dtype=np.min_scalar_type(lengths.size))
-    year = np.repeat(index, lengths)[perm]
-    del perm
-    heads = run_heads(keys)
-    uniq = keys[heads]
-    del keys
-    year = np.minimum.reduceat(year, np.flatnonzero(heads))
+    sizes = ends - begins
+    words = np.empty(int(sizes.sum()), dtype=np.uint64)
+    view = memoryview(words).cast("B")
+    at = 0
+    for begin, size in zip((8 * begins).tolist(), (8 * sizes).tolist()):
+        if size:
+            _read_into(log, view[at : at + size], begin)
+            at += size
+    words.sort()
+    y = layout.year_bits
+    year = np.empty(words.size, dtype=debut_index.dtype)
+    np.bitwise_and(words, np.uint64((1 << y) - 1), out=year, casting="unsafe")
+    words >>= np.uint64(y)
+    heads = run_heads(words)
+    keys = words[heads]
+    del words
+    year = year[heads]
     del heads
-    new = np.bincount(year, minlength=lengths.size)
+    # The hash's bits above the word's lie in the bucket's range.
+    keys -= np.uint64(base)
+    keys &= np.uint64((1 << (64 - y)) - 1)
+    keys += np.uint64(base)
+    _unhash(keys, layout.width)
     # The largest dense id of a key debuted last among its keywords.
-    uniq &= mask
-    peripheral = debut_index[uniq] == year
-    del uniq
-    return new, np.bincount(year[peripheral], minlength=lengths.size)
+    keys &= np.uint64((1 << layout.bits) - 1)
+    peripheral = debut_index[keys] == year
+    del keys
+    new = np.bincount(year, minlength=layout.years)
+    return new, np.bincount(year[peripheral], minlength=layout.years)
+
+
+def _count_log(
+    log_path: Path,
+    ends_path: Path,
+    layout: _Layout,
+    starts: np.ndarray,
+    flushes: int,
+    debut_index: np.ndarray,
+    index_bytes: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-year new and peripheral key counts of the first ``flushes``
+    flushes of a log, one bucket at a time.
+
+    The index is read a block of buckets at a time, one read per flush,
+    each block in at most ``index_bytes``.
+    """
+    buckets = starts.size
+    block = max(1, min(buckets, index_bytes // (8 * max(1, flushes)) - 1))
+    new = np.zeros(layout.years, dtype=np.int64)
+    peripheral = np.zeros(layout.years, dtype=np.int64)
+    with open(log_path, "rb", buffering=0) as log_file, open(
+        ends_path, "rb", buffering=0
+    ) as index_file:
+        log, index = log_file.fileno(), index_file.fileno()
+        for first in range(0, buckets, block):
+            count = min(block, buckets - first)
+            parts = _index_block(index, flushes, buckets, first, count)
+            for j, base in enumerate(starts[first : first + count].tolist()):
+                begins, ends = parts[:, j], parts[:, j + 1]
+                if (ends != begins).any():
+                    n, p = _count_bucket(log, begins, ends, base, layout, debut_index)
+                    new += n
+                    peripheral += p
+    return new, peripheral
 
 
 # --- manifest --------------------------------------------------------------
@@ -337,33 +507,33 @@ def _keep_only(ledger_dir: Path, named: set[str]) -> dict[str, int]:
     return sizes
 
 
-def _restore(ledger_dir: Path, manifest: dict) -> np.ndarray | None:
-    """Cut ``ends.bin`` and the bucket files back to the committed years.
+def _committed_flushes(rows: list[dict]) -> int:
+    return rows[-1]["flushes"] if rows else 0
 
-    Returns each bucket's committed key count, or None when a file is
+
+def _restore(ledger_dir: Path, manifest: dict) -> int | None:
+    """Cut ``ends.bin`` and ``keys.bin`` back to the committed flushes.
+
+    Returns the log's committed length in words, or None when a file is
     shorter than its committed state, so that the ledger starts fresh.
     Bytes past the committed state are an uncommitted year's.
     """
-    buckets, years = manifest["buckets"], len(manifest["rows"])
-    names = [_bucket_name(i) for i in range(buckets)]
-    sizes = _keep_only(ledger_dir, {_MANIFEST_NAME, _ENDS_NAME, *names})
-    ends_path = ledger_dir / _ENDS_NAME
-    committed = 8 * buckets * years
+    flushes = _committed_flushes(manifest["rows"])
+    sizes = _keep_only(ledger_dir, {_MANIFEST_NAME, _ENDS_NAME, _LOG_NAME})
+    ends_path, log_path = ledger_dir / _ENDS_NAME, ledger_dir / _LOG_NAME
+    committed = 8 * manifest["buckets"] * flushes
     if sizes.get(_ENDS_NAME, 0) < committed:
         return None
-    filled = np.zeros(buckets, dtype=np.int64)
-    if years:
+    if sizes.get(_ENDS_NAME, 0) > committed:
         os.truncate(ends_path, committed)
-        filled = np.fromfile(
-            ends_path, dtype=np.int64, count=buckets, offset=committed - 8 * buckets
-        )
-    for name, keys in zip(names, filled.tolist()):
-        size = sizes.get(name, 0)
-        if size < 8 * keys:
-            return None
-        if size > 8 * keys:
-            os.truncate(ledger_dir / name, 8 * keys)
-    return filled
+    end = 0
+    if flushes:
+        end = int(np.fromfile(ends_path, np.int64, count=1, offset=committed - 8)[0])
+    if sizes.get(_LOG_NAME, 0) < 8 * end:
+        return None
+    if sizes.get(_LOG_NAME, 0) > 8 * end:
+        os.truncate(log_path, 8 * end)
+    return end
 
 
 # --- tabulate --------------------------------------------------------------
@@ -400,9 +570,23 @@ def tabulate(
     _, debuts, dense = corpus.debut_order(config.refinement)
     _check_capacity(debuts.size, s)
     _, offsets, _ = corpus.csr(config.refinement)
-    buckets = _bucket_count(offsets, s, config)
-    mask = np.uint64((1 << _ARITY_BITS[s]) - 1)
     all_years = list(range(corpus_years[0], corpus_years[-1] + 1))
+    layout = _Layout.of(debuts.size, s, len(all_years))
+    emissions = _emissions(offsets, s)
+    buckets = _bucket_count(emissions, layout, config)
+    # A quarter of the budget buffers keys; a flush's copies of them fit in
+    # the rest.  Each of a year's flushes but its last holds, with the batch
+    # after it, more than a buffer of keys, so a year of E_t emissions
+    # flushes fewer than 2 E_t / buffer + 1 times.
+    buffer_keys = config.memory_budget_bytes // 4 // 8
+    flush_bound = len(corpus_years) + -(-2 * emissions // buffer_keys)
+    _check_disk(
+        tempfile.gettempdir()
+        if config.spill_directory is None
+        else config.spill_directory,
+        8 * emissions,
+        8 * buckets * flush_bound,
+    )
 
     with _workdir(config) as workdir:
         ledger_dir = Path(workdir) / f"k{config.k}" / config.refinement
@@ -414,15 +598,16 @@ def tabulate(
         fingerprint = _fingerprint(corpus.digest(), config)
         manifest_path = ledger_dir / _MANIFEST_NAME
         ends_path = ledger_dir / _ENDS_NAME
+        log_path = ledger_dir / _LOG_NAME
         manifest = _load_manifest(manifest_path, fingerprint)
-        filled = None
+        end = None
         if manifest is not None and not manifest["complete"]:
             # More buckets than needed only makes each smaller, so a resume
             # keeps the recorded count unless this budget needs more.
             if manifest["buckets"] >= buckets:
                 buckets = manifest["buckets"]
-                filled = _restore(ledger_dir, manifest)
-            if filled is None:
+                end = _restore(ledger_dir, manifest)
+            if end is None:
                 manifest = None
         if manifest is None:
             shutil.rmtree(ledger_dir)
@@ -435,61 +620,68 @@ def tabulate(
                 "rows": [],
                 "complete": False,
             }
-            filled = np.zeros(buckets, dtype=np.int64)
+            end = 0
 
         rows = manifest["rows"]
         if not manifest["complete"]:
-            # A quarter of the budget buffers keys; a flush's copies of them
-            # fit in the rest.
-            buffer_keys = config.memory_budget_bytes // 4 // 8
+            starts = layout.starts(buckets)
+            flushes = _committed_flushes(rows)
             batch_keys = min(_EMIT_CHUNK, buffer_keys)
-            directory = str(ledger_dir)
             watermark = manifest["watermark"]
-            for year in all_years:
-                if watermark is not None and year <= watermark:
-                    continue
-                lo, hi = corpus.year_range(year)
-                buffer: list[np.ndarray] = []
-                buffered = 0
-                for keys in _emit_year_keys(offsets, dense, lo, hi, s, batch_keys):
-                    if buffered + keys.size > buffer_keys and buffer:
-                        _flush(buffer, directory, filled)
-                        buffered = 0
-                    buffer.append(keys)
-                    buffered += keys.size
-                if buffer:
-                    _flush(buffer, directory, filled)
-                with open(ends_path, "ab") as f:
-                    f.write(filled.data)
-                first, last = np.searchsorted(debuts, (year, year + 1)).tolist()
-                rows.append(
-                    {
-                        "year": year,
-                        "new_keywords": last - first,
-                        "articles_processed": corpus.articles_with_at_least(
-                            s, config.refinement, year
-                        ),
-                    }
-                )
-                manifest.update(watermark=year, rows=rows)
-                _write_manifest(manifest_path, manifest)
-                if progress_callback is not None:
-                    progress_callback(year)
+            with open(log_path, "ab", buffering=0) as log_file, open(
+                ends_path, "ab", buffering=0
+            ) as index_file:
+                log, index = log_file.fileno(), index_file.fileno()
+                for year in all_years:
+                    if watermark is not None and year <= watermark:
+                        continue
+                    lo, hi = corpus.year_range(year)
+                    tag = year - all_years[0]
+                    buffer: list[np.ndarray] = []
+                    buffered = 0
+                    for keys in _emit_year_keys(
+                        offsets, dense, lo, hi, s, layout.bits, batch_keys
+                    ):
+                        if buffered + keys.size > buffer_keys and buffer:
+                            end = _flush(buffer, log, index, layout, starts, tag, end)
+                            flushes += 1
+                            buffered = 0
+                        buffer.append(keys)
+                        buffered += keys.size
+                    if buffer:
+                        end = _flush(buffer, log, index, layout, starts, tag, end)
+                        flushes += 1
+                    first, last = np.searchsorted(debuts, (year, year + 1)).tolist()
+                    rows.append(
+                        {
+                            "year": year,
+                            "new_keywords": last - first,
+                            "articles_processed": corpus.articles_with_at_least(
+                                s, config.refinement, year
+                            ),
+                            "flushes": flushes,
+                        }
+                    )
+                    manifest.update(watermark=year, rows=rows)
+                    _write_manifest(manifest_path, manifest)
+                    if progress_callback is not None:
+                        progress_callback(year)
 
             # The bucket pass only reads committed files; a resume after a
             # kill inside it runs it again.
-            ends = np.fromfile(ends_path, dtype=np.int64, count=len(rows) * buckets)
-            ends = ends.reshape(len(rows), buckets)
-            lengths = np.diff(ends, axis=0, prepend=0).T.copy()
-            debut_index = debuts - all_years[0]
-            new = np.zeros(len(rows), dtype=np.int64)
-            peripheral = np.zeros(len(rows), dtype=np.int64)
-            for i in np.flatnonzero(ends[-1]).tolist():
-                n, p = _count_bucket(
-                    ledger_dir / _bucket_name(i), lengths[i], debut_index, mask
-                )
-                new += n
-                peripheral += p
+            debut_index = (debuts - all_years[0]).astype(
+                np.min_scalar_type(layout.years - 1)
+            )
+            new, peripheral = _count_log(
+                log_path,
+                ends_path,
+                layout,
+                starts,
+                flushes,
+                debut_index,
+                # A bucket's pass takes about 19 / 32 of the budget.
+                config.memory_budget_bytes // 4,
+            )
             for row, n, p in zip(rows, new.tolist(), peripheral.tolist()):
                 row.update(new_simplices=n, new_peripheral=p)
             manifest.update(rows=rows, complete=True)

@@ -347,6 +347,27 @@ def test_tsv_nul_in_article_id_is_malformed(ontology, caplog):
     assert "tsv line 2" in caplog.text
 
 
+def test_over_long_article_id_is_malformed(ontology, caplog):
+    # One long id would widen every id's slot when the store folds.
+    mesh = [("D000001", True), ("D000002", False)]
+    rows = [_tsv_row(f"p{i}", 1998, ["Review"], mesh) for i in range(3)]
+    long_row = _tsv_row("x" * 5000, 1998, ["Review"], mesh)
+    clean, dirty = io.BytesIO(), io.BytesIO()
+    save_store(ingest_tsv(iter(rows), ontology), clean)
+    store = ingest_tsv(iter([rows[0], long_row, *rows[1:]]), ontology)
+    assert store.stats == IngestStats(
+        accepted=3, rejected_malformed=1, malformed_lines=[2]
+    )
+    assert "tsv line 2: article id over 64 bytes" in caplog.text
+    save_store(store, dirty)
+    assert dirty.getvalue() == clean.getvalue()
+    # The XML reader counts such a PMID the same way, and 64 bytes fit.
+    articles = [(pmid, 1998, ["Review"], mesh) for pmid in ("1", "9" * 65, "é" * 32)]
+    store = ingest_pubmed_xml(_xml_doc(articles), ontology)
+    assert store.stats == IngestStats(accepted=2, rejected_malformed=1)
+    assert sorted(r.article_id for r in store.iter_records()) == ["1", "é" * 32]
+
+
 def test_xml_fixture_equals_hand_converted_tsv(ontology):
     rng = random.Random(5)
     codes = [d.external_code for d in ontology.descriptors]
@@ -520,6 +541,7 @@ def test_add_order_does_not_change_digest_or_file():
         (ArticleRecord("a", 1 << 31, frozenset({1, 2}), frozenset()), "range"),
         (ArticleRecord("a", -(1 << 31) - 1, frozenset({1, 2}), frozenset()), "range"),
         (ArticleRecord("a\ud800", 1999, frozenset({1, 2}), frozenset()), "UTF-8"),
+        (ArticleRecord("é" * 33, 1999, frozenset({1, 2}), frozenset()), "66 bytes"),
     ],
 )
 def test_store_rejects_records_it_cannot_represent(record, cause):

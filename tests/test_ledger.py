@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import shutil
 import stat
 import subprocess
 import sys
@@ -351,7 +352,7 @@ def test_invalid_configs_rejected():
 
 
 def test_memory_budget_too_small_aborts_with_hint():
-    with pytest.raises(LedgerError, match="merge frame"):
+    with pytest.raises(LedgerError, match="need at least 65536 bytes"):
         LedgerConfig(memory_budget_bytes=1024)
 
 
@@ -373,11 +374,12 @@ def test_unwritable_spill_directory_aborts(two_article_corpus, tmp_path):
 
 def test_keyword_capacity_counts_distinct_used_keywords(tmp_path):
     # 65,536 keywords in quartets fill the 16-bit per-id capacity exactly,
-    # although their even ids run up to 131,070.
+    # although their even ids run up to 131,070.  Over three years, each
+    # 64-bit key loses its top two bits to the year index in the log.
     store = CorpusStore()
     for i in range(1 << 14):
         kws = frozenset(range(8 * i, 8 * i + 8, 2))
-        store.add(ArticleRecord(f"a{i:05d}", 2000, kws, frozenset()))
+        store.add(ArticleRecord(f"a{i:05d}", 2000 + i % 3, kws, frozenset()))
     config = LedgerConfig(k=3, spill_directory=tmp_path / "fits")
     assert tabulate(store, config) == oracle_tabulate(store, 3, "all")
     # One more keyword, even in an article too small for a quartet.
@@ -404,6 +406,156 @@ def test_sparse_keyword_ids_fit_packed_keys(tmp_path, k):
             k=k, refinement=refinement, spill_directory=tmp_path, shard_count=2
         )
         assert tabulate(store, config) == oracle_tabulate(store, k, refinement)
+
+
+# --- key layout ------------------------------------------------------------
+
+# (distinct keywords, combination size, calendar years, buckets or None for
+# the layout's floor): 64-bit keys (65,536 keywords in quartets), which
+# drop 7 bits to the year index; the paper's shape, 60-bit keys that drop 3;
+# a one-year corpus, whose words carry no year bits; a bucket count that is
+# not a power of two; and a width too small for the multipliers' top bits.
+_LAYOUTS = [
+    pytest.param(65_536, 4, 117, None, id="w64"),
+    pytest.param(27_875, 4, 117, 13, id="paper-B13"),
+    pytest.param(65_536, 4, 1, 3, id="y0-B3"),
+    pytest.param(5, 2, 3, 5, id="w6"),
+]
+
+
+@pytest.mark.parametrize("n_keywords, s, years, buckets", _LAYOUTS)
+def test_hash_round_trips_on_the_key_width(n_keywords, s, years, buckets):
+    layout = ledger_mod._Layout.of(n_keywords, s, years)
+    width = layout.width
+    rng = np.random.default_rng(width)
+    if width <= 16:
+        keys = np.arange(1 << width, dtype=np.uint64)
+    else:
+        top = (1 << width) - 1
+        keys = rng.integers(0, top, size=50_000, dtype=np.uint64, endpoint=True)
+        keys[:2] = (0, top)
+    hashed = keys.copy()
+    ledger_mod._hash(hashed, width)
+    if width < 64:
+        assert hashed.max() < 1 << width
+    if width <= 16:
+        # Every key below 2^w has its own hash.
+        assert np.array_equal(np.sort(hashed), keys)
+    ledger_mod._unhash(hashed, width)
+    assert np.array_equal(hashed, keys)
+
+
+@pytest.mark.parametrize("n_keywords, s, years, buckets", _LAYOUTS)
+def test_bucket_pass_recovers_the_dropped_hash_bits(
+    tmp_path, n_keywords, s, years, buckets
+):
+    # Flushes of random keys, repeated across years, through the log and
+    # back: every key's first year, and whether its largest id debuted
+    # then, must come out as they went in.
+    layout = ledger_mod._Layout.of(n_keywords, s, years)
+    buckets = buckets or layout.min_buckets
+    assert buckets >= layout.min_buckets
+    starts = layout.starts(buckets)
+    rng = np.random.default_rng(n_keywords + years)
+    ids = rng.integers(0, n_keywords, size=(3000, s), dtype=np.uint32)
+    ids.sort(axis=1)
+    pool = ledger_mod._pack(ids, layout.bits)
+    debut_index = rng.integers(0, years, size=n_keywords).astype(np.uint8)
+    first = {}
+    log, ends = tmp_path / "keys.bin", tmp_path / "ends.bin"
+    end = flushes = 0
+    with open(log, "ab", buffering=0) as log_file, open(
+        ends, "ab", buffering=0
+    ) as index_file:
+        for year in range(years):
+            for _ in range(2):
+                keys = rng.choice(pool, size=800)
+                for key in keys.tolist():
+                    first.setdefault(key, year)
+                end = ledger_mod._flush(
+                    [keys[:500], keys[500:]], log_file.fileno(), index_file.fileno(),
+                    layout, starts, year, end,
+                )
+                flushes += 1
+    mask = (1 << layout.bits) - 1
+    expected_new = np.zeros(years, dtype=np.int64)
+    expected_peripheral = np.zeros(years, dtype=np.int64)
+    for key, year in first.items():
+        expected_new[year] += 1
+        expected_peripheral[year] += debut_index[key & mask] == year
+    # From index blocks of every size: one bucket, some, all.
+    for index_bytes in (0, 8 * flushes * 3, 1 << 30):
+        new, peripheral = ledger_mod._count_log(
+            log, ends, layout, starts, flushes, debut_index, index_bytes
+        )
+        assert new.tolist() == expected_new.tolist()
+        assert peripheral.tolist() == expected_peripheral.tolist()
+    # The keys fill more than one bucket, and no range spans over 2^(64-y).
+    assert np.count_nonzero(_bucket_keys(tmp_path, buckets)) > 1
+    bounds = starts.tolist() + [1 << layout.width]
+    span = max(b - a for a, b in zip(bounds, bounds[1:]))
+    assert span <= 1 << (64 - layout.year_bits)
+
+
+def test_spill_directory_holds_one_log_with_one_append_per_flush(
+    tmp_path, monkeypatch
+):
+    corpus = _random_corpus(17, n_articles=1500, years=4)
+    config = LedgerConfig(
+        k=2, spill_directory=tmp_path, memory_budget_bytes=_MIN_BUDGET
+    )
+    ledger_dir = tmp_path / "k2" / "all"
+    writes = []
+    flushes = []
+    write, flush = os.write, ledger_mod._flush
+
+    def recording_write(fd, data):
+        writes.append(os.fstat(fd).st_ino)
+        return write(fd, data)
+
+    def recording_flush(*args):
+        del writes[:]
+        end = flush(*args)
+        inode = {p.name: p.stat().st_ino for p in ledger_dir.glob("*.bin")}
+        assert writes == [inode["keys.bin"], inode["ends.bin"]]
+        flushes.append(end)
+        return end
+
+    def check_directory(year):
+        names = sorted(p.name for p in ledger_dir.iterdir())
+        assert names == ["ends.bin", "keys.bin", "manifest.json"]
+
+    monkeypatch.setattr(os, "write", recording_write)
+    monkeypatch.setattr(ledger_mod, "_flush", recording_flush)
+    series = tabulate(corpus, config, progress_callback=check_directory)
+    monkeypatch.undo()
+    assert series == oracle_tabulate(corpus, 2, "all")
+    rows = _manifest(ledger_dir)["rows"]
+    # Some year takes more than one flush.
+    assert len(rows) < rows[-1]["flushes"] == len(flushes)
+
+
+def test_too_little_disk_raises_before_any_directory(tmp_path, monkeypatch):
+    store = CorpusStore()
+    store.add(ArticleRecord("a", 2000, frozenset(range(6)), frozenset()))
+    store.add(ArticleRecord("b", 2001, frozenset(range(3, 8)), frozenset()))
+    asked = []
+    usage = shutil.disk_usage(tmp_path)
+
+    def small_disk(path):
+        asked.append(Path(path))
+        return usage._replace(free=100)
+
+    monkeypatch.setattr(shutil, "disk_usage", small_disk)
+    spill = tmp_path / "spill" / "run"
+    with pytest.raises(LedgerError) as raised:
+        tabulate(store, LedgerConfig(k=1, spill_directory=spill))
+    # 15 + 10 pairs of 8 bytes, and an index row of one bucket for each of
+    # at most three flushes: one a year, and one more per half buffer.
+    assert "may spill 224 bytes (200 of keys, 24 of index)" in str(raised.value)
+    assert "100 bytes free" in str(raised.value)
+    assert asked == [tmp_path]
+    assert not (tmp_path / "spill").exists()
 
 
 # --- crash-restart ---------------------------------------------------------
@@ -478,23 +630,31 @@ def _interrupt_before_manifest(monkeypatch, corpus, config, crash_year):
             tabulate(corpus, config)
 
 
-def _bucket_sizes(ledger_dir):
-    return {p.name: p.stat().st_size for p in ledger_dir.glob("b*.bin")}
+def _spill_sizes(ledger_dir):
+    return {p.name: p.stat().st_size for p in ledger_dir.glob("*.bin")}
+
+
+def _bucket_keys(ledger_dir, buckets):
+    """Each bucket's committed key count, summed over the flushes."""
+    ends = np.fromfile(ledger_dir / "ends.bin", dtype=np.int64)
+    return np.diff(ends, prepend=0).reshape(-1, buckets).sum(axis=0)
 
 
 def _assert_committed_layout(ledger_dir):
     """The directory holds the manifest, ends.bin with one row per committed
-    year, and each bucket file at its committed length, and nothing else."""
+    flush, and keys.bin at the length the last row gives, and nothing else."""
     manifest = _manifest(ledger_dir)
     buckets = manifest["buckets"]
     ends = np.fromfile(ledger_dir / "ends.bin", dtype=np.int64)
-    assert ends.size == buckets * len(manifest["rows"])
-    committed = {
-        f"b{i:05d}.bin": 8 * n for i, n in enumerate(ends[-buckets:].tolist()) if n
+    assert ends.size == buckets * manifest["rows"][-1]["flushes"]
+    # Each bucket's part of a flush starts where the one before it ends.
+    assert (np.diff(ends, prepend=0) >= 0).all()
+    assert _spill_sizes(ledger_dir) == {
+        "ends.bin": 8 * ends.size,
+        "keys.bin": 8 * int(ends[-1]),
     }
-    assert _bucket_sizes(ledger_dir) == committed
     names = {p.name for p in ledger_dir.iterdir()}
-    assert names == {"manifest.json", "ends.bin", *committed}
+    assert names == {"manifest.json", "ends.bin", "keys.bin"}
 
 
 def _resume_until(corpus, config, year):
@@ -529,12 +689,13 @@ def test_crash_after_history_commit_before_manifest(
     manifest = _manifest(ledger_dir)
     assert manifest["watermark"] == crash_year - 1
     ends = ledger_dir / "ends.bin"
-    assert ends.stat().st_size > 8 * manifest["buckets"] * len(manifest["rows"])
-    before = _bucket_sizes(ledger_dir)
-    # The resume cuts every file back to the committed years, then
-    # appends the crash year again.
+    flushes = manifest["rows"][-1]["flushes"]
+    assert ends.stat().st_size > 8 * manifest["buckets"] * flushes
+    before = _spill_sizes(ledger_dir)
+    # The resume cuts both files back to the committed years, then appends
+    # the crash year again.
     assert _resume_until(corpus, config, crash_year) == [crash_year]
-    assert _bucket_sizes(ledger_dir) == before
+    assert _spill_sizes(ledger_dir) == before
     _assert_committed_layout(ledger_dir)
 
     resumed = tabulate(corpus, config)
@@ -547,7 +708,7 @@ def test_crash_after_history_commit_before_manifest(
 
 
 def test_crash_between_log_append_and_manifest(tmp_path, monkeypatch):
-    # Bucket files are append-only logs of keys.
+    # keys.bin and its index ends.bin are append-only.
     corpus = _random_corpus(14, n_articles=400, years=10)
     config = LedgerConfig(k=2, spill_directory=tmp_path, shard_count=2)
     ledger_dir = tmp_path / "k2" / "all"
@@ -555,8 +716,8 @@ def test_crash_between_log_append_and_manifest(tmp_path, monkeypatch):
     _interrupt_before_manifest(monkeypatch, corpus, config, crash_year)
     # A stray file from the failed year goes too.
     (ledger_dir / "b00007.bin").write_bytes(b"\0" * 8)
-    for name in _bucket_sizes(ledger_dir):
-        # A torn write: the next append was cut off mid-key.
+    for name in _spill_sizes(ledger_dir):
+        # A torn write: the next append was cut off mid-word.
         with open(ledger_dir / name, "ab") as f:
             f.write(b"\xff" * 13)
     assert _resume_until(corpus, config, crash_year) == [crash_year]
@@ -570,10 +731,33 @@ def test_bucket_without_keys_resumes(tmp_path):
     ledger_dir = tmp_path / "k1" / "all"
     with pytest.raises(Interrupt):
         tabulate(corpus, config, progress_callback=_interrupt_at(corpus.years[0] + 2))
-    # Some buckets have not received a key, so they have no file yet.
-    assert 0 < len(_bucket_sizes(ledger_dir)) < 512
+    # Some buckets have not received a key: their part of every flush is
+    # empty.
+    assert 0 < np.count_nonzero(_bucket_keys(ledger_dir, 512)) < 512
     _assert_committed_layout(ledger_dir)
     assert tabulate(corpus, config) == oracle_tabulate(corpus, 1, "all")
+
+
+def test_crash_after_years_without_keys_resumes(tmp_path, monkeypatch):
+    # No article of the first two years has a triad, so they commit no
+    # flush; the third year's flushes are cut away before the resume.
+    store = CorpusStore()
+    for year in (2000, 2001):
+        store.add(ArticleRecord(f"{year}", year, frozenset({1, year}), frozenset()))
+    rng = random.Random(6)
+    for i in range(300):
+        kws = frozenset(rng.sample(range(60), 6))
+        store.add(ArticleRecord(f"c{i:03d}", 2002 + i % 3, kws, kws))
+    config = LedgerConfig(
+        k=2, spill_directory=tmp_path, memory_budget_bytes=_MIN_BUDGET
+    )
+    ledger_dir = tmp_path / "k2" / "all"
+    _interrupt_before_manifest(monkeypatch, store, config, 2002)
+    assert _manifest(ledger_dir)["rows"][-1]["flushes"] == 0
+    assert _spill_sizes(ledger_dir)["ends.bin"] > 0
+    assert _resume_until(store, config, 2003) == [2002, 2003]
+    _assert_committed_layout(ledger_dir)
+    assert tabulate(store, config) == oracle_tabulate(store, 2, "all")
 
 
 def test_kill_inside_bucket_pass_reruns_it(tmp_path, monkeypatch):
@@ -635,7 +819,7 @@ def test_resume_keeps_recorded_buckets(tmp_path, first, second, restarts):
 
 def _repeating_corpus():
     """Every year repeats the first year's articles, so each key that a
-    damaged bucket lost would be counted as new again the next year."""
+    damaged log lost would be counted as new again the next year."""
     rng = random.Random(5)
     sets = [frozenset(rng.sample(range(200), 10)) for _ in range(100)]
     store = CorpusStore()
@@ -648,9 +832,9 @@ def _repeating_corpus():
 @pytest.mark.parametrize(
     "budget, damaged",
     [
-        # A bucket file, the log of its keys.
-        pytest.param(1 << 20, "b00000.bin", id="log"),
-        # ends.bin, the history of every bucket's committed length.
+        # The log of every flush's keys.
+        pytest.param(1 << 20, "keys.bin", id="log"),
+        # ends.bin, where each bucket's part of each flush ends.
         pytest.param(_MIN_BUDGET, "ends.bin", id="history"),
     ],
 )
@@ -669,7 +853,30 @@ def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, damaged):
     assert committed[0] == 2000
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+# Manifest versions 1-5 packed 32, 21 or 16 bits per id and routed keys by
+# the splitmix64 finalizer mod the shard or bucket count.
+_OLD_ID_BITS = {1: 32, 2: 32, 3: 21, 4: 16}
+
+
+def _old_pack(rows):
+    bits = np.uint64(_OLD_ID_BITS[rows.shape[1]])
+    keys = rows[:, 0].astype(np.uint64)
+    for col in range(1, rows.shape[1]):
+        keys = (keys << bits) | rows[:, col].astype(np.uint64)
+    return keys
+
+
+def _old_mix64(keys):
+    x = keys.copy()
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_manifest_version_starts_fresh(tmp_path, version):
     corpus = _random_corpus(13, n_articles=300)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
@@ -689,31 +896,52 @@ def test_old_manifest_version_starts_fresh(tmp_path, version):
         "rows": rows,
     }
     # Every pair, packed from raw keyword ids for version 2 and from dense
-    # debut-order ids after it, split into two shards.
+    # debut-order ids after it, split into two shards or buckets.
     _, _, dense = corpus.debut_order("all")
-    _, offsets, raw = corpus.csr("all")
+    article_years, offsets, raw = corpus.csr("all")
     ids = raw if version == 2 else dense
-    pairs = [
-        pair
-        for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())
-        for pair in enumerate_simplices(ids[a:b].tolist(), 1)
-    ]
-    keys = np.unique(ledger_mod._pack(np.array(pairs, dtype=np.uint32), 2))
-    shard_of = ledger_mod._mix64(keys) % np.uint64(2)
-    name = {1: "run0000.bin", 2: "hist0000.bin", 3: "hist0000.bin", 4: "log.bin"}
-    for i in range(2):
-        shard_dir = ledger_dir / f"shard{i:04d}"
-        shard_dir.mkdir()
-        keys[shard_of == i].tofile(shard_dir / name[version])
-    if version == 1:
-        manifest["runs"] = {str(i): ["run0000.bin"] for i in range(2)}
-    elif version in (2, 3):
-        manifest["history"] = ["hist0000.bin"] * 2
+    pairs, years = [], []
+    for a, b, year in zip(
+        offsets[:-1].tolist(), offsets[1:].tolist(), article_years.tolist()
+    ):
+        for pair in enumerate_simplices(ids[a:b].tolist(), 1):
+            pairs.append(pair)
+            years.append(year)
+    keys = _old_pack(np.array(pairs, dtype=np.uint32))
+    shard_of = _old_mix64(keys) % np.uint64(2)
+    if version == 5:
+        # Each year appends its deduplicated keys to their bucket files and
+        # one row of every bucket's key count to ends.bin; the bucket pass
+        # has not finished.
+        years = np.array(years)
+        filled = np.zeros(2, dtype=np.int64)
+        for row in rows:
+            for i in range(2):
+                year_keys = np.unique(keys[(years == row["year"]) & (shard_of == i)])
+                with open(ledger_dir / f"b{i:05d}.bin", "ab") as f:
+                    f.write(year_keys.tobytes())
+                filled[i] += year_keys.size
+            with open(ledger_dir / "ends.bin", "ab") as f:
+                f.write(filled.tobytes())
+        del manifest["shard_count"]
+        manifest.update(buckets=2, complete=False)
     else:
-        manifest["shards"] = [
-            {"file": "log.bin", "keys": int(np.count_nonzero(shard_of == i))}
-            for i in range(2)
-        ]
+        keys, first = np.unique(keys, return_index=True)
+        shard_of = shard_of[first]
+        name = {1: "run0000.bin", 2: "hist0000.bin", 3: "hist0000.bin", 4: "log.bin"}
+        for i in range(2):
+            shard_dir = ledger_dir / f"shard{i:04d}"
+            shard_dir.mkdir()
+            keys[shard_of == i].tofile(shard_dir / name[version])
+        if version == 1:
+            manifest["runs"] = {str(i): ["run0000.bin"] for i in range(2)}
+        elif version in (2, 3):
+            manifest["history"] = ["hist0000.bin"] * 2
+        else:
+            manifest["shards"] = [
+                {"file": "log.bin", "keys": int(np.count_nonzero(shard_of == i))}
+                for i in range(2)
+            ]
     (ledger_dir / "manifest.json").write_text(json.dumps(manifest))
     assert tabulate(corpus, config) == oracle_tabulate(corpus, 1, "all")
     assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
