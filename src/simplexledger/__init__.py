@@ -20,7 +20,6 @@ from simplexledger.synth import SynthParams, generate_synthetic
 from simplexledger.ledger import (
     LedgerConfig,
     LedgerSeries,
-    enumerate_simplices,
     keyword_debut_years,
     oracle_tabulate,
     tabulate,
@@ -49,7 +48,6 @@ __all__ = [
     "SynthParams",
     "build_metrics",
     "coverage_fraction",
-    "enumerate_simplices",
     "exact_binomial",
     "fit_exponential",
     "fit_linear",

@@ -52,7 +52,7 @@ from simplexledger.fitting import (
 )
 from simplexledger.ledger import (
     LedgerConfig,
-    LedgerSeries,
+    LedgerError,
     tabulate,
     write_text_atomic,
 )
@@ -140,13 +140,6 @@ class _OutputLock:
         # The file stays: unlinking it would let a run that opened it just
         # before lock a file the next run no longer sees.
         os.close(self.fd)
-
-
-def _consistency_check(series: LedgerSeries) -> None:
-    """Re-verify the peripheral bound before artifacts are accepted."""
-    for i, year in enumerate(series.years):
-        if not 0 <= series.new_peripheral[i] <= series.new_simplices[i]:
-            raise SystemExit(f"peripheral bound violated at {year}")
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -259,13 +252,29 @@ def _spill_root(out_dir: Path) -> Path:
 
 def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    corpus, inputs = _load_corpus(args)
-    ks = [int(x) for x in args.k.split(",")]
+    try:
+        ks = [int(x) for x in args.k.split(",")]
+    except ValueError:
+        raise SystemExit(f"--k takes comma-separated orders, got {args.k!r}")
     refinements = args.refinement.split(",")
-    for refinement in refinements:
-        if refinement not in REFINEMENTS:
-            raise SystemExit(f"unknown refinement {refinement!r}")
+    spill_root = _spill_root(out_dir)
+    # Every order is checked before any work, so a bad one writes nothing.
+    try:
+        configs = [
+            LedgerConfig(
+                k=k,
+                refinement=refinement,
+                shard_count=args.shard_count,
+                memory_budget_bytes=args.memory_budget,
+                spill_directory=spill_root,
+            )
+            for k in ks
+            for refinement in refinements
+        ]
+    except LedgerError as exc:
+        raise SystemExit(str(exc))
     year_window = _parse_window(args.fit_window) if args.fit_window else None
+    corpus, inputs = _load_corpus(args)
 
     run_config = {
         "command": "run",
@@ -292,30 +301,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     with _OutputLock(out_dir):
         manifest_path = out_dir / "run_manifest.json"
-        spill_root = _spill_root(out_dir)
         try:
-            for k in ks:
-                for refinement in refinements:
-                    tag = f"k{k}_{refinement}"
-                    config = LedgerConfig(
-                        k=k,
-                        refinement=refinement,
-                        shard_count=args.shard_count,
-                        memory_budget_bytes=args.memory_budget,
-                        spill_directory=spill_root,
-                    )
-                    series = tabulate(corpus, config)
-                    _consistency_check(series)
-                    with open(out_dir / f"ledger_{tag}.csv", "w", newline="") as f:
-                        write_ledger_csv(series, f)
-                    rows = build_metrics(series)
-                    with open(out_dir / f"metrics_{tag}.csv", "w", newline="") as f:
-                        write_metrics_csv(rows, f)
-                    manifest["artifacts"] += [
-                        f"ledger_{tag}.csv",
-                        f"metrics_{tag}.csv",
-                        *_write_report(rows, k, refinement, year_window, out_dir),
-                    ]
+            for config in configs:
+                k, refinement = config.k, config.refinement
+                tag = f"k{k}_{refinement}"
+                series = tabulate(corpus, config)
+                with open(out_dir / f"ledger_{tag}.csv", "w", newline="") as f:
+                    write_ledger_csv(series, f)
+                rows = build_metrics(series)
+                with open(out_dir / f"metrics_{tag}.csv", "w", newline="") as f:
+                    write_metrics_csv(rows, f)
+                manifest["artifacts"] += [
+                    f"ledger_{tag}.csv",
+                    f"metrics_{tag}.csv",
+                    *_write_report(rows, k, refinement, year_window, out_dir),
+                ]
         except Exception:
             write_text_atomic(manifest_path, json.dumps(manifest, indent=1))
             raise
@@ -407,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--store", help="existing binary corpus store")
     _add_corpus_args(p, source)
-    p.add_argument("--k", default="1", help="comma-separated orders, e.g. 1,2,3")
+    p.add_argument(
+        "--k", default="1", help="comma-separated orders in 1..3, e.g. 1,2,3"
+    )
     p.add_argument(
         "--refinement", default="all", help="comma-separated: all,major"
     )

@@ -348,12 +348,6 @@ class CorpusStore:
         for year in self.years:
             yield from self.records_in(year)
 
-    def articles_with_at_least(self, s: int, refinement: str, year: int) -> int:
-        """Count of year-``year`` articles carrying >= s keywords."""
-        _, offsets, _ = self.csr(refinement)
-        lo, hi = self.year_range(year)
-        return int(np.count_nonzero(np.diff(offsets[lo : hi + 1]) >= s))
-
     def max_keyword_id(self) -> int:
         return self._cached(
             "max_id", lambda: int(self._ids.max()) if self._ids.size else -1

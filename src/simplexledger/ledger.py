@@ -16,13 +16,15 @@ enough.  The emission pass sorts and deduplicates each buffer of hashes,
 tags each with its year, and appends the buffer to one key log,
 ``keys.bin``, in one write; sorted, the buffer is already grouped by
 bucket, and one row of ``ends.bin`` records where each bucket's part of it
-ends.  After each year a manifest records the flushes committed, which
-allows restart from that year.  The bucket pass then reads each bucket's
-parts of every flush, sorts them, and takes each key's first word, whose
-year is the smallest.  B is fixed before any work from the exact emission
-count and the memory budget; the result is identical for any B.  Once
-every bucket is counted, the manifest holds the tallies and the log and its
-index are deleted.  A spill directory given in the config belongs to the
+ends.  After each year that holds articles a manifest records the flushes
+committed, which allows restart from that year; it holds resume state only,
+so its size does not grow with the years.  The bucket pass then reads each
+bucket's parts of every flush, sorts them, and takes each key's first word,
+whose year is the smallest.  B is fixed before any work from the exact
+emission count and the memory budget; the result is identical for any B.
+Once every bucket is counted, the per-year tallies are built in one step,
+and the completing manifest write stores them while the log and its index
+are deleted.  A spill directory given in the config belongs to the
 caller, who deletes it; the ledger reads no environment variable.
 """
 
@@ -45,13 +47,16 @@ import numpy as np
 from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, run_heads
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 6
+_MANIFEST_VERSION = 7
 _LOG_NAME = "keys.bin"
 _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 18  # keys per emission batch
 # Bytes of budget per key in the bucket pass, whose peak is about 19.
 _PASS_BYTES_PER_KEY = 32
+# Bytes per calendar year of the bucket pass's tallies: the run's new and
+# peripheral counts and one bucket's, all int64.
+_BYTES_PER_YEAR = 32
 # Each flush appends an index row of 8 bytes per bucket, and the bucket
 # pass reads one part per bucket and flush.
 _MAX_BUCKETS = 1 << 16
@@ -64,19 +69,6 @@ _HASH_CHUNK = 1 << 14
 
 class LedgerError(ValueError):
     """Raised for invalid configuration or unsupported input scale."""
-
-
-def enumerate_simplices(keywords: Iterable[int], k: int) -> list[tuple[int, ...]]:
-    """All sorted (k+1)-combinations of the keyword set, in ascending order.
-
-    Returns an empty list when the set is too small to form any.
-    """
-    if k < 0:
-        raise LedgerError(f"order must be non-negative, got {k}")
-    ids = sorted(set(keywords))
-    if len(ids) < k + 1:
-        return []
-    return list(itertools.combinations(ids, k + 1))
 
 
 def keyword_debut_years(corpus: CorpusStore, refinement: str = ALL) -> dict[int, int]:
@@ -96,8 +88,8 @@ class LedgerConfig:
     spill_directory: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
-        if self.k not in (0, 1, 2, 3):
-            raise LedgerError(f"order k must be in 0..3, got {self.k}")
+        if self.k not in (1, 2, 3):
+            raise LedgerError(f"order k must be in 1..3, got {self.k}")
         if self.refinement not in REFINEMENTS:
             raise LedgerError(f"unknown refinement {self.refinement!r}")
         if self.shard_count < 1:
@@ -142,8 +134,8 @@ class LedgerSeries:
 
 
 def _check_capacity(n_keywords: int, s: int) -> None:
-    # Dense ids are uint32, and s of them share a 64-bit key.
-    bits = min(32, 64 // s)
+    # s >= 2 dense ids share a 64-bit key.
+    bits = 64 // s
     if n_keywords > (1 << bits):
         raise LedgerError(
             f"{n_keywords} distinct keywords exceed the {bits}-bit capacity "
@@ -294,6 +286,18 @@ def _bucket_count(emissions: int, layout: _Layout, config: LedgerConfig) -> int:
             f"{config.memory_budget_bytes}, over the limit of {_MAX_BUCKETS}"
         )
     return buckets
+
+
+def _check_span(first: int, last: int, config: LedgerConfig) -> None:
+    """Raise unless the bucket pass's per-year tallies over the calendar
+    years ``first`` to ``last`` fit a quarter of the budget."""
+    limit = config.memory_budget_bytes // 4 // _BYTES_PER_YEAR
+    if last - first + 1 > limit:
+        raise LedgerError(
+            f"years {first} to {last} span {last - first + 1} years, over the "
+            f"limit of {limit} years at memory_budget_bytes="
+            f"{config.memory_budget_bytes}"
+        )
 
 
 def _check_disk(root: str | os.PathLike, log_bytes: int, index_bytes: int) -> None:
@@ -507,10 +511,6 @@ def _keep_only(ledger_dir: Path, named: set[str]) -> dict[str, int]:
     return sizes
 
 
-def _committed_flushes(rows: list[dict]) -> int:
-    return rows[-1]["flushes"] if rows else 0
-
-
 def _restore(ledger_dir: Path, manifest: dict) -> int | None:
     """Cut ``ends.bin`` and ``keys.bin`` back to the committed flushes.
 
@@ -518,7 +518,7 @@ def _restore(ledger_dir: Path, manifest: dict) -> int | None:
     shorter than its committed state, so that the ledger starts fresh.
     Bytes past the committed state are an uncommitted year's.
     """
-    flushes = _committed_flushes(manifest["rows"])
+    flushes = manifest["flushes"]
     sizes = _keep_only(ledger_dir, {_MANIFEST_NAME, _ENDS_NAME, _LOG_NAME})
     ends_path, log_path = ledger_dir / _ENDS_NAME, ledger_dir / _LOG_NAME
     committed = 8 * manifest["buckets"] * flushes
@@ -559,19 +559,20 @@ def tabulate(
     configuration, and with at least as many buckets as this configuration
     needs.  Without a spill directory it works in a temporary directory
     under ``$TMPDIR`` and removes it.  The optional callback fires after
-    each year's keys are durably committed.
+    each year that holds articles, once its keys are durably committed.
     """
     s = config.k + 1
-    series = LedgerSeries(k=config.k, refinement=config.refinement)
     corpus_years = corpus.years
     if not corpus_years:
-        return series
+        return LedgerSeries(k=config.k, refinement=config.refinement)
+    first, last = corpus_years[0], corpus_years[-1]
+    _check_span(first, last, config)
+    span = last - first + 1
 
     _, debuts, dense = corpus.debut_order(config.refinement)
     _check_capacity(debuts.size, s)
-    _, offsets, _ = corpus.csr(config.refinement)
-    all_years = list(range(corpus_years[0], corpus_years[-1] + 1))
-    layout = _Layout.of(debuts.size, s, len(all_years))
+    article_years, offsets, _ = corpus.csr(config.refinement)
+    layout = _Layout.of(debuts.size, s, span)
     emissions = _emissions(offsets, s)
     buckets = _bucket_count(emissions, layout, config)
     # A quarter of the budget buffers keys; a flush's copies of them fit in
@@ -617,26 +618,25 @@ def tabulate(
                 "fingerprint": fingerprint,
                 "buckets": buckets,
                 "watermark": None,
-                "rows": [],
+                "flushes": 0,
                 "complete": False,
             }
             end = 0
 
-        rows = manifest["rows"]
         if not manifest["complete"]:
             starts = layout.starts(buckets)
-            flushes = _committed_flushes(rows)
+            flushes = manifest["flushes"]
             batch_keys = min(_EMIT_CHUNK, buffer_keys)
             watermark = manifest["watermark"]
             with open(log_path, "ab", buffering=0) as log_file, open(
                 ends_path, "ab", buffering=0
             ) as index_file:
                 log, index = log_file.fileno(), index_file.fileno()
-                for year in all_years:
+                for year in corpus_years:
                     if watermark is not None and year <= watermark:
                         continue
                     lo, hi = corpus.year_range(year)
-                    tag = year - all_years[0]
+                    tag = year - first
                     buffer: list[np.ndarray] = []
                     buffered = 0
                     for keys in _emit_year_keys(
@@ -651,27 +651,14 @@ def tabulate(
                     if buffer:
                         end = _flush(buffer, log, index, layout, starts, tag, end)
                         flushes += 1
-                    first, last = np.searchsorted(debuts, (year, year + 1)).tolist()
-                    rows.append(
-                        {
-                            "year": year,
-                            "new_keywords": last - first,
-                            "articles_processed": corpus.articles_with_at_least(
-                                s, config.refinement, year
-                            ),
-                            "flushes": flushes,
-                        }
-                    )
-                    manifest.update(watermark=year, rows=rows)
+                    manifest.update(watermark=year, flushes=flushes)
                     _write_manifest(manifest_path, manifest)
                     if progress_callback is not None:
                         progress_callback(year)
 
             # The bucket pass only reads committed files; a resume after a
             # kill inside it runs it again.
-            debut_index = (debuts - all_years[0]).astype(
-                np.min_scalar_type(layout.years - 1)
-            )
+            debut_index = (debuts - first).astype(np.min_scalar_type(span - 1))
             new, peripheral = _count_log(
                 log_path,
                 ends_path,
@@ -682,19 +669,28 @@ def tabulate(
                 # A bucket's pass takes about 19 / 32 of the budget.
                 config.memory_budget_bytes // 4,
             )
-            for row, n, p in zip(rows, new.tolist(), peripheral.tolist()):
-                row.update(new_simplices=n, new_peripheral=p)
-            manifest.update(rows=rows, complete=True)
+            bad = np.flatnonzero((peripheral < 0) | (peripheral > new))
+            if bad.size:
+                i = int(bad[0])
+                raise LedgerError(
+                    f"{peripheral[i]} peripheral of {new[i]} new combinations "
+                    f"in {first + i}"
+                )
+            processed = article_years[np.diff(offsets) >= s] - first
+            manifest["series"] = {
+                "years": list(range(first, last + 1)),
+                "new_simplices": new.tolist(),
+                "new_peripheral": peripheral.tolist(),
+                "new_keywords": np.bincount(debut_index, minlength=span).tolist(),
+                "articles_processed": np.bincount(processed, minlength=span).tolist(),
+            }
+            manifest["complete"] = True
             _write_manifest(manifest_path, manifest)
         _keep_only(ledger_dir, {_MANIFEST_NAME})
 
-    for row in rows:
-        series.years.append(row["year"])
-        series.new_simplices.append(row["new_simplices"])
-        series.new_peripheral.append(row["new_peripheral"])
-        series.new_keywords.append(row["new_keywords"])
-        series.articles_processed.append(row["articles_processed"])
-    return series
+    return LedgerSeries(
+        k=config.k, refinement=config.refinement, **manifest["series"]
+    )
 
 
 # --- brute-force oracle ----------------------------------------------------

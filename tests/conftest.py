@@ -1,8 +1,10 @@
 import io
 
+import numpy as np
 import pytest
 
 from simplexledger.corpus import ArticleRecord, CorpusStore
+from simplexledger.ledger import _emit_year_keys
 from simplexledger.ontology import load_ontology
 
 ONTOLOGY_TSV = """\
@@ -38,3 +40,23 @@ def two_article_corpus():
         ArticleRecord("b", 2001, frozenset({2, 3, 4}), frozenset({2, 3, 4}))
     )
     return store
+
+
+@pytest.fixture
+def engine_simplices():
+    """The (k+1)-combinations of one keyword set as the ledger emits them:
+    the keys `_emit_year_keys` packs for a one-article corpus, unpacked."""
+
+    def simplices(keywords, k):
+        ids = np.array(list(set(keywords)), dtype=np.uint32)
+        s = k + 1
+        bits = max(1, int(ids.max(initial=0)).bit_length())
+        offsets = np.array([0, ids.size], dtype=np.int64)
+        mask = (1 << bits) - 1
+        return [
+            tuple(key >> bits * (s - 1 - j) & mask for j in range(s))
+            for keys in _emit_year_keys(offsets, ids, 0, 1, s, bits, 1 << 18)
+            for key in keys.tolist()
+        ]
+
+    return simplices

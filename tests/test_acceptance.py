@@ -17,12 +17,7 @@ import pytest
 
 import simplexledger.ledger as ledger_mod
 from simplexledger.fitting import fit_exponential, fit_linear
-from simplexledger.ledger import (
-    LedgerConfig,
-    enumerate_simplices,
-    oracle_tabulate,
-    tabulate,
-)
+from simplexledger.ledger import LedgerConfig, oracle_tabulate, tabulate
 from simplexledger.metrics import exact_binomial, innovation_rates
 from simplexledger.synth import SynthParams, generate_synthetic
 
@@ -41,19 +36,19 @@ def test_criterion_1_binomial_exactness():
     _passed(1, f"reference denominators exact in {elapsed * 1e6:.0f} us")
 
 
-def test_criterion_2_enumeration_exactness():
+def test_criterion_2_enumeration_exactness(engine_simplices):
     rng = random.Random(2)
     checked = 0
     for _ in range(60):
         size = rng.randint(2, 15)
         kws = set(rng.sample(range(5000), size))
         for k in (1, 2, 3):
-            out = enumerate_simplices(kws, k)
+            out = engine_simplices(kws, k)
             assert len(out) == math.comb(size, k + 1)
             assert len(set(out)) == len(out)
             assert all(list(t) == sorted(t) for t in out)
             checked += 1
-    assert len(enumerate_simplices(range(12), 3)) == 495
+    assert len(engine_simplices(range(12), 3)) == 495
     _passed(2, f"{checked} random keyword sets emit exact binomial counts")
 
 

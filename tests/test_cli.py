@@ -424,6 +424,22 @@ def test_run_from_store_refuses_ingest_flags(tmp_path, flag, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        ("1,4", "order k must be in 1..3, got 4"),
+        ("a", "--k takes comma-separated orders, got 'a'"),
+    ],
+)
+def test_run_checks_every_order_before_any_work(tmp_path, orders, message):
+    store = _synth(tmp_path)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit, match=message):
+        main(["run", "--store", str(store), "--k", orders, "--out", str(out)])
+    # Not even the valid order's ledger_k1_all.csv is written.
+    assert not out.exists()
+
+
 def test_store_and_input_are_exclusive(tmp_path, demo_files, capsys):
     ontology, corpus = demo_files
     argv = ["run", "--store", "s.bin", "--input", str(corpus),

@@ -17,6 +17,7 @@ from simplexledger.corpus import (
     load_store,
     save_store,
 )
+from simplexledger.ledger import LedgerConfig, tabulate
 from simplexledger.ontology import is_eligible
 from simplexledger.synth import SynthParams, generate_synthetic
 
@@ -672,7 +673,7 @@ def test_damaged_store_raises_only_corpus_error(records, data):
             load_store(io.BytesIO(bytes(damaged)))
 
 
-def test_p_counts_monotone_and_major_below_all():
+def test_p_counts_monotone_and_major_below_all(tmp_path):
     corpus = generate_synthetic(
         SynthParams(
             n_articles=400,
@@ -682,15 +683,21 @@ def test_p_counts_monotone_and_major_below_all():
             seed=21,
         )
     )
-    for year in corpus.years:
-        p2 = corpus.articles_with_at_least(2, "all", year)
-        p3 = corpus.articles_with_at_least(3, "all", year)
-        p4 = corpus.articles_with_at_least(4, "all", year)
+    # Articles with at least k + 1 keywords, per year, as `tabulate` counts
+    # them.
+    processed = {
+        (k, refinement): tabulate(
+            corpus,
+            LedgerConfig(k=k, refinement=refinement, spill_directory=tmp_path),
+        ).articles_processed
+        for k in (1, 2, 3)
+        for refinement in ("all", "major")
+    }
+    for i in range(len(processed[1, "all"])):
+        p2, p3, p4 = (processed[k, "all"][i] for k in (1, 2, 3))
         assert p2 >= p3 >= p4
-        for s in (2, 3, 4):
-            assert corpus.articles_with_at_least(
-                s, "major", year
-            ) <= corpus.articles_with_at_least(s, "all", year)
+        for k in (1, 2, 3):
+            assert processed[k, "major"][i] <= processed[k, "all"][i]
 
 
 def test_every_stored_record_satisfies_invariants(ontology):

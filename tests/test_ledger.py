@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +22,6 @@ from simplexledger.corpus import ArticleRecord, CorpusStore, load_store, save_st
 from simplexledger.ledger import (
     LedgerConfig,
     LedgerError,
-    enumerate_simplices,
     keyword_debut_years,
     oracle_tabulate,
     tabulate,
@@ -55,39 +56,41 @@ def _random_corpus(seed, n_articles=None, vocab=None, years=None):
 # --- enumeration -----------------------------------------------------------
 
 
-def test_four_keywords_give_six_four_one():
+def test_four_keywords_give_six_four_one(engine_simplices):
     kws = {3, 9, 1, 7}
-    assert len(enumerate_simplices(kws, 1)) == 6
-    assert len(enumerate_simplices(kws, 2)) == 4
-    assert len(enumerate_simplices(kws, 3)) == 1
+    assert len(engine_simplices(kws, 1)) == 6
+    assert len(engine_simplices(kws, 2)) == 4
+    assert len(engine_simplices(kws, 3)) == 1
 
 
-def test_twelve_keywords_give_495_quartets():
-    assert len(enumerate_simplices(range(12), 3)) == 495
+def test_twelve_keywords_give_495_quartets(engine_simplices):
+    assert len(engine_simplices(range(12), 3)) == 495
 
 
-def test_insufficient_arity_gives_empty():
-    assert enumerate_simplices({1, 2}, 2) == []
+def test_insufficient_arity_gives_empty(engine_simplices):
+    assert engine_simplices({1, 2}, 2) == []
 
 
-def test_combinations_are_sorted_and_distinct():
-    out = enumerate_simplices({5, 2, 9, 1}, 1)
+def test_combinations_are_sorted_and_distinct(engine_simplices):
+    out = engine_simplices({5, 2, 9, 1}, 1)
     assert all(a < b for a, b in out)
     assert len(set(out)) == len(out)
 
 
-def test_counts_match_binomial_for_random_sets():
+def test_counts_match_binomial_for_random_sets(engine_simplices):
     rng = random.Random(0)
     for _ in range(30):
         size = rng.randint(2, 15)
         kws = set(rng.sample(range(1000), size))
         for k in (1, 2, 3):
-            assert len(enumerate_simplices(kws, k)) == math.comb(size, k + 1)
+            assert len(engine_simplices(kws, k)) == math.comb(size, k + 1)
 
 
 def test_negative_order_rejected():
     with pytest.raises(LedgerError):
-        enumerate_simplices({1, 2}, -1)
+        LedgerConfig(k=-1)
+    with pytest.raises(LedgerError):
+        oracle_tabulate(CorpusStore(), -1)
 
 
 # --- debut years -----------------------------------------------------------
@@ -184,7 +187,7 @@ def test_tabulate_matches_oracle(seed, budget, tmp_path):
     # alone sets the bucket count.
     shard_count = 3 if budget > _MIN_BUDGET else 1
     buckets = set()
-    for k in (0, 1, 2, 3):
+    for k in (1, 2, 3):
         for refinement in ("all", "major"):
             oracle = oracle_tabulate(corpus, k, refinement)
             exact = tabulate(
@@ -269,22 +272,12 @@ def test_peripheral_bounds(tmp_path):
                     assert series.new_peripheral[i] == 0
 
 
-def test_per_article_emission_count_is_binomial():
+def test_per_article_emission_count_is_binomial(engine_simplices):
     corpus = _random_corpus(77, n_articles=100)
     for record in corpus.iter_records():
         for k in (1, 2, 3):
-            n = len(enumerate_simplices(record.all_keywords, k))
+            n = len(engine_simplices(record.all_keywords, k))
             assert n == math.comb(len(record.all_keywords), k + 1)
-
-
-def test_order_zero_ledger_equals_vocabulary_tally(tmp_path):
-    corpus = _random_corpus(88)
-    series = tabulate(
-        corpus, LedgerConfig(k=0, refinement="all", spill_directory=tmp_path)
-    )
-    debut = keyword_debut_years(corpus, "all")
-    assert sum(series.new_simplices) == len(debut)
-    assert series.new_simplices == series.new_keywords
 
 
 def test_loaded_store_tabulates_from_columns(tmp_path, monkeypatch):
@@ -345,6 +338,8 @@ def test_debut_order_is_computed_once_per_refinement(tmp_path, monkeypatch):
 def test_invalid_configs_rejected():
     with pytest.raises(LedgerError):
         LedgerConfig(k=4)
+    with pytest.raises(LedgerError):
+        LedgerConfig(k=0)
     with pytest.raises(LedgerError):
         LedgerConfig(refinement="partial")
     with pytest.raises(LedgerError):
@@ -530,9 +525,8 @@ def test_spill_directory_holds_one_log_with_one_append_per_flush(
     series = tabulate(corpus, config, progress_callback=check_directory)
     monkeypatch.undo()
     assert series == oracle_tabulate(corpus, 2, "all")
-    rows = _manifest(ledger_dir)["rows"]
     # Some year takes more than one flush.
-    assert len(rows) < rows[-1]["flushes"] == len(flushes)
+    assert len(corpus.years) < _manifest(ledger_dir)["flushes"] == len(flushes)
 
 
 def test_too_little_disk_raises_before_any_directory(tmp_path, monkeypatch):
@@ -556,6 +550,91 @@ def test_too_little_disk_raises_before_any_directory(tmp_path, monkeypatch):
     assert "100 bytes free" in str(raised.value)
     assert asked == [tmp_path]
     assert not (tmp_path / "spill").exists()
+
+
+def _two_articles(gap):
+    store = CorpusStore()
+    store.add(ArticleRecord("a", 1902, frozenset({1, 2, 3}), frozenset({1, 2})))
+    store.add(
+        ArticleRecord("b", 1902 + gap, frozenset({2, 3, 4}), frozenset({2, 3, 4}))
+    )
+    return store
+
+
+def test_years_far_apart_match_oracle(tmp_path):
+    store = _two_articles(1000)
+    for refinement in ("all", "major"):
+        config = LedgerConfig(k=1, refinement=refinement, spill_directory=tmp_path)
+        assert tabulate(store, config) == oracle_tabulate(store, 1, refinement)
+
+
+def test_million_year_span_completes_quickly(tmp_path):
+    store = _two_articles(10**6)
+    start = time.process_time()
+    series = tabulate(store, LedgerConfig(k=1, spill_directory=tmp_path))
+    assert time.process_time() - start < 5
+    assert series.years == list(range(1902, 1902 + 10**6 + 1))
+    # Only the first and the last year hold articles.
+    for column, ends in [
+        (series.new_simplices, [3, 2]),
+        (series.new_peripheral, [3, 2]),
+        (series.new_keywords, [3, 1]),
+        (series.articles_processed, [1, 1]),
+    ]:
+        assert [column[0], column[-1]] == ends
+        assert sum(column) == sum(ends)
+
+
+def test_year_span_over_budget_raises_before_any_directory(tmp_path):
+    # The bucket pass's tallies take 32 bytes a year, within a quarter of
+    # the budget: 512 years at the smallest budget.
+    spill = tmp_path / "spill"
+    config = LedgerConfig(k=1, spill_directory=spill, memory_budget_bytes=_MIN_BUDGET)
+    assert tabulate(_two_articles(511), config).years[-1] == 1902 + 511
+    shutil.rmtree(spill)
+    with pytest.raises(LedgerError) as raised:
+        tabulate(_two_articles(10**6), config)
+    message = str(raised.value)
+    assert "1902 to 1001902" in message and "limit of 512 years" in message
+    assert not spill.exists()
+
+
+def test_manifest_does_not_grow_with_committed_years(tmp_path):
+    store = CorpusStore()
+    for i in range(300):
+        store.add(ArticleRecord(f"a{i:03d}", 1800 + i, frozenset({i, i + 1}), frozenset()))
+    ledger_dir = tmp_path / "k1" / "all"
+    sizes, keys = [], set()
+
+    def commit(year):
+        manifest = _manifest(ledger_dir)
+        keys.add(tuple(manifest))
+        sizes.append((ledger_dir / "manifest.json").stat().st_size)
+
+    tabulate(store, LedgerConfig(k=1, spill_directory=tmp_path), commit)
+    assert keys == {
+        ("version", "fingerprint", "buckets", "watermark", "flushes", "complete")
+    }
+    # Only the flush count's digits grow: 1 to 300.
+    assert len(sizes) == 300 and max(sizes) - min(sizes) <= 2
+
+
+def test_bad_peripheral_tally_is_never_committed(tmp_path, monkeypatch):
+    corpus = _random_corpus(18, n_articles=200)
+    count_log = ledger_mod._count_log
+
+    def too_many_peripheral(*args):
+        new, peripheral = count_log(*args)
+        peripheral[-1] = new[-1] + 1
+        return new, peripheral
+
+    monkeypatch.setattr(ledger_mod, "_count_log", too_many_peripheral)
+    config = LedgerConfig(k=2, spill_directory=tmp_path)
+    with pytest.raises(LedgerError, match=f"in {corpus.years[-1]}"):
+        tabulate(corpus, config)
+    assert not _manifest(tmp_path / "k2" / "all")["complete"]
+    monkeypatch.undo()
+    assert tabulate(corpus, config) == oracle_tabulate(corpus, 2, "all")
 
 
 # --- crash-restart ---------------------------------------------------------
@@ -646,7 +725,7 @@ def _assert_committed_layout(ledger_dir):
     manifest = _manifest(ledger_dir)
     buckets = manifest["buckets"]
     ends = np.fromfile(ledger_dir / "ends.bin", dtype=np.int64)
-    assert ends.size == buckets * manifest["rows"][-1]["flushes"]
+    assert ends.size == buckets * manifest["flushes"]
     # Each bucket's part of a flush starts where the one before it ends.
     assert (np.diff(ends, prepend=0) >= 0).all()
     assert _spill_sizes(ledger_dir) == {
@@ -689,7 +768,7 @@ def test_crash_after_history_commit_before_manifest(
     manifest = _manifest(ledger_dir)
     assert manifest["watermark"] == crash_year - 1
     ends = ledger_dir / "ends.bin"
-    flushes = manifest["rows"][-1]["flushes"]
+    flushes = manifest["flushes"]
     assert ends.stat().st_size > 8 * manifest["buckets"] * flushes
     before = _spill_sizes(ledger_dir)
     # The resume cuts both files back to the committed years, then appends
@@ -753,7 +832,7 @@ def test_crash_after_years_without_keys_resumes(tmp_path, monkeypatch):
     )
     ledger_dir = tmp_path / "k2" / "all"
     _interrupt_before_manifest(monkeypatch, store, config, 2002)
-    assert _manifest(ledger_dir)["rows"][-1]["flushes"] == 0
+    assert _manifest(ledger_dir)["flushes"] == 0
     assert _spill_sizes(ledger_dir)["ends.bin"] > 0
     assert _resume_until(store, config, 2003) == [2002, 2003]
     _assert_committed_layout(ledger_dir)
@@ -854,7 +933,8 @@ def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, damaged):
 
 
 # Manifest versions 1-5 packed 32, 21 or 16 bits per id and routed keys by
-# the splitmix64 finalizer mod the shard or bucket count.
+# the splitmix64 finalizer mod the shard or bucket count; version 6 wrote
+# today's key log.
 _OLD_ID_BITS = {1: 32, 2: 32, 3: 21, 4: 16}
 
 
@@ -876,25 +956,66 @@ def _old_mix64(keys):
     return x
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
-def test_old_manifest_version_starts_fresh(tmp_path, version):
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
     corpus = _random_corpus(13, n_articles=300)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
-    tabulate(corpus, config)
-    # Rewrite the state in an older layout.  Its rows are off by one, so
-    # trusting them would show.
     ledger_dir = tmp_path / "k1" / "all"
-    manifest = _manifest(ledger_dir)
+    flushes = {}
+
+    def commit(year):
+        flushes[year] = _manifest(ledger_dir)["flushes"]
+        # Version 6 kept keys.bin and ends.bin in today's format: its state
+        # before the bucket pass is today's with another manifest.
+        if version == 6 and year == corpus.years[-1]:
+            raise Interrupt
+
+    with pytest.raises(Interrupt) if version == 6 else contextlib.nullcontext():
+        tabulate(corpus, config, progress_callback=commit)
+    # Rewrite the state in an older layout.  Its rows are the oracle's, off
+    # by one, so trusting them would show.
+    oracle = oracle_tabulate(corpus, 1, "all")
     rows = [
-        {**r, "new_simplices": r["new_simplices"] + 1} for r in manifest["rows"]
+        {
+            "year": year,
+            "new_simplices": new + 1,
+            "new_peripheral": peripheral,
+            "new_keywords": keywords,
+            "articles_processed": articles,
+        }
+        for year, new, peripheral, keywords, articles in zip(
+            oracle.years,
+            oracle.new_simplices,
+            oracle.new_peripheral,
+            oracle.new_keywords,
+            oracle.articles_processed,
+        )
     ]
+    current = _manifest(ledger_dir)
     manifest = {
         "version": version,
-        "fingerprint": manifest["fingerprint"],
+        "fingerprint": current["fingerprint"],
         "shard_count": 2,
         "watermark": rows[-1]["year"],
         "rows": rows,
     }
+    if version == 6:
+        # Each row held the flushes committed through its year.
+        for row in rows:
+            row["flushes"] = flushes[row["year"]]
+        del manifest["shard_count"]
+        manifest.update(buckets=current["buckets"], complete=False)
+    else:
+        _write_old_layout(ledger_dir, manifest, corpus, engine_simplices)
+    (ledger_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert tabulate(corpus, config) == oracle
+    assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
+
+
+def _write_old_layout(ledger_dir, manifest, corpus, simplices):
+    """The shard or bucket files of a k = 1 ledger in a version 1-5 layout,
+    all years committed, and their entries in ``manifest``."""
+    version, rows = manifest["version"], manifest["rows"]
     # Every pair, packed from raw keyword ids for version 2 and from dense
     # debut-order ids after it, split into two shards or buckets.
     _, _, dense = corpus.debut_order("all")
@@ -904,7 +1025,7 @@ def test_old_manifest_version_starts_fresh(tmp_path, version):
     for a, b, year in zip(
         offsets[:-1].tolist(), offsets[1:].tolist(), article_years.tolist()
     ):
-        for pair in enumerate_simplices(ids[a:b].tolist(), 1):
+        for pair in simplices(ids[a:b].tolist(), 1):
             pairs.append(pair)
             years.append(year)
     keys = _old_pack(np.array(pairs, dtype=np.uint32))
@@ -942,9 +1063,6 @@ def test_old_manifest_version_starts_fresh(tmp_path, version):
                 {"file": "log.bin", "keys": int(np.count_nonzero(shard_of == i))}
                 for i in range(2)
             ]
-    (ledger_dir / "manifest.json").write_text(json.dumps(manifest))
-    assert tabulate(corpus, config) == oracle_tabulate(corpus, 1, "all")
-    assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
 
 
 def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch):
