@@ -29,7 +29,6 @@ from simplexledger.metrics import (
     build_metrics,
     coverage_fraction,
     exact_binomial,
-    innovation_rates,
     paired_series,
 )
 from simplexledger.fitting import FitResult, fit_exponential, fit_linear
@@ -54,7 +53,6 @@ __all__ = [
     "generate_synthetic",
     "ingest_pubmed_xml",
     "ingest_tsv",
-    "innovation_rates",
     "keyword_debut_years",
     "load_ontology",
     "oracle_tabulate",

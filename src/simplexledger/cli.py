@@ -165,40 +165,43 @@ def _write_report(rows, k: int, refinement: str, window, out_dir: Path) -> list[
     articles and an exponential fit on vocabulary, over every year and then
     over the year window; the full-range exponential is the chart overlay."""
     tag = f"k{k}_{refinement}"
-    by_articles = paired_series(rows, "articles")
-    by_vocab = paired_series(rows, "vocabulary")
-    selections = [(by_articles, by_vocab)]
+    by_articles = paired_series(rows, "articles", "cum_simplices")
+    combinations = paired_series(rows, "vocabulary", "cum_simplices")
+    selections = [(by_articles, combinations)]
     if window is not None:
         chosen = [r for r in rows if window[0] <= r.year <= window[1]]
         selections.append(
-            (paired_series(chosen, "articles"), paired_series(chosen, "vocabulary"))
+            (
+                paired_series(chosen, "articles", "cum_simplices"),
+                paired_series(chosen, "vocabulary", "cum_simplices"),
+            )
         )
     fits = []
     for articles, vocab in selections:
-        fits.append(("articles", _try_fit(fit_linear, articles["cum_simplices"])))
-        fits.append(("vocabulary", _try_fit(fit_exponential, vocab["cum_simplices"])))
+        fits.append(("articles", _try_fit(fit_linear, articles)))
+        fits.append(("vocabulary", _try_fit(fit_exponential, vocab)))
     with open(out_dir / f"fits_{tag}.csv", "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(FIT_CSV_COLUMNS)
         writer.writerows(fit_csv_row(fit, k, refinement, x) for x, fit in fits if fit)
 
-    combinations = by_vocab["cum_simplices"]
     vocab_series = [("cumulative combinations", combinations)]
     overlay = fits[1][1]
     if overlay is not None:
         curve = [(x, overlay.A * math.exp(overlay.slope * x)) for x, _ in combinations]
         vocab_series.append(("exponential fit", curve))
-    by_year = paired_series(rows, "year")
     y_label, vocabulary = "cumulative distinct combinations", "cumulative vocabulary"
     charts = [  # (stem, title, x label, y label, log y, series)
         ("c_vs_articles", "Distinct combinations vs articles", "cumulative articles",
-         y_label, False, [("cumulative combinations", by_articles["cum_simplices"])]),
+         y_label, False, [("cumulative combinations", by_articles)]),
         ("c_vs_vocab", "Distinct combinations vs vocabulary", vocabulary,
          y_label, True, vocab_series),
         ("coverage_vs_vocab", "Coverage of possible combinations", vocabulary,
-         "coverage fraction", True, [("coverage", by_vocab["coverage"])]),
+         "coverage fraction", True,
+         [("coverage", paired_series(rows, "vocabulary", "coverage"))]),
         ("rates", "Innovation rates", "year", "rate", False,
-         [("conceptual rate", by_year["r_m"]), ("peripheral rate", by_year["r_p"])]),
+         [("conceptual rate", paired_series(rows, "year", "r_m")),
+          ("peripheral rate", paired_series(rows, "year", "r_p"))]),
     ]
     for stem, title, xlabel, ylabel, log_y, series in charts:
         svg_line_chart(series, out_dir / f"{stem}_{tag}.svg", title=f"{title} ({tag})",
@@ -257,6 +260,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError:
         raise SystemExit(f"--k takes comma-separated orders, got {args.k!r}")
     refinements = args.refinement.split(",")
+    for flag, values in (("--k", ks), ("--refinement", refinements)):
+        if len(set(values)) < len(values):
+            raise SystemExit(f"{flag} repeats a value: {','.join(map(str, values))}")
     spill_root = _spill_root(out_dir)
     # Every order is checked before any work, so a bad one writes nothing.
     try:

@@ -13,16 +13,17 @@ bijection on w bits hashes; B hash ranges, the buckets, split the keys so
 that each bucket fits in memory.  A combination's first year is the
 smallest year among its emissions, so one pass over the emissions is
 enough.  The emission pass sorts and deduplicates each buffer of hashes,
-tags each with its year, and appends the buffer to one key log,
-``keys.bin``, in one write; sorted, the buffer is already grouped by
-bucket, and one row of ``ends.bin`` records where each bucket's part of it
-ends.  After each year that holds articles a manifest records the flushes
+tags each with its year's index among the years that hold articles, and
+appends the buffer to one key log, ``keys.bin``, in one write; sorted, the
+buffer is already grouped by bucket, and one row of ``ends.bin`` records
+where each bucket's part of it ends.  After each year that holds articles a manifest records the flushes
 committed, which allows restart from that year; it holds resume state only,
 so its size does not grow with the years.  The bucket pass then reads each
 bucket's parts of every flush, sorts them, and takes each key's first word,
 whose year is the smallest.  B is fixed before any work from the exact
 emission count and the memory budget; the result is identical for any B.
-Once every bucket is counted, the per-year tallies are built in one step,
+Once every bucket is counted, the tallies over the years that hold
+articles are spread over the calendar years once, empty years as zeros,
 and the completing manifest write stores them while the log and its index
 are deleted.  A spill directory given in the config belongs to the
 caller, who deletes it; the ledger reads no environment variable.
@@ -38,7 +39,7 @@ import os
 import shutil
 import tempfile
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -47,15 +48,14 @@ import numpy as np
 from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, run_heads
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 7
+_MANIFEST_VERSION = 8
 _LOG_NAME = "keys.bin"
 _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 18  # keys per emission batch
 # Bytes of budget per key in the bucket pass, whose peak is about 19.
 _PASS_BYTES_PER_KEY = 32
-# Bytes per calendar year of the bucket pass's tallies: the run's new and
-# peripheral counts and one bucket's, all int64.
+# Bytes per calendar year of the finished series: its four int64 columns.
 _BYTES_PER_YEAR = 32
 # Each flush appends an index row of 8 bytes per bucket, and the bucket
 # pass reads one part per bucket and flush.
@@ -128,6 +128,10 @@ class LedgerSeries:
     @property
     def cum_articles(self) -> list[int]:
         return list(itertools.accumulate(self.articles_processed))
+
+
+# The per-year counts of a series: its fields after k, refinement and years.
+SERIES_COLUMNS = [f.name for f in fields(LedgerSeries)[3:]]
 
 
 # --- keys and words --------------------------------------------------------
@@ -289,8 +293,8 @@ def _bucket_count(emissions: int, layout: _Layout, config: LedgerConfig) -> int:
 
 
 def _check_span(first: int, last: int, config: LedgerConfig) -> None:
-    """Raise unless the bucket pass's per-year tallies over the calendar
-    years ``first`` to ``last`` fit a quarter of the budget."""
+    """Raise unless the series' columns over the calendar years ``first``
+    to ``last`` fit a quarter of the budget."""
     limit = config.memory_budget_bytes // 4 // _BYTES_PER_YEAR
     if last - first + 1 > limit:
         raise LedgerError(
@@ -567,12 +571,11 @@ def tabulate(
         return LedgerSeries(k=config.k, refinement=config.refinement)
     first, last = corpus_years[0], corpus_years[-1]
     _check_span(first, last, config)
-    span = last - first + 1
 
     _, debuts, dense = corpus.debut_order(config.refinement)
     _check_capacity(debuts.size, s)
     article_years, offsets, _ = corpus.csr(config.refinement)
-    layout = _Layout.of(debuts.size, s, span)
+    layout = _Layout.of(debuts.size, s, len(corpus_years))
     emissions = _emissions(offsets, s)
     buckets = _bucket_count(emissions, layout, config)
     # A quarter of the budget buffers keys; a flush's copies of them fit in
@@ -632,11 +635,10 @@ def tabulate(
                 ends_path, "ab", buffering=0
             ) as index_file:
                 log, index = log_file.fileno(), index_file.fileno()
-                for year in corpus_years:
+                for tag, year in enumerate(corpus_years):
                     if watermark is not None and year <= watermark:
                         continue
                     lo, hi = corpus.year_range(year)
-                    tag = year - first
                     buffer: list[np.ndarray] = []
                     buffered = 0
                     for keys in _emit_year_keys(
@@ -658,7 +660,10 @@ def tabulate(
 
             # The bucket pass only reads committed files; a resume after a
             # kill inside it runs it again.
-            debut_index = (debuts - first).astype(np.min_scalar_type(span - 1))
+            years = np.array(corpus_years)
+            debut_index = np.searchsorted(years, debuts).astype(
+                np.min_scalar_type(years.size - 1)
+            )
             new, peripheral = _count_log(
                 log_path,
                 ends_path,
@@ -674,15 +679,19 @@ def tabulate(
                 i = int(bad[0])
                 raise LedgerError(
                     f"{peripheral[i]} peripheral of {new[i]} new combinations "
-                    f"in {first + i}"
+                    f"in {corpus_years[i]}"
                 )
-            processed = article_years[np.diff(offsets) >= s] - first
+            processed = np.searchsorted(years, article_years[np.diff(offsets) >= s])
+            calendar = np.zeros((len(SERIES_COLUMNS), last - first + 1), np.int64)
+            calendar[:, years - first] = [
+                new,
+                peripheral,
+                np.bincount(debut_index, minlength=years.size),
+                np.bincount(processed, minlength=years.size),
+            ]
             manifest["series"] = {
                 "years": list(range(first, last + 1)),
-                "new_simplices": new.tolist(),
-                "new_peripheral": peripheral.tolist(),
-                "new_keywords": np.bincount(debut_index, minlength=span).tolist(),
-                "articles_processed": np.bincount(processed, minlength=span).tolist(),
+                **dict(zip(SERIES_COLUMNS, calendar.tolist())),
             }
             manifest["complete"] = True
             _write_manifest(manifest_path, manifest)

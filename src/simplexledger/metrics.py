@@ -18,38 +18,20 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import IO, Iterable
 
-from simplexledger.ledger import LedgerSeries
+from simplexledger.ledger import SERIES_COLUMNS, LedgerSeries
 
 LEDGER_CSV_COLUMNS = [
     "year",
     "k",
     "refinement",
-    "new_simplices",
-    "new_peripheral",
-    "new_keywords",
-    "articles_processed",
+    *SERIES_COLUMNS,
     "cum_simplices",
     "cum_keywords",
     "cum_articles",
 ]
 
-CSV_COLUMNS = [
-    "year",
-    "k",
-    "refinement",
-    "new_simplices",
-    "cum_simplices",
-    "new_peripheral",
-    "new_mesh",
-    "cum_mesh",
-    "cum_articles",
-    "coverage",
-    "r_m",
-    "r_p",
-    "r_c",
-]
-
-_X_AXES = ("articles", "vocabulary", "year")
+# The metrics row field behind each X axis of `paired_series`.
+_X_AXES = {"articles": "cum_articles", "vocabulary": "cum_mesh", "year": "year"}
 
 
 class MetricsError(ValueError):
@@ -84,31 +66,6 @@ def coverage_fraction(c_t_sk: int, n_t: int, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class Rates:
-    """Innovation rates for one year; None marks an undefined value."""
-
-    r_m: float | None
-    r_p: float | None
-    r_c: float | None
-
-
-def innovation_rates(ledger: LedgerSeries) -> dict[int, Rates]:
-    """Per-year conceptual rate and the peripheral/core split of novelty."""
-    out: dict[int, Rates] = {}
-    cum_kw = ledger.cum_keywords
-    for i, year in enumerate(ledger.years):
-        new_simp = ledger.new_simplices[i]
-        if new_simp > 0:
-            r_p: float | None = ledger.new_peripheral[i] / new_simp
-            r_c: float | None = 1.0 - r_p
-        else:
-            r_p = r_c = None
-        r_m = ledger.new_keywords[i] / cum_kw[i] if cum_kw[i] > 0 else None
-        out[year] = Rates(r_m=r_m, r_p=r_p, r_c=r_c)
-    return out
-
-
-@dataclass(frozen=True)
 class MetricsRow:
     year: int
     k: int
@@ -125,37 +82,45 @@ class MetricsRow:
     r_c: float | None
 
 
+CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
+
+
 def build_metrics(ledger: LedgerSeries) -> list[MetricsRow]:
-    """Assemble the full per-year table from one ledger series."""
-    rates = innovation_rates(ledger)
-    cum_simp = ledger.cum_simplices
-    cum_kw = ledger.cum_keywords
-    cum_art = ledger.cum_articles
+    """The full per-year table of one ledger series, in one pass.
+
+    The conceptual rate r_m is the year's new keywords over the vocabulary
+    so far; r_p and r_c split the year's new combinations into peripheral
+    and core.
+    """
+    k, refinement = ledger.k, ledger.refinement
     rows = []
-    for i, year in enumerate(ledger.years):
-        s = ledger.k + 1
-        if cum_kw[i] >= s:
-            coverage: float | None = coverage_fraction(
-                cum_simp[i], cum_kw[i], ledger.k
-            )
-        else:
-            coverage = None
-        r = rates[year]
+    for year, new, cum, peripheral, new_kw, cum_kw, cum_art in zip(
+        ledger.years,
+        ledger.new_simplices,
+        ledger.cum_simplices,
+        ledger.new_peripheral,
+        ledger.new_keywords,
+        ledger.cum_keywords,
+        ledger.cum_articles,
+    ):
+        r_p = peripheral / new if new > 0 else None
         rows.append(
             MetricsRow(
                 year=year,
-                k=ledger.k,
-                refinement=ledger.refinement,
-                new_simplices=ledger.new_simplices[i],
-                cum_simplices=cum_simp[i],
-                new_peripheral=ledger.new_peripheral[i],
-                new_mesh=ledger.new_keywords[i],
-                cum_mesh=cum_kw[i],
-                cum_articles=cum_art[i],
-                coverage=coverage,
-                r_m=r.r_m,
-                r_p=r.r_p,
-                r_c=r.r_c,
+                k=k,
+                refinement=refinement,
+                new_simplices=new,
+                cum_simplices=cum,
+                new_peripheral=peripheral,
+                new_mesh=new_kw,
+                cum_mesh=cum_kw,
+                cum_articles=cum_art,
+                coverage=(
+                    coverage_fraction(cum, cum_kw, k) if cum_kw >= k + 1 else None
+                ),
+                r_m=new_kw / cum_kw if cum_kw > 0 else None,
+                r_p=r_p,
+                r_c=None if r_p is None else 1.0 - r_p,
             )
         )
     return rows
@@ -225,34 +190,19 @@ def read_metrics_csv(stream: IO[str]) -> list[MetricsRow]:
 
 
 def paired_series(
-    rows: list[MetricsRow], x_axis: str
-) -> dict[str, list[tuple[float, float]]]:
-    """(X, Y) point lists per Y-column, ordered by year.
+    rows: list[MetricsRow], x_axis: str, column: str
+) -> list[tuple[float, float]]:
+    """The (X, Y) points of one column, ordered by year.
 
     X is cumulative articles, cumulative vocabulary, or the year itself.
-    Rows with an undefined Y value are skipped for that column.
+    Rows where the column is undefined are skipped.
     """
     if x_axis not in _X_AXES:
-        raise MetricsError(f"x_axis must be one of {_X_AXES}, got {x_axis!r}")
-    x_field = {"articles": "cum_articles", "vocabulary": "cum_mesh", "year": "year"}[
-        x_axis
-    ]
-    y_columns = [
-        "new_simplices",
-        "cum_simplices",
-        "new_peripheral",
-        "new_mesh",
-        "cum_mesh",
-        "coverage",
-        "r_m",
-        "r_p",
-        "r_c",
-    ]
-    out: dict[str, list[tuple[float, float]]] = {col: [] for col in y_columns}
+        raise MetricsError(f"x_axis must be one of {tuple(_X_AXES)}, got {x_axis!r}")
+    x_field = _X_AXES[x_axis]
+    points = []
     for row in sorted(rows, key=lambda r: r.year):
-        x = float(getattr(row, x_field))
-        for col in y_columns:
-            y = getattr(row, col)
-            if y is not None:
-                out[col].append((x, float(y)))
-    return out
+        y = getattr(row, column)
+        if y is not None:
+            points.append((float(getattr(row, x_field)), float(y)))
+    return points

@@ -17,18 +17,17 @@ from pathlib import Path
 from typing import IO
 
 from simplexledger.corpus import REFINEMENTS
-from simplexledger.ledger import LedgerConfig, LedgerSeries, oracle_tabulate, tabulate
+from simplexledger.ledger import (
+    SERIES_COLUMNS,
+    LedgerConfig,
+    LedgerSeries,
+    oracle_tabulate,
+    tabulate,
+)
 from simplexledger.metrics import build_metrics
 from simplexledger.synth import SynthParams, generate_synthetic
 
 REPORT_COLUMNS = ["scenario", "k", "refinement", "status", "detail"]
-
-_SERIES_COLUMNS = [
-    "new_simplices",
-    "new_peripheral",
-    "new_keywords",
-    "articles_processed",
-]
 
 
 class ScenarioError(ValueError):
@@ -94,7 +93,7 @@ def _compare(exact: LedgerSeries, oracle: LedgerSeries) -> list[str]:
     problems = []
     if exact.years != oracle.years:
         return [f"year axis differs: {exact.years} vs {oracle.years}"]
-    for col in _SERIES_COLUMNS:
+    for col in SERIES_COLUMNS:
         a, b = getattr(exact, col), getattr(oracle, col)
         for i, year in enumerate(exact.years):
             if a[i] != b[i]:

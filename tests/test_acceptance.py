@@ -18,7 +18,7 @@ import pytest
 import simplexledger.ledger as ledger_mod
 from simplexledger.fitting import fit_exponential, fit_linear
 from simplexledger.ledger import LedgerConfig, oracle_tabulate, tabulate
-from simplexledger.metrics import exact_binomial, innovation_rates
+from simplexledger.metrics import build_metrics, exact_binomial
 from simplexledger.synth import SynthParams, generate_synthetic
 
 
@@ -140,10 +140,9 @@ def test_criterion_5_rate_identities():
         order0 = oracle_tabulate(corpus, 0, "all")
         for k in (1, 2, 3):
             series = oracle_tabulate(corpus, k, "all")
-            rates = innovation_rates(series)
+            rows = build_metrics(series)
             assert series.cum_keywords == order0.cum_simplices
-            for i, year in enumerate(series.years):
-                r = rates[year]
+            for i, r in enumerate(rows):
                 if r.r_p is not None:
                     assert r.r_c + r.r_p == 1.0
                 if series.new_keywords[i] == 0:

@@ -1,6 +1,7 @@
 import csv
 import fcntl
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ import simplexledger.ledger as ledger_mod
 from simplexledger import cli
 from simplexledger.cli import main
 from simplexledger.corpus import CorpusError, ingest_tsv, load_store
-from simplexledger.ledger import oracle_tabulate
-from simplexledger.metrics import write_ledger_csv
+from simplexledger.ledger import LedgerSeries, oracle_tabulate
+from simplexledger.metrics import build_metrics, write_ledger_csv
 from simplexledger.ontology import OntologyError, load_ontology
 
 from conftest import DEMO_CORPUS, ONTOLOGY_TSV
@@ -411,6 +412,29 @@ def test_each_fit_runs_once(tmp_path, monkeypatch):
     assert calls.count("linear") == 8 and calls.count("exp") == 8
 
 
+@pytest.mark.parametrize("window", [None, (1, 5000)])
+def test_report_memory_on_a_long_table(tmp_path, window):
+    # The report builds only the point lists it fits and draws.
+    n = 10**4
+    series = LedgerSeries(
+        k=1,
+        refinement="all",
+        years=list(range(1, n + 1)),
+        new_simplices=[2] * n,
+        new_peripheral=[1] * n,
+        new_keywords=[3] * n,
+        articles_processed=[2] * n,
+    )
+    rows = build_metrics(series)
+    tracemalloc.start()
+    try:
+        cli._write_report(rows, 1, "all", window, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--ontology", "x.tsv"), ("--format", "xml"), ("--min-year", "2010"),
@@ -437,6 +461,23 @@ def test_run_checks_every_order_before_any_work(tmp_path, orders, message):
     with pytest.raises(SystemExit, match=message):
         main(["run", "--store", str(store), "--k", orders, "--out", str(out)])
     # Not even the valid order's ledger_k1_all.csv is written.
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--k", "1,2,1"], "--k repeats a value: 1,2,1"),
+        (["--refinement", "all,all"], "--refinement repeats a value: all,all"),
+    ],
+    ids=["k", "refinement"],
+)
+def test_run_refuses_a_repeated_order_or_refinement(tmp_path, option, message):
+    # A repeat would tabulate twice and list each artifact twice.
+    store = _synth(tmp_path)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit, match=message):
+        main(["run", "--store", str(store), *option, "--out", str(out)])
     assert not out.exists()
 
 

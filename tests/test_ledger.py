@@ -585,9 +585,27 @@ def test_million_year_span_completes_quickly(tmp_path):
         assert sum(column) == sum(ends)
 
 
+def test_stray_year_adds_no_work_per_bucket(tmp_path):
+    # The bucket pass tallies only the years that hold articles, so one
+    # article 10^6 years after the rest costs each bucket nothing.
+    store = generate_synthetic(SynthParams(n_articles=3000, seed=11))
+    stray = ArticleRecord("stray", 2009 + 10**6, frozenset({100, 101}), frozenset())
+    store.add(stray)
+    series = []
+    for shard_count in (1, 4096):
+        config = LedgerConfig(
+            k=1, shard_count=shard_count, spill_directory=tmp_path / str(shard_count)
+        )
+        start = time.process_time()
+        series.append(tabulate(store, config))
+    assert time.process_time() - start < 5
+    assert series[1] == series[0]
+    assert series[0].years[-1] == 2009 + 10**6 and series[0].new_simplices[-1] == 1
+
+
 def test_year_span_over_budget_raises_before_any_directory(tmp_path):
-    # The bucket pass's tallies take 32 bytes a year, within a quarter of
-    # the budget: 512 years at the smallest budget.
+    # The series' four int64 columns take 32 bytes a year, within a quarter
+    # of the budget: 512 years at the smallest budget.
     spill = tmp_path / "spill"
     config = LedgerConfig(k=1, spill_directory=spill, memory_budget_bytes=_MIN_BUDGET)
     assert tabulate(_two_articles(511), config).years[-1] == 1902 + 511
@@ -956,7 +974,7 @@ def _old_mix64(keys):
     return x
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
     corpus = _random_corpus(13, n_articles=300)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
@@ -965,12 +983,12 @@ def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
 
     def commit(year):
         flushes[year] = _manifest(ledger_dir)["flushes"]
-        # Version 6 kept keys.bin and ends.bin in today's format: its state
-        # before the bucket pass is today's with another manifest.
-        if version == 6 and year == corpus.years[-1]:
+        # Versions 6 and 7 kept keys.bin and ends.bin in today's format: their
+        # state before the bucket pass is today's with another manifest.
+        if version >= 6 and year == corpus.years[-1]:
             raise Interrupt
 
-    with pytest.raises(Interrupt) if version == 6 else contextlib.nullcontext():
+    with pytest.raises(Interrupt) if version >= 6 else contextlib.nullcontext():
         tabulate(corpus, config, progress_callback=commit)
     # Rewrite the state in an older layout.  Its rows are the oracle's, off
     # by one, so trusting them would show.
@@ -999,7 +1017,13 @@ def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
         "watermark": rows[-1]["year"],
         "rows": rows,
     }
-    if version == 6:
+    if version == 7:
+        # Version 7 wrote today's manifest, but tagged each key with its
+        # year's calendar offset.  Tags one year late would show.
+        log = ledger_dir / "keys.bin"
+        (np.fromfile(log, dtype=np.uint64) + np.uint64(1)).tofile(log)
+        manifest = dict(current, version=7)
+    elif version == 6:
         # Each row held the flushes committed through its year.
         for row in rows:
             row["flushes"] = flushes[row["year"]]

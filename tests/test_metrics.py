@@ -12,7 +12,6 @@ from simplexledger.metrics import (
     build_metrics,
     coverage_fraction,
     exact_binomial,
-    innovation_rates,
     paired_series,
     read_metrics_csv,
     write_ledger_csv,
@@ -77,7 +76,7 @@ def test_rates_hand_example(two_article_corpus, tmp_path):
         two_article_corpus,
         LedgerConfig(k=1, refinement="all", spill_directory=tmp_path),
     )
-    rates = innovation_rates(series)
+    rates = {row.year: row for row in build_metrics(series)}
     assert rates[2001].r_p == 1.0
     assert rates[2001].r_c == 0.0
     assert rates[2001].r_m == 0.25
@@ -97,9 +96,8 @@ def test_rate_identities_on_random_corpora():
         )
         for k in (1, 2):
             series = oracle_tabulate(corpus, k, "all")
-            rates = innovation_rates(series)
-            for i, year in enumerate(series.years):
-                r = rates[year]
+            rows = build_metrics(series)
+            for i, r in enumerate(rows):
                 if r.r_p is not None:
                     assert r.r_p + r.r_c == pytest.approx(1.0)
                 if series.new_keywords[i] == 0 and series.cum_keywords[i] > 0:
@@ -115,11 +113,12 @@ def test_undefined_rates_are_none_not_nan(two_article_corpus, tmp_path):
         ArticleRecord("c", 2003, frozenset({2, 3}), frozenset({2, 3}))
     )
     series = oracle_tabulate(two_article_corpus, 1, "all")
-    rates = innovation_rates(series)
+    rows = build_metrics(series)
+    rates = {row.year: row for row in rows}
     assert rates[2002].r_p is None
     assert rates[2002].r_c is None
     out = io.StringIO()
-    write_metrics_csv(build_metrics(series), out)
+    write_metrics_csv(rows, out)
     assert "nan" not in out.getvalue().lower()
 
 
@@ -239,21 +238,21 @@ def test_ledger_csv_rows():
 
 def test_paired_series_year_identity(two_article_corpus):
     rows = build_metrics(oracle_tabulate(two_article_corpus, 1, "all"))
-    by_year = paired_series(rows, "year")
-    assert [x for x, _ in by_year["cum_simplices"]] == [2000.0, 2001.0]
+    by_year = paired_series(rows, "year", "cum_simplices")
+    assert [x for x, _ in by_year] == [2000.0, 2001.0]
 
 
 def test_paired_series_articles_non_decreasing():
     corpus = generate_synthetic(SynthParams(n_articles=200, vocab_size=40, seed=3))
     rows = build_metrics(oracle_tabulate(corpus, 1, "all"))
-    xs = [x for x, _ in paired_series(rows, "articles")["cum_simplices"]]
+    xs = [x for x, _ in paired_series(rows, "articles", "cum_simplices")]
     assert xs == sorted(xs)
 
 
 def test_paired_series_rejects_unknown_axis(two_article_corpus):
     rows = build_metrics(oracle_tabulate(two_article_corpus, 1, "all"))
     with pytest.raises(MetricsError):
-        paired_series(rows, "volume")
+        paired_series(rows, "volume", "cum_simplices")
 
 
 def test_constant_novelty_rate_recovered_by_linear_fit():
@@ -274,6 +273,6 @@ def test_constant_novelty_rate_recovered_by_linear_fit():
         )
     )
     rows = build_metrics(oracle_tabulate(corpus, 1, "all"))
-    points = paired_series(rows, "articles")["cum_simplices"]
+    points = paired_series(rows, "articles", "cum_simplices")
     fit = fit_linear(points)
     assert abs(fit.slope - 1.0) <= 0.02
