@@ -12,25 +12,33 @@ year.  A combination packs its dense ids into a key of w bits, which a
 bijection on w bits hashes; B hash ranges, the buckets, split the keys so
 that each bucket fits in memory.  A combination's first year is the
 smallest year among its emissions, so one pass over the emissions is
-enough.  The emission pass sorts and deduplicates each buffer of hashes,
-tags each with its year's index among the years that hold articles, and
-appends the buffer to one key log, ``keys.bin``, in one write; sorted, the
-buffer is already grouped by bucket, and one row of ``ends.bin`` records
-where each bucket's part of it ends.  After each year that holds articles a manifest records the flushes
-committed, which allows restart from that year; it holds resume state only,
-so its size does not grow with the years.  The bucket pass then reads each
-bucket's parts of every flush, sorts them, and takes each key's first word,
-whose year is the smallest.  B is fixed before any work from the exact
-emission count and the memory budget; the result is identical for any B.
-Once every bucket is counted, the tallies over the years that hold
-articles are spread over the calendar years once, empty years as zeros,
-and the completing manifest write stores them while the log and its index
-are deleted.  A spill directory given in the config belongs to the
-caller, who deletes it; the ledger reads no environment variable.
+enough.  The emission pass tags each hash with its year's index among the
+years that hold articles, relative to the buffer's first year, in the
+64 - w bits below it, so one buffer may span several years.  It flushes
+the buffer when the next batch would overflow it or would fall 2^(64-w)
+or more years past the buffer's first: sorted, each hash keeps its
+smallest year, and the buffer is appended to one key log, ``keys.bin``,
+in one write; it is already grouped by bucket, and one row of
+``ends.bin`` records where each bucket's part of it ends.  After each
+flush that follows the end of a year's emission, a manifest records the
+flushes committed and the last year whose emission had ended, which
+allows restart after that year; a resume emits that year's successor from
+its start, so a flush inside a year waits for the next commit.  The
+manifest holds resume state only, so its size does not grow with the
+years.  The bucket pass then reads each bucket's parts of every flush,
+sorts them, and takes each key's first word, whose year is the smallest.
+B is fixed before any work from the exact emission count and the memory
+budget; the result is identical for any B.  Once every bucket is counted,
+the completing manifest write stores the tallies over the years that
+hold articles while the log and its index are deleted; the series spreads
+them over the calendar years, empty years as zeros.  A spill directory
+given in the config belongs to the caller, who deletes it; the ledger
+reads no environment variable.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -48,7 +56,7 @@ import numpy as np
 from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, run_heads
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 8
+_MANIFEST_VERSION = 9
 _LOG_NAME = "keys.bin"
 _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
@@ -62,9 +70,9 @@ _BYTES_PER_YEAR = 32
 _MAX_BUCKETS = 1 << 16
 # splitmix64's multipliers (Steele et al., OOPSLA 2014).
 _MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-# Keys per step of the in-place hash: its scratch stays small, and its
-# steps over one chunk run in cache.
-_HASH_CHUNK = 1 << 14
+# Keys per step of the in-place hash and compaction: their scratch stays
+# small, and their steps over one chunk run in cache.
+_CHUNK = 1 << 14
 
 
 class LedgerError(ValueError):
@@ -157,6 +165,8 @@ class _Layout:
     hash shifted left over the y bits of its year index; the shift drops
     the hash's top w + y - 64 bits, if any, and the bucket's range gives
     them back, which holds when no range spans more than 2^(64-y) hashes.
+    A buffered word holds the hash above r = 64 - w bits of its year index
+    less the buffer's first, so a buffer spans at most 2^r years.
     """
 
     bits: int
@@ -168,6 +178,16 @@ class _Layout:
     def of(cls, n_keywords: int, s: int, years: int) -> _Layout:
         bits = max(1, (n_keywords - 1).bit_length())
         return cls(bits, s * bits, (years - 1).bit_length(), years)
+
+    @property
+    def span_bits(self) -> int:
+        """r, the bits of a buffered word below its hash."""
+        return 64 - self.width
+
+    @property
+    def span_dtype(self) -> np.dtype:
+        """The smallest dtype that holds a buffered word's year bits."""
+        return np.min_scalar_type(min(1 << self.span_bits, self.years) - 1)
 
     @property
     def min_buckets(self) -> int:
@@ -198,9 +218,9 @@ def _mix(keys: np.ndarray, width: int, multipliers: Iterable[int]) -> None:
     shift = np.uint64((width + 1) // 2)
     mask = np.uint64((1 << width) - 1)
     factors = [np.uint64(m) for m in multipliers]
-    scratch = np.empty(min(keys.size, _HASH_CHUNK), dtype=np.uint64)
-    for start in range(0, keys.size, _HASH_CHUNK):
-        x = keys[start : start + _HASH_CHUNK]
+    scratch = np.empty(min(keys.size, _CHUNK), dtype=np.uint64)
+    for start in range(0, keys.size, _CHUNK):
+        x = keys[start : start + _CHUNK]
         t = scratch[: x.size]
         np.right_shift(x, shift, out=t)
         x ^= t
@@ -221,6 +241,18 @@ def _hash(keys: np.ndarray, width: int) -> None:
 def _unhash(keys: np.ndarray, width: int) -> None:
     """Invert ``_hash`` in place."""
     _mix(keys, width, [pow(m, -1, 1 << width) for m in reversed(_MULTIPLIERS)])
+
+
+def _compact(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the words that ``keep`` marks to the front of ``words``, in
+    order and in place, so that no copy of them all is made; returns that
+    front."""
+    n = 0
+    for start in range(0, words.size, _CHUNK):
+        kept = words[start : start + _CHUNK][keep[start : start + _CHUNK]]
+        words[n : n + kept.size] = kept
+        n += kept.size
+    return words[:n]
 
 
 # --- emission --------------------------------------------------------------
@@ -341,27 +373,36 @@ def _flush(
     index: int,
     layout: _Layout,
     starts: np.ndarray,
-    year: int,
+    first: int,
     end: int,
 ) -> int:
-    """Append the buffered keys to the log as one hashed, sorted,
-    deduplicated slice tagged with year index ``year``, and its bucket ends
-    to the index.
+    """Append the buffered words to the log as one sorted slice with one
+    word per hash, and its bucket ends to the index.
 
+    A buffered word holds a hash above the r bits of its year index less
+    ``first``.  Sorted, a hash's words run together with the smallest year
+    first, and only that one is written, tagged with its year index.
     Empties ``buffer``.  ``end`` is the log's length in words before the
     append; returns its length after.
     """
-    keys = np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
+    words = np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
     buffer.clear()
-    _hash(keys, layout.width)
-    keys.sort()
-    keys = keys[run_heads(keys)]
+    words.sort()
+    r = layout.span_bits
+    year = np.empty(words.size, dtype=layout.span_dtype)
+    np.bitwise_and(words, np.uint64((1 << r) - 1), out=year, casting="unsafe")
+    words >>= np.uint64(r)
+    heads = run_heads(words)
+    keys = _compact(words, heads)
+    year = year[heads]
+    del heads
     row = np.empty(starts.size, dtype=np.int64)
     row[:-1] = np.searchsorted(keys, starts[1:])
     row[-1] = keys.size
     row += end
     keys <<= np.uint64(layout.year_bits)
-    keys |= np.uint64(year)
+    keys |= year
+    keys += np.uint64(first)
     _append(log, keys)
     _append(index, row)
     return end + keys.size
@@ -520,7 +561,7 @@ def _restore(ledger_dir: Path, manifest: dict) -> int | None:
 
     Returns the log's committed length in words, or None when a file is
     shorter than its committed state, so that the ledger starts fresh.
-    Bytes past the committed state are an uncommitted year's.
+    Bytes past the committed state are an uncommitted flush's.
     """
     flushes = manifest["flushes"]
     sizes = _keep_only(ledger_dir, {_MANIFEST_NAME, _ENDS_NAME, _LOG_NAME})
@@ -551,6 +592,22 @@ def _workdir(config: LedgerConfig) -> AbstractContextManager:
     return tempfile.TemporaryDirectory(prefix="sledger-")
 
 
+def _spread(config: LedgerConfig, stored: dict) -> LedgerSeries:
+    """The series of stored tallies over the years that hold articles,
+    spread over every calendar year from the first to the last, empty
+    years as zeros."""
+    years = np.array(stored["years"])
+    first = int(years[0])
+    calendar = np.zeros((len(SERIES_COLUMNS), int(years[-1]) - first + 1), np.int64)
+    calendar[:, years - first] = [stored[name] for name in SERIES_COLUMNS]
+    return LedgerSeries(
+        k=config.k,
+        refinement=config.refinement,
+        years=list(range(first, first + calendar.shape[1])),
+        **dict(zip(SERIES_COLUMNS, calendar.tolist())),
+    )
+
+
 def tabulate(
     corpus: CorpusStore,
     config: LedgerConfig,
@@ -558,19 +615,23 @@ def tabulate(
 ) -> LedgerSeries:
     """Sweep years ascending, tallying first occurrences exactly.
 
-    Resumes from the manifest's year watermark when
+    Resumes after the manifest's year watermark when
     ``config.spill_directory`` already holds state for the same corpus and
     configuration, and with at least as many buckets as this configuration
     needs.  Without a spill directory it works in a temporary directory
-    under ``$TMPDIR`` and removes it.  The optional callback fires after
-    each year that holds articles, once its keys are durably committed.
+    under ``$TMPDIR`` and removes it.  The optional callback fires once for
+    each year that holds articles, in order, as soon as its keys are
+    durably committed: after the flush that follows its last batch, or,
+    for trailing years without keys, at the end of the sweep.  If a kill
+    lands while a year is only partly in a committed flush, the resume
+    emits that year again; the repeated words are harmless, since the
+    bucket pass keeps one word per hash.
     """
     s = config.k + 1
     corpus_years = corpus.years
     if not corpus_years:
         return LedgerSeries(k=config.k, refinement=config.refinement)
-    first, last = corpus_years[0], corpus_years[-1]
-    _check_span(first, last, config)
+    _check_span(corpus_years[0], corpus_years[-1], config)
 
     _, debuts, dense = corpus.debut_order(config.refinement)
     _check_capacity(debuts.size, s)
@@ -579,11 +640,15 @@ def tabulate(
     emissions = _emissions(offsets, s)
     buckets = _bucket_count(emissions, layout, config)
     # A quarter of the budget buffers keys; a flush's copies of them fit in
-    # the rest.  Each of a year's flushes but its last holds, with the batch
-    # after it, more than a buffer of keys, so a year of E_t emissions
-    # flushes fewer than 2 E_t / buffer + 1 times.
+    # the rest.  A flush made because the next batch would overflow the
+    # buffer holds, with that batch, more than a buffer of keys, so fewer
+    # than 2 E / buffer are made so.  One made because the next batch falls
+    # 2^r years past the buffer's first starts the next buffer 2^r years on,
+    # so these and the sweep's last flush number at most ceil(years / 2^r).
     buffer_keys = config.memory_budget_bytes // 4 // 8
-    flush_bound = len(corpus_years) + -(-2 * emissions // buffer_keys)
+    flush_bound = -(-2 * emissions // buffer_keys) + -(
+        -len(corpus_years) >> layout.span_bits
+    )
     _check_disk(
         tempfile.gettempdir()
         if config.spill_directory is None
@@ -628,35 +693,59 @@ def tabulate(
 
         if not manifest["complete"]:
             starts = layout.starts(buckets)
-            flushes = manifest["flushes"]
             batch_keys = min(_EMIT_CHUNK, buffer_keys)
+            shift = np.uint64(layout.span_bits)
+            span = 1 << layout.span_bits
+            # The years up to the watermark are committed.
             watermark = manifest["watermark"]
+            done = (
+                0 if watermark is None else bisect.bisect_right(corpus_years, watermark)
+            )
+            buffer: list[np.ndarray] = []
+            buffered = head = 0
             with open(log_path, "ab", buffering=0) as log_file, open(
                 ends_path, "ab", buffering=0
             ) as index_file:
                 log, index = log_file.fileno(), index_file.fileno()
-                for tag, year in enumerate(corpus_years):
-                    if watermark is not None and year <= watermark:
-                        continue
-                    lo, hi = corpus.year_range(year)
-                    buffer: list[np.ndarray] = []
-                    buffered = 0
+
+                def flush(ended: int) -> None:
+                    """Flush the buffer, if it holds keys, and commit the
+                    flushes made so far once the first ``ended`` years,
+                    whose emission has ended, pass the watermark.  A resume
+                    emits the year after the watermark from its start, so
+                    a flush inside that year waits for the next commit."""
+                    nonlocal end, done, buffered
+                    if buffer:
+                        end = _flush(buffer, log, index, layout, starts, head, end)
+                        manifest["flushes"] += 1
+                        buffered = 0
+                    if ended == done:
+                        return
+                    manifest["watermark"] = corpus_years[ended - 1]
+                    _write_manifest(manifest_path, manifest)
+                    newly, done = corpus_years[done:ended], ended
+                    if progress_callback is not None:
+                        for year in newly:
+                            progress_callback(year)
+
+                for tag in range(done, len(corpus_years)):
+                    lo, hi = corpus.year_range(corpus_years[tag])
                     for keys in _emit_year_keys(
                         offsets, dense, lo, hi, s, layout.bits, batch_keys
                     ):
-                        if buffered + keys.size > buffer_keys and buffer:
-                            end = _flush(buffer, log, index, layout, starts, tag, end)
-                            flushes += 1
-                            buffered = 0
+                        if buffer and (
+                            buffered + keys.size > buffer_keys or tag - head >= span
+                        ):
+                            flush(tag)
+                        if not buffer:
+                            head = tag
+                        _hash(keys, layout.width)
+                        keys <<= shift
+                        keys |= np.uint64(tag - head)
                         buffer.append(keys)
                         buffered += keys.size
-                    if buffer:
-                        end = _flush(buffer, log, index, layout, starts, tag, end)
-                        flushes += 1
-                    manifest.update(watermark=year, flushes=flushes)
-                    _write_manifest(manifest_path, manifest)
-                    if progress_callback is not None:
-                        progress_callback(year)
+                if done < len(corpus_years):
+                    flush(len(corpus_years))
 
             # The bucket pass only reads committed files; a resume after a
             # kill inside it runs it again.
@@ -669,7 +758,7 @@ def tabulate(
                 ends_path,
                 layout,
                 starts,
-                flushes,
+                manifest["flushes"],
                 debut_index,
                 # A bucket's pass takes about 19 / 32 of the budget.
                 config.memory_budget_bytes // 4,
@@ -682,24 +771,21 @@ def tabulate(
                     f"in {corpus_years[i]}"
                 )
             processed = np.searchsorted(years, article_years[np.diff(offsets) >= s])
-            calendar = np.zeros((len(SERIES_COLUMNS), last - first + 1), np.int64)
-            calendar[:, years - first] = [
+            tallies = [
                 new,
                 peripheral,
                 np.bincount(debut_index, minlength=years.size),
                 np.bincount(processed, minlength=years.size),
             ]
             manifest["series"] = {
-                "years": list(range(first, last + 1)),
-                **dict(zip(SERIES_COLUMNS, calendar.tolist())),
+                "years": corpus_years,
+                **{name: t.tolist() for name, t in zip(SERIES_COLUMNS, tallies)},
             }
             manifest["complete"] = True
             _write_manifest(manifest_path, manifest)
         _keep_only(ledger_dir, {_MANIFEST_NAME})
 
-    return LedgerSeries(
-        k=config.k, refinement=config.refinement, **manifest["series"]
-    )
+    return _spread(config, manifest["series"])
 
 
 # --- brute-force oracle ----------------------------------------------------

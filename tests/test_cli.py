@@ -160,7 +160,7 @@ def _assert_ledger_is_oracle(store_path, out):
 
 def test_runs_on_different_outputs_never_share_spill_state(tmp_path, monkeypatch):
     # Two corpora, two outputs, one SLEDGER_TMP; the second run starts and
-    # completes inside the first one's ledger, after its first year.
+    # completes inside the first one's ledger, after its first commit.
     spill = tmp_path / "spill"
     monkeypatch.setenv("SLEDGER_TMP", str(spill))
     stores, outs = [], []
@@ -190,9 +190,11 @@ def test_rerun_on_the_same_output_resumes_under_sledger_tmp(tmp_path, monkeypatc
     monkeypatch.setenv("SLEDGER_TMP", str(spill))
     store, out = _synth(tmp_path), tmp_path / "out"
     write_manifest = ledger_mod._write_manifest
+    written = []
 
     def killed(path, payload):
         write_manifest(path, payload)
+        written.append(payload["watermark"])
         raise RuntimeError("killed")
 
     monkeypatch.setattr(ledger_mod, "_write_manifest", killed)
@@ -211,7 +213,8 @@ def test_rerun_on_the_same_output_resumes_under_sledger_tmp(tmp_path, monkeypatc
 
     monkeypatch.setattr(ledger_mod, "_load_manifest", recording)
     assert main(_run_argv(store, out)) == 0
-    assert watermarks == [1994]
+    # The first flush commits some years of 1994-2008, not all of them.
+    assert watermarks == written and 1994 <= written[0] < 2008
     _assert_ledger_is_oracle(store, out)
     assert list(spill.iterdir()) == []
 

@@ -403,6 +403,41 @@ def test_sparse_keyword_ids_fit_packed_keys(tmp_path, k):
         assert tabulate(store, config) == oracle_tabulate(store, k, refinement)
 
 
+def test_buffer_spans_at_most_two_to_the_r_years(tmp_path, monkeypatch):
+    # 16,400 keywords in quartets take 15 bits an id, so w = 60 leaves a
+    # buffered word r = 4 bits for its year: a buffer spans at most 16 of
+    # the 40 years.  The 6 bits of a year index make w + y = 66 > 64.
+    rng = random.Random(23)
+    store = CorpusStore()
+    for i in range(4100):
+        kws = frozenset(range(4 * i, 4 * i + 4))
+        store.add(ArticleRecord(f"a{i:04d}", 1980 + i % 40, kws, frozenset()))
+    for i in range(600):
+        kws = frozenset(rng.sample(range(40), 6))
+        store.add(ArticleRecord(f"b{i:03d}", 1980 + rng.randrange(40), kws, kws))
+    layout = ledger_mod._Layout.of(16_400, 4, 40)
+    assert (layout.width, layout.span_bits, layout.year_bits) == (60, 4, 6)
+    flush = ledger_mod._flush
+    spans = []
+
+    def recording_flush(buffer, *args):
+        first = args[-2]
+        years = np.concatenate(buffer) & np.uint64(15)
+        spans.append((first, int(years.max()) + 1))
+        return flush(buffer, *args)
+
+    monkeypatch.setattr(ledger_mod, "_flush", recording_flush)
+    oracle = oracle_tabulate(store, 3, "all")
+    for shard_count in (1, 7):
+        spans.clear()
+        config = LedgerConfig(
+            k=3, shard_count=shard_count, spill_directory=tmp_path / str(shard_count)
+        )
+        assert tabulate(store, config) == oracle
+        # Every year holds keys, and all fit one buffer.
+        assert spans == [(0, 16), (16, 16), (32, 8)]
+
+
 # --- key layout ------------------------------------------------------------
 
 # (distinct keywords, combination size, calendar years, buckets or None for
@@ -444,9 +479,9 @@ def test_hash_round_trips_on_the_key_width(n_keywords, s, years, buckets):
 def test_bucket_pass_recovers_the_dropped_hash_bits(
     tmp_path, n_keywords, s, years, buckets
 ):
-    # Flushes of random keys, repeated across years, through the log and
-    # back: every key's first year, and whether its largest id debuted
-    # then, must come out as they went in.
+    # Flushes of random keys, repeated across years and within a flush's
+    # years, through the log and back: every key's first year, and whether
+    # its largest id debuted then, must come out as they went in.
     layout = ledger_mod._Layout.of(n_keywords, s, years)
     buckets = buckets or layout.min_buckets
     assert buckets >= layout.min_buckets
@@ -459,19 +494,34 @@ def test_bucket_pass_recovers_the_dropped_hash_bits(
     first = {}
     log, ends = tmp_path / "keys.bin", tmp_path / "ends.bin"
     end = flushes = 0
+    # Two flushes a year where a buffer spans one year (w = 64), else one
+    # flush for every three years, in buffer words: hash, then the year
+    # index less the flush's first.
+    r = layout.span_bits
+    span = min(1 << r, 3)
+    buffer = []
     with open(log, "ab", buffering=0) as log_file, open(
         ends, "ab", buffering=0
     ) as index_file:
         for year in range(years):
-            for _ in range(2):
+            for rep in range(2):
+                if not buffer:
+                    head = year
                 keys = rng.choice(pool, size=800)
                 for key in keys.tolist():
                     first.setdefault(key, year)
-                end = ledger_mod._flush(
-                    [keys[:500], keys[500:]], log_file.fileno(), index_file.fileno(),
-                    layout, starts, year, end,
-                )
-                flushes += 1
+                words = keys.copy()
+                ledger_mod._hash(words, layout.width)
+                words <<= np.uint64(r)
+                words |= np.uint64(year - head)
+                buffer += [words[:500], words[500:]]
+                ends_span = rep == 1 and year in (head + span - 1, years - 1)
+                if span == 1 or ends_span:
+                    end = ledger_mod._flush(
+                        buffer, log_file.fileno(), index_file.fileno(),
+                        layout, starts, head, end,
+                    )
+                    flushes += 1
     mask = (1 << layout.bits) - 1
     expected_new = np.zeros(years, dtype=np.int64)
     expected_peripheral = np.zeros(years, dtype=np.int64)
@@ -529,6 +579,39 @@ def test_spill_directory_holds_one_log_with_one_append_per_flush(
     assert len(corpus.years) < _manifest(ledger_dir)["flushes"] == len(flushes)
 
 
+def test_corpus_within_one_buffer_commits_once(tmp_path, monkeypatch):
+    # Every year's keys fit one buffer, so the sweep makes one flush, one
+    # ends.bin row and one manifest write, and the completion one more.
+    # Years without a triad, in the middle and at the end, are committed
+    # with the rest.
+    corpus = _random_corpus(19, n_articles=400, years=12)
+    last = corpus.years[-1]
+    for year in (last + 2, last + 4):
+        corpus.add(ArticleRecord(f"x{year}", year, frozenset({1, 2}), frozenset()))
+    corpus.add(ArticleRecord("y", last + 3, frozenset({1, 2, 3}), frozenset()))
+    config = LedgerConfig(k=2, spill_directory=tmp_path, shard_count=3)
+    ends = tmp_path / "k2" / "all" / "ends.bin"
+    calls = {"_flush": 0, "_write_manifest": 0}
+    for name in calls:
+
+        def counting(*args, name=name, fn=getattr(ledger_mod, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(ledger_mod, name, counting)
+    committed, rows = [], set()
+
+    def commit(year):
+        committed.append(year)
+        rows.add(ends.stat().st_size // (8 * 3))
+
+    series = tabulate(corpus, config, progress_callback=commit)
+    assert series == oracle_tabulate(corpus, 2, "all")
+    assert calls == {"_flush": 1, "_write_manifest": 2}
+    assert rows == {1}
+    assert committed == corpus.years
+
+
 def test_too_little_disk_raises_before_any_directory(tmp_path, monkeypatch):
     store = CorpusStore()
     store.add(ArticleRecord("a", 2000, frozenset(range(6)), frozenset()))
@@ -545,8 +628,9 @@ def test_too_little_disk_raises_before_any_directory(tmp_path, monkeypatch):
     with pytest.raises(LedgerError) as raised:
         tabulate(store, LedgerConfig(k=1, spill_directory=spill))
     # 15 + 10 pairs of 8 bytes, and an index row of one bucket for each of
-    # at most three flushes: one a year, and one more per half buffer.
-    assert "may spill 224 bytes (200 of keys, 24 of index)" in str(raised.value)
+    # at most two flushes: one per half buffer, and one per 2^58 years (the
+    # 6-bit keys leave 58 bits for a buffer's years).
+    assert "may spill 216 bytes (200 of keys, 16 of index)" in str(raised.value)
     assert "100 bytes free" in str(raised.value)
     assert asked == [tmp_path]
     assert not (tmp_path / "spill").exists()
@@ -601,6 +685,35 @@ def test_stray_year_adds_no_work_per_bucket(tmp_path):
     assert time.process_time() - start < 5
     assert series[1] == series[0]
     assert series[0].years[-1] == 2009 + 10**6 and series[0].new_simplices[-1] == 1
+
+
+def test_stray_year_keeps_the_manifest_small(tmp_path, monkeypatch):
+    # The completing manifest stores the years that hold articles only;
+    # the series spreads them over the calendar years, also when it is
+    # read back from a complete directory.
+    def with_stray(year):
+        store = generate_synthetic(SynthParams(n_articles=3000, seed=11))
+        store.add(ArticleRecord("stray", year, frozenset({100, 101}), frozenset()))
+        return store
+
+    # The stray year's tallies do not depend on its distance.
+    oracle = oracle_tabulate(with_stray(2010), 1, "all")
+    assert oracle.years == list(range(1990, 2011))
+    store = with_stray(2009 + 10**6)
+    config = LedgerConfig(k=1, spill_directory=tmp_path)
+    series = tabulate(store, config)
+    assert (tmp_path / "k1" / "all" / "manifest.json").stat().st_size < 64 << 10
+    assert series.years == list(range(1990, 2009 + 10**6 + 1))
+    gap = [0] * (10**6 - 1)
+    for name in ledger_mod.SERIES_COLUMNS:
+        column = getattr(oracle, name)
+        assert getattr(series, name) == column[:-1] + gap + column[-1:]
+
+    def no_pass(*args):
+        raise AssertionError("a complete ledger was counted again")
+
+    monkeypatch.setattr(ledger_mod, "_count_log", no_pass)
+    assert tabulate(store, config) == series
 
 
 def test_year_span_over_budget_raises_before_any_directory(tmp_path):
@@ -713,11 +826,13 @@ def test_crash_restart_yields_identical_series(tmp_path, manifest_buckets, budge
 
 
 def _interrupt_before_manifest(monkeypatch, corpus, config, crash_year):
-    """Run through the bucket appends of crash_year; fail its manifest write."""
+    """Run through the flush that commits crash_year; fail its manifest
+    write."""
     write_manifest = ledger_mod._write_manifest
 
     def failing_write(path, payload):
-        if payload["watermark"] == crash_year:
+        watermark = payload["watermark"]
+        if watermark is not None and watermark >= crash_year:
             raise Interrupt
         write_manifest(path, payload)
 
@@ -754,6 +869,22 @@ def _assert_committed_layout(ledger_dir):
     assert names == {"manifest.json", "ends.bin", "keys.bin"}
 
 
+def _committed_bytes(ledger_dir):
+    """The bytes of ends.bin and keys.bin that the manifest commits."""
+    manifest = _manifest(ledger_dir)
+    size = 8 * manifest["buckets"] * manifest["flushes"]
+    rows = (ledger_dir / "ends.bin").read_bytes()[:size]
+    end = int(np.frombuffer(rows[-8:], dtype=np.int64)[0]) if rows else 0
+    keys = (ledger_dir / "keys.bin").read_bytes()[: 8 * end]
+    return {"ends.bin": rows, "keys.bin": keys}
+
+
+def _years_after_watermark(corpus, ledger_dir, year):
+    """The corpus years after the manifest's watermark, through ``year``."""
+    watermark = _manifest(ledger_dir)["watermark"]
+    return [y for y in corpus.years if watermark < y <= year]
+
+
 def _resume_until(corpus, config, year):
     """Resume, stopping once ``year`` is committed; the years committed."""
     committed = []
@@ -771,8 +902,10 @@ def _resume_until(corpus, config, year):
 def test_crash_after_history_commit_before_manifest(
     tmp_path, monkeypatch, manifest_buckets, budget
 ):
-    # The year's keys and its ends.bin row are written; its manifest is not.
-    corpus = _random_corpus(12, n_articles=500, years=12)
+    # A flush's keys and its ends.bin row are written; its manifest is not.
+    # The corpus takes several flushes at 1 MiB, and many more at the
+    # smallest budget.
+    corpus = _random_corpus(12, n_articles=5000, years=12)
     config = LedgerConfig(
         k=2,
         refinement="all",
@@ -784,16 +917,21 @@ def test_crash_after_history_commit_before_manifest(
     crash_year = corpus.years[0] + 5
     _interrupt_before_manifest(monkeypatch, corpus, config, crash_year)
     manifest = _manifest(ledger_dir)
-    assert manifest["watermark"] == crash_year - 1
+    assert manifest["watermark"] < crash_year
     ends = ledger_dir / "ends.bin"
     flushes = manifest["flushes"]
+    assert flushes > 0
     assert ends.stat().st_size > 8 * manifest["buckets"] * flushes
-    before = _spill_sizes(ledger_dir)
-    # The resume cuts both files back to the committed years, then appends
-    # the crash year again.
-    assert _resume_until(corpus, config, crash_year) == [crash_year]
-    assert _spill_sizes(ledger_dir) == before
+    committed = _committed_bytes(ledger_dir)
+    # The resume cuts both files back to the committed flushes, keeps those
+    # byte for byte, and appends from the year after the watermark again.
+    redone = _years_after_watermark(corpus, ledger_dir, crash_year)
+    assert redone[-1] == crash_year
+    assert _resume_until(corpus, config, crash_year) == redone
+    for name, data in committed.items():
+        assert (ledger_dir / name).read_bytes()[: len(data)] == data
     _assert_committed_layout(ledger_dir)
+    assert _manifest(ledger_dir)["flushes"] > flushes
 
     resumed = tabulate(corpus, config)
     _assert_buckets(manifest_buckets, budget, 4)
@@ -805,19 +943,25 @@ def test_crash_after_history_commit_before_manifest(
 
 
 def test_crash_between_log_append_and_manifest(tmp_path, monkeypatch):
-    # keys.bin and its index ends.bin are append-only.
+    # keys.bin and its index ends.bin are append-only.  At the smallest
+    # budget the crash year's flush follows committed ones.
     corpus = _random_corpus(14, n_articles=400, years=10)
-    config = LedgerConfig(k=2, spill_directory=tmp_path, shard_count=2)
+    config = LedgerConfig(
+        k=2, spill_directory=tmp_path, shard_count=2, memory_budget_bytes=_MIN_BUDGET
+    )
     ledger_dir = tmp_path / "k2" / "all"
     crash_year = corpus.years[0] + 4
     _interrupt_before_manifest(monkeypatch, corpus, config, crash_year)
-    # A stray file from the failed year goes too.
+    assert _manifest(ledger_dir)["flushes"] > 0
+    # A stray file from the failed flush goes too.
     (ledger_dir / "b00007.bin").write_bytes(b"\0" * 8)
     for name in _spill_sizes(ledger_dir):
         # A torn write: the next append was cut off mid-word.
         with open(ledger_dir / name, "ab") as f:
             f.write(b"\xff" * 13)
-    assert _resume_until(corpus, config, crash_year) == [crash_year]
+    redone = _years_after_watermark(corpus, ledger_dir, crash_year)
+    assert redone[-1] == crash_year
+    assert _resume_until(corpus, config, crash_year) == redone
     _assert_committed_layout(ledger_dir)
     assert tabulate(corpus, config) == oracle_tabulate(corpus, 2, "all")
 
@@ -836,8 +980,9 @@ def test_bucket_without_keys_resumes(tmp_path):
 
 
 def test_crash_after_years_without_keys_resumes(tmp_path, monkeypatch):
-    # No article of the first two years has a triad, so they commit no
-    # flush; the third year's flushes are cut away before the resume.
+    # No article of the first two years has a triad, so they make no flush
+    # of their own: the first flush commits them with the third year's
+    # keys.  The fourth year's flush is cut away before the resume.
     store = CorpusStore()
     for year in (2000, 2001):
         store.add(ArticleRecord(f"{year}", year, frozenset({1, year}), frozenset()))
@@ -849,10 +994,11 @@ def test_crash_after_years_without_keys_resumes(tmp_path, monkeypatch):
         k=2, spill_directory=tmp_path, memory_budget_bytes=_MIN_BUDGET
     )
     ledger_dir = tmp_path / "k2" / "all"
-    _interrupt_before_manifest(monkeypatch, store, config, 2002)
-    assert _manifest(ledger_dir)["flushes"] == 0
-    assert _spill_sizes(ledger_dir)["ends.bin"] > 0
-    assert _resume_until(store, config, 2003) == [2002, 2003]
+    _interrupt_before_manifest(monkeypatch, store, config, 2003)
+    manifest = _manifest(ledger_dir)
+    assert manifest["flushes"] == 1 and manifest["watermark"] == 2002
+    assert _spill_sizes(ledger_dir)["ends.bin"] > 8 * manifest["buckets"]
+    assert _resume_until(store, config, 2004) == [2003, 2004]
     _assert_committed_layout(ledger_dir)
     assert tabulate(store, config) == oracle_tabulate(store, 2, "all")
 
@@ -904,11 +1050,13 @@ def test_resume_keeps_recorded_buckets(tmp_path, first, second, restarts):
 
     with pytest.raises(Interrupt):
         tabulate(corpus, config(first), progress_callback=_interrupt_at(crash_year))
-    recorded = _manifest(tmp_path / "k2" / "all")["buckets"]
+    manifest = _manifest(tmp_path / "k2" / "all")
+    recorded, watermark = manifest["buckets"], manifest["watermark"]
+    assert watermark >= crash_year
     committed = []
     resumed = tabulate(corpus, config(second), progress_callback=committed.append)
     assert resumed == oracle_tabulate(corpus, 2, "all")
-    expected = corpus.years[0] if restarts else crash_year + 1
+    expected = corpus.years[0] if restarts else watermark + 1
     assert committed == list(range(expected, corpus.years[-1] + 1))
     final = _manifest(tmp_path / "k2" / "all")["buckets"]
     assert (final > recorded) if restarts else (final == recorded > 2)
@@ -950,6 +1098,93 @@ def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, damaged):
     assert committed[0] == 2000
 
 
+@pytest.mark.parametrize(
+    "k, corpus, case",
+    [
+        # Each year takes three flushes, committed with its last.
+        pytest.param(1, _repeating_corpus, "inside-years", id="inside-years"),
+        # A committed flush holds the first part of the year after its
+        # watermark.
+        pytest.param(
+            2,
+            lambda: _random_corpus(14, n_articles=400, years=10),
+            "across-years",
+            id="across-years",
+        ),
+    ],
+)
+def test_kill_after_each_flush_resumes_to_the_oracle(
+    tmp_path, monkeypatch, k, corpus, case
+):
+    # A kill lands after each flush in turn, before any manifest write, and
+    # after each manifest write.  A resume emits the years after the
+    # watermark again, also one that a committed flush holds in part.
+    corpus = corpus()
+    oracle = oracle_tabulate(corpus, k, "all")
+
+    def config(name):
+        return LedgerConfig(
+            k=k, spill_directory=tmp_path / name, memory_budget_bytes=_MIN_BUDGET
+        )
+
+    # The last year of each flush, and the flush count and watermark of
+    # each commit.
+    flushed, commits = [], []
+    flush, write_manifest = ledger_mod._flush, ledger_mod._write_manifest
+
+    def recording_flush(buffer, *args):
+        layout, first = args[2], args[-2]
+        years = np.concatenate(buffer) & np.uint64((1 << layout.span_bits) - 1)
+        flushed.append(corpus.years[first + int(years.max())])
+        return flush(buffer, *args)
+
+    def recording_write(path, payload):
+        commits.append((payload["flushes"], payload["watermark"]))
+        write_manifest(path, payload)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ledger_mod, "_flush", recording_flush)
+        patch.setattr(ledger_mod, "_write_manifest", recording_write)
+        assert tabulate(corpus, config("clean")) == oracle
+    commits.pop()  # the completing write
+    buckets = _manifest(tmp_path / "clean" / f"k{k}" / "all")["buckets"]
+    if case == "inside-years":
+        assert len(commits) < len(flushed) == commits[-1][0]
+    else:
+        assert any(flushed[n - 1] > watermark for n, watermark in commits)
+
+    kills = [("_flush", i) for i in range(1, len(flushed) + 1)]
+    kills += [("_write_manifest", i) for i in range(1, len(commits) + 1)]
+    for name, i in kills:
+        made = []
+
+        def killed(*args, fn=getattr(ledger_mod, name), made=made, i=i):
+            result = fn(*args)
+            made.append(1)
+            if len(made) == i:
+                raise Interrupt
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ledger_mod, name, killed)
+            with pytest.raises(Interrupt):
+                tabulate(corpus, config(f"{name}{i}"))
+        ledger_dir = tmp_path / f"{name}{i}" / f"k{k}" / "all"
+        if name == "_write_manifest":
+            assert _manifest(ledger_dir)["flushes"] == commits[i - 1][0]
+            _assert_committed_layout(ledger_dir)
+        else:
+            # The first i flushes are written, and those that a commit
+            # followed are committed; the resume cuts the rest away.
+            done = [n for n, _ in commits if n < i]
+            if done:
+                assert _manifest(ledger_dir)["flushes"] == done[-1]
+            else:
+                assert not (ledger_dir / "manifest.json").exists()
+            assert _spill_sizes(ledger_dir)["ends.bin"] == 8 * buckets * i
+        assert tabulate(corpus, config(f"{name}{i}")) == oracle
+
+
 # Manifest versions 1-5 packed 32, 21 or 16 bits per id and routed keys by
 # the splitmix64 finalizer mod the shard or bucket count; version 6 wrote
 # today's key log.
@@ -974,7 +1209,7 @@ def _old_mix64(keys):
     return x
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
     corpus = _random_corpus(13, n_articles=300)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
@@ -983,7 +1218,7 @@ def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
 
     def commit(year):
         flushes[year] = _manifest(ledger_dir)["flushes"]
-        # Versions 6 and 7 kept keys.bin and ends.bin in today's format: their
+        # Versions 6 to 8 kept keys.bin and ends.bin in today's format: their
         # state before the bucket pass is today's with another manifest.
         if version >= 6 and year == corpus.years[-1]:
             raise Interrupt
@@ -1010,6 +1245,10 @@ def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
         )
     ]
     current = _manifest(ledger_dir)
+    series = {
+        "years": [row["year"] for row in rows],
+        **{name: [row[name] for row in rows] for name in ledger_mod.SERIES_COLUMNS},
+    }
     manifest = {
         "version": version,
         "fingerprint": current["fingerprint"],
@@ -1017,7 +1256,11 @@ def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
         "watermark": rows[-1]["year"],
         "rows": rows,
     }
-    if version == 7:
+    if version == 8:
+        # A complete version-8 manifest stored the series over every
+        # calendar year.
+        manifest = dict(current, version=8, complete=True, series=series)
+    elif version == 7:
         # Version 7 wrote today's manifest, but tagged each key with its
         # year's calendar offset.  Tags one year late would show.
         log = ledger_dir / "keys.bin"
