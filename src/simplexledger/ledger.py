@@ -25,8 +25,8 @@ flushes committed and the last year whose emission had ended, which
 allows restart after that year; a resume emits that year's successor from
 its start, so a flush inside a year waits for the next commit.  The
 manifest holds resume state only, so its size does not grow with the
-years.  The bucket pass then reads each bucket's parts of every flush,
-sorts them, and takes each key's first word, whose year is the smallest.
+years.  The count pass then reads each bucket's parts of every flush,
+sorts them, and keeps each key's first word, whose year is the smallest.
 B is fixed before any work from the exact emission count and the memory
 budget; the result is identical for any B.  Once every bucket is counted,
 the completing manifest write stores the tallies over the years that
@@ -49,7 +49,7 @@ import tempfile
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -61,7 +61,7 @@ _LOG_NAME = "keys.bin"
 _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 18  # keys per emission batch
-# Bytes of budget per key in the bucket pass, whose peak is about 19.
+# Bytes of budget per key in the bucket pass, whose peak is about 11.
 _PASS_BYTES_PER_KEY = 32
 # Bytes per calendar year of the finished series: its four int64 columns.
 _BYTES_PER_YEAR = 32
@@ -96,6 +96,9 @@ class LedgerConfig:
     spill_directory: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
+        for name in ("k", "shard_count", "memory_budget_bytes"):
+            if type(getattr(self, name)) is not int:
+                raise LedgerError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.k not in (1, 2, 3):
             raise LedgerError(f"order k must be in 1..3, got {self.k}")
         if self.refinement not in REFINEMENTS:
@@ -243,16 +246,24 @@ def _unhash(keys: np.ndarray, width: int) -> None:
     _mix(keys, width, [pow(m, -1, 1 << width) for m in reversed(_MULTIPLIERS)])
 
 
-def _compact(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Move the words that ``keep`` marks to the front of ``words``, in
-    order and in place, so that no copy of them all is made; returns that
-    front."""
+def _first_years(
+    words: np.ndarray, tag_bits: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``words``, each a value above ``tag_bits`` bits of tag, and keep
+    each value's first word, whose tag is the smallest: the kept values move
+    to the front of ``words``, in order and in place, so that no copy of
+    them all is made.  Returns that front and the kept tags, as ``dtype``."""
+    words.sort()
+    tags = np.empty(words.size, dtype=dtype)
+    np.bitwise_and(words, np.uint64((1 << tag_bits) - 1), out=tags, casting="unsafe")
+    words >>= np.uint64(tag_bits)
+    heads = run_heads(words)
     n = 0
     for start in range(0, words.size, _CHUNK):
-        kept = words[start : start + _CHUNK][keep[start : start + _CHUNK]]
+        kept = words[start : start + _CHUNK][heads[start : start + _CHUNK]]
         words[n : n + kept.size] = kept
         n += kept.size
-    return words[:n]
+    return words[:n], tags[heads]
 
 
 # --- emission --------------------------------------------------------------
@@ -376,26 +387,17 @@ def _flush(
     first: int,
     end: int,
 ) -> int:
-    """Append the buffered words to the log as one sorted slice with one
-    word per hash, and its bucket ends to the index.
+    """Append the buffered words to the log as one sorted slice that keeps
+    each hash's word of the smallest year, and its bucket ends to the index.
 
     A buffered word holds a hash above the r bits of its year index less
-    ``first``.  Sorted, a hash's words run together with the smallest year
-    first, and only that one is written, tagged with its year index.
-    Empties ``buffer``.  ``end`` is the log's length in words before the
-    append; returns its length after.
+    ``first``; the written one is tagged with its year index.  Empties
+    ``buffer``.  ``end`` is the log's length in words before the append;
+    returns its length after.
     """
     words = np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
     buffer.clear()
-    words.sort()
-    r = layout.span_bits
-    year = np.empty(words.size, dtype=layout.span_dtype)
-    np.bitwise_and(words, np.uint64((1 << r) - 1), out=year, casting="unsafe")
-    words >>= np.uint64(r)
-    heads = run_heads(words)
-    keys = _compact(words, heads)
-    year = year[heads]
-    del heads
+    keys, year = _first_years(words, layout.span_bits, layout.span_dtype)
     row = np.empty(starts.size, dtype=np.int64)
     row[:-1] = np.searchsorted(keys, starts[1:])
     row[-1] = keys.size
@@ -439,9 +441,8 @@ def _count_bucket(
 
     Its part of flush f is log words ``begins[f]:ends[f]``, and its
     smallest hash is ``base``.  ``debut_index`` holds each dense keyword's
-    debut as a year index.  Sorted, a key's words run together with the
-    smallest year first.  Each array is dropped once used, which holds the
-    peak near 19 bytes per word.
+    debut as a year index.  Each array is dropped once used, which holds
+    the peak near 11 bytes per word.
     """
     sizes = ends - begins
     words = np.empty(int(sizes.sum()), dtype=np.uint64)
@@ -451,25 +452,16 @@ def _count_bucket(
         if size:
             _read_into(log, view[at : at + size], begin)
             at += size
-    words.sort()
-    y = layout.year_bits
-    year = np.empty(words.size, dtype=debut_index.dtype)
-    np.bitwise_and(words, np.uint64((1 << y) - 1), out=year, casting="unsafe")
-    words >>= np.uint64(y)
-    heads = run_heads(words)
-    keys = words[heads]
-    del words
-    year = year[heads]
-    del heads
+    keys, year = _first_years(words, layout.year_bits, debut_index.dtype)
     # The hash's bits above the word's lie in the bucket's range.
     keys -= np.uint64(base)
-    keys &= np.uint64((1 << (64 - y)) - 1)
+    keys &= np.uint64((1 << (64 - layout.year_bits)) - 1)
     keys += np.uint64(base)
     _unhash(keys, layout.width)
     # The largest dense id of a key debuted last among its keywords.
     keys &= np.uint64((1 << layout.bits) - 1)
     peripheral = debut_index[keys] == year
-    del keys
+    del view, words, keys
     new = np.bincount(year, minlength=layout.years)
     return new, np.bincount(year[peripheral], minlength=layout.years)
 
@@ -490,9 +482,12 @@ def _count_log(
     each block in at most ``index_bytes``.
     """
     buckets = starts.size
-    block = max(1, min(buckets, index_bytes // (8 * max(1, flushes)) - 1))
     new = np.zeros(layout.years, dtype=np.int64)
     peripheral = np.zeros(layout.years, dtype=np.int64)
+    # No flush is made when no article has k + 1 keywords.
+    if not flushes:
+        return new, peripheral
+    block = max(1, min(buckets, index_bytes // (8 * flushes) - 1))
     with open(log_path, "rb", buffering=0) as log_file, open(
         ends_path, "rb", buffering=0
     ) as index_file:
@@ -581,6 +576,31 @@ def _restore(ledger_dir: Path, manifest: dict) -> int | None:
     return end
 
 
+def _open(ledger_dir: Path, fingerprint: str, buckets: int) -> tuple[dict, int]:
+    """The ledger's manifest and its log's committed length in words.  An
+    incomplete manifest resumes through ``_restore`` if it records at least
+    ``buckets``, since more buckets only makes each smaller; otherwise the
+    directory is emptied for a fresh one."""
+    manifest = _load_manifest(ledger_dir / _MANIFEST_NAME, fingerprint)
+    if manifest is not None and manifest["complete"]:
+        return manifest, 0
+    if manifest is not None and manifest["buckets"] >= buckets:
+        end = _restore(ledger_dir, manifest)
+        if end is not None:
+            return manifest, end
+    shutil.rmtree(ledger_dir)
+    ledger_dir.mkdir(parents=True)
+    fresh = {
+        "version": _MANIFEST_VERSION,
+        "fingerprint": fingerprint,
+        "buckets": buckets,
+        "watermark": None,
+        "flushes": 0,
+        "complete": False,
+    }
+    return fresh, 0
+
+
 # --- tabulate --------------------------------------------------------------
 
 
@@ -608,24 +628,80 @@ def _spread(config: LedgerConfig, stored: dict) -> LedgerSeries:
     )
 
 
-def tabulate(
+def _emission_pass(
     corpus: CorpusStore,
     config: LedgerConfig,
-    progress_callback: Callable[[int], None] | None = None,
-) -> LedgerSeries:
+    layout: _Layout,
+    buffer_keys: int,
+    ledger_dir: Path,
+    manifest: dict,
+    end: int,
+) -> None:
+    """Flush the keys of the years after the manifest's watermark to the
+    log, and commit each year once its emission has ended and a flush, or
+    the sweep's end, follows.  ``end`` is the log's committed length."""
+    years = corpus.years
+    s = config.k + 1
+    _, offsets, _ = corpus.csr(config.refinement)
+    _, _, ids = corpus.debut_order(config.refinement)
+    starts = layout.starts(manifest["buckets"])
+    batch_keys = min(_EMIT_CHUNK, buffer_keys)
+    span = 1 << layout.span_bits
+    # The years up to the watermark are committed.
+    watermark = manifest["watermark"]
+    done = 0 if watermark is None else bisect.bisect_right(years, watermark)
+    emitted = (
+        (tag, keys)
+        for tag in range(done, len(years))
+        for keys in _emit_year_keys(
+            offsets, ids, *corpus.year_range(years[tag]), s, layout.bits, batch_keys
+        )
+    )
+    buffer: list[np.ndarray] = []
+    buffered = head = 0
+    with open(ledger_dir / _LOG_NAME, "ab", buffering=0) as log_file, open(
+        ledger_dir / _ENDS_NAME, "ab", buffering=0
+    ) as index_file:
+        log, index = log_file.fileno(), index_file.fileno()
+        # Each batch with its year index, then the end of the sweep.
+        for tag, keys in itertools.chain(emitted, [(len(years), None)]):
+            flushing = bool(buffer) and (
+                keys is None or buffered + keys.size > buffer_keys or tag - head >= span
+            )
+            if flushing:
+                end = _flush(buffer, log, index, layout, starts, head, end)
+                manifest["flushes"] += 1
+                buffered = 0
+            # A resume emits the year after the watermark from its start,
+            # so a flush inside that year waits for the next commit.
+            if (flushing or keys is None) and tag > done:
+                manifest["watermark"] = years[tag - 1]
+                _write_manifest(ledger_dir / _MANIFEST_NAME, manifest)
+                done = tag
+            if keys is None:
+                break
+            if not buffer:
+                head = tag
+            _hash(keys, layout.width)
+            keys <<= np.uint64(layout.span_bits)
+            keys |= np.uint64(tag - head)
+            buffer.append(keys)
+            buffered += keys.size
+
+
+def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     """Sweep years ascending, tallying first occurrences exactly.
 
     Resumes after the manifest's year watermark when
     ``config.spill_directory`` already holds state for the same corpus and
     configuration, and with at least as many buckets as this configuration
     needs.  Without a spill directory it works in a temporary directory
-    under ``$TMPDIR`` and removes it.  The optional callback fires once for
-    each year that holds articles, in order, as soon as its keys are
-    durably committed: after the flush that follows its last batch, or,
-    for trailing years without keys, at the end of the sweep.  If a kill
-    lands while a year is only partly in a committed flush, the resume
-    emits that year again; the repeated words are harmless, since the
-    bucket pass keeps one word per hash.
+    under ``$TMPDIR`` and removes it.  The emission pass commits a year's
+    keys with the first flush after its last batch, or, for trailing years
+    without keys, at the end of the sweep; then the count pass tallies the
+    committed log.  If a kill lands while a year is only partly in a
+    committed flush, the resume emits that year again; the repeated words
+    are harmless, since the bucket pass keeps one word per hash.
     """
     s = config.k + 1
     corpus_years = corpus.years
@@ -633,7 +709,7 @@ def tabulate(
         return LedgerSeries(k=config.k, refinement=config.refinement)
     _check_span(corpus_years[0], corpus_years[-1], config)
 
-    _, debuts, dense = corpus.debut_order(config.refinement)
+    _, debuts, _ = corpus.debut_order(config.refinement)
     _check_capacity(debuts.size, s)
     article_years, offsets, _ = corpus.csr(config.refinement)
     layout = _Layout.of(debuts.size, s, len(corpus_years))
@@ -665,88 +741,11 @@ def tabulate(
             raise LedgerError(f"spill directory unwritable: {exc}") from exc
 
         fingerprint = _fingerprint(corpus.digest(), config)
-        manifest_path = ledger_dir / _MANIFEST_NAME
-        ends_path = ledger_dir / _ENDS_NAME
-        log_path = ledger_dir / _LOG_NAME
-        manifest = _load_manifest(manifest_path, fingerprint)
-        end = None
-        if manifest is not None and not manifest["complete"]:
-            # More buckets than needed only makes each smaller, so a resume
-            # keeps the recorded count unless this budget needs more.
-            if manifest["buckets"] >= buckets:
-                buckets = manifest["buckets"]
-                end = _restore(ledger_dir, manifest)
-            if end is None:
-                manifest = None
-        if manifest is None:
-            shutil.rmtree(ledger_dir)
-            ledger_dir.mkdir(parents=True)
-            manifest = {
-                "version": _MANIFEST_VERSION,
-                "fingerprint": fingerprint,
-                "buckets": buckets,
-                "watermark": None,
-                "flushes": 0,
-                "complete": False,
-            }
-            end = 0
-
+        manifest, end = _open(ledger_dir, fingerprint, buckets)
         if not manifest["complete"]:
-            starts = layout.starts(buckets)
-            batch_keys = min(_EMIT_CHUNK, buffer_keys)
-            shift = np.uint64(layout.span_bits)
-            span = 1 << layout.span_bits
-            # The years up to the watermark are committed.
-            watermark = manifest["watermark"]
-            done = (
-                0 if watermark is None else bisect.bisect_right(corpus_years, watermark)
+            _emission_pass(
+                corpus, config, layout, buffer_keys, ledger_dir, manifest, end
             )
-            buffer: list[np.ndarray] = []
-            buffered = head = 0
-            with open(log_path, "ab", buffering=0) as log_file, open(
-                ends_path, "ab", buffering=0
-            ) as index_file:
-                log, index = log_file.fileno(), index_file.fileno()
-
-                def flush(ended: int) -> None:
-                    """Flush the buffer, if it holds keys, and commit the
-                    flushes made so far once the first ``ended`` years,
-                    whose emission has ended, pass the watermark.  A resume
-                    emits the year after the watermark from its start, so
-                    a flush inside that year waits for the next commit."""
-                    nonlocal end, done, buffered
-                    if buffer:
-                        end = _flush(buffer, log, index, layout, starts, head, end)
-                        manifest["flushes"] += 1
-                        buffered = 0
-                    if ended == done:
-                        return
-                    manifest["watermark"] = corpus_years[ended - 1]
-                    _write_manifest(manifest_path, manifest)
-                    newly, done = corpus_years[done:ended], ended
-                    if progress_callback is not None:
-                        for year in newly:
-                            progress_callback(year)
-
-                for tag in range(done, len(corpus_years)):
-                    lo, hi = corpus.year_range(corpus_years[tag])
-                    for keys in _emit_year_keys(
-                        offsets, dense, lo, hi, s, layout.bits, batch_keys
-                    ):
-                        if buffer and (
-                            buffered + keys.size > buffer_keys or tag - head >= span
-                        ):
-                            flush(tag)
-                        if not buffer:
-                            head = tag
-                        _hash(keys, layout.width)
-                        keys <<= shift
-                        keys |= np.uint64(tag - head)
-                        buffer.append(keys)
-                        buffered += keys.size
-                if done < len(corpus_years):
-                    flush(len(corpus_years))
-
             # The bucket pass only reads committed files; a resume after a
             # kill inside it runs it again.
             years = np.array(corpus_years)
@@ -754,13 +753,13 @@ def tabulate(
                 np.min_scalar_type(years.size - 1)
             )
             new, peripheral = _count_log(
-                log_path,
-                ends_path,
+                ledger_dir / _LOG_NAME,
+                ledger_dir / _ENDS_NAME,
                 layout,
-                starts,
+                layout.starts(manifest["buckets"]),
                 manifest["flushes"],
                 debut_index,
-                # A bucket's pass takes about 19 / 32 of the budget.
+                # A bucket's pass takes about 11 / 32 of the budget.
                 config.memory_budget_bytes // 4,
             )
             bad = np.flatnonzero((peripheral < 0) | (peripheral > new))
@@ -782,7 +781,7 @@ def tabulate(
                 **{name: t.tolist() for name, t in zip(SERIES_COLUMNS, tallies)},
             }
             manifest["complete"] = True
-            _write_manifest(manifest_path, manifest)
+            _write_manifest(ledger_dir / _MANIFEST_NAME, manifest)
         _keep_only(ledger_dir, {_MANIFEST_NAME})
 
     return _spread(config, manifest["series"])

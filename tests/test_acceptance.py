@@ -186,12 +186,20 @@ corpus = generate_synthetic(
 emissions = sum(math.comb(len(r.all_keywords), 4) for r in corpus.iter_records())
 flushes = [0]
 original_flush = ledger_mod._flush
+original_write = ledger_mod._write_manifest
 
 def counting_flush(*args):
     flushes[-1] += 1
     return original_flush(*args)
 
+def counting_write(path, payload):
+    original_write(path, payload)
+    # Each commit starts a new flush count.
+    if not payload["complete"]:
+        flushes.append(0)
+
 ledger_mod._flush = counting_flush
+ledger_mod._write_manifest = counting_write
 start = time.perf_counter()
 series = tabulate(
     corpus,
@@ -202,8 +210,6 @@ series = tabulate(
         memory_budget_bytes=4 << 20,  # low cap to force spill-to-disk
         spill_directory=sys.argv[1],
     ),
-    # Each committed year starts a new flush count.
-    progress_callback=lambda year: flushes.append(0),
 )
 elapsed = time.perf_counter() - start
 manifest = pathlib.Path(sys.argv[1], "k3", "all", "manifest.json")
@@ -275,12 +281,17 @@ def test_criterion_8_crash_restart(tmp_path):
     class Interrupt(Exception):
         pass
 
-    def crash_midway(year):
-        if year == 1999:
+    write_manifest = ledger_mod._write_manifest
+
+    def crash_midway(path, payload):
+        write_manifest(path, payload)
+        if not payload["complete"] and payload["watermark"] >= 1999:
             raise Interrupt
 
-    with pytest.raises(Interrupt):
-        tabulate(corpus, config, progress_callback=crash_midway)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ledger_mod, "_write_manifest", crash_midway)
+        with pytest.raises(Interrupt):
+            tabulate(corpus, config)
     resumed = tabulate(corpus, config)
     clean = tabulate(
         corpus,

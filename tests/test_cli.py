@@ -9,7 +9,14 @@ import pytest
 import simplexledger.ledger as ledger_mod
 from simplexledger import cli
 from simplexledger.cli import main
-from simplexledger.corpus import CorpusError, ingest_tsv, load_store
+from simplexledger.corpus import (
+    ArticleRecord,
+    CorpusError,
+    CorpusStore,
+    ingest_tsv,
+    load_store,
+    save_store,
+)
 from simplexledger.ledger import LedgerSeries, oracle_tabulate
 from simplexledger.metrics import build_metrics, write_ledger_csv
 from simplexledger.ontology import OntologyError, load_ontology
@@ -234,6 +241,25 @@ def test_run_manifest_survives_a_kill_mid_write(tmp_path, demo_files, monkeypatc
     with pytest.raises(KeyboardInterrupt):
         _run_dir(tmp_path, "atomic", demo_files)
     assert (out / "run_manifest.json").read_text() == before
+
+
+def test_run_completes_ledgers_without_emissions(tmp_path):
+    # No article has 4 keywords or 2 Major ones, so four of the six ledgers
+    # emit no key.
+    corpus = CorpusStore()
+    for i in range(50):
+        kws = frozenset({i, i + 1, i + 2})
+        corpus.add(ArticleRecord(f"a{i:02d}", 2000 + i % 5, kws, frozenset({i})))
+    store, out = tmp_path / "store.bin", tmp_path / "out"
+    with open(store, "wb") as f:
+        save_store(corpus, f)
+    argv = ["run", "--store", str(store), "--k", "1,2,3", "--refinement",
+            "all,major", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["status"] == "complete"
+    assert sorted(p.name for p in out.glob("ledger_*.csv")) == [
+        f"ledger_k{k}_{r}.csv" for k in (1, 2, 3) for r in ("all", "major")
+    ]
 
 
 def test_ingest_then_run_from_store(tmp_path, demo_files):

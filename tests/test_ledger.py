@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import math
@@ -176,6 +175,43 @@ def _manifest(ledger_dir):
     return json.loads((ledger_dir / "manifest.json").read_text())
 
 
+class Interrupt(Exception):
+    pass
+
+
+def _commits(corpus, config, until=None, observe=None):
+    """Run ``tabulate`` with ``_write_manifest`` wrapped, and only then; the
+    series, None if interrupted, and the watermark of each commit.
+
+    A commit is a manifest write that leaves the ledger incomplete.  After
+    each, ``observe(manifest)`` runs, if given; with ``until``, Interrupt is
+    raised right after the first commit whose watermark is at least
+    ``until``.
+    """
+    write_manifest = ledger_mod._write_manifest
+    watermarks = []
+
+    def write(path, payload):
+        write_manifest(path, payload)
+        if payload["complete"]:
+            return
+        watermarks.append(payload["watermark"])
+        if observe is not None:
+            observe(payload)
+        if until is not None and payload["watermark"] >= until:
+            raise Interrupt
+
+    series = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ledger_mod, "_write_manifest", write)
+        if until is None:
+            series = tabulate(corpus, config)
+        else:
+            with pytest.raises(Interrupt):
+                tabulate(corpus, config)
+    return series, watermarks
+
+
 @pytest.mark.parametrize(
     "seed, budget",
     [pytest.param(seed, 1 << 20, id=str(seed)) for seed in range(8)]
@@ -344,6 +380,30 @@ def test_invalid_configs_rejected():
         LedgerConfig(refinement="partial")
     with pytest.raises(LedgerError):
         LedgerConfig(shard_count=0)
+    for field, value in [
+        ("k", 1.0),
+        ("k", True),
+        ("shard_count", 2.5),
+        ("memory_budget_bytes", 1e6),
+        ("memory_budget_bytes", "1048576"),
+    ]:
+        with pytest.raises(LedgerError, match=field):
+            LedgerConfig(**{field: value})
+
+
+def test_ledgers_without_emissions_tally_zero(tmp_path):
+    # No article has 4 keywords or 2 Major ones: k = 3, and every order
+    # under major, emit no key, so no flush is made.
+    store = CorpusStore()
+    for i in range(50):
+        kws = frozenset({i, i + 1, i + 2})
+        store.add(ArticleRecord(f"a{i:02d}", 2000 + i % 5, kws, frozenset({i})))
+    for k in (1, 2, 3):
+        for refinement in ("all", "major"):
+            config = LedgerConfig(
+                k=k, refinement=refinement, spill_directory=tmp_path
+            )
+            assert tabulate(store, config) == oracle_tabulate(store, k, refinement)
 
 
 def test_memory_budget_too_small_aborts_with_hint():
@@ -566,15 +626,16 @@ def test_spill_directory_holds_one_log_with_one_append_per_flush(
         flushes.append(end)
         return end
 
-    def check_directory(year):
+    def check_directory(manifest):
         names = sorted(p.name for p in ledger_dir.iterdir())
         assert names == ["ends.bin", "keys.bin", "manifest.json"]
 
     monkeypatch.setattr(os, "write", recording_write)
     monkeypatch.setattr(ledger_mod, "_flush", recording_flush)
-    series = tabulate(corpus, config, progress_callback=check_directory)
+    series, watermarks = _commits(corpus, config, observe=check_directory)
     monkeypatch.undo()
     assert series == oracle_tabulate(corpus, 2, "all")
+    assert watermarks[-1] == corpus.years[-1]
     # Some year takes more than one flush.
     assert len(corpus.years) < _manifest(ledger_dir)["flushes"] == len(flushes)
 
@@ -599,17 +660,16 @@ def test_corpus_within_one_buffer_commits_once(tmp_path, monkeypatch):
             return fn(*args)
 
         monkeypatch.setattr(ledger_mod, name, counting)
-    committed, rows = [], set()
+    rows = set()
 
-    def commit(year):
-        committed.append(year)
+    def commit(manifest):
         rows.add(ends.stat().st_size // (8 * 3))
 
-    series = tabulate(corpus, config, progress_callback=commit)
+    series, watermarks = _commits(corpus, config, observe=commit)
     assert series == oracle_tabulate(corpus, 2, "all")
     assert calls == {"_flush": 1, "_write_manifest": 2}
     assert rows == {1}
-    assert committed == corpus.years
+    assert watermarks == [corpus.years[-1]]
 
 
 def test_too_little_disk_raises_before_any_directory(tmp_path, monkeypatch):
@@ -731,23 +791,27 @@ def test_year_span_over_budget_raises_before_any_directory(tmp_path):
 
 
 def test_manifest_does_not_grow_with_committed_years(tmp_path):
-    store = CorpusStore()
-    for i in range(300):
-        store.add(ArticleRecord(f"a{i:03d}", 1800 + i, frozenset({i, i + 1}), frozenset()))
-    ledger_dir = tmp_path / "k1" / "all"
-    sizes, keys = [], set()
+    # One commit covers all 300 years, and its manifest is as large as the
+    # one that commits a ledger of one year.
+    sizes, keys, committed = {}, set(), {}
+    for n in (1, 300):
+        store = CorpusStore()
+        for i in range(n):
+            kws = frozenset({i, i + 1})
+            store.add(ArticleRecord(f"a{i:03d}", 1800 + i, kws, frozenset()))
+        ledger_dir = tmp_path / str(n) / "k1" / "all"
 
-    def commit(year):
-        manifest = _manifest(ledger_dir)
-        keys.add(tuple(manifest))
-        sizes.append((ledger_dir / "manifest.json").stat().st_size)
+        def commit(manifest, ledger_dir=ledger_dir, n=n):
+            keys.add(tuple(_manifest(ledger_dir)))
+            sizes[n] = (ledger_dir / "manifest.json").stat().st_size
 
-    tabulate(store, LedgerConfig(k=1, spill_directory=tmp_path), commit)
+        config = LedgerConfig(k=1, spill_directory=tmp_path / str(n))
+        committed[n] = _commits(store, config, observe=commit)[1]
     assert keys == {
         ("version", "fingerprint", "buckets", "watermark", "flushes", "complete")
     }
-    # Only the flush count's digits grow: 1 to 300.
-    assert len(sizes) == 300 and max(sizes) - min(sizes) <= 2
+    assert committed == {1: [1800], 300: [2099]}
+    assert sizes[1] == sizes[300]
 
 
 def test_bad_peripheral_tally_is_never_committed(tmp_path, monkeypatch):
@@ -793,18 +857,6 @@ def _assert_buckets(buckets, budget, shard_count):
         assert buckets == {shard_count}
 
 
-class Interrupt(Exception):
-    pass
-
-
-def _interrupt_at(year):
-    def boom(committed):
-        if committed == year:
-            raise Interrupt
-
-    return boom
-
-
 @pytest.mark.parametrize("budget", _BUDGETS)
 def test_crash_restart_yields_identical_series(tmp_path, manifest_buckets, budget):
     corpus = _random_corpus(12, n_articles=500, years=12)
@@ -815,8 +867,7 @@ def test_crash_restart_yields_identical_series(tmp_path, manifest_buckets, budge
         shard_count=4,
         memory_budget_bytes=budget,
     )
-    with pytest.raises(Interrupt):
-        tabulate(corpus, config, progress_callback=_interrupt_at(corpus.years[0] + 5))
+    _commits(corpus, config, until=corpus.years[0] + 5)
     resumed = tabulate(corpus, config)
     _assert_buckets(manifest_buckets, budget, 4)
     clean = tabulate(
@@ -885,19 +936,6 @@ def _years_after_watermark(corpus, ledger_dir, year):
     return [y for y in corpus.years if watermark < y <= year]
 
 
-def _resume_until(corpus, config, year):
-    """Resume, stopping once ``year`` is committed; the years committed."""
-    committed = []
-
-    def record(y):
-        committed.append(y)
-        _interrupt_at(year)(y)
-
-    with pytest.raises(Interrupt):
-        tabulate(corpus, config, progress_callback=record)
-    return committed
-
-
 @pytest.mark.parametrize("budget", _BUDGETS)
 def test_crash_after_history_commit_before_manifest(
     tmp_path, monkeypatch, manifest_buckets, budget
@@ -927,7 +965,9 @@ def test_crash_after_history_commit_before_manifest(
     # byte for byte, and appends from the year after the watermark again.
     redone = _years_after_watermark(corpus, ledger_dir, crash_year)
     assert redone[-1] == crash_year
-    assert _resume_until(corpus, config, crash_year) == redone
+    # The resume stops at the crash year, and its first commit is past the
+    # watermark: a restart would commit the years up to it again.
+    assert _commits(corpus, config, until=crash_year)[1][0] >= redone[0]
     for name, data in committed.items():
         assert (ledger_dir / name).read_bytes()[: len(data)] == data
     _assert_committed_layout(ledger_dir)
@@ -961,7 +1001,9 @@ def test_crash_between_log_append_and_manifest(tmp_path, monkeypatch):
             f.write(b"\xff" * 13)
     redone = _years_after_watermark(corpus, ledger_dir, crash_year)
     assert redone[-1] == crash_year
-    assert _resume_until(corpus, config, crash_year) == redone
+    # The resume stops at the crash year, and its first commit is past the
+    # watermark: a restart would commit the years up to it again.
+    assert _commits(corpus, config, until=crash_year)[1][0] >= redone[0]
     _assert_committed_layout(ledger_dir)
     assert tabulate(corpus, config) == oracle_tabulate(corpus, 2, "all")
 
@@ -970,8 +1012,7 @@ def test_bucket_without_keys_resumes(tmp_path):
     corpus = _random_corpus(15, n_articles=60, years=6)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=512)
     ledger_dir = tmp_path / "k1" / "all"
-    with pytest.raises(Interrupt):
-        tabulate(corpus, config, progress_callback=_interrupt_at(corpus.years[0] + 2))
+    _commits(corpus, config, until=corpus.years[0] + 2)
     # Some buckets have not received a key: their part of every flush is
     # empty.
     assert 0 < np.count_nonzero(_bucket_keys(ledger_dir, 512)) < 512
@@ -998,7 +1039,7 @@ def test_crash_after_years_without_keys_resumes(tmp_path, monkeypatch):
     manifest = _manifest(ledger_dir)
     assert manifest["flushes"] == 1 and manifest["watermark"] == 2002
     assert _spill_sizes(ledger_dir)["ends.bin"] > 8 * manifest["buckets"]
-    assert _resume_until(store, config, 2004) == [2003, 2004]
+    assert _commits(store, config, until=2004)[1] == [2003, 2004]
     _assert_committed_layout(ledger_dir)
     assert tabulate(store, config) == oracle_tabulate(store, 2, "all")
 
@@ -1024,9 +1065,8 @@ def test_kill_inside_bucket_pass_reruns_it(tmp_path, monkeypatch):
     assert not _manifest(ledger_dir)["complete"]
     _assert_committed_layout(ledger_dir)
     # Every year is committed, so the resume only reruns the bucket pass.
-    committed = []
-    resumed = tabulate(corpus, config, progress_callback=committed.append)
-    assert committed == []
+    resumed, watermarks = _commits(corpus, config)
+    assert watermarks == []
     assert resumed == oracle_tabulate(corpus, 2, "all")
 
 
@@ -1048,16 +1088,16 @@ def test_resume_keeps_recorded_buckets(tmp_path, first, second, restarts):
             k=2, spill_directory=tmp_path, shard_count=2, memory_budget_bytes=budget
         )
 
-    with pytest.raises(Interrupt):
-        tabulate(corpus, config(first), progress_callback=_interrupt_at(crash_year))
+    _commits(corpus, config(first), until=crash_year)
     manifest = _manifest(tmp_path / "k2" / "all")
     recorded, watermark = manifest["buckets"], manifest["watermark"]
     assert watermark >= crash_year
-    committed = []
-    resumed = tabulate(corpus, config(second), progress_callback=committed.append)
+    resumed, watermarks = _commits(corpus, config(second))
     assert resumed == oracle_tabulate(corpus, 2, "all")
-    expected = corpus.years[0] if restarts else watermark + 1
-    assert committed == list(range(expected, corpus.years[-1] + 1))
+    # A restart commits the years up to the watermark again; a resume only
+    # those after it.
+    assert (watermarks[0] < watermark) if restarts else (watermarks[0] > watermark)
+    assert watermarks[-1] == corpus.years[-1]
     final = _manifest(tmp_path / "k2" / "all")["buckets"]
     assert (final > recorded) if restarts else (final == recorded > 2)
 
@@ -1086,16 +1126,14 @@ def _repeating_corpus():
 def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, damaged):
     corpus = _repeating_corpus()
     config = LedgerConfig(k=1, spill_directory=tmp_path, memory_budget_bytes=budget)
-    with pytest.raises(Interrupt):
-        tabulate(corpus, config, progress_callback=_interrupt_at(2002))
+    interrupted = _commits(corpus, config, until=2002)[1]
     ledger_dir = tmp_path / "k1" / "all"
     path = ledger_dir / damaged
     os.truncate(path, path.stat().st_size - 8)
-    committed = []
-    assert tabulate(corpus, config, progress_callback=committed.append) == (
-        oracle_tabulate(corpus, 1, "all")
-    )
-    assert committed[0] == 2000
+    series, watermarks = _commits(corpus, config)
+    assert series == oracle_tabulate(corpus, 1, "all")
+    # The restart makes the interrupted run's commits again, from 2000.
+    assert watermarks[: len(interrupted)] == interrupted
 
 
 @pytest.mark.parametrize(
@@ -1214,17 +1252,15 @@ def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
     corpus = _random_corpus(13, n_articles=300)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
     ledger_dir = tmp_path / "k1" / "all"
-    flushes = {}
+    commits = []
 
-    def commit(year):
-        flushes[year] = _manifest(ledger_dir)["flushes"]
-        # Versions 6 to 8 kept keys.bin and ends.bin in today's format: their
-        # state before the bucket pass is today's with another manifest.
-        if version >= 6 and year == corpus.years[-1]:
-            raise Interrupt
+    def commit(manifest):
+        commits.append((manifest["watermark"], manifest["flushes"]))
 
-    with pytest.raises(Interrupt) if version >= 6 else contextlib.nullcontext():
-        tabulate(corpus, config, progress_callback=commit)
+    # Versions 6 to 8 kept keys.bin and ends.bin in today's format: their
+    # state before the bucket pass is today's with another manifest.
+    until = corpus.years[-1] if version >= 6 else None
+    _commits(corpus, config, until=until, observe=commit)
     # Rewrite the state in an older layout.  Its rows are the oracle's, off
     # by one, so trusting them would show.
     oracle = oracle_tabulate(corpus, 1, "all")
@@ -1269,7 +1305,7 @@ def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
     elif version == 6:
         # Each row held the flushes committed through its year.
         for row in rows:
-            row["flushes"] = flushes[row["year"]]
+            row["flushes"] = next(f for w, f in commits if w >= row["year"])
         del manifest["shard_count"]
         manifest.update(buckets=current["buckets"], complete=False)
     else:
@@ -1337,11 +1373,8 @@ def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch)
     tabulate(two_article_corpus, LedgerConfig(k=1))
     assert list(tmp_path.iterdir()) == []
 
-    def boom(year):
-        raise RuntimeError(year)
-
-    with pytest.raises(RuntimeError):
-        tabulate(two_article_corpus, LedgerConfig(k=1), progress_callback=boom)
+    # Interrupted right after its first commit.
+    _commits(two_article_corpus, LedgerConfig(k=1), until=two_article_corpus.years[0])
     assert list(tmp_path.iterdir()) == []
 
 
