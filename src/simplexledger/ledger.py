@@ -97,8 +97,10 @@ class LedgerConfig:
 
     def __post_init__(self) -> None:
         for name in ("k", "shard_count", "memory_budget_bytes"):
-            if type(getattr(self, name)) is not int:
-                raise LedgerError(f"{name} must be an int, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise LedgerError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))  # JSON takes no np.int64
         if self.k not in (1, 2, 3):
             raise LedgerError(f"order k must be in 1..3, got {self.k}")
         if self.refinement not in REFINEMENTS:
@@ -347,10 +349,13 @@ def _check_span(first: int, last: int, config: LedgerConfig) -> None:
         )
 
 
-def _check_disk(root: str | os.PathLike, log_bytes: int, index_bytes: int) -> None:
+def _check_disk(
+    root: str | os.PathLike | None, log_bytes: int, index_bytes: int
+) -> None:
     """Raise unless the file system holding ``root``, which need not exist
-    yet, has room for the log and index bounds."""
-    path = Path(root).absolute()
+    yet, or ``$TMPDIR`` when it is None, has room for the log and index
+    bounds."""
+    path = Path(tempfile.gettempdir() if root is None else root).absolute()
     while not path.exists():
         path = path.parent
     free = shutil.disk_usage(path).free
@@ -467,8 +472,7 @@ def _count_bucket(
 
 
 def _count_log(
-    log_path: Path,
-    ends_path: Path,
+    ledger_dir: Path,
     layout: _Layout,
     starts: np.ndarray,
     flushes: int,
@@ -476,7 +480,7 @@ def _count_log(
     index_bytes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-year new and peripheral key counts of the first ``flushes``
-    flushes of a log, one bucket at a time.
+    flushes of the ledger's log, one bucket at a time.
 
     The index is read a block of buckets at a time, one read per flush,
     each block in at most ``index_bytes``.
@@ -488,8 +492,8 @@ def _count_log(
     if not flushes:
         return new, peripheral
     block = max(1, min(buckets, index_bytes // (8 * flushes) - 1))
-    with open(log_path, "rb", buffering=0) as log_file, open(
-        ends_path, "rb", buffering=0
+    with open(ledger_dir / _LOG_NAME, "rb", buffering=0) as log_file, open(
+        ledger_dir / _ENDS_NAME, "rb", buffering=0
     ) as index_file:
         log, index = log_file.fileno(), index_file.fileno()
         for first in range(0, buckets, block):
@@ -630,8 +634,11 @@ def _spread(config: LedgerConfig, stored: dict) -> LedgerSeries:
 
 def _emission_pass(
     corpus: CorpusStore,
-    config: LedgerConfig,
+    s: int,
     layout: _Layout,
+    offsets: np.ndarray,
+    ids: np.ndarray,
+    starts: np.ndarray,
     buffer_keys: int,
     ledger_dir: Path,
     manifest: dict,
@@ -639,12 +646,10 @@ def _emission_pass(
 ) -> None:
     """Flush the keys of the years after the manifest's watermark to the
     log, and commit each year once its emission has ended and a flush, or
-    the sweep's end, follows.  ``end`` is the log's committed length."""
+    the sweep's end, follows.  The keys of size-``s`` combinations come
+    from the CSR ``offsets`` into dense ``ids``; ``starts`` are the buckets'
+    smallest hashes, and ``end`` is the log's committed length."""
     years = corpus.years
-    s = config.k + 1
-    _, offsets, _ = corpus.csr(config.refinement)
-    _, _, ids = corpus.debut_order(config.refinement)
-    starts = layout.starts(manifest["buckets"])
     batch_keys = min(_EMIT_CHUNK, buffer_keys)
     span = 1 << layout.span_bits
     # The years up to the watermark are committed.
@@ -709,7 +714,7 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
         return LedgerSeries(k=config.k, refinement=config.refinement)
     _check_span(corpus_years[0], corpus_years[-1], config)
 
-    _, debuts, _ = corpus.debut_order(config.refinement)
+    _, debuts, ids = corpus.debut_order(config.refinement)
     _check_capacity(debuts.size, s)
     article_years, offsets, _ = corpus.csr(config.refinement)
     layout = _Layout.of(debuts.size, s, len(corpus_years))
@@ -725,13 +730,7 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     flush_bound = -(-2 * emissions // buffer_keys) + -(
         -len(corpus_years) >> layout.span_bits
     )
-    _check_disk(
-        tempfile.gettempdir()
-        if config.spill_directory is None
-        else config.spill_directory,
-        8 * emissions,
-        8 * buckets * flush_bound,
-    )
+    _check_disk(config.spill_directory, 8 * emissions, 8 * buckets * flush_bound)
 
     with _workdir(config) as workdir:
         ledger_dir = Path(workdir) / f"k{config.k}" / config.refinement
@@ -743,8 +742,10 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
         fingerprint = _fingerprint(corpus.digest(), config)
         manifest, end = _open(ledger_dir, fingerprint, buckets)
         if not manifest["complete"]:
+            starts = layout.starts(manifest["buckets"])
             _emission_pass(
-                corpus, config, layout, buffer_keys, ledger_dir, manifest, end
+                corpus, s, layout, offsets, ids, starts, buffer_keys,
+                ledger_dir, manifest, end
             )
             # The bucket pass only reads committed files; a resume after a
             # kill inside it runs it again.
@@ -753,10 +754,9 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
                 np.min_scalar_type(years.size - 1)
             )
             new, peripheral = _count_log(
-                ledger_dir / _LOG_NAME,
-                ledger_dir / _ENDS_NAME,
+                ledger_dir,
                 layout,
-                layout.starts(manifest["buckets"]),
+                starts,
                 manifest["flushes"],
                 debut_index,
                 # A bucket's pass takes about 11 / 32 of the budget.

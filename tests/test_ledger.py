@@ -386,9 +386,26 @@ def test_invalid_configs_rejected():
         ("shard_count", 2.5),
         ("memory_budget_bytes", 1e6),
         ("memory_budget_bytes", "1048576"),
+        ("k", np.bool_(True)),
+        ("shard_count", np.float64(2.0)),
     ]:
         with pytest.raises(LedgerError, match=field):
             LedgerConfig(**{field: value})
+
+
+def test_numpy_integer_configs_are_kept_as_int(two_article_corpus, tmp_path):
+    # The fingerprint's JSON encodes k, so each field is stored as an int.
+    config = LedgerConfig(
+        k=np.int64(2),
+        shard_count=np.int32(2),
+        memory_budget_bytes=np.uint64(1 << 20),
+        spill_directory=tmp_path,
+    )
+    values = [config.k, config.shard_count, config.memory_budget_bytes]
+    assert values == [2, 2, 1 << 20]
+    assert {type(v) for v in values} == {int}
+    expected = oracle_tabulate(two_article_corpus, 2, "all")
+    assert tabulate(two_article_corpus, config) == expected
 
 
 def test_ledgers_without_emissions_tally_zero(tmp_path):
@@ -591,7 +608,7 @@ def test_bucket_pass_recovers_the_dropped_hash_bits(
     # From index blocks of every size: one bucket, some, all.
     for index_bytes in (0, 8 * flushes * 3, 1 << 30):
         new, peripheral = ledger_mod._count_log(
-            log, ends, layout, starts, flushes, debut_index, index_bytes
+            tmp_path, layout, starts, flushes, debut_index, index_bytes
         )
         assert new.tolist() == expected_new.tolist()
         assert peripheral.tolist() == expected_peripheral.tolist()
@@ -1092,10 +1109,21 @@ def test_resume_keeps_recorded_buckets(tmp_path, first, second, restarts):
     manifest = _manifest(tmp_path / "k2" / "all")
     recorded, watermark = manifest["buckets"], manifest["watermark"]
     assert watermark >= crash_year
-    resumed, watermarks = _commits(corpus, config(second))
+    emitted = []
+    year_range = CorpusStore.year_range
+
+    def recording_range(store, year):
+        emitted.append(year)
+        return year_range(store, year)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CorpusStore, "year_range", recording_range)
+        resumed, watermarks = _commits(corpus, config(second))
     assert resumed == oracle_tabulate(corpus, 2, "all")
-    # A restart commits the years up to the watermark again; a resume only
-    # those after it.
+    # A restart emits and commits the years up to the watermark again; a
+    # resume only those after it.
+    expected = corpus.years[0] if restarts else watermark + 1
+    assert emitted == [year for year in corpus.years if year >= expected]
     assert (watermarks[0] < watermark) if restarts else (watermarks[0] > watermark)
     assert watermarks[-1] == corpus.years[-1]
     final = _manifest(tmp_path / "k2" / "all")["buckets"]
