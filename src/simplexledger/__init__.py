@@ -4,58 +4,49 @@ The pipeline: load a keyword ontology, ingest and filter articles, enumerate
 all order-k keyword combinations per article, maintain an exact year-granular
 first-occurrence ledger, then derive growth/coverage/innovation-rate series
 and model fits.
+
+Each exported name loads its submodule on first use, so that importing
+the package, or one of its modules, loads no module it does not need.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from simplexledger.ontology import BranchFilter, Descriptor, Ontology, load_ontology
-from simplexledger.corpus import (
-    ArticleRecord,
-    CorpusStore,
-    FilterConfig,
-    ingest_pubmed_xml,
-    ingest_tsv,
-)
-from simplexledger.synth import SynthParams, generate_synthetic
-from simplexledger.ledger import (
-    LedgerConfig,
-    LedgerSeries,
-    keyword_debut_years,
-    oracle_tabulate,
-    tabulate,
-)
-from simplexledger.metrics import (
-    MetricsRow,
-    build_metrics,
-    coverage_fraction,
-    exact_binomial,
-    paired_series,
-)
-from simplexledger.fitting import FitResult, fit_exponential, fit_linear
+# Each exported name and the submodule that defines it.
+_EXPORTS = {
+    "ArticleRecord": "corpus",
+    "BranchFilter": "ontology",
+    "CorpusStore": "corpus",
+    "Descriptor": "ontology",
+    "FilterConfig": "corpus",
+    "FitResult": "fitting",
+    "LedgerConfig": "ledger",
+    "LedgerSeries": "ledger",
+    "MetricsRow": "metrics",
+    "Ontology": "ontology",
+    "SynthParams": "synth",
+    "build_metrics": "metrics",
+    "coverage_fraction": "metrics",
+    "exact_binomial": "metrics",
+    "fit_exponential": "fitting",
+    "fit_linear": "fitting",
+    "generate_synthetic": "synth",
+    "ingest_pubmed_xml": "corpus",
+    "ingest_tsv": "corpus",
+    "keyword_debut_years": "ledger",
+    "load_ontology": "ontology",
+    "oracle_tabulate": "ledger",
+    "paired_series": "metrics",
+    "tabulate": "ledger",
+}
 
-__all__ = [
-    "ArticleRecord",
-    "BranchFilter",
-    "CorpusStore",
-    "Descriptor",
-    "FilterConfig",
-    "FitResult",
-    "LedgerConfig",
-    "LedgerSeries",
-    "MetricsRow",
-    "Ontology",
-    "SynthParams",
-    "build_metrics",
-    "coverage_fraction",
-    "exact_binomial",
-    "fit_exponential",
-    "fit_linear",
-    "generate_synthetic",
-    "ingest_pubmed_xml",
-    "ingest_tsv",
-    "keyword_debut_years",
-    "load_ontology",
-    "oracle_tabulate",
-    "paired_series",
-    "tabulate",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -33,6 +33,9 @@ import sys
 from pathlib import Path
 
 import simplexledger
+
+# The benchmark's tracer (perfbench/tracer.py) wraps the stages below as
+# attributes of this module, so they are imported here even by `ingest`.
 from simplexledger.corpus import (
     REFINEMENTS,
     CorpusStore,
@@ -65,8 +68,6 @@ from simplexledger.metrics import (
 )
 from simplexledger.ontology import BranchFilter, load_ontology
 from simplexledger.plots import svg_line_chart
-from simplexledger.scenarios import load_scenarios, run_scenario, write_report_csv
-from simplexledger.synth import SynthParams, generate_synthetic
 
 # Corpus flags that only raw input uses; `run --store` refuses them.
 _INGEST_ONLY = ("ontology", "format", "min_year", "branches")
@@ -226,6 +227,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """`SynthParams` from its defaults or ``--params``, then the flags given."""
+    # Imported here, as in `cmd_verify`, so that other commands skip it.
+    from simplexledger.synth import SynthParams, generate_synthetic
+
     if args.params:
         params = SynthParams.from_json(json.loads(Path(args.params).read_text()))
     else:
@@ -333,6 +337,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from simplexledger.scenarios import load_scenarios, run_scenario, write_report_csv
+
     specs = load_scenarios(args.scenarios)
     if args.only:
         wanted = set(args.only.split(","))

@@ -1,14 +1,19 @@
 """Article ingestion, filtering, and storage.
 
 Both readers hand each parsed article to one admission step, which stages
-it straight into the store's column tails.  It maps each keyword code
-through a table built once per ingest from the vocabulary and the branch
-filter (code to id, or to None for a branch the filter drops; an unknown
-code is counted), merges repeated codes into one keyword that is Major if
-any copy is, and then admits the article when, in this order, (a) a
-publication type is Journal Article or Review, (b) the year is present, not
-before the configured minimum and within int32, and (c) at least two
-keywords remain.  Rejections are counted, never raised.
+it straight into the store's column tails.  An article's keywords arrive as
+tokens, a TSV ``;``-field or an XML ``UI`` with ``*`` prefixed when Major,
+and each token takes one lookup in a table built once per ingest from the
+vocabulary and the branch filter: a code maps to its id, ``*`` and the code
+to the id's complement (Major), and either to None for a branch the filter
+drops.  Only a token the table lacks runs the token rules: surrounding
+whitespace is dropped, an empty token is skipped, leading ``*``s mark it
+Major, and a code outside the vocabulary is counted as unknown.  The step
+merges repeated keywords into one that is Major if any copy is, and then
+admits the article when, in this order, (a) a publication type is Journal
+Article or Review, (b) the year is present, not before the configured
+minimum and within int32, and (c) at least two keywords remain.
+Rejections are counted, never raised.
 
 The store holds every article in one CSR (compressed sparse row) layout,
 the same in memory and on disk, sorted by (year, article id) so that each
@@ -22,10 +27,10 @@ year of the ledger's ascending sweep is one contiguous slice:
 - the article ids, UTF-8, each followed by a NUL byte.
 
 ``add`` and the admission step stage articles in the same layout, as
-column tails in add order, through one ``_stage``, which refuses an article
-the layout cannot hold.  The next read folds the tails into the columns
-with stable numpy sorts; the last copy of each article id wins, even across
-years, and the dropped copies count as duplicates.
+column tails in add order; ``add`` refuses an article the layout cannot
+hold before staging any of it.  The next read folds the tails into the
+columns with stable numpy sorts; the last copy of each article id wins,
+even across years, and the dropped copies count as duplicates.
 
 A store file (format version 2) is a 40-byte header (magic ``SLEDGER1``,
 version, article count, id count, article-id bytes), the raw little-endian
@@ -41,18 +46,17 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import logging
 import struct
-import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
 from simplexledger.ontology import BranchFilter, Ontology, is_eligible, numbered_lines
 
-log = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 ALL = "all"
 MAJOR = "major"
@@ -177,25 +181,17 @@ class CorpusStore:
 
     def add(self, record: ArticleRecord) -> None:
         """Stage one article, or raise before staging anything."""
+        article_id = record.article_id
         if not record.major_keywords <= record.all_keywords:
             raise CorpusError(
-                f"article {record.article_id!r} has Major keywords outside "
-                "its keyword set"
+                f"article {article_id!r} has Major keywords outside its keyword set"
             )
-        ids = sorted(record.all_keywords)
-        major = record.major_keywords
-        self._stage(record.article_id, record.year, ids, [kid in major for kid in ids])
-
-    def _stage(
-        self, article_id: str, year: int, ids: list[int], major_flags: list[bool]
-    ) -> None:
-        """Append one article, its keyword ids ascending, to the column
-        tails, or raise before appending anything."""
         if "\0" in article_id:
             raise CorpusError(f"article id {article_id!r} contains NUL")
+        ids = sorted(record.all_keywords)
         try:
             name = article_id.encode("utf-8")
-            years = array("i", (year,))
+            years = array("i", (record.year,))
             id_column = array("I", ids)
         except UnicodeEncodeError as exc:
             raise CorpusError(f"article id {article_id!r} is not UTF-8") from exc
@@ -206,10 +202,11 @@ class CorpusStore:
                 f"article id {article_id[:16]!r}... has {len(name)} bytes, "
                 f"over the limit of {_MAX_ID_BYTES}"
             )
+        major = record.major_keywords
         self._tail_years += years
         self._tail_counts.append(len(id_column))
         self._tail_ids += id_column
-        self._tail_major += bytes(major_flags)
+        self._tail_major += bytes(kid in major for kid in ids)
         self._tail_names += name + b"\0"
 
     def _fold(self) -> None:
@@ -376,13 +373,38 @@ def _sha256(chunks: Iterable[bytes | memoryview]) -> bytes:
     return digest.digest()
 
 
-def _code_table(ontology: Ontology, config: FilterConfig) -> dict[str, int | None]:
-    """Each external code's keyword id, or None if the branch filter drops
-    it; codes outside the vocabulary are absent."""
-    return {
-        d.external_code: d.id if is_eligible(d, config.branch_filter) else None
-        for d in ontology.descriptors
-    }
+def _token_table(ontology: Ontology, config: FilterConfig) -> dict[str, int | None]:
+    """Each code, and ``*`` and the code, resolved: the keyword id, its
+    complement for Major, or None if the branch filter drops the code.
+
+    The vocabulary holds no code the token rules would change (`load_ontology`
+    refuses surrounding whitespace and a leading ``*``), so a token found
+    here resolves as those rules would resolve it.
+    """
+    table: dict[str, int | None] = {}
+    for d in ontology.descriptors:
+        if is_eligible(d, config.branch_filter):
+            table[d.external_code] = d.id
+            table["*" + d.external_code] = ~d.id
+        else:
+            table[d.external_code] = table["*" + d.external_code] = None
+    return table
+
+
+def _resolve(table: dict[str, int | None], token: str, stats: IngestStats) -> int | None:
+    """A token the table lacks, by the token rules: trimmed, skipped if
+    empty, Major if it starts with ``*``, counted if its code is unknown."""
+    token = token.strip()
+    if not token:
+        return None
+    try:
+        kid = table[token.lstrip("*")]
+    except KeyError:
+        stats.unknown_keyword_codes += 1
+        return None
+    if kid is not None and token[0] == "*":
+        return ~kid
+    return kid
 
 
 def _admit(
@@ -391,21 +413,27 @@ def _admit(
     config: FilterConfig,
     article_id: str,
     year: int | None,
-    pub_types: list[str],
-    codes: Iterable[tuple[str, bool]],
+    pub_types: Iterable[str],
+    tokens: Iterable[str],
 ) -> None:
-    """Resolve one parsed article's (code, major) pairs, apply the admission
-    rules, and stage the article or count its rejection."""
+    """Resolve one parsed article's keyword tokens, apply the admission
+    rules, and append the article to the column tails or count its
+    rejection.  The readers have refused a NUL in, or an over-long,
+    ``article_id``."""
     stats = store._stats
+    # Each keyword id, and whether any of its copies is Major.
     major_of: dict[int, bool] = {}
-    for code, major in codes:
+    for token in tokens:
         try:
-            kid = table[code]
+            kid = table[token]
         except KeyError:
-            stats.unknown_keyword_codes += 1
+            kid = _resolve(table, token, stats)
+        if kid is None:
             continue
-        if kid is not None:
-            major_of[kid] = major or major_of.get(kid, False)
+        if kid < 0:
+            major_of[~kid] = True
+        elif kid not in major_of:
+            major_of[kid] = False
     if PUB_TYPES.isdisjoint(pub_types):
         stats.rejected_pub_type += 1
     elif year is None or year < config.min_year or year not in _INT32:
@@ -413,8 +441,16 @@ def _admit(
     elif len(major_of) < MIN_KEYWORDS:
         stats.rejected_too_few_keywords += 1
     else:
+        try:
+            name = article_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(f"article id {article_id!r} is not UTF-8") from exc
         ids = sorted(major_of)
-        store._stage(article_id, year, ids, [major_of[kid] for kid in ids])
+        store._tail_years.append(year)
+        store._tail_counts.append(len(ids))
+        store._tail_ids.fromlist(ids)
+        store._tail_major.extend(map(major_of.__getitem__, ids))
+        store._tail_names += name + b"\0"
         stats.accepted += 1
 
 
@@ -426,11 +462,18 @@ def _id_too_long(article_id: str) -> bool:
     )
 
 
+def _warn(message: str, *args) -> None:
+    # ``logging`` loads on the first warning, not with every command.
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def _reject_line(stats: IngestStats, lineno: int, message: str, *args) -> None:
     """Count a malformed TSV line and log why."""
     stats.rejected_malformed += 1
     stats.malformed_lines.append(lineno)
-    log.warning("tsv line %d: " + message, lineno, *args)
+    _warn("tsv line %d: " + message, lineno, *args)
 
 
 def ingest_tsv(
@@ -441,12 +484,13 @@ def ingest_tsv(
     """Read ``article_id <TAB> year <TAB> pub_type <TAB> keyword-list`` rows.
 
     The keyword list is ``;``-separated external codes; a ``*`` prefix marks
-    a Major keyword.  Multiple publication types may be ``|``-separated.
+    a Major keyword, and whitespace around a code is dropped.  Multiple
+    publication types may be ``|``-separated.
     A binary stream is decoded line by line, so a byte that is not UTF-8
     raises a `CorpusError` naming its line.
     """
     config = config or FilterConfig()
-    table = _code_table(ontology, config)
+    table = _token_table(ontology, config)
     store = CorpusStore()
     stats = store.stats
     for lineno, line in numbered_lines(stream, CorpusError):
@@ -469,13 +513,11 @@ def ingest_tsv(
         except ValueError:
             _reject_line(stats, lineno, "unparseable year %r", year_text)
             continue
-        codes = []
-        for token in kw_text.split(";"):
-            token = token.strip()
-            if token:
-                codes.append((token.lstrip("*"), token.startswith("*")))
-        pub_types = [t.strip() for t in pub_type.split("|")]
-        _admit(store, table, config, article_id, year, pub_types, codes)
+        if pub_type in PUB_TYPES:
+            pub_types = (pub_type,)
+        else:
+            pub_types = [t.strip() for t in pub_type.split("|")]
+        _admit(store, table, config, article_id, year, pub_types, kw_text.split(";"))
     return store
 
 
@@ -511,8 +553,10 @@ def ingest_pubmed_xml(
     counted as malformed, and malformed XML aborts with the parser's
     position.
     """
+    import xml.etree.ElementTree as ET
+
     config = config or FilterConfig()
-    table = _code_table(ontology, config)
+    table = _token_table(ontology, config)
     store = CorpusStore()
     try:
         for _, article in ET.iterparse(stream, events=("end",)):
@@ -522,7 +566,7 @@ def ingest_pubmed_xml(
             pmid = article.findtext("MedlineCitation/PMID")
             if not pmid or _id_too_long(pmid):
                 store._stats.rejected_malformed += 1
-                log.warning(
+                _warn(
                     "PubmedArticle without MedlineCitation/PMID, or with one "
                     "over %d bytes, skipped", _MAX_ID_BYTES,
                 )
@@ -533,7 +577,7 @@ def ingest_pubmed_xml(
                 for pt in article.iter("PublicationType")
                 if pt.text
             ]
-            codes: list[tuple[str, bool]] = []
+            tokens: list[str] = []
             for heading in article.iter("MeshHeading"):
                 descriptor = heading.find("DescriptorName")
                 if descriptor is None:
@@ -542,10 +586,10 @@ def ingest_pubmed_xml(
                 if not code:
                     continue
                 major = descriptor.get("MajorTopicYN", "N") == "Y"
-                codes.append((code, major))
+                tokens.append("*" + code if major else code)
             years = _xml_years(article)
             year = min(years) if years else None
-            _admit(store, table, config, pmid, year, pub_types, codes)
+            _admit(store, table, config, pmid, year, pub_types, tokens)
             article.clear()
     except ET.ParseError as exc:
         raise CorpusError(f"malformed XML: {exc}") from exc

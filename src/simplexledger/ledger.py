@@ -61,8 +61,9 @@ _LOG_NAME = "keys.bin"
 _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 18  # keys per emission batch
-# Bytes of budget per key in the bucket pass, whose peak is about 11.
-_PASS_BYTES_PER_KEY = 32
+# Bytes of budget per key in the bucket pass, whose peak is about 11.2;
+# with the log index block's quarter of the budget, 11.2/24 + 1/4 < 1.
+_PASS_BYTES_PER_KEY = 24
 # Bytes per calendar year of the finished series: its four int64 columns.
 _BYTES_PER_YEAR = 32
 # Each flush appends an index row of 8 bytes per bucket, and the bucket

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import IO, Iterable
 
 from simplexledger.ledger import SERIES_COLUMNS, LedgerSeries
@@ -60,9 +59,9 @@ def coverage_fraction(c_t_sk: int, n_t: int, k: int) -> float:
             f"{c_t_sk} realized combinations exceed the {denominator} possible "
             f"for a vocabulary of {n_t}; ledger/vocabulary mismatch"
         )
-    if c_t_sk == 0:
-        return 0.0
-    return float(Fraction(c_t_sk, denominator))
+    # Integer true division rounds correctly, as ``float(Fraction(...))``
+    # does, however large the binomial.
+    return c_t_sk / denominator
 
 
 @dataclass(frozen=True)

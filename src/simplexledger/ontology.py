@@ -85,8 +85,9 @@ def load_ontology(source: Iterable[str] | TextIO | BinaryIO) -> Ontology:
     """Build an Ontology from TSV rows, assigning dense ids in source order.
 
     A leading header row is detected by a literal first cell
-    ``external_code`` and skipped.  Duplicate codes, malformed rows and
-    non-UTF-8 bytes are rejected with the offending code / line number.
+    ``external_code`` and skipped.  Duplicate codes, codes with surrounding
+    whitespace or a leading ``*``, malformed rows and non-UTF-8 bytes are
+    rejected with the offending code / line number.
     """
     ontology = Ontology()
     codes: set[str] = set()
@@ -101,6 +102,13 @@ def load_ontology(source: Iterable[str] | TextIO | BinaryIO) -> Ontology:
         code, name, trees = parts
         if not code:
             raise OntologyError(f"line {lineno}: empty external code")
+        if code != code.strip() or code[0] == "*":
+            # A corpus keyword token is trimmed, and a leading ``*`` marks it
+            # Major, so no token could name this code.
+            raise OntologyError(
+                f"line {lineno}: external code {code!r} has surrounding "
+                "whitespace or a leading '*'"
+            )
         if code in codes:
             raise OntologyError(f"duplicate external code {code!r} at line {lineno}")
         tree_numbers = tuple(t for t in trees.split(";") if t)

@@ -1,6 +1,9 @@
 import csv
 import fcntl
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -580,3 +583,50 @@ def test_synth_and_verify_and_report(tmp_path):
         == 0
     )
     assert (rerun / "fits_k1_all.csv").exists()
+
+
+def test_cli_import_loads_only_what_its_commands_run():
+    # Every child process compiles every module it imports; these serve
+    # only `verify`, `synth`, the XML reader, a warning or nothing at all.
+    child = """
+import sys
+
+before = set(sys.modules)
+import simplexledger.cli as cli
+
+heavy = ["xml.etree.ElementTree", "fractions", "decimal", "logging",
+         "simplexledger.synth", "simplexledger.scenarios"]
+print([name for name in heavy if name in set(sys.modules) - before])
+sys.path.insert(0, sys.argv[1])
+from tracer import WRAPPED
+
+wrapped = [attr for owner, attr, _ in WRAPPED if owner == "cli"]
+print([name for name in [*wrapped, "CorpusStore"] if not hasattr(cli, name)])
+import simplexledger
+
+unimportable = []
+for name in simplexledger.__all__:
+    try:
+        exec(f"from simplexledger import {name}", {})
+    except ImportError:
+        unimportable.append(name)
+print(unimportable, len(wrapped), len(simplexledger.__all__))
+"""
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", child, str(root / "perfbench")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    heavy, missing, rest = out.stdout.splitlines()
+    assert heavy == "[]"
+    assert missing == "[]"
+    unimportable, wrapped, exported = rest.rsplit(" ", 2)
+    assert unimportable == "[]"
+    assert int(wrapped) >= 10 and int(exported) >= 20

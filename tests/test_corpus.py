@@ -4,9 +4,10 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simplexledger.corpus import (
+    PUB_TYPES,
     ArticleRecord,
     CorpusError,
     CorpusStore,
@@ -18,8 +19,10 @@ from simplexledger.corpus import (
     save_store,
 )
 from simplexledger.ledger import LedgerConfig, tabulate
-from simplexledger.ontology import is_eligible
+from simplexledger.ontology import is_eligible, load_ontology
 from simplexledger.synth import SynthParams, generate_synthetic
+
+from conftest import ONTOLOGY_TSV
 
 
 def test_rejection_counters_account_for_every_input(ontology):
@@ -252,6 +255,140 @@ def test_admission_keeps_the_store_bytes(ontology):
     assert store.digest() == (
         "5e01663fb5026bee28b1905dd84543bb0b6fb5972fc60f16049d5308b1cc43c1"
     )
+
+
+def _reference_tsv(lines, ontology, config=FilterConfig()):
+    """The TSV reader one token at a time by the token rules, staging each
+    admitted article through `CorpusStore.add`: the store and its counters."""
+    codes = {
+        d.external_code: d.id if is_eligible(d, config.branch_filter) else None
+        for d in ontology.descriptors
+    }
+    store, stats = CorpusStore(), IngestStats()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        parts = line.split("\t")
+        try:
+            article_id, year_text, pub_type, kw_text = parts
+            year = int(year_text)
+        except ValueError:
+            article_id = None
+        if (
+            article_id is None
+            or "\0" in article_id
+            or len(article_id.encode("utf-8", "surrogatepass")) > 64
+        ):
+            stats.rejected_malformed += 1
+            stats.malformed_lines.append(lineno)
+            continue
+        major_of = {}
+        for token in kw_text.split(";"):
+            token = token.strip()
+            if not token:
+                continue
+            code, major = token.lstrip("*"), token.startswith("*")
+            if code not in codes:
+                stats.unknown_keyword_codes += 1
+            elif codes[code] is not None:
+                kid = codes[code]
+                major_of[kid] = major or major_of.get(kid, False)
+        if PUB_TYPES.isdisjoint(t.strip() for t in pub_type.split("|")):
+            stats.rejected_pub_type += 1
+        elif not max(config.min_year, -(1 << 31)) <= year < 1 << 31:
+            stats.rejected_year += 1
+        elif len(major_of) < 2:
+            stats.rejected_too_few_keywords += 1
+        else:
+            major = frozenset(kid for kid, flag in major_of.items() if flag)
+            store.add(ArticleRecord(article_id, year, frozenset(major_of), major))
+            stats.accepted += 1
+    stats.duplicate_article_ids = store.stats.duplicate_article_ids
+    return store, stats
+
+
+_ONTOLOGY = load_ontology(io.StringIO(ONTOLOGY_TSV))
+# Codes of each kind: eligible, dropped by the branch filter, unknown, none.
+_TOKEN_CODES = ["D000001", "D000002", "D000004", "D000007", "D000003", "D000006",
+                "D999999", "d000001", ""]
+_PADDING = st.sampled_from(["", " ", "  ", "\u00a0", "\r"])
+
+
+@st.composite
+def _tokens(draw):
+    stars = draw(st.sampled_from(["", "", "*", "**", "* "]))
+    code = draw(st.sampled_from(_TOKEN_CODES))
+    return draw(_PADDING) + stars + code + draw(_PADDING)
+
+
+@st.composite
+def _tsv_lines(draw):
+    """A corpus line, malformed at times, with one of four endings."""
+    article_id = draw(st.sampled_from(
+        ["p1", "p2", "é3", "文4", "a\0b", "x" * 65, "é" * 32, "é" * 33, "\U0001d538" * 17]
+    ))
+    year = draw(st.one_of(
+        st.integers(1895, 1910).map(str),
+        st.sampled_from([" 1905 ", "1_905", "19x5", "", str((1 << 31) - 1),
+                         str(1 << 31), str(-(1 << 31) - 1), str(10**12)]),
+    ))
+    pub_types = "|".join(draw(st.lists(
+        st.sampled_from(["Journal Article", "Review", " Review ", "Editorial", "Letter"]),
+        min_size=1, max_size=3,
+    )))
+    keywords = ";".join(draw(st.lists(_tokens(), max_size=8)))
+    fields = [article_id, year, pub_types, keywords]
+    fields = fields[: draw(st.integers(3, 5))] + ["extra"] * (len(fields) == 5)
+    line = "\t".join(fields) if draw(st.integers(0, 9)) else ""
+    return line + draw(st.sampled_from(["", "\n", "\r\n", "\r\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_tsv_lines(), max_size=12))
+@example([
+    "p1\t1905\tReview\t**D000001;*;;; *D000002 ;D000002;*D000001;D999999;D000003\r\n",
+    "\n",
+    "p2\t1906\tJournal Article | Letter\tD000001;D000001;*D000004;D000006\n",
+    "p3\t1907\tReview\t**D000003;*D000006;*\n",
+    f"p4\t{1 << 31}\tReview\tD000001;D000002\n",
+    "p\x005\t1905\tReview\tD000001;D000002\n",
+    f"{'x' * 65}\t1905\tReview\tD000001;D000002\n",
+    "p1\tnineteen\tReview\tD000001;D000002\n",
+    "p6\t1906\tReview\n",
+])
+def test_tsv_admission_matches_the_token_rules(lines):
+    expected, counters = _reference_tsv(lines, _ONTOLOGY)
+    store = ingest_tsv(iter(lines), _ONTOLOGY)
+    assert store.stats == counters
+    mine, theirs = io.BytesIO(), io.BytesIO()
+    save_store(store, mine)
+    save_store(expected, theirs)
+    assert mine.getvalue() == theirs.getvalue()
+
+
+def test_xml_repeated_heading_is_major_if_any_copy_is(ontology):
+    mesh = [("D000001", False), ("D000002", False), ("D000001", True), ("D000002", False)]
+    via_xml = ingest_pubmed_xml(_xml_doc([("7", 1999, ["Review"], mesh)]), ontology)
+    expected, counters = _reference_tsv(
+        ["7\t1999\tReview\tD000001;D000002;*D000001;D000002"], ontology
+    )
+    assert via_xml.stats == counters == IngestStats(accepted=1)
+    assert via_xml.digest() == expected.digest()
+    (record,) = via_xml.iter_records()
+    by_code = {d.external_code: d.id for d in ontology.descriptors}
+    assert record.major_keywords == {by_code["D000001"]}
+    assert record.all_keywords == {by_code["D000001"], by_code["D000002"]}
+
+
+def test_xml_ui_is_read_by_the_token_rules(ontology):
+    # A Major heading reaches the admission step as ``*`` and its UI.
+    mesh = [(" D000001 ", False), ("*D000002", False), ("D000005", True)]
+    store = ingest_pubmed_xml(_xml_doc([("8", 1999, ["Review"], mesh)]), ontology)
+    expected, _ = _reference_tsv(
+        ["8\t1999\tReview\t D000001 ;*D000002;*D000005"], ontology
+    )
+    assert store.digest() == expected.digest()
 
 
 def test_xml_major_topic_flag(ontology):

@@ -876,7 +876,8 @@ def _assert_buckets(buckets, budget, shard_count):
 
 @pytest.mark.parametrize("budget", _BUDGETS)
 def test_crash_restart_yields_identical_series(tmp_path, manifest_buckets, budget):
-    corpus = _random_corpus(12, n_articles=500, years=12)
+    # Enough pairs that the smallest budget sets more buckets than shards.
+    corpus = _random_corpus(12, n_articles=800, years=12)
     config = LedgerConfig(
         k=2,
         refinement="all",

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +58,18 @@ def test_full_and_zero_coverage():
 def test_six_per_billion_quartets():
     fraction = coverage_fraction(150_906_000, 27_875, 3)
     assert abs(fraction - 6.0e-9) < 1e-11
+
+
+def test_coverage_rounds_as_the_exact_fraction_does():
+    # Paper-sized denominators, far beyond a float's 53 bits, and numerators
+    # at both ends and in between.
+    rng = random.Random(5)
+    for n, k in ((27_875, 1), (27_875, 2), (27_875, 3), (28_000, 3), (10**6, 3)):
+        denominator = math.comb(n, k + 1)
+        numerators = {0, 1, 2, (1 << 53) + 1, denominator - 1, denominator}
+        numerators.update(rng.randrange(denominator) for _ in range(200))
+        for c in sorted(c for c in numerators if c <= denominator):
+            assert coverage_fraction(c, n, k) == float(Fraction(c, denominator))
 
 
 def test_coverage_preconditions():

@@ -34,6 +34,14 @@ def test_duplicate_code_rejected_naming_the_code():
         load_ontology(io.StringIO(text))
 
 
+@pytest.mark.parametrize("code", [" D2", "D2 ", "D2\u00a0", "*D2", "**D2"])
+def test_code_no_keyword_token_can_name_is_rejected(code):
+    # A corpus token is trimmed and a leading ``*`` marks it Major.
+    text = f"D1\tOne\tA01\n{code}\tTwo\tB01\n"
+    with pytest.raises(OntologyError, match="line 2"):
+        load_ontology(io.StringIO(text))
+
+
 def test_malformed_row_rejected_with_line_number():
     text = "D1\tOne\tA01\nD2\tmissing-field\n"
     with pytest.raises(OntologyError, match="line 2"):
