@@ -391,7 +391,9 @@ def _token_table(ontology: Ontology, config: FilterConfig) -> dict[str, int | No
     return table
 
 
-def _resolve(table: dict[str, int | None], token: str, stats: IngestStats) -> int | None:
+def _resolve(
+    table: dict[str, int | None], token: str, stats: IngestStats
+) -> int | None:
     """A token the table lacks, by the token rules: trimmed, skipped if
     empty, Major if it starts with ``*``, counted if its code is unknown."""
     token = token.strip()
