@@ -26,11 +26,13 @@ year of the ledger's ascending sweep is one contiguous slice:
 - ``major``, one Major-topic flag per id;
 - the article ids, UTF-8, each followed by a NUL byte.
 
-``add`` and the admission step stage articles in the same layout, as
-column tails in add order; ``add`` refuses an article the layout cannot
-hold before staging any of it.  The next read folds the tails into the
-columns with stable numpy sorts; the last copy of each article id wins,
-even across years, and the dropped copies count as duplicates.
+``add`` and the admission step stage articles through one writer, in the
+same layout, as column tails in add order.  ``add`` refuses an article the
+layout cannot hold before staging any of it, and both readers count an
+article id with a NUL or over 64 bytes as malformed.  The next read folds
+the tails into the columns with stable numpy sorts; the last copy of each
+article id wins, even across years, and the dropped copies count as
+duplicates.
 
 A store file (format version 2) is a 40-byte header (magic ``SLEDGER1``,
 version, article count, id count, article-id bytes), the raw little-endian
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -181,32 +184,39 @@ class CorpusStore:
 
     def add(self, record: ArticleRecord) -> None:
         """Stage one article, or raise before staging anything."""
-        article_id = record.article_id
+        # ``in _INT32`` would scan the range for anything but an int.
+        article_id, year = record.article_id, operator.index(record.year)
+        ids = sorted(record.all_keywords)
         if not record.major_keywords <= record.all_keywords:
             raise CorpusError(
                 f"article {article_id!r} has Major keywords outside its keyword set"
             )
-        if "\0" in article_id:
-            raise CorpusError(f"article id {article_id!r} contains NUL")
-        ids = sorted(record.all_keywords)
-        try:
-            name = article_id.encode("utf-8")
-            years = array("i", (record.year,))
-            id_column = array("I", ids)
-        except UnicodeEncodeError as exc:
-            raise CorpusError(f"article id {article_id!r} is not UTF-8") from exc
-        except OverflowError as exc:
-            raise CorpusError(f"year or keyword id out of range: {exc}") from exc
-        if len(name) > _MAX_ID_BYTES:
+        fault = _id_fault(article_id)
+        if fault:
+            raise CorpusError(f"article id {article_id[:16]!r} {fault}")
+        if year not in _INT32:
+            raise CorpusError(f"year {year} out of the int32 range")
+        if ids and (ids[0] < 0 or ids[-1] >= 1 << 32):
             raise CorpusError(
-                f"article id {article_id[:16]!r}... has {len(name)} bytes, "
-                f"over the limit of {_MAX_ID_BYTES}"
+                f"keyword ids {ids[0]}..{ids[-1]} out of the uint32 range"
             )
         major = record.major_keywords
-        self._tail_years += years
-        self._tail_counts.append(len(id_column))
-        self._tail_ids += id_column
-        self._tail_major += bytes(kid in major for kid in ids)
+        self._stage(article_id, year, ids, map(major.__contains__, ids))
+
+    def _stage(
+        self, article_id: str, year: int, ids: list[int], major: Iterable[bool]
+    ) -> None:
+        """Append one article to the column tails, which nothing else but
+        `_clear_tails` writes.  The caller has checked the id, the year and
+        the keyword ids; an id that is not UTF-8 raises before any append."""
+        try:
+            name = article_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(f"article id {article_id!r} is not UTF-8") from exc
+        self._tail_years.append(year)
+        self._tail_counts.append(len(ids))
+        self._tail_ids.fromlist(ids)
+        self._tail_major.extend(major)
         self._tail_names += name + b"\0"
 
     def _fold(self) -> None:
@@ -248,16 +258,6 @@ class CorpusStore:
     def __len__(self) -> int:
         self._fold()
         return len(self._years)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CorpusStore):
-            return NotImplemented
-        mine, theirs = self.csr(ALL), other.csr(ALL)
-        return (
-            self._article_ids == other._article_ids
-            and np.array_equal(self._major, other._major)
-            and all(np.array_equal(a, b) for a, b in zip(mine, theirs))
-        )
 
     @property
     def years(self) -> list[int]:
@@ -419,9 +419,8 @@ def _admit(
     tokens: Iterable[str],
 ) -> None:
     """Resolve one parsed article's keyword tokens, apply the admission
-    rules, and append the article to the column tails or count its
-    rejection.  The readers have refused a NUL in, or an over-long,
-    ``article_id``."""
+    rules, and stage the article or count its rejection.  The readers have
+    counted an ``article_id`` with an `_id_fault` as malformed."""
     stats = store._stats
     # Each keyword id, and whether any of its copies is Major.
     major_of: dict[int, bool] = {}
@@ -443,25 +442,23 @@ def _admit(
     elif len(major_of) < MIN_KEYWORDS:
         stats.rejected_too_few_keywords += 1
     else:
-        try:
-            name = article_id.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise CorpusError(f"article id {article_id!r} is not UTF-8") from exc
         ids = sorted(major_of)
-        store._tail_years.append(year)
-        store._tail_counts.append(len(ids))
-        store._tail_ids.fromlist(ids)
-        store._tail_major.extend(map(major_of.__getitem__, ids))
-        store._tail_names += name + b"\0"
+        store._stage(article_id, year, ids, map(major_of.__getitem__, ids))
         stats.accepted += 1
 
 
-def _id_too_long(article_id: str) -> bool:
-    # A character takes at most 4 bytes; a lone surrogate, which the store
-    # refuses anyway, counts 3.
-    return len(article_id) > _MAX_ID_BYTES // 4 and (
-        len(article_id.encode("utf-8", "surrogatepass")) > _MAX_ID_BYTES
-    )
+def _id_fault(article_id: str) -> str | None:
+    """Why the store cannot hold ``article_id``, a NUL or over 64 bytes of
+    UTF-8, or None.  An id of at most 16 characters is not encoded: a
+    character takes at most 4 bytes, and a lone surrogate, which `_stage`
+    refuses anyway, counts 3."""
+    if "\0" in article_id:
+        return "contains NUL"
+    if len(article_id) > _MAX_ID_BYTES // 4:
+        size = len(article_id.encode("utf-8", "surrogatepass"))
+        if size > _MAX_ID_BYTES:
+            return f"over {_MAX_ID_BYTES} bytes ({size} bytes)"
+    return None
 
 
 def _warn(message: str, *args) -> None:
@@ -501,14 +498,9 @@ def ingest_tsv(
             _reject_line(stats, lineno, "expected 4 fields, got %d", len(parts))
             continue
         article_id, year_text, pub_type, kw_text = parts
-        if "\0" in article_id:
-            _reject_line(stats, lineno, "article id %r contains NUL", article_id)
-            continue
-        if _id_too_long(article_id):
-            _reject_line(
-                stats, lineno, "article id over %d bytes: %r...", _MAX_ID_BYTES,
-                article_id[:16],
-            )
+        fault = _id_fault(article_id)
+        if fault:
+            _reject_line(stats, lineno, "article id %s: %r", fault, article_id[:16])
             continue
         try:
             year = int(year_text)
@@ -566,7 +558,7 @@ def ingest_pubmed_xml(
                 continue
             # The record's own PMID; a cited article's sits deeper.
             pmid = article.findtext("MedlineCitation/PMID")
-            if not pmid or _id_too_long(pmid):
+            if not pmid or _id_fault(pmid):
                 store._stats.rejected_malformed += 1
                 _warn(
                     "PubmedArticle without MedlineCitation/PMID, or with one "
@@ -607,12 +599,17 @@ def _fixed_width(names: bytes) -> tuple[np.ndarray, np.ndarray]:
 
     Each id is padded with at least one NUL, which no id contains, so the
     array orders the ids as bytes do; UTF-8 bytes sort as their code points.
+    An id over 64 bytes is refused before the array is laid out at its
+    width; only a store file that `add` and the readers did not write can
+    hold one.
     """
     blob = np.frombuffer(names, np.uint8)
     ends = np.flatnonzero(blob == 0)
     starts = np.concatenate(([0], ends + 1))[:-1]
     lengths = ends - starts
     width = int(lengths.max(initial=0)) + 1
+    if width > _MAX_ID_BYTES + 1:
+        raise CorpusError(f"an article id is over {_MAX_ID_BYTES} bytes")
     padded = np.concatenate((blob, np.zeros(width, np.uint8)))
     grid = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
     grid[np.arange(width) >= lengths[:, None]] = 0

@@ -760,7 +760,7 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
                 starts,
                 manifest["flushes"],
                 debut_index,
-                # A bucket's pass takes about 11 / 32 of the budget.
+                # A bucket's pass takes about 11 / 24 of the budget.
                 config.memory_budget_bytes // 4,
             )
             bad = np.flatnonzero((peripheral < 0) | (peripheral > new))

@@ -1,5 +1,6 @@
 import csv
 import fcntl
+import io
 import json
 import os
 import subprocess
@@ -16,13 +17,14 @@ from simplexledger.corpus import (
     ArticleRecord,
     CorpusError,
     CorpusStore,
+    FilterConfig,
     ingest_tsv,
     load_store,
     save_store,
 )
 from simplexledger.ledger import LedgerSeries, oracle_tabulate
 from simplexledger.metrics import build_metrics, write_ledger_csv
-from simplexledger.ontology import OntologyError, load_ontology
+from simplexledger.ontology import BranchFilter, OntologyError, load_ontology
 
 from conftest import DEMO_CORPUS, ONTOLOGY_TSV
 
@@ -540,6 +542,35 @@ def test_manifest_records_filters_only_for_raw_input(tmp_path, demo_files):
     assert main(["run", "--store", str(store), "--out", str(out)]) == 0
     config = json.loads((out / "run_manifest.json").read_text())["config"]
     assert "min_year" not in config and "branches" not in config
+
+
+def test_branches_filter_raw_input(tmp_path):
+    # Under --branches A only the two A codes are eligible: p1 drops its Z
+    # code, p2 its G and Z+D codes, and p3, with none, is rejected.
+    ontology = tmp_path / "ontology.tsv"
+    ontology.write_text(ONTOLOGY_TSV + "D000009\tIota Thing\tA02.1\n")
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(
+        "p1\t2000\tJournal Article\t*D000001;D000009;D000003\n"
+        "p2\t2001\tJournal Article\tD000001;*D000002;*D000009;D000004\n"
+        "p3\t2001\tReview\tD000002;D000007\n"
+    )
+    raw = ["--ontology", str(ontology), "--input", str(corpus), "--branches", "A"]
+    store = tmp_path / "a.bin"
+    assert main(["ingest", *raw, "--output", str(store)]) == 0
+    with open(ontology, "rb") as f:
+        vocabulary = load_ontology(f)
+    expected, default = io.BytesIO(), io.BytesIO()
+    only_a = FilterConfig(branch_filter=BranchFilter(frozenset("A")))
+    with open(corpus, "rb") as f:
+        save_store(ingest_tsv(f, vocabulary, only_a), expected)
+    with open(corpus, "rb") as f:
+        save_store(ingest_tsv(f, vocabulary), default)
+    assert store.read_bytes() == expected.getvalue() != default.getvalue()
+    out = tmp_path / "run"
+    assert main(["run", *raw, "--k", "1", "--out", str(out)]) == 0
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert config["branches"] == "A"
 
 
 def test_synth_and_verify_and_report(tmp_path):

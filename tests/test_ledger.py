@@ -713,6 +713,16 @@ def test_too_little_disk_raises_before_any_directory(tmp_path, monkeypatch):
     assert not (tmp_path / "spill").exists()
 
 
+def test_too_many_buckets_raise_before_any_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(ledger_mod, "_MAX_BUCKETS", 4)
+    store = CorpusStore()
+    store.add(ArticleRecord("a", 2000, frozenset({1, 2, 3}), frozenset()))
+    spill = tmp_path / "spill"
+    with pytest.raises(LedgerError, match="5 buckets .* over the limit of 4"):
+        tabulate(store, LedgerConfig(k=1, shard_count=5, spill_directory=spill))
+    assert not spill.exists()
+
+
 def _two_articles(gap):
     store = CorpusStore()
     store.add(ArticleRecord("a", 1902, frozenset({1, 2, 3}), frozenset({1, 2})))
