@@ -34,6 +34,11 @@ the tails into the columns with stable numpy sorts; the last copy of each
 article id wins, even across years, and the dropped copies count as
 duplicates.
 
+Each refinement has two cached views: its CSR (the Major one gathers the
+ids at the Major flags) and its debut order, which tags each id with its
+position in 32 bits, so a refinement holds at most 2^32 ids, and keeps each
+id's first word with `keep_first`, the ledger's keep-the-first step too.
+
 A store file (format version 2) is a 40-byte header (magic ``SLEDGER1``,
 version, article count, id count, article-id bytes), the raw little-endian
 ``offsets``, ``years`` and ``ids`` arrays, the ``major`` flags packed eight
@@ -75,6 +80,9 @@ _INT32 = range(-(1 << 31), 1 << 31)
 # The longest article id, in UTF-8 bytes.  A fold lays every id out at the
 # longest one's width, so one long id would widen them all.
 _MAX_ID_BYTES = 64
+# Elements per step of an in-place compaction or hash: their scratch stays
+# small, and their steps over one chunk run in cache.
+_CHUNK = 1 << 14
 
 _MAGIC = b"SLEDGER1"
 _STORE_VERSION = 2
@@ -136,6 +144,26 @@ def run_heads(values: np.ndarray) -> np.ndarray:
     heads[:1] = True
     np.not_equal(values[1:], values[:-1], out=heads[1:])
     return heads
+
+
+def keep_first(
+    words: np.ndarray, tag_bits: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``words``, each a value above ``tag_bits`` bits of tag, and keep
+    each value's first word, whose tag is the smallest: the kept values move
+    to the front of ``words``, in order and in place, so that no copy of
+    them all is made.  Returns that front and the kept tags, as ``dtype``."""
+    words.sort()
+    tags = np.empty(words.size, dtype=dtype)
+    np.bitwise_and(words, np.uint64((1 << tag_bits) - 1), out=tags, casting="unsafe")
+    words >>= np.uint64(tag_bits)
+    heads = run_heads(words)
+    n = 0
+    for start in range(0, words.size, _CHUNK):
+        kept = words[start : start + _CHUNK][heads[start : start + _CHUNK]]
+        words[n : n + kept.size] = kept
+        n += kept.size
+    return words[:n], tags[heads]
 
 
 class CorpusStore:
@@ -282,9 +310,8 @@ class CorpusStore:
         raise ValueError(f"unknown refinement {refinement!r}")
 
     def _major_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        running = np.zeros(self._major.size + 1, dtype=np.int64)
-        np.cumsum(self._major, out=running[1:])
-        return self._years, running[self._offsets], self._ids[self._major]
+        at = np.flatnonzero(self._major)
+        return self._years, np.searchsorted(at, self._offsets), self._ids[at]
 
     def debut_order(
         self, refinement: str
@@ -302,19 +329,21 @@ class CorpusStore:
 
     def _debut_order(self, refinement: str):
         years, offsets, ids = self.csr(refinement)
+        if ids.size > 1 << 32:
+            raise CorpusError(f"{ids.size} keyword ids, over the limit of {1 << 32}")
         # Articles are sorted by year, so a keyword's first position is its
-        # debut; a stable sort keeps each keyword's first position at its head.
-        by_id = ids.argsort(kind="stable")
-        sorted_ids = ids[by_id]
-        heads = run_heads(sorted_ids)
-        kids, first = sorted_ids[heads], by_id[heads]
-        inverse = np.empty(ids.size, dtype=np.intp)
-        inverse[by_id] = np.cumsum(heads) - 1
+        # debut: tag each id with its position and keep each id's first word.
+        words = np.left_shift(ids, np.uint64(32), dtype=np.uint64)
+        words |= np.arange(ids.size, dtype=np.uint64)
+        kids, first = keep_first(words, 32, np.uint32)
+        # A copy, so that the words' 8 B per id are freed before the gather.
+        kids = kids.astype(np.uint32)
+        del words
         order = np.argsort(first)
-        rank = np.empty(kids.size, dtype=ids.dtype)
-        rank[order] = np.arange(kids.size, dtype=ids.dtype)
+        rank = np.empty(kids.size, dtype=np.uint32)
+        rank[order] = np.arange(kids.size, dtype=np.uint32)
         article = np.searchsorted(offsets, first[order], side="right") - 1
-        return kids[order], years[article], rank[inverse]
+        return kids[order], years[article], rank[np.searchsorted(kids, ids)]
 
     def records_in(self, year: int) -> list[ArticleRecord]:
         """The year's articles as records, in article-id order."""
@@ -326,20 +355,15 @@ class CorpusStore:
         ids = self._ids[base:top].tolist()
         major = self._major[base:top].tolist()
         bounds = (self._offsets[lo : hi + 1] - base).tolist()
-        records = []
-        for i, a, b in zip(range(lo, hi), bounds, bounds[1:]):
-            kws = ids[a:b]
-            records.append(
-                ArticleRecord(
-                    article_id=names[i],
-                    year=year,
-                    all_keywords=frozenset(kws),
-                    major_keywords=frozenset(
-                        kid for kid, flag in zip(kws, major[a:b]) if flag
-                    ),
-                )
+        return [
+            ArticleRecord(
+                names[i],
+                year,
+                frozenset(ids[a:b]),
+                frozenset(itertools.compress(ids[a:b], major[a:b])),
             )
-        return records
+            for i, a, b in zip(range(lo, hi), bounds, bounds[1:])
+        ]
 
     def iter_records(self) -> Iterator[ArticleRecord]:
         for year in self.years:

@@ -26,7 +26,8 @@ allows restart after that year; a resume emits that year's successor from
 its start, so a flush inside a year waits for the next commit.  The
 manifest holds resume state only, so its size does not grow with the
 years.  The count pass then reads each bucket's parts of every flush,
-sorts them, and keeps each key's first word, whose year is the smallest.
+sorts them, and keeps each key's first word, whose year is the smallest,
+by the same step as a flush, `corpus.keep_first`.
 B is fixed before any work from the exact emission count and the memory
 budget; the result is identical for any B.  Once every bucket is counted,
 the completing manifest write stores the tallies over the years that
@@ -53,7 +54,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, run_heads
+from simplexledger.corpus import _CHUNK, ALL, REFINEMENTS, CorpusStore, keep_first
 
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_VERSION = 9
@@ -71,9 +72,6 @@ _BYTES_PER_YEAR = 32
 _MAX_BUCKETS = 1 << 16
 # splitmix64's multipliers (Steele et al., OOPSLA 2014).
 _MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-# Keys per step of the in-place hash and compaction: their scratch stays
-# small, and their steps over one chunk run in cache.
-_CHUNK = 1 << 14
 
 
 class LedgerError(ValueError):
@@ -249,26 +247,6 @@ def _unhash(keys: np.ndarray, width: int) -> None:
     _mix(keys, width, [pow(m, -1, 1 << width) for m in reversed(_MULTIPLIERS)])
 
 
-def _first_years(
-    words: np.ndarray, tag_bits: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort ``words``, each a value above ``tag_bits`` bits of tag, and keep
-    each value's first word, whose tag is the smallest: the kept values move
-    to the front of ``words``, in order and in place, so that no copy of
-    them all is made.  Returns that front and the kept tags, as ``dtype``."""
-    words.sort()
-    tags = np.empty(words.size, dtype=dtype)
-    np.bitwise_and(words, np.uint64((1 << tag_bits) - 1), out=tags, casting="unsafe")
-    words >>= np.uint64(tag_bits)
-    heads = run_heads(words)
-    n = 0
-    for start in range(0, words.size, _CHUNK):
-        kept = words[start : start + _CHUNK][heads[start : start + _CHUNK]]
-        words[n : n + kept.size] = kept
-        n += kept.size
-    return words[:n], tags[heads]
-
-
 # --- emission --------------------------------------------------------------
 
 _comb_index_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -403,7 +381,7 @@ def _flush(
     """
     words = np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
     buffer.clear()
-    keys, year = _first_years(words, layout.span_bits, layout.span_dtype)
+    keys, year = keep_first(words, layout.span_bits, layout.span_dtype)
     row = np.empty(starts.size, dtype=np.int64)
     row[:-1] = np.searchsorted(keys, starts[1:])
     row[-1] = keys.size
@@ -458,7 +436,7 @@ def _count_bucket(
         if size:
             _read_into(log, view[at : at + size], begin)
             at += size
-    keys, year = _first_years(words, layout.year_bits, debut_index.dtype)
+    keys, year = keep_first(words, layout.year_bits, debut_index.dtype)
     # The hash's bits above the word's lie in the bucket's range.
     keys -= np.uint64(base)
     keys &= np.uint64((1 << (64 - layout.year_bits)) - 1)
@@ -790,16 +768,16 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
 
 # --- brute-force oracle ----------------------------------------------------
 
+# The most emissions the oracle holds in its sets.
+_ORACLE_GUARD = 10_000_000
+
 
 def oracle_tabulate(
-    corpus: CorpusStore,
-    k: int,
-    refinement: str = ALL,
-    guard: int = 10_000_000,
+    corpus: CorpusStore, k: int, refinement: str = ALL
 ) -> LedgerSeries:
     """Naive in-memory tabulation; the independent check for `tabulate`.
 
-    Refuses corpora whose total emission count exceeds the guard.
+    Refuses corpora whose total emission count exceeds `_ORACLE_GUARD`.
     """
     if k not in (0, 1, 2, 3):
         raise LedgerError(f"order k must be in 0..3, got {k}")
@@ -809,10 +787,10 @@ def oracle_tabulate(
     emissions = sum(
         math.comb(len(r.keywords(refinement)), s) for r in corpus.iter_records()
     )
-    if emissions > guard:
+    if emissions > _ORACLE_GUARD:
         raise LedgerError(
             f"corpus would emit {emissions} combinations, over the oracle "
-            f"guard of {guard}"
+            f"guard of {_ORACLE_GUARD}"
         )
     series = LedgerSeries(k=k, refinement=refinement)
     years = corpus.years
@@ -822,12 +800,7 @@ def oracle_tabulate(
     seen_kw: set[int] = set()
     for year in range(years[0], years[-1] + 1):
         records = corpus.records_in(year)
-        debuts = {
-            kid
-            for r in records
-            for kid in r.keywords(refinement)
-            if kid not in seen_kw
-        }
+        debuts = {kid for r in records for kid in r.keywords(refinement)} - seen_kw
         year_new: set[tuple[int, ...]] = set()
         processed = 0
         for record in records:
@@ -838,9 +811,7 @@ def oracle_tabulate(
             for combo in itertools.combinations(ids, s):
                 if combo not in seen:
                     year_new.add(combo)
-        peripheral = sum(
-            1 for combo in year_new if any(kid in debuts for kid in combo)
-        )
+        peripheral = sum(not debuts.isdisjoint(combo) for combo in year_new)
         seen.update(year_new)
         seen_kw.update(debuts)
         series.years.append(year)

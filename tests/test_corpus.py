@@ -4,6 +4,7 @@ import random
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -849,6 +850,86 @@ def test_interleaved_adds_and_reads_match_a_last_wins_model(steps):
     assert store.digest() == once.digest()
     assert store.stats.duplicate_article_ids == duplicates
     assert once.stats.duplicate_article_ids == 0
+
+
+_TOP_ID = (1 << 32) - 1
+
+
+@st.composite
+def _view_articles(draw):
+    """Articles over a few names, so that some are re-added, and ids that
+    reach both ends of the uint32 range."""
+    ids = st.one_of(st.sampled_from([0, 1, 2, _TOP_ID]), st.integers(0, _TOP_ID))
+    kids = sorted(draw(st.frozensets(ids, max_size=4)))
+    return ArticleRecord(
+        article_id=draw(st.sampled_from(["a", "b", "c", "d"])),
+        year=draw(st.integers(1902, 1904)),
+        all_keywords=frozenset(kids),
+        major_keywords=frozenset(kid for kid in kids if draw(st.booleans())),
+    )
+
+
+def _reference_views(store, refinement):
+    """The refinement's CSR offsets and ids, and its debut order, from the
+    records: each keyword in order of its first (article, id) position."""
+    offsets, ids, debuts, dense = [0], [], {}, {}
+    for record in store.iter_records():
+        for kid in sorted(record.keywords(refinement)):
+            ids.append(kid)
+            if kid not in dense:
+                dense[kid] = len(dense)
+                debuts[kid] = record.year
+        offsets.append(len(ids))
+    return (
+        offsets, ids, list(dense), list(debuts.values()), [dense[i] for i in ids]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_view_articles(), max_size=12))
+@example([
+    ArticleRecord("e", 1902, frozenset(), frozenset()),
+    ArticleRecord("a", 1903, frozenset({3, 7}), frozenset({7})),
+    ArticleRecord("d", 1902, frozenset({0, _TOP_ID}), frozenset({0, _TOP_ID})),
+    ArticleRecord("b", 1903, frozenset({1, 3}), frozenset()),
+    ArticleRecord("c", 1903, frozenset({_TOP_ID, 2}), frozenset({2})),
+    ArticleRecord("d", 1904, frozenset({0, 5}), frozenset({5})),
+])
+def test_views_match_a_reference_from_the_records(records):
+    store = CorpusStore()
+    for record in records:
+        store.add(record)
+    buf = io.BytesIO()
+    save_store(store, buf)
+    for views in (store, load_store(io.BytesIO(buf.getvalue()))):
+        for refinement in ("all", "major"):
+            _, offsets, ids = views.csr(refinement)
+            keywords, debuts, dense = views.debut_order(refinement)
+            got = (offsets, ids, keywords, debuts, dense)
+            assert [a.dtype for a in got] == [
+                np.int64, np.uint32, np.uint32, np.int32, np.uint32
+            ]
+            assert [a.tolist() for a in got] == list(
+                _reference_views(store, refinement)
+            )
+
+
+def test_debut_order_refuses_more_ids_than_32_bit_positions(monkeypatch):
+    # A zero-stride view stands for 2^32 + 1 ids without their 16 GiB.
+    ids = np.broadcast_to(np.uint32(0), ((1 << 32) + 1,))
+    monkeypatch.setattr(
+        CorpusStore,
+        "csr",
+        lambda self, refinement: (np.empty(0, np.int32), np.zeros(1, np.int64), ids),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorpusError, match="over the limit of 4294967296"):
+            CorpusStore().debut_order("all")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=40, deadline=None)

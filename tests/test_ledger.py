@@ -155,11 +155,12 @@ def test_duplicate_article_in_later_year_adds_nothing():
     assert series.new_simplices == [3, 0, 0]
 
 
-def test_oracle_guard():
+def test_oracle_guard(monkeypatch):
+    monkeypatch.setattr(ledger_mod, "_ORACLE_GUARD", 1000)
     store = CorpusStore()
     store.add(ArticleRecord("a", 1999, frozenset(range(40)), frozenset()))
-    with pytest.raises(LedgerError, match="guard"):
-        oracle_tabulate(store, 3, "all", guard=1000)
+    with pytest.raises(LedgerError, match="guard of 1000"):
+        oracle_tabulate(store, 3, "all")
 
 
 # --- pipeline equivalence and invariants ----------------------------------
