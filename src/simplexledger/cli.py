@@ -217,6 +217,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     stats = store.stats
     print(f"accepted {stats.accepted} articles into {args.output}")
     print(
+        f"stored {len(store)} articles; dropped {stats.duplicate_article_ids} "
+        f"duplicate article ids, keeping each id's last copy"
+    )
+    print(
         f"rejected: pub-type {stats.rejected_pub_type}, "
         f"keywords {stats.rejected_too_few_keywords}, "
         f"year {stats.rejected_year}, malformed {stats.rejected_malformed}; "

@@ -34,10 +34,13 @@ the tails into the columns with stable numpy sorts; the last copy of each
 article id wins, even across years, and the dropped copies count as
 duplicates.
 
-Each refinement has two cached views: its CSR (the Major one gathers the
-ids at the Major flags) and its debut order, which tags each id with its
-position in 32 bits, so a refinement holds at most 2^32 ids, and keeps each
-id's first word with `keep_first`, the ledger's keep-the-first step too.
+Each refinement has one cached view, built in one step: the year index
+(the distinct years and where each year's articles start) and the
+refinement's CSR with its keywords renumbered densely in debut order.  The
+Major CSR gathers the ids at the Major flags, and only its renumbered ids
+are kept.  The debut order tags each id with its position in 32 bits, so a
+refinement holds at most 2^32 ids, and keeps each id's first word with
+`keep_first`, the ledger's keep-the-first step too.
 
 A store file (format version 2) is a 40-byte header (magic ``SLEDGER1``,
 version, article count, id count, article-id bytes), the raw little-endian
@@ -294,47 +297,39 @@ class CorpusStore:
             "years", lambda: self._years[run_heads(self._years)].tolist()
         )
 
-    def year_range(self, year: int) -> tuple[int, int]:
-        """The article index range [lo, hi) of one year."""
-        self._fold()
-        lo, hi = np.searchsorted(self._years, (year, year + 1))
-        return int(lo), int(hi)
+    def view(self, refinement: str) -> tuple[np.ndarray, ...]:
+        """The refinement's articles, with its keywords renumbered in debut
+        order: (years, starts, offsets, ids, keywords, debuts).
 
-    def csr(self, refinement: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(years, offsets, ids) of every article under one refinement."""
-        self._fold()
-        if refinement == ALL:
-            return self._years, self._offsets, self._ids
-        if refinement == MAJOR:
-            return self._cached("major_csr", self._major_csr)
-        raise ValueError(f"unknown refinement {refinement!r}")
-
-    def _major_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        at = np.flatnonzero(self._major)
-        return self._years, np.searchsorted(at, self._offsets), self._ids[at]
-
-    def debut_order(
-        self, refinement: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The refinement's keywords renumbered in debut order.
-
-        Returns (keywords, debuts, dense): the distinct keyword ids in order
-        of first appearance, their debut years (non-decreasing), and the
-        refinement's CSR ids replaced by their positions in ``keywords``.
-        Cached per refinement until the columns change.
+        ``years`` are the distinct years (int32), and year ``t`` holds the
+        articles ``starts[t]:starts[t+1]``.  Article ``i`` carries the dense
+        ids ``ids[offsets[i]:offsets[i+1]]``; dense id ``d`` is the keyword
+        ``keywords[d]``, which debuted in ``years[debuts[d]]``.  Cached per
+        refinement until the columns change.
         """
-        return self._cached(
-            f"debut_order_{refinement}", lambda: self._debut_order(refinement)
-        )
+        if refinement not in REFINEMENTS:
+            raise ValueError(f"unknown refinement {refinement!r}")
+        return self._cached(f"view_{refinement}", lambda: self._view(refinement))
 
-    def _debut_order(self, refinement: str):
-        years, offsets, ids = self.csr(refinement)
+    def _view(self, refinement: str) -> tuple[np.ndarray, ...]:
+        heads = run_heads(self._years)
+        starts = np.append(np.flatnonzero(heads), heads.size)
+        offsets, ids = self._offsets, self._ids
+        if refinement == MAJOR:
+            at = np.flatnonzero(self._major)
+            offsets, ids = np.searchsorted(at, offsets), ids[at]
+            del at
         if ids.size > 1 << 32:
             raise CorpusError(f"{ids.size} keyword ids, over the limit of {1 << 32}")
         # Articles are sorted by year, so a keyword's first position is its
         # debut: tag each id with its position and keep each id's first word.
+        # The positions go in a chunk at a time, so that no array of them
+        # all sits beside the words.
         words = np.left_shift(ids, np.uint64(32), dtype=np.uint64)
-        words |= np.arange(ids.size, dtype=np.uint64)
+        for a in range(0, ids.size, _CHUNK):
+            words[a : a + _CHUNK] |= np.arange(
+                a, min(a + _CHUNK, ids.size), dtype=np.uint64
+            )
         kids, first = keep_first(words, 32, np.uint32)
         # A copy, so that the words' 8 B per id are freed before the gather.
         kids = kids.astype(np.uint32)
@@ -342,15 +337,17 @@ class CorpusStore:
         order = np.argsort(first)
         rank = np.empty(kids.size, dtype=np.uint32)
         rank[order] = np.arange(kids.size, dtype=np.uint32)
-        article = np.searchsorted(offsets, first[order], side="right") - 1
-        return kids[order], years[article], rank[np.searchsorted(kids, ids)]
+        # The year whose ids hold a keyword's first position is its debut.
+        debuts = np.searchsorted(offsets[starts], first[order], side="right") - 1
+        dense = rank[np.searchsorted(kids, ids)]
+        return self._years[heads], starts, offsets, dense, kids[order], debuts
 
     def records_in(self, year: int) -> list[ArticleRecord]:
         """The year's articles as records, in article-id order."""
-        lo, hi = self.year_range(year)
         names = self._cached(
             "article_ids", lambda: self._article_ids.decode("utf-8").split("\0")
         )
+        lo, hi = np.searchsorted(self._years, (year, year + 1)).tolist()
         base, top = self._offsets[lo], self._offsets[hi]
         ids = self._ids[base:top].tolist()
         major = self._major[base:top].tolist()
@@ -380,7 +377,8 @@ class CorpusStore:
 
     def _file_chunks(self) -> Iterator[bytes | memoryview]:
         """The store file's contents up to the checksum trailer."""
-        years, offsets, ids = self.csr(ALL)
+        self._fold()
+        years, offsets, ids = self._years, self._offsets, self._ids
         yield _HEADER.pack(
             _MAGIC, _STORE_VERSION, len(years), len(ids), len(self._article_ids)
         )
@@ -603,7 +601,11 @@ def ingest_pubmed_xml(
                 code = descriptor.get("UI")
                 if not code:
                     continue
-                major = descriptor.get("MajorTopicYN", "N") == "Y"
+                # A starred qualifier makes its heading a major topic too.
+                major = any(
+                    elem.get("MajorTopicYN") == "Y"
+                    for elem in (descriptor, *heading.findall("QualifierName"))
+                )
                 tokens.append("*" + code if major else code)
             years = _xml_years(article)
             year = min(years) if years else None

@@ -6,22 +6,23 @@ article and never earlier.  New combinations containing a keyword whose
 debut year (under the same refinement) is t are classified peripheral, the
 rest core.
 
-Keyword ids are renumbered per refinement in debut order, so a new
-combination is peripheral iff its largest dense id debuted in its first
-year.  A combination packs its dense ids into a key of w bits, which a
-bijection on w bits hashes; B hash ranges, the buckets, split the keys so
-that each bucket fits in memory.  A combination's first year is the
-smallest year among its emissions, so one pass over the emissions is
-enough.  The emission pass tags each hash with its year's index among the
-years that hold articles, relative to the buffer's first year, in the
-64 - w bits below it, so one buffer may span several years.  It flushes
-the buffer when the next batch would overflow it or would fall 2^(64-w)
-or more years past the buffer's first: sorted, each hash keeps its
-smallest year, and the buffer is appended to one key log, ``keys.bin``,
-in one write; it is already grouped by bucket, and one row of
-``ends.bin`` records where each bucket's part of it ends.  After each
-flush that follows the end of a year's emission, a manifest records the
-flushes committed and the last year whose emission had ended, which
+The ledger reads the corpus through one `CorpusStore.view` per refinement:
+the year index, and the CSR with its keyword ids renumbered in debut
+order, so a new combination is peripheral iff its largest dense id debuted
+in its first year.  A combination packs its dense ids into a key of w
+bits, at most 64, which a bijection on w bits hashes; B hash ranges, the
+buckets, split the keys so that each bucket fits in memory.  A
+combination's first year is the smallest year among its emissions, so one
+pass over the emissions is enough.  The emission pass tags each hash with
+its year's index among the years that hold articles, relative to the
+buffer's first year, in the 64 - w bits below it, so one buffer may span
+several years.  It flushes the buffer when the next batch would overflow
+it or would fall 2^(64-w) or more years past the buffer's first: sorted,
+each hash keeps its smallest year, and the buffer is appended to one key
+log, ``keys.bin``, in one write; it is already grouped by bucket, and one
+row of ``ends.bin`` records where each bucket's part of it ends.  After
+each flush that follows the end of a year's emission, a manifest records
+the flushes committed and the last year whose emission had ended, which
 allows restart after that year; a resume emits that year's successor from
 its start, so a flush inside a year waits for the next commit.  The
 manifest holds resume state only, so its size does not grow with the
@@ -39,7 +40,6 @@ reads no environment variable.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import json
@@ -82,8 +82,8 @@ def keyword_debut_years(corpus: CorpusStore, refinement: str = ALL) -> dict[int,
     """Earliest year each keyword appears in any article, per refinement."""
     if refinement not in REFINEMENTS:
         raise LedgerError(f"unknown refinement {refinement!r}")
-    keywords, debuts, _ = corpus.debut_order(refinement)
-    return dict(zip(keywords.tolist(), debuts.tolist()))
+    years, _, _, _, keywords, debuts = corpus.view(refinement)
+    return dict(zip(keywords.tolist(), years[debuts].tolist()))
 
 
 @dataclass(frozen=True)
@@ -149,16 +149,6 @@ SERIES_COLUMNS = [f.name for f in fields(LedgerSeries)[3:]]
 # --- keys and words --------------------------------------------------------
 
 
-def _check_capacity(n_keywords: int, s: int) -> None:
-    # s >= 2 dense ids share a 64-bit key.
-    bits = 64 // s
-    if n_keywords > (1 << bits):
-        raise LedgerError(
-            f"{n_keywords} distinct keywords exceed the {bits}-bit capacity "
-            f"({1 << bits} keywords) for combinations of size {s}"
-        )
-
-
 @dataclass(frozen=True)
 class _Layout:
     """How one ledger's keys become the words of its log.
@@ -180,7 +170,14 @@ class _Layout:
 
     @classmethod
     def of(cls, n_keywords: int, s: int, years: int) -> _Layout:
+        """The layout of s dense ids from ``n_keywords``, over ``years``;
+        raises unless a key of them fits 64 bits."""
         bits = max(1, (n_keywords - 1).bit_length())
+        if s * bits > 64:
+            raise LedgerError(
+                f"{n_keywords} distinct keywords exceed the {64 // s}-bit "
+                f"capacity ({1 << (64 // s)} keywords) for combinations of size {s}"
+            )
         return cls(bits, s * bits, (years - 1).bit_length(), years)
 
     @property
@@ -612,11 +609,9 @@ def _spread(config: LedgerConfig, stored: dict) -> LedgerSeries:
 
 
 def _emission_pass(
-    corpus: CorpusStore,
+    view: tuple[np.ndarray, ...],
     s: int,
     layout: _Layout,
-    offsets: np.ndarray,
-    ids: np.ndarray,
     starts: np.ndarray,
     buffer_keys: int,
     ledger_dir: Path,
@@ -626,19 +621,21 @@ def _emission_pass(
     """Flush the keys of the years after the manifest's watermark to the
     log, and commit each year once its emission has ended and a flush, or
     the sweep's end, follows.  The keys of size-``s`` combinations come
-    from the CSR ``offsets`` into dense ``ids``; ``starts`` are the buckets'
-    smallest hashes, and ``end`` is the log's committed length."""
-    years = corpus.years
+    from a `CorpusStore.view`; ``starts`` are the buckets' smallest hashes,
+    and ``end`` is the log's committed length."""
+    years, year_starts, offsets, ids, _, _ = view
+    year_starts = year_starts.tolist()
     batch_keys = min(_EMIT_CHUNK, buffer_keys)
     span = 1 << layout.span_bits
     # The years up to the watermark are committed.
     watermark = manifest["watermark"]
-    done = 0 if watermark is None else bisect.bisect_right(years, watermark)
+    done = 0 if watermark is None else int(np.searchsorted(years, watermark, "right"))
     emitted = (
         (tag, keys)
         for tag in range(done, len(years))
         for keys in _emit_year_keys(
-            offsets, ids, *corpus.year_range(years[tag]), s, layout.bits, batch_keys
+            offsets, ids, year_starts[tag], year_starts[tag + 1], s, layout.bits,
+            batch_keys,
         )
     )
     buffer: list[np.ndarray] = []
@@ -659,7 +656,7 @@ def _emission_pass(
             # A resume emits the year after the watermark from its start,
             # so a flush inside that year waits for the next commit.
             if (flushing or keys is None) and tag > done:
-                manifest["watermark"] = years[tag - 1]
+                manifest["watermark"] = int(years[tag - 1])
                 _write_manifest(ledger_dir / _MANIFEST_NAME, manifest)
                 done = tag
             if keys is None:
@@ -688,15 +685,13 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     are harmless, since the bucket pass keeps one word per hash.
     """
     s = config.k + 1
-    corpus_years = corpus.years
-    if not corpus_years:
+    view = corpus.view(config.refinement)
+    years, year_starts, offsets, _, _, debuts = view
+    if not years.size:
         return LedgerSeries(k=config.k, refinement=config.refinement)
-    _check_span(corpus_years[0], corpus_years[-1], config)
+    _check_span(int(years[0]), int(years[-1]), config)
 
-    _, debuts, ids = corpus.debut_order(config.refinement)
-    _check_capacity(debuts.size, s)
-    article_years, offsets, _ = corpus.csr(config.refinement)
-    layout = _Layout.of(debuts.size, s, len(corpus_years))
+    layout = _Layout.of(debuts.size, s, years.size)
     emissions = _emissions(offsets, s)
     buckets = _bucket_count(emissions, layout, config)
     # A quarter of the budget buffers keys; a flush's copies of them fit in
@@ -707,7 +702,7 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     # so these and the sweep's last flush number at most ceil(years / 2^r).
     buffer_keys = config.memory_budget_bytes // 4 // 8
     flush_bound = -(-2 * emissions // buffer_keys) + -(
-        -len(corpus_years) >> layout.span_bits
+        -years.size >> layout.span_bits
     )
     _check_disk(config.spill_directory, 8 * emissions, 8 * buckets * flush_bound)
 
@@ -723,15 +718,11 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
         if not manifest["complete"]:
             starts = layout.starts(manifest["buckets"])
             _emission_pass(
-                corpus, s, layout, offsets, ids, starts, buffer_keys,
-                ledger_dir, manifest, end
+                view, s, layout, starts, buffer_keys, ledger_dir, manifest, end
             )
             # The bucket pass only reads committed files; a resume after a
             # kill inside it runs it again.
-            years = np.array(corpus_years)
-            debut_index = np.searchsorted(years, debuts).astype(
-                np.min_scalar_type(years.size - 1)
-            )
+            debut_index = debuts.astype(np.min_scalar_type(years.size - 1))
             new, peripheral = _count_log(
                 ledger_dir,
                 layout,
@@ -746,17 +737,17 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
                 i = int(bad[0])
                 raise LedgerError(
                     f"{peripheral[i]} peripheral of {new[i]} new combinations "
-                    f"in {corpus_years[i]}"
+                    f"in {years[i]}"
                 )
-            processed = np.searchsorted(years, article_years[np.diff(offsets) >= s])
             tallies = [
                 new,
                 peripheral,
                 np.bincount(debut_index, minlength=years.size),
-                np.bincount(processed, minlength=years.size),
+                # Every year holds an article, so no two starts are equal.
+                np.add.reduceat(np.diff(offsets) >= s, year_starts[:-1]),
             ]
             manifest["series"] = {
-                "years": corpus_years,
+                "years": years.tolist(),
                 **{name: t.tolist() for name, t in zip(SERIES_COLUMNS, tallies)},
             }
             manifest["complete"] = True

@@ -295,6 +295,24 @@ def test_ingest_then_run_from_store(tmp_path, demo_files):
     assert (out / "metrics_k2_all.csv").exists()
 
 
+def test_ingest_reports_dropped_duplicates(tmp_path, demo_files, capsys):
+    ontology, _ = demo_files
+    corpus = tmp_path / "repeats.tsv"
+    corpus.write_text(
+        "p1\t2000\tReview\tD000001;D000002\n"
+        "p1\t2001\tReview\tD000001;D000002\n"
+        "p2\t2000\tReview\tD000001;D000002\n"
+    )
+    store = tmp_path / "corpus.bin"
+    argv = ["ingest", "--ontology", str(ontology), "--input", str(corpus)]
+    assert main([*argv, "--output", str(store)]) == 0
+    out = capsys.readouterr().out
+    assert f"accepted 3 articles into {store}\n" in out
+    assert "stored 2 articles; dropped 1 duplicate article ids" in out
+    with open(store, "rb") as f:
+        assert len(load_store(f)) == 2
+
+
 @pytest.mark.parametrize(
     "damaged, error",
     [("corpus", CorpusError), ("ontology", OntologyError)],

@@ -207,10 +207,11 @@ def test_admission_rules_agree_across_readers(
         return sorted(by_code[code] for code in codes)
 
     keywords, major = admitted
-    years, _, ids = store.csr("all")
+    years, _, _, ids, kids, _ = store.view("all")
     assert years.tolist() == [year]
-    assert ids.tolist() == ids_of(keywords)  # one entry per keyword
-    assert store.csr("major")[2].tolist() == ids_of(major)
+    assert kids[ids].tolist() == ids_of(keywords)  # one entry per keyword
+    _, _, _, ids, kids, _ = store.view("major")
+    assert kids[ids].tolist() == ids_of(major)
 
 
 def test_year_below_int32_is_rejected_whatever_the_minimum(ontology):
@@ -405,6 +406,28 @@ def test_xml_major_topic_flag(ontology):
     (record,) = store.iter_records()
     by_code = {d.external_code: d.id for d in ontology.descriptors}
     assert record.major_keywords == frozenset({by_code["D000001"]})
+
+
+def test_xml_starred_qualifier_makes_its_heading_major(ontology):
+    # MEDLINE stars a qualifier, as in ``Alpha Concept/drug therapy*``, to
+    # make its heading a major topic although the descriptor is unstarred.
+    heading = (
+        '<MeshHeading><DescriptorName UI="{}" MajorTopicYN="N">x</DescriptorName>'
+        '<QualifierName UI="Q000188" MajorTopicYN="{}">drug therapy'
+        "</QualifierName></MeshHeading>"
+    )
+    doc = _xml_doc([("1", 1998, ["Review"], [])]).getvalue().decode()
+    doc = doc.replace(
+        "<MeshHeadingList>",
+        "<MeshHeadingList>" + heading.format("D000001", "Y")
+        + heading.format("D000002", "N"),
+    )
+    store = ingest_pubmed_xml(io.BytesIO(doc.encode()), ontology)
+    expected, _ = _reference_tsv(["1\t1998\tReview\t*D000001;D000002"], ontology)
+    assert store.digest() == expected.digest()
+    (record,) = store.iter_records()
+    by_code = {d.external_code: d.id for d in ontology.descriptors}
+    assert record.major_keywords == {by_code["D000001"]}
 
 
 def test_xml_and_tsv_produce_identical_records(ontology):
@@ -819,7 +842,7 @@ def _repeating_articles(draw):
 _READS = [
     len,
     CorpusStore.digest,
-    lambda store: store.csr("major"),
+    lambda store: store.view("major"),
     lambda store: store.stats,
     lambda store: [store.records_in(year) for year in store.years],
 ]
@@ -901,11 +924,13 @@ def test_views_match_a_reference_from_the_records(records):
         store.add(record)
     buf = io.BytesIO()
     save_store(store, buf)
+    article_years = [record.year for record in store.iter_records()]
     for views in (store, load_store(io.BytesIO(buf.getvalue()))):
         for refinement in ("all", "major"):
-            _, offsets, ids = views.csr(refinement)
-            keywords, debuts, dense = views.debut_order(refinement)
-            got = (offsets, ids, keywords, debuts, dense)
+            years, starts, offsets, ids, keywords, debuts = views.view(refinement)
+            assert years.dtype == np.int32 and starts[0] == 0
+            assert np.repeat(years, np.diff(starts)).tolist() == article_years
+            got = (offsets, keywords[ids], keywords, years[debuts], ids)
             assert [a.dtype for a in got] == [
                 np.int64, np.uint32, np.uint32, np.int32, np.uint32
             ]
@@ -914,18 +939,17 @@ def test_views_match_a_reference_from_the_records(records):
             )
 
 
-def test_debut_order_refuses_more_ids_than_32_bit_positions(monkeypatch):
+def test_debut_order_refuses_more_ids_than_32_bit_positions():
     # A zero-stride view stands for 2^32 + 1 ids without their 16 GiB.
     ids = np.broadcast_to(np.uint32(0), ((1 << 32) + 1,))
-    monkeypatch.setattr(
-        CorpusStore,
-        "csr",
-        lambda self, refinement: (np.empty(0, np.int32), np.zeros(1, np.int64), ids),
+    store = CorpusStore()
+    store._set_columns(
+        np.empty(0, np.int32), np.zeros(1, np.int64), ids, np.empty(0, bool), b""
     )
     tracemalloc.start()
     try:
         with pytest.raises(CorpusError, match="over the limit of 4294967296"):
-            CorpusStore().debut_order("all")
+            store.view("all")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

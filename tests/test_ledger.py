@@ -344,13 +344,13 @@ def test_loaded_store_tabulates_from_columns(tmp_path, monkeypatch):
 def test_debut_order_is_computed_once_per_refinement(tmp_path, monkeypatch):
     store = _random_corpus(93, n_articles=300)
     computed = []
-    debut_order = CorpusStore._debut_order
+    view = CorpusStore._view
 
     def counting(self, refinement):
         computed.append(refinement)
-        return debut_order(self, refinement)
+        return view(self, refinement)
 
-    monkeypatch.setattr(CorpusStore, "_debut_order", counting)
+    monkeypatch.setattr(CorpusStore, "_view", counting)
     for k in (1, 2, 3):
         for refinement in ("all", "major"):
             config = LedgerConfig(
@@ -1121,21 +1121,25 @@ def test_resume_keeps_recorded_buckets(tmp_path, first, second, restarts):
     manifest = _manifest(tmp_path / "k2" / "all")
     recorded, watermark = manifest["buckets"], manifest["watermark"]
     assert watermark >= crash_year
+    # Each emitted year's article range.
     emitted = []
-    year_range = CorpusStore.year_range
+    emit = ledger_mod._emit_year_keys
 
-    def recording_range(store, year):
-        emitted.append(year)
-        return year_range(store, year)
+    def recording_emit(offsets, ids, lo, hi, *args):
+        emitted.append((lo, hi))
+        return emit(offsets, ids, lo, hi, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(CorpusStore, "year_range", recording_range)
+        patch.setattr(ledger_mod, "_emit_year_keys", recording_emit)
         resumed, watermarks = _commits(corpus, config(second))
     assert resumed == oracle_tabulate(corpus, 2, "all")
     # A restart emits and commits the years up to the watermark again; a
     # resume only those after it.
     expected = corpus.years[0] if restarts else watermark + 1
-    assert emitted == [year for year in corpus.years if year >= expected]
+    years, starts = (a.tolist() for a in corpus.view("all")[:2])
+    assert emitted == [
+        (starts[t], starts[t + 1]) for t, year in enumerate(years) if year >= expected
+    ]
     assert (watermarks[0] < watermark) if restarts else (watermarks[0] > watermark)
     assert watermarks[-1] == corpus.years[-1]
     final = _manifest(tmp_path / "k2" / "all")["buckets"]
@@ -1361,9 +1365,9 @@ def _write_old_layout(ledger_dir, manifest, corpus, simplices):
     version, rows = manifest["version"], manifest["rows"]
     # Every pair, packed from raw keyword ids for version 2 and from dense
     # debut-order ids after it, split into two shards or buckets.
-    _, _, dense = corpus.debut_order("all")
-    article_years, offsets, raw = corpus.csr("all")
-    ids = raw if version == 2 else dense
+    corpus_years, starts, offsets, dense, keywords, _ = corpus.view("all")
+    article_years = np.repeat(corpus_years, np.diff(starts))
+    ids = keywords[dense] if version == 2 else dense
     pairs, years = [], []
     for a, b, year in zip(
         offsets[:-1].tolist(), offsets[1:].tolist(), article_years.tolist()
