@@ -315,8 +315,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     with _OutputLock(out_dir):
         manifest_path = out_dir / "run_manifest.json"
+        # Each refinement's ledgers run together, so that the store holds one
+        # view at a time; the manifest lists the artifacts by k first.
+        run_order = sorted(configs, key=lambda c: refinements.index(c.refinement))
+        written: dict[LedgerConfig, list[str]] = {}
         try:
-            for config in configs:
+            for config in run_order:
                 k, refinement = config.k, config.refinement
                 tag = f"k{k}_{refinement}"
                 series = tabulate(corpus, config)
@@ -325,10 +329,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                 rows = build_metrics(series)
                 with open(out_dir / f"metrics_{tag}.csv", "w", newline="") as f:
                     write_metrics_csv(rows, f)
-                manifest["artifacts"] += [
+                written[config] = [
                     f"ledger_{tag}.csv",
                     f"metrics_{tag}.csv",
                     *_write_report(rows, k, refinement, year_window, out_dir),
+                ]
+                manifest["artifacts"] = [
+                    name for c in configs for name in written.get(c, ())
                 ]
         except Exception:
             write_text_atomic(manifest_path, json.dumps(manifest, indent=1))

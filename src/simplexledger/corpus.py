@@ -34,13 +34,17 @@ the tails into the columns with stable numpy sorts; the last copy of each
 article id wins, even across years, and the dropped copies count as
 duplicates.
 
-Each refinement has one cached view, built in one step: the year index
-(the distinct years and where each year's articles start) and the
-refinement's CSR with its keywords renumbered densely in debut order.  The
-Major CSR gathers the ids at the Major flags, and only its renumbered ids
-are kept.  The debut order tags each id with its position in 32 bits, so a
-refinement holds at most 2^32 ids, and keeps each id's first word with
-`keep_first`, the ledger's keep-the-first step too.
+The store caches one view at a time, built in one step for one
+refinement: the year index (the distinct years and where each year's
+articles start) and the refinement's CSR with its keywords renumbered
+densely in debut order.  Asking for the other refinement drops it first.
+The Major CSR gathers the ids at the Major flags, and only its renumbered
+ids are kept.  The debut order is a table, indexed by keyword id, of each
+keyword's first position, filled a chunk of ids at a time by `keep_first`,
+the ledger's keep-the-first step too; the keywords rank by that position.
+Ids sparser than the refinement's id count are first ranked by one sort,
+so the table never has more entries than there are ids.  A refinement
+holds at most 2^32 ids, refused before any pass over them.
 
 A store file (format version 2) is a 40-byte header (magic ``SLEDGER1``,
 version, article count, id count, article-id bytes), the raw little-endian
@@ -83,9 +87,11 @@ _INT32 = range(-(1 << 31), 1 << 31)
 # The longest article id, in UTF-8 bytes.  A fold lays every id out at the
 # longest one's width, so one long id would widen them all.
 _MAX_ID_BYTES = 64
-# Elements per step of an in-place compaction or hash: their scratch stays
-# small, and their steps over one chunk run in cache.
-_CHUNK = 1 << 14
+# Elements per step of an in-place compaction, a hash or the debut order's
+# table: their scratch stays small, and their steps over one chunk run in
+# cache.
+_CHUNK_BITS = 14
+_CHUNK = 1 << _CHUNK_BITS
 
 _MAGIC = b"SLEDGER1"
 _STORE_VERSION = 2
@@ -304,43 +310,53 @@ class CorpusStore:
         ``years`` are the distinct years (int32), and year ``t`` holds the
         articles ``starts[t]:starts[t+1]``.  Article ``i`` carries the dense
         ids ``ids[offsets[i]:offsets[i+1]]``; dense id ``d`` is the keyword
-        ``keywords[d]``, which debuted in ``years[debuts[d]]``.  Cached per
-        refinement until the columns change.
+        ``keywords[d]``, which debuted in ``years[debuts[d]]``.  One view is
+        cached at a time, until the columns change: asking for the other
+        refinement drops it before building that one.
         """
         if refinement not in REFINEMENTS:
             raise ValueError(f"unknown refinement {refinement!r}")
+        for other in REFINEMENTS:
+            if other != refinement:
+                self._cache.pop(f"view_{other}", None)
         return self._cached(f"view_{refinement}", lambda: self._view(refinement))
 
     def _view(self, refinement: str) -> tuple[np.ndarray, ...]:
         heads = run_heads(self._years)
-        starts = np.append(np.flatnonzero(heads), heads.size)
+        years, starts = self._years[heads], np.append(np.flatnonzero(heads), heads.size)
         offsets, ids = self._offsets, self._ids
         if refinement == MAJOR:
             at = np.flatnonzero(self._major)
             offsets, ids = np.searchsorted(at, offsets), ids[at]
             del at
-        if ids.size > 1 << 32:
-            raise CorpusError(f"{ids.size} keyword ids, over the limit of {1 << 32}")
+        n = ids.size
+        if n > 1 << 32:
+            raise CorpusError(f"{n} keyword ids, over the limit of {1 << 32}")
+        size, values = self.max_keyword_id() + 1, None
+        if size > n:
+            # A table over sparse ids would outgrow the ids: rank them first.
+            values = np.sort(ids)
+            values = values[run_heads(values)]
+            ids, size = np.searchsorted(values, ids).astype(np.uint32), values.size
         # Articles are sorted by year, so a keyword's first position is its
-        # debut: tag each id with its position and keep each id's first word.
-        # The positions go in a chunk at a time, so that no array of them
-        # all sits beside the words.
-        words = np.left_shift(ids, np.uint64(32), dtype=np.uint64)
-        for a in range(0, ids.size, _CHUNK):
-            words[a : a + _CHUNK] |= np.arange(
-                a, min(a + _CHUNK, ids.size), dtype=np.uint64
-            )
-        kids, first = keep_first(words, 32, np.uint32)
-        # A copy, so that the words' 8 B per id are freed before the gather.
-        kids = kids.astype(np.uint32)
-        del words
-        order = np.argsort(first)
-        rank = np.empty(kids.size, dtype=np.uint32)
-        rank[order] = np.arange(kids.size, dtype=np.uint32)
+        # debut.  Each chunk tags the ids the table has not seen yet (``n``)
+        # with their place in the chunk and keeps each id's first word.
+        first = np.full(size, n, dtype=np.int64)
+        for a in range(0, n, _CHUNK):
+            chunk = ids[a : a + _CHUNK]
+            at = np.flatnonzero(first[chunk] == n)
+            words = np.left_shift(chunk[at], np.uint64(_CHUNK_BITS), dtype=np.uint64)
+            words |= at.astype(np.uint64)
+            kept, place = keep_first(words, _CHUNK_BITS, np.int64)
+            first[kept] = a + place
+        kids = np.flatnonzero(first < n)
+        kids = kids[first[kids].argsort()]
+        rank = np.empty(size, dtype=np.uint32)
+        rank[kids] = np.arange(kids.size, dtype=np.uint32)
         # The year whose ids hold a keyword's first position is its debut.
-        debuts = np.searchsorted(offsets[starts], first[order], side="right") - 1
-        dense = rank[np.searchsorted(kids, ids)]
-        return self._years[heads], starts, offsets, dense, kids[order], debuts
+        debuts = np.searchsorted(offsets[starts], first[kids], side="right") - 1
+        keywords = kids.astype(np.uint32) if values is None else values[kids]
+        return years, starts, offsets, rank[ids], keywords, debuts
 
     def records_in(self, year: int) -> list[ArticleRecord]:
         """The year's articles as records, in article-id order."""

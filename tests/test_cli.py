@@ -92,6 +92,28 @@ def test_run_is_byte_deterministic(tmp_path, demo_files):
     assert all((a / name).exists() for name in artifacts)
 
 
+def test_manifest_lists_artifacts_by_order_then_refinement(tmp_path, demo_files):
+    # Whatever order the ledgers run in, the manifest lists them by k first.
+    ontology, corpus = demo_files
+    out = tmp_path / "o"
+    argv = ["run", "--ontology", str(ontology), "--input", str(corpus),
+            "--k", "1,2", "--refinement", "all,major", "--out", str(out)]
+    assert main(argv) == 0
+    stems = ("c_vs_articles", "c_vs_vocab", "coverage_vs_vocab", "rates")
+    expected = [
+        name
+        for tag in ("k1_all", "k1_major", "k2_all", "k2_major")
+        for name in (
+            f"ledger_{tag}.csv",
+            f"metrics_{tag}.csv",
+            f"fits_{tag}.csv",
+            *(f"{stem}_{tag}.svg" for stem in stems),
+        )
+    ]
+    assert len(expected) == 28
+    assert json.loads((out / "run_manifest.json").read_text())["artifacts"] == expected
+
+
 def test_run_emits_charts(tmp_path, demo_files):
     out = _run_dir(tmp_path, "runC", demo_files)
     for stem in ("c_vs_articles", "c_vs_vocab", "coverage_vs_vocab", "rates"):

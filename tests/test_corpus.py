@@ -918,6 +918,13 @@ def _reference_views(store, refinement):
     ArticleRecord("c", 1903, frozenset({_TOP_ID, 2}), frozenset({2})),
     ArticleRecord("d", 1904, frozenset({0, 5}), frozenset({5})),
 ])
+@example([  # more ids than the largest id in both refinements: no ranking
+    ArticleRecord("a", 1902, frozenset({0, 3, 5}), frozenset({0, 3, 5})),
+    ArticleRecord("b", 1902, frozenset(), frozenset()),
+    ArticleRecord("c", 1903, frozenset({1, 2, 4}), frozenset()),
+    ArticleRecord("d", 1903, frozenset({1, 4}), frozenset({1, 4})),
+    ArticleRecord("e", 1904, frozenset({0, 2, 5}), frozenset({0, 2, 5})),
+])
 def test_views_match_a_reference_from_the_records(records):
     store = CorpusStore()
     for record in records:
@@ -954,6 +961,29 @@ def test_debut_order_refuses_more_ids_than_32_bit_positions():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_debut_order_of_dense_ids_holds_no_transient():
+    # 10^6 ids over 1,000 keywords: 10^5 articles of ten ascending ids.
+    articles = 100_000
+    base = np.arange(articles, dtype=np.uint32) * 37 % 100
+    ids = (base[:, None] + np.arange(0, 1000, 100, dtype=np.uint32)).ravel()
+    store = CorpusStore()
+    store._set_columns(
+        np.repeat(np.arange(1950, 2000, dtype=np.int32), articles // 50),
+        np.arange(articles + 1, dtype=np.int64) * 10,
+        ids,
+        np.zeros(ids.size, bool),
+        b"",
+    )
+    tracemalloc.start()
+    try:
+        store.view("all")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= 4 * ids.size  # the dense ids
+    assert peak <= 1.1 * held
 
 
 @settings(max_examples=40, deadline=None)
