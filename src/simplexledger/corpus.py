@@ -659,10 +659,14 @@ def _fixed_width(names: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_store(store: CorpusStore, out: BinaryIO) -> None:
-    """Write the store file: header and columns, then their SHA-256."""
+    """Write the store file: header and columns, then their SHA-256, hashed
+    as they are written and cached as the store's digest."""
+    digest = hashlib.sha256()
     for chunk in store._file_chunks():
         out.write(chunk)
-    out.write(bytes.fromhex(store.digest()))
+        digest.update(chunk)
+    out.write(digest.digest())
+    store._cache["digest"] = digest.hexdigest()
 
 
 def load_store(src: BinaryIO) -> CorpusStore:

@@ -10,10 +10,10 @@ The ledger reads the corpus through one `CorpusStore.view` per refinement:
 the year index, and the CSR with its keyword ids renumbered in debut
 order, so a new combination is peripheral iff its largest dense id debuted
 in its first year.  A combination packs its dense ids into a key of w
-bits, at most 64, which a bijection on w bits hashes; B hash ranges, the
-buckets, split the keys so that each bucket fits in memory.  A
-combination's first year is the smallest year among its emissions, so one
-pass over the emissions is enough.  The emission pass tags each hash with
+bits, at most 64, which one product with an odd multiplier mod 2^w
+hashes; B hash ranges, the buckets, split the keys so that each bucket
+fits in memory.  A combination's first year is the smallest year among its
+emissions, so one pass over the emissions is enough.  The emission pass tags each hash with
 its year's index among the years that hold articles, relative to the
 buffer's first year, in the 64 - w bits below it, so one buffer may span
 several years.  It flushes the buffer when the next batch would overflow
@@ -28,7 +28,8 @@ its start, so a flush inside a year waits for the next commit.  The
 manifest holds resume state only, so its size does not grow with the
 years.  The count pass then reads each bucket's parts of every flush,
 sorts them, and keeps each key's first word, whose year is the smallest,
-by the same step as a flush, `corpus.keep_first`.
+by the same step as a flush, `corpus.keep_first`; the word's low hash
+bits, times the multiplier's inverse, give back the key's largest id.
 B is fixed before any work from the exact emission count and the memory
 budget; the result is identical for any B.  Once every bucket is counted,
 the completing manifest write stores the tallies over the years that
@@ -50,14 +51,14 @@ import tempfile
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from simplexledger.corpus import _CHUNK, ALL, REFINEMENTS, CorpusStore, keep_first
+from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, keep_first
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 9
+_MANIFEST_VERSION = 10
 _LOG_NAME = "keys.bin"
 _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
@@ -70,8 +71,9 @@ _BYTES_PER_YEAR = 32
 # Each flush appends an index row of 8 bytes per bucket, and the bucket
 # pass reads one part per bucket and flush.
 _MAX_BUCKETS = 1 << 16
-# splitmix64's multipliers (Steele et al., OOPSLA 2014).
-_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+# 2^64 / phi rounded down: the top w bits, made odd, are the multiplier of
+# Fibonacci hashing on w bits (Knuth, TAOCP vol. 3, 6.4).
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class LedgerError(ValueError):
@@ -154,13 +156,19 @@ class _Layout:
     """How one ledger's keys become the words of its log.
 
     A key packs s dense ids of ``bits`` bits each, w = s * bits bits in
-    all, and ``_hash`` maps it to a hash below 2^w.  Bucket i holds the
-    hashes in [ceil(i 2^w / B), ceil((i+1) 2^w / B)).  A key's word is its
-    hash shifted left over the y bits of its year index; the shift drops
-    the hash's top w + y - 64 bits, if any, and the bucket's range gives
-    them back, which holds when no range spans more than 2^(64-y) hashes.
-    A buffered word holds the hash above r = 64 - w bits of its year index
-    less the buffer's first, so a buffer spans at most 2^r years.
+    all, its largest id in the low bits, and its hash is its product with
+    the odd ``multiplier`` mod 2^w, a bijection on w bits.  Bucket i holds
+    the hashes in [ceil(i 2^w / B), ceil((i+1) 2^w / B)).  A key's word is
+    its hash shifted left over the y bits of its year index; the shift
+    drops the hash's top w + y - 64 bits, if any, so the words of one
+    bucket stay distinct only when no range spans more than 2^(64-y)
+    hashes.  The low bits of a product depend only on the low bits of its
+    factors, so the hash's low ``bits`` bits, times the multiplier's
+    inverse mod 2^bits, give back the largest id.  The word keeps them:
+    s >= 2 gives bits <= 32, and int32 years give y <= 32, so
+    bits <= 64 - y.  A buffered word holds the hash above r = 64 - w bits
+    of its year index less the buffer's first, so a buffer spans at most
+    2^r years.
     """
 
     bits: int
@@ -191,8 +199,15 @@ class _Layout:
         return np.min_scalar_type(min(1 << self.span_bits, self.years) - 1)
 
     @property
+    def multiplier(self) -> int:
+        """A_w, the odd number nearest 2^w / phi."""
+        return (_GOLDEN >> (64 - self.width)) | 1
+
+    @property
     def min_buckets(self) -> int:
-        """The fewest buckets whose ranges each span at most 2^(64-y)."""
+        """The fewest buckets whose ranges each span at most 2^(64-y), so
+        that each bucket's words, which keep a hash's low 64 - y bits, are
+        as distinct as its hashes."""
         return 1 << max(0, self.width + self.year_bits - 64)
 
     def starts(self, buckets: int) -> np.ndarray:
@@ -210,38 +225,6 @@ def _pack(rows: np.ndarray, bits: int) -> np.ndarray:
         keys <<= np.uint64(bits)
         keys |= rows[:, col]
     return keys
-
-
-def _mix(keys: np.ndarray, width: int, multipliers: Iterable[int]) -> None:
-    """In place: xorshift, then per multiplier a product mod 2^width and a
-    xorshift.  Each shift is at least width / 2, so each xorshift is its
-    own inverse, and the inverse multipliers in reverse order undo it."""
-    shift = np.uint64((width + 1) // 2)
-    mask = np.uint64((1 << width) - 1)
-    factors = [np.uint64(m) for m in multipliers]
-    scratch = np.empty(min(keys.size, _CHUNK), dtype=np.uint64)
-    for start in range(0, keys.size, _CHUNK):
-        x = keys[start : start + _CHUNK]
-        t = scratch[: x.size]
-        np.right_shift(x, shift, out=t)
-        x ^= t
-        for factor in factors:
-            x *= factor
-            if width < 64:
-                x &= mask
-            np.right_shift(x, shift, out=t)
-            x ^= t
-
-
-def _hash(keys: np.ndarray, width: int) -> None:
-    """Hash keys below 2^width in place, by a bijection on width bits:
-    splitmix64's finalizer with its steps taken mod 2^width."""
-    _mix(keys, width, [m % (1 << width) for m in _MULTIPLIERS])
-
-
-def _unhash(keys: np.ndarray, width: int) -> None:
-    """Invert ``_hash`` in place."""
-    _mix(keys, width, [pow(m, -1, 1 << width) for m in reversed(_MULTIPLIERS)])
 
 
 # --- emission --------------------------------------------------------------
@@ -414,16 +397,16 @@ def _count_bucket(
     log: int,
     begins: np.ndarray,
     ends: np.ndarray,
-    base: int,
     layout: _Layout,
     debut_index: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-year new and peripheral key counts of one bucket.
 
-    Its part of flush f is log words ``begins[f]:ends[f]``, and its
-    smallest hash is ``base``.  ``debut_index`` holds each dense keyword's
-    debut as a year index.  Each array is dropped once used, which holds
-    the peak near 11 bytes per word.
+    Its part of flush f is log words ``begins[f]:ends[f]``.  ``debut_index``
+    holds each dense keyword's debut as a year index.  A key is peripheral
+    when its largest dense id, which the hash's low bits give back, debuted
+    in its first year.  Each array is dropped once used, which holds the
+    peak near 11 bytes per word.
     """
     sizes = ends - begins
     words = np.empty(int(sizes.sum()), dtype=np.uint64)
@@ -434,12 +417,9 @@ def _count_bucket(
             _read_into(log, view[at : at + size], begin)
             at += size
     keys, year = keep_first(words, layout.year_bits, debut_index.dtype)
-    # The hash's bits above the word's lie in the bucket's range.
-    keys -= np.uint64(base)
-    keys &= np.uint64((1 << (64 - layout.year_bits)) - 1)
-    keys += np.uint64(base)
-    _unhash(keys, layout.width)
-    # The largest dense id of a key debuted last among its keywords.
+    # The hash's low bits times A_w's inverse are the key's low bits: its
+    # largest dense id, which debuted last among its keywords.
+    keys *= np.uint64(pow(layout.multiplier, -1, 1 << layout.bits))
     keys &= np.uint64((1 << layout.bits) - 1)
     peripheral = debut_index[keys] == year
     del view, words, keys
@@ -450,18 +430,17 @@ def _count_bucket(
 def _count_log(
     ledger_dir: Path,
     layout: _Layout,
-    starts: np.ndarray,
+    buckets: int,
     flushes: int,
     debut_index: np.ndarray,
     index_bytes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-year new and peripheral key counts of the first ``flushes``
-    flushes of the ledger's log, one bucket at a time.
+    flushes of the ledger's log, one bucket of ``buckets`` at a time.
 
     The index is read a block of buckets at a time, one read per flush,
     each block in at most ``index_bytes``.
     """
-    buckets = starts.size
     new = np.zeros(layout.years, dtype=np.int64)
     peripheral = np.zeros(layout.years, dtype=np.int64)
     # No flush is made when no article has k + 1 keywords.
@@ -475,10 +454,10 @@ def _count_log(
         for first in range(0, buckets, block):
             count = min(block, buckets - first)
             parts = _index_block(index, flushes, buckets, first, count)
-            for j, base in enumerate(starts[first : first + count].tolist()):
+            for j in range(count):
                 begins, ends = parts[:, j], parts[:, j + 1]
                 if (ends != begins).any():
-                    n, p = _count_bucket(log, begins, ends, base, layout, debut_index)
+                    n, p = _count_bucket(log, begins, ends, layout, debut_index)
                     new += n
                     peripheral += p
     return new, peripheral
@@ -626,6 +605,7 @@ def _emission_pass(
     years, year_starts, offsets, ids, _, _ = view
     year_starts = year_starts.tolist()
     batch_keys = min(_EMIT_CHUNK, buffer_keys)
+    multiplier = np.uint64(layout.multiplier)
     span = 1 << layout.span_bits
     # The years up to the watermark are committed.
     watermark = manifest["watermark"]
@@ -663,7 +643,8 @@ def _emission_pass(
                 break
             if not buffer:
                 head = tag
-            _hash(keys, layout.width)
+            # The hash: the product's bits above w shift out.
+            keys *= multiplier
             keys <<= np.uint64(layout.span_bits)
             keys |= np.uint64(tag - head)
             buffer.append(keys)
@@ -726,7 +707,7 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
             new, peripheral = _count_log(
                 ledger_dir,
                 layout,
-                starts,
+                manifest["buckets"],
                 manifest["flushes"],
                 debut_index,
                 # A bucket's pass takes about 11 / 24 of the budget.

@@ -597,6 +597,26 @@ def test_store_roundtrip_and_byte_determinism():
     _assert_loads_as(buf1.getvalue(), corpus)
 
 
+def test_save_store_hashes_the_columns_as_it_writes(monkeypatch):
+    # One pass over the store's contents writes and hashes them; the
+    # trailer is the digest, which the store then holds without another.
+    corpus = generate_synthetic(SynthParams(n_articles=150, vocab_size=40, seed=9))
+    passes = []
+    file_chunks = CorpusStore._file_chunks
+
+    def counted(self):
+        passes.append(1)
+        return file_chunks(self)
+
+    monkeypatch.setattr(CorpusStore, "_file_chunks", counted)
+    buf = io.BytesIO()
+    save_store(corpus, buf)
+    data = buf.getvalue()
+    assert data[-32:] == hashlib.sha256(data[:-32]).digest()
+    assert data[-32:].hex() == corpus.digest()
+    assert len(passes) == 1
+
+
 def test_store_rejects_bad_magic():
     with pytest.raises(CorpusError, match="magic"):
         load_store(io.BytesIO(b"NOTSTORE" + b"\0" * 16))

@@ -453,12 +453,39 @@ def test_keyword_capacity_counts_distinct_used_keywords(tmp_path):
     # 65,536 keywords in quartets fill the 16-bit per-id capacity exactly,
     # although their even ids run up to 131,070.  Over three years, each
     # 64-bit key loses its top two bits to the year index in the log.
+    quartets = [frozenset(range(8 * i, 8 * i + 8, 2)) for i in range(1 << 14)]
     store = CorpusStore()
-    for i in range(1 << 14):
-        kws = frozenset(range(8 * i, 8 * i + 8, 2))
+    for i, kws in enumerate(quartets):
         store.add(ArticleRecord(f"a{i:05d}", 2000 + i % 3, kws, frozenset()))
     config = LedgerConfig(k=3, spill_directory=tmp_path / "fits")
     assert tabulate(store, config) == oracle_tabulate(store, 3, "all")
+    # Over five years a key loses three bits.  The last 16 quartets' keywords
+    # wait for 2004.  Before that, 2003 repeats old quartets, which are not
+    # new, and mixes old keywords into new quartets, which are core; two of
+    # these keys differ by 2^61 alone, so their words agree.  In 2004, the
+    # waiting quartets and an article that mixes old and new keywords.
+    store = CorpusStore()
+    for i, kws in enumerate(quartets[:-16]):
+        store.add(ArticleRecord(f"a{i:05d}", 2000 + i % 3, kws, frozenset()))
+    late = [
+        *quartets[:3],
+        {0, 16, 18, 20},
+        {49152, 16, 18, 20},
+        {0, 2, 8, 49152},
+        *quartets[-16:],
+        {0, 2, 16, 49152, 8 * 16380, 8 * 16381},
+    ]
+    for i, kws in enumerate(late):
+        year = 2003 if i < 6 else 2004
+        store.add(ArticleRecord(f"b{i:02d}", year, frozenset(kws), frozenset()))
+    _, _, _, _, keywords, _ = store.view("all")
+    dense = {kw: d for d, kw in enumerate(keywords.tolist())}
+    assert dense[49152] - dense[0] == 1 << 13 < dense[16]
+    oracle = oracle_tabulate(store, 3, "all")
+    assert oracle.new_simplices[3:] == [3, 31]
+    assert oracle.new_peripheral[3:] == [0, 30]
+    config = LedgerConfig(k=3, spill_directory=tmp_path / "late")
+    assert tabulate(store, config) == oracle
     # One more keyword, even in an article too small for a quartet.
     store.add(ArticleRecord("b", 2001, frozenset({1}), frozenset()))
     with pytest.raises(LedgerError, match="capacity"):
@@ -526,19 +553,27 @@ def test_buffer_spans_at_most_two_to_the_r_years(tmp_path, monkeypatch):
 # the layout's floor): 64-bit keys (65,536 keywords in quartets), which
 # drop 7 bits to the year index; the paper's shape, 60-bit keys that drop 3;
 # a one-year corpus, whose words carry no year bits; a bucket count that is
-# not a power of two; and a width too small for the multipliers' top bits.
+# not a power of two; a small width; and one whose 9 top bits of 2^64 / phi
+# are even, so that only the forced low bit makes the multiplier odd.
 _LAYOUTS = [
     pytest.param(65_536, 4, 117, None, id="w64"),
     pytest.param(27_875, 4, 117, 13, id="paper-B13"),
     pytest.param(65_536, 4, 1, 3, id="y0-B3"),
     pytest.param(5, 2, 3, 5, id="w6"),
+    pytest.param(8, 3, 5, 2, id="w9"),
 ]
+
+
+def _hashes(keys, layout):
+    """The keys' hashes: their products with A_w mod 2^w."""
+    product = keys * np.uint64(layout.multiplier)
+    return product & np.uint64((1 << layout.width) - 1)
 
 
 @pytest.mark.parametrize("n_keywords, s, years, buckets", _LAYOUTS)
 def test_hash_round_trips_on_the_key_width(n_keywords, s, years, buckets):
     layout = ledger_mod._Layout.of(n_keywords, s, years)
-    width = layout.width
+    width, bits, y = layout.width, layout.bits, layout.year_bits
     rng = np.random.default_rng(width)
     if width <= 16:
         keys = np.arange(1 << width, dtype=np.uint64)
@@ -546,24 +581,27 @@ def test_hash_round_trips_on_the_key_width(n_keywords, s, years, buckets):
         top = (1 << width) - 1
         keys = rng.integers(0, top, size=50_000, dtype=np.uint64, endpoint=True)
         keys[:2] = (0, top)
-    hashed = keys.copy()
-    ledger_mod._hash(hashed, width)
-    if width < 64:
-        assert hashed.max() < 1 << width
+    hashed = _hashes(keys, layout)
     if width <= 16:
         # Every key below 2^w has its own hash.
         assert np.array_equal(np.sort(hashed), keys)
-    ledger_mod._unhash(hashed, width)
-    assert np.array_equal(hashed, keys)
+    # A log word keeps the hash's low 64 - y bits above its year index; its
+    # low ``bits`` of them, times A_w's inverse, are the key's largest id.
+    words = (hashed << np.uint64(y)) | np.uint64(years - 1)
+    largest = words >> np.uint64(y)
+    largest *= np.uint64(pow(layout.multiplier, -1, 1 << bits))
+    largest &= np.uint64((1 << bits) - 1)
+    assert np.array_equal(largest, keys & np.uint64((1 << bits) - 1))
 
 
 @pytest.mark.parametrize("n_keywords, s, years, buckets", _LAYOUTS)
-def test_bucket_pass_recovers_the_dropped_hash_bits(
+def test_bucket_pass_recovers_first_years_and_largest_ids(
     tmp_path, n_keywords, s, years, buckets
 ):
     # Flushes of random keys, repeated across years and within a flush's
     # years, through the log and back: every key's first year, and whether
-    # its largest id debuted then, must come out as they went in.
+    # its largest id debuted then, must come out as they went in, also
+    # where a word drops the hash's top bits.
     layout = ledger_mod._Layout.of(n_keywords, s, years)
     buckets = buckets or layout.min_buckets
     assert buckets >= layout.min_buckets
@@ -592,9 +630,7 @@ def test_bucket_pass_recovers_the_dropped_hash_bits(
                 keys = rng.choice(pool, size=800)
                 for key in keys.tolist():
                     first.setdefault(key, year)
-                words = keys.copy()
-                ledger_mod._hash(words, layout.width)
-                words <<= np.uint64(r)
+                words = _hashes(keys, layout) << np.uint64(r)
                 words |= np.uint64(year - head)
                 buffer += [words[:500], words[500:]]
                 ends_span = rep == 1 and year in (head + span - 1, years - 1)
@@ -613,11 +649,13 @@ def test_bucket_pass_recovers_the_dropped_hash_bits(
     # From index blocks of every size: one bucket, some, all.
     for index_bytes in (0, 8 * flushes * 3, 1 << 30):
         new, peripheral = ledger_mod._count_log(
-            tmp_path, layout, starts, flushes, debut_index, index_bytes
+            tmp_path, layout, buckets, flushes, debut_index, index_bytes
         )
         assert new.tolist() == expected_new.tolist()
         assert peripheral.tolist() == expected_peripheral.tolist()
-    # The keys fill more than one bucket, and no range spans over 2^(64-y).
+    # The keys fill more than one bucket, and no range spans over 2^(64-y),
+    # so a bucket's words, which drop the hash's top w + y - 64 bits, stay
+    # as distinct as its hashes.
     assert np.count_nonzero(_bucket_keys(tmp_path, buckets)) > 1
     bounds = starts.tolist() + [1 << layout.width]
     span = max(b - a for a, b in zip(bounds, bounds[1:]))
@@ -1295,7 +1333,7 @@ def _old_mix64(keys):
     return x
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
     corpus = _random_corpus(13, n_articles=300)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
@@ -1305,7 +1343,7 @@ def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
     def commit(manifest):
         commits.append((manifest["watermark"], manifest["flushes"]))
 
-    # Versions 6 to 8 kept keys.bin and ends.bin in today's format: their
+    # Versions 6 to 9 kept keys.bin and ends.bin in today's format: their
     # state before the bucket pass is today's with another manifest.
     until = corpus.years[-1] if version >= 6 else None
     _commits(corpus, config, until=until, observe=commit)
@@ -1344,6 +1382,11 @@ def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
         # A complete version-8 manifest stored the series over every
         # calendar year.
         manifest = dict(current, version=8, complete=True, series=series)
+    elif version == 9:
+        # Version 9 hashed each key by splitmix64's finalizer mod 2^w.  Read
+        # as today's, its hashes give other largest ids, which would show.
+        _write_version_9_log(ledger_dir, corpus, current["buckets"])
+        manifest = dict(current, version=9)
     elif version == 7:
         # Version 7 wrote today's manifest, but tagged each key with its
         # year's calendar offset.  Tags one year late would show.
@@ -1361,6 +1404,43 @@ def test_old_manifest_version_starts_fresh(tmp_path, version, engine_simplices):
     (ledger_dir / "manifest.json").write_text(json.dumps(manifest))
     assert tabulate(corpus, config) == oracle
     assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
+
+
+def _splitmix(keys, width):
+    """Version 9's key hash: splitmix64's finalizer, its steps mod 2^width."""
+    shift, mask = np.uint64((width + 1) // 2), np.uint64((1 << width) - 1)
+    x = keys ^ (keys >> shift)
+    for m in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB):
+        x = (x * np.uint64(m % (1 << width))) & mask
+        x ^= x >> shift
+    return x
+
+
+def _write_version_9_log(ledger_dir, corpus, buckets):
+    """Rewrite a k = 1 ledger's committed log as version 9 wrote it: each
+    flush's keys hashed by ``_splitmix``, sorted and split by bucket anew."""
+    years, _, _, _, keywords, _ = corpus.view("all")
+    layout = ledger_mod._Layout.of(keywords.size, 2, years.size)
+    width, y = layout.width, np.uint64(layout.year_bits)
+    assert width + layout.year_bits <= 64  # no word drops hash bits
+    log, ends = ledger_dir / "keys.bin", ledger_dir / "ends.bin"
+    words = np.fromfile(log, dtype=np.uint64)
+    flush_ends = np.fromfile(ends, dtype=np.int64).reshape(-1, buckets)[:, -1]
+    year = words & ((np.uint64(1) << y) - np.uint64(1))
+    keys = (words >> y) * np.uint64(pow(layout.multiplier, -1, 1 << width))
+    hashes = _splitmix(keys & np.uint64((1 << width) - 1), width)
+    end = 0
+    with open(log, "wb", buffering=0) as log_file, open(
+        ends, "wb", buffering=0
+    ) as index_file:
+        for a, b in zip([0, *flush_ends[:-1].tolist()], flush_ends.tolist()):
+            first = int(year[a:b].min())
+            buffered = hashes[a:b] << np.uint64(layout.span_bits)
+            buffered |= year[a:b] - np.uint64(first)
+            end = ledger_mod._flush(
+                [buffered], log_file.fileno(), index_file.fileno(), layout,
+                layout.starts(buckets), first, end,
+            )
 
 
 def _write_old_layout(ledger_dir, manifest, corpus, simplices):
