@@ -40,8 +40,8 @@ articles start) and the refinement's CSR with its keywords renumbered
 densely in debut order.  Asking for the other refinement drops it first.
 The Major CSR gathers the ids at the Major flags, and only its renumbered
 ids are kept.  The debut order is a table, indexed by keyword id, of each
-keyword's first position, filled a chunk of ids at a time by `keep_first`,
-the ledger's keep-the-first step too; the keywords rank by that position.
+keyword's first position, filled a chunk of ids at a time by one
+scatter-min (``np.minimum.at``); the keywords rank by that position.
 Ids sparser than the refinement's id count are first ranked by one sort,
 so the table never has more entries than there are ids.  A refinement
 holds at most 2^32 ids, refused before any pass over them.
@@ -87,11 +87,9 @@ _INT32 = range(-(1 << 31), 1 << 31)
 # The longest article id, in UTF-8 bytes.  A fold lays every id out at the
 # longest one's width, so one long id would widen them all.
 _MAX_ID_BYTES = 64
-# Elements per step of an in-place compaction, a hash or the debut order's
-# table: their scratch stays small, and their steps over one chunk run in
-# cache.
-_CHUNK_BITS = 14
-_CHUNK = 1 << _CHUNK_BITS
+# Ids per step of the debut order's table: the positions of one chunk
+# stay small, and its scatter runs in cache.
+_CHUNK = 1 << 14
 
 _MAGIC = b"SLEDGER1"
 _STORE_VERSION = 2
@@ -153,26 +151,6 @@ def run_heads(values: np.ndarray) -> np.ndarray:
     heads[:1] = True
     np.not_equal(values[1:], values[:-1], out=heads[1:])
     return heads
-
-
-def keep_first(
-    words: np.ndarray, tag_bits: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort ``words``, each a value above ``tag_bits`` bits of tag, and keep
-    each value's first word, whose tag is the smallest: the kept values move
-    to the front of ``words``, in order and in place, so that no copy of
-    them all is made.  Returns that front and the kept tags, as ``dtype``."""
-    words.sort()
-    tags = np.empty(words.size, dtype=dtype)
-    np.bitwise_and(words, np.uint64((1 << tag_bits) - 1), out=tags, casting="unsafe")
-    words >>= np.uint64(tag_bits)
-    heads = run_heads(words)
-    n = 0
-    for start in range(0, words.size, _CHUNK):
-        kept = words[start : start + _CHUNK][heads[start : start + _CHUNK]]
-        words[n : n + kept.size] = kept
-        n += kept.size
-    return words[:n], tags[heads]
 
 
 class CorpusStore:
@@ -339,16 +317,10 @@ class CorpusStore:
             values = values[run_heads(values)]
             ids, size = np.searchsorted(values, ids).astype(np.uint32), values.size
         # Articles are sorted by year, so a keyword's first position is its
-        # debut.  Each chunk tags the ids the table has not seen yet (``n``)
-        # with their place in the chunk and keeps each id's first word.
+        # debut; ``n`` marks a keyword the refinement does not hold.
         first = np.full(size, n, dtype=np.int64)
         for a in range(0, n, _CHUNK):
-            chunk = ids[a : a + _CHUNK]
-            at = np.flatnonzero(first[chunk] == n)
-            words = np.left_shift(chunk[at], np.uint64(_CHUNK_BITS), dtype=np.uint64)
-            words |= at.astype(np.uint64)
-            kept, place = keep_first(words, _CHUNK_BITS, np.int64)
-            first[kept] = a + place
+            np.minimum.at(first, ids[a : a + _CHUNK], np.arange(a, min(a + _CHUNK, n)))
         kids = np.flatnonzero(first < n)
         kids = kids[first[kids].argsort()]
         rank = np.empty(size, dtype=np.uint32)

@@ -28,8 +28,8 @@ its start, so a flush inside a year waits for the next commit.  The
 manifest holds resume state only, so its size does not grow with the
 years.  The count pass then reads each bucket's parts of every flush,
 sorts them, and keeps each key's first word, whose year is the smallest,
-by the same step as a flush, `corpus.keep_first`; the word's low hash
-bits, times the multiplier's inverse, give back the key's largest id.
+by the same step as a flush, `keep_first`; the word's low hash bits,
+times the multiplier's inverse, give back the key's largest id.
 B is fixed before any work from the exact emission count and the memory
 budget; the result is identical for any B.  Once every bucket is counted,
 the completing manifest write stores the tallies over the years that
@@ -55,7 +55,7 @@ from typing import Iterator
 
 import numpy as np
 
-from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, keep_first
+from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, run_heads
 
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_VERSION = 10
@@ -63,6 +63,7 @@ _LOG_NAME = "keys.bin"
 _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 18  # keys per emission batch
+_KEEP_CHUNK = 1 << 14  # words per step of `keep_first`'s compaction
 # Bytes of budget per key in the bucket pass, whose peak is about 11.2;
 # with the log index block's quarter of the budget, 11.2/24 + 1/4 < 1.
 _PASS_BYTES_PER_KEY = 24
@@ -194,9 +195,9 @@ class _Layout:
         return 64 - self.width
 
     @property
-    def span_dtype(self) -> np.dtype:
-        """The smallest dtype that holds a buffered word's year bits."""
-        return np.min_scalar_type(min(1 << self.span_bits, self.years) - 1)
+    def year_dtype(self) -> np.dtype:
+        """The smallest dtype of a year index, and so of a buffered tag."""
+        return np.min_scalar_type(self.years - 1)
 
     @property
     def multiplier(self) -> int:
@@ -216,6 +217,26 @@ class _Layout:
         return np.array(
             [-(-(i << width) // buckets) for i in range(buckets)], dtype=np.uint64
         )
+
+
+def keep_first(
+    words: np.ndarray, tag_bits: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``words``, each a value above ``tag_bits`` bits of tag, and keep
+    each value's first word, whose tag is the smallest: the kept values move
+    to the front of ``words``, in order and in place, so that no copy of
+    them all is made.  Returns that front and the kept tags, as ``dtype``."""
+    words.sort()
+    tags = np.empty(words.size, dtype=dtype)
+    np.bitwise_and(words, np.uint64((1 << tag_bits) - 1), out=tags, casting="unsafe")
+    words >>= np.uint64(tag_bits)
+    heads = run_heads(words)
+    n = 0
+    for start in range(0, words.size, _KEEP_CHUNK):
+        kept = words[start : start + _KEEP_CHUNK][heads[start : start + _KEEP_CHUNK]]
+        words[n : n + kept.size] = kept
+        n += kept.size
+    return words[:n], tags[heads]
 
 
 def _pack(rows: np.ndarray, bits: int) -> np.ndarray:
@@ -361,7 +382,7 @@ def _flush(
     """
     words = np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
     buffer.clear()
-    keys, year = keep_first(words, layout.span_bits, layout.span_dtype)
+    keys, year = keep_first(words, layout.span_bits, layout.year_dtype)
     row = np.empty(starts.size, dtype=np.int64)
     row[:-1] = np.searchsorted(keys, starts[1:])
     row[-1] = keys.size
@@ -399,14 +420,16 @@ def _count_bucket(
     ends: np.ndarray,
     layout: _Layout,
     debut_index: np.ndarray,
+    bucket: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-year new and peripheral key counts of one bucket.
+    """Per-year new and peripheral key counts of bucket ``bucket``.
 
     Its part of flush f is log words ``begins[f]:ends[f]``.  ``debut_index``
     holds each dense keyword's debut as a year index.  A key is peripheral
     when its largest dense id, which the hash's low bits give back, debuted
-    in its first year.  Each array is dropped once used, which holds the
-    peak near 11 bytes per word.
+    in its first year; an id past the keywords raises, since the log does
+    not match its manifest.  Each array is dropped once used, which holds
+    the peak near 11 bytes per word.
     """
     sizes = ends - begins
     words = np.empty(int(sizes.sum()), dtype=np.uint64)
@@ -416,11 +439,13 @@ def _count_bucket(
         if size:
             _read_into(log, view[at : at + size], begin)
             at += size
-    keys, year = keep_first(words, layout.year_bits, debut_index.dtype)
+    keys, year = keep_first(words, layout.year_bits, layout.year_dtype)
     # The hash's low bits times A_w's inverse are the key's low bits: its
     # largest dense id, which debuted last among its keywords.
     keys *= np.uint64(pow(layout.multiplier, -1, 1 << layout.bits))
     keys &= np.uint64((1 << layout.bits) - 1)
+    if keys.max() >= debut_index.size:
+        raise LedgerError(f"bucket {bucket} of the key log does not match its manifest")
     peripheral = debut_index[keys] == year
     del view, words, keys
     new = np.bincount(year, minlength=layout.years)
@@ -457,7 +482,9 @@ def _count_log(
             for j in range(count):
                 begins, ends = parts[:, j], parts[:, j + 1]
                 if (ends != begins).any():
-                    n, p = _count_bucket(log, begins, ends, layout, debut_index)
+                    n, p = _count_bucket(
+                        log, begins, ends, layout, debut_index, first + j
+                    )
                     new += n
                     peripheral += p
     return new, peripheral
@@ -703,7 +730,7 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
             )
             # The bucket pass only reads committed files; a resume after a
             # kill inside it runs it again.
-            debut_index = debuts.astype(np.min_scalar_type(years.size - 1))
+            debut_index = debuts.astype(layout.year_dtype)
             new, peripheral = _count_log(
                 ledger_dir,
                 layout,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import simplexledger.corpus as corpus_mod
 from simplexledger.corpus import (
     PUB_TYPES,
     ArticleRecord,
@@ -984,26 +985,46 @@ def test_debut_order_refuses_more_ids_than_32_bit_positions():
 
 
 def test_debut_order_of_dense_ids_holds_no_transient():
-    # 10^6 ids over 1,000 keywords: 10^5 articles of ten ascending ids.
+    # 1.1 x 10^6 ids over 1,100 keywords: 10^5 articles of eleven ascending
+    # ids, over 50 years of 2,000 articles.  The first 1,000 keywords all
+    # appear in the first chunk; keyword 1000 + 37 j mod 100 first appears
+    # in article 1,000 j, so from j = 2 on past that chunk and in a later
+    # year, and out of id order.
     articles = 100_000
-    base = np.arange(articles, dtype=np.uint32) * 37 % 100
-    ids = (base[:, None] + np.arange(0, 1000, 100, dtype=np.uint32)).ravel()
+    index = np.arange(articles, dtype=np.uint32)
+    base = index * 37 % 100
+    late = 1000 + index // 1000 * 37 % 100
+    ids = np.column_stack(
+        (base[:, None] + np.arange(0, 1000, 100, dtype=np.uint32), late)
+    ).ravel()
+    article_years = np.repeat(np.arange(1950, 2000, dtype=np.int32), articles // 50)
     store = CorpusStore()
     store._set_columns(
-        np.repeat(np.arange(1950, 2000, dtype=np.int32), articles // 50),
-        np.arange(articles + 1, dtype=np.int64) * 10,
+        article_years,
+        np.arange(articles + 1, dtype=np.int64) * 11,
         ids,
         np.zeros(ids.size, bool),
         b"",
     )
+    assert 11 * 2000 > corpus_mod._CHUNK  # the second year is past a chunk
     tracemalloc.start()
     try:
-        store.view("all")
+        years, _, _, dense, keywords, debuts = store.view("all")
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held >= 4 * ids.size  # the dense ids
     assert peak <= 1.1 * held
+    # Each keyword in order of its first position, as the records give it.
+    first: dict[int, int] = {}
+    for position, kid in enumerate(ids.tolist()):
+        first.setdefault(kid, position)
+    rank = {kid: d for d, kid in enumerate(first)}
+    assert keywords.tolist() == list(first)
+    assert years[debuts].tolist() == [
+        article_years[position // 11] for position in first.values()
+    ]
+    assert dense.tolist() == [rank[kid] for kid in ids.tolist()]
 
 
 @settings(max_examples=40, deadline=None)

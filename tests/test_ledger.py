@@ -1141,6 +1141,32 @@ def test_kill_inside_bucket_pass_reruns_it(tmp_path, monkeypatch):
     assert resumed == oracle_tabulate(corpus, 2, "all")
 
 
+def test_log_that_does_not_match_its_manifest_raises(tmp_path):
+    # One committed word is overwritten by one whose low hash bits give back
+    # a keyword id past the keywords: the bucket that reads it raises a
+    # LedgerError, and no tally is committed.
+    corpus = _random_corpus(16, n_articles=400, years=8)
+    config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=4)
+    years, _, _, _, keywords, _ = corpus.view("all")
+    layout = ledger_mod._Layout.of(keywords.size, 2, years.size)
+    assert keywords.size < 1 << layout.bits  # not a power of two
+    _commits(corpus, config, until=corpus.years[2])
+    ledger_dir = tmp_path / "k1" / "all"
+    manifest = _manifest(ledger_dir)
+    assert manifest["flushes"] > 0
+    # Word 0, of year index 0, lies in the first bucket with a part in the
+    # first flush.
+    first_row = np.fromfile(ledger_dir / "ends.bin", np.int64)[: manifest["buckets"]]
+    bucket = int(np.argmax(first_row > 0))
+    low = keywords.size * layout.multiplier % (1 << layout.bits)
+    word = np.array([low << layout.year_bits], dtype=np.uint64)
+    with open(ledger_dir / "keys.bin", "r+b") as log:
+        log.write(word.tobytes())
+    with pytest.raises(LedgerError, match=f"bucket {bucket} of the key log"):
+        tabulate(corpus, config)
+    assert not _manifest(ledger_dir)["complete"]
+
+
 @pytest.mark.parametrize(
     "first, second, restarts",
     [
