@@ -153,6 +153,27 @@ def run_heads(values: np.ndarray) -> np.ndarray:
     return heads
 
 
+def _major_columns(
+    offsets: np.ndarray, ids: np.ndarray, major: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets and ids of the Major keywords alone, gathered a chunk of
+    ids at a time, so that no index over all of them is made."""
+    major_offsets = np.empty_like(offsets)
+    major_ids = np.empty(np.count_nonzero(major), dtype=ids.dtype)
+    done = 0
+    for lo in range(0, ids.size, _CHUNK):
+        hi = min(lo + _CHUNK, ids.size)
+        at = np.flatnonzero(major[lo:hi])
+        # The articles that start in the chunk.
+        a, b = np.searchsorted(offsets, (lo, hi)).tolist()
+        major_offsets[a:b] = np.searchsorted(at, offsets[a:b] - lo) + done
+        major_ids[done : done + at.size] = ids[lo:hi][at]
+        done += at.size
+    # Articles that start at the end: trailing empty ones and the sentinel.
+    major_offsets[np.searchsorted(offsets, ids.size) :] = done
+    return major_offsets, major_ids
+
+
 class CorpusStore:
     """Articles in one CSR layout, sorted by (year, article id).
 
@@ -304,9 +325,7 @@ class CorpusStore:
         years, starts = self._years[heads], np.append(np.flatnonzero(heads), heads.size)
         offsets, ids = self._offsets, self._ids
         if refinement == MAJOR:
-            at = np.flatnonzero(self._major)
-            offsets, ids = np.searchsorted(at, offsets), ids[at]
-            del at
+            offsets, ids = _major_columns(offsets, ids, self._major)
         n = ids.size
         if n > 1 << 32:
             raise CorpusError(f"{n} keyword ids, over the limit of {1 << 32}")
@@ -328,7 +347,11 @@ class CorpusStore:
         # The year whose ids hold a keyword's first position is its debut.
         debuts = np.searchsorted(offsets[starts], first[kids], side="right") - 1
         keywords = kids.astype(np.uint32) if values is None else values[kids]
-        return years, starts, offsets, rank[ids], keywords, debuts
+        # The store's ids stay as they are; a copy is renumbered in place.
+        dense = np.empty_like(ids) if ids is self._ids else ids
+        for a in range(0, n, _CHUNK):
+            np.take(rank, ids[a : a + _CHUNK], out=dense[a : a + _CHUNK])
+        return years, starts, offsets, dense, keywords, debuts
 
     def records_in(self, year: int) -> list[ArticleRecord]:
         """The year's articles as records, in article-id order."""

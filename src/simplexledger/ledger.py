@@ -10,33 +10,42 @@ The ledger reads the corpus through one `CorpusStore.view` per refinement:
 the year index, and the CSR with its keyword ids renumbered in debut
 order, so a new combination is peripheral iff its largest dense id debuted
 in its first year.  A combination packs its dense ids into a key of w
-bits, at most 64, which one product with an odd multiplier mod 2^w
-hashes; B hash ranges, the buckets, split the keys so that each bucket
-fits in memory.  A combination's first year is the smallest year among its
-emissions, so one pass over the emissions is enough.  The emission pass tags each hash with
-its year's index among the years that hold articles, relative to the
-buffer's first year, in the 64 - w bits below it, so one buffer may span
-several years.  It flushes the buffer when the next batch would overflow
-it or would fall 2^(64-w) or more years past the buffer's first: sorted,
-each hash keeps its smallest year, and the buffer is appended to one key
-log, ``keys.bin``, in one write; it is already grouped by bucket, and one
-row of ``ends.bin`` records where each bucket's part of it ends.  After
-each flush that follows the end of a year's emission, a manifest records
-the flushes committed and the last year whose emission had ended, which
-allows restart after that year; a resume emits that year's successor from
-its start, so a flush inside a year waits for the next commit.  The
+bits, at most 64.  A combination's first year is the smallest year among
+its emissions, so one pass over the emissions is enough.  B is fixed
+before any work from the exact emission count E and the memory budget;
+the result is identical for any B.
+
+When the keys fit one bucket (one shard, 24 bytes of budget a key, and
+w + y <= 64 for the y bits of a year index), the ledger is counted in
+memory and writes nothing: every key, above its year index, goes into
+one array of E words, which is sorted once.  There is no hash, log,
+manifest or spill directory, so a killed run counts such a ledger again
+from the start.
+
+Otherwise one product with an odd multiplier mod 2^w hashes each key,
+and B hash ranges, the buckets, split the keys so that each bucket fits
+in memory.  The emission pass tags each hash with its year's index among
+the years that hold articles, relative to the buffer's first year, in
+the 64 - w bits below it, so one buffer may span several years.  It
+flushes the buffer when the next batch would overflow it or would fall
+2^(64-w) or more years past the buffer's first: sorted, each hash keeps
+its smallest year, and the buffer is appended to one key log,
+``keys.bin``, in one write; it is already grouped by bucket, and one row
+of ``ends.bin`` records where each bucket's part of it ends.  After each
+flush that follows the end of a year's emission, a manifest records the
+flushes committed and the last year whose emission had ended, which
+allows restart after that year; a resume emits that year's successor
+from its start, so a flush inside a year waits for the next commit.  The
 manifest holds resume state only, so its size does not grow with the
 years.  The count pass then reads each bucket's parts of every flush,
 sorts them, and keeps each key's first word, whose year is the smallest,
 by the same step as a flush, `keep_first`; the word's low hash bits,
-times the multiplier's inverse, give back the key's largest id.
-B is fixed before any work from the exact emission count and the memory
-budget; the result is identical for any B.  Once every bucket is counted,
-the completing manifest write stores the tallies over the years that
-hold articles while the log and its index are deleted; the series spreads
-them over the calendar years, empty years as zeros.  A spill directory
-given in the config belongs to the caller, who deletes it; the ledger
-reads no environment variable.
+times the multiplier's inverse, give back the key's largest id.  Once
+every bucket is counted, the completing manifest write stores the
+tallies over the years that hold articles while the log and its index
+are deleted; the series spreads them over the calendar years, empty
+years as zeros.  A spill directory given in the config belongs to the
+caller, who deletes it; the ledger reads no environment variable.
 """
 
 from __future__ import annotations
@@ -62,11 +71,18 @@ _MANIFEST_VERSION = 10
 _LOG_NAME = "keys.bin"
 _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
-_EMIT_CHUNK = 1 << 18  # keys per emission batch
+_EMIT_CHUNK = 1 << 14  # keys per emission batch
 _KEEP_CHUNK = 1 << 14  # words per step of `keep_first`'s compaction
 # Bytes of budget per key in the bucket pass, whose peak is about 11.2;
 # with the log index block's quarter of the budget, 11.2/24 + 1/4 < 1.
+# A ledger of E <= budget / 24 keys, one bucket, is counted in memory
+# instead: its E words take 8 of the 24 bytes a key and `keep_first`
+# about 11.2, while an emission batch's temporaries, at most about 150
+# bytes a key where each article holds just k + 1 keywords, take at most
+# 150 / _BATCH_BUDGET_PER_KEY of the budget beside the words.
 _PASS_BYTES_PER_KEY = 24
+# Bytes of budget per key of an in-memory emission batch.
+_BATCH_BUDGET_PER_KEY = 512
 # Bytes per calendar year of the finished series: its four int64 columns.
 _BYTES_PER_YEAR = 32
 # Each flush appends an index row of 8 bytes per bucket, and the bucket
@@ -239,12 +255,14 @@ def keep_first(
     return words[:n], tags[heads]
 
 
-def _pack(rows: np.ndarray, bits: int) -> np.ndarray:
-    """Pack (n, s) ascending id rows into keys of ``bits`` bits per id."""
-    keys = rows[:, 0].astype(np.uint64)
-    for col in range(1, rows.shape[1]):
+def _pack(rows: np.ndarray, idx: np.ndarray, bits: int) -> np.ndarray:
+    """Pack the combinations ``idx``, (c, s) column indices, of each
+    ascending id row of ``rows``, (n, m), into (n, c) keys of ``bits`` bits
+    per id.  One column of ids is gathered at a time."""
+    keys = rows[:, idx[:, 0]].astype(np.uint64)
+    for col in range(1, idx.shape[1]):
         keys <<= np.uint64(bits)
-        keys |= rows[:, col]
+        keys |= rows[:, idx[:, col]]
     return keys
 
 
@@ -264,7 +282,7 @@ def _comb_indices(m: int, s: int) -> np.ndarray:
     return idx
 
 
-def _emit_year_keys(
+def _emit_keys(
     offsets: np.ndarray,
     ids: np.ndarray,
     lo: int,
@@ -272,25 +290,27 @@ def _emit_year_keys(
     s: int,
     bits: int,
     batch_keys: int,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Packed keys for all size-s combinations of articles lo..hi-1.
 
     Articles are grouped by keyword count m, so that one gather builds a
-    batch's (articles, m) id matrix and, once each row is sorted, another
-    its combinations.  A batch holds at most ``batch_keys`` keys, unless a
-    single article has more combinations.
+    batch's (articles, m) id matrix and, once each row is sorted, `_pack`
+    its combinations' keys.  Yields each batch's articles and their keys, the
+    same number per article, in article order.  A batch holds at most
+    ``batch_keys`` keys, unless a single article has more combinations.
     """
     starts = offsets[lo:hi]
     counts = offsets[lo + 1 : hi + 1] - starts
     for m in (np.flatnonzero(np.bincount(counts)[s:]) + s).tolist():
-        group = starts[counts == m]
+        group = np.flatnonzero(counts == m)
         idx = _comb_indices(m, s)
         batch = max(1, batch_keys // len(idx))
         columns = np.arange(m)
         for start in range(0, group.size, batch):
-            rows = ids[group[start : start + batch, None] + columns]
+            articles = group[start : start + batch]
+            rows = ids[starts[articles][:, None] + columns]
             rows.sort(axis=1)
-            yield _pack(rows[:, idx].reshape(-1, s), bits)
+            yield articles + lo, _pack(rows, idx, bits).ravel()
 
 
 # --- the key log -----------------------------------------------------------
@@ -446,10 +466,24 @@ def _count_bucket(
     keys &= np.uint64((1 << layout.bits) - 1)
     if keys.max() >= debut_index.size:
         raise LedgerError(f"bucket {bucket} of the key log does not match its manifest")
-    peripheral = debut_index[keys] == year
-    del view, words, keys
-    new = np.bincount(year, minlength=layout.years)
-    return new, np.bincount(year[peripheral], minlength=layout.years)
+    return _tally(keys, year, debut_index, layout.years)
+
+
+def _tally(
+    largest: np.ndarray, year: np.ndarray, debut_index: np.ndarray, years: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-year new and peripheral counts of first-seen keys, from each
+    key's largest dense id and first year index: a key is peripheral when
+    that id debuted in its first year.  `np.bincount` copies its input as
+    intp, so the keys are counted a chunk at a time."""
+    new = np.zeros(years, dtype=np.int64)
+    peripheral = np.zeros(years, dtype=np.int64)
+    for start in range(0, year.size, _KEEP_CHUNK):
+        first = year[start : start + _KEEP_CHUNK]
+        new += np.bincount(first, minlength=years)
+        debuted = debut_index[largest[start : start + _KEEP_CHUNK]] == first
+        peripheral += np.bincount(first[debuted], minlength=years)
+    return new, peripheral
 
 
 def _count_log(
@@ -488,6 +522,77 @@ def _count_log(
                     new += n
                     peripheral += p
     return new, peripheral
+
+
+# --- one bucket, in memory -------------------------------------------------
+
+
+def _count_in_memory(
+    view: tuple[np.ndarray, ...],
+    s: int,
+    layout: _Layout,
+    emissions: int,
+    batch_keys: int,
+    debut_index: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-year new and peripheral key counts of a ledger whose keys fit
+    one bucket, counted in memory.
+
+    Every key is emitted as the word of the key above the y bits of its
+    article's year index, into one array of exactly ``emissions`` words;
+    one bucket implies w + y <= 64, so no bit is lost.  Articles are taken
+    ``batch_keys`` at a time, whatever their years, and by keyword count
+    within each such range.  `keep_first` keeps each key's word of its
+    first year, and the key's low ``bits`` are its largest dense id.
+    """
+    _, year_starts, offsets, ids, _, _ = view
+    n = offsets.size - 1
+    words = np.empty(emissions, dtype=np.uint64)
+    y = np.uint64(layout.year_bits)
+    end = 0
+    for lo in range(0, n, batch_keys):
+        hi = min(lo + batch_keys, n)
+        for articles, keys in _emit_keys(
+            offsets, ids, lo, hi, s, layout.bits, batch_keys
+        ):
+            # Year t holds the articles from year_starts[t] on.
+            tag = np.searchsorted(year_starts[1:], articles, "right")
+            block = words[end : end + keys.size].reshape(articles.size, -1)
+            np.left_shift(keys.reshape(block.shape), y, out=block)
+            block |= tag.astype(np.uint64)[:, None]
+            end += keys.size
+    keys, year = keep_first(words, layout.year_bits, layout.year_dtype)
+    keys &= np.uint64((1 << layout.bits) - 1)
+    return _tally(keys, year, debut_index, layout.years)
+
+
+def _stored_series(
+    view: tuple[np.ndarray, ...],
+    s: int,
+    new: np.ndarray,
+    peripheral: np.ndarray,
+    debut_index: np.ndarray,
+) -> dict:
+    """The series' tallies over the years that hold articles, as lists;
+    raises unless each year's peripheral count lies in 0..new."""
+    years, year_starts, offsets, _, _, _ = view
+    bad = np.flatnonzero((peripheral < 0) | (peripheral > new))
+    if bad.size:
+        i = int(bad[0])
+        raise LedgerError(
+            f"{peripheral[i]} peripheral of {new[i]} new combinations in {years[i]}"
+        )
+    tallies = [
+        new,
+        peripheral,
+        np.bincount(debut_index, minlength=years.size),
+        # Every year holds an article, so no two starts are equal.
+        np.add.reduceat(np.diff(offsets) >= s, year_starts[:-1]),
+    ]
+    return {
+        "years": years.tolist(),
+        **{name: t.tolist() for name, t in zip(SERIES_COLUMNS, tallies)},
+    }
 
 
 # --- manifest --------------------------------------------------------------
@@ -640,7 +745,7 @@ def _emission_pass(
     emitted = (
         (tag, keys)
         for tag in range(done, len(years))
-        for keys in _emit_year_keys(
+        for _, keys in _emit_keys(
             offsets, ids, year_starts[tag], year_starts[tag + 1], s, layout.bits,
             batch_keys,
         )
@@ -679,9 +784,12 @@ def _emission_pass(
 
 
 def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
-    """Sweep years ascending, tallying first occurrences exactly.
+    """Tally first occurrences exactly, per year.
 
-    Resumes after the manifest's year watermark when
+    A ledger whose keys fit one bucket is counted in memory and writes
+    nothing: no spill directory, log or manifest, so a killed run counts it
+    again.  Otherwise the years are swept ascending into the key log, which
+    resumes after the manifest's year watermark when
     ``config.spill_directory`` already holds state for the same corpus and
     configuration, and with at least as many buckets as this configuration
     needs.  Without a spill directory it works in a temporary directory
@@ -694,7 +802,7 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     """
     s = config.k + 1
     view = corpus.view(config.refinement)
-    years, year_starts, offsets, _, _, debuts = view
+    years, _, offsets, _, _, debuts = view
     if not years.size:
         return LedgerSeries(k=config.k, refinement=config.refinement)
     _check_span(int(years[0]), int(years[-1]), config)
@@ -702,6 +810,14 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     layout = _Layout.of(debuts.size, s, years.size)
     emissions = _emissions(offsets, s)
     buckets = _bucket_count(emissions, layout, config)
+    debut_index = debuts.astype(layout.year_dtype)
+    if buckets == 1:
+        batch_keys = config.memory_budget_bytes // _BATCH_BUDGET_PER_KEY
+        new, peripheral = _count_in_memory(
+            view, s, layout, emissions, min(_EMIT_CHUNK, batch_keys), debut_index
+        )
+        return _spread(config, _stored_series(view, s, new, peripheral, debut_index))
+
     # A quarter of the budget buffers keys; a flush's copies of them fit in
     # the rest.  A flush made because the next batch would overflow the
     # buffer holds, with that batch, more than a buffer of keys, so fewer
@@ -730,7 +846,6 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
             )
             # The bucket pass only reads committed files; a resume after a
             # kill inside it runs it again.
-            debut_index = debuts.astype(layout.year_dtype)
             new, peripheral = _count_log(
                 ledger_dir,
                 layout,
@@ -740,24 +855,7 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
                 # A bucket's pass takes about 11 / 24 of the budget.
                 config.memory_budget_bytes // 4,
             )
-            bad = np.flatnonzero((peripheral < 0) | (peripheral > new))
-            if bad.size:
-                i = int(bad[0])
-                raise LedgerError(
-                    f"{peripheral[i]} peripheral of {new[i]} new combinations "
-                    f"in {years[i]}"
-                )
-            tallies = [
-                new,
-                peripheral,
-                np.bincount(debut_index, minlength=years.size),
-                # Every year holds an article, so no two starts are equal.
-                np.add.reduceat(np.diff(offsets) >= s, year_starts[:-1]),
-            ]
-            manifest["series"] = {
-                "years": years.tolist(),
-                **{name: t.tolist() for name, t in zip(SERIES_COLUMNS, tallies)},
-            }
+            manifest["series"] = _stored_series(view, s, new, peripheral, debut_index)
             manifest["complete"] = True
             _write_manifest(ledger_dir / _MANIFEST_NAME, manifest)
         _keep_only(ledger_dir, {_MANIFEST_NAME})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simplexledger.corpus import ArticleRecord, CorpusStore
-from simplexledger.ledger import _emit_year_keys
+from simplexledger.ledger import _emit_keys
 from simplexledger.ontology import load_ontology
 
 ONTOLOGY_TSV = """\
@@ -45,7 +45,7 @@ def two_article_corpus():
 @pytest.fixture
 def engine_simplices():
     """The (k+1)-combinations of one keyword set as the ledger emits them:
-    the keys `_emit_year_keys` packs for a one-article corpus, unpacked."""
+    the keys `_emit_keys` packs for a one-article corpus, unpacked."""
 
     def simplices(keywords, k):
         ids = np.array(list(set(keywords)), dtype=np.uint32)
@@ -55,7 +55,7 @@ def engine_simplices():
         mask = (1 << bits) - 1
         return [
             tuple(key >> bits * (s - 1 - j) & mask for j in range(s))
-            for keys in _emit_year_keys(offsets, ids, 0, 1, s, bits, 1 << 18)
+            for _, keys in _emit_keys(offsets, ids, 0, 1, s, bits, 1 << 18)
             for key in keys.tolist()
         ]
 

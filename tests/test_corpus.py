@@ -989,7 +989,7 @@ def test_debut_order_of_dense_ids_holds_no_transient():
     # ids, over 50 years of 2,000 articles.  The first 1,000 keywords all
     # appear in the first chunk; keyword 1000 + 37 j mod 100 first appears
     # in article 1,000 j, so from j = 2 on past that chunk and in a later
-    # year, and out of id order.
+    # year, and out of id order.  Under major, two ids in three are Major.
     articles = 100_000
     index = np.arange(articles, dtype=np.uint32)
     base = index * 37 % 100
@@ -998,33 +998,35 @@ def test_debut_order_of_dense_ids_holds_no_transient():
         (base[:, None] + np.arange(0, 1000, 100, dtype=np.uint32), late)
     ).ravel()
     article_years = np.repeat(np.arange(1950, 2000, dtype=np.int32), articles // 50)
-    store = CorpusStore()
-    store._set_columns(
-        article_years,
-        np.arange(articles + 1, dtype=np.int64) * 11,
-        ids,
-        np.zeros(ids.size, bool),
-        b"",
-    )
+    major = np.arange(ids.size) % 3 != 1
     assert 11 * 2000 > corpus_mod._CHUNK  # the second year is past a chunk
-    tracemalloc.start()
-    try:
-        years, _, _, dense, keywords, debuts = store.view("all")
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held >= 4 * ids.size  # the dense ids
-    assert peak <= 1.1 * held
-    # Each keyword in order of its first position, as the records give it.
-    first: dict[int, int] = {}
-    for position, kid in enumerate(ids.tolist()):
-        first.setdefault(kid, position)
-    rank = {kid: d for d, kid in enumerate(first)}
-    assert keywords.tolist() == list(first)
-    assert years[debuts].tolist() == [
-        article_years[position // 11] for position in first.values()
-    ]
-    assert dense.tolist() == [rank[kid] for kid in ids.tolist()]
+    for refinement in ("all", "major"):
+        store = CorpusStore()
+        store._set_columns(
+            article_years, np.arange(articles + 1, dtype=np.int64) * 11, ids, major, b""
+        )
+        tracemalloc.start()
+        try:
+            years, _, offsets, dense, keywords, debuts = store.view(refinement)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The refinement's positions among all ids.
+        kept = np.arange(ids.size) if refinement == "all" else np.flatnonzero(major)
+        assert held >= 4 * kept.size  # the dense ids
+        assert peak <= 1.1 * held
+        bounds = np.arange(articles + 1) * 11
+        assert offsets.tolist() == np.searchsorted(kept, bounds).tolist()
+        # Each keyword in order of its first position, as the records give it.
+        first: dict[int, int] = {}
+        for position, kid in zip(kept.tolist(), ids[kept].tolist()):
+            first.setdefault(kid, position)
+        rank = {kid: d for d, kid in enumerate(first)}
+        assert keywords.tolist() == list(first)
+        assert years[debuts].tolist() == [
+            article_years[position // 11] for position in first.values()
+        ]
+        assert dense.tolist() == [rank[kid] for kid in ids[kept].tolist()]
 
 
 @settings(max_examples=40, deadline=None)

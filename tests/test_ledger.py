@@ -218,14 +218,22 @@ def _commits(corpus, config, until=None, observe=None):
     [pytest.param(seed, 1 << 20, id=str(seed)) for seed in range(8)]
     + [pytest.param(seed, _MIN_BUDGET, id=f"{seed}-min") for seed in range(8)],
 )
-def test_tabulate_matches_oracle(seed, budget, tmp_path):
+def test_tabulate_matches_oracle(seed, budget, tmp_path, monkeypatch):
     corpus = _random_corpus(seed)
     # At the smallest budget one partition is the floor, so that the budget
     # alone sets the bucket count.
     shard_count = 3 if budget > _MIN_BUDGET else 1
     buckets = set()
+    in_memory = []
+    count_in_memory = ledger_mod._count_in_memory
+    monkeypatch.setattr(
+        ledger_mod,
+        "_count_in_memory",
+        lambda *args: in_memory.append(1) or count_in_memory(*args),
+    )
     for k in (1, 2, 3):
         for refinement in ("all", "major"):
+            counted = len(in_memory)
             oracle = oracle_tabulate(corpus, k, refinement)
             exact = tabulate(
                 corpus,
@@ -239,6 +247,11 @@ def test_tabulate_matches_oracle(seed, budget, tmp_path):
             )
             assert exact == oracle
             ledger_dir = tmp_path / f"s{seed}" / f"k{k}" / refinement
+            if len(in_memory) > counted:
+                # One bucket is counted in memory, and writes nothing.
+                assert not ledger_dir.exists()
+                buckets.add(1)
+                continue
             buckets.add(_manifest(ledger_dir)["buckets"])
             # A complete ledger keeps only its manifest.
             assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
@@ -609,7 +622,7 @@ def test_bucket_pass_recovers_first_years_and_largest_ids(
     rng = np.random.default_rng(n_keywords + years)
     ids = rng.integers(0, n_keywords, size=(3000, s), dtype=np.uint32)
     ids.sort(axis=1)
-    pool = ledger_mod._pack(ids, layout.bits)
+    pool = ledger_mod._pack(ids, ledger_mod._comb_indices(s, s), layout.bits).ravel()
     debut_index = rng.integers(0, years, size=n_keywords).astype(np.uint8)
     first = {}
     log, ends = tmp_path / "keys.bin", tmp_path / "ends.bin"
@@ -746,11 +759,11 @@ def test_too_little_disk_raises_before_any_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(shutil, "disk_usage", small_disk)
     spill = tmp_path / "spill" / "run"
     with pytest.raises(LedgerError) as raised:
-        tabulate(store, LedgerConfig(k=1, spill_directory=spill))
-    # 15 + 10 pairs of 8 bytes, and an index row of one bucket for each of
+        tabulate(store, LedgerConfig(k=1, shard_count=2, spill_directory=spill))
+    # 15 + 10 pairs of 8 bytes, and an index row of two buckets for each of
     # at most two flushes: one per half buffer, and one per 2^58 years (the
     # 6-bit keys leave 58 bits for a buffer's years).
-    assert "may spill 216 bytes (200 of keys, 16 of index)" in str(raised.value)
+    assert "may spill 232 bytes (200 of keys, 32 of index)" in str(raised.value)
     assert "100 bytes free" in str(raised.value)
     assert asked == [tmp_path]
     assert not (tmp_path / "spill").exists()
@@ -830,7 +843,7 @@ def test_stray_year_keeps_the_manifest_small(tmp_path, monkeypatch):
     oracle = oracle_tabulate(with_stray(2010), 1, "all")
     assert oracle.years == list(range(1990, 2011))
     store = with_stray(2009 + 10**6)
-    config = LedgerConfig(k=1, spill_directory=tmp_path)
+    config = LedgerConfig(k=1, shard_count=2, spill_directory=tmp_path)
     series = tabulate(store, config)
     assert (tmp_path / "k1" / "all" / "manifest.json").stat().st_size < 64 << 10
     assert series.years == list(range(1990, 2009 + 10**6 + 1))
@@ -849,15 +862,23 @@ def test_stray_year_keeps_the_manifest_small(tmp_path, monkeypatch):
 def test_year_span_over_budget_raises_before_any_directory(tmp_path):
     # The series' four int64 columns take 32 bytes a year, within a quarter
     # of the budget: 512 years at the smallest budget.
+    # One shard is counted in memory, two in the key log.
     spill = tmp_path / "spill"
-    config = LedgerConfig(k=1, spill_directory=spill, memory_budget_bytes=_MIN_BUDGET)
-    assert tabulate(_two_articles(511), config).years[-1] == 1902 + 511
-    shutil.rmtree(spill)
-    with pytest.raises(LedgerError) as raised:
-        tabulate(_two_articles(10**6), config)
-    message = str(raised.value)
-    assert "1902 to 1001902" in message and "limit of 512 years" in message
-    assert not spill.exists()
+    for shard_count in (1, 2):
+        config = LedgerConfig(
+            k=1,
+            shard_count=shard_count,
+            spill_directory=spill,
+            memory_budget_bytes=_MIN_BUDGET,
+        )
+        assert tabulate(_two_articles(511), config).years[-1] == 1902 + 511
+        assert spill.exists() == (shard_count == 2)
+        shutil.rmtree(spill, ignore_errors=True)
+        with pytest.raises(LedgerError) as raised:
+            tabulate(_two_articles(10**6), config)
+        message = str(raised.value)
+        assert "1902 to 1001902" in message and "limit of 512 years" in message
+        assert not spill.exists()
 
 
 def test_manifest_does_not_grow_with_committed_years(tmp_path):
@@ -875,7 +896,7 @@ def test_manifest_does_not_grow_with_committed_years(tmp_path):
             keys.add(tuple(_manifest(ledger_dir)))
             sizes[n] = (ledger_dir / "manifest.json").stat().st_size
 
-        config = LedgerConfig(k=1, spill_directory=tmp_path / str(n))
+        config = LedgerConfig(k=1, shard_count=2, spill_directory=tmp_path / str(n))
         committed[n] = _commits(store, config, observe=commit)[1]
     assert keys == {
         ("version", "fingerprint", "buckets", "watermark", "flushes", "complete")
@@ -885,21 +906,27 @@ def test_manifest_does_not_grow_with_committed_years(tmp_path):
 
 
 def test_bad_peripheral_tally_is_never_committed(tmp_path, monkeypatch):
+    # Two shards count the key log; one counts in memory.
     corpus = _random_corpus(18, n_articles=200)
-    count_log = ledger_mod._count_log
+    for count, shard_count in (("_count_log", 2), ("_count_in_memory", 1)):
+        counted = getattr(ledger_mod, count)
 
-    def too_many_peripheral(*args):
-        new, peripheral = count_log(*args)
-        peripheral[-1] = new[-1] + 1
-        return new, peripheral
+        def too_many_peripheral(*args, counted=counted):
+            new, peripheral = counted(*args)
+            peripheral[-1] = new[-1] + 1
+            return new, peripheral
 
-    monkeypatch.setattr(ledger_mod, "_count_log", too_many_peripheral)
-    config = LedgerConfig(k=2, spill_directory=tmp_path)
-    with pytest.raises(LedgerError, match=f"in {corpus.years[-1]}"):
-        tabulate(corpus, config)
-    assert not _manifest(tmp_path / "k2" / "all")["complete"]
-    monkeypatch.undo()
-    assert tabulate(corpus, config) == oracle_tabulate(corpus, 2, "all")
+        spill = tmp_path / str(shard_count)
+        config = LedgerConfig(k=2, shard_count=shard_count, spill_directory=spill)
+        with monkeypatch.context() as patch:
+            patch.setattr(ledger_mod, count, too_many_peripheral)
+            with pytest.raises(LedgerError, match=f"in {corpus.years[-1]}"):
+                tabulate(corpus, config)
+        if shard_count == 1:
+            assert not spill.exists()
+        else:
+            assert not _manifest(spill / "k2" / "all")["complete"]
+        assert tabulate(corpus, config) == oracle_tabulate(corpus, 2, "all")
 
 
 # --- crash-restart ---------------------------------------------------------
@@ -1191,14 +1218,14 @@ def test_resume_keeps_recorded_buckets(tmp_path, first, second, restarts):
     assert watermark >= crash_year
     # Each emitted year's article range.
     emitted = []
-    emit = ledger_mod._emit_year_keys
+    emit = ledger_mod._emit_keys
 
     def recording_emit(offsets, ids, lo, hi, *args):
         emitted.append((lo, hi))
         return emit(offsets, ids, lo, hi, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ledger_mod, "_emit_year_keys", recording_emit)
+        patch.setattr(ledger_mod, "_emit_keys", recording_emit)
         resumed, watermarks = _commits(corpus, config(second))
     assert resumed == oracle_tabulate(corpus, 2, "all")
     # A restart emits and commits the years up to the watermark again; a
@@ -1237,7 +1264,9 @@ def _repeating_corpus():
 )
 def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, damaged):
     corpus = _repeating_corpus()
-    config = LedgerConfig(k=1, spill_directory=tmp_path, memory_budget_bytes=budget)
+    config = LedgerConfig(
+        k=1, shard_count=2, spill_directory=tmp_path, memory_budget_bytes=budget
+    )
     interrupted = _commits(corpus, config, until=2002)[1]
     ledger_dir = tmp_path / "k1" / "all"
     path = ledger_dir / damaged
@@ -1524,11 +1553,14 @@ def _write_old_layout(ledger_dir, manifest, corpus, simplices):
 
 def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    tabulate(two_article_corpus, LedgerConfig(k=1))
-    assert list(tmp_path.iterdir()) == []
+    # In memory, and in the key log.
+    for shard_count in (1, 2):
+        tabulate(two_article_corpus, LedgerConfig(k=1, shard_count=shard_count))
+        assert list(tmp_path.iterdir()) == []
 
     # Interrupted right after its first commit.
-    _commits(two_article_corpus, LedgerConfig(k=1), until=two_article_corpus.years[0])
+    config = LedgerConfig(k=1, shard_count=2)
+    _commits(two_article_corpus, config, until=two_article_corpus.years[0])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1602,11 +1634,17 @@ from simplexledger.ledger import LedgerConfig, tabulate
 from simplexledger.synth import SynthParams, generate_synthetic
 
 store = generate_synthetic(SynthParams(n_articles=300, vocab_size=60, seed=3))
-config = LedgerConfig(
-    k=2, refinement="major", memory_budget_bytes=1 << 16, spill_directory=sys.argv[1]
-)
-tabulate(store, config)
-print("numpy.ma" in sys.modules)
+# In the key log, then in memory.
+for shard_count in (2, 1):
+    config = LedgerConfig(
+        k=2,
+        refinement="major",
+        shard_count=shard_count,
+        memory_budget_bytes=1 << 16,
+        spill_directory=sys.argv[1],
+    )
+    tabulate(store, config)
+    print("numpy.ma" in sys.modules)
 """
     src = str(Path(ledger_mod.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -1618,13 +1656,117 @@ print("numpy.ma" in sys.modules)
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]
+
+
+# --- one bucket, in memory ------------------------------------------------
+
+
+def _log_passes(monkeypatch):
+    """A list that gains an entry each time the key log's emission pass
+    runs."""
+    passes = []
+    emission_pass = ledger_mod._emission_pass
+
+    def recording(*args):
+        passes.append(1)
+        return emission_pass(*args)
+
+    monkeypatch.setattr(ledger_mod, "_emission_pass", recording)
+    return passes
+
+
+def test_one_bucket_is_counted_in_memory_and_two_in_the_log(tmp_path, monkeypatch):
+    # At 24 bytes a key, a budget of 24 E gives one bucket, and one byte
+    # less two.
+    corpus = _random_corpus(3, n_articles=3000, vocab=100)
+    passes = _log_passes(monkeypatch)
+    for k in (1, 2, 3):
+        oracle = oracle_tabulate(corpus, k, "all")
+        offsets = corpus.view("all")[2]
+        exact = 24 * ledger_mod._emissions(offsets, k + 1)
+        assert exact - 1 >= _MIN_BUDGET
+        for budget, logged in ((exact, []), (exact - 1, [1])):
+            passes.clear()
+            spill = tmp_path / f"{k}-{budget}"
+            config = LedgerConfig(
+                k=k, memory_budget_bytes=budget, spill_directory=spill
+            )
+            assert tabulate(corpus, config) == oracle
+            assert passes == logged
+            assert spill.exists() == bool(logged)
+
+
+def test_in_memory_ledger_needs_no_disk(tmp_path, monkeypatch):
+    # With no free disk, a ledger of one bucket completes and leaves
+    # nothing in its spill directory or under $TMPDIR; one that spills still
+    # raises before it makes a directory.
+    usage = shutil.disk_usage(tmp_path)
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=0))
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    passes = _log_passes(monkeypatch)
+    corpus = _random_corpus(4)
+    spill = tmp_path / "spill"
+    for k in (1, 2, 3):
+        for refinement in ("all", "major"):
+            expected = oracle_tabulate(corpus, k, refinement)
+            for directory in (spill, None):
+                config = LedgerConfig(
+                    k=k, refinement=refinement, spill_directory=directory
+                )
+                assert tabulate(corpus, config) == expected
+    assert passes == []
+    assert not spill.exists()
+    assert list(temp.iterdir()) == []
+    for directory in (spill, None):
+        config = LedgerConfig(k=1, shard_count=2, spill_directory=directory)
+        with pytest.raises(LedgerError, match="0 bytes free"):
+            tabulate(corpus, config)
+    assert not spill.exists()
+    assert list(temp.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "k, keywords",
+    [
+        pytest.param(1, 10, id="pairs"),
+        pytest.param(3, 10, id="quartets"),
+        # Each article holds just k + 1 keywords: one key per article.
+        pytest.param(3, 4, id="one-per-article"),
+    ],
+)
+def test_in_memory_ledger_stays_within_memory_budget(monkeypatch, k, keywords):
+    # At a budget of 24 bytes a key, the largest that one bucket holds, the
+    # in-memory count peaks within it: the counterpart of the key log's
+    # bound in test_merge_frame_stays_within_memory_budget.
+    rng = random.Random(22)
+    store = CorpusStore()
+    articles = 12_000 // math.comb(keywords, k + 1) + 200
+    for i in range(articles):
+        kws = frozenset(rng.sample(range(3000), keywords))
+        store.add(ArticleRecord(f"a{i:06d}", 2000 + i % 10, kws, kws))
+    offsets = store.view("all")[2]
+    emissions = ledger_mod._emissions(offsets, k + 1)
+    budget = 24 * emissions
+    passes = _log_passes(monkeypatch)
+    config = LedgerConfig(k=k, memory_budget_bytes=budget)
+    tracemalloc.start()
+    try:
+        series = tabulate(store, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passes == []
+    assert peak <= budget
+    assert series == tabulate(store, LedgerConfig(k=k, shard_count=2))
 
 
 def test_restart_ignores_state_from_different_corpus(tmp_path):
     a = _random_corpus(1, n_articles=100)
     b = _random_corpus(2, n_articles=100)
-    config = LedgerConfig(k=1, spill_directory=tmp_path)
+    config = LedgerConfig(k=1, shard_count=2, spill_directory=tmp_path)
     tabulate(a, config)
     fresh = tabulate(b, config)
     assert fresh == oracle_tabulate(b, 1, "all")
