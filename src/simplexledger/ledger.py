@@ -15,12 +15,14 @@ its emissions, so one pass over the emissions is enough.  B is fixed
 before any work from the exact emission count E and the memory budget;
 the result is identical for any B.
 
-When the keys fit one bucket (one shard, 24 bytes of budget a key, and
-w + y <= 64 for the y bits of a year index), the ledger is counted in
-memory and writes nothing: every key, above its year index, goes into
-one array of E words, which is sorted once.  There is no hash, log,
-manifest or spill directory, so a killed run counts such a ledger again
-from the start.
+One sweep, `_batches`, emits the keys year by year, a range of a year's
+articles at a time, and one count, `_count_words`, tallies words that
+hold a key, or its hash, above a year index: `keep_first` keeps each
+key's word of the smallest year.  When the keys fit one bucket (one
+shard, 24 bytes of budget a key, and w + y <= 64 for the y bits of a year
+index), the sweep's keys go into one array of E words, counted in memory
+with no hash, log, manifest or spill directory, so a killed run counts
+such a ledger again.
 
 Otherwise one product with an odd multiplier mod 2^w hashes each key,
 and B hash ranges, the buckets, split the keys so that each bucket fits
@@ -37,11 +39,8 @@ flushes committed and the last year whose emission had ended, which
 allows restart after that year; a resume emits that year's successor
 from its start, so a flush inside a year waits for the next commit.  The
 manifest holds resume state only, so its size does not grow with the
-years.  The count pass then reads each bucket's parts of every flush,
-sorts them, and keeps each key's first word, whose year is the smallest,
-by the same step as a flush, `keep_first`; the word's low hash bits,
-times the multiplier's inverse, give back the key's largest id.  Once
-every bucket is counted, the completing manifest write stores the
+years.  The count pass then counts each bucket's parts of every flush.
+Once every bucket is counted, the completing manifest write stores the
 tallies over the years that hold articles while the log and its index
 are deleted; the series spreads them over the calendar years, empty
 years as zeros.  A spill directory given in the config belongs to the
@@ -73,6 +72,7 @@ _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 14  # keys per emission batch
 _KEEP_CHUNK = 1 << 14  # words per step of `keep_first`'s compaction
+_CENSUS_CHUNK = 1 << 12  # articles per step of the emission count
 # Bytes of budget per key in the bucket pass, whose peak is about 11.2;
 # with the log index block's quarter of the budget, 11.2/24 + 1/4 < 1.
 # A ledger of E <= budget / 24 keys, one bucket, is counted in memory
@@ -282,44 +282,60 @@ def _comb_indices(m: int, s: int) -> np.ndarray:
     return idx
 
 
-def _emit_keys(
-    offsets: np.ndarray,
-    ids: np.ndarray,
-    lo: int,
-    hi: int,
-    s: int,
-    bits: int,
-    batch_keys: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Packed keys for all size-s combinations of articles lo..hi-1.
+def _ranges(
+    year_starts: np.ndarray, size: int, done: int = 0
+) -> Iterator[tuple[int, int, int]]:
+    """Each year index from ``done`` on, with each range lo..hi-1 of at
+    most ``size`` of its articles."""
+    bounds = year_starts.tolist()
+    for tag in range(done, len(bounds) - 1):
+        for lo in range(bounds[tag], bounds[tag + 1], size):
+            yield tag, lo, min(lo + size, bounds[tag + 1])
 
-    Articles are grouped by keyword count m, so that one gather builds a
-    batch's (articles, m) id matrix and, once each row is sorted, `_pack`
-    its combinations' keys.  Yields each batch's articles and their keys, the
-    same number per article, in article order.  A batch holds at most
-    ``batch_keys`` keys, unless a single article has more combinations.
+
+def _batches(
+    view: tuple[np.ndarray, ...], s: int, bits: int, batch_keys: int, done: int = 0
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Packed keys for all size-s combinations of a `CorpusStore.view`'s
+    articles, year by year from year index ``done`` on.
+
+    A year's articles are taken ``batch_keys`` at a time, and grouped by
+    keyword count m within each range, so that one gather builds a batch's
+    (articles, m) id matrix and, once each row is sorted, `_pack` its
+    combinations' keys.  Yields each batch's year index and keys.  A batch
+    holds at most ``batch_keys`` keys, unless a single article has more
+    combinations.
     """
-    starts = offsets[lo:hi]
-    counts = offsets[lo + 1 : hi + 1] - starts
-    for m in (np.flatnonzero(np.bincount(counts)[s:]) + s).tolist():
-        group = np.flatnonzero(counts == m)
-        idx = _comb_indices(m, s)
-        batch = max(1, batch_keys // len(idx))
-        columns = np.arange(m)
-        for start in range(0, group.size, batch):
-            articles = group[start : start + batch]
-            rows = ids[starts[articles][:, None] + columns]
-            rows.sort(axis=1)
-            yield articles + lo, _pack(rows, idx, bits).ravel()
+    _, year_starts, offsets, ids, _, _ = view
+    for tag, lo, hi in _ranges(year_starts, batch_keys, done):
+        starts = offsets[lo:hi]
+        counts = offsets[lo + 1 : hi + 1] - starts
+        for m in (np.flatnonzero(np.bincount(counts)[s:]) + s).tolist():
+            group = starts[counts == m]
+            idx = _comb_indices(m, s)
+            batch = max(1, batch_keys // len(idx))
+            columns = np.arange(m)
+            for start in range(0, group.size, batch):
+                rows = ids[group[start : start + batch, None] + columns]
+                rows.sort(axis=1)
+                yield tag, _pack(rows, idx, bits).ravel()
+
+
+def _census(view: tuple[np.ndarray, ...], s: int) -> tuple[int, np.ndarray]:
+    """The exact number of size-s combinations over all articles, and each
+    year's count of articles with at least s keywords, from one pass over
+    the offsets a range of articles at a time."""
+    _, year_starts, offsets, _, _, _ = view
+    emissions = 0
+    processed = np.zeros(year_starts.size - 1, dtype=np.int64)
+    for tag, lo, hi in _ranges(year_starts, _CENSUS_CHUNK):
+        sizes = np.bincount(offsets[lo + 1 : hi + 1] - offsets[lo:hi]).tolist()
+        emissions += sum(math.comb(m, s) * n for m, n in enumerate(sizes))
+        processed[tag] += sum(sizes[s:])
+    return emissions, processed
 
 
 # --- the key log -----------------------------------------------------------
-
-
-def _emissions(offsets: np.ndarray, s: int) -> int:
-    """The exact number of size-s combinations over all articles."""
-    sizes = np.bincount(np.diff(offsets)).tolist()
-    return sum(math.comb(m, s) * n for m, n in enumerate(sizes))
 
 
 def _bucket_count(emissions: int, layout: _Layout, config: LedgerConfig) -> int:
@@ -442,15 +458,9 @@ def _count_bucket(
     debut_index: np.ndarray,
     bucket: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-year new and peripheral key counts of bucket ``bucket``.
-
-    Its part of flush f is log words ``begins[f]:ends[f]``.  ``debut_index``
-    holds each dense keyword's debut as a year index.  A key is peripheral
-    when its largest dense id, which the hash's low bits give back, debuted
-    in its first year; an id past the keywords raises, since the log does
-    not match its manifest.  Each array is dropped once used, which holds
-    the peak near 11 bytes per word.
-    """
+    """Per-year new and peripheral key counts of bucket ``bucket``, whose
+    part of flush f is log words ``begins[f]:ends[f]``.  Each array is
+    dropped once used, which holds the peak near 11 bytes per word."""
     sizes = ends - begins
     words = np.empty(int(sizes.sum()), dtype=np.uint64)
     view = memoryview(words).cast("B")
@@ -459,30 +469,39 @@ def _count_bucket(
         if size:
             _read_into(log, view[at : at + size], begin)
             at += size
-    keys, year = keep_first(words, layout.year_bits, layout.year_dtype)
-    # The hash's low bits times A_w's inverse are the key's low bits: its
-    # largest dense id, which debuted last among its keywords.
-    keys *= np.uint64(pow(layout.multiplier, -1, 1 << layout.bits))
-    keys &= np.uint64((1 << layout.bits) - 1)
-    if keys.max() >= debut_index.size:
-        raise LedgerError(f"bucket {bucket} of the key log does not match its manifest")
-    return _tally(keys, year, debut_index, layout.years)
+    mismatch = f"bucket {bucket} of the key log does not match its manifest"
+    return _count_words(words, layout, layout.multiplier, debut_index, mismatch)
 
 
-def _tally(
-    largest: np.ndarray, year: np.ndarray, debut_index: np.ndarray, years: int
+def _count_words(
+    words: np.ndarray,
+    layout: _Layout,
+    multiplier: int,
+    debut_index: np.ndarray,
+    mismatch: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-year new and peripheral counts of first-seen keys, from each
-    key's largest dense id and first year index: a key is peripheral when
-    that id debuted in its first year.  `np.bincount` copies its input as
-    intp, so the keys are counted a chunk at a time."""
-    new = np.zeros(years, dtype=np.int64)
-    peripheral = np.zeros(years, dtype=np.int64)
+    """Per-year new and peripheral counts of ``words``, each a key's product
+    with the odd ``multiplier`` mod 2^w above the y bits of a year index.
+
+    `keep_first` keeps each key's word of its first year.  The product's
+    low ``bits`` times the multiplier's inverse are the key's: its largest
+    dense id, which debuted last among its keywords.  A key is peripheral
+    when that id debuted in its first year; an id past ``debut_index``,
+    each id's debut as a year index, raises ``mismatch``.  `np.bincount`
+    copies its input as intp, so the keys are counted a chunk at a time.
+    """
+    keys, year = keep_first(words, layout.year_bits, layout.year_dtype)
+    keys *= np.uint64(pow(multiplier, -1, 1 << layout.bits))
+    keys &= np.uint64((1 << layout.bits) - 1)
+    if keys.max(initial=0) >= debut_index.size:
+        raise LedgerError(mismatch)
+    new = np.zeros(layout.years, dtype=np.int64)
+    peripheral = np.zeros(layout.years, dtype=np.int64)
     for start in range(0, year.size, _KEEP_CHUNK):
         first = year[start : start + _KEEP_CHUNK]
-        new += np.bincount(first, minlength=years)
-        debuted = debut_index[largest[start : start + _KEEP_CHUNK]] == first
-        peripheral += np.bincount(first[debuted], minlength=years)
+        new += np.bincount(first, minlength=layout.years)
+        debuted = debut_index[keys[start : start + _KEEP_CHUNK]] == first
+        peripheral += np.bincount(first[debuted], minlength=layout.years)
     return new, peripheral
 
 
@@ -538,57 +557,39 @@ def _count_in_memory(
     """Per-year new and peripheral key counts of a ledger whose keys fit
     one bucket, counted in memory.
 
-    Every key is emitted as the word of the key above the y bits of its
-    article's year index, into one array of exactly ``emissions`` words;
-    one bucket implies w + y <= 64, so no bit is lost.  Articles are taken
-    ``batch_keys`` at a time, whatever their years, and by keyword count
-    within each such range.  `keep_first` keeps each key's word of its
-    first year, and the key's low ``bits`` are its largest dense id.
+    Every key of the sweep, `_batches`, is written above the y bits of its
+    year index into one array of exactly ``emissions`` words; one bucket
+    implies w + y <= 64, so no bit is lost.  The keys are not hashed, so
+    their multiplier is 1.
     """
-    _, year_starts, offsets, ids, _, _ = view
-    n = offsets.size - 1
     words = np.empty(emissions, dtype=np.uint64)
     y = np.uint64(layout.year_bits)
     end = 0
-    for lo in range(0, n, batch_keys):
-        hi = min(lo + batch_keys, n)
-        for articles, keys in _emit_keys(
-            offsets, ids, lo, hi, s, layout.bits, batch_keys
-        ):
-            # Year t holds the articles from year_starts[t] on.
-            tag = np.searchsorted(year_starts[1:], articles, "right")
-            block = words[end : end + keys.size].reshape(articles.size, -1)
-            np.left_shift(keys.reshape(block.shape), y, out=block)
-            block |= tag.astype(np.uint64)[:, None]
-            end += keys.size
-    keys, year = keep_first(words, layout.year_bits, layout.year_dtype)
-    keys &= np.uint64((1 << layout.bits) - 1)
-    return _tally(keys, year, debut_index, layout.years)
+    for tag, keys in _batches(view, s, layout.bits, batch_keys):
+        block = words[end : end + keys.size]
+        np.left_shift(keys, y, out=block)
+        block |= np.uint64(tag)
+        end += keys.size
+    mismatch = "an emitted key holds an id past the keywords"
+    return _count_words(words, layout, 1, debut_index, mismatch)
 
 
 def _stored_series(
-    view: tuple[np.ndarray, ...],
-    s: int,
+    years: np.ndarray,
+    processed: np.ndarray,
     new: np.ndarray,
     peripheral: np.ndarray,
     debut_index: np.ndarray,
 ) -> dict:
     """The series' tallies over the years that hold articles, as lists;
     raises unless each year's peripheral count lies in 0..new."""
-    years, year_starts, offsets, _, _, _ = view
     bad = np.flatnonzero((peripheral < 0) | (peripheral > new))
     if bad.size:
         i = int(bad[0])
         raise LedgerError(
             f"{peripheral[i]} peripheral of {new[i]} new combinations in {years[i]}"
         )
-    tallies = [
-        new,
-        peripheral,
-        np.bincount(debut_index, minlength=years.size),
-        # Every year holds an article, so no two starts are equal.
-        np.add.reduceat(np.diff(offsets) >= s, year_starts[:-1]),
-    ]
+    tallies = [new, peripheral, np.bincount(debut_index, minlength=new.size), processed]
     return {
         "years": years.tolist(),
         **{name: t.tolist() for name, t in zip(SERIES_COLUMNS, tallies)},
@@ -734,22 +735,14 @@ def _emission_pass(
     the sweep's end, follows.  The keys of size-``s`` combinations come
     from a `CorpusStore.view`; ``starts`` are the buckets' smallest hashes,
     and ``end`` is the log's committed length."""
-    years, year_starts, offsets, ids, _, _ = view
-    year_starts = year_starts.tolist()
+    years = view[0]
     batch_keys = min(_EMIT_CHUNK, buffer_keys)
     multiplier = np.uint64(layout.multiplier)
     span = 1 << layout.span_bits
     # The years up to the watermark are committed.
     watermark = manifest["watermark"]
     done = 0 if watermark is None else int(np.searchsorted(years, watermark, "right"))
-    emitted = (
-        (tag, keys)
-        for tag in range(done, len(years))
-        for _, keys in _emit_keys(
-            offsets, ids, year_starts[tag], year_starts[tag + 1], s, layout.bits,
-            batch_keys,
-        )
-    )
+    emitted = _batches(view, s, layout.bits, batch_keys, done)
     buffer: list[np.ndarray] = []
     buffered = head = 0
     with open(ledger_dir / _LOG_NAME, "ab", buffering=0) as log_file, open(
@@ -786,13 +779,15 @@ def _emission_pass(
 def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     """Tally first occurrences exactly, per year.
 
-    A ledger whose keys fit one bucket is counted in memory and writes
-    nothing: no spill directory, log or manifest, so a killed run counts it
-    again.  Otherwise the years are swept ascending into the key log, which
-    resumes after the manifest's year watermark when
-    ``config.spill_directory`` already holds state for the same corpus and
-    configuration, and with at least as many buckets as this configuration
-    needs.  Without a spill directory it works in a temporary directory
+    One pass over the article offsets, `_census`, counts the keys, which
+    fix the form, and each year's processed articles.  A ledger whose keys
+    fit one bucket is counted in memory and writes nothing: no spill
+    directory, log or manifest, so a killed run counts it again.  Otherwise
+    the sweep of the years, `_batches`, goes into the key log, which resumes
+    after the manifest's year watermark when ``config.spill_directory``
+    already holds state for the same corpus and configuration, and with at
+    least as many buckets as this configuration needs.  Without a spill
+    directory it works in a temporary directory
     under ``$TMPDIR`` and removes it.  The emission pass commits a year's
     keys with the first flush after its last batch, or, for trailing years
     without keys, at the end of the sweep; then the count pass tallies the
@@ -802,13 +797,13 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     """
     s = config.k + 1
     view = corpus.view(config.refinement)
-    years, _, offsets, _, _, debuts = view
+    years, _, _, _, _, debuts = view
     if not years.size:
         return LedgerSeries(k=config.k, refinement=config.refinement)
     _check_span(int(years[0]), int(years[-1]), config)
 
     layout = _Layout.of(debuts.size, s, years.size)
-    emissions = _emissions(offsets, s)
+    emissions, processed = _census(view, s)
     buckets = _bucket_count(emissions, layout, config)
     debut_index = debuts.astype(layout.year_dtype)
     if buckets == 1:
@@ -816,7 +811,8 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
         new, peripheral = _count_in_memory(
             view, s, layout, emissions, min(_EMIT_CHUNK, batch_keys), debut_index
         )
-        return _spread(config, _stored_series(view, s, new, peripheral, debut_index))
+        stored = _stored_series(years, processed, new, peripheral, debut_index)
+        return _spread(config, stored)
 
     # A quarter of the budget buffers keys; a flush's copies of them fit in
     # the rest.  A flush made because the next batch would overflow the
@@ -855,7 +851,9 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
                 # A bucket's pass takes about 11 / 24 of the budget.
                 config.memory_budget_bytes // 4,
             )
-            manifest["series"] = _stored_series(view, s, new, peripheral, debut_index)
+            manifest["series"] = _stored_series(
+                years, processed, new, peripheral, debut_index
+            )
             manifest["complete"] = True
             _write_manifest(ledger_dir / _MANIFEST_NAME, manifest)
         _keep_only(ledger_dir, {_MANIFEST_NAME})

@@ -1,8 +1,8 @@
 """End-to-end verification: synthetic corpora checked against the oracle.
 
-Each scenario generates a corpus, runs the disk-backed tabulation and the
-brute-force oracle for every order and refinement, and compares column by
-column, year by year.  A scenario may also declare a qualitative
+Each scenario generates a corpus, runs `tabulate` and the brute-force
+oracle for every order and refinement, and compares column by column, year
+by year.  A scenario may also declare a qualitative
 expectation about its rate or coverage series.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import tempfile
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -135,19 +134,17 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """Generate, tabulate both ways, and compare; exact match required."""
     report = ScenarioReport(scenario=spec.name, ok=True)
     corpus = generate_synthetic(spec.params)
-    with tempfile.TemporaryDirectory(prefix="scn-") as spill:
-        for k in (1, 2, 3):
-            for refinement in REFINEMENTS:
-                oracle = oracle_tabulate(corpus, k, refinement)
-                if (k, refinement) == (1, "all"):
-                    pairwise = oracle
-                config = LedgerConfig(k=k, refinement=refinement, spill_directory=spill)
-                exact = tabulate(corpus, config)
-                problems = _compare(exact, oracle)
-                if problems:
-                    report.add(k, refinement, "mismatch", "; ".join(problems[:5]))
-                else:
-                    report.add(k, refinement, "ok")
+    for k in (1, 2, 3):
+        for refinement in REFINEMENTS:
+            oracle = oracle_tabulate(corpus, k, refinement)
+            if (k, refinement) == (1, "all"):
+                pairwise = oracle
+            exact = tabulate(corpus, LedgerConfig(k=k, refinement=refinement))
+            problems = _compare(exact, oracle)
+            if problems:
+                report.add(k, refinement, "mismatch", "; ".join(problems[:5]))
+            else:
+                report.add(k, refinement, "ok")
     # Qualitative check on the pairwise / all-refinement view.
     failure = _check_expectation(spec.expectation, pairwise)
     if failure is not None:

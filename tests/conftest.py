@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simplexledger.corpus import ArticleRecord, CorpusStore
-from simplexledger.ledger import _emit_keys
+from simplexledger.ledger import _batches
 from simplexledger.ontology import load_ontology
 
 ONTOLOGY_TSV = """\
@@ -45,17 +45,18 @@ def two_article_corpus():
 @pytest.fixture
 def engine_simplices():
     """The (k+1)-combinations of one keyword set as the ledger emits them:
-    the keys `_emit_keys` packs for a one-article corpus, unpacked."""
+    the keys `_batches` packs for a one-article, one-year view, unpacked."""
 
     def simplices(keywords, k):
         ids = np.array(list(set(keywords)), dtype=np.uint32)
         s = k + 1
         bits = max(1, int(ids.max(initial=0)).bit_length())
         offsets = np.array([0, ids.size], dtype=np.int64)
+        view = (None, np.array([0, 1]), offsets, ids, None, None)
         mask = (1 << bits) - 1
         return [
             tuple(key >> bits * (s - 1 - j) & mask for j in range(s))
-            for _, keys in _emit_keys(offsets, ids, 0, 1, s, bits, 1 << 18)
+            for _, keys in _batches(view, s, bits, 1 << 18)
             for key in keys.tolist()
         ]
 

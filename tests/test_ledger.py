@@ -1216,24 +1216,28 @@ def test_resume_keeps_recorded_buckets(tmp_path, first, second, restarts):
     manifest = _manifest(tmp_path / "k2" / "all")
     recorded, watermark = manifest["buckets"], manifest["watermark"]
     assert watermark >= crash_year
-    # Each emitted year's article range.
+    # The year index of each emitted batch.
     emitted = []
-    emit = ledger_mod._emit_keys
+    batches = ledger_mod._batches
 
-    def recording_emit(offsets, ids, lo, hi, *args):
-        emitted.append((lo, hi))
-        return emit(offsets, ids, lo, hi, *args)
+    def recording_batches(*args):
+        for tag, keys in batches(*args):
+            emitted.append(tag)
+            yield tag, keys
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ledger_mod, "_emit_keys", recording_emit)
+        patch.setattr(ledger_mod, "_batches", recording_batches)
         resumed, watermarks = _commits(corpus, config(second))
     assert resumed == oracle_tabulate(corpus, 2, "all")
     # A restart emits and commits the years up to the watermark again; a
-    # resume only those after it.
+    # resume only those after it.  Every year holds an article of three
+    # keywords, so every emitted year yields a batch.
     expected = corpus.years[0] if restarts else watermark + 1
-    years, starts = (a.tolist() for a in corpus.view("all")[:2])
-    assert emitted == [
-        (starts[t], starts[t + 1]) for t, year in enumerate(years) if year >= expected
+    years = corpus.view("all")[0].tolist()
+    assert all(oracle_tabulate(corpus, 2, "all").articles_processed)
+    assert emitted == sorted(emitted)
+    assert sorted(set(emitted)) == [
+        t for t, year in enumerate(years) if year >= expected
     ]
     assert (watermarks[0] < watermark) if restarts else (watermarks[0] > watermark)
     assert watermarks[-1] == corpus.years[-1]
@@ -1683,8 +1687,7 @@ def test_one_bucket_is_counted_in_memory_and_two_in_the_log(tmp_path, monkeypatc
     passes = _log_passes(monkeypatch)
     for k in (1, 2, 3):
         oracle = oracle_tabulate(corpus, k, "all")
-        offsets = corpus.view("all")[2]
-        exact = 24 * ledger_mod._emissions(offsets, k + 1)
+        exact = 24 * ledger_mod._census(corpus.view("all"), k + 1)[0]
         assert exact - 1 >= _MIN_BUDGET
         for budget, logged in ((exact, []), (exact - 1, [1])):
             passes.clear()
@@ -1747,8 +1750,7 @@ def test_in_memory_ledger_stays_within_memory_budget(monkeypatch, k, keywords):
     for i in range(articles):
         kws = frozenset(rng.sample(range(3000), keywords))
         store.add(ArticleRecord(f"a{i:06d}", 2000 + i % 10, kws, kws))
-    offsets = store.view("all")[2]
-    emissions = ledger_mod._emissions(offsets, k + 1)
+    emissions = ledger_mod._census(store.view("all"), k + 1)[0]
     budget = 24 * emissions
     passes = _log_passes(monkeypatch)
     config = LedgerConfig(k=k, memory_budget_bytes=budget)
@@ -1761,6 +1763,43 @@ def test_in_memory_ledger_stays_within_memory_budget(monkeypatch, k, keywords):
     assert passes == []
     assert peak <= budget
     assert series == tabulate(store, LedgerConfig(k=k, shard_count=2))
+
+
+@pytest.mark.parametrize(
+    "k, shard_count, bound",
+    [
+        # No article holds four keywords, so nothing is emitted.
+        pytest.param(3, 1, 1.5, id="no-keys"),
+        pytest.param(1, 1, 4, id="pairs"),
+        pytest.param(1, 2, 4, id="pairs-two-shards"),
+    ],
+)
+def test_per_article_counts_stay_within_memory_budget(tmp_path, k, shard_count, bound):
+    # 50,000 articles in two years at the smallest budget: an array of 8
+    # bytes an article over the corpus, or over one year, would take 6.1 or
+    # 3.1 budgets, so the emission count and the processed articles are
+    # counted a range at a time.  A key log's batch of a buffer's keys
+    # takes the rest of the bound at k = 1.
+    rng = random.Random(23)
+    store = CorpusStore()
+    for i in range(50_000):
+        kws = frozenset(rng.sample(range(500), 2))
+        store.add(ArticleRecord(f"a{i:06d}", 2000 + i % 2, kws, kws))
+    store.view("all")
+    config = LedgerConfig(
+        k=k,
+        shard_count=shard_count,
+        memory_budget_bytes=_MIN_BUDGET,
+        spill_directory=tmp_path,
+    )
+    tracemalloc.start()
+    try:
+        series = tabulate(store, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * _MIN_BUDGET
+    assert series == oracle_tabulate(store, k, "all")
 
 
 def test_restart_ignores_state_from_different_corpus(tmp_path):

@@ -48,17 +48,27 @@ def test_scenario_pipeline_matches_oracle(name):
     assert report.ok, failures
 
 
-def test_scenario_removes_its_workdir_when_tabulate_raises(tmp_path, monkeypatch):
+def test_scenario_leaves_nothing_under_tmpdir_when_tabulate_raises(
+    tmp_path, monkeypatch
+):
+    # The scenario passes no spill directory, so each ledger's temporary
+    # directory is tabulate's own; a run that raises leaves nothing either.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    tabulate = scenarios.tabulate
+    configs = []
 
-    def boom(corpus, config):
-        raise RuntimeError("tabulate failed")
+    def tabulate_once(corpus, config):
+        if configs:
+            raise RuntimeError("tabulate failed")
+        configs.append(config)
+        return tabulate(corpus, config)
 
-    monkeypatch.setattr(scenarios, "tabulate", boom)
+    monkeypatch.setattr(scenarios, "tabulate", tabulate_once)
     (spec,) = [s for s in load_scenarios() if s.name == "frozen-vocabulary"]
     with pytest.raises(RuntimeError, match="tabulate failed"):
         run_scenario(spec)
-    assert not list(tmp_path.glob("scn-*"))
+    assert [c.spill_directory for c in configs] == [None]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
