@@ -15,27 +15,27 @@ inputs.
 and charts of both `run` and `report`: a `report` on a run's metrics CSV with
 the same fit window reproduces that run's fits and charts.  The corpus flags
 other than `--store` apply to raw input only, and `run --store` refuses them.
+`ingest` and `synth` write the store to a temporary file beside ``--output``
+and rename it over ``--output`` once it is whole.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import fcntl
 import hashlib
-import json
+import importlib
 import math
 import os
 import re
 import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import simplexledger
-
-# The benchmark's tracer (perfbench/tracer.py) wraps the stages below as
-# attributes of this module, so they are imported here even by `ingest`.
 from simplexledger.corpus import (
     REFINEMENTS,
     CorpusStore,
@@ -45,29 +45,42 @@ from simplexledger.corpus import (
     load_store,
     save_store,
 )
-from simplexledger.fitting import (
-    FIT_CSV_COLUMNS,
-    PRESET_WINDOWS,
-    FitError,
-    fit_csv_row,
-    fit_exponential,
-    fit_linear,
-)
-from simplexledger.ledger import (
-    LedgerConfig,
-    LedgerError,
-    tabulate,
-    write_text_atomic,
-)
-from simplexledger.metrics import (
-    build_metrics,
-    paired_series,
-    read_metrics_csv,
-    write_ledger_csv,
-    write_metrics_csv,
-)
 from simplexledger.ontology import BranchFilter, load_ontology
-from simplexledger.plots import svg_line_chart
+
+# The names of the stages only `run` and `report` use, each loaded on first
+# use by `__getattr__` and bound here, so that `ingest` compiles none of
+# their modules.  They stay attributes of this module because the
+# benchmark's tracer (perfbench/tracer.py) and the tests wrap them here;
+# the commands reach them through `_cli`, so a wrapper set beforehand is
+# the one called.
+_STAGES = {
+    "FIT_CSV_COLUMNS": "fitting",
+    "PRESET_WINDOWS": "fitting",
+    "FitError": "fitting",
+    "fit_csv_row": "fitting",
+    "fit_exponential": "fitting",
+    "fit_linear": "fitting",
+    "LedgerConfig": "ledger",
+    "LedgerError": "ledger",
+    "tabulate": "ledger",
+    "write_text_atomic": "ledger",
+    "build_metrics": "metrics",
+    "paired_series": "metrics",
+    "read_metrics_csv": "metrics",
+    "write_ledger_csv": "metrics",
+    "write_metrics_csv": "metrics",
+    "svg_line_chart": "plots",
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"simplexledger.{_STAGES[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
 
 # Corpus flags that only raw input uses; `run --store` refuses them.
 _INGEST_ONLY = ("ontology", "format", "min_year", "branches")
@@ -144,8 +157,8 @@ class _OutputLock:
 
 
 def _parse_window(text: str) -> tuple[float, float]:
-    if text in PRESET_WINDOWS:
-        return PRESET_WINDOWS[text]
+    if text in _cli.PRESET_WINDOWS:
+        return _cli.PRESET_WINDOWS[text]
     try:
         lo, hi = text.split(":")
         return float(lo), float(hi)
@@ -156,7 +169,7 @@ def _parse_window(text: str) -> tuple[float, float]:
 def _try_fit(fit, points):
     try:
         return fit(points)
-    except FitError:
+    except _cli.FitError:
         return None
 
 
@@ -165,26 +178,32 @@ def _write_report(rows, k: int, refinement: str, window, out_dir: Path) -> list[
     return their file names.  Cumulative combinations get a linear fit on
     articles and an exponential fit on vocabulary, over every year and then
     over the year window; the full-range exponential is the chart overlay."""
+    # Loaded here, as ``json`` in the commands that write it, not with
+    # every command.
+    import csv
+
     tag = f"k{k}_{refinement}"
-    by_articles = paired_series(rows, "articles", "cum_simplices")
-    combinations = paired_series(rows, "vocabulary", "cum_simplices")
+    by_articles = _cli.paired_series(rows, "articles", "cum_simplices")
+    combinations = _cli.paired_series(rows, "vocabulary", "cum_simplices")
     selections = [(by_articles, combinations)]
     if window is not None:
         chosen = [r for r in rows if window[0] <= r.year <= window[1]]
         selections.append(
             (
-                paired_series(chosen, "articles", "cum_simplices"),
-                paired_series(chosen, "vocabulary", "cum_simplices"),
+                _cli.paired_series(chosen, "articles", "cum_simplices"),
+                _cli.paired_series(chosen, "vocabulary", "cum_simplices"),
             )
         )
     fits = []
     for articles, vocab in selections:
-        fits.append(("articles", _try_fit(fit_linear, articles)))
-        fits.append(("vocabulary", _try_fit(fit_exponential, vocab)))
+        fits.append(("articles", _try_fit(_cli.fit_linear, articles)))
+        fits.append(("vocabulary", _try_fit(_cli.fit_exponential, vocab)))
     with open(out_dir / f"fits_{tag}.csv", "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(FIT_CSV_COLUMNS)
-        writer.writerows(fit_csv_row(fit, k, refinement, x) for x, fit in fits if fit)
+        writer.writerow(_cli.FIT_CSV_COLUMNS)
+        writer.writerows(
+            _cli.fit_csv_row(fit, k, refinement, x) for x, fit in fits if fit
+        )
 
     vocab_series = [("cumulative combinations", combinations)]
     overlay = fits[1][1]
@@ -199,20 +218,43 @@ def _write_report(rows, k: int, refinement: str, window, out_dir: Path) -> list[
          y_label, True, vocab_series),
         ("coverage_vs_vocab", "Coverage of possible combinations", vocabulary,
          "coverage fraction", True,
-         [("coverage", paired_series(rows, "vocabulary", "coverage"))]),
+         [("coverage", _cli.paired_series(rows, "vocabulary", "coverage"))]),
         ("rates", "Innovation rates", "year", "rate", False,
-         [("conceptual rate", paired_series(rows, "year", "r_m")),
-          ("peripheral rate", paired_series(rows, "year", "r_p"))]),
+         [("conceptual rate", _cli.paired_series(rows, "year", "r_m")),
+          ("peripheral rate", _cli.paired_series(rows, "year", "r_p"))]),
     ]
     for stem, title, xlabel, ylabel, log_y, series in charts:
-        svg_line_chart(series, out_dir / f"{stem}_{tag}.svg", title=f"{title} ({tag})",
-                       xlabel=xlabel, ylabel=ylabel, log_y=log_y)
+        _cli.svg_line_chart(series, out_dir / f"{stem}_{tag}.svg",
+                            title=f"{title} ({tag})", xlabel=xlabel,
+                            ylabel=ylabel, log_y=log_y)
     return [f"fits_{tag}.csv", *(f"{chart[0]}_{tag}.svg" for chart in charts)]
 
 
+@contextmanager
+def _store_output(path: Path) -> Iterator[BinaryIO]:
+    """A temporary file beside ``path``, opened before any work so that an
+    output that cannot be written fails first.  It is renamed over ``path``
+    once the body returns and removed if the body raises, so that a failed
+    write leaves the old store whole."""
+    if path.is_dir():
+        raise SystemExit(f"cannot write --output {path}: it is a directory")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        f = open(tmp, "wb")
+    except OSError as exc:
+        raise SystemExit(f"cannot write --output {path}: {exc.strerror}")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
-    store, _ = _load_corpus(args)
-    with open(args.output, "wb") as f:
+    with _store_output(Path(args.output)) as f:
+        store, _ = _load_corpus(args)
         save_store(store, f)
     stats = store.stats
     print(f"accepted {stats.accepted} articles into {args.output}")
@@ -232,21 +274,23 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     """`SynthParams` from its defaults or ``--params``, then the flags given."""
     # Imported here, as in `cmd_verify`, so that other commands skip it.
+    import json
+
     from simplexledger.synth import SynthParams, generate_synthetic
 
-    if args.params:
-        params = SynthParams.from_json(json.loads(Path(args.params).read_text()))
-    else:
-        params = SynthParams()
-    given = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(SynthParams)
-        if getattr(args, f.name, None) is not None
-    }
-    params = dataclasses.replace(params, **given)
-    store = generate_synthetic(params)
-    with open(args.output, "wb") as f:
-        save_store(store, f)
+    with _store_output(Path(args.output)) as out:
+        if args.params:
+            params = SynthParams.from_json(json.loads(Path(args.params).read_text()))
+        else:
+            params = SynthParams()
+        given = {
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(SynthParams)
+            if getattr(args, f.name, None) is not None
+        }
+        params = dataclasses.replace(params, **given)
+        store = generate_synthetic(params)
+        save_store(store, out)
     print(f"wrote {len(store)} synthetic articles to {args.output}")
     return 0
 
@@ -262,6 +306,8 @@ def _spill_root(out_dir: Path) -> Path:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    import json
+
     out_dir = Path(args.out)
     try:
         ks = [int(x) for x in args.k.split(",")]
@@ -275,7 +321,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Every order is checked before any work, so a bad one writes nothing.
     try:
         configs = [
-            LedgerConfig(
+            _cli.LedgerConfig(
                 k=k,
                 refinement=refinement,
                 shard_count=args.shard_count,
@@ -285,7 +331,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             for k in ks
             for refinement in refinements
         ]
-    except LedgerError as exc:
+    except _cli.LedgerError as exc:
         raise SystemExit(str(exc))
     year_window = _parse_window(args.fit_window) if args.fit_window else None
     corpus, inputs = _load_corpus(args)
@@ -318,17 +364,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Each refinement's ledgers run together, so that the store holds one
         # view at a time; the manifest lists the artifacts by k first.
         run_order = sorted(configs, key=lambda c: refinements.index(c.refinement))
-        written: dict[LedgerConfig, list[str]] = {}
+        written: dict[_cli.LedgerConfig, list[str]] = {}
         try:
             for config in run_order:
                 k, refinement = config.k, config.refinement
                 tag = f"k{k}_{refinement}"
-                series = tabulate(corpus, config)
+                series = _cli.tabulate(corpus, config)
                 with open(out_dir / f"ledger_{tag}.csv", "w", newline="") as f:
-                    write_ledger_csv(series, f)
-                rows = build_metrics(series)
+                    _cli.write_ledger_csv(series, f)
+                rows = _cli.build_metrics(series)
                 with open(out_dir / f"metrics_{tag}.csv", "w", newline="") as f:
-                    write_metrics_csv(rows, f)
+                    _cli.write_metrics_csv(rows, f)
                 written[config] = [
                     f"ledger_{tag}.csv",
                     f"metrics_{tag}.csv",
@@ -338,10 +384,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                     name for c in configs for name in written.get(c, ())
                 ]
         except Exception:
-            write_text_atomic(manifest_path, json.dumps(manifest, indent=1))
+            _cli.write_text_atomic(manifest_path, json.dumps(manifest, indent=1))
             raise
         manifest["status"] = "complete"
-        write_text_atomic(manifest_path, json.dumps(manifest, indent=1))
+        _cli.write_text_atomic(manifest_path, json.dumps(manifest, indent=1))
         shutil.rmtree(spill_root, ignore_errors=True)
     print(f"run complete; artifacts in {out_dir}")
     return 0
@@ -370,7 +416,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Recompute fits and charts from an existing metrics CSV."""
     path = Path(args.metrics)
     with open(path, newline="") as f:
-        rows = read_metrics_csv(f)
+        rows = _cli.read_metrics_csv(f)
     if rows:
         k, refinement = rows[0].k, rows[0].refinement
     else:

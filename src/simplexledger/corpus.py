@@ -1,19 +1,24 @@
 """Article ingestion, filtering, and storage.
 
-Both readers hand each parsed article to one admission step, which stages
-it straight into the store's column tails.  An article's keywords arrive as
-tokens, a TSV ``;``-field or an XML ``UI`` with ``*`` prefixed when Major,
-and each token takes one lookup in a table built once per ingest from the
-vocabulary and the branch filter: a code maps to its id, ``*`` and the code
-to the id's complement (Major), and either to None for a branch the filter
-drops.  Only a token the table lacks runs the token rules: surrounding
-whitespace is dropped, an empty token is skipped, leading ``*``s mark it
-Major, and a code outside the vocabulary is counted as unknown.  The step
-merges repeated keywords into one that is Major if any copy is, and then
-admits the article when, in this order, (a) a publication type is Journal
-Article or Review, (b) the year is present, not before the configured
-minimum and within int32, and (c) at least two keywords remain.
-Rejections are counted, never raised.
+Both readers parse one article at a time and hand it to one admission
+step, which admits the articles a block of 512 at a time into the store's
+column tails.  An article's keywords arrive as tokens, a TSV ``;``-field or
+an XML ``UI`` with ``*`` prefixed when Major, and each token takes one
+lookup in a table built once per ingest from the vocabulary and the branch
+filter: a code maps to its id, ``*`` and the code to the id's complement
+(Major), and either to a sentinel for a branch the filter drops.  Only a
+token the table lacks runs the token rules: surrounding whitespace is
+dropped, an empty token is skipped, leading ``*``s mark it Major, and a
+code outside the vocabulary is counted as unknown, whatever becomes of its
+article.  An article is admitted when, in this order, (a) a publication
+type is Journal Article or Review, (b) the year is present, not before the
+configured minimum and within int32, and (c) at least two keywords remain
+once repeated keywords are merged into one that is Major if any copy is.
+The first two rules are checked as each article arrives; the block holds
+the articles that pass them, their keywords as ints, and one numpy sort a
+block merges the repeats, after which the third rule is applied and the
+block's admitted articles are staged in one step.  Rejections are counted,
+never raised.
 
 The store holds every article in one CSR (compressed sparse row) layout,
 the same in memory and on disk, sorted by (year, article id) so that each
@@ -26,8 +31,9 @@ year of the ledger's ascending sweep is one contiguous slice:
 - ``major``, one Major-topic flag per id;
 - the article ids, UTF-8, each followed by a NUL byte.
 
-``add`` and the admission step stage articles through one writer, in the
-same layout, as column tails in add order.  ``add`` refuses an article the
+``add`` and the admission step stage articles through one writer, a block
+at a time (``add``'s holds one article), in the same layout, as column
+tails in add order.  ``add`` refuses an article the
 layout cannot hold before staging any of it, and both readers count an
 article id with a NUL or over 64 bytes as malformed.  The next read folds
 the tails into the columns with stable numpy sorts; the last copy of each
@@ -87,6 +93,12 @@ _INT32 = range(-(1 << 31), 1 << 31)
 # The longest article id, in UTF-8 bytes.  A fold lays every id out at the
 # longest one's width, so one long id would widen them all.
 _MAX_ID_BYTES = 64
+# Articles per admission block.  A block holds its keywords as 8-byte
+# ints, so it stays small beside the store.
+_BLOCK = 512
+# A code the branch filter drops, in the token table: unlike None, it
+# survives a complement, and no keyword id reaches it.
+_DROPPED = 1 << 32
 # Ids per step of the debut order's table: the positions of one chunk
 # stay small, and its scatter runs in cache.
 _CHUNK = 1 << 14
@@ -237,23 +249,32 @@ class CorpusStore:
                 f"keyword ids {ids[0]}..{ids[-1]} out of the uint32 range"
             )
         major = record.major_keywords
-        self._stage(article_id, year, ids, map(major.__contains__, ids))
+        self._stage(
+            [article_id],
+            array("i", [year]),
+            array("I", [len(ids)]),
+            array("I", ids),
+            bytes(map(major.__contains__, ids)),
+        )
 
-    def _stage(
-        self, article_id: str, year: int, ids: list[int], major: Iterable[bool]
-    ) -> None:
-        """Append one article to the column tails, which nothing else but
-        `_clear_tails` writes.  The caller has checked the id, the year and
-        the keyword ids; an id that is not UTF-8 raises before any append."""
+    def _stage(self, names: list[str], years, counts, ids, major) -> None:
+        """Append a block of articles to the column tails, which nothing
+        else but `_clear_tails` writes.  ``years`` (int32), ``counts`` and
+        ``ids`` (uint32) are arrays whose ``tobytes`` gives the tail's
+        layout, and ``major`` is a buffer of one byte per id.  The caller has
+        checked the article ids, the years and the keyword ids; an article
+        id that is not UTF-8 raises before any append."""
+        text = "\0".join([*names, ""])
         try:
-            name = article_id.encode("utf-8")
+            blob = text.encode("utf-8")
         except UnicodeEncodeError as exc:
-            raise CorpusError(f"article id {article_id!r} is not UTF-8") from exc
-        self._tail_years.append(year)
-        self._tail_counts.append(len(ids))
-        self._tail_ids.fromlist(ids)
+            name = text.split("\0")[text.count("\0", 0, exc.start)]
+            raise CorpusError(f"article id {name!r} is not UTF-8") from exc
+        self._tail_years.frombytes(years.tobytes())
+        self._tail_counts.frombytes(counts.tobytes())
+        self._tail_ids.frombytes(ids.tobytes())
         self._tail_major.extend(major)
-        self._tail_names += name + b"\0"
+        self._tail_names += blob
 
     def _fold(self) -> None:
         """Merge the column tails, if any, into the columns; these are just
@@ -406,78 +427,122 @@ def _sha256(chunks: Iterable[bytes | memoryview]) -> bytes:
     return digest.digest()
 
 
-def _token_table(ontology: Ontology, config: FilterConfig) -> dict[str, int | None]:
-    """Each code, and ``*`` and the code, resolved: the keyword id, its
-    complement for Major, or None if the branch filter drops the code.
+def _token_table(ontology: Ontology, config: FilterConfig) -> dict[str, int]:
+    """Each code, and ``*`` and the code, resolved: the keyword id, or its
+    complement for Major.  A code the branch filter drops resolves to
+    `_DROPPED`, which no keyword id reaches, or its complement.
 
     The vocabulary holds no code the token rules would change (`load_ontology`
     refuses surrounding whitespace and a leading ``*``), so a token found
     here resolves as those rules would resolve it.
     """
-    table: dict[str, int | None] = {}
+    table: dict[str, int] = {}
     for d in ontology.descriptors:
-        if is_eligible(d, config.branch_filter):
-            table[d.external_code] = d.id
-            table["*" + d.external_code] = ~d.id
-        else:
-            table[d.external_code] = table["*" + d.external_code] = None
+        kid = d.id if is_eligible(d, config.branch_filter) else _DROPPED
+        table[d.external_code] = kid
+        table["*" + d.external_code] = ~kid
     return table
 
 
 def _resolve(
-    table: dict[str, int | None], token: str, stats: IngestStats
-) -> int | None:
-    """A token the table lacks, by the token rules: trimmed, skipped if
-    empty, Major if it starts with ``*``, counted if its code is unknown."""
-    token = token.strip()
-    if not token:
-        return None
-    try:
-        kid = table[token.lstrip("*")]
-    except KeyError:
-        stats.unknown_keyword_codes += 1
-        return None
-    if kid is not None and token[0] == "*":
-        return ~kid
-    return kid
+    table: dict[str, int], tokens: list[str], stats: IngestStats
+) -> list[int]:
+    """The tokens' values, where one of them is not in the table.  Such a
+    token runs the token rules: it is trimmed, skipped if empty, Major if
+    it starts with ``*``, and counted and skipped if its code is unknown."""
+    kids = []
+    for token in tokens:
+        kid = table.get(token)
+        if kid is None:
+            token = token.strip()
+            if not token:
+                continue
+            kid = table.get(token.lstrip("*"))
+            if kid is None:
+                stats.unknown_keyword_codes += 1
+                continue
+            if token[0] == "*":
+                kid = ~kid
+        kids.append(kid)
+    return kids
+
+
+# A parsed article: its id, year, publication types and keyword tokens.
+_Parsed = tuple[str, int | None, Iterable[str], list[str]]
 
 
 def _admit(
     store: CorpusStore,
-    table: dict[str, int | None],
+    ontology: Ontology,
     config: FilterConfig,
-    article_id: str,
-    year: int | None,
-    pub_types: Iterable[str],
-    tokens: Iterable[str],
+    articles: Iterable[_Parsed],
 ) -> None:
-    """Resolve one parsed article's keyword tokens, apply the admission
-    rules, and stage the article or count its rejection.  The readers have
-    counted an ``article_id`` with an `_id_fault` as malformed."""
+    """Resolve each parsed article's keyword tokens and apply the first two
+    admission rules; the articles they pass wait, their keywords resolved
+    to ints, in a block that `_admit_block` merges, checks for too few
+    keywords and stages whole.  The readers have counted an article id
+    with an `_id_fault` as malformed."""
+    table = _token_table(ontology, config)
     stats = store._stats
-    # Each keyword id, and whether any of its copies is Major.
-    major_of: dict[int, bool] = {}
-    for token in tokens:
-        try:
-            kid = table[token]
-        except KeyError:
-            kid = _resolve(table, token, stats)
-        if kid is None:
-            continue
-        if kid < 0:
-            major_of[~kid] = True
-        elif kid not in major_of:
-            major_of[kid] = False
-    if PUB_TYPES.isdisjoint(pub_types):
-        stats.rejected_pub_type += 1
-    elif year is None or year < config.min_year or year not in _INT32:
-        stats.rejected_year += 1
-    elif len(major_of) < MIN_KEYWORDS:
-        stats.rejected_too_few_keywords += 1
-    else:
-        ids = sorted(major_of)
-        store._stage(article_id, year, ids, map(major_of.__getitem__, ids))
-        stats.accepted += 1
+    lowest, highest = max(config.min_year, _INT32.start), _INT32.stop
+    names, years, counts, ids = block = _new_block()
+    for article_id, year, pub_types, tokens in articles:
+        kids = [*map(table.get, tokens)]
+        if None in kids:
+            kids = _resolve(table, tokens, stats)
+        if PUB_TYPES.isdisjoint(pub_types):
+            stats.rejected_pub_type += 1
+        elif year is None or not lowest <= year < highest:
+            stats.rejected_year += 1
+        else:
+            names.append(article_id)
+            years.append(year)
+            counts.append(len(kids))
+            ids.fromlist(kids)
+            if len(names) == _BLOCK:
+                _admit_block(store, *block)
+                names, years, counts, ids = block = _new_block()
+    _admit_block(store, *block)
+
+
+def _new_block() -> tuple[list[str], array, array, array]:
+    """An empty block: article ids, years, keyword counts, table values."""
+    return [], array("i"), array("q"), array("q")
+
+
+def _admit_block(
+    store: CorpusStore, names: list[str], years: array, counts: array, ids: array
+) -> None:
+    """Merge each article's repeated keywords into one that is Major if any
+    copy is, drop the codes the branch filter drops, reject the articles
+    left with too few keywords and stage the rest in one step.  ``ids``
+    holds each article's table values in turn, ``counts[i]`` of article
+    ``i``."""
+    kids = np.frombuffer(ids, np.int64)
+    plain = kids >= 0
+    kids = np.where(plain, kids, ~kids)
+    article = np.repeat(
+        np.arange(len(names), dtype=np.int64), np.frombuffer(counts, np.int64)
+    )
+    # A word per copy: article, keyword id, and 0 for a Major copy, so that
+    # after the sort a keyword's first copy is Major if any is.
+    words = (article << 34) | (kids << 1) | plain
+    words = np.sort(words[kids != _DROPPED])
+    words = words[run_heads(words >> 1)]
+    owner = words >> 34
+    distinct = np.bincount(owner, minlength=len(names))
+    admitted = distinct >= MIN_KEYWORDS
+    accepted = int(np.count_nonzero(admitted))
+    store._stats.rejected_too_few_keywords += len(names) - accepted
+    store._stats.accepted += accepted
+    words = words[admitted[owner]]
+    store._stage(
+        list(itertools.compress(names, admitted.tolist())),
+        np.frombuffer(years, np.int32)[admitted],
+        distinct[admitted].astype(np.uint32),
+        ((words >> 1) & 0xFFFFFFFF).astype(np.uint32),
+        (words & 1) == 0,
+    )
 
 
 def _id_fault(article_id: str) -> str | None:
@@ -521,10 +586,16 @@ def ingest_tsv(
     A binary stream is decoded line by line, so a byte that is not UTF-8
     raises a `CorpusError` naming its line.
     """
-    config = config or FilterConfig()
-    table = _token_table(ontology, config)
     store = CorpusStore()
-    stats = store.stats
+    articles = _tsv_articles(stream, store._stats)
+    _admit(store, ontology, config or FilterConfig(), articles)
+    return store
+
+
+def _tsv_articles(
+    stream: Iterable[str] | TextIO | BinaryIO, stats: IngestStats
+) -> Iterator[_Parsed]:
+    """The TSV rows as parsed articles; a malformed row is counted."""
     for lineno, line in numbered_lines(stream, CorpusError):
         parts = line.split("\t")
         if len(parts) != 4:
@@ -544,8 +615,7 @@ def ingest_tsv(
             pub_types = (pub_type,)
         else:
             pub_types = [t.strip() for t in pub_type.split("|")]
-        _admit(store, table, config, article_id, year, pub_types, kw_text.split(";"))
-    return store
+        yield article_id, year, pub_types, kw_text.split(";")
 
 
 def _xml_years(citation: ET.Element) -> list[int]:
@@ -580,11 +650,17 @@ def ingest_pubmed_xml(
     counted as malformed, and malformed XML aborts with the parser's
     position.
     """
+    store = CorpusStore()
+    articles = _xml_articles(stream, store._stats)
+    _admit(store, ontology, config or FilterConfig(), articles)
+    return store
+
+
+def _xml_articles(stream: BinaryIO, stats: IngestStats) -> Iterator[_Parsed]:
+    """The ``PubmedArticle`` records as parsed articles; a record without a
+    usable PMID is counted as malformed."""
     import xml.etree.ElementTree as ET
 
-    config = config or FilterConfig()
-    table = _token_table(ontology, config)
-    store = CorpusStore()
     try:
         for _, article in ET.iterparse(stream, events=("end",)):
             if article.tag != "PubmedArticle":
@@ -592,7 +668,7 @@ def ingest_pubmed_xml(
             # The record's own PMID; a cited article's sits deeper.
             pmid = article.findtext("MedlineCitation/PMID")
             if not pmid or _id_fault(pmid):
-                store._stats.rejected_malformed += 1
+                stats.rejected_malformed += 1
                 _warn(
                     "PubmedArticle without MedlineCitation/PMID, or with one "
                     "over %d bytes, skipped", _MAX_ID_BYTES,
@@ -619,12 +695,10 @@ def ingest_pubmed_xml(
                 )
                 tokens.append("*" + code if major else code)
             years = _xml_years(article)
-            year = min(years) if years else None
-            _admit(store, table, config, pmid, year, pub_types, tokens)
+            yield pmid, min(years) if years else None, pub_types, tokens
             article.clear()
     except ET.ParseError as exc:
         raise CorpusError(f"malformed XML: {exc}") from exc
-    return store
 
 
 # --- binary store serialization -------------------------------------------

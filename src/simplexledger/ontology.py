@@ -8,6 +8,7 @@ source order, so the same file always produces the same id assignment.
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator, TextIO
@@ -17,6 +18,8 @@ from typing import BinaryIO, Iterable, Iterator, TextIO
 DEFAULT_BRANCHES = frozenset("ABCDEFGJLN")
 
 _VALID_BRANCH_CODES = frozenset(string.ascii_uppercase)
+# A tree number's branch letter, or "" for an empty tree number.
+_branch = operator.itemgetter(slice(1))
 
 
 class OntologyError(ValueError):
@@ -48,7 +51,7 @@ class BranchFilter:
 def is_eligible(descriptor: Descriptor, branch_filter: BranchFilter) -> bool:
     """A descriptor is eligible if any of its tree numbers starts with an
     allowed branch letter.  No tree numbers means ineligible."""
-    return any(t[:1] in branch_filter.allowed for t in descriptor.tree_numbers)
+    return not branch_filter.allowed.isdisjoint(map(_branch, descriptor.tree_numbers))
 
 
 @dataclass
@@ -111,13 +114,9 @@ def load_ontology(source: Iterable[str] | TextIO | BinaryIO) -> Ontology:
             )
         if code in codes:
             raise OntologyError(f"duplicate external code {code!r} at line {lineno}")
-        tree_numbers = tuple(t for t in trees.split(";") if t)
-        descriptor = Descriptor(
-            id=len(ontology.descriptors),
-            external_code=code,
-            name=name,
-            tree_numbers=tree_numbers,
+        tree_numbers = tuple(filter(None, trees.split(";")))
+        ontology.descriptors.append(
+            Descriptor(len(ontology.descriptors), code, name, tree_numbers)
         )
-        ontology.descriptors.append(descriptor)
         codes.add(code)
     return ontology

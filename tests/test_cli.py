@@ -3,6 +3,7 @@ import fcntl
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -350,6 +351,49 @@ def test_ingest_names_the_line_of_a_non_utf8_byte(tmp_path, demo_files, damaged,
         main([*argv, "--output", str(tmp_path / "corpus.bin")])
 
 
+@pytest.mark.parametrize("output", ["no-such-dir/corpus.bin", "a-directory"])
+@pytest.mark.parametrize("command", ["ingest", "synth"])
+def test_unwritable_output_is_refused_first(tmp_path, command, output):
+    # The inputs are missing too: reading them first would raise about them.
+    missing = str(tmp_path / "missing")
+    argv = {
+        "ingest": ["ingest", "--ontology", missing, "--input", missing],
+        "synth": ["synth", "--params", missing],
+    }[command]
+    (tmp_path / "a-directory").mkdir()
+    output = tmp_path / output
+    with pytest.raises(SystemExit, match=re.escape(str(output))):
+        main([*argv, "--output", str(output)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
+    assert not any((tmp_path / "a-directory").iterdir())
+
+
+@pytest.mark.parametrize("command", ["ingest", "synth"])
+def test_failed_store_write_keeps_the_old_store(
+    tmp_path, demo_files, monkeypatch, command
+):
+    ontology, corpus = demo_files
+    argv = {
+        "ingest": ["ingest", "--ontology", str(ontology), "--input", str(corpus)],
+        "synth": ["synth", "--n-articles", "40", "--vocab-size", "20",
+                  "--year-start", "1994", "--year-end", "1998", "--seed", "5"],
+    }[command]
+    store = tmp_path / "out" / "corpus.bin"
+    store.parent.mkdir()
+    assert main([*argv, "--output", str(store)]) == 0
+    old = store.read_bytes()
+
+    def torn(corpus, out):
+        out.write(old[: len(old) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_store", torn)
+    with pytest.raises(OSError, match="disk full"):
+        main([*argv, "--output", str(store)])
+    assert store.read_bytes() == old
+    assert [p.name for p in store.parent.iterdir()] == ["corpus.bin"]
+
+
 @pytest.mark.parametrize("damaged", ["corpus", "ontology"])
 def test_text_mode_readers_name_a_non_utf8_byte(demo_files, damaged):
     ontology, corpus = demo_files
@@ -484,6 +528,23 @@ def test_each_fit_runs_once(tmp_path, monkeypatch):
     window = ["--fit-window", "1996:2001"]
     assert main([*argv, *window, "--out", str(tmp_path / "windowed")]) == 0
     assert calls.count("linear") == 8 and calls.count("exp") == 8
+
+
+def test_run_calls_the_stages_set_on_the_cli_module(tmp_path, monkeypatch):
+    # The benchmark's tracer wraps the stages as attributes of `cli` before
+    # `main` runs; `run` must call those wrappers.
+    calls = []
+    tabulate = cli.tabulate
+
+    def counted(corpus, config):
+        calls.append((config.k, config.refinement))
+        return tabulate(corpus, config)
+
+    monkeypatch.setattr(cli, "tabulate", counted)
+    store = _synth(tmp_path)
+    argv = ["run", "--store", str(store), "--k", "1,2", "--refinement", "all,major"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == [(1, "all"), (1, "major"), (2, "all"), (2, "major")]
 
 
 @pytest.mark.parametrize("window", [None, (1, 5000)])
@@ -658,7 +719,8 @@ def test_synth_and_verify_and_report(tmp_path):
 
 def test_cli_import_loads_only_what_its_commands_run():
     # Every child process compiles every module it imports; these serve
-    # only `verify`, `synth`, the XML reader, a warning or nothing at all.
+    # only `run`, `report`, `verify`, `synth`, the XML reader, a warning or
+    # nothing at all.
     child = """
 import sys
 
@@ -666,7 +728,9 @@ before = set(sys.modules)
 import simplexledger.cli as cli
 
 heavy = ["xml.etree.ElementTree", "fractions", "decimal", "logging",
-         "simplexledger.synth", "simplexledger.scenarios"]
+         "simplexledger.synth", "simplexledger.scenarios",
+         "simplexledger.ledger", "simplexledger.metrics",
+         "simplexledger.fitting", "simplexledger.plots", "csv", "json"]
 print([name for name in heavy if name in set(sys.modules) - before])
 sys.path.insert(0, sys.argv[1])
 from tracer import WRAPPED

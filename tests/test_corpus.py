@@ -312,6 +312,64 @@ def _reference_tsv(lines, ontology, config=FilterConfig()):
 
 
 _ONTOLOGY = load_ontology(io.StringIO(ONTOLOGY_TSV))
+
+
+def _block_boundary_articles():
+    """One admission block and three articles more that pass the
+    publication-type and year rules, the last of the block and the first
+    after it left with one keyword, and articles those rules reject on
+    both sides of the boundary.  The keywords repeat one as Major and
+    plain, and carry an unknown code and a space-padded ``*``-token of a
+    code the branch filter drops (D000003)."""
+    block = corpus_mod._BLOCK
+    keywords = [
+        [("D000001", True), ("D000002", False), ("D000001", False)],
+        [("D000004", False), (" *D000003 ", False), ("D999999", True),
+         ("D000005", True)],
+    ]
+    one_left = [("D000007", True), (" *D000003 ", False), ("D999999", False)]
+    articles = []
+    for i in range(block + 3):
+        if i in (block - 2, block + 1):
+            articles.append((f"e{i}", 1995, ["Editorial"], keywords[0]))
+            articles.append((f"y{i}", 1800, ["Review"], keywords[1]))
+        mesh = one_left if i in (block - 1, block) else keywords[i % 2]
+        articles.append((f"p{i}", 1990 + i % 20, ["Review"], mesh))
+    return articles
+
+
+def _block_boundary_lines():
+    lines = [_tsv_row(*a) + "\n" for a in _block_boundary_articles()]
+    block = corpus_mod._BLOCK
+    # Malformed lines, their numbers recorded, before and after the boundary.
+    lines[block - 1 : block - 1] = ["p-bad\t19x5\tReview\tD000001;D000002\n"]
+    lines[block + 2 : block + 2] = ["p-short\t1995\tReview\n"]
+    return lines
+
+
+def test_admission_across_a_block_boundary():
+    articles = _block_boundary_articles()
+    lines = _block_boundary_lines()
+    expected, counters = _reference_tsv(lines, _ONTOLOGY)
+    assert counters.malformed_lines == [corpus_mod._BLOCK, corpus_mod._BLOCK + 3]
+    assert counters.rejected_pub_type == counters.rejected_year == 2
+    assert counters.rejected_too_few_keywords == 2
+    assert counters.accepted == corpus_mod._BLOCK + 1
+    assert counters.unknown_keyword_codes > 0
+    # The XML input has no malformed record.
+    _, via_xml = _reference_tsv([_tsv_row(*a) for a in articles], _ONTOLOGY)
+    theirs = io.BytesIO()
+    save_store(expected, theirs)
+    for store, reference in (
+        (ingest_tsv(iter(lines), _ONTOLOGY), counters),
+        (ingest_pubmed_xml(_xml_doc(articles), _ONTOLOGY), via_xml),
+    ):
+        assert store.stats == reference
+        mine = io.BytesIO()
+        save_store(store, mine)
+        assert mine.getvalue() == theirs.getvalue()
+
+
 # Codes of each kind: eligible, dropped by the branch filter, unknown, none.
 _TOKEN_CODES = ["D000001", "D000002", "D000004", "D000007", "D000003", "D000006",
                 "D999999", "d000001", ""]
@@ -363,6 +421,7 @@ def _tsv_lines(draw):
     "p1\tnineteen\tReview\tD000001;D000002\n",
     "p6\t1906\tReview\n",
 ])
+@example(_block_boundary_lines())
 def test_tsv_admission_matches_the_token_rules(lines):
     expected, counters = _reference_tsv(lines, _ONTOLOGY)
     store = ingest_tsv(iter(lines), _ONTOLOGY)
