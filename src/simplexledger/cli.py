@@ -15,8 +15,10 @@ inputs.
 and charts of both `run` and `report`: a `report` on a run's metrics CSV with
 the same fit window reproduces that run's fits and charts.  The corpus flags
 other than `--store` apply to raw input only, and `run --store` refuses them.
-`ingest` and `synth` write the store to a temporary file beside ``--output``
-and rename it over ``--output`` once it is whole.
+Every file a command writes whole, the store and each CSV, chart and
+manifest, is written by `replace_on_success`: to a temporary file beside it,
+renamed over it once whole.  The run manifest says ``partial``, listing the
+artifacts already whole, until the last ledger's are, and then ``complete``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import os
 import re
 import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -43,6 +45,7 @@ from simplexledger.corpus import (
     ingest_pubmed_xml,
     ingest_tsv,
     load_store,
+    replace_on_success,
     save_store,
 )
 from simplexledger.ontology import BranchFilter, load_ontology
@@ -63,7 +66,6 @@ _STAGES = {
     "LedgerConfig": "ledger",
     "LedgerError": "ledger",
     "tabulate": "ledger",
-    "write_text_atomic": "ledger",
     "build_metrics": "metrics",
     "paired_series": "metrics",
     "read_metrics_csv": "metrics",
@@ -128,9 +130,9 @@ def _load_corpus(args: argparse.Namespace) -> tuple[CorpusStore, list[Path]]:
 class _OutputLock:
     """Exclusive ownership of an output directory.
 
-    An ``flock`` on ``.lock`` is held for the whole run.  The kernel drops
-    it when the process ends, however it ends, so a file left behind by a
-    killed run does not block the next one.
+    An ``flock`` on ``.lock``, an empty file, is held for the whole run.
+    The kernel drops it when the process ends, however it ends, so a file
+    left behind by a killed run does not block the next one.
     """
 
     def __init__(self, directory: Path) -> None:
@@ -146,8 +148,6 @@ class _OutputLock:
             raise SystemExit(
                 f"output directory is locked by another run ({self.path})"
             )
-        os.ftruncate(self.fd, 0)
-        os.write(self.fd, str(os.getpid()).encode())
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -198,7 +198,7 @@ def _write_report(rows, k: int, refinement: str, window, out_dir: Path) -> list[
     for articles, vocab in selections:
         fits.append(("articles", _try_fit(_cli.fit_linear, articles)))
         fits.append(("vocabulary", _try_fit(_cli.fit_exponential, vocab)))
-    with open(out_dir / f"fits_{tag}.csv", "w", newline="") as f:
+    with replace_on_success(out_dir / f"fits_{tag}.csv", "w") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(_cli.FIT_CSV_COLUMNS)
         writer.writerows(
@@ -224,32 +224,25 @@ def _write_report(rows, k: int, refinement: str, window, out_dir: Path) -> list[
           ("peripheral rate", _cli.paired_series(rows, "year", "r_p"))]),
     ]
     for stem, title, xlabel, ylabel, log_y, series in charts:
-        _cli.svg_line_chart(series, out_dir / f"{stem}_{tag}.svg",
-                            title=f"{title} ({tag})", xlabel=xlabel,
-                            ylabel=ylabel, log_y=log_y)
+        with replace_on_success(out_dir / f"{stem}_{tag}.svg", "w") as f:
+            _cli.svg_line_chart(series, f, title=f"{title} ({tag})",
+                                xlabel=xlabel, ylabel=ylabel, log_y=log_y)
     return [f"fits_{tag}.csv", *(f"{chart[0]}_{tag}.svg" for chart in charts)]
 
 
 @contextmanager
 def _store_output(path: Path) -> Iterator[BinaryIO]:
-    """A temporary file beside ``path``, opened before any work so that an
-    output that cannot be written fails first.  It is renamed over ``path``
-    once the body returns and removed if the body raises, so that a failed
-    write leaves the old store whole."""
+    """`replace_on_success` on ``--output``, entered before any work, so
+    that an output that cannot be written stops the command first with a
+    message naming it."""
     if path.is_dir():
         raise SystemExit(f"cannot write --output {path}: it is a directory")
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        f = open(tmp, "wb")
-    except OSError as exc:
-        raise SystemExit(f"cannot write --output {path}: {exc.strerror}")
-    try:
-        with f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with ExitStack() as stack:
+        try:
+            f = stack.enter_context(replace_on_success(path))
+        except OSError as exc:
+            raise SystemExit(f"cannot write --output {path}: {exc.strerror}")
+        yield f
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -361,33 +354,39 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     with _OutputLock(out_dir):
         manifest_path = out_dir / "run_manifest.json"
+
+        def commit() -> None:
+            with replace_on_success(manifest_path, "w") as f:
+                f.write(json.dumps(manifest, indent=1))
+
+        # Partial before any artifact is rewritten, and after each ledger's
+        # artifacts are whole, so that however the run ends the manifest
+        # lists only whole artifacts of this run.
+        commit()
         # Each refinement's ledgers run together, so that the store holds one
         # view at a time; the manifest lists the artifacts by k first.
         run_order = sorted(configs, key=lambda c: refinements.index(c.refinement))
         written: dict[_cli.LedgerConfig, list[str]] = {}
-        try:
-            for config in run_order:
-                k, refinement = config.k, config.refinement
-                tag = f"k{k}_{refinement}"
-                series = _cli.tabulate(corpus, config)
-                with open(out_dir / f"ledger_{tag}.csv", "w", newline="") as f:
-                    _cli.write_ledger_csv(series, f)
-                rows = _cli.build_metrics(series)
-                with open(out_dir / f"metrics_{tag}.csv", "w", newline="") as f:
-                    _cli.write_metrics_csv(rows, f)
-                written[config] = [
-                    f"ledger_{tag}.csv",
-                    f"metrics_{tag}.csv",
-                    *_write_report(rows, k, refinement, year_window, out_dir),
-                ]
-                manifest["artifacts"] = [
-                    name for c in configs for name in written.get(c, ())
-                ]
-        except Exception:
-            _cli.write_text_atomic(manifest_path, json.dumps(manifest, indent=1))
-            raise
+        for config in run_order:
+            k, refinement = config.k, config.refinement
+            tag = f"k{k}_{refinement}"
+            series = _cli.tabulate(corpus, config)
+            with replace_on_success(out_dir / f"ledger_{tag}.csv", "w") as f:
+                _cli.write_ledger_csv(series, f)
+            rows = _cli.build_metrics(series)
+            with replace_on_success(out_dir / f"metrics_{tag}.csv", "w") as f:
+                _cli.write_metrics_csv(rows, f)
+            written[config] = [
+                f"ledger_{tag}.csv",
+                f"metrics_{tag}.csv",
+                *_write_report(rows, k, refinement, year_window, out_dir),
+            ]
+            manifest["artifacts"] = [
+                name for c in configs for name in written.get(c, ())
+            ]
+            commit()
         manifest["status"] = "complete"
-        _cli.write_text_atomic(manifest_path, json.dumps(manifest, indent=1))
+        commit()
         shutil.rmtree(spill_root, ignore_errors=True)
     print(f"run complete; artifacts in {out_dir}")
     return 0
@@ -401,7 +400,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         wanted = set(args.only.split(","))
         specs = [s for s in specs if s.name in wanted]
     reports = [run_scenario(spec) for spec in specs]
-    with open(args.out, "w", newline="") as f:
+    with replace_on_success(Path(args.out), "w") as f:
         write_report_csv(reports, f)
     failed = [r.scenario for r in reports if not r.ok]
     for report in reports:

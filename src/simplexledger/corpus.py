@@ -60,6 +60,8 @@ it.  Loading runs the structural checks first, so that each error names its
 cause, and then the checksum, which catches corruption that leaves the
 structure valid; the checksum doubles as the store's digest.  A version-1
 file (varint-encoded year blocks) is refused: re-run ingest.
+`replace_on_success` writes the store file, and every other file that
+simplexledger writes whole, through a temporary file renamed over it.
 """
 
 from __future__ import annotations
@@ -67,10 +69,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import operator
+import os
 import struct
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import IO, TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -78,6 +82,7 @@ from simplexledger.ontology import BranchFilter, Ontology, is_eligible, numbered
 
 if TYPE_CHECKING:
     import xml.etree.ElementTree as ET
+    from pathlib import Path
 
 ALL = "all"
 MAJOR = "major"
@@ -725,6 +730,30 @@ def _fixed_width(names: bytes) -> tuple[np.ndarray, np.ndarray]:
     grid = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
     grid[np.arange(width) >= lengths[:, None]] = 0
     return grid.view(f"S{width}").ravel(), lengths
+
+
+@contextmanager
+def replace_on_success(path: Path, mode: str = "wb") -> Iterator[IO]:
+    """Write ``path`` whole: the one writer of every file simplexledger
+    writes at once.
+
+    ``.<name>.<pid>.tmp`` beside ``path`` is opened before the body runs, so
+    that a path that cannot be written fails before any work.  Once the
+    body returns, the file is closed and renamed over ``path``; if the body
+    raises anything, it is removed.  So a failure, or a kill, leaves the
+    old file whole or the new one, never a torn one.  Text is UTF-8 and
+    its newlines are written as they are.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    f = open(tmp, mode, **text)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_store(store: CorpusStore, out: BinaryIO) -> None:

@@ -63,7 +63,13 @@ from typing import Iterator
 
 import numpy as np
 
-from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, run_heads
+from simplexledger.corpus import (
+    ALL,
+    REFINEMENTS,
+    CorpusStore,
+    replace_on_success,
+    run_heads,
+)
 
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_VERSION = 10
@@ -606,16 +612,9 @@ def _fingerprint(corpus_digest: str, config: LedgerConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` by ``text`` in one step: a kill leaves the old file
-    or the new one, never a torn one."""
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_manifest(path: Path, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, separators=(",", ":")))
+    with replace_on_success(path, "w") as f:
+        f.write(json.dumps(payload, separators=(",", ":")))
 
 
 def _load_manifest(path: Path, fingerprint: str) -> dict | None:
@@ -736,7 +735,9 @@ def _emission_pass(
     from a `CorpusStore.view`; ``starts`` are the buckets' smallest hashes,
     and ``end`` is the log's committed length."""
     years = view[0]
-    batch_keys = min(_EMIT_CHUNK, buffer_keys)
+    # A batch of a quarter of the buffer keeps what a flush holds beside
+    # the buffer, the pending batch and its temporaries, small.
+    batch_keys = min(_EMIT_CHUNK, buffer_keys // 4)
     multiplier = np.uint64(layout.multiplier)
     span = 1 << layout.span_bits
     # The years up to the watermark are committed.

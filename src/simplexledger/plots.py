@@ -7,7 +7,7 @@ fixed frame; optional log scaling drops non-positive points.
 from __future__ import annotations
 
 import math
-from pathlib import Path
+from typing import TextIO
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
@@ -41,13 +41,13 @@ def _fmt(v: float, log: bool) -> str:
 
 def svg_line_chart(
     series: list[tuple[str, list[tuple[float, float]]]],
-    path: str | Path,
+    out: TextIO,
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
     log_y: bool = False,
 ) -> None:
-    """Write a multi-series line chart to ``path``."""
+    """Write a multi-series line chart to the text stream ``out``."""
     pts: list[tuple[str, list[tuple[float, float]]]] = []
     for label, raw in series:
         cleaned = []
@@ -136,4 +136,4 @@ def svg_line_chart(
             f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2})">{ylabel}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    out.write("\n".join(parts))

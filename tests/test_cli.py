@@ -7,10 +7,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+import simplexledger.corpus as corpus_mod
 import simplexledger.ledger as ledger_mod
 from simplexledger import cli
 from simplexledger.cli import main
@@ -81,6 +83,11 @@ def test_run_demo_corpus_metrics_row(tmp_path, demo_files):
 def test_run_is_byte_deterministic(tmp_path, demo_files):
     a = _run_dir(tmp_path, "runA", demo_files)
     b = _run_dir(tmp_path, "runB", demo_files)
+    # Every file of the two output directories, the lock file included.
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+    assert (a / ".lock").read_bytes() == b""
     charts = [
         f"{stem}_k1_major.svg"
         for stem in ("c_vs_articles", "c_vs_vocab", "coverage_vs_vocab", "rates")
@@ -254,21 +261,82 @@ def test_rerun_on_the_same_output_resumes_under_sledger_tmp(tmp_path, monkeypatc
     assert list(spill.iterdir()) == []
 
 
+class _Torn:
+    """A stream whose first write stops halfway with ``error``."""
+
+    def __init__(self, f, error):
+        self.f, self.error = f, error
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise self.error
+
+
+def _tear(monkeypatch, name, error, nth=1):
+    """Stop the ``nth`` whole-file write of a file called ``name`` halfway
+    with ``error``.  The dict returned gets the file's path, its bytes
+    (None if it did not exist) and its directory's listing from just
+    before that write."""
+    real, calls, before = corpus_mod.replace_on_success, [], {}
+
+    @contextmanager
+    def tearing(path, mode="wb"):
+        calls.append(path.name)
+        torn = calls.count(name) == nth and path.name == name
+        if torn:
+            before["path"] = path
+            before["bytes"] = path.read_bytes() if path.exists() else None
+            before["listing"] = sorted(os.listdir(path.parent))
+        with real(path, mode) as f:
+            yield _Torn(f, error) if torn else f
+
+    for module in (cli, ledger_mod):
+        monkeypatch.setattr(module, "replace_on_success", tearing)
+    return before
+
+
 def test_run_manifest_survives_a_kill_mid_write(tmp_path, demo_files, monkeypatch):
+    # A rerun of one ledger writes its manifest three times: partial with
+    # no artifact, partial with the ledger's, and complete.  A kill in the
+    # first leaves the last run's manifest; in the last, the partial one.
     out = _run_dir(tmp_path, "atomic", demo_files)
-    before = (out / "run_manifest.json").read_text()
-    write_text = Path.write_text
+    complete = (out / "run_manifest.json").read_text()
+    partial = json.loads(complete) | {"status": "partial"}
+    for nth, expected in ((1, json.loads(complete)), (3, partial)):
+        with monkeypatch.context() as patch:
+            _tear(patch, "run_manifest.json", KeyboardInterrupt("killed"), nth)
+            with pytest.raises(KeyboardInterrupt):
+                _run_dir(tmp_path, "atomic", demo_files)
+        assert json.loads((out / "run_manifest.json").read_text()) == expected
+        assert not list(out.glob(".*.tmp"))
 
-    def killed_mid_write(path, data, *args, **kwargs):
-        if not path.name.startswith("run_manifest"):
-            return write_text(path, data, *args, **kwargs)
-        write_text(path, data[: len(data) // 2], *args, **kwargs)
-        raise KeyboardInterrupt("killed")
 
-    monkeypatch.setattr(Path, "write_text", killed_mid_write)
+def test_interrupted_rerun_lists_only_its_whole_artifacts(tmp_path, monkeypatch):
+    # A rerun cut short after its first ledger must not leave the last
+    # run's "complete" over artifacts it has begun to rewrite.
+    store, out = _synth(tmp_path), tmp_path / "out"
+    argv = ["run", "--store", str(store), "--k", "1,2", "--out", str(out)]
+    assert main(argv) == 0
+    before = json.loads((out / "run_manifest.json").read_text())
+    assert before["status"] == "complete" and len(before["artifacts"]) == 14
+    old = {name: (out / name).read_bytes() for name in before["artifacts"]}
+    tabulate, calls = cli.tabulate, []
+
+    def interrupted(corpus, config):
+        calls.append(config)
+        if len(calls) == 2:
+            raise KeyboardInterrupt("interrupted")
+        return tabulate(corpus, config)
+
+    monkeypatch.setattr(cli, "tabulate", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        _run_dir(tmp_path, "atomic", demo_files)
-    assert (out / "run_manifest.json").read_text() == before
+        main(argv)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "partial"
+    assert manifest["artifacts"] == before["artifacts"][:7]
+    assert all("_k1_all." in name for name in manifest["artifacts"])
+    assert all((out / name).read_bytes() == old[name] for name in old)
 
 
 def test_run_completes_ledgers_without_emissions(tmp_path):
@@ -368,30 +436,44 @@ def test_unwritable_output_is_refused_first(tmp_path, command, output):
     assert not any((tmp_path / "a-directory").iterdir())
 
 
-@pytest.mark.parametrize("command", ["ingest", "synth"])
+@pytest.mark.parametrize(
+    "command, name, nth",
+    [
+        pytest.param("ingest", "corpus.bin", 1, id="ingest"),
+        pytest.param("synth", "corpus.bin", 1, id="synth"),
+        pytest.param("run", "ledger_k1_all.csv", 1, id="csv"),
+        pytest.param("run", "rates_k1_all.svg", 1, id="svg"),
+        pytest.param("run", "run_manifest.json", 1, id="run-manifest"),
+        # The ledger's first commit writes its manifest; the second replaces it.
+        pytest.param("run", "manifest.json", 2, id="ledger-manifest"),
+    ],
+)
 def test_failed_store_write_keeps_the_old_store(
-    tmp_path, demo_files, monkeypatch, command
+    tmp_path, demo_files, monkeypatch, command, name, nth
 ):
+    # Every file written whole, when its write fails halfway, stays as it
+    # was, and its directory holds no temporary file.
     ontology, corpus = demo_files
+    out = tmp_path / "out"
     argv = {
-        "ingest": ["ingest", "--ontology", str(ontology), "--input", str(corpus)],
+        "ingest": ["ingest", "--ontology", str(ontology), "--input", str(corpus),
+                   "--output", str(out / "corpus.bin")],
         "synth": ["synth", "--n-articles", "40", "--vocab-size", "20",
-                  "--year-start", "1994", "--year-end", "1998", "--seed", "5"],
+                  "--year-start", "1994", "--year-end", "1998", "--seed", "5",
+                  "--output", str(out / "corpus.bin")],
+        "run": _run_argv(tmp_path / "syn.bin", out),
     }[command]
-    store = tmp_path / "out" / "corpus.bin"
-    store.parent.mkdir()
-    assert main([*argv, "--output", str(store)]) == 0
-    old = store.read_bytes()
-
-    def torn(corpus, out):
-        out.write(old[: len(old) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(cli, "save_store", torn)
+    if command == "run":
+        _synth(tmp_path)
+    out.mkdir()
+    assert main(argv) == 0
+    before = _tear(monkeypatch, name, OSError("disk full"), nth)
     with pytest.raises(OSError, match="disk full"):
-        main([*argv, "--output", str(store)])
-    assert store.read_bytes() == old
-    assert [p.name for p in store.parent.iterdir()] == ["corpus.bin"]
+        main(argv)
+    path = before["path"]
+    assert before["bytes"] is not None and path.read_bytes() == before["bytes"]
+    assert sorted(os.listdir(path.parent)) == before["listing"]
+    assert not list(out.rglob(".*.tmp"))
 
 
 @pytest.mark.parametrize("damaged", ["corpus", "ontology"])

@@ -1770,16 +1770,17 @@ def test_in_memory_ledger_stays_within_memory_budget(monkeypatch, k, keywords):
     [
         # No article holds four keywords, so nothing is emitted.
         pytest.param(3, 1, 1.5, id="no-keys"),
-        pytest.param(1, 1, 4, id="pairs"),
-        pytest.param(1, 2, 4, id="pairs-two-shards"),
+        pytest.param(1, 1, 1.5, id="pairs"),
+        pytest.param(1, 2, 1.5, id="pairs-two-shards"),
     ],
 )
 def test_per_article_counts_stay_within_memory_budget(tmp_path, k, shard_count, bound):
     # 50,000 articles in two years at the smallest budget: an array of 8
     # bytes an article over the corpus, or over one year, would take 6.1 or
     # 3.1 budgets, so the emission count and the processed articles are
-    # counted a range at a time.  A key log's batch of a buffer's keys
-    # takes the rest of the bound at k = 1.
+    # counted a range at a time.  At k = 1 the key log's emission batch
+    # holds a quarter of its buffer's keys, so a flush's batch and its
+    # temporaries stay small beside the buffer.
     rng = random.Random(23)
     store = CorpusStore()
     for i in range(50_000):
