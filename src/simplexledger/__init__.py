@@ -13,6 +13,22 @@ import importlib
 
 __version__ = "0.1.0"
 
+
+def lazy_loader(namespace: dict, modules: dict[str, str]):
+    """A module ``__getattr__`` that imports a name of ``modules`` from its
+    submodule on first use and binds it in ``namespace``, the globals."""
+
+    def __getattr__(name: str):
+        if name not in modules:
+            owner = namespace["__name__"]
+            raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+        module = importlib.import_module(f"{__name__}.{modules[name]}")
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    return __getattr__
+
+
 # Each exported name and the submodule that defines it.
 _EXPORTS = {
     "ArticleRecord": "corpus",
@@ -42,11 +58,4 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_loader(globals(), _EXPORTS)

@@ -27,7 +27,6 @@ import argparse
 import dataclasses
 import fcntl
 import hashlib
-import importlib
 import math
 import os
 import re
@@ -51,11 +50,11 @@ from simplexledger.corpus import (
 from simplexledger.ontology import BranchFilter, load_ontology
 
 # The names of the stages only `run` and `report` use, each loaded on first
-# use by `__getattr__` and bound here, so that `ingest` compiles none of
-# their modules.  They stay attributes of this module because the
-# benchmark's tracer (perfbench/tracer.py) and the tests wrap them here;
-# the commands reach them through `_cli`, so a wrapper set beforehand is
-# the one called.
+# use by the package's `lazy_loader` and bound here, so that `ingest`
+# compiles none of their modules.  They stay attributes of this module
+# because the benchmark's tracer (perfbench/tracer.py) and the tests wrap
+# them here; the commands reach them through `_cli`, so a wrapper set
+# beforehand is the one called.
 _STAGES = {
     "FIT_CSV_COLUMNS": "fitting",
     "PRESET_WINDOWS": "fitting",
@@ -73,15 +72,8 @@ _STAGES = {
     "write_metrics_csv": "metrics",
     "svg_line_chart": "plots",
 }
+__getattr__ = simplexledger.lazy_loader(globals(), _STAGES)
 _cli = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    if name not in _STAGES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"simplexledger.{_STAGES[name]}")
-    value = globals()[name] = getattr(module, name)
-    return value
 
 
 # Corpus flags that only raw input uses; `run --store` refuses them.
@@ -359,6 +351,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             with replace_on_success(manifest_path, "w") as f:
                 f.write(json.dumps(manifest, indent=1))
 
+        # Under the lock, a temporary file here is one a killed writer left.
+        for stale in out_dir.glob(".*.tmp"):
+            stale.unlink()
         # Partial before any artifact is rewritten, and after each ledger's
         # artifacts are whole, so that however the run ends the manifest
         # lists only whole artifacts of this run.

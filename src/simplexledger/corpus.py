@@ -15,10 +15,10 @@ type is Journal Article or Review, (b) the year is present, not before the
 configured minimum and within int32, and (c) at least two keywords remain
 once repeated keywords are merged into one that is Major if any copy is.
 The first two rules are checked as each article arrives; the block holds
-the articles that pass them, their keywords as ints, and one numpy sort a
-block merges the repeats, after which the third rule is applied and the
-block's admitted articles are staged in one step.  Rejections are counted,
-never raised.
+the articles that pass them, their keywords as ints, and `keep_first`, the
+ledger's merge too, merges a block's repeats, after which the third rule
+is applied and the block's admitted articles are staged in one step.
+Rejections are counted, never raised.
 
 The store holds every article in one CSR (compressed sparse row) layout,
 the same in memory and on disk, sorted by (year, article id) so that each
@@ -104,8 +104,7 @@ _BLOCK = 512
 # A code the branch filter drops, in the token table: unlike None, it
 # survives a complement, and no keyword id reaches it.
 _DROPPED = 1 << 32
-# Ids per step of the debut order's table: the positions of one chunk
-# stay small, and its scatter runs in cache.
+# Ids per step of the debut table and of `keep_first`: one step stays in cache.
 _CHUNK = 1 << 14
 
 _MAGIC = b"SLEDGER1"
@@ -133,7 +132,7 @@ class ArticleRecord:
             return self.all_keywords
         if refinement == MAJOR:
             return self.major_keywords
-        raise ValueError(f"unknown refinement {refinement!r}")
+        raise CorpusError(f"unknown refinement {refinement!r}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +167,26 @@ def run_heads(values: np.ndarray) -> np.ndarray:
     heads[:1] = True
     np.not_equal(values[1:], values[:-1], out=heads[1:])
     return heads
+
+
+def keep_first(
+    words: np.ndarray, tag_bits: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``words`` (uint64), each a value above ``tag_bits`` bits of tag,
+    and keep each value's first word, whose tag is the smallest: the kept
+    values move to the front of ``words`` in order, so that no copy of them
+    all is made.  Returns that front and the kept tags, as ``dtype``."""
+    words.sort()
+    tags = np.empty(words.size, dtype=dtype)
+    np.bitwise_and(words, np.uint64((1 << tag_bits) - 1), out=tags, casting="unsafe")
+    words >>= np.uint64(tag_bits)
+    heads = run_heads(words)
+    n = 0
+    for start in range(0, words.size, _CHUNK):
+        kept = words[start : start + _CHUNK][heads[start : start + _CHUNK]]
+        words[n : n + kept.size] = kept
+        n += kept.size
+    return words[:n], tags[heads]
 
 
 def _major_columns(
@@ -340,7 +359,7 @@ class CorpusStore:
         refinement drops it before building that one.
         """
         if refinement not in REFINEMENTS:
-            raise ValueError(f"unknown refinement {refinement!r}")
+            raise CorpusError(f"unknown refinement {refinement!r}")
         for other in REFINEMENTS:
             if other != refinement:
                 self._cache.pop(f"view_{other}", None)
@@ -518,35 +537,31 @@ def _new_block() -> tuple[list[str], array, array, array]:
 def _admit_block(
     store: CorpusStore, names: list[str], years: array, counts: array, ids: array
 ) -> None:
-    """Merge each article's repeated keywords into one that is Major if any
-    copy is, drop the codes the branch filter drops, reject the articles
-    left with too few keywords and stage the rest in one step.  ``ids``
-    holds each article's table values in turn, ``counts[i]`` of article
-    ``i``."""
+    """Merge each article's repeated keywords into one, Major if any copy
+    is, drop the codes the branch filter drops, reject the articles left
+    with too few keywords and stage the rest in one step.  ``ids`` holds
+    each article's table values in turn, ``counts[i]`` of article ``i``."""
     kids = np.frombuffer(ids, np.int64)
     plain = kids >= 0
     kids = np.where(plain, kids, ~kids)
-    article = np.repeat(
-        np.arange(len(names), dtype=np.int64), np.frombuffer(counts, np.int64)
-    )
-    # A word per copy: article, keyword id, and 0 for a Major copy, so that
-    # after the sort a keyword's first copy is Major if any is.
-    words = (article << 34) | (kids << 1) | plain
-    words = np.sort(words[kids != _DROPPED])
-    words = words[run_heads(words >> 1)]
-    owner = words >> 34
+    article = np.repeat(np.arange(len(names), dtype=np.int64), counts)
+    # A word per copy: its value, article << 33 | keyword id, above a tag of
+    # 0 for a Major copy, so that a kept keyword is Major if any copy is.
+    words = ((article << 34) | (kids << 1) | plain)[kids != _DROPPED]
+    values, tags = keep_first(words.view(np.uint64), 1, np.uint8)
+    owner = (values >> np.uint64(33)).view(np.int64)
     distinct = np.bincount(owner, minlength=len(names))
     admitted = distinct >= MIN_KEYWORDS
     accepted = int(np.count_nonzero(admitted))
     store._stats.rejected_too_few_keywords += len(names) - accepted
     store._stats.accepted += accepted
-    words = words[admitted[owner]]
+    kept = admitted[owner]
     store._stage(
         list(itertools.compress(names, admitted.tolist())),
         np.frombuffer(years, np.int32)[admitted],
         distinct[admitted].astype(np.uint32),
-        ((words >> 1) & 0xFFFFFFFF).astype(np.uint32),
-        (words & 1) == 0,
+        values[kept].astype(np.uint32),
+        tags[kept] == 0,
     )
 
 
@@ -812,7 +827,7 @@ def load_store(src: BinaryIO) -> CorpusStore:
     if ((years[1:] == years[:-1]) & (article_ids[1:] <= article_ids[:-1])).any():
         raise CorpusError("article ids are not strictly ascending within a year")
     article_ids.sort()
-    if (article_ids[1:] == article_ids[:-1]).any():
+    if not run_heads(article_ids).all():
         raise CorpusError("an article id repeats in another year")
     checksum = _sha256([memoryview(data)[:-_TRAILER_SIZE]])
     if checksum != data[-_TRAILER_SIZE:]:

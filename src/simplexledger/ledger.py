@@ -16,13 +16,13 @@ before any work from the exact emission count E and the memory budget;
 the result is identical for any B.
 
 One sweep, `_batches`, emits the keys year by year, a range of a year's
-articles at a time, and one count, `_count_words`, tallies words that
-hold a key, or its hash, above a year index: `keep_first` keeps each
-key's word of the smallest year.  When the keys fit one bucket (one
-shard, 24 bytes of budget a key, and w + y <= 64 for the y bits of a year
-index), the sweep's keys go into one array of E words, counted in memory
-with no hash, log, manifest or spill directory, so a killed run counts
-such a ledger again.
+articles at a time, and one count, `_count_words`, tallies words that hold
+a key, or its hash, above a year index: `keep_first`, the corpus step that
+merges ingest's keywords too, keeps each key's word of the smallest year.
+When the keys fit one bucket (one shard, 24 bytes of budget a key, and
+w + y <= 64 for the y bits of a year index), the sweep's keys go into one
+array of E words, counted in memory with no hash, log, manifest or spill
+directory, so a killed run counts such a ledger again.
 
 Otherwise one product with an odd multiplier mod 2^w hashes each key,
 and B hash ranges, the buckets, split the keys so that each bucket fits
@@ -67,8 +67,8 @@ from simplexledger.corpus import (
     ALL,
     REFINEMENTS,
     CorpusStore,
+    keep_first,
     replace_on_success,
-    run_heads,
 )
 
 _MANIFEST_NAME = "manifest.json"
@@ -77,7 +77,7 @@ _LOG_NAME = "keys.bin"
 _ENDS_NAME = "ends.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
 _EMIT_CHUNK = 1 << 14  # keys per emission batch
-_KEEP_CHUNK = 1 << 14  # words per step of `keep_first`'s compaction
+_COUNT_CHUNK = 1 << 14  # keys per step of `_count_words`' bincounts
 _CENSUS_CHUNK = 1 << 12  # articles per step of the emission count
 # Bytes of budget per key in the bucket pass, whose peak is about 11.2;
 # with the log index block's quarter of the budget, 11.2/24 + 1/4 < 1.
@@ -239,26 +239,6 @@ class _Layout:
         return np.array(
             [-(-(i << width) // buckets) for i in range(buckets)], dtype=np.uint64
         )
-
-
-def keep_first(
-    words: np.ndarray, tag_bits: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort ``words``, each a value above ``tag_bits`` bits of tag, and keep
-    each value's first word, whose tag is the smallest: the kept values move
-    to the front of ``words``, in order and in place, so that no copy of
-    them all is made.  Returns that front and the kept tags, as ``dtype``."""
-    words.sort()
-    tags = np.empty(words.size, dtype=dtype)
-    np.bitwise_and(words, np.uint64((1 << tag_bits) - 1), out=tags, casting="unsafe")
-    words >>= np.uint64(tag_bits)
-    heads = run_heads(words)
-    n = 0
-    for start in range(0, words.size, _KEEP_CHUNK):
-        kept = words[start : start + _KEEP_CHUNK][heads[start : start + _KEEP_CHUNK]]
-        words[n : n + kept.size] = kept
-        n += kept.size
-    return words[:n], tags[heads]
 
 
 def _pack(rows: np.ndarray, idx: np.ndarray, bits: int) -> np.ndarray:
@@ -503,10 +483,10 @@ def _count_words(
         raise LedgerError(mismatch)
     new = np.zeros(layout.years, dtype=np.int64)
     peripheral = np.zeros(layout.years, dtype=np.int64)
-    for start in range(0, year.size, _KEEP_CHUNK):
-        first = year[start : start + _KEEP_CHUNK]
+    for start in range(0, year.size, _COUNT_CHUNK):
+        first = year[start : start + _COUNT_CHUNK]
         new += np.bincount(first, minlength=layout.years)
-        debuted = debut_index[keys[start : start + _KEEP_CHUNK]] == first
+        debuted = debut_index[keys[start : start + _COUNT_CHUNK]] == first
         peripheral += np.bincount(first[debuted], minlength=layout.years)
     return new, peripheral
 

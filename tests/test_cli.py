@@ -312,6 +312,18 @@ def test_run_manifest_survives_a_kill_mid_write(tmp_path, demo_files, monkeypatc
         assert not list(out.glob(".*.tmp"))
 
 
+def test_rerun_removes_a_killed_writers_temporary_file(tmp_path, demo_files):
+    # A writer killed by SIGKILL leaves its temporary file; the next run on
+    # the same output deletes it under the lock.
+    clean = _run_dir(tmp_path, "clean", demo_files)
+    out = tmp_path / "killed"
+    out.mkdir()
+    (out / ".metrics_k1_all.csv.1.tmp").write_text("torn")
+    _run_dir(tmp_path, "killed", demo_files)
+    assert not list(out.glob(".*.tmp"))
+    assert sorted(os.listdir(out)) == sorted(os.listdir(clean))
+
+
 def test_interrupted_rerun_lists_only_its_whole_artifacts(tmp_path, monkeypatch):
     # A rerun cut short after its first ledger must not leave the last
     # run's "complete" over artifacts it has begun to rewrite.
@@ -698,6 +710,24 @@ def test_run_refuses_a_repeated_order_or_refinement(tmp_path, option, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--input", "x.tsv"], "raw input needs both --input and --ontology"),
+        (
+            ["--store", "s.bin", "--fit-window", "2000"],
+            "bad fit window '2000'; use a preset or LO:HI",
+        ),
+    ],
+    ids=["no-ontology", "fit-window"],
+)
+def test_run_argument_errors_exit_with_their_message(tmp_path, option, message):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        main(["run", *option, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_store_and_input_are_exclusive(tmp_path, demo_files, capsys):
     ontology, corpus = demo_files
     argv = ["run", "--store", "s.bin", "--input", str(corpus),
@@ -797,6 +827,26 @@ def test_synth_and_verify_and_report(tmp_path):
         == 0
     )
     assert (rerun / "fits_k1_all.csv").exists()
+
+
+def test_verify_reports_a_mismatch(tmp_path, monkeypatch, capsys):
+    import simplexledger.scenarios as scenarios
+
+    tabulate = scenarios.tabulate
+
+    def off_by_one(corpus, config):
+        series = tabulate(corpus, config)
+        series.new_simplices[0] += 1
+        return series
+
+    monkeypatch.setattr(scenarios, "tabulate", off_by_one)
+    report = tmp_path / "report.csv"
+    argv = ["verify", "--only", "frozen-vocabulary", "--out", str(report)]
+    assert main(argv) == 1
+    assert "mismatches in: frozen-vocabulary" in capsys.readouterr().err
+    with open(report, newline="") as f:
+        statuses = {row["status"] for row in csv.DictReader(f)}
+    assert "mismatch" in statuses
 
 
 def test_cli_import_loads_only_what_its_commands_run():

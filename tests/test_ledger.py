@@ -17,7 +17,13 @@ import pytest
 
 import simplexledger.corpus as corpus_mod
 import simplexledger.ledger as ledger_mod
-from simplexledger.corpus import ArticleRecord, CorpusStore, load_store, save_store
+from simplexledger.corpus import (
+    ArticleRecord,
+    CorpusError,
+    CorpusStore,
+    load_store,
+    save_store,
+)
 from simplexledger.ledger import (
     LedgerConfig,
     LedgerError,
@@ -112,6 +118,30 @@ def test_debut_differs_by_refinement():
 
 def test_empty_corpus_debuts():
     assert keyword_debut_years(CorpusStore(), "all") == {}
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda store: store.view("partial"), CorpusError, id="view"),
+        pytest.param(
+            lambda store: next(store.iter_records()).keywords("partial"),
+            CorpusError,
+            id="keywords",
+        ),
+        pytest.param(
+            lambda store: keyword_debut_years(store, "partial"),
+            LedgerError,
+            id="debut-years",
+        ),
+        pytest.param(
+            lambda store: oracle_tabulate(store, 1, "partial"), LedgerError, id="oracle"
+        ),
+    ],
+)
+def test_unknown_refinement_raises_a_named_error(two_article_corpus, call, error):
+    with pytest.raises(error, match="unknown refinement 'partial'"):
+        call(two_article_corpus)
 
 
 # --- tabulate vs worked examples ------------------------------------------
@@ -426,19 +456,32 @@ def test_numpy_integer_configs_are_kept_as_int(two_article_corpus, tmp_path):
     assert tabulate(two_article_corpus, config) == expected
 
 
-def test_ledgers_without_emissions_tally_zero(tmp_path):
+def test_ledgers_without_emissions_tally_zero(tmp_path, monkeypatch):
     # No article has 4 keywords or 2 Major ones: k = 3, and every order
-    # under major, emit no key, so no flush is made.
+    # under major, emit no key.  At one shard each ledger is counted in
+    # memory; at two these four reach the key log with no flush made.
     store = CorpusStore()
     for i in range(50):
         kws = frozenset({i, i + 1, i + 2})
         store.add(ArticleRecord(f"a{i:02d}", 2000 + i % 5, kws, frozenset({i})))
-    for k in (1, 2, 3):
-        for refinement in ("all", "major"):
-            config = LedgerConfig(
-                k=k, refinement=refinement, spill_directory=tmp_path
-            )
-            assert tabulate(store, config) == oracle_tabulate(store, k, refinement)
+    count_log, flushes = ledger_mod._count_log, []
+
+    def counting(ledger_dir, layout, buckets, n, *rest):
+        flushes.append(n)
+        return count_log(ledger_dir, layout, buckets, n, *rest)
+
+    monkeypatch.setattr(ledger_mod, "_count_log", counting)
+    for shard_count in (1, 2):
+        for k in (1, 2, 3):
+            for refinement in ("all", "major"):
+                config = LedgerConfig(
+                    k=k,
+                    refinement=refinement,
+                    shard_count=shard_count,
+                    spill_directory=tmp_path,
+                )
+                assert tabulate(store, config) == oracle_tabulate(store, k, refinement)
+    assert flushes.count(0) == 4
 
 
 def test_memory_budget_too_small_aborts_with_hint():
@@ -1279,6 +1322,19 @@ def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, damaged):
     assert series == oracle_tabulate(corpus, 1, "all")
     # The restart makes the interrupted run's commits again, from 2000.
     assert watermarks[: len(interrupted)] == interrupted
+
+
+def test_torn_manifest_starts_fresh(tmp_path):
+    # A manifest cut short, as by a write that `replace_on_success` did not
+    # make, is no JSON: the ledger starts fresh rather than raise.
+    corpus = _repeating_corpus()
+    config = LedgerConfig(k=1, shard_count=2, spill_directory=tmp_path)
+    oracle = oracle_tabulate(corpus, 1, "all")
+    assert tabulate(corpus, config) == oracle
+    manifest = tmp_path / "k1" / "all" / "manifest.json"
+    os.truncate(manifest, 20)
+    assert tabulate(corpus, config) == oracle
+    assert json.loads(manifest.read_text())["complete"]
 
 
 @pytest.mark.parametrize(
