@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import fcntl
+import glob
 import hashlib
 import math
 import os
@@ -222,6 +223,23 @@ def _write_report(rows, k: int, refinement: str, window, out_dir: Path) -> list[
     return [f"fits_{tag}.csv", *(f"{chart[0]}_{tag}.svg" for chart in charts)]
 
 
+def _remove_orphaned_temporaries(path: Path) -> None:
+    """Remove the temporary files that `replace_on_success` left beside
+    ``path`` in writers since killed.  No lock guards that directory, so a
+    file is orphaned only once no process has the PID in its name."""
+    prefix = f".{path.name}."
+    for tmp in path.parent.glob(glob.escape(prefix) + "*.tmp"):
+        pid = tmp.name[len(prefix) : -len(".tmp")]
+        if not pid.isdecimal():
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            tmp.unlink(missing_ok=True)
+        except (PermissionError, OverflowError):
+            pass  # another user's process, or a number no PID reaches
+
+
 @contextmanager
 def _store_output(path: Path) -> Iterator[BinaryIO]:
     """`replace_on_success` on ``--output``, entered before any work, so
@@ -229,6 +247,7 @@ def _store_output(path: Path) -> Iterator[BinaryIO]:
     message naming it."""
     if path.is_dir():
         raise SystemExit(f"cannot write --output {path}: it is a directory")
+    _remove_orphaned_temporaries(path)
     with ExitStack() as stack:
         try:
             f = stack.enter_context(replace_on_success(path))

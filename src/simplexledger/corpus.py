@@ -36,9 +36,12 @@ at a time (``add``'s holds one article), in the same layout, as column
 tails in add order.  ``add`` refuses an article the
 layout cannot hold before staging any of it, and both readers count an
 article id with a NUL or over 64 bytes as malformed.  The next read folds
-the tails into the columns with stable numpy sorts; the last copy of each
-article id wins, even across years, and the dropped copies count as
-duplicates.
+the tails into the columns: a stable sort of the article ids, laid out at
+a fixed width, and one of the years order the articles, and their ids,
+Major flags and article ids are gathered a chunk of articles at a time
+into columns allocated once.  With no columns yet, as in ingest, the tails
+are used in place.  The last copy of each article id wins, even across
+years, and the dropped copies count as duplicates.
 
 The store caches one view at a time, built in one step for one
 refinement: the year index (the distinct years and where each year's
@@ -56,9 +59,11 @@ A store file (format version 2) is a 40-byte header (magic ``SLEDGER1``,
 version, article count, id count, article-id bytes), the raw little-endian
 ``offsets``, ``years`` and ``ids`` arrays, the ``major`` flags packed eight
 to a byte, the article ids, and a SHA-256 trailer over everything before
-it.  Loading runs the structural checks first, so that each error names its
-cause, and then the checksum, which catches corruption that leaves the
-structure valid; the checksum doubles as the store's digest.  A version-1
+it.  Loading reads each column into its own array, hashing it as it
+arrives, and runs the structural checks first, a chunk at a time, so that
+each error names its cause, and then the checksum, which catches
+corruption that leaves the structure valid; the checksum doubles as the
+store's digest.  A version-1
 file (varint-encoded year blocks) is refused: re-run ingest.
 `replace_on_success` writes the store file, and every other file that
 simplexledger writes whole, through a temporary file renamed over it.
@@ -118,7 +123,7 @@ class CorpusError(ValueError):
     """Raised for unrecoverable ingestion or store-format problems."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArticleRecord:
     """One filtered publication: year plus its eligible keyword sets."""
 
@@ -208,6 +213,24 @@ def _major_columns(
     # Articles that start at the end: trailing empty ones and the sentinel.
     major_offsets[np.searchsorted(offsets, ids.size) :] = done
     return major_offsets, major_ids
+
+
+def _joined(column: np.ndarray, tail, dtype) -> np.ndarray:
+    """A column with a tail's values after it; with an empty column, the
+    tail itself, viewed in place."""
+    tail = np.frombuffer(tail, dtype)
+    return np.concatenate((column, tail)) if column.size else tail
+
+
+def _article_chunks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Ranges [a, b) of the articles, each of at most `_CHUNK` ids or of
+    one article."""
+    a, n = 0, offsets.size - 1
+    while a < n:
+        b = int(np.searchsorted(offsets, offsets[a] + _CHUNK, "right")) - 1
+        b = max(b, a + 1)
+        yield a, b
+        a = b
 
 
 class CorpusStore:
@@ -302,33 +325,51 @@ class CorpusStore:
 
     def _fold(self) -> None:
         """Merge the column tails, if any, into the columns; these are just
-        the first chunk, so an add after a read needs no other path."""
+        the first chunk, so an add after a read needs no other path.  With
+        no columns yet, as in ingest, the tails are used in place, and the
+        merged columns are gathered a chunk of articles at a time."""
         if not self._tail_years:
             return
-        years = np.concatenate((self._years, self._tail_years))
-        counts = np.concatenate((np.diff(self._offsets), self._tail_counts))
-        ids = np.concatenate((self._ids, self._tail_ids))
-        major = np.concatenate((self._major, np.frombuffer(self._tail_major, bool)))
-        names, lengths = _fixed_width(self._article_ids + self._tail_names)
+        years = _joined(self._years, self._tail_years, np.int32)
+        counts = _joined(np.diff(self._offsets), self._tail_counts, np.uint32)
+        ids = _joined(self._ids, self._tail_ids, np.uint32)
+        major = _joined(self._major, self._tail_major, bool)
+        names = self._tail_names
+        if self._article_ids:
+            names = self._article_ids + names
         self._clear_tails()
+        grid = _fixed_width(names)
         # A stable sort puts each id's copies in add order, so the last of
         # each run is the one that wins, whatever its year.
-        by_name = names.argsort(kind="stable")
-        keep = by_name[run_heads(names[by_name][::-1])[::-1]]
-        self._stats.duplicate_article_ids += len(years) - len(keep)
+        by_name = grid.argsort(kind="stable")
+        last = run_heads(grid[by_name][::-1])[::-1]
+        keep, dropped = by_name[last], grid[by_name[~last]]
+        self._stats.duplicate_article_ids += dropped.size
         # ``keep`` is in id order; a stable sort by year gives (year, id).
         order = keep[years[keep].argsort(kind="stable")]
-        starts = np.cumsum(counts) - counts
+        starts = np.cumsum(counts, dtype=np.int64)
+        starts -= counts
+        counts = counts[order]
         offsets = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(counts[order], out=offsets[1:])
-        gather = np.arange(offsets[-1], dtype=np.int64)
-        gather += np.repeat(starts[order] - offsets[:-1], counts[order])
-        # Each row of the fixed-width ids up to its length and one NUL.
-        grid = names[order].view(np.uint8).reshape(len(order), names.itemsize)
-        article_ids = grid[np.arange(names.itemsize) <= lengths[order, None]]
-        self._set_columns(
-            years[order], offsets, ids[gather], major[gather], article_ids.tobytes()
+        np.cumsum(counts, out=offsets[1:])
+        folded_ids = np.empty(offsets[-1], np.uint32)
+        folded_major = np.empty(offsets[-1], bool)
+        # The kept article ids' bytes: all but the dropped copies' and NULs.
+        article_ids = bytearray(
+            len(names) - dropped.size - np.count_nonzero(dropped.view(np.uint8))
         )
+        text = np.frombuffer(article_ids, np.uint8)
+        done = 0
+        for a, b in _article_chunks(offsets):
+            rows, lo, hi = order[a:b], offsets[a], offsets[b]
+            gather = np.arange(lo, hi)
+            gather += np.repeat(starts[rows] - offsets[a:b], counts[a:b])
+            np.take(ids, gather, out=folded_ids[lo:hi])
+            np.take(major, gather, out=folded_major[lo:hi])
+            joined = _nul_joined(grid[rows])
+            text[done : done + joined.size] = joined
+            done += joined.size
+        self._set_columns(years[order], offsets, folded_ids, folded_major, article_ids)
 
     def _cached(self, key: str, compute: Callable[[], object]):
         self._fold()
@@ -724,9 +765,25 @@ def _xml_articles(stream: BinaryIO, stats: IngestStats) -> Iterator[_Parsed]:
 # --- binary store serialization -------------------------------------------
 
 
-def _fixed_width(names: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The NUL-terminated article ids as one fixed-width bytes array, and
-    their lengths in bytes.
+def _id_spans(names: bytes | bytearray) -> Iterator[tuple[int, int]]:
+    """Spans [lo, hi) of whole article ids in ``names``, which ends with a
+    NUL: each of at most `_CHUNK` bytes, or of one longer id."""
+    lo = 0
+    while lo < len(names):
+        hi = names.rfind(b"\0", lo, lo + _CHUNK) + 1
+        hi = hi or names.find(b"\0", lo + _CHUNK) + 1
+        yield lo, hi
+        lo = hi
+
+
+def _id_ends(names: bytes | bytearray, lo: int, hi: int) -> np.ndarray:
+    """Where the NULs of ``names[lo:hi]`` lie, counted from ``lo``."""
+    return np.flatnonzero(np.frombuffer(names, np.uint8, hi - lo, lo) == 0)
+
+
+def _fixed_width(names: bytes | bytearray) -> np.ndarray:
+    """The NUL-terminated article ids as one fixed-width bytes array, laid
+    out a span of ids at a time.
 
     Each id is padded with at least one NUL, which no id contains, so the
     array orders the ids as bytes do; UTF-8 bytes sort as their code points.
@@ -734,17 +791,48 @@ def _fixed_width(names: bytes) -> tuple[np.ndarray, np.ndarray]:
     width; only a store file that `add` and the readers did not write can
     hold one.
     """
-    blob = np.frombuffer(names, np.uint8)
-    ends = np.flatnonzero(blob == 0)
-    starts = np.concatenate(([0], ends + 1))[:-1]
-    lengths = ends - starts
-    width = int(lengths.max(initial=0)) + 1
+    spans = list(_id_spans(names))
+    # An id and its NUL span the distance from the NUL before it.
+    width = max(
+        (int(np.diff(_id_ends(names, lo, hi), prepend=-1).max()) for lo, hi in spans),
+        default=1,
+    )
     if width > _MAX_ID_BYTES + 1:
         raise CorpusError(f"an article id is over {_MAX_ID_BYTES} bytes")
-    padded = np.concatenate((blob, np.zeros(width, np.uint8)))
-    grid = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
-    grid[np.arange(width) >= lengths[:, None]] = 0
-    return grid.view(f"S{width}").ravel(), lengths
+    grid = np.empty(names.count(b"\0"), f"S{width}")
+    rows = grid.view(np.uint8).reshape(grid.size, width)
+    a = 0
+    for lo, hi in spans:
+        ends = _id_ends(names, lo, hi)
+        lengths = np.diff(ends, prepend=-1) - 1
+        padded = np.zeros(hi - lo + width, np.uint8)
+        padded[: hi - lo] = np.frombuffer(names, np.uint8, hi - lo, lo)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+        windows = windows[ends - lengths]
+        windows[np.arange(width) >= lengths[:, None]] = 0
+        rows[a : a + ends.size] = windows
+        a += ends.size
+    return grid
+
+
+def _nul_joined(grid: np.ndarray) -> np.ndarray:
+    """The bytes of the fixed-width ids ``grid``, each up to and with its
+    first NUL, as the store lays them out."""
+    text = grid.view(np.uint8).reshape(grid.size, grid.itemsize)
+    upto = np.ones(text.shape, bool)
+    np.not_equal(text[:, :-1], 0, out=upto[:, 1:])
+    return text[upto]
+
+
+def _anywhere(pairs: int, test: Callable[[slice, slice], np.ndarray]) -> bool:
+    """Whether ``test(first, second)`` holds for any of ``pairs`` adjacent
+    pairs (i, i + 1), asked a chunk of pairs at a time: ``first`` slices
+    the chunk's i and ``second`` its i + 1."""
+    for lo in range(0, pairs, _CHUNK):
+        hi = min(lo + _CHUNK, pairs)
+        if test(slice(lo, hi), slice(lo + 1, hi + 1)).any():
+            return True
+    return False
 
 
 @contextmanager
@@ -782,58 +870,102 @@ def save_store(store: CorpusStore, out: BinaryIO) -> None:
     store._cache["digest"] = digest.hexdigest()
 
 
-def load_store(src: BinaryIO) -> CorpusStore:
-    """Read a store file, checking its structure and then its checksum."""
-    data = src.read()
-    magic = data[: len(_MAGIC)]
-    if magic != _MAGIC:
-        raise CorpusError(f"bad magic {magic!r}; not a store file")
-    if len(data) == len(_MAGIC):
-        raise CorpusError("truncated store file")
-    version = data[len(_MAGIC)]
-    if version != _STORE_VERSION:
-        raise CorpusError(f"unsupported store version {version}; re-run ingest")
-    if len(data) < _HEADER.size:
-        raise CorpusError("truncated store file")
-    _, _, n, n_ids, n_names = _HEADER.unpack_from(data)
-    sizes = (8 * (n + 1), 4 * n, 4 * n_ids, (n_ids + 7) // 8, n_names)
-    expected = _HEADER.size + sum(sizes) + _TRAILER_SIZE
-    if len(data) < expected:
-        raise CorpusError("truncated store file")
-    if len(data) > expected:
-        raise CorpusError("trailing bytes after the checksum")
-    starts = list(itertools.accumulate(sizes, initial=_HEADER.size))
-    offsets = np.frombuffer(data, "<i8", n + 1, starts[0])
-    years = np.frombuffer(data, "<i4", n, starts[1])
-    ids = np.frombuffer(data, "<u4", n_ids, starts[2])
-    packed = np.frombuffer(data, np.uint8, sizes[3], starts[3])
-    names = data[starts[4] : starts[5]]
-
-    if offsets[0] != 0 or offsets[-1] != n_ids or (np.diff(offsets) < 0).any():
-        raise CorpusError("keyword offsets do not rise monotonically to the id count")
-    if (np.diff(years) < 0).any():
-        raise CorpusError("article years decrease")
-    first = np.zeros(n_ids, dtype=bool)
-    first[offsets[:-1][offsets[:-1] < n_ids]] = True
-    if ((ids[1:] <= ids[:-1]) & ~first[1:]).any():
-        raise CorpusError("keyword ids are not strictly ascending within an article")
-    if names.count(b"\0") != n or (n_names and not names.endswith(b"\0")):
+def _check_article_ids(names: bytearray, years: np.ndarray) -> None:
+    """`load_store`'s checks of the NUL-terminated article ids, in order:
+    one per article, UTF-8, at most 64 bytes, ascending within a year and
+    not repeated in another.  Only the fixed-width ids outlive a span of
+    ids, and only until this returns."""
+    n = years.size
+    if names.count(b"\0") != n or (names and not names.endswith(b"\0")):
         raise CorpusError(f"article id count does not match the {n} articles")
+    view = memoryview(names)
     try:
-        names.decode("utf-8")
+        for lo, hi in _id_spans(names):
+            try:
+                str(view[lo:hi], "utf-8")
+            except UnicodeDecodeError:
+                # Again from the first id, so that the error gives its
+                # position among all of them.
+                str(view[:hi], "utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"article id is not UTF-8: {exc}") from exc
-    article_ids, _ = _fixed_width(names)
-    if ((years[1:] == years[:-1]) & (article_ids[1:] <= article_ids[:-1])).any():
+    article_ids = _fixed_width(names)
+    if _anywhere(
+        n - 1,
+        lambda i, j: (years[j] == years[i]) & (article_ids[j] <= article_ids[i]),
+    ):
         raise CorpusError("article ids are not strictly ascending within a year")
     article_ids.sort()
-    if not run_heads(article_ids).all():
+    if _anywhere(n - 1, lambda i, j: article_ids[j] == article_ids[i]):
         raise CorpusError("an article id repeats in another year")
-    checksum = _sha256([memoryview(data)[:-_TRAILER_SIZE]])
-    if checksum != data[-_TRAILER_SIZE:]:
+
+
+def load_store(src: BinaryIO) -> CorpusStore:
+    """Read a store file, checking its structure and then its checksum.
+
+    ``src`` must be seekable: the file's size is checked against the header
+    before any column is read.  Each column is read into its own array and
+    hashed as it arrives, and the Major flags are unpacked once every check
+    has passed, so that the load holds about one copy of the store.
+    """
+    if not src.seekable():
+        raise CorpusError("a store file must be seekable; a pipe is not")
+    start = src.tell()
+    header = src.read(_HEADER.size)
+    magic = header[: len(_MAGIC)]
+    if magic != _MAGIC:
+        raise CorpusError(f"bad magic {magic!r}; not a store file")
+    if len(header) == len(_MAGIC):
+        raise CorpusError("truncated store file")
+    version = header[len(_MAGIC)]
+    if version != _STORE_VERSION:
+        raise CorpusError(f"unsupported store version {version}; re-run ingest")
+    if len(header) < _HEADER.size:
+        raise CorpusError("truncated store file")
+    _, _, n, n_ids, n_names = _HEADER.unpack(header)
+    expected = _HEADER.size + 8 * (n + 1) + 4 * n + 4 * n_ids + (n_ids + 7) // 8
+    expected += n_names + _TRAILER_SIZE
+    size = src.seek(0, os.SEEK_END) - start
+    if size < expected:
+        raise CorpusError("truncated store file")
+    if size > expected:
+        raise CorpusError("trailing bytes after the checksum")
+    src.seek(start + _HEADER.size)
+    digest = hashlib.sha256(header)
+
+    def column(values):
+        if src.readinto(values) != memoryview(values).nbytes:
+            raise CorpusError("truncated store file")
+        digest.update(values)
+        return values
+
+    offsets = column(np.empty(n + 1, "<i8"))
+    years = column(np.empty(n, "<i4"))
+    ids = column(np.empty(n_ids, "<u4"))
+    packed = column(np.empty((n_ids + 7) // 8, np.uint8))
+    names = column(bytearray(n_names))
+
+    if offsets[0] != 0 or offsets[-1] != n_ids or _anywhere(
+        n, lambda i, j: offsets[j] < offsets[i]
+    ):
+        raise CorpusError("keyword offsets do not rise monotonically to the id count")
+    if _anywhere(n - 1, lambda i, j: years[j] < years[i]):
+        raise CorpusError("article years decrease")
+
+    def falls(i: slice, j: slice) -> np.ndarray:
+        # A fall onto the first id of an article is no fall.
+        fall = ids[j] <= ids[i]
+        a, b = np.searchsorted(offsets, (j.start, j.stop)).tolist()
+        fall[offsets[a:b] - j.start] = False
+        return fall
+
+    if _anywhere(n_ids - 1, falls):
+        raise CorpusError("keyword ids are not strictly ascending within an article")
+    _check_article_ids(names, years)
+    if digest.digest() != src.read(_TRAILER_SIZE):
         raise CorpusError("store checksum mismatch; the file is corrupt")
 
     store = CorpusStore()
     major = np.unpackbits(packed, count=n_ids, bitorder="little").view(bool)
-    store._set_columns(years, offsets, ids, major, names, checksum.hex())
+    store._set_columns(years, offsets, ids, major, names, digest.hexdigest())
     return store

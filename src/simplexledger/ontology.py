@@ -26,7 +26,7 @@ class OntologyError(ValueError):
     """Raised for malformed or inconsistent vocabulary input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Descriptor:
     """One vocabulary entry: external code, display name, tree positions."""
 

@@ -416,6 +416,24 @@ def test_ingest_reports_dropped_duplicates(tmp_path, demo_files, capsys):
         assert len(load_store(f)) == 2
 
 
+def test_ingest_removes_only_a_dead_writers_temporary_file(tmp_path, demo_files):
+    # No lock guards --output's directory: a temporary file named with a
+    # PID that no process has is a killed writer's, and one named with a
+    # live process's PID may be a writer's still at work.
+    ontology, corpus = demo_files
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    dead = tmp_path / f".corpus.bin.{child.pid}.tmp"
+    live = tmp_path / f".corpus.bin.{os.getppid()}.tmp"
+    for tmp in (dead, live):
+        tmp.write_text("torn")
+    argv = ["ingest", "--ontology", str(ontology), "--input", str(corpus)]
+    assert main([*argv, "--output", str(tmp_path / "corpus.bin")]) == 0
+    assert not dead.exists()
+    assert live.read_text() == "torn"
+    live.unlink()
+
+
 @pytest.mark.parametrize(
     "damaged, error",
     [("corpus", CorpusError), ("ontology", OntologyError)],

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import io
+import os
 import random
 import struct
 import tracemalloc
@@ -713,6 +715,26 @@ def test_store_with_non_utf8_article_id_rejected():
         load_store(io.BytesIO(corrupt))
 
 
+def test_store_spanning_the_int32_years_loads():
+    # The step between the two years overflows int32; it is no decrease.
+    store = CorpusStore()
+    store.add(ArticleRecord("a", -(1 << 31), frozenset({1, 2}), frozenset()))
+    store.add(ArticleRecord("b", 1990, frozenset({1, 2}), frozenset({2})))
+    buf = io.BytesIO()
+    save_store(store, buf)
+    _assert_loads_as(buf.getvalue(), store)
+
+
+def test_store_from_a_pipe_refused():
+    # The size is checked against the header before any column is read.
+    read, write = os.pipe()
+    with open(read, "rb") as src:
+        with open(write, "wb") as sink:
+            sink.write(_SMALL_STORE)
+        with pytest.raises(CorpusError, match="seekable"):
+            load_store(src)
+
+
 def test_version_one_store_refused():
     with pytest.raises(CorpusError, match="version 1; re-run ingest"):
         load_store(io.BytesIO(b"SLEDGER1\x01" + struct.pack("<I", 0)))
@@ -877,6 +899,99 @@ def test_add_after_read_keeps_last_wins():
     assert store.years == [1999, 2001]
     assert [r.article_id for r in store.iter_records()] == ["b", "a"]
     assert store.stats.duplicate_article_ids == 1
+
+
+def _staged_store(articles=50_000, keywords=10):
+    """A store of ``articles`` articles of ``keywords`` ids each, staged in
+    blocks of 512 in an order that is neither by year nor by article id."""
+    position = np.arange(articles) * 7919 % articles
+    ids = np.arange(keywords, dtype=np.uint32) * 100 + position[:, None] % 97
+    ids = ids.astype(np.uint32)
+    years = (1950 + position * 50 // articles).astype(np.int32)
+    names = [f"p{i:05}" for i in position.tolist()]
+    store = CorpusStore()
+    for a in range(0, articles, 512):
+        block = slice(a, min(a + 512, articles))
+        kids = ids[block].ravel()
+        counts = np.full(len(names[block]), keywords, np.uint32)
+        store._stage(names[block], years[block], counts, kids, kids % 3 == 0)
+    return store
+
+
+def test_fold_holds_about_one_copy_of_its_columns():
+    # The fold gathers a chunk of articles at a time into columns it
+    # allocates once, and an ingest's tails are used in place: above what
+    # the store held before, it peaks at the new columns (about 7 B per id)
+    # and the per-article sort temporaries, 11.5 B per id in all.  A copy
+    # of the tails and an int64 gather index over every id would take 29.
+    store = _staged_store()
+    tracemalloc.start()
+    try:
+        assert len(store) == 50_000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * 500_000
+
+
+def test_load_store_peaks_near_the_file_size(tmp_path):
+    # Each column is read into its own array, and the Major flags are
+    # unpacked once every check has passed; with no whole-file bytes and no
+    # decoded article ids, the load peaks at 1.19 times this file.
+    path = tmp_path / "store.bin"
+    with open(path, "wb") as f:
+        save_store(_staged_store(), f)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as f:
+            loaded = load_store(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 50_000
+    assert peak <= 1.3 * size
+
+
+def test_fold_in_small_chunks_equals_the_default(monkeypatch):
+    # At a chunk of 8, each gather of ids and each span of article ids
+    # holds a few articles at most, and one article (up to 12 ids) or one
+    # id (64 bytes) outgrows it.  "dup" repeats far apart in add order,
+    # across such a boundary, and once more after a read.
+    rng = random.Random(8)
+    names = ["", "é", "x" * 64, "ab中", *(f"a{i}" for i in range(40))]
+
+    def record(i):
+        ids = rng.sample(range(300), rng.randint(0, 12))
+        name = "dup" if i in (3, 41) else rng.choice(names) if i % 5 else f"a{i}"
+        year = rng.randint(1990, 1994)
+        return ArticleRecord(name, year, frozenset(ids), frozenset(ids[::2]))
+
+    records = [record(i) for i in range(60)]
+    readded = dataclasses.replace(records[3], year=1995)
+    last_wins = {r.article_id: r for r in [*records, readded]}
+
+    def folded():
+        store = CorpusStore()
+        for r in records[:30]:
+            store.add(r)
+        assert len(store) <= 30
+        for r in [*records[30:], readded]:
+            store.add(r)
+        buf = io.BytesIO()
+        save_store(store, buf)
+        return store, buf.getvalue()
+
+    expected, data = folded()
+    monkeypatch.setattr(corpus_mod, "_CHUNK", 8)
+    store, chunked = folded()
+    assert chunked == data
+    assert max(np.diff(store._offsets)) > 8
+    assert store.stats.duplicate_article_ids == len(records) + 1 - len(last_wins)
+    assert list(store.iter_records()) == sorted(
+        last_wins.values(), key=lambda r: (r.year, r.article_id.encode())
+    )
+    _assert_loads_as(data, expected)
 
 
 def test_duplicate_count_is_current_when_ingest_returns(ontology):
