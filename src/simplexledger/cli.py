@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-count",
         type=int,
         default=1,
-        help="minimum number of hash ranges; the memory budget may add more",
+        help="minimum number of passes; the memory budget may add more",
     )
     p.add_argument("--memory-budget", type=int, default=256 << 20)
     p.add_argument(

@@ -109,8 +109,13 @@ _BLOCK = 512
 # A code the branch filter drops, in the token table: unlike None, it
 # survives a complement, and no keyword id reaches it.
 _DROPPED = 1 << 32
-# Ids per step of the debut table and of `keep_first`: one step stays in cache.
+# Ids per step of the chunked passes over the columns: one step stays in
+# cache.
 _CHUNK = 1 << 14
+# The fewest words per step of `keep_first`'s compaction, whose copy of a
+# step, at most 1/64 of the words beyond this, is its one temporary beyond
+# a byte or two a word.
+_KEEP_STEP = 1 << 12
 
 _MAGIC = b"SLEDGER1"
 _STORE_VERSION = 2
@@ -186,9 +191,9 @@ def keep_first(
     np.bitwise_and(words, np.uint64((1 << tag_bits) - 1), out=tags, casting="unsafe")
     words >>= np.uint64(tag_bits)
     heads = run_heads(words)
-    n = 0
-    for start in range(0, words.size, _CHUNK):
-        kept = words[start : start + _CHUNK][heads[start : start + _CHUNK]]
+    n, step = 0, max(_KEEP_STEP, words.size >> 6)
+    for start in range(0, words.size, step):
+        kept = words[start : start + step][heads[start : start + step]]
         words[n : n + kept.size] = kept
         n += kept.size
     return words[:n], tags[heads]
@@ -222,12 +227,14 @@ def _joined(column: np.ndarray, tail, dtype) -> np.ndarray:
     return np.concatenate((column, tail)) if column.size else tail
 
 
-def _article_chunks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Ranges [a, b) of the articles, each of at most `_CHUNK` ids or of
-    one article."""
-    a, n = 0, offsets.size - 1
+def article_chunks(
+    offsets: np.ndarray, size: int = _CHUNK, a: int = 0
+) -> Iterator[tuple[int, int]]:
+    """Ranges [a, b) of the articles from ``a`` on, each of at most
+    ``size`` ids or of one article."""
+    n = offsets.size - 1
     while a < n:
-        b = int(np.searchsorted(offsets, offsets[a] + _CHUNK, "right")) - 1
+        b = int(np.searchsorted(offsets, offsets[a] + size, "right")) - 1
         b = max(b, a + 1)
         yield a, b
         a = b
@@ -360,7 +367,7 @@ class CorpusStore:
         )
         text = np.frombuffer(article_ids, np.uint8)
         done = 0
-        for a, b in _article_chunks(offsets):
+        for a, b in article_chunks(offsets):
             rows, lo, hi = order[a:b], offsets[a], offsets[b]
             gather = np.arange(lo, hi)
             gather += np.repeat(starts[rows] - offsets[a:b], counts[a:b])
@@ -434,9 +441,17 @@ class CorpusStore:
         debuts = np.searchsorted(offsets[starts], first[kids], side="right") - 1
         keywords = kids.astype(np.uint32) if values is None else values[kids]
         # The store's ids stay as they are; a copy is renumbered in place.
+        # Each article's dense ids are sorted as (article, id) words, a
+        # quarter chunk of ids at a time, so that the words stay small
+        # beside the ids.
         dense = np.empty_like(ids) if ids is self._ids else ids
-        for a in range(0, n, _CHUNK):
-            np.take(rank, ids[a : a + _CHUNK], out=dense[a : a + _CHUNK])
+        for a, b in article_chunks(offsets, _CHUNK // 4):
+            lo, hi = offsets[a], offsets[b]
+            words = np.arange(b - a, dtype=np.uint64) << np.uint64(32)
+            words = np.repeat(words, np.diff(offsets[a : b + 1]))
+            words |= rank[ids[lo:hi]]
+            words.sort()
+            np.copyto(dense[lo:hi], words, casting="unsafe")
         return years, starts, offsets, dense, keywords, debuts
 
     def records_in(self, year: int) -> list[ArticleRecord]:
@@ -789,29 +804,34 @@ def _fixed_width(names: bytes | bytearray) -> np.ndarray:
     array orders the ids as bytes do; UTF-8 bytes sort as their code points.
     An id over 64 bytes is refused before the array is laid out at its
     width; only a store file that `add` and the readers did not write can
-    hold one.
+    hold one.  Each span's NULs are found once: the ids' lengths with their
+    NULs, at most 65, wait in a byte each for the layout.
     """
-    spans = list(_id_spans(names))
-    # An id and its NUL span the distance from the NUL before it.
-    width = max(
-        (int(np.diff(_id_ends(names, lo, hi), prepend=-1).max()) for lo, hi in spans),
-        default=1,
-    )
-    if width > _MAX_ID_BYTES + 1:
-        raise CorpusError(f"an article id is over {_MAX_ID_BYTES} bytes")
-    grid = np.empty(names.count(b"\0"), f"S{width}")
+    sizes = np.empty(names.count(b"\0"), np.uint8)
+    counts, a = [], 0
+    for lo, hi in _id_spans(names):
+        # An id and its NUL span the distance from the NUL before it.
+        span = np.diff(_id_ends(names, lo, hi), prepend=-1)
+        if span.max() > _MAX_ID_BYTES + 1:
+            raise CorpusError(f"an article id is over {_MAX_ID_BYTES} bytes")
+        sizes[a : a + span.size] = span
+        counts.append(span.size)
+        a += span.size
+    width = int(sizes.max(initial=1))
+    grid = np.empty(sizes.size, f"S{width}")
     rows = grid.view(np.uint8).reshape(grid.size, width)
     a = 0
-    for lo, hi in spans:
-        ends = _id_ends(names, lo, hi)
-        lengths = np.diff(ends, prepend=-1) - 1
+    for (lo, hi), count in zip(_id_spans(names), counts):
+        lengths = sizes[a : a + count].astype(np.int64)
+        starts = np.cumsum(lengths) - lengths
+        lengths -= 1
         padded = np.zeros(hi - lo + width, np.uint8)
         padded[: hi - lo] = np.frombuffer(names, np.uint8, hi - lo, lo)
         windows = np.lib.stride_tricks.sliding_window_view(padded, width)
-        windows = windows[ends - lengths]
+        windows = windows[starts]
         windows[np.arange(width) >= lengths[:, None]] = 0
-        rows[a : a + ends.size] = windows
-        a += ends.size
+        rows[a : a + count] = windows
+        a += count
     return grid
 
 

@@ -7,44 +7,37 @@ debut year (under the same refinement) is t are classified peripheral, the
 rest core.
 
 The ledger reads the corpus through one `CorpusStore.view` per refinement:
-the year index, and the CSR with its keyword ids renumbered in debut
-order, so a new combination is peripheral iff its largest dense id debuted
-in its first year.  A combination packs its dense ids into a key of w
-bits, at most 64.  A combination's first year is the smallest year among
-its emissions, so one pass over the emissions is enough.  B is fixed
-before any work from the exact emission count E and the memory budget;
-the result is identical for any B.
+the year index, and the CSR with its keyword ids renumbered in debut order
+and ascending within each article, so a new combination is peripheral iff
+its largest dense id, its latest keyword, debuted in its first year.  A
+combination's first year is the smallest year among its emissions, so all
+of its emissions must meet once, in memory.
 
-One sweep, `_batches`, emits the keys year by year, a range of a year's
-articles at a time, and one count, `_count_words`, tallies words that hold
-a key, or its hash, above a year index: `keep_first`, the corpus step that
-merges ingest's keywords too, keeps each key's word of the smallest year.
-When the keys fit one bucket (one shard, 24 bytes of budget a key, and
-w + y <= 64 for the y bits of a year index), the sweep's keys go into one
-array of E words, counted in memory with no hash, log, manifest or spill
-directory, so a killed run counts such a ledger again.
+The ledger counts in passes, one per contiguous range of largest dense ids,
+so that every emission of a combination falls in one pass.  A pass writes
+its emissions into one array of words, each a key above the y bits of its
+year index: the combination's smaller ids, above its largest id less the
+range's first.  `keep_first`, the corpus step that merges ingest's keywords
+too, keeps each key's word of the smallest year, and one count,
+`_count_words`, tallies the new and peripheral keys by year.  An article
+whose id at row position j lies in the range emits the C(j, k) combinations
+of that id with the ids before it.
 
-Otherwise one product with an odd multiplier mod 2^w hashes each key,
-and B hash ranges, the buckets, split the keys so that each bucket fits
-in memory.  The emission pass tags each hash with its year's index among
-the years that hold articles, relative to the buffer's first year, in
-the 64 - w bits below it, so one buffer may span several years.  It
-flushes the buffer when the next batch would overflow it or would fall
-2^(64-w) or more years past the buffer's first: sorted, each hash keeps
-its smallest year, and the buffer is appended to one key log,
-``keys.bin``, in one write; it is already grouped by bucket, and one row
-of ``ends.bin`` records where each bucket's part of it ends.  After each
-flush that follows the end of a year's emission, a manifest records the
-flushes committed and the last year whose emission had ended, which
-allows restart after that year; a resume emits that year's successor
-from its start, so a flush inside a year waits for the next commit.  The
-manifest holds resume state only, so its size does not grow with the
-years.  The count pass then counts each bucket's parts of every flush.
-Once every bucket is counted, the completing manifest write stores the
-tallies over the years that hold articles while the log and its index
-are deleted; the series spreads them over the calendar years, empty
-years as zeros.  A spill directory given in the config belongs to the
-caller, who deletes it; the ledger reads no environment variable.
+One pass over the article offsets, `_census`, counts the emissions E and
+each year's processed articles.  When E fits one pass (24 bytes of budget
+an emission), ``shard_count`` is 1 and every id fits the key, one pass over
+the full range takes every combination of the rows themselves.  Otherwise
+an exact plan, `_plan`, counts each id's emissions and index entries, and
+cuts the ranges at a pass's capacity, at the key's width and into at least
+``shard_count`` passes; a keyword whose own emissions exceed a pass is
+refused before any work.  The passes read their rows from a per-position
+index, built once for each group of consecutive passes whose entries fit a
+share of the budget.  With a spill directory, the ledger writes the plan's
+fingerprint in a manifest once, and appends its running tallies after each
+pass in one write, so that a resume redoes only the pass that a kill hit;
+the completing manifest write stores the series.  The spill directory
+belongs to the caller, who deletes it; the ledger reads no environment
+variable, and without a spill directory it writes nothing.
 """
 
 from __future__ import annotations
@@ -55,8 +48,6 @@ import json
 import math
 import os
 import shutil
-import tempfile
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
@@ -67,36 +58,36 @@ from simplexledger.corpus import (
     ALL,
     REFINEMENTS,
     CorpusStore,
+    article_chunks,
     keep_first,
     replace_on_success,
 )
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 10
-_LOG_NAME = "keys.bin"
-_ENDS_NAME = "ends.bin"
+_MANIFEST_VERSION = 11
+_TALLIES_NAME = "tallies.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
-_EMIT_CHUNK = 1 << 14  # keys per emission batch
-_COUNT_CHUNK = 1 << 14  # keys per step of `_count_words`' bincounts
+_EMIT_CHUNK = 1 << 14  # words per emission batch
+_COUNT_CHUNK = 1 << 14  # words per step of `_count_words`' bincounts
 _CENSUS_CHUNK = 1 << 12  # articles per step of the emission count
-# Bytes of budget per key in the bucket pass, whose peak is about 11.2;
-# with the log index block's quarter of the budget, 11.2/24 + 1/4 < 1.
-# A ledger of E <= budget / 24 keys, one bucket, is counted in memory
-# instead: its E words take 8 of the 24 bytes a key and `keep_first`
-# about 11.2, while an emission batch's temporaries, at most about 150
-# bytes a key where each article holds just k + 1 keywords, take at most
-# 150 / _BATCH_BUDGET_PER_KEY of the budget beside the words.
+_SCAN_CHUNK = 1 << 16  # ids per step of the plan and of an index build
+# Bytes of budget per emission of a pass.  Its word takes 8, and
+# `keep_first` about 3 more; beside it a group's index takes at most 1/6 of
+# the budget and an emission batch's temporaries at most 1/4.
 _PASS_BYTES_PER_KEY = 24
-# Bytes of budget per key of an in-memory emission batch.
-_BATCH_BUDGET_PER_KEY = 512
+# An emission batch's temporaries: bytes per word, and per id of its rows.
+_BATCH_BYTES_PER_WORD = 8
+_BATCH_BYTES_PER_ID = 48
+# Bytes of budget per article of an emission range.
+_RANGE_BYTES_PER_ARTICLE = 512
+# Bytes of budget per entry of a group's index: it takes 12 while it is
+# built, before any pass of the group holds its words, and 4 after.
+_INDEX_BYTES_PER_ENTRY = 24
+# Bytes of budget per id of a scan step, and per word of a count step.
+_SCAN_BYTES_PER_ID = 256
+_COUNT_BYTES_PER_WORD = 128
 # Bytes per calendar year of the finished series: its four int64 columns.
 _BYTES_PER_YEAR = 32
-# Each flush appends an index row of 8 bytes per bucket, and the bucket
-# pass reads one part per bucket and flush.
-_MAX_BUCKETS = 1 << 16
-# 2^64 / phi rounded down: the top w bits, made odd, are the multiplier of
-# Fibonacci hashing on w bits (Knuth, TAOCP vol. 3, 6.4).
-_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class LedgerError(ValueError):
@@ -176,135 +167,176 @@ SERIES_COLUMNS = [f.name for f in fields(LedgerSeries)[3:]]
 
 @dataclass(frozen=True)
 class _Layout:
-    """How one ledger's keys become the words of its log.
+    """How one ledger's combinations become words.
 
-    A key packs s dense ids of ``bits`` bits each, w = s * bits bits in
-    all, its largest id in the low bits, and its hash is its product with
-    the odd ``multiplier`` mod 2^w, a bijection on w bits.  Bucket i holds
-    the hashes in [ceil(i 2^w / B), ceil((i+1) 2^w / B)).  A key's word is
-    its hash shifted left over the y bits of its year index; the shift
-    drops the hash's top w + y - 64 bits, if any, so the words of one
-    bucket stay distinct only when no range spans more than 2^(64-y)
-    hashes.  The low bits of a product depend only on the low bits of its
-    factors, so the hash's low ``bits`` bits, times the multiplier's
-    inverse mod 2^bits, give back the largest id.  The word keeps them:
-    s >= 2 gives bits <= 32, and int32 years give y <= 32, so
-    bits <= 64 - y.  A buffered word holds the hash above r = 64 - w bits
-    of its year index less the buffer's first, so a buffer spans at most
-    2^r years.
+    A key packs a combination's s - 1 smaller dense ids, ``bits`` bits
+    each, above its largest id less its pass's first id, in ``id_bits``
+    bits; a word holds the key above the ``year_bits`` bits of a year
+    index, so (s - 1) * bits + id_bits + year_bits <= 64, and a pass spans
+    at most 2^id_bits ids.
     """
 
     bits: int
-    width: int
+    id_bits: int
     year_bits: int
     years: int
 
     @classmethod
     def of(cls, n_keywords: int, s: int, years: int) -> _Layout:
         """The layout of s dense ids from ``n_keywords``, over ``years``;
-        raises unless a key of them fits 64 bits."""
+        raises unless s ids fit 64 bits, and the smaller ones beside a year
+        index."""
         bits = max(1, (n_keywords - 1).bit_length())
         if s * bits > 64:
             raise LedgerError(
                 f"{n_keywords} distinct keywords exceed the {64 // s}-bit "
                 f"capacity ({1 << (64 // s)} keywords) for combinations of size {s}"
             )
-        return cls(bits, s * bits, (years - 1).bit_length(), years)
-
-    @property
-    def span_bits(self) -> int:
-        """r, the bits of a buffered word below its hash."""
-        return 64 - self.width
+        year_bits = (years - 1).bit_length()
+        id_bits = min(bits, 64 - year_bits - (s - 1) * bits)
+        if id_bits < 0:
+            raise LedgerError(
+                f"combinations of size {s} of {n_keywords} keywords over "
+                f"{years} years exceed a 64-bit word"
+            )
+        return cls(bits, id_bits, year_bits, years)
 
     @property
     def year_dtype(self) -> np.dtype:
-        """The smallest dtype of a year index, and so of a buffered tag."""
+        """The smallest dtype of a year index."""
         return np.min_scalar_type(self.years - 1)
 
-    @property
-    def multiplier(self) -> int:
-        """A_w, the odd number nearest 2^w / phi."""
-        return (_GOLDEN >> (64 - self.width)) | 1
 
-    @property
-    def min_buckets(self) -> int:
-        """The fewest buckets whose ranges each span at most 2^(64-y), so
-        that each bucket's words, which keep a hash's low 64 - y bits, are
-        as distinct as its hashes."""
-        return 1 << max(0, self.width + self.year_bits - 64)
-
-    def starts(self, buckets: int) -> np.ndarray:
-        """Each bucket's smallest hash."""
-        width = self.width
-        return np.array(
-            [-(-(i << width) // buckets) for i in range(buckets)], dtype=np.uint64
-        )
-
-
-def _pack(rows: np.ndarray, idx: np.ndarray, bits: int) -> np.ndarray:
-    """Pack the combinations ``idx``, (c, s) column indices, of each
-    ascending id row of ``rows``, (n, m), into (n, c) keys of ``bits`` bits
-    per id.  One column of ids is gathered at a time."""
-    keys = rows[:, idx[:, 0]].astype(np.uint64)
-    for col in range(1, idx.shape[1]):
-        keys <<= np.uint64(bits)
-        keys |= rows[:, idx[:, col]]
-    return keys
+def _step(budget: int, per_item: int, most: int) -> int:
+    """Items per step when each item's temporaries take ``per_item`` bytes
+    of ``budget``: at least 1 and at most ``most``."""
+    return max(1, min(most, budget // per_item))
 
 
 # --- emission --------------------------------------------------------------
 
-_comb_index_cache: dict[tuple[int, int], np.ndarray] = {}
+_comb_index_cache: dict[tuple[int, int, bool], np.ndarray] = {}
 
 
-def _comb_indices(m: int, s: int) -> np.ndarray:
-    cached = _comb_index_cache.get((m, s))
+def _comb_indices(m: int, s: int, last: bool = False) -> np.ndarray:
+    """(c, s) column indices of the size-s combinations of m columns, each
+    ascending; with ``last``, those of m + 1 columns that end in column m."""
+    cached = _comb_index_cache.get((m, s, last))
     if cached is not None:
         return cached
-    idx = np.array(list(itertools.combinations(range(m), s)), dtype=np.intp)
-    idx = idx.reshape(-1, s)
+    combos = itertools.combinations(range(m), s - last)
+    if last:
+        combos = ((*c, m) for c in combos)
+    idx = np.array(list(combos), dtype=np.intp).reshape(-1, s)
     if m <= 24:
-        _comb_index_cache[(m, s)] = idx
+        _comb_index_cache[(m, s, last)] = idx
     return idx
 
 
+def _emit(
+    words: np.ndarray,
+    end: int,
+    rows: np.ndarray,
+    idx: np.ndarray,
+    tags,
+    first: int,
+    layout: _Layout,
+) -> int:
+    """Write the words of the combinations ``idx``, (c, s) ascending row
+    indices, of each column of ``rows``, (m, n) uint64 ids ascending down
+    each of the n columns, into ``words`` from ``end``; returns the end of
+    what was written.  A word holds the smaller ids above the largest less
+    ``first``, above the year index ``tags``, an int or one per column.
+    Each of the s ids of a word is shifted into place in ``rows`` first,
+    so that the words are ORs of whole rows taken by ``idx``."""
+    s = idx.shape[1]
+    block = words[end : end + idx.shape[0] * rows.shape[1]].reshape(idx.shape[0], -1)
+    shift = layout.year_bits + layout.id_bits + layout.bits * (s - 2)
+    np.take(rows << np.uint64(shift), idx[:, 0], axis=0, out=block, mode="clip")
+    for col in range(1, s - 1):
+        shift -= layout.bits
+        block |= np.take(rows << np.uint64(shift), idx[:, col], axis=0, mode="clip")
+    last, y = idx[:, -1], np.uint64(layout.year_bits)
+    if last[0] == last[-1]:
+        # Every combination ends in the same row.
+        block |= ((rows[last[0]] - np.uint64(first)) << y) | tags
+    else:
+        block |= np.take(((rows - np.uint64(first)) << y) | tags, last, axis=0, mode="clip")
+    return end + block.size
+
+
+def _filled(words: np.ndarray, end: int) -> None:
+    """Raise unless a pass wrote exactly the words its plan counted."""
+    if end != words.size:
+        raise LedgerError(
+            f"a pass emitted {end} combinations where its plan counted {words.size}"
+        )
+
+
 def _ranges(
-    year_starts: np.ndarray, size: int, done: int = 0
+    year_starts: np.ndarray, size: int
 ) -> Iterator[tuple[int, int, int]]:
-    """Each year index from ``done`` on, with each range lo..hi-1 of at
-    most ``size`` of its articles."""
+    """Each year index, with each range lo..hi-1 of at most ``size`` of its
+    articles."""
     bounds = year_starts.tolist()
-    for tag in range(done, len(bounds) - 1):
+    for tag in range(len(bounds) - 1):
         for lo in range(bounds[tag], bounds[tag + 1], size):
             yield tag, lo, min(lo + size, bounds[tag + 1])
 
 
-def _batches(
-    view: tuple[np.ndarray, ...], s: int, bits: int, batch_keys: int, done: int = 0
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Packed keys for all size-s combinations of a `CorpusStore.view`'s
-    articles, year by year from year index ``done`` on.
+def _batch_rows(combos: int, width: int, budget: int) -> int:
+    """Rows per emission batch when each row of ``width`` ids emits
+    ``combos`` words: at most `_EMIT_CHUNK` words, whose temporaries take at
+    most a quarter of ``budget``, unless one row alone takes more."""
+    row = _BATCH_BYTES_PER_WORD * combos + _BATCH_BYTES_PER_ID * width
+    return max(1, min(_EMIT_CHUNK // combos, budget // 4 // row))
 
-    A year's articles are taken ``batch_keys`` at a time, and grouped by
-    keyword count m within each range, so that one gather builds a batch's
-    (articles, m) id matrix and, once each row is sorted, `_pack` its
-    combinations' keys.  Yields each batch's year index and keys.  A batch
-    holds at most ``batch_keys`` keys, unless a single article has more
-    combinations.
+
+def _emit_all(
+    view: tuple[np.ndarray, ...],
+    s: int,
+    layout: _Layout,
+    words: np.ndarray,
+    budget: int,
+) -> None:
+    """Fill ``words`` with every size-s combination of a `CorpusStore.view`'s
+    articles: the pass over the full range of ids.
+
+    A year's articles are taken a range at a time, and grouped by keyword
+    count m within each range, so that one gather builds a batch's
+    (m, articles) id matrix.
     """
     _, year_starts, offsets, ids, _, _ = view
-    for tag, lo, hi in _ranges(year_starts, batch_keys, done):
+    end = 0
+    size = _step(budget, _RANGE_BYTES_PER_ARTICLE, _EMIT_CHUNK)
+    for tag, lo, hi in _ranges(year_starts, size):
         starts = offsets[lo:hi]
         counts = offsets[lo + 1 : hi + 1] - starts
         for m in (np.flatnonzero(np.bincount(counts)[s:]) + s).tolist():
             group = starts[counts == m]
             idx = _comb_indices(m, s)
-            batch = max(1, batch_keys // len(idx))
-            columns = np.arange(m)
+            batch = _batch_rows(len(idx), m, budget)
+            columns = np.arange(m)[:, None]
             for start in range(0, group.size, batch):
-                rows = ids[group[start : start + batch, None] + columns]
-                rows.sort(axis=1)
-                yield tag, _pack(rows, idx, bits).ravel()
+                rows = ids[group[start : start + batch] + columns].astype(np.uint64)
+                end = _emit(words, end, rows, idx, tag, 0, layout)
+    _filled(words, end)
+
+
+def _tally_all(
+    view: tuple[np.ndarray, ...],
+    s: int,
+    layout: _Layout,
+    emissions: int,
+    debut_index: np.ndarray,
+    budget: int,
+) -> np.ndarray:
+    """The new and peripheral counts of the one pass over the full range of
+    ids, which holds all ``emissions``."""
+    words = np.empty(emissions, dtype=np.uint64)
+    _emit_all(view, s, layout, words, budget)
+    count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
+    return _count_words(words, layout, 0, debut_index, count)
 
 
 def _census(view: tuple[np.ndarray, ...], s: int) -> tuple[int, np.ndarray]:
@@ -321,22 +353,281 @@ def _census(view: tuple[np.ndarray, ...], s: int) -> tuple[int, np.ndarray]:
     return emissions, processed
 
 
-# --- the key log -----------------------------------------------------------
+# --- the plan and its passes -----------------------------------------------
 
 
-def _bucket_count(emissions: int, layout: _Layout, config: LedgerConfig) -> int:
-    """The run's bucket count: at least ``shard_count`` and the layout's
-    floor, and enough that the bucket pass over one bucket's share of every
-    emission fits the budget."""
-    needed = -(-_PASS_BYTES_PER_KEY * emissions // config.memory_budget_bytes)
-    buckets = max(config.shard_count, needed, layout.min_buckets)
-    if buckets > _MAX_BUCKETS:
+@dataclass(frozen=True)
+class _Plan:
+    """Pass p takes the combinations whose largest dense id lies in
+    ``cuts[p]:cuts[p+1]``: ``sizes[p]`` of them, from ``entries[p]`` index
+    entries, an article and a row position j >= k whose id lies there.
+    ``positions`` counts the row positions from k to the widest row's."""
+
+    cuts: list[int]
+    sizes: list[int]
+    entries: list[int]
+    positions: int
+
+
+def _plan(
+    view: tuple[np.ndarray, ...], k: int, layout: _Layout, config: LedgerConfig
+) -> _Plan:
+    """The exact plan of a ledger's passes.
+
+    One scan of the rows, a chunk at a time, counts each dense id's
+    emissions, the C(j, k) combinations it ends at each row position j, and
+    its index entries.  Ranges of ids are cut at a pass's capacity of
+    budget / 24 emissions, at most 2^id_bits ids, and at E / shard_count
+    emissions, unless one id alone holds more.  Raises, naming the keyword,
+    when one keyword's own emissions exceed a pass.
+    """
+    _, _, offsets, ids, keywords, _ = view
+    budget = config.memory_budget_bytes
+    n = keywords.size
+    emissions = np.zeros(n, dtype=np.int64)
+    entries = np.zeros(n, dtype=np.int64)
+    weights = np.zeros(0, dtype=np.int64)
+    for a, b in article_chunks(offsets, _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)):
+        lo, hi = offsets[a], offsets[b]
+        counts = np.diff(offsets[a : b + 1])
+        widest = int(counts.max())
+        if widest > weights.size:
+            weights = np.array([math.comb(j, k) for j in range(widest)], np.int64)
+        position = np.arange(hi - lo) - np.repeat(offsets[a:b] - lo, counts)
+        np.add.at(emissions, ids[lo:hi], weights[position])
+        entries += np.bincount(ids[lo:hi][position >= k], minlength=n)
+    cap = budget // _PASS_BYTES_PER_KEY
+    heavy = int(emissions.argmax()) if n else 0
+    if n and emissions[heavy] > cap:
         raise LedgerError(
-            f"{emissions} combinations over {layout.years} years need "
-            f"{buckets} buckets at memory_budget_bytes="
-            f"{config.memory_budget_bytes}, over the limit of {_MAX_BUCKETS}"
+            f"keyword {keywords[heavy]} is the latest keyword of "
+            f"{emissions[heavy]} combinations, over the {cap} that one pass "
+            f"holds at memory_budget_bytes={budget}"
         )
-    return buckets
+    target = min(cap, max(1, int(emissions.sum()) // config.shard_count))
+    ends = np.cumsum(emissions)
+    cuts = [0]
+    while cuts[-1] < n:
+        a = cuts[-1]
+        b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + target, "right"))
+        cuts.append(min(max(b, a + 1), a + (1 << layout.id_bits)))
+    at = np.array(cuts[1:]) - 1
+    return _Plan(
+        cuts,
+        np.diff(ends[at], prepend=0).tolist(),
+        np.diff(np.cumsum(entries)[at], prepend=0).tolist(),
+        max(1, weights.size - k),
+    )
+
+
+def _index(
+    view: tuple[np.ndarray, ...], k: int, plan: _Plan, p0: int, p1: int, step: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The index of passes p0..p1-1: the place in the ids of each of their
+    entries' ids, ordered by pass and then row position, and where each
+    (pass, position) cell of them ends, with a 0 before the first.
+
+    One scan finds the entries, ``step`` ids at a time, from the debut year
+    of the group's first id on, since no earlier article holds one of its
+    ids.  Each entry becomes one word, its cell above its place, and one
+    sort orders them.
+    """
+    _, year_starts, offsets, ids, _, debuts = view
+    first, last = plan.cuts[p0], plan.cuts[p1]
+    # Each of the group's ids' first cell, less k, so that an entry's cell is
+    # this plus its row position.
+    cell_of = np.repeat(
+        np.arange(p1 - p0, dtype=np.int64) * plan.positions - k,
+        np.diff(plan.cuts[p0 : p1 + 1]),
+    )
+    words = np.empty(sum(plan.entries[p0:p1]), dtype=np.uint64)
+    end = 0
+    for a, b in article_chunks(offsets, step, int(year_starts[debuts[first]])):
+        starts = offsets[a:b] - offsets[a]
+        counts = np.diff(offsets[a : b + 1])
+        rel = ids[offsets[a] : offsets[b]] - np.uint32(first)
+        chosen = rel < np.uint32(last - first)
+        # No combination ends at a row position below k.
+        for j in range(k):
+            chosen[starts[counts > j] + j] = False
+        at = np.flatnonzero(chosen)
+        if not at.size:
+            continue
+        cell = cell_of[rel[at]]
+        cell += at
+        cell -= starts[np.searchsorted(starts, at, "right") - 1]
+        at += offsets[a]
+        word = words[end : end + at.size]
+        np.left_shift(cell, 32, out=word, casting="unsafe")
+        word |= at.view(np.uint64)
+        end += at.size
+    _filled(words, end)
+    words.sort()
+    cells = np.arange((p1 - p0) * plan.positions + 1, dtype=np.uint64)
+    ends = np.searchsorted(words, cells << np.uint64(32))
+    places = np.empty(words.size, dtype=np.uint32)
+    np.bitwise_and(words, np.uint64(0xFFFFFFFF), out=places, casting="unsafe")
+    return places, ends
+
+
+def _emit_pass(
+    view: tuple[np.ndarray, ...],
+    k: int,
+    layout: _Layout,
+    places: np.ndarray,
+    ends: np.ndarray,
+    first: int,
+    words: np.ndarray,
+    budget: int,
+) -> None:
+    """Fill ``words`` with the combinations of one pass over the ids from
+    ``first``: for each row position j >= k, the C(j, k) combinations of the
+    id at j with the ids before it, where ``places[ends[j - k]:ends[j - k +
+    1]]`` are the places in the ids of its ids at j, a batch at a time."""
+    _, year_starts, offsets, ids, _, _ = view
+    year_places = offsets[year_starts]
+    end = 0
+    for j in range(k, k + ends.size - 1):
+        at = places[ends[j - k] : ends[j - k + 1]]
+        if not at.size:
+            continue
+        idx = _comb_indices(j, k + 1, last=True)
+        batch = _batch_rows(len(idx), j + 1, budget)
+        columns = np.arange(-j, 1)[:, None]
+        for start in range(0, at.size, batch):
+            chosen = at[start : start + batch]
+            # The places ascend, so each year's are one run of them.
+            runs = np.diff(np.searchsorted(chosen, year_places))
+            tags = np.repeat(np.arange(runs.size, dtype=np.uint64), runs)
+            rows = ids[chosen + columns].astype(np.uint64)
+            end = _emit(words, end, rows, idx, tags, first, layout)
+    _filled(words, end)
+
+
+def _count_words(
+    words: np.ndarray,
+    layout: _Layout,
+    first: int,
+    debut_index: np.ndarray,
+    step: int,
+) -> np.ndarray:
+    """Per-year new and peripheral counts, as two rows, of one pass's
+    ``words``, its keys over the ids from ``first`` above a year index.
+
+    `keep_first` keeps each key's word of its first year.  The key's low
+    ``id_bits`` bits, plus ``first``, are its largest dense id, which
+    debuted last among its keywords; a key is peripheral when that id
+    debuted in its first year, by ``debut_index``, each id's debut as a
+    year index.  `np.bincount` copies its input as intp, so the keys are
+    counted ``step`` at a time.
+    """
+    keys, year = keep_first(words, layout.year_bits, layout.year_dtype)
+    keys &= np.uint64((1 << layout.id_bits) - 1)
+    debuts = debut_index[first:]
+    tally = np.zeros((2, layout.years), dtype=np.int64)
+    for start in range(0, year.size, step):
+        first_year = year[start : start + step]
+        tally[0] += np.bincount(first_year, minlength=layout.years)
+        debuted = debuts[keys[start : start + step]] == first_year
+        tally[1] += np.bincount(first_year[debuted], minlength=layout.years)
+    return tally
+
+
+def _checked(p: int, years: np.ndarray, tally: np.ndarray) -> np.ndarray:
+    """``tally``, pass p's new and peripheral counts, once each year's
+    peripheral count lies in 0..new."""
+    new, peripheral = tally
+    bad = np.flatnonzero((peripheral < 0) | (peripheral > new))
+    if bad.size:
+        i = int(bad[0])
+        raise LedgerError(
+            f"pass {p}: {peripheral[i]} peripheral of {new[i]} new combinations "
+            f"in {years[i]}"
+        )
+    return tally
+
+
+def _tally_pass(
+    view: tuple[np.ndarray, ...],
+    k: int,
+    layout: _Layout,
+    places: np.ndarray,
+    ends: np.ndarray,
+    first: int,
+    words: np.ndarray,
+    debut_index: np.ndarray,
+    budget: int,
+) -> np.ndarray:
+    """The new and peripheral counts of one pass over the ids from
+    ``first``, whose index cells end at ``ends``, emitted into ``words``."""
+    _emit_pass(view, k, layout, places, ends, first, words, budget)
+    count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
+    return _count_words(words, layout, first, debut_index, count)
+
+
+def _group(
+    view: tuple[np.ndarray, ...],
+    k: int,
+    layout: _Layout,
+    plan: _Plan,
+    p0: int,
+    p1: int,
+    debut_index: np.ndarray,
+    budget: int,
+) -> Iterator[np.ndarray]:
+    """The checked tallies of passes p0..p1-1, from one index.  Their words
+    share one buffer, so that its pages are touched once a group."""
+    cells = plan.positions
+    step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
+    places, ends = _index(view, k, plan, p0, p1, step)
+    buffer = np.empty(max(plan.sizes[p0:p1]), dtype=np.uint64)
+    for p in range(p0, p1):
+        at = (p - p0) * cells
+        tally = _tally_pass(
+            view, k, layout, places, ends[at : at + cells + 1], plan.cuts[p],
+            buffer[: plan.sizes[p]], debut_index, budget,
+        )
+        yield _checked(p, view[0], tally)
+
+
+def _passes(
+    view: tuple[np.ndarray, ...],
+    k: int,
+    layout: _Layout,
+    plan: _Plan,
+    done: int,
+    budget: int,
+    debut_index: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Each pass's checked tally from pass ``done`` on.  Consecutive passes
+    whose index entries fit 1/24 of the budget share one index, which is
+    dropped before the next one is built."""
+    group = budget // _INDEX_BYTES_PER_ENTRY
+    # A cell of the index, (pass, position), fits 32 bits of a word.
+    most = (1 << 32) // plan.positions
+    p0, passes = done, len(plan.sizes)
+    while p0 < passes:
+        p1, held = p0 + 1, plan.entries[p0]
+        while p1 < passes and p1 - p0 < most and held + plan.entries[p1] <= group:
+            held += plan.entries[p1]
+            p1 += 1
+        yield from _group(view, k, layout, plan, p0, p1, debut_index, budget)
+        p0 = p1
+
+
+def _stored_series(
+    years: np.ndarray,
+    processed: np.ndarray,
+    tally: np.ndarray,
+    debut_index: np.ndarray,
+) -> dict:
+    """The series' tallies over the years that hold articles, as lists."""
+    new, peripheral = tally
+    columns = [new, peripheral, np.bincount(debut_index, minlength=new.size), processed]
+    return {
+        "years": years.tolist(),
+        **{name: c.tolist() for name, c in zip(SERIES_COLUMNS, columns)},
+    }
 
 
 def _check_span(first: int, last: int, config: LedgerConfig) -> None:
@@ -351,243 +642,17 @@ def _check_span(first: int, last: int, config: LedgerConfig) -> None:
         )
 
 
-def _check_disk(
-    root: str | os.PathLike | None, log_bytes: int, index_bytes: int
-) -> None:
-    """Raise unless the file system holding ``root``, which need not exist
-    yet, or ``$TMPDIR`` when it is None, has room for the log and index
-    bounds."""
-    path = Path(tempfile.gettempdir() if root is None else root).absolute()
-    while not path.exists():
-        path = path.parent
-    free = shutil.disk_usage(path).free
-    if log_bytes + index_bytes > free:
-        raise LedgerError(
-            f"the ledger may spill {log_bytes + index_bytes} bytes "
-            f"({log_bytes} of keys, {index_bytes} of index), but {path} has "
-            f"{free} bytes free"
-        )
-
-
-def _append(fd: int, words: np.ndarray) -> None:
-    """Append ``words`` in one write; only a write past 2 GiB takes more."""
-    view = memoryview(words).cast("B")
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _read_into(fd: int, view: memoryview, offset: int) -> None:
-    """Fill the bytes of ``view`` from ``fd`` at byte ``offset``."""
-    while view:
-        got = os.preadv(fd, [view], offset)
-        if not got:
-            raise LedgerError("a spill file is shorter than its committed state")
-        view, offset = view[got:], offset + got
-
-
-def _flush(
-    buffer: list[np.ndarray],
-    log: int,
-    index: int,
-    layout: _Layout,
-    starts: np.ndarray,
-    first: int,
-    end: int,
-) -> int:
-    """Append the buffered words to the log as one sorted slice that keeps
-    each hash's word of the smallest year, and its bucket ends to the index.
-
-    A buffered word holds a hash above the r bits of its year index less
-    ``first``; the written one is tagged with its year index.  Empties
-    ``buffer``.  ``end`` is the log's length in words before the append;
-    returns its length after.
-    """
-    words = np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
-    buffer.clear()
-    keys, year = keep_first(words, layout.span_bits, layout.year_dtype)
-    row = np.empty(starts.size, dtype=np.int64)
-    row[:-1] = np.searchsorted(keys, starts[1:])
-    row[-1] = keys.size
-    row += end
-    keys <<= np.uint64(layout.year_bits)
-    keys |= year
-    keys += np.uint64(first)
-    _append(log, keys)
-    _append(index, row)
-    return end + keys.size
-
-
-def _index_block(
-    index: int, flushes: int, buckets: int, first: int, count: int
-) -> np.ndarray:
-    """Where buckets ``first`` to ``first + count - 1`` lie in each flush.
-
-    Row f holds index entries f * B + first - 1 onwards, so that bucket
-    ``first + j``'s part of flush f is log words ``[f, j]:[f, j + 1]``: a
-    part starts where the entry before its end says, the log's first at 0.
-    """
-    block = np.zeros((flushes, count + 1), dtype=np.int64)
-    view = memoryview(block).cast("B")
-    row = 8 * (count + 1)
-    for f in range(flushes):
-        at = 8 * (f * buckets + first - 1)
-        skip = 8 if at < 0 else 0
-        _read_into(index, view[f * row + skip : (f + 1) * row], at + skip)
-    return block
-
-
-def _count_bucket(
-    log: int,
-    begins: np.ndarray,
-    ends: np.ndarray,
-    layout: _Layout,
-    debut_index: np.ndarray,
-    bucket: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-year new and peripheral key counts of bucket ``bucket``, whose
-    part of flush f is log words ``begins[f]:ends[f]``.  Each array is
-    dropped once used, which holds the peak near 11 bytes per word."""
-    sizes = ends - begins
-    words = np.empty(int(sizes.sum()), dtype=np.uint64)
-    view = memoryview(words).cast("B")
-    at = 0
-    for begin, size in zip((8 * begins).tolist(), (8 * sizes).tolist()):
-        if size:
-            _read_into(log, view[at : at + size], begin)
-            at += size
-    mismatch = f"bucket {bucket} of the key log does not match its manifest"
-    return _count_words(words, layout, layout.multiplier, debut_index, mismatch)
-
-
-def _count_words(
-    words: np.ndarray,
-    layout: _Layout,
-    multiplier: int,
-    debut_index: np.ndarray,
-    mismatch: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-year new and peripheral counts of ``words``, each a key's product
-    with the odd ``multiplier`` mod 2^w above the y bits of a year index.
-
-    `keep_first` keeps each key's word of its first year.  The product's
-    low ``bits`` times the multiplier's inverse are the key's: its largest
-    dense id, which debuted last among its keywords.  A key is peripheral
-    when that id debuted in its first year; an id past ``debut_index``,
-    each id's debut as a year index, raises ``mismatch``.  `np.bincount`
-    copies its input as intp, so the keys are counted a chunk at a time.
-    """
-    keys, year = keep_first(words, layout.year_bits, layout.year_dtype)
-    keys *= np.uint64(pow(multiplier, -1, 1 << layout.bits))
-    keys &= np.uint64((1 << layout.bits) - 1)
-    if keys.max(initial=0) >= debut_index.size:
-        raise LedgerError(mismatch)
-    new = np.zeros(layout.years, dtype=np.int64)
-    peripheral = np.zeros(layout.years, dtype=np.int64)
-    for start in range(0, year.size, _COUNT_CHUNK):
-        first = year[start : start + _COUNT_CHUNK]
-        new += np.bincount(first, minlength=layout.years)
-        debuted = debut_index[keys[start : start + _COUNT_CHUNK]] == first
-        peripheral += np.bincount(first[debuted], minlength=layout.years)
-    return new, peripheral
-
-
-def _count_log(
-    ledger_dir: Path,
-    layout: _Layout,
-    buckets: int,
-    flushes: int,
-    debut_index: np.ndarray,
-    index_bytes: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-year new and peripheral key counts of the first ``flushes``
-    flushes of the ledger's log, one bucket of ``buckets`` at a time.
-
-    The index is read a block of buckets at a time, one read per flush,
-    each block in at most ``index_bytes``.
-    """
-    new = np.zeros(layout.years, dtype=np.int64)
-    peripheral = np.zeros(layout.years, dtype=np.int64)
-    # No flush is made when no article has k + 1 keywords.
-    if not flushes:
-        return new, peripheral
-    block = max(1, min(buckets, index_bytes // (8 * flushes) - 1))
-    with open(ledger_dir / _LOG_NAME, "rb", buffering=0) as log_file, open(
-        ledger_dir / _ENDS_NAME, "rb", buffering=0
-    ) as index_file:
-        log, index = log_file.fileno(), index_file.fileno()
-        for first in range(0, buckets, block):
-            count = min(block, buckets - first)
-            parts = _index_block(index, flushes, buckets, first, count)
-            for j in range(count):
-                begins, ends = parts[:, j], parts[:, j + 1]
-                if (ends != begins).any():
-                    n, p = _count_bucket(
-                        log, begins, ends, layout, debut_index, first + j
-                    )
-                    new += n
-                    peripheral += p
-    return new, peripheral
-
-
-# --- one bucket, in memory -------------------------------------------------
-
-
-def _count_in_memory(
-    view: tuple[np.ndarray, ...],
-    s: int,
-    layout: _Layout,
-    emissions: int,
-    batch_keys: int,
-    debut_index: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-year new and peripheral key counts of a ledger whose keys fit
-    one bucket, counted in memory.
-
-    Every key of the sweep, `_batches`, is written above the y bits of its
-    year index into one array of exactly ``emissions`` words; one bucket
-    implies w + y <= 64, so no bit is lost.  The keys are not hashed, so
-    their multiplier is 1.
-    """
-    words = np.empty(emissions, dtype=np.uint64)
-    y = np.uint64(layout.year_bits)
-    end = 0
-    for tag, keys in _batches(view, s, layout.bits, batch_keys):
-        block = words[end : end + keys.size]
-        np.left_shift(keys, y, out=block)
-        block |= np.uint64(tag)
-        end += keys.size
-    mismatch = "an emitted key holds an id past the keywords"
-    return _count_words(words, layout, 1, debut_index, mismatch)
-
-
-def _stored_series(
-    years: np.ndarray,
-    processed: np.ndarray,
-    new: np.ndarray,
-    peripheral: np.ndarray,
-    debut_index: np.ndarray,
-) -> dict:
-    """The series' tallies over the years that hold articles, as lists;
-    raises unless each year's peripheral count lies in 0..new."""
-    bad = np.flatnonzero((peripheral < 0) | (peripheral > new))
-    if bad.size:
-        i = int(bad[0])
-        raise LedgerError(
-            f"{peripheral[i]} peripheral of {new[i]} new combinations in {years[i]}"
-        )
-    tallies = [new, peripheral, np.bincount(debut_index, minlength=new.size), processed]
-    return {
-        "years": years.tolist(),
-        **{name: t.tolist() for name, t in zip(SERIES_COLUMNS, tallies)},
-    }
-
-
 # --- manifest --------------------------------------------------------------
 
 
-def _fingerprint(corpus_digest: str, config: LedgerConfig) -> str:
+def _fingerprint(corpus_digest: str, config: LedgerConfig, cuts: list[int]) -> str:
     payload = json.dumps(
-        {"corpus": corpus_digest, "k": config.k, "refinement": config.refinement}
+        {
+            "corpus": corpus_digest,
+            "k": config.k,
+            "refinement": config.refinement,
+            "cuts": cuts,
+        }
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -622,65 +687,53 @@ def _keep_only(ledger_dir: Path, named: set[str]) -> dict[str, int]:
     return sizes
 
 
-def _restore(ledger_dir: Path, manifest: dict) -> int | None:
-    """Cut ``ends.bin`` and ``keys.bin`` back to the committed flushes.
+def _append(fd: int, values: np.ndarray) -> None:
+    """Append ``values`` in one write; only a write past 2 GiB takes more."""
+    view = memoryview(values).cast("B")
+    while view:
+        view = view[os.write(fd, view) :]
 
-    Returns the log's committed length in words, or None when a file is
-    shorter than its committed state, so that the ledger starts fresh.
-    Bytes past the committed state are an uncommitted flush's.
+
+def _open(ledger_dir: Path, fingerprint: str, passes: int, tally: np.ndarray) -> tuple[dict, int]:
+    """The ledger's manifest and how many of its passes are finished.
+
+    ``tallies.bin`` holds one record per finished pass, the running
+    ``tally`` after it; a resume cuts a torn record away and reads the last
+    whole one into ``tally``; more records than passes raise.  A directory
+    without this plan's manifest is emptied for a fresh one, whose manifest
+    is written at once.
     """
-    flushes = manifest["flushes"]
-    sizes = _keep_only(ledger_dir, {_MANIFEST_NAME, _ENDS_NAME, _LOG_NAME})
-    ends_path, log_path = ledger_dir / _ENDS_NAME, ledger_dir / _LOG_NAME
-    committed = 8 * manifest["buckets"] * flushes
-    if sizes.get(_ENDS_NAME, 0) < committed:
-        return None
-    if sizes.get(_ENDS_NAME, 0) > committed:
-        os.truncate(ends_path, committed)
-    end = 0
-    if flushes:
-        end = int(np.fromfile(ends_path, np.int64, count=1, offset=committed - 8)[0])
-    if sizes.get(_LOG_NAME, 0) < 8 * end:
-        return None
-    if sizes.get(_LOG_NAME, 0) > 8 * end:
-        os.truncate(log_path, 8 * end)
-    return end
-
-
-def _open(ledger_dir: Path, fingerprint: str, buckets: int) -> tuple[dict, int]:
-    """The ledger's manifest and its log's committed length in words.  An
-    incomplete manifest resumes through ``_restore`` if it records at least
-    ``buckets``, since more buckets only makes each smaller; otherwise the
-    directory is emptied for a fresh one."""
     manifest = _load_manifest(ledger_dir / _MANIFEST_NAME, fingerprint)
     if manifest is not None and manifest["complete"]:
-        return manifest, 0
-    if manifest is not None and manifest["buckets"] >= buckets:
-        end = _restore(ledger_dir, manifest)
-        if end is not None:
-            return manifest, end
+        return manifest, passes
+    if manifest is not None:
+        sizes = _keep_only(ledger_dir, {_MANIFEST_NAME, _TALLIES_NAME})
+        done, torn = divmod(sizes.get(_TALLIES_NAME, 0), tally.nbytes)
+        path = ledger_dir / _TALLIES_NAME
+        if done > passes:
+            raise LedgerError(
+                f"{path} holds {done} records, but its manifest plans {passes} passes"
+            )
+        if torn:
+            os.truncate(path, done * tally.nbytes)
+        if done:
+            with open(path, "rb") as f:
+                f.seek((done - 1) * tally.nbytes)
+                f.readinto(memoryview(tally).cast("B"))
+        return manifest, done
     shutil.rmtree(ledger_dir)
     ledger_dir.mkdir(parents=True)
     fresh = {
         "version": _MANIFEST_VERSION,
         "fingerprint": fingerprint,
-        "buckets": buckets,
-        "watermark": None,
-        "flushes": 0,
+        "passes": passes,
         "complete": False,
     }
+    _write_manifest(ledger_dir / _MANIFEST_NAME, fresh)
     return fresh, 0
 
 
 # --- tabulate --------------------------------------------------------------
-
-
-def _workdir(config: LedgerConfig) -> AbstractContextManager:
-    """The spill root: the caller's, which it owns and keeps, or else a
-    temporary directory under ``$TMPDIR``, removed when the context exits."""
-    if config.spill_directory is not None:
-        return nullcontext(config.spill_directory)
-    return tempfile.TemporaryDirectory(prefix="sledger-")
 
 
 def _spread(config: LedgerConfig, stored: dict) -> LedgerSeries:
@@ -699,146 +752,63 @@ def _spread(config: LedgerConfig, stored: dict) -> LedgerSeries:
     )
 
 
-def _emission_pass(
-    view: tuple[np.ndarray, ...],
-    s: int,
-    layout: _Layout,
-    starts: np.ndarray,
-    buffer_keys: int,
-    ledger_dir: Path,
-    manifest: dict,
-    end: int,
-) -> None:
-    """Flush the keys of the years after the manifest's watermark to the
-    log, and commit each year once its emission has ended and a flush, or
-    the sweep's end, follows.  The keys of size-``s`` combinations come
-    from a `CorpusStore.view`; ``starts`` are the buckets' smallest hashes,
-    and ``end`` is the log's committed length."""
-    years = view[0]
-    # A batch of a quarter of the buffer keeps what a flush holds beside
-    # the buffer, the pending batch and its temporaries, small.
-    batch_keys = min(_EMIT_CHUNK, buffer_keys // 4)
-    multiplier = np.uint64(layout.multiplier)
-    span = 1 << layout.span_bits
-    # The years up to the watermark are committed.
-    watermark = manifest["watermark"]
-    done = 0 if watermark is None else int(np.searchsorted(years, watermark, "right"))
-    emitted = _batches(view, s, layout.bits, batch_keys, done)
-    buffer: list[np.ndarray] = []
-    buffered = head = 0
-    with open(ledger_dir / _LOG_NAME, "ab", buffering=0) as log_file, open(
-        ledger_dir / _ENDS_NAME, "ab", buffering=0
-    ) as index_file:
-        log, index = log_file.fileno(), index_file.fileno()
-        # Each batch with its year index, then the end of the sweep.
-        for tag, keys in itertools.chain(emitted, [(len(years), None)]):
-            flushing = bool(buffer) and (
-                keys is None or buffered + keys.size > buffer_keys or tag - head >= span
-            )
-            if flushing:
-                end = _flush(buffer, log, index, layout, starts, head, end)
-                manifest["flushes"] += 1
-                buffered = 0
-            # A resume emits the year after the watermark from its start,
-            # so a flush inside that year waits for the next commit.
-            if (flushing or keys is None) and tag > done:
-                manifest["watermark"] = int(years[tag - 1])
-                _write_manifest(ledger_dir / _MANIFEST_NAME, manifest)
-                done = tag
-            if keys is None:
-                break
-            if not buffer:
-                head = tag
-            # The hash: the product's bits above w shift out.
-            keys *= multiplier
-            keys <<= np.uint64(layout.span_bits)
-            keys |= np.uint64(tag - head)
-            buffer.append(keys)
-            buffered += keys.size
-
-
 def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     """Tally first occurrences exactly, per year.
 
-    One pass over the article offsets, `_census`, counts the keys, which
-    fix the form, and each year's processed articles.  A ledger whose keys
-    fit one bucket is counted in memory and writes nothing: no spill
-    directory, log or manifest, so a killed run counts it again.  Otherwise
-    the sweep of the years, `_batches`, goes into the key log, which resumes
-    after the manifest's year watermark when ``config.spill_directory``
-    already holds state for the same corpus and configuration, and with at
-    least as many buckets as this configuration needs.  Without a spill
-    directory it works in a temporary directory
-    under ``$TMPDIR`` and removes it.  The emission pass commits a year's
-    keys with the first flush after its last batch, or, for trailing years
-    without keys, at the end of the sweep; then the count pass tallies the
-    committed log.  If a kill lands while a year is only partly in a
-    committed flush, the resume emits that year again; the repeated words
-    are harmless, since the bucket pass keeps one word per hash.
+    One pass over the article offsets, `_census`, counts the emissions and
+    each year's processed articles.  A ledger that fits one pass over the
+    full range of ids is counted from the rows and writes nothing, so a
+    killed run counts it again.  Otherwise `_plan` cuts the passes before
+    any directory is made.  Without a spill directory they run in memory
+    alone.  With one, the ledger resumes after the last whole record of
+    running tallies when ``config.spill_directory`` already holds this
+    plan's manifest for the same corpus and order; a complete manifest
+    gives its stored series back at once.
     """
     s = config.k + 1
     view = corpus.view(config.refinement)
-    years, _, _, _, _, debuts = view
+    years, _, _, _, keywords, debuts = view
     if not years.size:
         return LedgerSeries(k=config.k, refinement=config.refinement)
     _check_span(int(years[0]), int(years[-1]), config)
 
     layout = _Layout.of(debuts.size, s, years.size)
     emissions, processed = _census(view, s)
-    buckets = _bucket_count(emissions, layout, config)
     debut_index = debuts.astype(layout.year_dtype)
-    if buckets == 1:
-        batch_keys = config.memory_budget_bytes // _BATCH_BUDGET_PER_KEY
-        new, peripheral = _count_in_memory(
-            view, s, layout, emissions, min(_EMIT_CHUNK, batch_keys), debut_index
-        )
-        stored = _stored_series(years, processed, new, peripheral, debut_index)
-        return _spread(config, stored)
+    budget = config.memory_budget_bytes
+    tally = np.zeros((2, years.size), dtype=np.int64)
+    if (
+        config.shard_count == 1
+        and emissions <= budget // _PASS_BYTES_PER_KEY
+        and keywords.size <= 1 << layout.id_bits
+    ):
+        tally += _checked(0, years, _tally_all(view, s, layout, emissions, debut_index, budget))
+        return _spread(config, _stored_series(years, processed, tally, debut_index))
 
-    # A quarter of the budget buffers keys; a flush's copies of them fit in
-    # the rest.  A flush made because the next batch would overflow the
-    # buffer holds, with that batch, more than a buffer of keys, so fewer
-    # than 2 E / buffer are made so.  One made because the next batch falls
-    # 2^r years past the buffer's first starts the next buffer 2^r years on,
-    # so these and the sweep's last flush number at most ceil(years / 2^r).
-    buffer_keys = config.memory_budget_bytes // 4 // 8
-    flush_bound = -(-2 * emissions // buffer_keys) + -(
-        -years.size >> layout.span_bits
-    )
-    _check_disk(config.spill_directory, 8 * emissions, 8 * buckets * flush_bound)
+    plan = _plan(view, config.k, layout, config)
+    if config.spill_directory is None:
+        for passed in _passes(view, config.k, layout, plan, 0, budget, debut_index):
+            tally += passed
+        return _spread(config, _stored_series(years, processed, tally, debut_index))
 
-    with _workdir(config) as workdir:
-        ledger_dir = Path(workdir) / f"k{config.k}" / config.refinement
-        try:
-            ledger_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise LedgerError(f"spill directory unwritable: {exc}") from exc
-
-        fingerprint = _fingerprint(corpus.digest(), config)
-        manifest, end = _open(ledger_dir, fingerprint, buckets)
-        if not manifest["complete"]:
-            starts = layout.starts(manifest["buckets"])
-            _emission_pass(
-                view, s, layout, starts, buffer_keys, ledger_dir, manifest, end
-            )
-            # The bucket pass only reads committed files; a resume after a
-            # kill inside it runs it again.
-            new, peripheral = _count_log(
-                ledger_dir,
-                layout,
-                manifest["buckets"],
-                manifest["flushes"],
-                debut_index,
-                # A bucket's pass takes about 11 / 24 of the budget.
-                config.memory_budget_bytes // 4,
-            )
-            manifest["series"] = _stored_series(
-                years, processed, new, peripheral, debut_index
-            )
-            manifest["complete"] = True
-            _write_manifest(ledger_dir / _MANIFEST_NAME, manifest)
-        _keep_only(ledger_dir, {_MANIFEST_NAME})
-
+    ledger_dir = Path(config.spill_directory) / f"k{config.k}" / config.refinement
+    try:
+        ledger_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise LedgerError(f"spill directory unwritable: {exc}") from exc
+    fingerprint = _fingerprint(corpus.digest(), config, plan.cuts)
+    manifest, done = _open(ledger_dir, fingerprint, len(plan.sizes), tally)
+    if not manifest["complete"]:
+        with open(ledger_dir / _TALLIES_NAME, "ab", buffering=0) as records:
+            for passed in _passes(
+                view, config.k, layout, plan, done, budget, debut_index
+            ):
+                tally += passed
+                _append(records.fileno(), tally)
+        manifest["series"] = _stored_series(years, processed, tally, debut_index)
+        manifest["complete"] = True
+        _write_manifest(ledger_dir / _MANIFEST_NAME, manifest)
+    _keep_only(ledger_dir, {_MANIFEST_NAME})
     return _spread(config, manifest["series"])
 
 

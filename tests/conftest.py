@@ -1,10 +1,11 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
 from simplexledger.corpus import ArticleRecord, CorpusStore
-from simplexledger.ledger import _batches
+from simplexledger.ledger import _Layout, _emit_all
 from simplexledger.ontology import load_ontology
 
 ONTOLOGY_TSV = """\
@@ -45,19 +46,20 @@ def two_article_corpus():
 @pytest.fixture
 def engine_simplices():
     """The (k+1)-combinations of one keyword set as the ledger emits them:
-    the keys `_batches` packs for a one-article, one-year view, unpacked."""
+    the words of the full pass over a one-article, one-year view, unpacked."""
 
     def simplices(keywords, k):
-        ids = np.array(list(set(keywords)), dtype=np.uint32)
+        ids = np.array(sorted(set(keywords)), dtype=np.uint32)
         s = k + 1
-        bits = max(1, int(ids.max(initial=0)).bit_length())
+        layout = _Layout.of(int(ids.max(initial=0)) + 1, s, 1)
         offsets = np.array([0, ids.size], dtype=np.int64)
         view = (None, np.array([0, 1]), offsets, ids, None, None)
-        mask = (1 << bits) - 1
+        words = np.empty(math.comb(ids.size, s), dtype=np.uint64)
+        _emit_all(view, s, layout, words, 1 << 30)
+        mask = (1 << layout.bits) - 1
         return [
-            tuple(key >> bits * (s - 1 - j) & mask for j in range(s))
-            for _, keys in _batches(view, s, bits, 1 << 18)
-            for key in keys.tolist()
+            tuple(key >> layout.bits * (s - 1 - j) & mask for j in range(s))
+            for key in words.tolist()
         ]
 
     return simplices

@@ -108,6 +108,7 @@ def test_criterion_4_determinism_under_parallelism(tmp_path):
         )
     )
     results = []
+    # shard_count is the minimum number of passes.
     for shards in (1, 4, 16):
         results.append(
             tabulate(
@@ -184,22 +185,14 @@ corpus = generate_synthetic(
     )
 )
 emissions = sum(math.comb(len(r.all_keywords), 4) for r in corpus.iter_records())
-flushes = [0]
-original_flush = ledger_mod._flush
-original_write = ledger_mod._write_manifest
+passes = []
+original_pass = ledger_mod._tally_pass
 
-def counting_flush(*args):
-    flushes[-1] += 1
-    return original_flush(*args)
+def counting_pass(*args):
+    passes.append(1)
+    return original_pass(*args)
 
-def counting_write(path, payload):
-    original_write(path, payload)
-    # Each commit starts a new flush count.
-    if not payload["complete"]:
-        flushes.append(0)
-
-ledger_mod._flush = counting_flush
-ledger_mod._write_manifest = counting_write
+ledger_mod._tally_pass = counting_pass
 start = time.perf_counter()
 series = tabulate(
     corpus,
@@ -207,7 +200,7 @@ series = tabulate(
         k=3,
         refinement="all",
         shard_count=4,
-        memory_budget_bytes=4 << 20,  # low cap to force spill-to-disk
+        memory_budget_bytes=4 << 20,  # low cap to force a plan of passes
         spill_directory=sys.argv[1],
     ),
 )
@@ -218,9 +211,8 @@ with open("/proc/self/status") as status:
 print(json.dumps({
     "emissions": emissions,
     "elapsed": elapsed,
-    "flushes": sum(flushes),
-    "most_flushes_in_a_year": max(flushes),
-    "buckets": json.loads(manifest.read_text())["buckets"],
+    "passes_run": len(passes),
+    "passes": json.loads(manifest.read_text())["passes"],
     "new": sum(series.new_simplices),
     "peak_kib": hwm_kib,
 }))
@@ -243,17 +235,17 @@ def test_criterion_7_performance_budget(tmp_path):
     result = json.loads(child.stdout)
     assert result["emissions"] == 100_000 * 210
     assert result["elapsed"] < 60
-    # The budget, not shard_count, sets the bucket count, and a year's keys
-    # outgrow the buffer.
-    assert result["buckets"] > 4
-    assert result["most_flushes_in_a_year"] > 1, "spill path was not exercised"
+    # The budget, not shard_count, sets the pass count, and the ledger
+    # runs more than one pass.
+    assert result["passes"] > 4
+    assert result["passes_run"] == result["passes"] > 1, "passes were not exercised"
     assert result["new"] > 0
     peak_gib = result["peak_kib"] / (1 << 20)
     assert peak_gib < 1.0, f"peak RSS {peak_gib:.2f} GiB"
     _passed(
         7,
         f"2.1e7 quartet emissions in {result['elapsed']:.1f} s, "
-        f"{result['flushes']} flushes into {result['buckets']} buckets, "
+        f"{result['passes']} passes, "
         f"peak RSS {peak_gib:.2f} GiB",
     )
 
@@ -281,24 +273,28 @@ def test_criterion_8_crash_restart(tmp_path):
     class Interrupt(Exception):
         pass
 
-    write_manifest = ledger_mod._write_manifest
+    append = ledger_mod._append
+    ledger_dir = tmp_path / "resume" / "k2" / "all"
 
-    def crash_midway(path, payload):
-        write_manifest(path, payload)
-        if not payload["complete"] and payload["watermark"] >= 1999:
+    def crash_midway(fd, values):
+        # Interrupted right after the second pass's record is committed.
+        append(fd, values)
+        if os.fstat(fd).st_size == 2 * values.nbytes:
             raise Interrupt
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ledger_mod, "_write_manifest", crash_midway)
+        patch.setattr(ledger_mod, "_append", crash_midway)
         with pytest.raises(Interrupt):
             tabulate(corpus, config)
+    manifest = json.loads((ledger_dir / "manifest.json").read_text())
+    assert not manifest["complete"] and manifest["passes"] > 2
     resumed = tabulate(corpus, config)
     clean = tabulate(
         corpus,
         LedgerConfig(k=2, refinement="all", spill_directory=tmp_path / "clean"),
     )
     assert resumed == clean
-    _passed(8, "interrupted run resumed from manifest; series identical")
+    _passed(8, "run interrupted mid-plan resumed from its records; series identical")
 
 
 def test_criterion_9_paper_scale_slopes():

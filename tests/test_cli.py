@@ -231,32 +231,36 @@ def test_rerun_on_the_same_output_resumes_under_sledger_tmp(tmp_path, monkeypatc
     spill = tmp_path / "spill"
     monkeypatch.setenv("SLEDGER_TMP", str(spill))
     store, out = _synth(tmp_path), tmp_path / "out"
-    write_manifest = ledger_mod._write_manifest
-    written = []
+    append = ledger_mod._append
 
-    def killed(path, payload):
-        write_manifest(path, payload)
-        written.append(payload["watermark"])
+    def killed(fd, values):
+        append(fd, values)
         raise RuntimeError("killed")
 
-    monkeypatch.setattr(ledger_mod, "_write_manifest", killed)
+    monkeypatch.setattr(ledger_mod, "_append", killed)
     with pytest.raises(RuntimeError, match="killed"):
         main(_run_argv(store, out))
-    monkeypatch.setattr(ledger_mod, "_write_manifest", write_manifest)
+    monkeypatch.setattr(ledger_mod, "_append", append)
     assert [p.name for p in spill.iterdir()] == [cli._spill_root(out).name]
 
     load_manifest = ledger_mod._load_manifest
-    watermarks = []
+    loaded = []
 
     def recording(path, fingerprint):
         manifest = load_manifest(path, fingerprint)
-        watermarks.append(manifest and manifest["watermark"])
+        loaded.append(manifest and manifest["passes"])
         return manifest
 
     monkeypatch.setattr(ledger_mod, "_load_manifest", recording)
+    passes = []
+    tally_pass = ledger_mod._tally_pass
+    monkeypatch.setattr(
+        ledger_mod, "_tally_pass", lambda *args: passes.append(1) or tally_pass(*args)
+    )
     assert main(_run_argv(store, out)) == 0
-    # The first flush commits some years of 1994-2008, not all of them.
-    assert watermarks == written and 1994 <= written[0] < 2008
+    # The first pass's record was appended before the kill: the rerun finds
+    # the manifest and runs only the passes after it.
+    assert len(loaded) == 1 and loaded[0] > 1 and len(passes) == loaded[0] - 1
     _assert_ledger_is_oracle(store, out)
     assert list(spill.iterdir()) == []
 

@@ -1089,7 +1089,8 @@ def _view_articles(draw):
 
 def _reference_views(store, refinement):
     """The refinement's CSR offsets and ids, and its debut order, from the
-    records: each keyword in order of its first (article, id) position."""
+    records: each keyword in order of its first (article, id) position, and
+    each article's ids in that order."""
     offsets, ids, debuts, dense = [0], [], {}, {}
     for record in store.iter_records():
         for kid in sorted(record.keywords(refinement)):
@@ -1098,8 +1099,10 @@ def _reference_views(store, refinement):
                 dense[kid] = len(dense)
                 debuts[kid] = record.year
         offsets.append(len(ids))
+    rows = zip(offsets, offsets[1:])
+    ranked = [kid for a, b in rows for kid in sorted(ids[a:b], key=dense.get)]
     return (
-        offsets, ids, list(dense), list(debuts.values()), [dense[i] for i in ids]
+        offsets, ranked, list(dense), list(debuts.values()), [dense[i] for i in ranked]
     )
 
 
@@ -1200,7 +1203,10 @@ def test_debut_order_of_dense_ids_holds_no_transient():
         assert years[debuts].tolist() == [
             article_years[position // 11] for position in first.values()
         ]
-        assert dense.tolist() == [rank[kid] for kid in ids[kept].tolist()]
+        # Each article's dense ids ascend.
+        expected = [rank[kid] for kid in ids[kept].tolist()]
+        rows = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+        assert dense.tolist() == [d for a, b in rows for d in sorted(expected[a:b])]
 
 
 @settings(max_examples=40, deadline=None)
