@@ -266,11 +266,9 @@ def _emit(
 
 
 def _filled(words: np.ndarray, end: int) -> None:
-    """Raise unless a pass wrote exactly the words its plan counted."""
+    """Raise unless exactly the words the plan counted were written."""
     if end != words.size:
-        raise LedgerError(
-            f"a pass emitted {end} combinations where its plan counted {words.size}"
-        )
+        raise LedgerError(f"{end} words were written where the plan counted {words.size}")
 
 
 def _ranges(
