@@ -112,9 +112,8 @@ _DROPPED = 1 << 32
 # Ids per step of the chunked passes over the columns: one step stays in
 # cache.
 _CHUNK = 1 << 14
-# The fewest words per step of `keep_first`'s compaction, whose copy of a
-# step, at most 1/64 of the words beyond this, is its one temporary beyond
-# a byte or two a word.
+# The fewest words per step of `keep_first`, whose temporaries are a
+# step's, at most 1/64 of the words beyond this, and a byte a kept word.
 _KEEP_STEP = 1 << 12
 
 _MAGIC = b"SLEDGER1"
@@ -184,19 +183,27 @@ def keep_first(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sort ``words`` (uint64), each a value above ``tag_bits`` bits of tag,
     and keep each value's first word, whose tag is the smallest: the kept
-    values move to the front of ``words`` in order, so that no copy of them
-    all is made.  Returns that front and the kept tags, as ``dtype``."""
+    words move to the front of ``words`` in order, a step at a time, so
+    that no copy or mask of them all is made.  Returns that front, shifted
+    to its values, and the kept tags, as ``dtype``."""
     words.sort()
-    tags = np.empty(words.size, dtype=dtype)
-    np.bitwise_and(words, np.uint64((1 << tag_bits) - 1), out=tags, casting="unsafe")
-    words >>= np.uint64(tag_bits)
-    heads = run_heads(words)
+    shift = np.uint64(tag_bits)
     n, step = 0, max(_KEEP_STEP, words.size >> 6)
     for start in range(0, words.size, step):
-        kept = words[start : start + step][heads[start : start + step]]
+        part = words[start : start + step]
+        values = part >> shift
+        heads = run_heads(values)
+        if start:
+            heads[0] = values[0] != last
+        last = values[-1]
+        kept = part[heads]
         words[n : n + kept.size] = kept
         n += kept.size
-    return words[:n], tags[heads]
+    kept = words[:n]
+    tags = np.empty(n, dtype=dtype)
+    np.bitwise_and(kept, np.uint64((1 << tag_bits) - 1), out=tags, casting="unsafe")
+    kept >>= shift
+    return kept, tags
 
 
 def _major_columns(
@@ -441,15 +448,17 @@ class CorpusStore:
         debuts = np.searchsorted(offsets[starts], first[kids], side="right") - 1
         keywords = kids.astype(np.uint32) if values is None else values[kids]
         # The store's ids stay as they are; a copy is renumbered in place.
-        # Each article's dense ids are sorted as (article, id) words, a
-        # quarter chunk of ids at a time, so that the words stay small
-        # beside the ids.
+        # Each article's dense ids are sorted as (article, id) words, half a
+        # chunk of ids at a time, so that the words stay small beside the
+        # ids.  The words are 64-bit, as the ledger's are, so that both
+        # sorts run the same code.
         dense = np.empty_like(ids) if ids is self._ids else ids
-        for a, b in article_chunks(offsets, _CHUNK // 4):
+        for a, b in article_chunks(offsets, _CHUNK // 2):
             lo, hi = offsets[a], offsets[b]
+            np.take(rank, ids[lo:hi], out=dense[lo:hi])
             words = np.arange(b - a, dtype=np.uint64) << np.uint64(32)
             words = np.repeat(words, np.diff(offsets[a : b + 1]))
-            words |= rank[ids[lo:hi]]
+            words |= dense[lo:hi]
             words.sort()
             np.copyto(dense[lo:hi], words, casting="unsafe")
         return years, starts, offsets, dense, keywords, debuts

@@ -11,33 +11,17 @@ the year index, and the CSR with its keyword ids renumbered in debut order
 and ascending within each article, so a new combination is peripheral iff
 its largest dense id, its latest keyword, debuted in its first year.  A
 combination's first year is the smallest year among its emissions, so all
-of its emissions must meet once, in memory.
-
-The ledger counts in passes, one per contiguous range of largest dense ids,
-so that every emission of a combination falls in one pass.  A pass writes
-its emissions into one array of words, each a key above the y bits of its
-year index: the combination's smaller ids, above its largest id less the
-range's first.  `keep_first`, the corpus step that merges ingest's keywords
-too, keeps each key's word of the smallest year, and one count,
-`_count_words`, tallies the new and peripheral keys by year.  An article
-whose id at row position j lies in the range emits the C(j, k) combinations
-of that id with the ids before it.
-
-One pass over the article offsets, `_census`, counts the emissions E and
-each year's processed articles.  When E fits one pass (24 bytes of budget
-an emission), ``shard_count`` is 1 and every id fits the key, one pass over
-the full range takes every combination of the rows themselves.  Otherwise
-an exact plan, `_plan`, counts each id's emissions and index entries, and
-cuts the ranges at a pass's capacity, at the key's width and into at least
-``shard_count`` passes; a keyword whose own emissions exceed a pass is
-refused before any work.  The passes read their rows from a per-position
-index, built once for each group of consecutive passes whose entries fit a
-share of the budget.  With a spill directory, the ledger writes the plan's
-fingerprint in a manifest once, and appends its running tallies after each
-pass in one write, so that a resume redoes only the pass that a kill hit;
-the completing manifest write stores the series.  The spill directory
-belongs to the caller, who deletes it; the ledger reads no environment
-variable, and without a spill directory it writes nothing.
+of its emissions must meet once, in memory: the pass engine,
+`simplexledger.passes`, counts them in passes, one per range of largest
+dense ids.  When E fits one pass (24 bytes of budget an emission),
+``shard_count`` is 1 and every id fits the key, one pass over the full
+range counts it and nothing is written.  Otherwise a plan of passes runs.
+With a spill directory, the ledger writes the plan's fingerprint in a
+manifest once, and appends its running tallies after each pass in one
+write, so that a resume redoes only the pass that a kill hit; the
+completing manifest write stores the series.  The spill directory belongs
+to the caller, who deletes it; the ledger reads no environment variable,
+and without a spill directory it writes nothing.
 """
 
 from __future__ import annotations
@@ -50,48 +34,19 @@ import os
 import shutil
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from simplexledger.corpus import (
-    ALL,
-    REFINEMENTS,
-    CorpusStore,
-    article_chunks,
-    keep_first,
-    replace_on_success,
-)
+from simplexledger import passes
+from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, replace_on_success
+from simplexledger.passes import LedgerError
 
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_VERSION = 11
 _TALLIES_NAME = "tallies.bin"
 _MIN_MEMORY_BUDGET = 1 << 16
-_EMIT_CHUNK = 1 << 14  # words per emission batch
-_COUNT_CHUNK = 1 << 14  # words per step of `_count_words`' bincounts
-_CENSUS_CHUNK = 1 << 12  # articles per step of the emission count
-_SCAN_CHUNK = 1 << 16  # ids per step of the plan and of an index build
-# Bytes of budget per emission of a pass.  Its word takes 8, and
-# `keep_first` about 3 more; beside it a group's index takes at most 1/6 of
-# the budget and an emission batch's temporaries at most 1/4.
-_PASS_BYTES_PER_KEY = 24
-# An emission batch's temporaries: bytes per word, and per id of its rows.
-_BATCH_BYTES_PER_WORD = 8
-_BATCH_BYTES_PER_ID = 48
-# Bytes of budget per article of an emission range.
-_RANGE_BYTES_PER_ARTICLE = 512
-# Bytes of budget per entry of a group's index: it takes 12 while it is
-# built, before any pass of the group holds its words, and 4 after.
-_INDEX_BYTES_PER_ENTRY = 24
-# Bytes of budget per id of a scan step, and per word of a count step.
-_SCAN_BYTES_PER_ID = 256
-_COUNT_BYTES_PER_WORD = 128
 # Bytes per calendar year of the finished series: its four int64 columns.
 _BYTES_PER_YEAR = 32
-
-
-class LedgerError(ValueError):
-    """Raised for invalid configuration or unsupported input scale."""
 
 
 def keyword_debut_years(corpus: CorpusStore, refinement: str = ALL) -> dict[int, int]:
@@ -162,457 +117,6 @@ class LedgerSeries:
 SERIES_COLUMNS = [f.name for f in fields(LedgerSeries)[3:]]
 
 
-# --- keys and words --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """How one ledger's combinations become words.
-
-    A key packs a combination's s - 1 smaller dense ids, ``bits`` bits
-    each, above its largest id less its pass's first id, in ``id_bits``
-    bits; a word holds the key above the ``year_bits`` bits of a year
-    index, so (s - 1) * bits + id_bits + year_bits <= 64, and a pass spans
-    at most 2^id_bits ids.
-    """
-
-    bits: int
-    id_bits: int
-    year_bits: int
-    years: int
-
-    @classmethod
-    def of(cls, n_keywords: int, s: int, years: int) -> _Layout:
-        """The layout of s dense ids from ``n_keywords``, over ``years``;
-        raises unless s ids fit 64 bits, and the smaller ones beside a year
-        index."""
-        bits = max(1, (n_keywords - 1).bit_length())
-        if s * bits > 64:
-            raise LedgerError(
-                f"{n_keywords} distinct keywords exceed the {64 // s}-bit "
-                f"capacity ({1 << (64 // s)} keywords) for combinations of size {s}"
-            )
-        year_bits = (years - 1).bit_length()
-        id_bits = min(bits, 64 - year_bits - (s - 1) * bits)
-        if id_bits < 0:
-            raise LedgerError(
-                f"combinations of size {s} of {n_keywords} keywords over "
-                f"{years} years exceed a 64-bit word"
-            )
-        return cls(bits, id_bits, year_bits, years)
-
-    @property
-    def year_dtype(self) -> np.dtype:
-        """The smallest dtype of a year index."""
-        return np.min_scalar_type(self.years - 1)
-
-
-def _step(budget: int, per_item: int, most: int) -> int:
-    """Items per step when each item's temporaries take ``per_item`` bytes
-    of ``budget``: at least 1 and at most ``most``."""
-    return max(1, min(most, budget // per_item))
-
-
-# --- emission --------------------------------------------------------------
-
-_comb_index_cache: dict[tuple[int, int, bool], np.ndarray] = {}
-
-
-def _comb_indices(m: int, s: int, last: bool = False) -> np.ndarray:
-    """(c, s) column indices of the size-s combinations of m columns, each
-    ascending; with ``last``, those of m + 1 columns that end in column m."""
-    cached = _comb_index_cache.get((m, s, last))
-    if cached is not None:
-        return cached
-    combos = itertools.combinations(range(m), s - last)
-    if last:
-        combos = ((*c, m) for c in combos)
-    idx = np.array(list(combos), dtype=np.intp).reshape(-1, s)
-    if m <= 24:
-        _comb_index_cache[(m, s, last)] = idx
-    return idx
-
-
-def _emit(
-    words: np.ndarray,
-    end: int,
-    rows: np.ndarray,
-    idx: np.ndarray,
-    tags,
-    first: int,
-    layout: _Layout,
-) -> int:
-    """Write the words of the combinations ``idx``, (c, s) ascending row
-    indices, of each column of ``rows``, (m, n) uint64 ids ascending down
-    each of the n columns, into ``words`` from ``end``; returns the end of
-    what was written.  A word holds the smaller ids above the largest less
-    ``first``, above the year index ``tags``, an int or one per column.
-    Each of the s ids of a word is shifted into place in ``rows`` first,
-    so that the words are ORs of whole rows taken by ``idx``."""
-    s = idx.shape[1]
-    block = words[end : end + idx.shape[0] * rows.shape[1]].reshape(idx.shape[0], -1)
-    shift = layout.year_bits + layout.id_bits + layout.bits * (s - 2)
-    np.take(rows << np.uint64(shift), idx[:, 0], axis=0, out=block, mode="clip")
-    for col in range(1, s - 1):
-        shift -= layout.bits
-        block |= np.take(rows << np.uint64(shift), idx[:, col], axis=0, mode="clip")
-    last, y = idx[:, -1], np.uint64(layout.year_bits)
-    if last[0] == last[-1]:
-        # Every combination ends in the same row.
-        block |= ((rows[last[0]] - np.uint64(first)) << y) | tags
-    else:
-        block |= np.take(((rows - np.uint64(first)) << y) | tags, last, axis=0, mode="clip")
-    return end + block.size
-
-
-def _filled(words: np.ndarray, end: int) -> None:
-    """Raise unless exactly the words the plan counted were written."""
-    if end != words.size:
-        raise LedgerError(f"{end} words were written where the plan counted {words.size}")
-
-
-def _ranges(
-    year_starts: np.ndarray, size: int
-) -> Iterator[tuple[int, int, int]]:
-    """Each year index, with each range lo..hi-1 of at most ``size`` of its
-    articles."""
-    bounds = year_starts.tolist()
-    for tag in range(len(bounds) - 1):
-        for lo in range(bounds[tag], bounds[tag + 1], size):
-            yield tag, lo, min(lo + size, bounds[tag + 1])
-
-
-def _batch_rows(combos: int, width: int, budget: int) -> int:
-    """Rows per emission batch when each row of ``width`` ids emits
-    ``combos`` words: at most `_EMIT_CHUNK` words, whose temporaries take at
-    most a quarter of ``budget``, unless one row alone takes more."""
-    row = _BATCH_BYTES_PER_WORD * combos + _BATCH_BYTES_PER_ID * width
-    return max(1, min(_EMIT_CHUNK // combos, budget // 4 // row))
-
-
-def _emit_all(
-    view: tuple[np.ndarray, ...],
-    s: int,
-    layout: _Layout,
-    words: np.ndarray,
-    budget: int,
-) -> None:
-    """Fill ``words`` with every size-s combination of a `CorpusStore.view`'s
-    articles: the pass over the full range of ids.
-
-    A year's articles are taken a range at a time, and grouped by keyword
-    count m within each range, so that one gather builds a batch's
-    (m, articles) id matrix.
-    """
-    _, year_starts, offsets, ids, _, _ = view
-    end = 0
-    size = _step(budget, _RANGE_BYTES_PER_ARTICLE, _EMIT_CHUNK)
-    for tag, lo, hi in _ranges(year_starts, size):
-        starts = offsets[lo:hi]
-        counts = offsets[lo + 1 : hi + 1] - starts
-        for m in (np.flatnonzero(np.bincount(counts)[s:]) + s).tolist():
-            group = starts[counts == m]
-            idx = _comb_indices(m, s)
-            batch = _batch_rows(len(idx), m, budget)
-            columns = np.arange(m)[:, None]
-            for start in range(0, group.size, batch):
-                rows = ids[group[start : start + batch] + columns].astype(np.uint64)
-                end = _emit(words, end, rows, idx, tag, 0, layout)
-    _filled(words, end)
-
-
-def _tally_all(
-    view: tuple[np.ndarray, ...],
-    s: int,
-    layout: _Layout,
-    emissions: int,
-    debut_index: np.ndarray,
-    budget: int,
-) -> np.ndarray:
-    """The new and peripheral counts of the one pass over the full range of
-    ids, which holds all ``emissions``."""
-    words = np.empty(emissions, dtype=np.uint64)
-    _emit_all(view, s, layout, words, budget)
-    count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
-    return _count_words(words, layout, 0, debut_index, count)
-
-
-def _census(view: tuple[np.ndarray, ...], s: int) -> tuple[int, np.ndarray]:
-    """The exact number of size-s combinations over all articles, and each
-    year's count of articles with at least s keywords, from one pass over
-    the offsets a range of articles at a time."""
-    _, year_starts, offsets, _, _, _ = view
-    emissions = 0
-    processed = np.zeros(year_starts.size - 1, dtype=np.int64)
-    for tag, lo, hi in _ranges(year_starts, _CENSUS_CHUNK):
-        sizes = np.bincount(offsets[lo + 1 : hi + 1] - offsets[lo:hi]).tolist()
-        emissions += sum(math.comb(m, s) * n for m, n in enumerate(sizes))
-        processed[tag] += sum(sizes[s:])
-    return emissions, processed
-
-
-# --- the plan and its passes -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Pass p takes the combinations whose largest dense id lies in
-    ``cuts[p]:cuts[p+1]``: ``sizes[p]`` of them, from ``entries[p]`` index
-    entries, an article and a row position j >= k whose id lies there.
-    ``positions`` counts the row positions from k to the widest row's."""
-
-    cuts: list[int]
-    sizes: list[int]
-    entries: list[int]
-    positions: int
-
-
-def _plan(
-    view: tuple[np.ndarray, ...], k: int, layout: _Layout, config: LedgerConfig
-) -> _Plan:
-    """The exact plan of a ledger's passes.
-
-    One scan of the rows, a chunk at a time, counts each dense id's
-    emissions, the C(j, k) combinations it ends at each row position j, and
-    its index entries.  Ranges of ids are cut at a pass's capacity of
-    budget / 24 emissions, at most 2^id_bits ids, and at E / shard_count
-    emissions, unless one id alone holds more.  Raises, naming the keyword,
-    when one keyword's own emissions exceed a pass.
-    """
-    _, _, offsets, ids, keywords, _ = view
-    budget = config.memory_budget_bytes
-    n = keywords.size
-    emissions = np.zeros(n, dtype=np.int64)
-    entries = np.zeros(n, dtype=np.int64)
-    weights = np.zeros(0, dtype=np.int64)
-    for a, b in article_chunks(offsets, _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)):
-        lo, hi = offsets[a], offsets[b]
-        counts = np.diff(offsets[a : b + 1])
-        widest = int(counts.max())
-        if widest > weights.size:
-            weights = np.array([math.comb(j, k) for j in range(widest)], np.int64)
-        position = np.arange(hi - lo) - np.repeat(offsets[a:b] - lo, counts)
-        np.add.at(emissions, ids[lo:hi], weights[position])
-        entries += np.bincount(ids[lo:hi][position >= k], minlength=n)
-    cap = budget // _PASS_BYTES_PER_KEY
-    heavy = int(emissions.argmax()) if n else 0
-    if n and emissions[heavy] > cap:
-        raise LedgerError(
-            f"keyword {keywords[heavy]} is the latest keyword of "
-            f"{emissions[heavy]} combinations, over the {cap} that one pass "
-            f"holds at memory_budget_bytes={budget}"
-        )
-    target = min(cap, max(1, int(emissions.sum()) // config.shard_count))
-    ends = np.cumsum(emissions)
-    cuts = [0]
-    while cuts[-1] < n:
-        a = cuts[-1]
-        b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + target, "right"))
-        cuts.append(min(max(b, a + 1), a + (1 << layout.id_bits)))
-    at = np.array(cuts[1:]) - 1
-    return _Plan(
-        cuts,
-        np.diff(ends[at], prepend=0).tolist(),
-        np.diff(np.cumsum(entries)[at], prepend=0).tolist(),
-        max(1, weights.size - k),
-    )
-
-
-def _index(
-    view: tuple[np.ndarray, ...], k: int, plan: _Plan, p0: int, p1: int, step: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The index of passes p0..p1-1: the place in the ids of each of their
-    entries' ids, ordered by pass and then row position, and where each
-    (pass, position) cell of them ends, with a 0 before the first.
-
-    One scan finds the entries, ``step`` ids at a time, from the debut year
-    of the group's first id on, since no earlier article holds one of its
-    ids.  Each entry becomes one word, its cell above its place, and one
-    sort orders them.
-    """
-    _, year_starts, offsets, ids, _, debuts = view
-    first, last = plan.cuts[p0], plan.cuts[p1]
-    # Each of the group's ids' first cell, less k, so that an entry's cell is
-    # this plus its row position.
-    cell_of = np.repeat(
-        np.arange(p1 - p0, dtype=np.int64) * plan.positions - k,
-        np.diff(plan.cuts[p0 : p1 + 1]),
-    )
-    words = np.empty(sum(plan.entries[p0:p1]), dtype=np.uint64)
-    end = 0
-    for a, b in article_chunks(offsets, step, int(year_starts[debuts[first]])):
-        starts = offsets[a:b] - offsets[a]
-        counts = np.diff(offsets[a : b + 1])
-        rel = ids[offsets[a] : offsets[b]] - np.uint32(first)
-        chosen = rel < np.uint32(last - first)
-        # No combination ends at a row position below k.
-        for j in range(k):
-            chosen[starts[counts > j] + j] = False
-        at = np.flatnonzero(chosen)
-        if not at.size:
-            continue
-        cell = cell_of[rel[at]]
-        cell += at
-        cell -= starts[np.searchsorted(starts, at, "right") - 1]
-        at += offsets[a]
-        word = words[end : end + at.size]
-        np.left_shift(cell, 32, out=word, casting="unsafe")
-        word |= at.view(np.uint64)
-        end += at.size
-    _filled(words, end)
-    words.sort()
-    cells = np.arange((p1 - p0) * plan.positions + 1, dtype=np.uint64)
-    ends = np.searchsorted(words, cells << np.uint64(32))
-    places = np.empty(words.size, dtype=np.uint32)
-    np.bitwise_and(words, np.uint64(0xFFFFFFFF), out=places, casting="unsafe")
-    return places, ends
-
-
-def _emit_pass(
-    view: tuple[np.ndarray, ...],
-    k: int,
-    layout: _Layout,
-    places: np.ndarray,
-    ends: np.ndarray,
-    first: int,
-    words: np.ndarray,
-    budget: int,
-) -> None:
-    """Fill ``words`` with the combinations of one pass over the ids from
-    ``first``: for each row position j >= k, the C(j, k) combinations of the
-    id at j with the ids before it, where ``places[ends[j - k]:ends[j - k +
-    1]]`` are the places in the ids of its ids at j, a batch at a time."""
-    _, year_starts, offsets, ids, _, _ = view
-    year_places = offsets[year_starts]
-    end = 0
-    for j in range(k, k + ends.size - 1):
-        at = places[ends[j - k] : ends[j - k + 1]]
-        if not at.size:
-            continue
-        idx = _comb_indices(j, k + 1, last=True)
-        batch = _batch_rows(len(idx), j + 1, budget)
-        columns = np.arange(-j, 1)[:, None]
-        for start in range(0, at.size, batch):
-            chosen = at[start : start + batch]
-            # The places ascend, so each year's are one run of them.
-            runs = np.diff(np.searchsorted(chosen, year_places))
-            tags = np.repeat(np.arange(runs.size, dtype=np.uint64), runs)
-            rows = ids[chosen + columns].astype(np.uint64)
-            end = _emit(words, end, rows, idx, tags, first, layout)
-    _filled(words, end)
-
-
-def _count_words(
-    words: np.ndarray,
-    layout: _Layout,
-    first: int,
-    debut_index: np.ndarray,
-    step: int,
-) -> np.ndarray:
-    """Per-year new and peripheral counts, as two rows, of one pass's
-    ``words``, its keys over the ids from ``first`` above a year index.
-
-    `keep_first` keeps each key's word of its first year.  The key's low
-    ``id_bits`` bits, plus ``first``, are its largest dense id, which
-    debuted last among its keywords; a key is peripheral when that id
-    debuted in its first year, by ``debut_index``, each id's debut as a
-    year index.  `np.bincount` copies its input as intp, so the keys are
-    counted ``step`` at a time.
-    """
-    keys, year = keep_first(words, layout.year_bits, layout.year_dtype)
-    keys &= np.uint64((1 << layout.id_bits) - 1)
-    debuts = debut_index[first:]
-    tally = np.zeros((2, layout.years), dtype=np.int64)
-    for start in range(0, year.size, step):
-        first_year = year[start : start + step]
-        tally[0] += np.bincount(first_year, minlength=layout.years)
-        debuted = debuts[keys[start : start + step]] == first_year
-        tally[1] += np.bincount(first_year[debuted], minlength=layout.years)
-    return tally
-
-
-def _checked(p: int, years: np.ndarray, tally: np.ndarray) -> np.ndarray:
-    """``tally``, pass p's new and peripheral counts, once each year's
-    peripheral count lies in 0..new."""
-    new, peripheral = tally
-    bad = np.flatnonzero((peripheral < 0) | (peripheral > new))
-    if bad.size:
-        i = int(bad[0])
-        raise LedgerError(
-            f"pass {p}: {peripheral[i]} peripheral of {new[i]} new combinations "
-            f"in {years[i]}"
-        )
-    return tally
-
-
-def _tally_pass(
-    view: tuple[np.ndarray, ...],
-    k: int,
-    layout: _Layout,
-    places: np.ndarray,
-    ends: np.ndarray,
-    first: int,
-    words: np.ndarray,
-    debut_index: np.ndarray,
-    budget: int,
-) -> np.ndarray:
-    """The new and peripheral counts of one pass over the ids from
-    ``first``, whose index cells end at ``ends``, emitted into ``words``."""
-    _emit_pass(view, k, layout, places, ends, first, words, budget)
-    count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
-    return _count_words(words, layout, first, debut_index, count)
-
-
-def _group(
-    view: tuple[np.ndarray, ...],
-    k: int,
-    layout: _Layout,
-    plan: _Plan,
-    p0: int,
-    p1: int,
-    debut_index: np.ndarray,
-    budget: int,
-) -> Iterator[np.ndarray]:
-    """The checked tallies of passes p0..p1-1, from one index.  Their words
-    share one buffer, so that its pages are touched once a group."""
-    cells = plan.positions
-    step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
-    places, ends = _index(view, k, plan, p0, p1, step)
-    buffer = np.empty(max(plan.sizes[p0:p1]), dtype=np.uint64)
-    for p in range(p0, p1):
-        at = (p - p0) * cells
-        tally = _tally_pass(
-            view, k, layout, places, ends[at : at + cells + 1], plan.cuts[p],
-            buffer[: plan.sizes[p]], debut_index, budget,
-        )
-        yield _checked(p, view[0], tally)
-
-
-def _passes(
-    view: tuple[np.ndarray, ...],
-    k: int,
-    layout: _Layout,
-    plan: _Plan,
-    done: int,
-    budget: int,
-    debut_index: np.ndarray,
-) -> Iterator[np.ndarray]:
-    """Each pass's checked tally from pass ``done`` on.  Consecutive passes
-    whose index entries fit 1/24 of the budget share one index, which is
-    dropped before the next one is built."""
-    group = budget // _INDEX_BYTES_PER_ENTRY
-    # A cell of the index, (pass, position), fits 32 bits of a word.
-    most = (1 << 32) // plan.positions
-    p0, passes = done, len(plan.sizes)
-    while p0 < passes:
-        p1, held = p0 + 1, plan.entries[p0]
-        while p1 < passes and p1 - p0 < most and held + plan.entries[p1] <= group:
-            held += plan.entries[p1]
-            p1 += 1
-        yield from _group(view, k, layout, plan, p0, p1, debut_index, budget)
-        p0 = p1
-
-
 def _stored_series(
     years: np.ndarray,
     processed: np.ndarray,
@@ -643,13 +147,13 @@ def _check_span(first: int, last: int, config: LedgerConfig) -> None:
 # --- manifest --------------------------------------------------------------
 
 
-def _fingerprint(corpus_digest: str, config: LedgerConfig, cuts: list[int]) -> str:
+def _fingerprint(corpus_digest: str, config: LedgerConfig, plan: passes.Plan) -> str:
     payload = json.dumps(
         {
             "corpus": corpus_digest,
             "k": config.k,
             "refinement": config.refinement,
-            "cuts": cuts,
+            "passes": [(p.first, p.last, p.seconds) for p in plan.passes],
         }
     )
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -753,10 +257,11 @@ def _spread(config: LedgerConfig, stored: dict) -> LedgerSeries:
 def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     """Tally first occurrences exactly, per year.
 
-    One pass over the article offsets, `_census`, counts the emissions and
-    each year's processed articles.  A ledger that fits one pass over the
-    full range of ids is counted from the rows and writes nothing, so a
-    killed run counts it again.  Otherwise `_plan` cuts the passes before
+    One pass over the article offsets, `passes.census`, counts the
+    emissions and each year's processed articles.  A ledger that fits one
+    pass over the full range of ids is counted from the rows and writes
+    nothing, so a killed run counts it again.  Otherwise `passes.plan` cuts
+    the passes before
     any directory is made.  Without a spill directory they run in memory
     alone.  With one, the ledger resumes after the last whole record of
     running tallies when ``config.spill_directory`` already holds this
@@ -770,22 +275,22 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
         return LedgerSeries(k=config.k, refinement=config.refinement)
     _check_span(int(years[0]), int(years[-1]), config)
 
-    layout = _Layout.of(debuts.size, s, years.size)
-    emissions, processed = _census(view, s)
+    layout = passes.Layout.of(debuts.size, s, years.size)
+    emissions, processed = passes.census(view, s)
     debut_index = debuts.astype(layout.year_dtype)
     budget = config.memory_budget_bytes
     tally = np.zeros((2, years.size), dtype=np.int64)
     if (
         config.shard_count == 1
-        and emissions <= budget // _PASS_BYTES_PER_KEY
+        and emissions <= budget // passes.PASS_BYTES_PER_KEY
         and keywords.size <= 1 << layout.id_bits
     ):
-        tally += _checked(0, years, _tally_all(view, s, layout, emissions, debut_index, budget))
+        tally += passes.tally_all(view, s, layout, emissions, debut_index, budget)
         return _spread(config, _stored_series(years, processed, tally, debut_index))
 
-    plan = _plan(view, config.k, layout, config)
+    plan = passes.plan(view, config.k, layout, budget, config.shard_count)
     if config.spill_directory is None:
-        for passed in _passes(view, config.k, layout, plan, 0, budget, debut_index):
+        for passed in passes.tallies(view, config.k, layout, plan, 0, budget, debut_index):
             tally += passed
         return _spread(config, _stored_series(years, processed, tally, debut_index))
 
@@ -794,11 +299,11 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
         ledger_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise LedgerError(f"spill directory unwritable: {exc}") from exc
-    fingerprint = _fingerprint(corpus.digest(), config, plan.cuts)
-    manifest, done = _open(ledger_dir, fingerprint, len(plan.sizes), tally)
+    fingerprint = _fingerprint(corpus.digest(), config, plan)
+    manifest, done = _open(ledger_dir, fingerprint, len(plan.passes), tally)
     if not manifest["complete"]:
         with open(ledger_dir / _TALLIES_NAME, "ab", buffering=0) as records:
-            for passed in _passes(
+            for passed in passes.tallies(
                 view, config.k, layout, plan, done, budget, debut_index
             ):
                 tally += passed

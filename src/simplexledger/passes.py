@@ -1,0 +1,724 @@
+"""The pass engine of the ledger: how one ledger's combinations become
+words, the plan of its passes, the index they read their rows from, and
+their counts.
+
+A pass takes the combinations whose largest dense id lies in a contiguous
+range, so that every emission of a combination falls in one pass, and
+writes them into one array of words, each a key above the y bits of its
+year index: the combination's smaller ids, above its largest id less the
+range's first.  `keep_first`, the corpus step that merges ingest's keywords
+too, keeps each key's word of the smallest year, and one count,
+`_count_words`, tallies the new and peripheral keys by year.  An article
+whose id at row position j lies in the range emits the C(j, k)
+combinations of that id with the ids before it.
+
+`census` counts the emissions E and each year's processed articles, and
+`tally_all` counts a ledger that fits one pass over the full range from the
+rows themselves.  Otherwise `plan` counts each id's emissions and index
+entries and cuts the ranges at a pass's capacity, at the key's width and
+into at least ``shard_count`` passes.  A keyword whose own emissions exceed
+a pass is split into parts by its combinations' second-largest id, each
+part a pass whose emissions are that id's combinations with the ids before
+it and the keyword.  A part of one id whose emissions still exceed a pass
+is ranked: a table over the ranks of its sets of smaller ids keeps their
+first years, when they fit a pass, and otherwise the pair is refused before
+any work.  `tallies` runs the passes: they read their rows from a
+per-position index, built once for each group of consecutive passes whose
+entries fit a share of the budget, in the same words array the passes then
+use.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
+
+from simplexledger.corpus import article_chunks, keep_first
+
+_EMIT_CHUNK = 1 << 14  # words per emission batch
+_COUNT_CHUNK = 1 << 14  # words per step of `_count_words`' bincounts
+_CENSUS_CHUNK = 1 << 12  # articles per step of the emission count
+_SCAN_CHUNK = 1 << 16  # ids per step of the plan and of an index build
+# Bytes of budget per emission of a pass.  Its word takes 8, and
+# `keep_first` about 1 more; beside it a group's index takes at most 1/6 of
+# the budget and an emission batch's temporaries at most 1/4.
+PASS_BYTES_PER_KEY = 24
+# An emission batch's temporaries: bytes per word, and per id of its rows.
+_BATCH_BYTES_PER_WORD = 8
+_BATCH_BYTES_PER_ID = 48
+# Bytes of budget per article of an emission range.
+_RANGE_BYTES_PER_ARTICLE = 512
+# Bytes of budget per entry of a group's index: it is built as 8-byte
+# words in the passes' words array, which holds 24 bytes of budget a word,
+# before any pass of the group uses it, and kept as 4-byte places.
+_INDEX_BYTES_PER_ENTRY = 24
+# Bytes of budget per id of a scan step, and per word of a count step.
+_SCAN_BYTES_PER_ID = 256
+_COUNT_BYTES_PER_WORD = 128
+
+
+class LedgerError(ValueError):
+    """Raised for invalid configuration or unsupported input scale."""
+
+
+# --- keys and words --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Layout:
+    """How one ledger's combinations become words.
+
+    A key packs a combination's s - 1 smaller dense ids, ``bits`` bits
+    each, above its largest id less its pass's first id, in ``id_bits``
+    bits; a word holds the key above the ``year_bits`` bits of a year
+    index, so (s - 1) * bits + id_bits + year_bits <= 64, and a pass spans
+    at most 2^id_bits ids.
+    """
+
+    bits: int
+    id_bits: int
+    year_bits: int
+    years: int
+
+    @classmethod
+    def of(cls, n_keywords: int, s: int, years: int) -> Layout:
+        """The layout of s dense ids from ``n_keywords``, over ``years``;
+        raises unless s ids fit 64 bits, and the smaller ones beside a year
+        index."""
+        bits = max(1, (n_keywords - 1).bit_length())
+        if s * bits > 64:
+            raise LedgerError(
+                f"{n_keywords} distinct keywords exceed the {64 // s}-bit "
+                f"capacity ({1 << (64 // s)} keywords) for combinations of size {s}"
+            )
+        year_bits = (years - 1).bit_length()
+        id_bits = min(bits, 64 - year_bits - (s - 1) * bits)
+        if id_bits < 0:
+            raise LedgerError(
+                f"combinations of size {s} of {n_keywords} keywords over "
+                f"{years} years exceed a 64-bit word"
+            )
+        return cls(bits, id_bits, year_bits, years)
+
+    @property
+    def year_dtype(self) -> np.dtype:
+        """The smallest dtype of a year index."""
+        return np.min_scalar_type(self.years - 1)
+
+
+def _step(budget: int, per_item: int, most: int) -> int:
+    """Items per step when each item's temporaries take ``per_item`` bytes
+    of ``budget``: at least 1 and at most ``most``."""
+    return max(1, min(most, budget // per_item))
+
+
+# --- emission --------------------------------------------------------------
+
+_comb_index_cache: dict[tuple[int, int, int], np.ndarray] = {}
+
+
+def _comb_indices(m: int, s: int, tail: int = 0) -> np.ndarray:
+    """(c, s) column indices of the size-s combinations of m + ``tail``
+    columns, each ascending, that end in the last ``tail`` columns."""
+    cached = _comb_index_cache.get((m, s, tail))
+    if cached is not None:
+        return cached
+    ends = tuple(range(m, m + tail))
+    combos = [c + ends for c in itertools.combinations(range(m), s - tail)]
+    idx = np.array(combos, dtype=np.intp).reshape(len(combos), s)
+    if m <= 24:
+        _comb_index_cache[(m, s, tail)] = idx
+    return idx
+
+
+def _emit(
+    words: np.ndarray,
+    end: int,
+    rows: np.ndarray,
+    idx: np.ndarray,
+    tags,
+    first: int,
+    layout: Layout,
+) -> int:
+    """Write the words of the combinations ``idx``, (c, s) ascending row
+    indices, of each column of ``rows``, (m, n) uint64 ids ascending down
+    each of the n columns, into ``words`` from ``end``; returns the end of
+    what was written.  A word holds the smaller ids above the largest less
+    ``first``, above the year index ``tags``, an int or one per column.
+    Each of the s ids of a word is shifted into place in ``rows`` first,
+    so that the words are ORs of whole rows taken by ``idx``."""
+    s = idx.shape[1]
+    block = words[end : end + idx.shape[0] * rows.shape[1]].reshape(idx.shape[0], -1)
+    shift = layout.year_bits + layout.id_bits + layout.bits * (s - 2)
+    np.take(rows << np.uint64(shift), idx[:, 0], axis=0, out=block, mode="clip")
+    for col in range(1, s - 1):
+        shift -= layout.bits
+        block |= np.take(rows << np.uint64(shift), idx[:, col], axis=0, mode="clip")
+    last, y = idx[:, -1], np.uint64(layout.year_bits)
+    if last[0] == last[-1]:
+        # Every combination ends in the same row.
+        block |= ((rows[last[0]] - np.uint64(first)) << y) | tags
+    else:
+        block |= np.take(((rows - np.uint64(first)) << y) | tags, last, axis=0, mode="clip")
+    return end + block.size
+
+
+def _filled(words: np.ndarray, end: int) -> None:
+    """Raise unless exactly the words the plan counted were written."""
+    if end != words.size:
+        raise LedgerError(f"{end} words were written where the plan counted {words.size}")
+
+
+def _ranges(
+    year_starts: np.ndarray, size: int
+) -> Iterator[tuple[int, int, int]]:
+    """Each year index, with each range lo..hi-1 of at most ``size`` of its
+    articles."""
+    bounds = year_starts.tolist()
+    for tag in range(len(bounds) - 1):
+        for lo in range(bounds[tag], bounds[tag + 1], size):
+            yield tag, lo, min(lo + size, bounds[tag + 1])
+
+
+def _batch_rows(combos: int, width: int, budget: int) -> int:
+    """Rows per emission batch when each row of ``width`` ids emits
+    ``combos`` words: at most `_EMIT_CHUNK` words, whose temporaries take at
+    most a quarter of ``budget``, unless one row alone takes more."""
+    row = _BATCH_BYTES_PER_WORD * combos + _BATCH_BYTES_PER_ID * width
+    return max(1, min(_EMIT_CHUNK // combos, budget // 4 // row))
+
+
+def _emit_all(
+    view: tuple[np.ndarray, ...],
+    s: int,
+    layout: Layout,
+    words: np.ndarray,
+    budget: int,
+) -> None:
+    """Fill ``words`` with every size-s combination of a `CorpusStore.view`'s
+    articles: the pass over the full range of ids.
+
+    A year's articles are taken a range at a time, and grouped by keyword
+    count m within each range, so that one gather builds a batch's
+    (m, articles) id matrix.
+    """
+    _, year_starts, offsets, ids, _, _ = view
+    end = 0
+    size = _step(budget, _RANGE_BYTES_PER_ARTICLE, _EMIT_CHUNK)
+    for tag, lo, hi in _ranges(year_starts, size):
+        starts = offsets[lo:hi]
+        counts = offsets[lo + 1 : hi + 1] - starts
+        for m in (np.flatnonzero(np.bincount(counts)[s:]) + s).tolist():
+            group = starts[counts == m]
+            idx = _comb_indices(m, s)
+            batch = _batch_rows(len(idx), m, budget)
+            columns = np.arange(m)[:, None]
+            for start in range(0, group.size, batch):
+                rows = ids[group[start : start + batch] + columns].astype(np.uint64)
+                end = _emit(words, end, rows, idx, tag, 0, layout)
+    _filled(words, end)
+
+
+def tally_all(
+    view: tuple[np.ndarray, ...],
+    s: int,
+    layout: Layout,
+    emissions: int,
+    debut_index: np.ndarray,
+    budget: int,
+) -> np.ndarray:
+    """The checked new and peripheral counts of the one pass over the full
+    range of ids, which holds all ``emissions``."""
+    words = np.empty(emissions, dtype=np.uint64)
+    _emit_all(view, s, layout, words, budget)
+    count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
+    return _checked(0, view[0], _count_words(words, layout, 0, debut_index, count))
+
+
+def census(view: tuple[np.ndarray, ...], s: int) -> tuple[int, np.ndarray]:
+    """The exact number of size-s combinations over all articles, and each
+    year's count of articles with at least s keywords, from one pass over
+    the offsets a range of articles at a time."""
+    _, year_starts, offsets, _, _, _ = view
+    emissions = 0
+    processed = np.zeros(year_starts.size - 1, dtype=np.int64)
+    for tag, lo, hi in _ranges(year_starts, _CENSUS_CHUNK):
+        sizes = np.bincount(offsets[lo + 1 : hi + 1] - offsets[lo:hi]).tolist()
+        emissions += sum(math.comb(m, s) * n for m, n in enumerate(sizes))
+        processed[tag] += sum(sizes[s:])
+    return emissions, processed
+
+
+# --- the plan and its passes -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """One pass: the ``size`` combinations whose largest dense id lies in
+    ``first:last``, from ``entries`` index entries, each an article and a
+    row position j >= k whose id lies there.
+
+    A part of a split keyword's pass, with ``seconds``, spans that keyword
+    alone and takes the combinations whose second-largest id lies in
+    ``seconds[0]:seconds[1]``; its entries are an article holding the
+    keyword and a row position j >= k - 1 whose id lies there.  A
+    ``ranked`` part, of one second-largest id whose combinations outnumber
+    a pass, keeps their first years in a table by rank instead, and has no
+    entries.
+    """
+
+    first: int
+    last: int
+    seconds: tuple[int, int] | None
+    size: int
+    entries: int
+    ranked: bool = False
+
+    @property
+    def holder(self) -> int | None:
+        """The split keyword whose combinations the pass takes a part of."""
+        return None if self.seconds is None else self.first
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The passes in order of largest id, and the row positions an index
+    cell of a pass spans: from k (k - 1 in a split keyword's part) to the
+    widest row's last."""
+
+    passes: list[_Pass]
+    positions: int
+
+
+def _before(
+    row: np.ndarray, starts: np.ndarray, holder: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The places in ``row``, the ids of articles that start at ``starts``,
+    of the ids before ``holder`` in the articles that hold it, and their
+    row positions: one pass over ``row`` finds the holder, and the rest
+    takes time in the ids found."""
+    hits = np.flatnonzero(row == holder)
+    begins = starts[np.searchsorted(starts, hits, "right") - 1]
+    runs = hits - begins
+    heads = np.cumsum(runs) - runs
+    position = np.arange(int(runs.sum())) - np.repeat(heads, runs)
+    return position + np.repeat(begins, runs), position
+
+
+def _weigh(
+    view: tuple[np.ndarray, ...], r: int, step: int, holder: int | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per dense id, the sum of C(j, r) over the row positions j where it
+    lies, and how many of those are r or more; and the widest row's width.
+
+    With ``holder``, only the ids below it in the articles holding it count,
+    each the second-largest id of C(j, r) combinations ending in it.  One
+    scan of the rows, ``step`` ids at a time, from the holder's debut year.
+    """
+    _, year_starts, offsets, ids, keywords, debuts = view
+    n = keywords.size if holder is None else holder
+    sums = np.zeros(n, dtype=np.int64)
+    entries = np.zeros(n, dtype=np.int64)
+    weights = np.zeros(0, dtype=np.int64)
+    since = 0 if holder is None else int(year_starts[debuts[holder]])
+    for a, b in article_chunks(offsets, step, since):
+        lo, hi = offsets[a], offsets[b]
+        starts = offsets[a:b] - lo
+        counts = np.diff(offsets[a : b + 1])
+        if counts.max() > weights.size:
+            weights = np.array([math.comb(j, r) for j in range(counts.max())], np.int64)
+        row = ids[lo:hi]
+        if holder is None:
+            position = np.arange(hi - lo) - np.repeat(starts, counts)
+        else:
+            at, position = _before(row, starts, holder)
+            row = row[at]
+        np.add.at(sums, row, weights[position])
+        entries += np.bincount(row[position >= r], minlength=n)
+    return sums, entries, weights.size
+
+
+def _cut(counts: np.ndarray, target: int, most: int) -> list[int]:
+    """Cuts of ids 0..n into ranges of at most ``most`` ids whose
+    ``counts`` sum to at most ``target``, unless one id alone holds more."""
+    ends = np.cumsum(counts)
+    cuts = [0]
+    while cuts[-1] < counts.size:
+        a = cuts[-1]
+        b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + target, "right"))
+        cuts.append(min(max(b, a + 1), a + most))
+    return cuts
+
+
+def plan(
+    view: tuple[np.ndarray, ...], k: int, layout: Layout, budget: int, shard_count: int
+) -> Plan:
+    """The exact plan of a ledger's passes.
+
+    One scan of the rows, a chunk at a time, counts each dense id's
+    emissions, the C(j, k) combinations it ends at each row position j, and
+    its index entries.  Ranges of ids are cut at a pass's capacity of
+    budget / 24 emissions, at most 2^id_bits ids, and at E / shard_count
+    emissions, unless one id alone holds more.  A keyword whose own
+    emissions exceed a pass is split, by the same cuts, into parts by its
+    combinations' second-largest id, which a scan of the articles holding
+    it counts.  A pair of keywords whose own emissions exceed a pass is a
+    ranked part when its C(e, k - 1) sets of smaller ids fit a pass, and
+    otherwise raises, naming both, before any work.
+    """
+    keywords = view[4]
+    step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
+    emissions, entries, widest = _weigh(view, k, step)
+    cap = budget // PASS_BYTES_PER_KEY
+    target = min(cap, max(1, int(emissions.sum()) // shard_count))
+    cuts = _cut(emissions, target, 1 << layout.id_bits)
+    passes = []
+    for a, b in zip(cuts, cuts[1:]):
+        if emissions[a] <= cap:
+            size, held = int(emissions[a:b].sum()), int(entries[a:b].sum())
+            passes.append(_Pass(a, b, None, size, held))
+            continue
+        # A range of ids whose first alone exceeds a pass is that id alone.
+        seconds, held, _ = _weigh(view, k - 1, step, holder=a)
+        parts = _cut(seconds, target, a)
+        for c, d in zip(parts, parts[1:]):
+            size = int(seconds[c:d].sum())
+            if not size:
+                continue
+            if size <= cap:
+                passes.append(_Pass(a, a + 1, (c, d), size, int(held[c:d].sum())))
+                continue
+            # A range of second-largest ids whose first alone exceeds a pass
+            # is that id alone.
+            sets = math.comb(c, k - 1)
+            if sets > cap:
+                raise LedgerError(
+                    f"keywords {keywords[c]} and {keywords[a]} are the two "
+                    f"latest keywords of {size} combinations, and of up to "
+                    f"{sets} distinct ones, over the {cap} that one pass holds "
+                    f"at memory_budget_bytes={budget}"
+                )
+            passes.append(_Pass(a, a + 1, (c, d), size, 0, ranked=True))
+    return Plan(passes, max(1, widest - k))
+
+
+def _index(
+    view: tuple[np.ndarray, ...],
+    k: int,
+    plan: Plan,
+    p0: int,
+    p1: int,
+    step: int,
+    words: np.ndarray,
+    places: np.ndarray,
+) -> np.ndarray:
+    """The index of passes p0..p1-1: in the front of ``places``, the place
+    in the ids of each of their entries' ids, ordered by pass and then row
+    position; returns where each (pass, position) cell of them ends, with a
+    0 before the first.
+
+    The passes are plain or parts of one split keyword.  One scan finds
+    the entries, ``step`` ids at a time, from the debut year of the group's
+    first id, or of its split keyword, on, since no earlier article holds
+    one of its entries.  Each entry becomes one word in the front of
+    ``words``, its cell above its place, and one sort orders them.
+    """
+    _, year_starts, offsets, ids, _, debuts = view
+    group = plan.passes[p0:p1]
+    holder = group[0].holder
+    if holder is None:
+        bounds, least = [p.first for p in group] + [group[-1].last], k
+    else:
+        bounds = [p.seconds[0] for p in group] + [group[-1].seconds[1]]
+        least = k - 1
+    first, last = bounds[0], bounds[-1]
+    # Each of the group's ids' first cell, less the least row position, so
+    # that an entry's cell is this plus its row position.
+    cell_of = np.repeat(
+        np.arange(p1 - p0, dtype=np.int64) * plan.positions - least, np.diff(bounds)
+    )
+    words = words[: sum(p.entries for p in group)]
+    end = 0
+    since = int(year_starts[debuts[first if holder is None else holder]])
+    for a, b in article_chunks(offsets, step, since):
+        starts = offsets[a:b] - offsets[a]
+        row = ids[offsets[a] : offsets[b]]
+        if holder is None:
+            counts = np.diff(offsets[a : b + 1])
+            rel = row - np.uint32(first)
+            chosen = rel < np.uint32(last - first)
+            # No entry lies at a row position below the least.
+            for j in range(least):
+                chosen[starts[counts > j] + j] = False
+            at = np.flatnonzero(chosen)
+            position = at - starts[np.searchsorted(starts, at, "right") - 1]
+            rel = rel[at]
+        else:
+            at, position = _before(row, starts, holder)
+            rel = row[at] - np.uint32(first)
+            chosen = (rel < np.uint32(last - first)) & (position >= least)
+            at, position, rel = at[chosen], position[chosen], rel[chosen]
+        if not at.size:
+            continue
+        cell = cell_of[rel]
+        cell += position
+        at += offsets[a]
+        word = words[end : end + at.size]
+        np.left_shift(cell, 32, out=word, casting="unsafe")
+        word |= at.view(np.uint64)
+        end += at.size
+    _filled(words, end)
+    words.sort()
+    cells = np.arange((p1 - p0) * plan.positions + 1, dtype=np.uint64)
+    ends = np.searchsorted(words, cells << np.uint64(32))
+    np.bitwise_and(words, np.uint64(0xFFFFFFFF), out=places[: words.size], casting="unsafe")
+    return ends
+
+
+def _emit_pass(
+    view: tuple[np.ndarray, ...],
+    k: int,
+    layout: Layout,
+    places: np.ndarray,
+    ends: np.ndarray,
+    first: int,
+    words: np.ndarray,
+    budget: int,
+    split: bool,
+) -> None:
+    """Fill ``words`` with the combinations of one pass over the ids from
+    ``first``: for each row position j >= k, the C(j, k) combinations of the
+    id at j with the ids before it, where ``places[ends[j - k]:ends[j - k +
+    1]]`` are the places in the ids of its ids at j, a batch at a time.
+
+    A part of split keyword ``first``'s pass takes instead, for each row
+    position j >= k - 1, the C(j, k - 1) combinations of the id at j, the
+    ids before it and the keyword, from the places at ``ends[j - k + 1]``.
+    """
+    _, year_starts, offsets, ids, _, _ = view
+    year_places = offsets[year_starts]
+    tail = 1 + split
+    end = 0
+    for cell in range(ends.size - 1):
+        at = places[ends[cell] : ends[cell + 1]]
+        if not at.size:
+            continue
+        j = cell + k + 1 - tail
+        idx = _comb_indices(j, k + 1, tail)
+        batch = _batch_rows(len(idx), j + tail, budget)
+        columns = np.arange(-j, 1)[:, None]
+        for start in range(0, at.size, batch):
+            chosen = at[start : start + batch]
+            # The places ascend, so each year's are one run of them.
+            runs = np.diff(np.searchsorted(chosen, year_places))
+            tags = np.repeat(np.arange(runs.size, dtype=np.uint64), runs)
+            rows = ids[chosen + columns].astype(np.uint64)
+            if split:
+                rows = np.vstack((rows, np.full(chosen.size, first, np.uint64)))
+            end = _emit(words, end, rows, idx, tags, first, layout)
+    _filled(words, end)
+
+
+def _count_words(
+    words: np.ndarray,
+    layout: Layout,
+    first: int,
+    debut_index: np.ndarray,
+    step: int,
+) -> np.ndarray:
+    """Per-year new and peripheral counts, as two rows, of one pass's
+    ``words``, its keys over the ids from ``first`` above a year index.
+
+    `keep_first` keeps each key's word of its first year.  The key's low
+    ``id_bits`` bits, plus ``first``, are its largest dense id, which
+    debuted last among its keywords; a key is peripheral when that id
+    debuted in its first year, by ``debut_index``, each id's debut as a
+    year index.  `np.bincount` copies its input as intp, so the keys are
+    counted ``step`` at a time.
+    """
+    keys, year = keep_first(words, layout.year_bits, layout.year_dtype)
+    keys &= np.uint64((1 << layout.id_bits) - 1)
+    # As int64 the keys index without a converted copy.
+    keys = keys.view(np.int64)
+    debuts = debut_index[first:]
+    tally = np.zeros((2, layout.years), dtype=np.int64)
+    for start in range(0, year.size, step):
+        first_year = year[start : start + step]
+        tally[0] += np.bincount(first_year, minlength=layout.years)
+        debuted = debuts[keys[start : start + step]] == first_year
+        tally[1] += np.bincount(first_year[debuted], minlength=layout.years)
+    return tally
+
+
+def _binomials(x: np.ndarray, r: int) -> np.ndarray:
+    """C(x, r) of each int64 in ``x``."""
+    out = np.ones_like(x)
+    for i in range(r):
+        out *= x - i
+        out //= i + 1
+    return out
+
+
+def _tally_ranked(
+    view: tuple[np.ndarray, ...],
+    k: int,
+    layout: Layout,
+    part: _Pass,
+    debut_index: np.ndarray,
+    budget: int,
+) -> np.ndarray:
+    """The new and peripheral counts of a ranked part: the combinations of
+    split keyword d, one second-largest id e, and k - 1 of the ids below e.
+
+    Each of the C(e, k - 1) sets of smaller ids has its rank in the
+    combinatorial number system, the sum of C(x_t, t + 1) over its ids in
+    ascending order, and a table keeps each rank's first year.  One scan
+    of the articles holding d, ``step`` ids at a time, takes the minimum of
+    each emission's year into the table, so no combination is held.  Every
+    combination's latest keyword is d, so the new ones of d's debut year
+    are peripheral.
+    """
+    _, year_starts, offsets, ids, _, debuts = view
+    d, e = part.first, part.seconds[0]
+    years = layout.years
+    table = np.full(math.comb(e, k - 1), years, dtype=np.min_scalar_type(years))
+    year_places = offsets[year_starts]
+    step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
+    for a, b in article_chunks(offsets, step, int(year_starts[debuts[d]])):
+        lo = offsets[a]
+        row = ids[lo : offsets[b]]
+        at, position = _before(row, offsets[a:b] - lo, d)
+        hit = row[at] == e
+        at, position = at[hit], position[hit]
+        for j in np.unique(position[position >= k - 1]).tolist():
+            chosen = at[position == j]
+            idx = _comb_indices(j, k - 1)
+            columns = np.arange(-j, 0)[:, None]
+            # A rank takes three int64 temporaries where a word takes one.
+            batch = _batch_rows(3 * len(idx), j, budget)
+            for start in range(0, chosen.size, batch):
+                places = chosen[start : start + batch]
+                tags = np.searchsorted(year_places, places + lo, "right") - 1
+                rows = row[places + columns].astype(np.int64)
+                ranks = np.zeros((len(idx), places.size), dtype=np.int64)
+                for t in range(k - 1):
+                    ranks += _binomials(rows[idx[:, t]], t + 1)
+                firsts = np.broadcast_to(tags.astype(table.dtype), ranks.shape)
+                np.minimum.at(table, ranks.ravel(), firsts.ravel())
+    new = np.bincount(table, minlength=years + 1)[:years]
+    peripheral = np.zeros(years, dtype=np.int64)
+    peripheral[debut_index[d]] = new[debut_index[d]]
+    return np.stack((new, peripheral))
+
+
+def _checked(p: int, years: np.ndarray, tally: np.ndarray) -> np.ndarray:
+    """``tally``, pass p's new and peripheral counts, once each year's
+    peripheral count lies in 0..new."""
+    new, peripheral = tally
+    bad = np.flatnonzero((peripheral < 0) | (peripheral > new))
+    if bad.size:
+        i = int(bad[0])
+        raise LedgerError(
+            f"pass {p}: {peripheral[i]} peripheral of {new[i]} new combinations "
+            f"in {years[i]}"
+        )
+    return tally
+
+
+def _tally_pass(
+    view: tuple[np.ndarray, ...],
+    k: int,
+    layout: Layout,
+    places: np.ndarray,
+    ends: np.ndarray,
+    first: int,
+    words: np.ndarray,
+    debut_index: np.ndarray,
+    budget: int,
+    split: bool,
+) -> np.ndarray:
+    """The new and peripheral counts of one pass over the ids from
+    ``first``, or of a part of split keyword ``first``'s, whose index cells
+    end at ``ends``, emitted into ``words``."""
+    _emit_pass(view, k, layout, places, ends, first, words, budget, split)
+    count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
+    return _count_words(words, layout, first, debut_index, count)
+
+
+def _group(
+    view: tuple[np.ndarray, ...],
+    k: int,
+    layout: Layout,
+    plan: Plan,
+    p0: int,
+    p1: int,
+    debut_index: np.ndarray,
+    words: np.ndarray,
+    places: np.ndarray,
+    budget: int,
+) -> Iterator[np.ndarray]:
+    """The checked tallies of passes p0..p1-1, from one index built in
+    ``words`` and ``places``; each pass then takes the front of ``words``
+    for its own."""
+    cells = plan.positions
+    step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
+    ends = _index(view, k, plan, p0, p1, step, words, places)
+    for p, part in enumerate(plan.passes[p0:p1], p0):
+        at = (p - p0) * cells
+        tally = _tally_pass(
+            view, k, layout, places, ends[at : at + cells + 1], part.first,
+            words[: part.size], debut_index, budget, part.seconds is not None,
+        )
+        yield _checked(p, view[0], tally)
+
+
+def tallies(
+    view: tuple[np.ndarray, ...],
+    k: int,
+    layout: Layout,
+    plan: Plan,
+    done: int,
+    budget: int,
+    debut_index: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Each pass's checked tally from pass ``done`` on.
+
+    Consecutive passes, plain or parts of one split keyword, whose index
+    entries fit 1/24 of the budget share one index; a ranked part needs
+    none.  Every index and pass is built in the same two arrays, allocated
+    once, so that no group allocates anew beside the last one's pages.
+    """
+    share = budget // _INDEX_BYTES_PER_ENTRY
+    # A cell of the index, (pass, position), fits 32 bits of a word.
+    most = (1 << 32) // plan.positions
+    passes, groups = plan.passes, []
+    p0 = done
+    while p0 < len(passes):
+        p1, held = p0 + 1, passes[p0].entries
+        while (
+            p1 < len(passes)
+            and p1 - p0 < most
+            and not (passes[p0].ranked or passes[p1].ranked)
+            and passes[p1].holder == passes[p0].holder
+            and held + passes[p1].entries <= share
+        ):
+            held += passes[p1].entries
+            p1 += 1
+        groups.append((p0, p1, held))
+        p0 = p1
+    indexed = [part for part in passes[done:] if not part.ranked]
+    entries = max((held for p0, _, held in groups if not passes[p0].ranked), default=0)
+    words = np.empty(max([entries] + [part.size for part in indexed]), dtype=np.uint64)
+    places = np.empty(entries, dtype=np.uint32)
+    for p0, p1, _ in groups:
+        if passes[p0].ranked:
+            tally = _tally_ranked(view, k, layout, passes[p0], debut_index, budget)
+            yield _checked(p0, view[0], tally)
+        else:
+            yield from _group(
+                view, k, layout, plan, p0, p1, debut_index, words, places, budget
+            )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simplexledger.corpus import ArticleRecord, CorpusStore
-from simplexledger.ledger import _Layout, _emit_all
+from simplexledger.passes import Layout, _emit_all
 from simplexledger.ontology import load_ontology
 
 ONTOLOGY_TSV = """\
@@ -51,7 +51,7 @@ def engine_simplices():
     def simplices(keywords, k):
         ids = np.array(sorted(set(keywords)), dtype=np.uint32)
         s = k + 1
-        layout = _Layout.of(int(ids.max(initial=0)) + 1, s, 1)
+        layout = Layout.of(int(ids.max(initial=0)) + 1, s, 1)
         offsets = np.array([0, ids.size], dtype=np.int64)
         view = (None, np.array([0, 1]), offsets, ids, None, None)
         words = np.empty(math.comb(ids.size, s), dtype=np.uint64)

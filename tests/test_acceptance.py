@@ -169,7 +169,7 @@ def test_criterion_6_fit_recovery():
 # not that of every test run before it in this process.
 _CRITERION_7_CHILD = """
 import json, math, pathlib, sys, time
-import simplexledger.ledger as ledger_mod
+import simplexledger.passes as passes_mod
 from simplexledger.ledger import LedgerConfig, tabulate
 from simplexledger.synth import SynthParams, generate_synthetic
 
@@ -186,13 +186,13 @@ corpus = generate_synthetic(
 )
 emissions = sum(math.comb(len(r.all_keywords), 4) for r in corpus.iter_records())
 passes = []
-original_pass = ledger_mod._tally_pass
+original_pass = passes_mod._tally_pass
 
 def counting_pass(*args):
     passes.append(1)
     return original_pass(*args)
 
-ledger_mod._tally_pass = counting_pass
+passes_mod._tally_pass = counting_pass
 start = time.perf_counter()
 series = tabulate(
     corpus,

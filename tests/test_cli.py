@@ -14,6 +14,7 @@ import pytest
 
 import simplexledger.corpus as corpus_mod
 import simplexledger.ledger as ledger_mod
+import simplexledger.passes as passes_mod
 from simplexledger import cli
 from simplexledger.cli import main
 from simplexledger.corpus import (
@@ -253,9 +254,9 @@ def test_rerun_on_the_same_output_resumes_under_sledger_tmp(tmp_path, monkeypatc
 
     monkeypatch.setattr(ledger_mod, "_load_manifest", recording)
     passes = []
-    tally_pass = ledger_mod._tally_pass
+    tally_pass = passes_mod._tally_pass
     monkeypatch.setattr(
-        ledger_mod, "_tally_pass", lambda *args: passes.append(1) or tally_pass(*args)
+        passes_mod, "_tally_pass", lambda *args: passes.append(1) or tally_pass(*args)
     )
     assert main(_run_argv(store, out)) == 0
     # The first pass's record was appended before the kill: the rerun finds

@@ -1209,6 +1209,31 @@ def test_debut_order_of_dense_ids_holds_no_transient():
         assert dense.tolist() == [d for a, b in rows for d in sorted(expected[a:b])]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.integers(0, 40), max_size=300),
+    data=st.data(),
+    step=st.sampled_from([1, 2, 3, 7, 64]),
+)
+def test_keep_first_keeps_each_values_smallest_tag_across_steps(values, data, step):
+    # Runs of one value cross the steps of the compaction, whose first
+    # word of a step is a head only when its value differs from the last
+    # of the step before.
+    tags = data.draw(st.lists(st.integers(0, 7), min_size=len(values), max_size=len(values)))
+    words = np.array([v << 3 | t for v, t in zip(values, tags)], dtype=np.uint64)
+    smallest: dict[int, int] = {}
+    for v, t in zip(values, tags):
+        smallest[v] = min(t, smallest.get(v, t))
+    saved = corpus_mod._KEEP_STEP
+    corpus_mod._KEEP_STEP = step
+    try:
+        kept, kept_tags = corpus_mod.keep_first(words, 3, np.uint8)
+    finally:
+        corpus_mod._KEEP_STEP = saved
+    assert kept.tolist() == sorted(smallest)
+    assert kept_tags.tolist() == [smallest[v] for v in sorted(smallest)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(records=st.lists(_articles(), max_size=4), data=st.data())
 def test_damaged_store_raises_only_corpus_error(records, data):

@@ -17,6 +17,7 @@ import pytest
 
 import simplexledger.corpus as corpus_mod
 import simplexledger.ledger as ledger_mod
+import simplexledger.passes as passes_mod
 from simplexledger.corpus import (
     ArticleRecord,
     CorpusError,
@@ -242,16 +243,16 @@ def _commits(corpus, config, until=None, observe=None):
 
 
 def _recorded(monkeypatch, name, arg):
-    """A list that gains argument ``arg`` of each call of ledger function
-    ``name``."""
+    """A list that gains argument ``arg`` of each call of pass engine
+    function ``name``."""
     calls = []
-    fn = getattr(ledger_mod, name)
+    fn = getattr(passes_mod, name)
 
     def recording(*args):
         calls.append(args[arg])
         return fn(*args)
 
-    monkeypatch.setattr(ledger_mod, name, recording)
+    monkeypatch.setattr(passes_mod, name, recording)
     return calls
 
 
@@ -481,6 +482,16 @@ def test_ledgers_without_emissions_tally_zero(tmp_path, monkeypatch):
                 )
                 assert tabulate(store, config) == oracle_tabulate(store, k, refinement)
     assert [words.size for words in counted].count(0) == 8
+    # Without a Major flag the major view holds no keyword at all: a plan
+    # of no pass.
+    bare = CorpusStore()
+    for i in range(20):
+        bare.add(ArticleRecord(f"b{i:02d}", 2000 + i % 3, frozenset({i, i + 1}), frozenset()))
+    for k in (1, 2):
+        config = LedgerConfig(
+            k=k, refinement="major", shard_count=2, spill_directory=tmp_path / "bare"
+        )
+        assert tabulate(bare, config) == oracle_tabulate(bare, k, "major")
 
 
 def test_memory_budget_too_small_aborts_with_hint():
@@ -581,23 +592,23 @@ def test_buffer_spans_at_most_two_to_the_r_years(tmp_path, monkeypatch):
     for i in range(600):
         kws = frozenset(rng.sample(range(40), 6))
         store.add(ArticleRecord(f"b{i:03d}", 1980 + rng.randrange(40), kws, kws))
-    layout = ledger_mod._Layout.of(16_400, 4, 40)
+    layout = passes_mod.Layout.of(16_400, 4, 40)
     assert (layout.bits, layout.id_bits, layout.year_bits) == (15, 13, 6)
     oracle = oracle_tabulate(store, 3, "all")
     for shard_count in (1, 7):
         with monkeypatch.context() as patch:
             plans = []
-            make_plan = ledger_mod._plan
+            make_plan = passes_mod.plan
             patch.setattr(
-                ledger_mod, "_plan", lambda *a: plans.append(make_plan(*a)) or plans[-1]
+                passes_mod, "plan", lambda *a: plans.append(make_plan(*a)) or plans[-1]
             )
             config = LedgerConfig(
                 k=3, shard_count=shard_count, spill_directory=tmp_path / str(shard_count)
             )
             assert tabulate(store, config) == oracle
-        cuts = plans[0].cuts
-        assert len(cuts) - 1 >= max(3, shard_count)
-        assert max(b - a for a, b in zip(cuts, cuts[1:])) <= 1 << 13
+        passes = plans[0].passes
+        assert len(passes) >= max(3, shard_count)
+        assert max(p.last - p.first for p in passes) <= 1 << 13
 # --- key layout ------------------------------------------------------------
 
 # (distinct keywords, combination size, years, a pass's first id): 64-bit
@@ -620,7 +631,7 @@ def test_bucket_pass_recovers_first_years_and_largest_ids(n_keywords, s, years, 
     # its range, repeated across years and within a year: each word unpacks
     # to its ids and year, and each combination's first year, and whether
     # its largest id debuted then, come out of the count as they went in.
-    layout = ledger_mod._Layout.of(n_keywords, s, years)
+    layout = passes_mod.Layout.of(n_keywords, s, years)
     bits, id_bits, y = layout.bits, layout.id_bits, layout.year_bits
     assert (s - 1) * bits + id_bits + y <= 64
     last = min(n_keywords, first + (1 << id_bits))
@@ -640,7 +651,7 @@ def test_bucket_pass_recovers_first_years_and_largest_ids(n_keywords, s, years, 
             for row in map(tuple, rows.tolist()):
                 first_year.setdefault(row, year)
             tags = np.full(800, year, dtype=np.uint64)
-            end = ledger_mod._emit(words, end, rows.T.copy(), idx, tags, first, layout)
+            end = passes_mod._emit(words, end, rows.T.copy(), idx, tags, first, layout)
     assert end == words.size
     # Each word round-trips: its ids above the largest less ``first``, above
     # its year index.
@@ -659,7 +670,7 @@ def test_bucket_pass_recovers_first_years_and_largest_ids(n_keywords, s, years, 
         expected[0, year] += 1
         expected[1, year] += debut_index[ids[-1]] == year
     for step in (1, 7, 1 << 14):
-        tally = ledger_mod._count_words(words.copy(), layout, first, debut_index, step)
+        tally = passes_mod._count_words(words.copy(), layout, first, debut_index, step)
         assert tally.tolist() == expected.tolist()
 
 
@@ -721,25 +732,58 @@ def test_corpus_within_one_buffer_commits_once(tmp_path, monkeypatch):
     assert passes >= 3 and commits == list(range(1, passes + 1))
 
 
-def test_heavy_keyword_raises_before_any_directory(tmp_path):
+def test_heavy_keyword_is_split_and_a_heavy_pair_ranked(tmp_path, monkeypatch):
     # Keyword 900 debuts last and is the latest keyword of two pairs in
     # each of 1,400 articles: 2,800 emissions, over the 65,536 // 24 = 2,730
-    # that one pass holds at the smallest budget.
+    # that one pass holds at the smallest budget.  Its pass is split into
+    # parts by second-largest id, none over a pass.
     store = CorpusStore()
     for i in range(1400):
         store.add(ArticleRecord(f"a{i:04d}", 2000, frozenset({i % 50, 50 + i % 7}), frozenset()))
         store.add(ArticleRecord(f"b{i:04d}", 2001, frozenset({i % 50, 50 + i % 7, 900}), frozenset()))
+    plans = []
+    make_plan = passes_mod.plan
+    monkeypatch.setattr(
+        passes_mod, "plan", lambda *a: plans.append(make_plan(*a)) or plans[-1]
+    )
+    config = LedgerConfig(k=1, spill_directory=tmp_path / "split", memory_budget_bytes=_MIN_BUDGET)
+    assert tabulate(store, config) == oracle_tabulate(store, 1, "all")
+    parts = [p for p in plans[-1].passes if p.seconds is not None]
+    assert len(parts) >= 2 and sum(p.size for p in parts) == 2800
+    assert max(p.size for p in plans[-1].passes) <= 2730
+    # 2,800 articles from 2002 on pair keyword 3 with 900: the pair alone
+    # ends 2,828 combinations, all one pair, which a ranked part counts.
+    for i in range(2800):
+        store.add(ArticleRecord(f"c{i:04d}", 2002 + i % 3, frozenset({3, 900}), frozenset()))
+    config = LedgerConfig(k=1, spill_directory=tmp_path / "ranked", memory_budget_bytes=_MIN_BUDGET)
+    assert tabulate(store, config) == oracle_tabulate(store, 1, "all")
+    ranked = [p for p in plans[-1].passes if p.ranked]
+    assert [p.size for p in ranked] == [2828]
+
+
+def test_heavy_pair_raises_before_any_directory(tmp_path):
+    # 3,000 keywords debut in 2000.  In 2001 keywords 5000 and 6000 debut
+    # together in 2,800 articles, each with one of the 3,000: at k = 2 the
+    # pair ends 2,800 triads, over the 2,730 that one pass holds, over up
+    # to 3,000 distinct ones, more than a ranked part's table holds.
+    store = CorpusStore()
+    for i in range(1000):
+        kws = frozenset(range(3 * i, 3 * i + 3))
+        store.add(ArticleRecord(f"a{i:04d}", 2000, kws, frozenset()))
+    for i in range(2800):
+        kws = frozenset({i % 3000, 5000, 6000})
+        store.add(ArticleRecord(f"b{i:04d}", 2001, kws, frozenset()))
     spill = tmp_path / "spill"
-    config = LedgerConfig(k=1, spill_directory=spill, memory_budget_bytes=_MIN_BUDGET)
+    config = LedgerConfig(k=2, spill_directory=spill, memory_budget_bytes=_MIN_BUDGET)
     with pytest.raises(LedgerError) as raised:
         tabulate(store, config)
     message = str(raised.value)
-    assert "keyword 900 " in message and "2800 combinations" in message
-    assert "the 2730 that one pass holds" in message
+    assert "keywords 5000 and 6000 " in message and "2800 combinations" in message
+    assert "up to 3000 distinct ones, over the 2730 that one pass holds" in message
     assert not spill.exists()
     # Twice the budget holds it.
-    config = LedgerConfig(k=1, spill_directory=spill, memory_budget_bytes=2 * _MIN_BUDGET)
-    assert tabulate(store, config) == oracle_tabulate(store, 1, "all")
+    config = LedgerConfig(k=2, spill_directory=spill, memory_budget_bytes=2 * _MIN_BUDGET)
+    assert tabulate(store, config) == oracle_tabulate(store, 2, "all")
 
 
 def _two_articles(gap):
@@ -818,7 +862,7 @@ def test_stray_year_keeps_the_manifest_small(tmp_path, monkeypatch):
     def no_pass(*args):
         raise AssertionError("a complete ledger was counted again")
 
-    monkeypatch.setattr(ledger_mod, "_tally_pass", no_pass)
+    monkeypatch.setattr(passes_mod, "_tally_pass", no_pass)
     assert tabulate(store, config) == series
 
 
@@ -871,7 +915,7 @@ def test_bad_peripheral_tally_is_never_committed(tmp_path, monkeypatch):
     # A pass's tally is checked before its record is appended, in one pass
     # over the full range and in a plan of passes alike.
     corpus = _random_corpus(18, n_articles=200)
-    count = ledger_mod._count_words
+    count = passes_mod._count_words
 
     def too_many_peripheral(*args):
         tally = count(*args)
@@ -882,7 +926,7 @@ def test_bad_peripheral_tally_is_never_committed(tmp_path, monkeypatch):
         spill = tmp_path / str(shard_count)
         config = LedgerConfig(k=2, shard_count=shard_count, spill_directory=spill)
         with monkeypatch.context() as patch:
-            patch.setattr(ledger_mod, "_count_words", too_many_peripheral)
+            patch.setattr(passes_mod, "_count_words", too_many_peripheral)
             with pytest.raises(LedgerError, match=f"in {corpus.years[-1]}"):
                 tabulate(corpus, config)
         if shard_count == 1:
@@ -968,14 +1012,6 @@ def test_crash_after_history_commit_before_manifest(
         memory_budget_bytes=budget,
     )
     ledger_dir = tmp_path / "resume" / "k2" / "all"
-    if budget == _MIN_BUDGET:
-        # One keyword ends 2,817 triads, over the 2,730 that a pass holds at
-        # the smallest budget, and no pass splits a keyword: the ledger
-        # refuses before any directory is made.
-        with pytest.raises(LedgerError, match="2817 combinations, over the 2730"):
-            tabulate(corpus, config)
-        assert not (tmp_path / "resume").exists()
-        return
     write_manifest = ledger_mod._write_manifest
 
     def failing_write(path, payload):
@@ -1063,7 +1099,7 @@ def test_kill_inside_bucket_pass_reruns_it(tmp_path, monkeypatch):
     # and the rest, not pass 1.
     corpus = _random_corpus(16, n_articles=400, years=8)
     config = LedgerConfig(k=2, spill_directory=tmp_path, shard_count=4)
-    count = ledger_mod._count_words
+    count = passes_mod._count_words
     counted = []
 
     def failing_count(*args):
@@ -1073,7 +1109,7 @@ def test_kill_inside_bucket_pass_reruns_it(tmp_path, monkeypatch):
         return count(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(ledger_mod, "_count_words", failing_count)
+        patch.setattr(passes_mod, "_count_words", failing_count)
         with pytest.raises(Interrupt):
             tabulate(corpus, config)
     ledger_dir = tmp_path / "k2" / "all"
@@ -1090,9 +1126,10 @@ def test_kill_inside_bucket_pass_reruns_it(tmp_path, monkeypatch):
 _SIGKILL_CHILD = """
 import os, signal, sys
 import simplexledger.ledger as ledger_mod
+import simplexledger.passes as passes_mod
 from simplexledger.corpus import load_store
 
-count, counted = ledger_mod._count_words, []
+count, counted = passes_mod._count_words, []
 
 def killed(*args):
     # Pass 2 is under way, and pass 1's record is on disk.
@@ -1101,7 +1138,7 @@ def killed(*args):
         os.kill(os.getpid(), signal.SIGKILL)
     return count(*args)
 
-ledger_mod._count_words = killed
+passes_mod._count_words = killed
 with open(sys.argv[1], "rb") as f:
     store = load_store(f)
 ledger_mod.tabulate(store, ledger_mod.LedgerConfig(
@@ -1316,12 +1353,12 @@ def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch)
     for shard_count in (1, 2):
         tabulate(two_article_corpus, LedgerConfig(k=1, shard_count=shard_count))
         assert list(tmp_path.iterdir()) == []
-    count = ledger_mod._count_words
+    count = passes_mod._count_words
 
     def failing_count(*args):
         raise Interrupt
 
-    monkeypatch.setattr(ledger_mod, "_count_words", failing_count)
+    monkeypatch.setattr(passes_mod, "_count_words", failing_count)
     with pytest.raises(Interrupt):
         tabulate(two_article_corpus, LedgerConfig(k=1, shard_count=2))
     assert list(tmp_path.iterdir()) == []
@@ -1355,7 +1392,7 @@ def test_merge_frame_stays_within_memory_budget(tmp_path, monkeypatch, shard_cou
     store.view("all")
     budget = 1 << 20
     peaks = []
-    count = ledger_mod._count_words
+    count = passes_mod._count_words
 
     def measured(*args):
         tally = count(*args)
@@ -1363,7 +1400,7 @@ def test_merge_frame_stays_within_memory_budget(tmp_path, monkeypatch, shard_cou
         tracemalloc.reset_peak()
         return tally
 
-    monkeypatch.setattr(ledger_mod, "_count_words", measured)
+    monkeypatch.setattr(passes_mod, "_count_words", measured)
     config = LedgerConfig(
         k=1,
         shard_count=shard_count,
@@ -1448,10 +1485,10 @@ def test_one_bucket_is_counted_in_memory_and_two_in_the_log(tmp_path, monkeypatc
     # pass, which makes no plan and writes nothing; one byte less takes a
     # plan of passes.
     corpus = _random_corpus(3, n_articles=3000, vocab=100)
-    plans = _recorded(monkeypatch, "_plan", 0)
+    plans = _recorded(monkeypatch, "plan", 0)
     for k in (1, 2, 3):
         oracle = oracle_tabulate(corpus, k, "all")
-        exact = 24 * ledger_mod._census(corpus.view("all"), k + 1)[0]
+        exact = 24 * passes_mod.census(corpus.view("all"), k + 1)[0]
         assert exact - 1 >= _MIN_BUDGET
         for budget, planned in ((exact, False), (exact - 1, True)):
             plans.clear()
@@ -1511,9 +1548,9 @@ def test_in_memory_ledger_stays_within_memory_budget(monkeypatch, k, keywords):
     for i in range(articles):
         kws = frozenset(rng.sample(range(3000), keywords))
         store.add(ArticleRecord(f"a{i:06d}", 2000 + i % 10, kws, kws))
-    emissions = ledger_mod._census(store.view("all"), k + 1)[0]
+    emissions = passes_mod.census(store.view("all"), k + 1)[0]
     budget = 24 * emissions
-    plans = _recorded(monkeypatch, "_plan", 0)
+    plans = _recorded(monkeypatch, "plan", 0)
     config = LedgerConfig(k=k, memory_budget_bytes=budget)
     tracemalloc.start()
     try:
