@@ -1,5 +1,5 @@
 """The pass engine of the ledger: how one ledger's combinations become
-words, the plan of its passes, the index they read their rows from, and
+words, the plan of its passes, the index they read their cells from, and
 their counts.
 
 A pass takes the combinations whose largest dense id lies in a contiguous
@@ -8,24 +8,26 @@ writes them into one array of words, each a key above the y bits of its
 year index: the combination's smaller ids, above its largest id less the
 range's first.  `keep_first`, the corpus step that merges ingest's keywords
 too, keeps each key's word of the smallest year, and one count,
-`_count_words`, tallies the new and peripheral keys by year.  An article
-whose id at row position j lies in the range emits the C(j, k)
-combinations of that id with the ids before it.
+`_count_words`, tallies the new and peripheral keys by year.  Every pass
+emits by one rule, `_emit_pass`: an id at row position j emits the C(j, k)
+combinations of it with the ids before it, from cells, each a row position
+j and the ascending places in the ids of the pass's ids at j.
 
 `census` counts the emissions E and each year's processed articles, and
-`tally_all` counts a ledger that fits one pass over the full range from the
-rows themselves.  Otherwise `plan` counts each id's emissions and index
-entries and cuts the ranges at a pass's capacity, at the key's width and
-into at least ``shard_count`` passes.  A keyword whose own emissions exceed
-a pass is split into parts by its combinations' second-largest id, each
-part a pass whose emissions are that id's combinations with the ids before
-it and the keyword.  A part of one id whose emissions still exceed a pass
-is ranked: a table over the ranks of its sets of smaller ids keeps their
-first years, when they fit a pass, and otherwise the pair is refused before
-any work.  `tallies` runs the passes: they read their rows from a
-per-position index, built once for each group of consecutive passes whose
-entries fit a share of the budget, in the same words array the passes then
-use.
+`tally_all` counts a ledger that fits one pass over the full range, whose
+cells `_row_cells` reads off the rows themselves.  Otherwise `plan` counts
+each id's emissions and index entries and cuts the ranges at a pass's
+capacity, at the key's width and into at least ``shard_count`` passes.  A
+keyword whose own emissions exceed a pass is split into parts by its
+combinations' second-largest id, each part a pass whose emissions are that
+id's combinations with the ids before it and the keyword.  A part of one
+id whose emissions still exceed a pass is ranked: a table over the ranks of
+its sets of smaller ids keeps their first years, when they fit a pass, and
+otherwise the pair is refused before any work.  `tallies` runs the passes:
+they read their cells from a per-position index, built once for each group
+of consecutive passes whose entries fit a share of the budget, in the same
+words array the passes then use.  The plan, each index and each ranked
+part read the rows through one scan, `_scan`.
 """
 
 from __future__ import annotations
@@ -140,17 +142,18 @@ def _emit(
     end: int,
     rows: np.ndarray,
     idx: np.ndarray,
-    tags,
+    tags: np.ndarray,
     first: int,
     layout: Layout,
 ) -> int:
     """Write the words of the combinations ``idx``, (c, s) ascending row
-    indices, of each column of ``rows``, (m, n) uint64 ids ascending down
-    each of the n columns, into ``words`` from ``end``; returns the end of
-    what was written.  A word holds the smaller ids above the largest less
-    ``first``, above the year index ``tags``, an int or one per column.
-    Each of the s ids of a word is shifted into place in ``rows`` first,
-    so that the words are ORs of whole rows taken by ``idx``."""
+    indices that each end in the last row, of each column of ``rows``, (m,
+    n) uint64 ids ascending down each of the n columns, into ``words`` from
+    ``end``; returns the end of what was written.  A word holds the smaller
+    ids above the largest less ``first``, above the year index ``tags``, one
+    per column.  Each of the s - 1 smaller ids of a word is shifted into
+    place in ``rows`` first, so that the words are ORs of whole rows taken
+    by ``idx``."""
     s = idx.shape[1]
     block = words[end : end + idx.shape[0] * rows.shape[1]].reshape(idx.shape[0], -1)
     shift = layout.year_bits + layout.id_bits + layout.bits * (s - 2)
@@ -158,12 +161,7 @@ def _emit(
     for col in range(1, s - 1):
         shift -= layout.bits
         block |= np.take(rows << np.uint64(shift), idx[:, col], axis=0, mode="clip")
-    last, y = idx[:, -1], np.uint64(layout.year_bits)
-    if last[0] == last[-1]:
-        # Every combination ends in the same row.
-        block |= ((rows[last[0]] - np.uint64(first)) << y) | tags
-    else:
-        block |= np.take(((rows - np.uint64(first)) << y) | tags, last, axis=0, mode="clip")
+    block |= ((rows[-1] - np.uint64(first)) << np.uint64(layout.year_bits)) | tags
     return end + block.size
 
 
@@ -186,57 +184,11 @@ def _ranges(
 
 def _batch_rows(combos: int, width: int, budget: int) -> int:
     """Rows per emission batch when each row of ``width`` ids emits
-    ``combos`` words: at most `_EMIT_CHUNK` words, whose temporaries take at
-    most a quarter of ``budget``, unless one row alone takes more."""
+    ``combos`` words: at most `_EMIT_CHUNK` words and ids gathered, whose
+    temporaries take at most a quarter of ``budget``, unless one row alone
+    takes more."""
     row = _BATCH_BYTES_PER_WORD * combos + _BATCH_BYTES_PER_ID * width
-    return max(1, min(_EMIT_CHUNK // combos, budget // 4 // row))
-
-
-def _emit_all(
-    view: tuple[np.ndarray, ...],
-    s: int,
-    layout: Layout,
-    words: np.ndarray,
-    budget: int,
-) -> None:
-    """Fill ``words`` with every size-s combination of a `CorpusStore.view`'s
-    articles: the pass over the full range of ids.
-
-    A year's articles are taken a range at a time, and grouped by keyword
-    count m within each range, so that one gather builds a batch's
-    (m, articles) id matrix.
-    """
-    _, year_starts, offsets, ids, _, _ = view
-    end = 0
-    size = _step(budget, _RANGE_BYTES_PER_ARTICLE, _EMIT_CHUNK)
-    for tag, lo, hi in _ranges(year_starts, size):
-        starts = offsets[lo:hi]
-        counts = offsets[lo + 1 : hi + 1] - starts
-        for m in (np.flatnonzero(np.bincount(counts)[s:]) + s).tolist():
-            group = starts[counts == m]
-            idx = _comb_indices(m, s)
-            batch = _batch_rows(len(idx), m, budget)
-            columns = np.arange(m)[:, None]
-            for start in range(0, group.size, batch):
-                rows = ids[group[start : start + batch] + columns].astype(np.uint64)
-                end = _emit(words, end, rows, idx, tag, 0, layout)
-    _filled(words, end)
-
-
-def tally_all(
-    view: tuple[np.ndarray, ...],
-    s: int,
-    layout: Layout,
-    emissions: int,
-    debut_index: np.ndarray,
-    budget: int,
-) -> np.ndarray:
-    """The checked new and peripheral counts of the one pass over the full
-    range of ids, which holds all ``emissions``."""
-    words = np.empty(emissions, dtype=np.uint64)
-    _emit_all(view, s, layout, words, budget)
-    count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
-    return _checked(0, view[0], _count_words(words, layout, 0, debut_index, count))
+    return max(1, min(_EMIT_CHUNK // (combos + width), budget // 4 // row))
 
 
 def census(view: tuple[np.ndarray, ...], s: int) -> tuple[int, np.ndarray]:
@@ -309,6 +261,31 @@ def _before(
     return position + np.repeat(begins, runs), position
 
 
+def _scan(
+    view: tuple[np.ndarray, ...], step: int, holder: int | None = None, since: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One scan of the rows, ``step`` ids at a time, from the debut year of
+    id ``since``, or of ``holder``, on, since no earlier article holds it.
+
+    Each chunk yields the places in the ids, the ids and the row positions
+    of its candidate ids: every id, or with ``holder`` the ids before it in
+    the articles that hold it.
+    """
+    _, year_starts, offsets, ids, _, debuts = view
+    since = since if holder is None else holder
+    # Id 0 debuts first, and the view may hold no id at all.
+    begin = int(year_starts[debuts[since]]) if since else 0
+    for a, b in article_chunks(offsets, step, begin):
+        lo, hi = int(offsets[a]), int(offsets[b])
+        row = ids[lo:hi]
+        if holder is None:
+            at = np.arange(lo, hi)
+            yield at, row, at - np.repeat(offsets[a:b], np.diff(offsets[a : b + 1]))
+        else:
+            at, position = _before(row, offsets[a:b] - lo, holder)
+            yield at + lo, row[at], position
+
+
 def _weigh(
     view: tuple[np.ndarray, ...], r: int, step: int, holder: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -317,26 +294,18 @@ def _weigh(
 
     With ``holder``, only the ids below it in the articles holding it count,
     each the second-largest id of C(j, r) combinations ending in it.  One
-    scan of the rows, ``step`` ids at a time, from the holder's debut year.
+    `_scan` of the rows, from the holder's debut year.
     """
-    _, year_starts, offsets, ids, keywords, debuts = view
-    n = keywords.size if holder is None else holder
+    n = view[4].size if holder is None else holder
     sums = np.zeros(n, dtype=np.int64)
     entries = np.zeros(n, dtype=np.int64)
     weights = np.zeros(0, dtype=np.int64)
-    since = 0 if holder is None else int(year_starts[debuts[holder]])
-    for a, b in article_chunks(offsets, step, since):
-        lo, hi = offsets[a], offsets[b]
-        starts = offsets[a:b] - lo
-        counts = np.diff(offsets[a : b + 1])
-        if counts.max() > weights.size:
-            weights = np.array([math.comb(j, r) for j in range(counts.max())], np.int64)
-        row = ids[lo:hi]
-        if holder is None:
-            position = np.arange(hi - lo) - np.repeat(starts, counts)
-        else:
-            at, position = _before(row, starts, holder)
-            row = row[at]
+    for _, row, position in _scan(view, step, holder):
+        if not row.size:
+            continue
+        widest = int(position.max()) + 1
+        if widest > weights.size:
+            weights = np.array([math.comb(j, r) for j in range(widest)], np.int64)
         np.add.at(sums, row, weights[position])
         entries += np.bincount(row[position >= r], minlength=n)
     return sums, entries, weights.size
@@ -421,13 +390,11 @@ def _index(
     position; returns where each (pass, position) cell of them ends, with a
     0 before the first.
 
-    The passes are plain or parts of one split keyword.  One scan finds
-    the entries, ``step`` ids at a time, from the debut year of the group's
-    first id, or of its split keyword, on, since no earlier article holds
-    one of its entries.  Each entry becomes one word in the front of
+    The passes are plain or parts of one split keyword.  One `_scan` finds
+    the entries from the debut year of the group's first id, or of its
+    split keyword, on.  Each entry becomes one word in the front of
     ``words``, its cell above its place, and one sort orders them.
     """
-    _, year_starts, offsets, ids, _, debuts = view
     group = plan.passes[p0:p1]
     holder = group[0].holder
     if holder is None:
@@ -443,30 +410,15 @@ def _index(
     )
     words = words[: sum(p.entries for p in group)]
     end = 0
-    since = int(year_starts[debuts[first if holder is None else holder]])
-    for a, b in article_chunks(offsets, step, since):
-        starts = offsets[a:b] - offsets[a]
-        row = ids[offsets[a] : offsets[b]]
-        if holder is None:
-            counts = np.diff(offsets[a : b + 1])
-            rel = row - np.uint32(first)
-            chosen = rel < np.uint32(last - first)
-            # No entry lies at a row position below the least.
-            for j in range(least):
-                chosen[starts[counts > j] + j] = False
-            at = np.flatnonzero(chosen)
-            position = at - starts[np.searchsorted(starts, at, "right") - 1]
-            rel = rel[at]
-        else:
-            at, position = _before(row, starts, holder)
-            rel = row[at] - np.uint32(first)
-            chosen = (rel < np.uint32(last - first)) & (position >= least)
-            at, position, rel = at[chosen], position[chosen], rel[chosen]
-        if not at.size:
+    for at, row, position in _scan(view, step, holder, first):
+        rel = row - np.uint32(first)
+        # One nonzero search and three integer takes beat three boolean masks.
+        chosen = np.flatnonzero((rel < np.uint32(last - first)) & (position >= least))
+        if not chosen.size:
             continue
-        cell = cell_of[rel]
-        cell += position
-        at += offsets[a]
+        at = at[chosen]
+        cell = cell_of[rel[chosen]]
+        cell += position[chosen]
         word = words[end : end + at.size]
         np.left_shift(cell, 32, out=word, casting="unsafe")
         word |= at.view(np.uint64)
@@ -483,31 +435,26 @@ def _emit_pass(
     view: tuple[np.ndarray, ...],
     k: int,
     layout: Layout,
-    places: np.ndarray,
-    ends: np.ndarray,
+    cells: Iterator[tuple[int, np.ndarray]],
     first: int,
     words: np.ndarray,
     budget: int,
     split: bool,
 ) -> None:
     """Fill ``words`` with the combinations of one pass over the ids from
-    ``first``: for each row position j >= k, the C(j, k) combinations of the
-    id at j with the ids before it, where ``places[ends[j - k]:ends[j - k +
-    1]]`` are the places in the ids of its ids at j, a batch at a time.
+    ``first``, a batch at a time: for each of its ``cells``, a row position
+    j >= k and the ascending places in the ids of its ids at j, the C(j, k)
+    combinations of each with the ids before it.
 
     A part of split keyword ``first``'s pass takes instead, for each row
     position j >= k - 1, the C(j, k - 1) combinations of the id at j, the
-    ids before it and the keyword, from the places at ``ends[j - k + 1]``.
+    ids before it and the keyword.
     """
     _, year_starts, offsets, ids, _, _ = view
     year_places = offsets[year_starts]
     tail = 1 + split
     end = 0
-    for cell in range(ends.size - 1):
-        at = places[ends[cell] : ends[cell + 1]]
-        if not at.size:
-            continue
-        j = cell + k + 1 - tail
+    for j, at in cells:
         idx = _comb_indices(j, k + 1, tail)
         batch = _batch_rows(len(idx), j + tail, budget)
         columns = np.arange(-j, 1)[:, None]
@@ -521,6 +468,25 @@ def _emit_pass(
                 rows = np.vstack((rows, np.full(chosen.size, first, np.uint64)))
             end = _emit(words, end, rows, idx, tags, first, layout)
     _filled(words, end)
+
+
+def _row_cells(
+    view: tuple[np.ndarray, ...], k: int, budget: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The cells of the pass over the full range of ids, read off the rows:
+    a range of articles at a time, grouped by keyword count m, each row
+    position j = k..m-1 with the places of those articles' ids at j."""
+    offsets = view[2]
+    n = offsets.size - 1
+    size = _step(budget, _RANGE_BYTES_PER_ARTICLE, _EMIT_CHUNK)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        starts = offsets[lo:hi]
+        counts = offsets[lo + 1 : hi + 1] - starts
+        for m in (np.flatnonzero(np.bincount(counts)[k + 1 :]) + k + 1).tolist():
+            group = starts[counts == m]
+            for j in range(k, m):
+                yield j, group + j
 
 
 def _count_words(
@@ -576,25 +542,22 @@ def _tally_ranked(
 
     Each of the C(e, k - 1) sets of smaller ids has its rank in the
     combinatorial number system, the sum of C(x_t, t + 1) over its ids in
-    ascending order, and a table keeps each rank's first year.  One scan
+    ascending order, and a table keeps each rank's first year.  One `_scan`
     of the articles holding d, ``step`` ids at a time, takes the minimum of
     each emission's year into the table, so no combination is held.  Every
     combination's latest keyword is d, so the new ones of d's debut year
     are peripheral.
     """
-    _, year_starts, offsets, ids, _, debuts = view
+    _, year_starts, offsets, ids, _, _ = view
     d, e = part.first, part.seconds[0]
     years = layout.years
     table = np.full(math.comb(e, k - 1), years, dtype=np.min_scalar_type(years))
     year_places = offsets[year_starts]
     step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
-    for a, b in article_chunks(offsets, step, int(year_starts[debuts[d]])):
-        lo = offsets[a]
-        row = ids[lo : offsets[b]]
-        at, position = _before(row, offsets[a:b] - lo, d)
-        hit = row[at] == e
+    for at, row, position in _scan(view, step, holder=d):
+        hit = (row == e) & (position >= k - 1)
         at, position = at[hit], position[hit]
-        for j in np.unique(position[position >= k - 1]).tolist():
+        for j in np.unique(position).tolist():
             chosen = at[position == j]
             idx = _comb_indices(j, k - 1)
             columns = np.arange(-j, 0)[:, None]
@@ -602,8 +565,8 @@ def _tally_ranked(
             batch = _batch_rows(3 * len(idx), j, budget)
             for start in range(0, chosen.size, batch):
                 places = chosen[start : start + batch]
-                tags = np.searchsorted(year_places, places + lo, "right") - 1
-                rows = row[places + columns].astype(np.int64)
+                tags = np.searchsorted(year_places, places, "right") - 1
+                rows = ids[places + columns].astype(np.int64)
                 ranks = np.zeros((len(idx), places.size), dtype=np.int64)
                 for t in range(k - 1):
                     ranks += _binomials(rows[idx[:, t]], t + 1)
@@ -642,11 +605,36 @@ def _tally_pass(
     split: bool,
 ) -> np.ndarray:
     """The new and peripheral counts of one pass over the ids from
-    ``first``, or of a part of split keyword ``first``'s, whose index cells
-    end at ``ends``, emitted into ``words``."""
-    _emit_pass(view, k, layout, places, ends, first, words, budget, split)
+    ``first``, or of a part of split keyword ``first``'s, emitted into
+    ``words`` from its index: ``places[ends[c]:ends[c + 1]]`` are its ids'
+    places at row position k + c (k - 1 + c in a part)."""
+    bounds = ends.tolist()
+    cells = (
+        (c + k - split, places[a:b])
+        for c, (a, b) in enumerate(zip(bounds, bounds[1:]))
+        if a < b
+    )
+    _emit_pass(view, k, layout, cells, first, words, budget, split)
     count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
     return _count_words(words, layout, first, debut_index, count)
+
+
+def tally_all(
+    view: tuple[np.ndarray, ...],
+    s: int,
+    layout: Layout,
+    emissions: int,
+    debut_index: np.ndarray,
+    budget: int,
+) -> np.ndarray:
+    """The checked new and peripheral counts of the one pass over the full
+    range of ids, which holds all ``emissions``: its cells are read off the
+    rows, so it needs no plan or index, and writes nothing."""
+    words = np.empty(emissions, dtype=np.uint64)
+    cells = _row_cells(view, s - 1, budget)
+    _emit_pass(view, s - 1, layout, cells, 0, words, budget, False)
+    count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
+    return _checked(0, view[0], _count_words(words, layout, 0, debut_index, count))
 
 
 def _group(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simplexledger.corpus import ArticleRecord, CorpusStore
-from simplexledger.passes import Layout, _emit_all
+from simplexledger.passes import Layout, _emit_pass, _row_cells
 from simplexledger.ontology import load_ontology
 
 ONTOLOGY_TSV = """\
@@ -46,7 +46,8 @@ def two_article_corpus():
 @pytest.fixture
 def engine_simplices():
     """The (k+1)-combinations of one keyword set as the ledger emits them:
-    the words of the full pass over a one-article, one-year view, unpacked."""
+    the words of the full pass over a one-article, one-year view, from the
+    cells of its rows, unpacked."""
 
     def simplices(keywords, k):
         ids = np.array(sorted(set(keywords)), dtype=np.uint32)
@@ -55,7 +56,7 @@ def engine_simplices():
         offsets = np.array([0, ids.size], dtype=np.int64)
         view = (None, np.array([0, 1]), offsets, ids, None, None)
         words = np.empty(math.comb(ids.size, s), dtype=np.uint64)
-        _emit_all(view, s, layout, words, 1 << 30)
+        _emit_pass(view, k, layout, _row_cells(view, k, 1 << 30), 0, words, 1 << 30, False)
         mask = (1 << layout.bits) - 1
         return [
             tuple(key >> layout.bits * (s - 1 - j) & mask for j in range(s))

@@ -1600,6 +1600,29 @@ def test_per_article_counts_stay_within_memory_budget(tmp_path, k, shard_count, 
     assert series == oracle_tabulate(store, k, "all")
 
 
+@pytest.mark.parametrize(
+    "m, k, bound",
+    [pytest.param(60, 2, 1.0, id="60-triads"), pytest.param(40, 3, 1.5, id="40-quartets")],
+)
+def test_wide_article_stays_within_a_one_pass_budget(m, k, bound):
+    # One article of m keywords and one of 4, at the smallest budget that
+    # holds them in one pass over the full range, 24 bytes an emission: the
+    # pass emits the wide article's C(j, k) combinations a row position at a
+    # time, never its C(m, k + 1) at once.
+    store = CorpusStore()
+    for name, year, kws in (("wide", 2000, range(m)), ("four", 2001, range(m, m + 4))):
+        store.add(ArticleRecord(name, year, frozenset(kws), frozenset(kws)))
+    budget = 24 * passes_mod.census(store.view("all"), k + 1)[0]
+    tracemalloc.start()
+    try:
+        series = tabulate(store, LedgerConfig(k=k, memory_budget_bytes=budget))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * budget
+    assert series == oracle_tabulate(store, k, "all")
+
+
 def test_restart_ignores_state_from_different_corpus(tmp_path):
     a = _random_corpus(1, n_articles=100)
     b = _random_corpus(2, n_articles=100)
