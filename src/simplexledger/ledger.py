@@ -153,7 +153,7 @@ def _fingerprint(corpus_digest: str, config: LedgerConfig, plan: passes.Plan) ->
             "corpus": corpus_digest,
             "k": config.k,
             "refinement": config.refinement,
-            "passes": [(p.first, p.last, p.seconds) for p in plan.passes],
+            "passes": [(p.holders, p.first, p.last) for p in plan.passes],
         }
     )
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -6,28 +6,31 @@ A pass takes the combinations whose largest dense id lies in a contiguous
 range, so that every emission of a combination falls in one pass, and
 writes them into one array of words, each a key above the y bits of its
 year index: the combination's smaller ids, above its largest id less the
-range's first.  `keep_first`, the corpus step that merges ingest's keywords
-too, keeps each key's word of the smallest year, and one count,
-`_count_words`, tallies the new and peripheral keys by year.  Every pass
-emits by one rule, `_emit_pass`: an id at row position j emits the C(j, k)
-combinations of it with the ids before it, from cells, each a row position
-j and the ascending places in the ids of the pass's ids at j.
+pass's base, the range's first id or its first holder.  `keep_first`, the
+corpus step that merges ingest's keywords too, keeps each key's word of the
+smallest year, and one count, `_count_words`, tallies the new and
+peripheral keys by year.  Every pass emits by one rule, `_emit_pass`: an id
+at row position j emits the C(j, k) combinations of it with the ids before
+it, from cells, each a row position j and the ascending places in the ids
+of the pass's ids at j.
 
 `census` counts the emissions E and each year's processed articles, and
 `tally_all` counts a ledger that fits one pass over the full range, whose
 cells `_row_cells` reads off the rows themselves.  Otherwise `plan` counts
 each id's emissions and index entries and cuts the ranges at a pass's
-capacity, at the key's width and into at least ``shard_count`` passes.  A
-keyword whose own emissions exceed a pass is split into parts by its
-combinations' second-largest id, each part a pass whose emissions are that
-id's combinations with the ids before it and the keyword.  A part of one
-id whose emissions still exceed a pass is ranked: a table over the ranks of
-its sets of smaller ids keeps their first years, when they fit a pass, and
-otherwise the pair is refused before any work.  `tallies` runs the passes:
-they read their cells from a per-position index, built once for each group
-of consecutive passes whose entries fit a share of the budget, in the same
-words array the passes then use.  The plan, each index and each ranked
-part read the rows through one scan, `_scan`.
+capacity, at the key's width and into at least ``shard_count`` passes.  An
+id whose own emissions exceed a pass becomes a holder: its combinations are
+cut again, one order lower, by the next id below it, from a scan of the
+articles that hold every holder, down to k holders.  A pass under holders
+takes the combinations that hold them all, and emits, for an id at row
+position j before them, the C(j, k - r) combinations of it with the ids
+before it and the r holders.  An id that still outnumbers a pass under k
+holders is one whole combination, new in the year of the first article that
+holds it.  `tallies` runs the passes: they read their cells from a
+per-position index, built once for each group of consecutive passes with
+the same holders whose entries fit a share of the budget, in the same words
+array the passes then use.  The plan, each index and each whole pass read
+the rows through one scan, `_scan`.
 """
 
 from __future__ import annotations
@@ -210,51 +213,56 @@ def census(view: tuple[np.ndarray, ...], s: int) -> tuple[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Pass:
-    """One pass: the ``size`` combinations whose largest dense id lies in
-    ``first:last``, from ``entries`` index entries, each an article and a
-    row position j >= k whose id lies there.
+    """One pass: the ``size`` combinations that hold every id of
+    ``holders`` as their largest, and whose next largest dense id lies in
+    ``first:last``, from ``entries`` index entries, each an article holding
+    the holders and a row position j >= k - len(holders), before the last
+    holder, whose id lies there.
 
-    A part of a split keyword's pass, with ``seconds``, spans that keyword
-    alone and takes the combinations whose second-largest id lies in
-    ``seconds[0]:seconds[1]``; its entries are an article holding the
-    keyword and a row position j >= k - 1 whose id lies there.  A
-    ``ranked`` part, of one second-largest id whose combinations outnumber
-    a pass, keeps their first years in a table by rank instead, and has no
-    entries.
+    A plain pass has no holders.  A ``whole`` pass is one combination, the
+    holders and id ``first``, whose ``size`` articles outnumber a pass; it
+    has no entries.
     """
 
+    holders: tuple[int, ...]
     first: int
     last: int
-    seconds: tuple[int, int] | None
     size: int
     entries: int
-    ranked: bool = False
+    whole: bool = False
 
     @property
-    def holder(self) -> int | None:
-        """The split keyword whose combinations the pass takes a part of."""
-        return None if self.seconds is None else self.first
+    def base(self) -> int:
+        """The largest dense id of the pass's keys, less which their low
+        bits hold their largest id."""
+        return self.holders[0] if self.holders else self.first
 
 
 @dataclass(frozen=True)
 class Plan:
-    """The passes in order of largest id, and the row positions an index
-    cell of a pass spans: from k (k - 1 in a split keyword's part) to the
-    widest row's last."""
+    """The passes in order of largest ids, and the row positions an index
+    cell of a pass spans: from k - len(holders) to the widest row's last
+    before its holders."""
 
     passes: list[_Pass]
     positions: int
 
 
 def _before(
-    row: np.ndarray, starts: np.ndarray, holder: int
+    row: np.ndarray, starts: np.ndarray, holders: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The places in ``row``, the ids of articles that start at ``starts``,
-    of the ids before ``holder`` in the articles that hold it, and their
-    row positions: one pass over ``row`` finds the holder, and the rest
-    takes time in the ids found."""
-    hits = np.flatnonzero(row == holder)
-    begins = starts[np.searchsorted(starts, hits, "right") - 1]
+    of the ids before the last of ``holders`` in the articles that hold
+    them all, and their row positions: one pass over ``row`` for each
+    holder finds the articles that hold it, and the rest takes time in the
+    ids found."""
+    hits = np.flatnonzero(row == holders[-1])
+    held = np.searchsorted(starts, hits, "right") - 1
+    for holder in holders[:-1]:
+        others = np.searchsorted(starts, np.flatnonzero(row == holder), "right") - 1
+        keep = np.isin(held, others)
+        hits, held = hits[keep], held[keep]
+    begins = starts[held]
     runs = hits - begins
     heads = np.cumsum(runs) - runs
     position = np.arange(int(runs.sum())) - np.repeat(heads, runs)
@@ -262,45 +270,47 @@ def _before(
 
 
 def _scan(
-    view: tuple[np.ndarray, ...], step: int, holder: int | None = None, since: int = 0
+    view: tuple[np.ndarray, ...], step: int, holders: tuple[int, ...] = (), since: int = 0
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One scan of the rows, ``step`` ids at a time, from the debut year of
-    id ``since``, or of ``holder``, on, since no earlier article holds it.
+    id ``since``, or of the first of ``holders``, on, since no earlier
+    article holds it.
 
     Each chunk yields the places in the ids, the ids and the row positions
-    of its candidate ids: every id, or with ``holder`` the ids before it in
-    the articles that hold it.
+    of its candidate ids: every id, or with ``holders`` the ids before the
+    last in the articles that hold them all.
     """
     _, year_starts, offsets, ids, _, debuts = view
-    since = since if holder is None else holder
+    since = holders[0] if holders else since
     # Id 0 debuts first, and the view may hold no id at all.
     begin = int(year_starts[debuts[since]]) if since else 0
     for a, b in article_chunks(offsets, step, begin):
         lo, hi = int(offsets[a]), int(offsets[b])
         row = ids[lo:hi]
-        if holder is None:
+        if not holders:
             at = np.arange(lo, hi)
             yield at, row, at - np.repeat(offsets[a:b], np.diff(offsets[a : b + 1]))
         else:
-            at, position = _before(row, offsets[a:b] - lo, holder)
+            at, position = _before(row, offsets[a:b] - lo, holders)
             yield at + lo, row[at], position
 
 
 def _weigh(
-    view: tuple[np.ndarray, ...], r: int, step: int, holder: int | None = None
+    view: tuple[np.ndarray, ...], r: int, step: int, holders: tuple[int, ...] = ()
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Per dense id, the sum of C(j, r) over the row positions j where it
     lies, and how many of those are r or more; and the widest row's width.
 
-    With ``holder``, only the ids below it in the articles holding it count,
-    each the second-largest id of C(j, r) combinations ending in it.  One
-    `_scan` of the rows, from the holder's debut year.
+    With ``holders``, only the ids below the last in the articles holding
+    them all count, each the next largest id of C(j, r) combinations ending
+    in it and the holders.  One `_scan` of the rows, from the first
+    holder's debut year.
     """
-    n = view[4].size if holder is None else holder
+    n = holders[-1] if holders else view[4].size
     sums = np.zeros(n, dtype=np.int64)
     entries = np.zeros(n, dtype=np.int64)
     weights = np.zeros(0, dtype=np.int64)
-    for _, row, position in _scan(view, step, holder):
+    for _, row, position in _scan(view, step, holders):
         if not row.size:
             continue
         widest = int(position.max()) + 1
@@ -332,46 +342,37 @@ def plan(
     emissions, the C(j, k) combinations it ends at each row position j, and
     its index entries.  Ranges of ids are cut at a pass's capacity of
     budget / 24 emissions, at most 2^id_bits ids, and at E / shard_count
-    emissions, unless one id alone holds more.  A keyword whose own
-    emissions exceed a pass is split, by the same cuts, into parts by its
-    combinations' second-largest id, which a scan of the articles holding
-    it counts.  A pair of keywords whose own emissions exceed a pass is a
-    ranked part when its C(e, k - 1) sets of smaller ids fit a pass, and
-    otherwise raises, naming both, before any work.
+    emissions, unless one id alone holds more.  An id whose own emissions
+    exceed a pass becomes a holder: a scan of the articles holding it and
+    the holders above it counts its combinations by their next largest id,
+    C(j, k - r) at row position j under r holders, and the same cuts divide
+    them into passes, down to k holders.  An id that still outnumbers a
+    pass under k holders is a whole pass, one combination.
     """
-    keywords = view[4]
     step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
     emissions, entries, widest = _weigh(view, k, step)
     cap = budget // PASS_BYTES_PER_KEY
     target = min(cap, max(1, int(emissions.sum()) // shard_count))
-    cuts = _cut(emissions, target, 1 << layout.id_bits)
     passes = []
-    for a, b in zip(cuts, cuts[1:]):
-        if emissions[a] <= cap:
-            size, held = int(emissions[a:b].sum()), int(entries[a:b].sum())
-            passes.append(_Pass(a, b, None, size, held))
-            continue
-        # A range of ids whose first alone exceeds a pass is that id alone.
-        seconds, held, _ = _weigh(view, k - 1, step, holder=a)
-        parts = _cut(seconds, target, a)
-        for c, d in zip(parts, parts[1:]):
-            size = int(seconds[c:d].sum())
-            if not size:
-                continue
-            if size <= cap:
-                passes.append(_Pass(a, a + 1, (c, d), size, int(held[c:d].sum())))
-                continue
-            # A range of second-largest ids whose first alone exceeds a pass
-            # is that id alone.
-            sets = math.comb(c, k - 1)
-            if sets > cap:
-                raise LedgerError(
-                    f"keywords {keywords[c]} and {keywords[a]} are the two "
-                    f"latest keywords of {size} combinations, and of up to "
-                    f"{sets} distinct ones, over the {cap} that one pass holds "
-                    f"at memory_budget_bytes={budget}"
-                )
-            passes.append(_Pass(a, a + 1, (c, d), size, 0, ranked=True))
+
+    def cut(
+        holders: tuple[int, ...], emissions: np.ndarray, entries: np.ndarray, most: int
+    ) -> None:
+        cuts = _cut(emissions, target, most)
+        for a, b in zip(cuts, cuts[1:]):
+            size = int(emissions[a:b].sum())
+            if emissions[a] <= cap:
+                # Under a holder an empty range has nothing to count.
+                if size or not holders:
+                    passes.append(_Pass(holders, a, b, size, int(entries[a:b].sum())))
+            elif len(holders) < k:
+                # A range whose first id alone exceeds a pass is that id alone.
+                below = holders + (a,)
+                cut(below, *_weigh(view, k - len(below), step, below)[:2], a)
+            else:
+                passes.append(_Pass(holders, a, b, size, 0, whole=True))
+
+    cut((), emissions, entries, 1 << layout.id_bits)
     return Plan(passes, max(1, widest - k))
 
 
@@ -390,18 +391,16 @@ def _index(
     position; returns where each (pass, position) cell of them ends, with a
     0 before the first.
 
-    The passes are plain or parts of one split keyword.  One `_scan` finds
-    the entries from the debut year of the group's first id, or of its
-    split keyword, on.  Each entry becomes one word in the front of
-    ``words``, its cell above its place, and one sort orders them.
+    The passes share their holders, and an entry's row position is at
+    least k less their count.  One `_scan` finds the entries from the debut
+    year of the group's first id, or of its first holder, on.  Each entry
+    becomes one word in the front of ``words``, its cell above its place,
+    and one sort orders them.
     """
     group = plan.passes[p0:p1]
-    holder = group[0].holder
-    if holder is None:
-        bounds, least = [p.first for p in group] + [group[-1].last], k
-    else:
-        bounds = [p.seconds[0] for p in group] + [group[-1].seconds[1]]
-        least = k - 1
+    holders = group[0].holders
+    least = k - len(holders)
+    bounds = [p.first for p in group] + [group[-1].last]
     first, last = bounds[0], bounds[-1]
     # Each of the group's ids' first cell, less the least row position, so
     # that an entry's cell is this plus its row position.
@@ -410,7 +409,7 @@ def _index(
     )
     words = words[: sum(p.entries for p in group)]
     end = 0
-    for at, row, position in _scan(view, step, holder, first):
+    for at, row, position in _scan(view, step, holders, first):
         rel = row - np.uint32(first)
         # One nonzero search and three integer takes beat three boolean masks.
         chosen = np.flatnonzero((rel < np.uint32(last - first)) & (position >= least))
@@ -439,20 +438,21 @@ def _emit_pass(
     first: int,
     words: np.ndarray,
     budget: int,
-    split: bool,
+    holders: tuple[int, ...] = (),
 ) -> None:
     """Fill ``words`` with the combinations of one pass over the ids from
     ``first``, a batch at a time: for each of its ``cells``, a row position
-    j >= k and the ascending places in the ids of its ids at j, the C(j, k)
-    combinations of each with the ids before it.
+    j and the ascending places in the ids of its ids at j, the C(j, k - r)
+    combinations of each with the ids before it and the r ``holders``.
 
-    A part of split keyword ``first``'s pass takes instead, for each row
-    position j >= k - 1, the C(j, k - 1) combinations of the id at j, the
-    ids before it and the keyword.
+    Under holders, ``first`` is the first holder, the largest id of every
+    combination.
     """
     _, year_starts, offsets, ids, _, _ = view
     year_places = offsets[year_starts]
-    tail = 1 + split
+    tail = 1 + len(holders)
+    # The holders, ascending, as rows under each batch's rows.
+    stack = np.array(holders[::-1], dtype=np.uint64)[:, None]
     end = 0
     for j, at in cells:
         idx = _comb_indices(j, k + 1, tail)
@@ -464,8 +464,8 @@ def _emit_pass(
             runs = np.diff(np.searchsorted(chosen, year_places))
             tags = np.repeat(np.arange(runs.size, dtype=np.uint64), runs)
             rows = ids[chosen + columns].astype(np.uint64)
-            if split:
-                rows = np.vstack((rows, np.full(chosen.size, first, np.uint64)))
+            if holders:
+                rows = np.vstack((rows, np.repeat(stack, chosen.size, axis=1)))
             end = _emit(words, end, rows, idx, tags, first, layout)
     _filled(words, end)
 
@@ -520,64 +520,6 @@ def _count_words(
     return tally
 
 
-def _binomials(x: np.ndarray, r: int) -> np.ndarray:
-    """C(x, r) of each int64 in ``x``."""
-    out = np.ones_like(x)
-    for i in range(r):
-        out *= x - i
-        out //= i + 1
-    return out
-
-
-def _tally_ranked(
-    view: tuple[np.ndarray, ...],
-    k: int,
-    layout: Layout,
-    part: _Pass,
-    debut_index: np.ndarray,
-    budget: int,
-) -> np.ndarray:
-    """The new and peripheral counts of a ranked part: the combinations of
-    split keyword d, one second-largest id e, and k - 1 of the ids below e.
-
-    Each of the C(e, k - 1) sets of smaller ids has its rank in the
-    combinatorial number system, the sum of C(x_t, t + 1) over its ids in
-    ascending order, and a table keeps each rank's first year.  One `_scan`
-    of the articles holding d, ``step`` ids at a time, takes the minimum of
-    each emission's year into the table, so no combination is held.  Every
-    combination's latest keyword is d, so the new ones of d's debut year
-    are peripheral.
-    """
-    _, year_starts, offsets, ids, _, _ = view
-    d, e = part.first, part.seconds[0]
-    years = layout.years
-    table = np.full(math.comb(e, k - 1), years, dtype=np.min_scalar_type(years))
-    year_places = offsets[year_starts]
-    step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
-    for at, row, position in _scan(view, step, holder=d):
-        hit = (row == e) & (position >= k - 1)
-        at, position = at[hit], position[hit]
-        for j in np.unique(position).tolist():
-            chosen = at[position == j]
-            idx = _comb_indices(j, k - 1)
-            columns = np.arange(-j, 0)[:, None]
-            # A rank takes three int64 temporaries where a word takes one.
-            batch = _batch_rows(3 * len(idx), j, budget)
-            for start in range(0, chosen.size, batch):
-                places = chosen[start : start + batch]
-                tags = np.searchsorted(year_places, places, "right") - 1
-                rows = ids[places + columns].astype(np.int64)
-                ranks = np.zeros((len(idx), places.size), dtype=np.int64)
-                for t in range(k - 1):
-                    ranks += _binomials(rows[idx[:, t]], t + 1)
-                firsts = np.broadcast_to(tags.astype(table.dtype), ranks.shape)
-                np.minimum.at(table, ranks.ravel(), firsts.ravel())
-    new = np.bincount(table, minlength=years + 1)[:years]
-    peripheral = np.zeros(years, dtype=np.int64)
-    peripheral[debut_index[d]] = new[debut_index[d]]
-    return np.stack((new, peripheral))
-
-
 def _checked(p: int, years: np.ndarray, tally: np.ndarray) -> np.ndarray:
     """``tally``, pass p's new and peripheral counts, once each year's
     peripheral count lies in 0..new."""
@@ -598,25 +540,46 @@ def _tally_pass(
     layout: Layout,
     places: np.ndarray,
     ends: np.ndarray,
-    first: int,
+    part: _Pass,
     words: np.ndarray,
     debut_index: np.ndarray,
     budget: int,
-    split: bool,
 ) -> np.ndarray:
-    """The new and peripheral counts of one pass over the ids from
-    ``first``, or of a part of split keyword ``first``'s, emitted into
+    """The new and peripheral counts of pass ``part``, emitted into
     ``words`` from its index: ``places[ends[c]:ends[c + 1]]`` are its ids'
-    places at row position k + c (k - 1 + c in a part)."""
+    places at row position k - r + c under r holders."""
     bounds = ends.tolist()
+    least = k - len(part.holders)
     cells = (
-        (c + k - split, places[a:b])
+        (c + least, places[a:b])
         for c, (a, b) in enumerate(zip(bounds, bounds[1:]))
         if a < b
     )
-    _emit_pass(view, k, layout, cells, first, words, budget, split)
+    _emit_pass(view, k, layout, cells, part.base, words, budget, part.holders)
     count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
-    return _count_words(words, layout, first, debut_index, count)
+    return _count_words(words, layout, part.base, debut_index, count)
+
+
+def _tally_whole(
+    view: tuple[np.ndarray, ...],
+    layout: Layout,
+    part: _Pass,
+    debut_index: np.ndarray,
+    budget: int,
+) -> np.ndarray:
+    """The new and peripheral counts of whole pass ``part``: its one
+    combination is new in the year of the first article that holds it, and
+    peripheral when its largest id, the first holder, debuted then."""
+    _, year_starts, offsets, _, _, _ = view
+    tally = np.zeros((2, layout.years), dtype=np.int64)
+    step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
+    for at, row, _ in _scan(view, step, part.holders):
+        held = at[row == part.first]
+        if held.size:
+            year = int(np.searchsorted(offsets[year_starts], held[0], "right")) - 1
+            tally[:, year] = 1, debut_index[part.base] == year
+            break
+    return tally
 
 
 def tally_all(
@@ -632,7 +595,7 @@ def tally_all(
     rows, so it needs no plan or index, and writes nothing."""
     words = np.empty(emissions, dtype=np.uint64)
     cells = _row_cells(view, s - 1, budget)
-    _emit_pass(view, s - 1, layout, cells, 0, words, budget, False)
+    _emit_pass(view, s - 1, layout, cells, 0, words, budget)
     count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
     return _checked(0, view[0], _count_words(words, layout, 0, debut_index, count))
 
@@ -658,8 +621,8 @@ def _group(
     for p, part in enumerate(plan.passes[p0:p1], p0):
         at = (p - p0) * cells
         tally = _tally_pass(
-            view, k, layout, places, ends[at : at + cells + 1], part.first,
-            words[: part.size], debut_index, budget, part.seconds is not None,
+            view, k, layout, places, ends[at : at + cells + 1], part,
+            words[: part.size], debut_index, budget,
         )
         yield _checked(p, view[0], tally)
 
@@ -675,10 +638,10 @@ def tallies(
 ) -> Iterator[np.ndarray]:
     """Each pass's checked tally from pass ``done`` on.
 
-    Consecutive passes, plain or parts of one split keyword, whose index
-    entries fit 1/24 of the budget share one index; a ranked part needs
-    none.  Every index and pass is built in the same two arrays, allocated
-    once, so that no group allocates anew beside the last one's pages.
+    Consecutive passes with the same holders whose index entries fit 1/24
+    of the budget share one index; a whole pass runs alone and needs none.
+    Every index and pass is built in the same two arrays, allocated once,
+    so that no group allocates anew beside the last one's pages.
     """
     share = budget // _INDEX_BYTES_PER_ENTRY
     # A cell of the index, (pass, position), fits 32 bits of a word.
@@ -690,21 +653,21 @@ def tallies(
         while (
             p1 < len(passes)
             and p1 - p0 < most
-            and not (passes[p0].ranked or passes[p1].ranked)
-            and passes[p1].holder == passes[p0].holder
+            and not (passes[p0].whole or passes[p1].whole)
+            and passes[p1].holders == passes[p0].holders
             and held + passes[p1].entries <= share
         ):
             held += passes[p1].entries
             p1 += 1
         groups.append((p0, p1, held))
         p0 = p1
-    indexed = [part for part in passes[done:] if not part.ranked]
-    entries = max((held for p0, _, held in groups if not passes[p0].ranked), default=0)
-    words = np.empty(max([entries] + [part.size for part in indexed]), dtype=np.uint64)
+    entries = max((held for _, _, held in groups), default=0)
+    sizes = [part.size for part in passes[done:] if not part.whole]
+    words = np.empty(max([entries] + sizes), dtype=np.uint64)
     places = np.empty(entries, dtype=np.uint32)
     for p0, p1, _ in groups:
-        if passes[p0].ranked:
-            tally = _tally_ranked(view, k, layout, passes[p0], debut_index, budget)
+        if passes[p0].whole:
+            tally = _tally_whole(view, layout, passes[p0], debut_index, budget)
             yield _checked(p0, view[0], tally)
         else:
             yield from _group(

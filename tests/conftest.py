@@ -56,7 +56,7 @@ def engine_simplices():
         offsets = np.array([0, ids.size], dtype=np.int64)
         view = (None, np.array([0, 1]), offsets, ids, None, None)
         words = np.empty(math.comb(ids.size, s), dtype=np.uint64)
-        _emit_pass(view, k, layout, _row_cells(view, k, 1 << 30), 0, words, 1 << 30, False)
+        _emit_pass(view, k, layout, _row_cells(view, k, 1 << 30), 0, words, 1 << 30)
         mask = (1 << layout.bits) - 1
         return [
             tuple(key >> layout.bits * (s - 1 - j) & mask for j in range(s))

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -732,40 +733,52 @@ def test_corpus_within_one_buffer_commits_once(tmp_path, monkeypatch):
     assert passes >= 3 and commits == list(range(1, passes + 1))
 
 
-def test_heavy_keyword_is_split_and_a_heavy_pair_ranked(tmp_path, monkeypatch):
-    # Keyword 900 debuts last and is the latest keyword of two pairs in
-    # each of 1,400 articles: 2,800 emissions, over the 65,536 // 24 = 2,730
-    # that one pass holds at the smallest budget.  Its pass is split into
-    # parts by second-largest id, none over a pass.
-    store = CorpusStore()
-    for i in range(1400):
-        store.add(ArticleRecord(f"a{i:04d}", 2000, frozenset({i % 50, 50 + i % 7}), frozenset()))
-        store.add(ArticleRecord(f"b{i:04d}", 2001, frozenset({i % 50, 50 + i % 7, 900}), frozenset()))
+def _planned(monkeypatch):
+    """A list that gains each plan the pass engine makes."""
     plans = []
     make_plan = passes_mod.plan
     monkeypatch.setattr(
         passes_mod, "plan", lambda *a: plans.append(make_plan(*a)) or plans[-1]
     )
-    config = LedgerConfig(k=1, spill_directory=tmp_path / "split", memory_budget_bytes=_MIN_BUDGET)
+    return plans
+
+
+def test_heavy_keyword_holds_its_passes_and_a_heavy_pair_is_whole(tmp_path, monkeypatch):
+    # Keyword 900 debuts last, as dense id 57, and is the latest keyword of
+    # two pairs in each of 1,400 articles: 2,800 emissions, over the
+    # 65,536 // 24 = 2,730 that one pass holds at the smallest budget.  It
+    # becomes a holder, whose pairs are cut into passes by their other id,
+    # none over a pass.
+    store = CorpusStore()
+    for i in range(1400):
+        store.add(ArticleRecord(f"a{i:04d}", 2000, frozenset({i % 50, 50 + i % 7}), frozenset()))
+        store.add(ArticleRecord(f"b{i:04d}", 2001, frozenset({i % 50, 50 + i % 7, 900}), frozenset()))
+    plans = _planned(monkeypatch)
+    config = LedgerConfig(k=1, spill_directory=tmp_path / "held", memory_budget_bytes=_MIN_BUDGET)
     assert tabulate(store, config) == oracle_tabulate(store, 1, "all")
-    parts = [p for p in plans[-1].passes if p.seconds is not None]
-    assert len(parts) >= 2 and sum(p.size for p in parts) == 2800
+    held = [p for p in plans[-1].passes if p.holders]
+    assert len(held) >= 2 and {p.holders for p in held} == {(57,)}
+    assert sum(p.size for p in held) == 2800
     assert max(p.size for p in plans[-1].passes) <= 2730
     # 2,800 articles from 2002 on pair keyword 3 with 900: the pair alone
-    # ends 2,828 combinations, all one pair, which a ranked part counts.
+    # is 2,828 emissions of one combination, which a whole pass counts.
     for i in range(2800):
         store.add(ArticleRecord(f"c{i:04d}", 2002 + i % 3, frozenset({3, 900}), frozenset()))
-    config = LedgerConfig(k=1, spill_directory=tmp_path / "ranked", memory_budget_bytes=_MIN_BUDGET)
+    config = LedgerConfig(k=1, spill_directory=tmp_path / "whole", memory_budget_bytes=_MIN_BUDGET)
     assert tabulate(store, config) == oracle_tabulate(store, 1, "all")
-    ranked = [p for p in plans[-1].passes if p.ranked]
-    assert [p.size for p in ranked] == [2828]
+    keywords = store.view("all")[4]
+    whole = [p for p in plans[-1].passes if p.whole]
+    assert [(keywords[[*p.holders, p.first]].tolist(), p.size) for p in whole] == [
+        ([900, 3], 2828)
+    ]
 
 
-def test_heavy_pair_raises_before_any_directory(tmp_path):
+def test_heavy_pair_is_counted_at_the_smallest_budget(tmp_path):
     # 3,000 keywords debut in 2000.  In 2001 keywords 5000 and 6000 debut
     # together in 2,800 articles, each with one of the 3,000: at k = 2 the
-    # pair ends 2,800 triads, over the 2,730 that one pass holds, over up
-    # to 3,000 distinct ones, more than a ranked part's table holds.
+    # pair ends 2,800 triads, over the 2,730 that one pass holds, of up to
+    # 3,000 distinct ones.  Both keywords become holders, and the triads
+    # are cut by their smallest id.
     store = CorpusStore()
     for i in range(1000):
         kws = frozenset(range(3 * i, 3 * i + 3))
@@ -773,17 +786,49 @@ def test_heavy_pair_raises_before_any_directory(tmp_path):
     for i in range(2800):
         kws = frozenset({i % 3000, 5000, 6000})
         store.add(ArticleRecord(f"b{i:04d}", 2001, kws, frozenset()))
-    spill = tmp_path / "spill"
-    config = LedgerConfig(k=2, spill_directory=spill, memory_budget_bytes=_MIN_BUDGET)
-    with pytest.raises(LedgerError) as raised:
-        tabulate(store, config)
-    message = str(raised.value)
-    assert "keywords 5000 and 6000 " in message and "2800 combinations" in message
-    assert "up to 3000 distinct ones, over the 2730 that one pass holds" in message
-    assert not spill.exists()
-    # Twice the budget holds it.
-    config = LedgerConfig(k=2, spill_directory=spill, memory_budget_bytes=2 * _MIN_BUDGET)
+    config = LedgerConfig(k=2, spill_directory=tmp_path, memory_budget_bytes=_MIN_BUDGET)
     assert tabulate(store, config) == oracle_tabulate(store, 2, "all")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chain_of_holders_ends_in_whole_passes(tmp_path, monkeypatch, k):
+    # 400 keywords debut in 1999.  From 2000 on, 3,000 articles hold
+    # keywords 1000 to 1003, and every other one also one of the first 150.
+    # Each of the C(4, k + 1) combinations of the four keywords is in 3,000
+    # articles, over the 2,730 that one pass holds: each is a whole pass
+    # under k holders, its largest ids, and at k = 3 there is exactly one.
+    store = CorpusStore()
+    for i in range(200):
+        store.add(ArticleRecord(f"a{i:03d}", 1999, frozenset({2 * i, 2 * i + 1}), frozenset()))
+    for i in range(3000):
+        kws = {1000, 1001, 1002, 1003} | ({i % 150} if i % 2 else set())
+        store.add(ArticleRecord(f"b{i:04d}", 2000 + i % 3, frozenset(kws), frozenset()))
+    plans = _planned(monkeypatch)
+    config = LedgerConfig(k=k, spill_directory=tmp_path, memory_budget_bytes=_MIN_BUDGET)
+    assert tabulate(store, config) == oracle_tabulate(store, k, "all")
+    keywords = store.view("all")[4]
+    whole = [p for p in plans[-1].passes if p.whole]
+    assert {len(p.holders) for p in whole} == {k}
+    assert sorted(sorted(keywords[[*p.holders, p.first]].tolist()) for p in whole) == [
+        list(c) for c in itertools.combinations(range(1000, 1004), k + 1)
+    ]
+
+
+def test_wide_articles_are_counted_at_the_smallest_budget():
+    # Two articles of the same 80 keywords at k = 3: the latest keywords
+    # end 2 * C(79, 3) quartets, and the pair of the two latest 2 * C(78, 2),
+    # each over the 2,730 that one pass holds at the smallest budget, so
+    # holders cut them down to passes that fit.  The reference is one pass
+    # over the full range, at 24 bytes an emission; the oracle would hold
+    # all 1.6 million quartets in a set.
+    store = CorpusStore()
+    for year in (2000, 2001):
+        store.add(ArticleRecord(f"w{year}", year, frozenset(range(80)), frozenset()))
+    emissions = passes_mod.census(store.view("all"), 4)[0]
+    assert emissions == 2 * math.comb(80, 4)
+    series = tabulate(store, LedgerConfig(k=3, memory_budget_bytes=_MIN_BUDGET))
+    assert series == tabulate(store, LedgerConfig(k=3, memory_budget_bytes=24 * emissions))
+    assert series.new_simplices == [math.comb(80, 4), 0]
 
 
 def _two_articles(gap):
