@@ -54,8 +54,10 @@ from simplexledger.ontology import BranchFilter, load_ontology
 # use by the package's `lazy_loader` and bound here, so that `ingest`
 # compiles none of their modules.  They stay attributes of this module
 # because the benchmark's tracer (perfbench/tracer.py) and the tests wrap
-# them here; the commands reach them through `_cli`, so a wrapper set
-# beforehand is the one called.
+# them here; the commands reach them through `_cli`, which looks each up in
+# this module's globals when used, so a wrapper set beforehand is the one
+# called, also when the module runs as ``__main__`` in a namespace of its own
+# (``python -m cProfile -m simplexledger.cli``).
 _STAGES = {
     "FIT_CSV_COLUMNS": "fitting",
     "PRESET_WINDOWS": "fitting",
@@ -73,8 +75,16 @@ _STAGES = {
     "write_metrics_csv": "metrics",
     "svg_line_chart": "plots",
 }
-__getattr__ = simplexledger.lazy_loader(globals(), _STAGES)
-_cli = sys.modules[__name__]
+__getattr__ = _load_stage = simplexledger.lazy_loader(globals(), _STAGES)
+
+
+class _Stages:
+    def __getattr__(self, name: str):
+        namespace = globals()
+        return namespace[name] if name in namespace else _load_stage(name)
+
+
+_cli = _Stages()
 
 
 # Corpus flags that only raw input uses; `run --store` refuses them.
@@ -358,7 +368,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         "tool_version": simplexledger.__version__,
         "config": run_config,
         "config_hash": config_hash,
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        # A store's own hash was taken as it loaded; raw inputs are read again.
+        "inputs": {
+            str(p): corpus.file_sha256() if args.store else _sha256_file(p)
+            for p in inputs
+        },
         "artifacts": [],
         "status": "partial",
     }

@@ -496,6 +496,14 @@ class CorpusStore:
         """SHA-256 of the store file's contents, its checksum trailer."""
         return self._cached("digest", lambda: _sha256(self._file_chunks()).hex())
 
+    def file_sha256(self) -> str:
+        """SHA-256 of the whole store file, its trailer included; a loaded
+        store keeps the one `load_store` took of the bytes it read."""
+        return self._cached(
+            "file_sha256",
+            lambda: _sha256([*self._file_chunks(), bytes.fromhex(self.digest())]).hex(),
+        )
+
     def _file_chunks(self) -> Iterator[bytes | memoryview]:
         """The store file's contents up to the checksum trailer."""
         self._fold()
@@ -932,10 +940,13 @@ def _check_article_ids(names: bytearray, years: np.ndarray) -> None:
 def load_store(src: BinaryIO) -> CorpusStore:
     """Read a store file, checking its structure and then its checksum.
 
-    ``src`` must be seekable: the file's size is checked against the header
-    before any column is read.  Each column is read into its own array and
-    hashed as it arrives, and the Major flags are unpacked once every check
-    has passed, so that the load holds about one copy of the store.
+    ``src`` must be seekable, and the store starts at its position: the
+    file's size is checked against the header before any column is read.
+    Each column is read into its own array and hashed as it arrives, and
+    the Major flags are unpacked once every check has passed, so that the
+    load holds about one copy of the store.  The hash, updated with the
+    trailer read, is the store's `CorpusStore.file_sha256`, so that a
+    caller that records the file's SHA-256 need not read the file again.
     """
     if not src.seekable():
         raise CorpusError("a store file must be seekable; a pipe is not")
@@ -991,10 +1002,13 @@ def load_store(src: BinaryIO) -> CorpusStore:
     if _anywhere(n_ids - 1, falls):
         raise CorpusError("keyword ids are not strictly ascending within an article")
     _check_article_ids(names, years)
-    if digest.digest() != src.read(_TRAILER_SIZE):
+    trailer = src.read(_TRAILER_SIZE)
+    if digest.digest() != trailer:
         raise CorpusError("store checksum mismatch; the file is corrupt")
 
     store = CorpusStore()
     major = np.unpackbits(packed, count=n_ids, bitorder="little").view(bool)
     store._set_columns(years, offsets, ids, major, names, digest.hexdigest())
+    digest.update(trailer)
+    store._cache["file_sha256"] = digest.hexdigest()
     return store

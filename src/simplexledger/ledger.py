@@ -16,22 +16,24 @@ of its emissions must meet once, in memory: the pass engine,
 dense ids.  When E fits one pass (24 bytes of budget an emission),
 ``shard_count`` is 1 and every id fits the key, one pass over the full
 range counts it and nothing is written.  Otherwise a plan of passes runs.
-With a spill directory, the ledger writes the plan's fingerprint in a
-manifest once, and appends its running tallies after each pass in one
-write, so that a resume redoes only the pass that a kill hit; the
-completing manifest write stores the series.  The spill directory belongs
-to the caller, who deletes it; the ledger reads no environment variable,
-and without a spill directory it writes nothing.
+With a spill directory, the ledger's resume state is one append-only file
+there: a header naming the plan, then the running tallies after each pass,
+each appended in one write, so that a resume redoes only the pass that a
+kill hit.  The series is always built from the last tallies, so nothing
+stores it.  The spill directory belongs to the caller, who deletes it; the
+ledger reads no environment variable, and without a spill directory it
+writes nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import os
-import shutil
+import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -41,9 +43,11 @@ from simplexledger import passes
 from simplexledger.corpus import ALL, REFINEMENTS, CorpusStore, replace_on_success
 from simplexledger.passes import LedgerError
 
-_MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 11
-_TALLIES_NAME = "tallies.bin"
+# A tally file's header: a magic whose last byte is the format version, 12,
+# the SHA-256 fingerprint of the corpus, order, refinement and plan, and the
+# plan's pass count.
+_MAGIC = b"SLTALLY\x0c"
+_HEADER = struct.Struct("<8s32sQ")
 _MIN_MEMORY_BUDGET = 1 << 16
 # Bytes per calendar year of the finished series: its four int64 columns.
 _BYTES_PER_YEAR = 32
@@ -117,19 +121,26 @@ class LedgerSeries:
 SERIES_COLUMNS = [f.name for f in fields(LedgerSeries)[3:]]
 
 
-def _stored_series(
+def _series(
+    config: LedgerConfig,
     years: np.ndarray,
     processed: np.ndarray,
     tally: np.ndarray,
     debut_index: np.ndarray,
-) -> dict:
-    """The series' tallies over the years that hold articles, as lists."""
-    new, peripheral = tally
-    columns = [new, peripheral, np.bincount(debut_index, minlength=new.size), processed]
-    return {
-        "years": years.tolist(),
-        **{name: c.tolist() for name, c in zip(SERIES_COLUMNS, columns)},
-    }
+) -> LedgerSeries:
+    """The series of the ``years`` that hold articles, from their new and
+    peripheral ``tally``, debuts and ``processed`` articles, spread over
+    every calendar year from the first to the last, empty years as zeros."""
+    first = int(years[0])
+    calendar = np.zeros((len(SERIES_COLUMNS), int(years[-1]) - first + 1), np.int64)
+    debuted = np.bincount(debut_index, minlength=years.size)
+    calendar[:, years - first] = [*tally, debuted, processed]
+    return LedgerSeries(
+        k=config.k,
+        refinement=config.refinement,
+        years=list(range(first, first + calendar.shape[1])),
+        **dict(zip(SERIES_COLUMNS, calendar.tolist())),
+    )
 
 
 def _check_span(first: int, last: int, config: LedgerConfig) -> None:
@@ -144,10 +155,12 @@ def _check_span(first: int, last: int, config: LedgerConfig) -> None:
         )
 
 
-# --- manifest --------------------------------------------------------------
+# --- tally file ------------------------------------------------------------
 
 
-def _fingerprint(corpus_digest: str, config: LedgerConfig, plan: passes.Plan) -> str:
+def _header(corpus_digest: str, config: LedgerConfig, plan: passes.Plan) -> bytes:
+    """The tally file's header: the magic, the plan's fingerprint and its
+    pass count."""
     payload = json.dumps(
         {
             "corpus": corpus_digest,
@@ -156,37 +169,8 @@ def _fingerprint(corpus_digest: str, config: LedgerConfig, plan: passes.Plan) ->
             "passes": [(p.holders, p.first, p.last) for p in plan.passes],
         }
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _write_manifest(path: Path, payload: dict) -> None:
-    with replace_on_success(path, "w") as f:
-        f.write(json.dumps(payload, separators=(",", ":")))
-
-
-def _load_manifest(path: Path, fingerprint: str) -> dict | None:
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if payload.get("version") != _MANIFEST_VERSION:
-        return None
-    if payload.get("fingerprint") != fingerprint:
-        return None
-    return payload
-
-
-def _keep_only(ledger_dir: Path, named: set[str]) -> dict[str, int]:
-    """Delete every entry not in ``named``; the sizes of those that are."""
-    sizes = {}
-    for p in ledger_dir.iterdir():
-        if p.name in named:
-            sizes[p.name] = p.stat().st_size
-        else:
-            p.unlink()
-    return sizes
+    fingerprint = hashlib.sha256(payload.encode()).digest()
+    return _HEADER.pack(_MAGIC, fingerprint, len(plan.passes))
 
 
 def _append(fd: int, values: np.ndarray) -> None:
@@ -196,62 +180,36 @@ def _append(fd: int, values: np.ndarray) -> None:
         view = view[os.write(fd, view) :]
 
 
-def _open(ledger_dir: Path, fingerprint: str, passes: int, tally: np.ndarray) -> tuple[dict, int]:
-    """The ledger's manifest and how many of its passes are finished.
+def _resume(path: Path, header: bytes, tally: np.ndarray) -> int:
+    """How many passes the tally file ``path`` has finished, with the last
+    one's running tallies read into ``tally``.
 
-    ``tallies.bin`` holds one record per finished pass, the running
-    ``tally`` after it; a resume cuts a torn record away and reads the last
-    whole one into ``tally``; more records than passes raise.  A directory
-    without this plan's manifest is emptied for a fresh one, whose manifest
-    is written at once.
+    The file is ``header`` and one record per finished pass, the running
+    ``tally`` after it.  A torn record is cut, and more records than the
+    header's passes raise.  A file with any other header, or none, is
+    replaced by ``header`` alone.
     """
-    manifest = _load_manifest(ledger_dir / _MANIFEST_NAME, fingerprint)
-    if manifest is not None and manifest["complete"]:
-        return manifest, passes
-    if manifest is not None:
-        sizes = _keep_only(ledger_dir, {_MANIFEST_NAME, _TALLIES_NAME})
-        done, torn = divmod(sizes.get(_TALLIES_NAME, 0), tally.nbytes)
-        path = ledger_dir / _TALLIES_NAME
-        if done > passes:
-            raise LedgerError(
-                f"{path} holds {done} records, but its manifest plans {passes} passes"
-            )
-        if torn:
-            os.truncate(path, done * tally.nbytes)
-        if done:
-            with open(path, "rb") as f:
-                f.seek((done - 1) * tally.nbytes)
+    with contextlib.suppress(FileNotFoundError), open(path, "r+b") as f:
+        if f.read(len(header)) == header:
+            done, torn = divmod(f.seek(0, os.SEEK_END) - len(header), tally.nbytes)
+            planned = _HEADER.unpack(header)[2]
+            if done > planned:
+                raise LedgerError(
+                    f"{path} holds {done} records, but its header plans "
+                    f"{planned} passes"
+                )
+            if torn:
+                f.truncate(f.seek(-torn, os.SEEK_END))
+            if done:
+                f.seek(-tally.nbytes, os.SEEK_END)
                 f.readinto(memoryview(tally).cast("B"))
-        return manifest, done
-    shutil.rmtree(ledger_dir)
-    ledger_dir.mkdir(parents=True)
-    fresh = {
-        "version": _MANIFEST_VERSION,
-        "fingerprint": fingerprint,
-        "passes": passes,
-        "complete": False,
-    }
-    _write_manifest(ledger_dir / _MANIFEST_NAME, fresh)
-    return fresh, 0
+            return done
+    with replace_on_success(path) as f:
+        f.write(header)
+    return 0
 
 
 # --- tabulate --------------------------------------------------------------
-
-
-def _spread(config: LedgerConfig, stored: dict) -> LedgerSeries:
-    """The series of stored tallies over the years that hold articles,
-    spread over every calendar year from the first to the last, empty
-    years as zeros."""
-    years = np.array(stored["years"])
-    first = int(years[0])
-    calendar = np.zeros((len(SERIES_COLUMNS), int(years[-1]) - first + 1), np.int64)
-    calendar[:, years - first] = [stored[name] for name in SERIES_COLUMNS]
-    return LedgerSeries(
-        k=config.k,
-        refinement=config.refinement,
-        years=list(range(first, first + calendar.shape[1])),
-        **dict(zip(SERIES_COLUMNS, calendar.tolist())),
-    )
 
 
 def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
@@ -261,12 +219,9 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     emissions and each year's processed articles.  A ledger that fits one
     pass over the full range of ids is counted from the rows and writes
     nothing, so a killed run counts it again.  Otherwise `passes.plan` cuts
-    the passes before
-    any directory is made.  Without a spill directory they run in memory
-    alone.  With one, the ledger resumes after the last whole record of
-    running tallies when ``config.spill_directory`` already holds this
-    plan's manifest for the same corpus and order; a complete manifest
-    gives its stored series back at once.
+    the passes.  With a spill directory, each pass appends the running
+    tallies to ``k<k>_<refinement>.tallies`` there, and a resume of the same
+    corpus, order and plan runs only the passes after its last whole record.
     """
     s = config.k + 1
     view = corpus.view(config.refinement)
@@ -286,33 +241,26 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
         and keywords.size <= 1 << layout.id_bits
     ):
         tally += passes.tally_all(view, s, layout, emissions, debut_index, budget)
-        return _spread(config, _stored_series(years, processed, tally, debut_index))
+        return _series(config, years, processed, tally, debut_index)
 
     plan = passes.plan(view, config.k, layout, budget, config.shard_count)
-    if config.spill_directory is None:
-        for passed in passes.tallies(view, config.k, layout, plan, 0, budget, debut_index):
+    done, path = 0, None
+    if config.spill_directory is not None:
+        spill = Path(config.spill_directory)
+        try:
+            spill.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise LedgerError(f"spill directory unwritable: {exc}") from exc
+        path = spill / f"k{config.k}_{config.refinement}.tallies"
+        done = _resume(path, _header(corpus.digest(), config, plan), tally)
+    with open(path, "ab", buffering=0) if path else contextlib.nullcontext() as records:
+        for passed in passes.tallies(
+            view, config.k, layout, plan, done, budget, debut_index
+        ):
             tally += passed
-        return _spread(config, _stored_series(years, processed, tally, debut_index))
-
-    ledger_dir = Path(config.spill_directory) / f"k{config.k}" / config.refinement
-    try:
-        ledger_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise LedgerError(f"spill directory unwritable: {exc}") from exc
-    fingerprint = _fingerprint(corpus.digest(), config, plan)
-    manifest, done = _open(ledger_dir, fingerprint, len(plan.passes), tally)
-    if not manifest["complete"]:
-        with open(ledger_dir / _TALLIES_NAME, "ab", buffering=0) as records:
-            for passed in passes.tallies(
-                view, config.k, layout, plan, done, budget, debut_index
-            ):
-                tally += passed
+            if records:
                 _append(records.fileno(), tally)
-        manifest["series"] = _stored_series(years, processed, tally, debut_index)
-        manifest["complete"] = True
-        _write_manifest(ledger_dir / _MANIFEST_NAME, manifest)
-    _keep_only(ledger_dir, {_MANIFEST_NAME})
-    return _spread(config, manifest["series"])
+    return _series(config, years, processed, tally, debut_index)
 
 
 # --- brute-force oracle ----------------------------------------------------

@@ -123,20 +123,17 @@ def _step(budget: int, per_item: int, most: int) -> int:
 
 # --- emission --------------------------------------------------------------
 
-_comb_index_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def _comb_indices(m: int, s: int, tail: int = 0) -> np.ndarray:
+def _comb_indices(m: int, s: int, tail: int, cache: dict) -> np.ndarray:
     """(c, s) column indices of the size-s combinations of m + ``tail``
-    columns, each ascending, that end in the last ``tail`` columns."""
-    cached = _comb_index_cache.get((m, s, tail))
-    if cached is not None:
-        return cached
-    ends = tuple(range(m, m + tail))
-    combos = [c + ends for c in itertools.combinations(range(m), s - tail)]
-    idx = np.array(combos, dtype=np.intp).reshape(len(combos), s)
-    if m <= 24:
-        _comb_index_cache[(m, s, tail)] = idx
+    columns, each ascending, that end in the last ``tail`` columns; kept in
+    ``cache``, the ledger's own, up to m = 24."""
+    idx = cache.get((m, s, tail))
+    if idx is None:
+        ends = tuple(range(m, m + tail))
+        combos = [c + ends for c in itertools.combinations(range(m), s - tail)]
+        idx = np.array(combos, dtype=np.intp).reshape(len(combos), s)
+        if m <= 24:
+            cache[(m, s, tail)] = idx
     return idx
 
 
@@ -438,12 +435,14 @@ def _emit_pass(
     first: int,
     words: np.ndarray,
     budget: int,
+    indices: dict,
     holders: tuple[int, ...] = (),
 ) -> None:
     """Fill ``words`` with the combinations of one pass over the ids from
     ``first``, a batch at a time: for each of its ``cells``, a row position
     j and the ascending places in the ids of its ids at j, the C(j, k - r)
-    combinations of each with the ids before it and the r ``holders``.
+    combinations of each with the ids before it and the r ``holders``, by
+    the ledger's combination ``indices``.
 
     Under holders, ``first`` is the first holder, the largest id of every
     combination.
@@ -455,7 +454,7 @@ def _emit_pass(
     stack = np.array(holders[::-1], dtype=np.uint64)[:, None]
     end = 0
     for j, at in cells:
-        idx = _comb_indices(j, k + 1, tail)
+        idx = _comb_indices(j, k + 1, tail, indices)
         batch = _batch_rows(len(idx), j + tail, budget)
         columns = np.arange(-j, 1)[:, None]
         for start in range(0, at.size, batch):
@@ -544,6 +543,7 @@ def _tally_pass(
     words: np.ndarray,
     debut_index: np.ndarray,
     budget: int,
+    indices: dict,
 ) -> np.ndarray:
     """The new and peripheral counts of pass ``part``, emitted into
     ``words`` from its index: ``places[ends[c]:ends[c + 1]]`` are its ids'
@@ -555,7 +555,7 @@ def _tally_pass(
         for c, (a, b) in enumerate(zip(bounds, bounds[1:]))
         if a < b
     )
-    _emit_pass(view, k, layout, cells, part.base, words, budget, part.holders)
+    _emit_pass(view, k, layout, cells, part.base, words, budget, indices, part.holders)
     count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
     return _count_words(words, layout, part.base, debut_index, count)
 
@@ -595,7 +595,7 @@ def tally_all(
     rows, so it needs no plan or index, and writes nothing."""
     words = np.empty(emissions, dtype=np.uint64)
     cells = _row_cells(view, s - 1, budget)
-    _emit_pass(view, s - 1, layout, cells, 0, words, budget)
+    _emit_pass(view, s - 1, layout, cells, 0, words, budget, {})
     count = _step(budget, _COUNT_BYTES_PER_WORD, _COUNT_CHUNK)
     return _checked(0, view[0], _count_words(words, layout, 0, debut_index, count))
 
@@ -611,6 +611,7 @@ def _group(
     words: np.ndarray,
     places: np.ndarray,
     budget: int,
+    indices: dict,
 ) -> Iterator[np.ndarray]:
     """The checked tallies of passes p0..p1-1, from one index built in
     ``words`` and ``places``; each pass then takes the front of ``words``
@@ -622,7 +623,7 @@ def _group(
         at = (p - p0) * cells
         tally = _tally_pass(
             view, k, layout, places, ends[at : at + cells + 1], part,
-            words[: part.size], debut_index, budget,
+            words[: part.size], debut_index, budget, indices,
         )
         yield _checked(p, view[0], tally)
 
@@ -641,7 +642,9 @@ def tallies(
     Consecutive passes with the same holders whose index entries fit 1/24
     of the budget share one index; a whole pass runs alone and needs none.
     Every index and pass is built in the same two arrays, allocated once,
-    so that no group allocates anew beside the last one's pages.
+    so that no group allocates anew beside the last one's pages, and the
+    passes share one cache of combination indices, dropped when the last
+    pass is done.
     """
     share = budget // _INDEX_BYTES_PER_ENTRY
     # A cell of the index, (pass, position), fits 32 bits of a word.
@@ -665,11 +668,13 @@ def tallies(
     sizes = [part.size for part in passes[done:] if not part.whole]
     words = np.empty(max([entries] + sizes), dtype=np.uint64)
     places = np.empty(entries, dtype=np.uint32)
+    indices: dict = {}
     for p0, p1, _ in groups:
         if passes[p0].whole:
             tally = _tally_whole(view, layout, passes[p0], debut_index, budget)
             yield _checked(p0, view[0], tally)
         else:
             yield from _group(
-                view, k, layout, plan, p0, p1, debut_index, words, places, budget
+                view, k, layout, plan, p0, p1, debut_index, words, places, budget,
+                indices,
             )

@@ -170,7 +170,7 @@ def test_criterion_6_fit_recovery():
 _CRITERION_7_CHILD = """
 import json, math, pathlib, sys, time
 import simplexledger.passes as passes_mod
-from simplexledger.ledger import LedgerConfig, tabulate
+from simplexledger.ledger import _HEADER, LedgerConfig, tabulate
 from simplexledger.synth import SynthParams, generate_synthetic
 
 corpus = generate_synthetic(
@@ -205,14 +205,14 @@ series = tabulate(
     ),
 )
 elapsed = time.perf_counter() - start
-manifest = pathlib.Path(sys.argv[1], "k3", "all", "manifest.json")
+tallies = pathlib.Path(sys.argv[1], "k3_all.tallies").read_bytes()
 with open("/proc/self/status") as status:
     hwm_kib = next(int(l.split()[1]) for l in status if l.startswith("VmHWM:"))
 print(json.dumps({
     "emissions": emissions,
     "elapsed": elapsed,
     "passes_run": len(passes),
-    "passes": json.loads(manifest.read_text())["passes"],
+    "passes": _HEADER.unpack_from(tallies)[2],
     "new": sum(series.new_simplices),
     "peak_kib": hwm_kib,
 }))
@@ -274,20 +274,24 @@ def test_criterion_8_crash_restart(tmp_path):
         pass
 
     append = ledger_mod._append
-    ledger_dir = tmp_path / "resume" / "k2" / "all"
+    header = ledger_mod._HEADER
+    path = tmp_path / "resume" / "k2_all.tallies"
 
     def crash_midway(fd, values):
         # Interrupted right after the second pass's record is committed.
         append(fd, values)
-        if os.fstat(fd).st_size == 2 * values.nbytes:
+        if os.fstat(fd).st_size == header.size + 2 * values.nbytes:
             raise Interrupt
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ledger_mod, "_append", crash_midway)
         with pytest.raises(Interrupt):
             tabulate(corpus, config)
-    manifest = json.loads((ledger_dir / "manifest.json").read_text())
-    assert not manifest["complete"] and manifest["passes"] > 2
+    # The header plans more passes than the two records hold.
+    tallies = path.read_bytes()
+    record = 16 * len(corpus.years)
+    assert len(tallies) == header.size + 2 * record
+    assert header.unpack_from(tallies)[2] > 2
     resumed = tabulate(corpus, config)
     clean = tabulate(
         corpus,

@@ -1,5 +1,6 @@
 import csv
 import fcntl
+import hashlib
 import io
 import json
 import os
@@ -211,16 +212,16 @@ def test_runs_on_different_outputs_never_share_spill_state(tmp_path, monkeypatch
         (tmp_path / seed).mkdir()
         stores.append(_synth(tmp_path / seed, "--seed", seed))
         outs.append(tmp_path / seed / "out")
-    write_manifest = ledger_mod._write_manifest
+    append = ledger_mod._append
     nested = []
 
-    def interleaved(path, payload):
-        write_manifest(path, payload)
+    def interleaved(fd, values):
+        append(fd, values)
         if not nested:
-            nested.append(path)
+            nested.append(fd)
             assert main(_run_argv(stores[1], outs[1])) == 0
 
-    monkeypatch.setattr(ledger_mod, "_write_manifest", interleaved)
+    monkeypatch.setattr(ledger_mod, "_append", interleaved)
     assert main(_run_argv(stores[0], outs[0])) == 0
     assert nested
     for store, out in zip(stores, outs):
@@ -244,15 +245,15 @@ def test_rerun_on_the_same_output_resumes_under_sledger_tmp(tmp_path, monkeypatc
     monkeypatch.setattr(ledger_mod, "_append", append)
     assert [p.name for p in spill.iterdir()] == [cli._spill_root(out).name]
 
-    load_manifest = ledger_mod._load_manifest
+    resume = ledger_mod._resume
     loaded = []
 
-    def recording(path, fingerprint):
-        manifest = load_manifest(path, fingerprint)
-        loaded.append(manifest and manifest["passes"])
-        return manifest
+    def recording(path, header, tally):
+        done = resume(path, header, tally)
+        loaded.append((done, ledger_mod._HEADER.unpack(header)[2]))
+        return done
 
-    monkeypatch.setattr(ledger_mod, "_load_manifest", recording)
+    monkeypatch.setattr(ledger_mod, "_resume", recording)
     passes = []
     tally_pass = passes_mod._tally_pass
     monkeypatch.setattr(
@@ -260,10 +261,54 @@ def test_rerun_on_the_same_output_resumes_under_sledger_tmp(tmp_path, monkeypatc
     )
     assert main(_run_argv(store, out)) == 0
     # The first pass's record was appended before the kill: the rerun finds
-    # the manifest and runs only the passes after it.
-    assert len(loaded) == 1 and loaded[0] > 1 and len(passes) == loaded[0] - 1
+    # it after the header and runs only the passes after it.
+    [(done, planned)] = loaded
+    assert done == 1 and planned > 1 and len(passes) == planned - 1
     _assert_ledger_is_oracle(store, out)
     assert list(spill.iterdir()) == []
+
+
+def test_run_reads_and_hashes_its_store_once(tmp_path, monkeypatch):
+    # The run manifest records the SHA-256 that the load took of the store
+    # bytes it read, without reading the file again.
+    store, out = _synth(tmp_path), tmp_path / "out"
+    sha256_file = cli._sha256_file
+
+    def refusing(path):
+        if Path(path) == store:
+            raise AssertionError("the store was read again")
+        return sha256_file(path)
+
+    monkeypatch.setattr(cli, "_sha256_file", refusing)
+    assert main(_run_argv(store, out)) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["inputs"] == {str(store): hashlib.sha256(store.read_bytes()).hexdigest()}
+
+
+_RUNPY_CHILD = """
+import runpy, sys
+sys.argv[0] = "simplexledger"
+runpy.run_module("simplexledger.cli", run_name="__main__")
+"""
+
+
+def test_cli_runs_as_main_in_a_namespace_of_its_own(tmp_path):
+    # `runpy` without ``alter_sys``, as under ``python -m cProfile -m``, runs
+    # the module as ``__main__`` in a namespace that is not sys.modules'.
+    store = _synth(tmp_path)
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _RUNPY_CHILD, *_run_argv(store, tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    _assert_ledger_is_oracle(store, tmp_path / "out")
 
 
 class _Torn:
@@ -479,8 +524,9 @@ def test_unwritable_output_is_refused_first(tmp_path, command, output):
         pytest.param("run", "ledger_k1_all.csv", 1, id="csv"),
         pytest.param("run", "rates_k1_all.svg", 1, id="svg"),
         pytest.param("run", "run_manifest.json", 1, id="run-manifest"),
-        # The ledger's first commit writes its manifest; the second replaces it.
-        pytest.param("run", "manifest.json", 2, id="ledger-manifest"),
+        # A ledger's one whole-file write is its tally file's header, which
+        # replaces a file of another plan.
+        pytest.param("run", "k1_all.tallies", 1, id="ledger-manifest"),
     ],
 )
 def test_failed_store_write_keeps_the_old_store(
@@ -502,6 +548,10 @@ def test_failed_store_write_keeps_the_old_store(
         _synth(tmp_path)
     out.mkdir()
     assert main(argv) == 0
+    if name.endswith(".tallies"):
+        # The completed run deleted its spill root.
+        cli._spill_root(out).mkdir()
+        (cli._spill_root(out) / name).write_bytes(b"a tally file of another plan")
     before = _tear(monkeypatch, name, OSError("disk full"), nth)
     with pytest.raises(OSError, match="disk full"):
         main(argv)

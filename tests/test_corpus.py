@@ -858,6 +858,28 @@ def test_add_order_does_not_change_digest_or_file():
     assert load_store(io.BytesIO(a.getvalue())).digest() == forward.digest()
 
 
+def test_store_loads_from_a_stream_after_other_bytes():
+    # A store is read from the stream's position on: after a prefix it
+    # loads with the same digest and views, and the SHA-256 of its file
+    # covers the store's bytes alone.
+    store = generate_synthetic(
+        SynthParams(n_articles=120, vocab_size=30, seed=3, major_fraction=0.5)
+    )
+    saved = io.BytesIO()
+    save_store(store, saved)
+    data = saved.getvalue()
+    prefix = b"bytes before the store"
+    stream = io.BytesIO(prefix + data)
+    stream.seek(len(prefix))
+    loaded = load_store(stream)
+    assert loaded.digest() == store.digest()
+    for refinement in ("all", "major"):
+        for got, want in zip(loaded.view(refinement), store.view(refinement)):
+            assert np.array_equal(got, want)
+    assert loaded.file_sha256() == hashlib.sha256(data).hexdigest()
+    assert store.file_sha256() == loaded.file_sha256()
+
+
 @pytest.mark.parametrize(
     "record, cause",
     [

@@ -1,3 +1,7 @@
+import contextlib
+import dataclasses
+import functools
+import gc
 import io
 import itertools
 import json
@@ -11,6 +15,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -204,8 +209,23 @@ _MIN_BUDGET = ledger_mod._MIN_MEMORY_BUDGET
 _BUDGETS = [pytest.param(1 << 20, id="1MiB"), pytest.param(_MIN_BUDGET, id="min")]
 
 
-def _manifest(ledger_dir):
-    return json.loads((ledger_dir / "manifest.json").read_text())
+_HEADER = ledger_mod._HEADER
+
+
+def _tally_file(spill, k=1, refinement="all"):
+    return Path(spill) / f"k{k}_{refinement}.tallies"
+
+
+def _pass_count(path):
+    """The pass count in the header of the tally file ``path``."""
+    return _HEADER.unpack_from(path.read_bytes())[2]
+
+
+def _records(path, corpus, refinement="all"):
+    """The whole records of running tallies after the header of the tally
+    file ``path``, and the bytes of a torn one after them."""
+    record = 16 * corpus.view(refinement)[0].size
+    return divmod(path.stat().st_size - _HEADER.size, record)
 
 
 class Interrupt(Exception):
@@ -226,7 +246,7 @@ def _commits(corpus, config, until=None, observe=None):
 
     def recording(fd, values):
         append(fd, values)
-        commits.append(os.fstat(fd).st_size // values.nbytes)
+        commits.append((os.fstat(fd).st_size - _HEADER.size) // values.nbytes)
         if observe is not None:
             observe(commits[-1])
         if until is not None and commits[-1] >= until:
@@ -267,7 +287,8 @@ def test_tabulate_matches_oracle(seed, budget, tmp_path):
     # At the smallest budget one pass is the floor, so that the budget alone
     # sets the pass count.
     shard_count = 3 if budget > _MIN_BUDGET else 1
-    passes = []
+    spill = tmp_path / f"s{seed}"
+    passes, files = [], set()
     for k in (1, 2, 3):
         for refinement in ("all", "major"):
             oracle = oracle_tabulate(corpus, k, refinement)
@@ -276,20 +297,23 @@ def test_tabulate_matches_oracle(seed, budget, tmp_path):
                 LedgerConfig(
                     k=k,
                     refinement=refinement,
-                    spill_directory=tmp_path / f"s{seed}",
+                    spill_directory=spill,
                     shard_count=shard_count,
                     memory_budget_bytes=budget,
                 ),
             )
             assert exact == oracle
-            ledger_dir = tmp_path / f"s{seed}" / f"k{k}" / refinement
-            if not ledger_dir.exists():
+            path = _tally_file(spill, k, refinement)
+            if not path.exists():
                 # One pass over the full range writes nothing.
                 passes.append(1)
                 continue
-            passes.append(_manifest(ledger_dir)["passes"])
-            # A complete ledger keeps only its manifest.
-            assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
+            passes.append(_pass_count(path))
+            files.add(path.name)
+            # A complete ledger's file holds one record per pass.
+            assert _records(path, corpus, refinement) == (passes[-1], 0)
+    # Each ledger with a plan keeps one file, and nothing else.
+    assert {p.name for p in spill.iterdir()} == files
     if budget == _MIN_BUDGET:
         assert max(passes) > 1
     else:
@@ -510,7 +534,7 @@ def test_unwritable_spill_directory_aborts(two_article_corpus, tmp_path):
         with pytest.raises((LedgerError, OSError)):
             tabulate(
                 two_article_corpus,
-                LedgerConfig(k=1, spill_directory=locked / "sub"),
+                LedgerConfig(k=1, shard_count=2, spill_directory=locked / "sub"),
             )
     finally:
         os.chmod(locked, stat.S_IRWXU)
@@ -679,13 +703,13 @@ def test_spill_directory_holds_one_log_with_one_append_per_flush(
     tmp_path, monkeypatch
 ):
     # Each pass appends its running tallies, 16 bytes a year that holds
-    # articles, to tallies.bin in one write; the directory holds that file
-    # and the manifest alone until the completing manifest write.
+    # articles, to the tally file in one write; the directory holds that
+    # file alone, during the passes and after them.
     corpus = _random_corpus(17, n_articles=1500, years=4)
     config = LedgerConfig(
         k=2, spill_directory=tmp_path, memory_budget_bytes=_MIN_BUDGET
     )
-    ledger_dir = tmp_path / "k2" / "all"
+    path = _tally_file(tmp_path, 2)
     writes = []
     write = os.write
 
@@ -694,24 +718,23 @@ def test_spill_directory_holds_one_log_with_one_append_per_flush(
         return write(fd, data)
 
     def check_directory(finished):
-        names = sorted(p.name for p in ledger_dir.iterdir())
-        assert names == ["manifest.json", "tallies.bin"]
-        inode = (ledger_dir / "tallies.bin").stat().st_ino
-        assert writes == [(inode, 16 * len(corpus.years))] * finished
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert writes == [(path.stat().st_ino, 16 * len(corpus.years))] * finished
 
     monkeypatch.setattr(os, "write", recording_write)
     series, commits = _commits(corpus, config, observe=check_directory)
     monkeypatch.undo()
     assert series == oracle_tabulate(corpus, 2, "all")
-    passes = _manifest(ledger_dir)["passes"]
+    passes = _pass_count(path)
     assert passes > 1 and commits == list(range(1, passes + 1))
-    assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.stat().st_size == _HEADER.size + passes * 16 * len(corpus.years)
 
 
 def test_corpus_within_one_buffer_commits_once(tmp_path, monkeypatch):
-    # The manifest is written twice however many years and passes there
-    # are: with the plan before the first pass, and complete.  Years
-    # without a triad, in the middle and at the end, cost nothing.
+    # The header is the ledger's one whole-file write, made before the
+    # first pass; each pass then appends one record.  Years without a
+    # triad, in the middle and at the end, cost nothing.
     corpus = _random_corpus(19, n_articles=400, years=12)
     last = corpus.years[-1]
     for year in (last + 2, last + 4):
@@ -719,17 +742,17 @@ def test_corpus_within_one_buffer_commits_once(tmp_path, monkeypatch):
     corpus.add(ArticleRecord("y", last + 3, frozenset({1, 2, 3}), frozenset()))
     config = LedgerConfig(k=2, spill_directory=tmp_path, shard_count=3)
     written = []
-    write_manifest = ledger_mod._write_manifest
+    replace = ledger_mod.replace_on_success
 
-    def recording(path, payload):
-        written.append(dict(payload))
-        write_manifest(path, payload)
+    def recording(path, *args):
+        written.append(path.name)
+        return replace(path, *args)
 
-    monkeypatch.setattr(ledger_mod, "_write_manifest", recording)
+    monkeypatch.setattr(ledger_mod, "replace_on_success", recording)
     series, commits = _commits(corpus, config)
     assert series == oracle_tabulate(corpus, 2, "all")
-    assert [m["complete"] for m in written] == [False, True]
-    passes = written[0]["passes"]
+    assert written == [_tally_file(tmp_path, 2).name]
+    passes = _pass_count(_tally_file(tmp_path, 2))
     assert passes >= 3 and commits == list(range(1, passes + 1))
 
 
@@ -883,9 +906,9 @@ def test_stray_year_adds_no_work_per_bucket(tmp_path):
 
 
 def test_stray_year_keeps_the_manifest_small(tmp_path, monkeypatch):
-    # The completing manifest stores the years that hold articles only;
-    # the series spreads them over the calendar years, also when it is
-    # read back from a complete directory.
+    # A record holds the years that hold articles only; the series spreads
+    # them over the calendar years, also when a complete file gives them
+    # back without a pass.
     def with_stray(year):
         store = generate_synthetic(SynthParams(n_articles=3000, seed=11))
         store.add(ArticleRecord("stray", year, frozenset({100, 101}), frozenset()))
@@ -897,7 +920,9 @@ def test_stray_year_keeps_the_manifest_small(tmp_path, monkeypatch):
     store = with_stray(2009 + 10**6)
     config = LedgerConfig(k=1, shard_count=2, spill_directory=tmp_path)
     series = tabulate(store, config)
-    assert (tmp_path / "k1" / "all" / "manifest.json").stat().st_size < 64 << 10
+    path = _tally_file(tmp_path)
+    assert _records(path, store) == (_pass_count(path), 0)
+    assert path.stat().st_size < 64 << 10
     assert series.years == list(range(1990, 2009 + 10**6 + 1))
     gap = [0] * (10**6 - 1)
     for name in ledger_mod.SERIES_COLUMNS:
@@ -934,26 +959,26 @@ def test_year_span_over_budget_raises_before_any_directory(tmp_path):
 
 
 def test_manifest_does_not_grow_with_committed_years(tmp_path):
-    # The manifest holds the plan's fingerprint and pass count alone while
-    # the passes run, so a ledger of 300 years writes one as large as a
-    # ledger of one year.
-    sizes, keys, committed = {}, set(), {}
+    # After each commit the file is the header and one record of 16 bytes
+    # a year per finished pass: a ledger of 300 years and one of one year
+    # write the same header.
+    sizes, headers, committed = {}, set(), {}
     for n in (1, 300):
         store = CorpusStore()
         for i in range(n):
             kws = frozenset({i, i + 1})
             store.add(ArticleRecord(f"a{i:03d}", 1800 + i, kws, frozenset()))
-        ledger_dir = tmp_path / str(n) / "k1" / "all"
+        path = _tally_file(tmp_path / str(n))
 
-        def commit(finished, ledger_dir=ledger_dir, n=n):
-            keys.add(tuple(_manifest(ledger_dir)))
-            sizes[n] = (ledger_dir / "manifest.json").stat().st_size
+        def commit(finished, path=path, n=n):
+            headers.add(_HEADER.unpack_from(path.read_bytes())[::2])
+            sizes.setdefault(n, []).append(path.stat().st_size)
 
         config = LedgerConfig(k=1, shard_count=2, spill_directory=tmp_path / str(n))
         committed[n] = _commits(store, config, observe=commit)[1]
-    assert keys == {("version", "fingerprint", "passes", "complete")}
     assert committed == {1: [1], 300: [1, 2]}
-    assert sizes[1] == sizes[300]
+    assert headers == {(ledger_mod._MAGIC, 1), (ledger_mod._MAGIC, 2)}
+    assert sizes == {1: [_HEADER.size + 16], 300: [_HEADER.size + 16 * 300 * i for i in (1, 2)]}
 
 
 def test_bad_peripheral_tally_is_never_committed(tmp_path, monkeypatch):
@@ -977,9 +1002,7 @@ def test_bad_peripheral_tally_is_never_committed(tmp_path, monkeypatch):
         if shard_count == 1:
             assert not spill.exists()
         else:
-            ledger_dir = spill / "k2" / "all"
-            assert not _manifest(ledger_dir)["complete"]
-            assert (ledger_dir / "tallies.bin").stat().st_size == 0
+            assert _records(_tally_file(spill, 2), corpus) == (0, 0)
         assert tabulate(corpus, config) == oracle_tabulate(corpus, 2, "all")
 
 
@@ -987,16 +1010,16 @@ def test_bad_peripheral_tally_is_never_committed(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def manifest_passes(monkeypatch):
-    """The pass count of every manifest written."""
+def planned_passes(monkeypatch):
+    """The pass count of every header a resume reads or writes."""
     passes = set()
-    write_manifest = ledger_mod._write_manifest
+    resume = ledger_mod._resume
 
-    def recording_write(path, payload):
-        passes.add(payload["passes"])
-        write_manifest(path, payload)
+    def recording(path, header, tally):
+        passes.add(_HEADER.unpack(header)[2])
+        return resume(path, header, tally)
 
-    monkeypatch.setattr(ledger_mod, "_write_manifest", recording_write)
+    monkeypatch.setattr(ledger_mod, "_resume", recording)
     return passes
 
 
@@ -1008,17 +1031,9 @@ def _assert_passes(passes, budget, shard_count):
         assert next(iter(passes)) >= shard_count
 
 
-def _records(ledger_dir, corpus):
-    """The whole records of running tallies in tallies.bin, and whether a
-    torn one follows them."""
-    path = ledger_dir / "tallies.bin"
-    size = path.stat().st_size if path.exists() else 0
-    return divmod(size, 16 * len(corpus.years))
-
-
 @pytest.mark.parametrize("budget", _BUDGETS)
 def test_crash_restart_yields_identical_series(
-    tmp_path, monkeypatch, manifest_passes, budget
+    tmp_path, monkeypatch, planned_passes, budget
 ):
     # A kill between passes 2 and 3: the resume runs only the passes after
     # the second.
@@ -1034,8 +1049,8 @@ def test_crash_restart_yields_identical_series(
     with monkeypatch.context() as patch:
         firsts = _recorded(patch, "_tally_pass", 5)
         resumed = tabulate(corpus, config)
-    _assert_passes(manifest_passes, budget, 4)
-    assert len(firsts) == next(iter(manifest_passes)) - 2
+    _assert_passes(planned_passes, budget, 4)
+    assert len(firsts) == next(iter(planned_passes)) - 2
     clean = tabulate(
         corpus, LedgerConfig(k=2, refinement="all", spill_directory=tmp_path / "clean")
     )
@@ -1044,10 +1059,10 @@ def test_crash_restart_yields_identical_series(
 
 @pytest.mark.parametrize("budget", _BUDGETS)
 def test_crash_after_history_commit_before_manifest(
-    tmp_path, monkeypatch, manifest_passes, budget
+    tmp_path, monkeypatch, planned_passes, budget
 ):
-    # Every pass's record is appended; the completing manifest write is
-    # not.  The resume runs no pass, and completes from the last record.
+    # Every pass's record is appended; the series is not built.  The
+    # resume runs no pass, and builds the series from the last record.
     corpus = _random_corpus(12, n_articles=5000, years=12)
     config = LedgerConfig(
         k=2,
@@ -1056,50 +1071,47 @@ def test_crash_after_history_commit_before_manifest(
         shard_count=4,
         memory_budget_bytes=budget,
     )
-    ledger_dir = tmp_path / "resume" / "k2" / "all"
-    write_manifest = ledger_mod._write_manifest
+    path = _tally_file(tmp_path / "resume", 2)
 
-    def failing_write(path, payload):
-        if payload["complete"]:
-            raise Interrupt
-        write_manifest(path, payload)
+    def failing_series(*args):
+        raise Interrupt
 
     with monkeypatch.context() as patch:
-        patch.setattr(ledger_mod, "_write_manifest", failing_write)
+        patch.setattr(ledger_mod, "_series", failing_series)
         with pytest.raises(Interrupt):
             tabulate(corpus, config)
-    passes = _manifest(ledger_dir)["passes"]
-    assert _records(ledger_dir, corpus) == (passes, 0)
+    passes = _pass_count(path)
+    assert _records(path, corpus) == (passes, 0)
     with monkeypatch.context() as patch:
         firsts = _recorded(patch, "_tally_pass", 5)
         resumed = tabulate(corpus, config)
     assert firsts == []
-    _assert_passes(manifest_passes, budget, 4)
+    _assert_passes(planned_passes, budget, 4)
     clean = tabulate(
         corpus, LedgerConfig(k=2, refinement="all", spill_directory=tmp_path / "clean")
     )
     assert resumed == clean == oracle_tabulate(corpus, 2, "all")
-    assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 def test_crash_between_log_append_and_manifest(tmp_path, monkeypatch):
-    # A kill tears the third pass's record: the resume cuts it away,
-    # deletes a stray file, and runs the passes from the third on again.
+    # A kill tears the third pass's record: the resume cuts it away and
+    # runs the passes from the third on again.
     corpus = _random_corpus(14, n_articles=400, years=10)
     config = LedgerConfig(
         k=2, spill_directory=tmp_path, shard_count=2, memory_budget_bytes=_MIN_BUDGET
     )
-    ledger_dir = tmp_path / "k2" / "all"
+    path = _tally_file(tmp_path, 2)
     _commits(corpus, config, until=2)
-    (ledger_dir / "b00007.bin").write_bytes(b"\0" * 8)
-    with open(ledger_dir / "tallies.bin", "ab") as f:
+    with open(path, "ab") as f:
         f.write(b"\xff" * 13)
-    assert _records(ledger_dir, corpus) == (2, 13)
+    assert _records(path, corpus) == (2, 13)
     with monkeypatch.context() as patch:
         firsts = _recorded(patch, "_tally_pass", 5)
         assert tabulate(corpus, config) == oracle_tabulate(corpus, 2, "all")
-    assert len(firsts) == _manifest(ledger_dir)["passes"] - 2
-    assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
+    passes = _pass_count(path)
+    assert len(firsts) == passes - 2
+    assert _records(path, corpus) == (passes, 0)
 
 
 def test_bucket_without_keys_resumes(tmp_path):
@@ -1112,8 +1124,7 @@ def test_bucket_without_keys_resumes(tmp_path):
         store.add(ArticleRecord(record.article_id, record.year, record.all_keywords, major))
     config = LedgerConfig(k=3, refinement="major", spill_directory=tmp_path, shard_count=512)
     _commits(store, config, until=1)
-    ledger_dir = tmp_path / "k3" / "major"
-    assert _manifest(ledger_dir)["passes"] == 1
+    assert _pass_count(_tally_file(tmp_path, 3, "major")) == 1
     series = tabulate(store, config)
     assert series == oracle_tabulate(store, 3, "major")
     assert sum(series.new_simplices) == 0
@@ -1157,13 +1168,12 @@ def test_kill_inside_bucket_pass_reruns_it(tmp_path, monkeypatch):
         patch.setattr(passes_mod, "_count_words", failing_count)
         with pytest.raises(Interrupt):
             tabulate(corpus, config)
-    ledger_dir = tmp_path / "k2" / "all"
-    assert not _manifest(ledger_dir)["complete"]
-    assert _records(ledger_dir, corpus) == (1, 0)
+    path = _tally_file(tmp_path, 2)
+    assert _records(path, corpus) == (1, 0)
     with monkeypatch.context() as patch:
         firsts = _recorded(patch, "_tally_pass", 5)
         resumed, commits = _commits(corpus, config)
-    passes = _manifest(ledger_dir)["passes"]
+    passes = _pass_count(path)
     assert commits == list(range(2, passes + 1)) and len(firsts) == passes - 1
     assert resumed == oracle_tabulate(corpus, 2, "all")
 
@@ -1208,8 +1218,11 @@ def test_sigkill_inside_pass_two_resumes_to_the_oracle(tmp_path, monkeypatch):
         capture_output=True,
     )
     assert child.returncode == -9
-    ledger_dir = spill / "k2" / "all"
-    assert _records(ledger_dir, corpus) == (1, 0)
+    # The killed ledger leaves its tally file alone: the header and pass
+    # 1's record.
+    path = _tally_file(spill, 2)
+    assert [p.name for p in spill.iterdir()] == [path.name]
+    assert path.stat().st_size == _HEADER.size + 16 * len(corpus.years)
     config = LedgerConfig(
         k=2, shard_count=4, memory_budget_bytes=1 << 20, spill_directory=spill
     )
@@ -1218,25 +1231,29 @@ def test_sigkill_inside_pass_two_resumes_to_the_oracle(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         firsts = _recorded(patch, "_tally_pass", 5)
         series = tabulate(store, config)
-    passes = _manifest(ledger_dir)["passes"]
+    passes = _pass_count(path)
     assert passes > 2 and len(firsts) == passes - 1
     assert series == oracle_tabulate(corpus, 2, "all")
 
 
-def test_log_that_does_not_match_its_manifest_raises(tmp_path):
-    # tallies.bin holding more records than its plan has passes does not
-    # match its manifest: the ledger raises a LedgerError and commits
-    # nothing.
+def test_log_that_does_not_match_its_manifest_raises(tmp_path, monkeypatch):
+    # A tally file holding more records than its header's passes does not
+    # match its plan: the ledger raises a LedgerError before any pass and
+    # leaves the file as it was.
     corpus = _random_corpus(16, n_articles=400, years=8)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=4)
     _commits(corpus, config, until=1)
-    ledger_dir = tmp_path / "k1" / "all"
-    passes = _manifest(ledger_dir)["passes"]
-    record = (ledger_dir / "tallies.bin").read_bytes()
-    (ledger_dir / "tallies.bin").write_bytes(record * (passes + 1))
-    with pytest.raises(LedgerError, match=f"{passes + 1} records.* {passes} passes"):
-        tabulate(corpus, config)
-    assert not _manifest(ledger_dir)["complete"]
+    path = _tally_file(tmp_path)
+    passes = _pass_count(path)
+    data = path.read_bytes()
+    header, record = data[: _HEADER.size], data[_HEADER.size :]
+    path.write_bytes(header + record * (passes + 1))
+    with monkeypatch.context() as patch:
+        firsts = _recorded(patch, "_tally_pass", 5)
+        with pytest.raises(LedgerError, match=f"{passes + 1} records.* {passes} passes"):
+            tabulate(corpus, config)
+    assert firsts == []
+    assert path.read_bytes() == header + record * (passes + 1)
 
 
 @pytest.mark.parametrize(
@@ -1257,19 +1274,18 @@ def test_resume_keeps_recorded_buckets(tmp_path, monkeypatch, first, second, res
             k=2, spill_directory=tmp_path, shard_count=4, memory_budget_bytes=budget
         )
 
+    path = _tally_file(tmp_path, 2)
     _commits(corpus, config(first), until=2)
-    recorded = _manifest(tmp_path / "k2" / "all")
+    recorded = _HEADER.unpack_from(path.read_bytes())[1]
     with monkeypatch.context() as patch:
         firsts = _recorded(patch, "_tally_pass", 5)
         resumed, commits = _commits(corpus, config(second))
     assert resumed == oracle_tabulate(corpus, 2, "all")
-    final = _manifest(tmp_path / "k2" / "all")
+    _, final, passes = _HEADER.unpack_from(path.read_bytes())
     if restarts:
-        assert final["fingerprint"] != recorded["fingerprint"] and commits[0] == 1
-        assert len(firsts) == final["passes"]
+        assert final != recorded and commits[0] == 1 and len(firsts) == passes
     else:
-        assert final["fingerprint"] == recorded["fingerprint"] and commits[0] == 3
-        assert len(firsts) == final["passes"] - 2
+        assert final == recorded and commits[0] == 3 and len(firsts) == passes - 2
 
 
 def _repeating_corpus():
@@ -1299,8 +1315,8 @@ def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, damaged):
         k=1, shard_count=2, spill_directory=tmp_path, memory_budget_bytes=budget
     )
     _commits(corpus, config, until=2)
-    path = tmp_path / "k1" / "all" / "tallies.bin"
-    os.truncate(path, path.stat().st_size - damaged if damaged else 0)
+    path = _tally_file(tmp_path)
+    os.truncate(path, path.stat().st_size - damaged if damaged else _HEADER.size)
     series, commits = _commits(corpus, config)
     assert series == oracle_tabulate(corpus, 1, "all")
     # The resume runs again the pass whose record was torn, or every pass.
@@ -1308,16 +1324,17 @@ def test_shard_file_shorter_than_committed_restarts(tmp_path, budget, damaged):
 
 
 def test_torn_manifest_starts_fresh(tmp_path):
-    # A manifest cut short, as by a write that `replace_on_success` did not
-    # make, is no JSON: the ledger starts fresh rather than raise.
+    # A header cut short, as by a write that `replace_on_success` did not
+    # make, is another header: the ledger starts fresh rather than raise.
     corpus = _repeating_corpus()
     config = LedgerConfig(k=1, shard_count=2, spill_directory=tmp_path)
     oracle = oracle_tabulate(corpus, 1, "all")
     assert tabulate(corpus, config) == oracle
-    manifest = tmp_path / "k1" / "all" / "manifest.json"
-    os.truncate(manifest, 20)
+    path = _tally_file(tmp_path)
+    complete = path.read_bytes()
+    os.truncate(path, 20)
     assert tabulate(corpus, config) == oracle
-    assert json.loads(manifest.read_text())["complete"]
+    assert path.read_bytes() == complete
 
 
 @pytest.mark.parametrize(
@@ -1330,9 +1347,9 @@ def test_torn_manifest_starts_fresh(tmp_path):
     ],
 )
 def test_kill_after_each_flush_resumes_to_the_oracle(tmp_path, monkeypatch, k, corpus):
-    # A kill lands after each pass's record in turn, and after each manifest
-    # write; each resume equals the oracle and runs only the unfinished
-    # passes.
+    # A kill lands after each pass's record in turn, inside the header's
+    # one write and after it; each resume equals the oracle and runs only
+    # the unfinished passes.
     corpus = corpus()
     oracle = oracle_tabulate(corpus, k, "all")
 
@@ -1342,53 +1359,108 @@ def test_kill_after_each_flush_resumes_to_the_oracle(tmp_path, monkeypatch, k, c
         )
 
     assert tabulate(corpus, config("clean")) == oracle
-    passes = _manifest(tmp_path / "clean" / f"k{k}" / "all")["passes"]
+    passes = _pass_count(_tally_file(tmp_path / "clean", k))
     assert passes > 2
-    kills = [("_append", i) for i in range(1, passes + 1)]
-    kills += [("_write_manifest", i) for i in (1, 2)]
-    for name, i in kills:
-        made = []
+    append, replace = ledger_mod._append, ledger_mod.replace_on_success
 
-        def killed(*args, fn=getattr(ledger_mod, name), made=made, i=i):
-            result = fn(*args)
+    def after_append(i, made):
+        def killed(*args):
+            append(*args)
             made.append(1)
             if len(made) == i:
                 raise Interrupt
-            return result
 
+        return killed
+
+    @contextlib.contextmanager
+    def header_killed(path, mode="wb", inside=False):
+        with replace(path, mode) as f:
+            yield f
+            if inside:
+                raise Interrupt
+        raise Interrupt
+
+    # (spill directory, name, its killing stand-in, passes finished, or
+    # None when no file is left)
+    kills = [
+        (f"append{i}", "_append", after_append(i, []), i) for i in range(1, passes + 1)
+    ]
+    kills += [
+        ("in-header", "replace_on_success", functools.partial(header_killed, inside=True), None),
+        ("after-header", "replace_on_success", header_killed, 0),
+    ]
+    for name, target, killed, finished in kills:
         with monkeypatch.context() as patch:
-            patch.setattr(ledger_mod, name, killed)
+            patch.setattr(ledger_mod, target, killed)
             with pytest.raises(Interrupt):
-                tabulate(corpus, config(f"{name}{i}"))
-        ledger_dir = tmp_path / f"{name}{i}" / f"k{k}" / "all"
-        finished = i if name == "_append" else (0 if i == 1 else passes)
-        assert _records(ledger_dir, corpus) == (finished, 0)
+                tabulate(corpus, config(name))
+        path = _tally_file(tmp_path / name, k)
+        if finished is None:
+            assert list(path.parent.iterdir()) == []
+        else:
+            assert _records(path, corpus) == (finished, 0)
         with monkeypatch.context() as patch:
             firsts = _recorded(patch, "_tally_pass", 5)
-            assert tabulate(corpus, config(f"{name}{i}")) == oracle
-        assert len(firsts) == (passes - finished if i < 2 or name == "_append" else 0)
+            assert tabulate(corpus, config(name)) == oracle
+        assert len(firsts) == passes - (finished or 0)
 
 
-@pytest.mark.parametrize("version", range(1, 11))
-def test_old_manifest_version_starts_fresh(tmp_path, version):
-    # Manifest versions 1 to 10 went with shard files, per-year rows or a
-    # key log; none is read.  Each here is today's complete manifest under
-    # an old version, its series one off the oracle's, beside a stray key
-    # log: trusting either would show.
+@pytest.mark.parametrize("version", range(1, 12))
+def test_old_manifest_version_starts_fresh(tmp_path, monkeypatch, version):
+    # Resume state of versions 1 to 11 lived in a directory per ledger,
+    # ``k<k>/<refinement>``, beside a manifest; none is read.  Each here is
+    # a complete manifest of an old version, its series one off the
+    # oracle's, beside a stray key log, and a tally file whose header is
+    # today's but for its version: trusting any of them would show.
     corpus = _random_corpus(13, n_articles=300)
     config = LedgerConfig(k=1, spill_directory=tmp_path, shard_count=2)
-    ledger_dir = tmp_path / "k1" / "all"
     oracle = oracle_tabulate(corpus, 1, "all")
     assert tabulate(corpus, config) == oracle
-    manifest = _manifest(ledger_dir)
-    series = manifest["series"]
+    path = _tally_file(tmp_path)
+    clean = path.read_bytes()
+    old = tmp_path / "k1" / "all"
+    old.mkdir(parents=True)
+    series = {name: getattr(oracle, name) for name in ledger_mod.SERIES_COLUMNS}
     series["new_simplices"] = [n + 1 for n in series["new_simplices"]]
-    (ledger_dir / "manifest.json").write_text(json.dumps(dict(manifest, version=version)))
-    (ledger_dir / "keys.bin").write_bytes(b"\0" * 64)
-    (ledger_dir / "ends.bin").write_bytes(b"\0" * 16)
+    manifest = {"version": version, "complete": True, "series": series}
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    (old / "keys.bin").write_bytes(b"\0" * 64)
+    magic = ledger_mod._MAGIC
+    path.write_bytes(magic[:-1] + bytes([version]) + clean[len(magic) :])
+    with monkeypatch.context() as patch:
+        firsts = _recorded(patch, "_tally_pass", 5)
+        assert tabulate(corpus, config) == oracle
+    assert len(firsts) == _pass_count(path) and path.read_bytes() == clean
+
+
+@pytest.mark.parametrize("other", ["corpus", "order", "refinement", "plan", "short"])
+def test_another_header_starts_fresh(tmp_path, monkeypatch, other):
+    # A tally file of another corpus, order, refinement or plan, or one cut
+    # inside its header, is replaced by a fresh header: every pass runs.
+    corpus = _random_corpus(13, n_articles=300)
+    config = LedgerConfig(k=1, spill_directory=tmp_path / "own", shard_count=2)
+    oracle = oracle_tabulate(corpus, 1, "all")
     assert tabulate(corpus, config) == oracle
-    assert [p.name for p in ledger_dir.iterdir()] == ["manifest.json"]
-    assert _manifest(ledger_dir)["version"] == ledger_mod._MANIFEST_VERSION
+    path = _tally_file(tmp_path / "own")
+    clean = path.read_bytes()
+    if other == "short":
+        path.write_bytes(clean[:20])
+    else:
+        store, changes = {
+            "corpus": (_random_corpus(14, n_articles=300), {}),
+            "order": (corpus, {"k": 2}),
+            "refinement": (corpus, {"refinement": "major"}),
+            "plan": (corpus, {"shard_count": 3}),
+        }[other]
+        foreign = dataclasses.replace(config, spill_directory=tmp_path / "other", **changes)
+        tabulate(store, foreign)
+        data = _tally_file(tmp_path / "other", foreign.k, foreign.refinement).read_bytes()
+        assert data[: _HEADER.size] != clean[: _HEADER.size]
+        path.write_bytes(data)
+    with monkeypatch.context() as patch:
+        firsts = _recorded(patch, "_tally_pass", 5)
+        assert tabulate(corpus, config) == oracle
+    assert len(firsts) == _pass_count(path) and path.read_bytes() == clean
 
 
 def test_temporary_workdir_is_removed(two_article_corpus, tmp_path, monkeypatch):
@@ -1463,6 +1535,44 @@ def test_merge_frame_stays_within_memory_budget(tmp_path, monkeypatch, shard_cou
     assert spilled == tabulate(store, LedgerConfig(k=1, spill_directory=tmp_path / "m"))
 
 
+@pytest.mark.parametrize("shape", ["wide", "quartet-spill"])
+def test_combination_indices_live_and_die_with_their_ledger(monkeypatch, shape):
+    # Each index a ledger caches is built once, however many of its passes
+    # use it, and none outlives the ledger: two articles of the same 60
+    # keywords at k = 3 and the smallest budget, and the benchmark's
+    # quartet-spill shape in about 49 passes.
+    store = CorpusStore()
+    if shape == "wide":
+        for name in ("a", "b"):
+            store.add(ArticleRecord(name, 2000, frozenset(range(60)), frozenset()))
+        config = LedgerConfig(k=3, memory_budget_bytes=_MIN_BUDGET)
+    else:
+        rng = random.Random(25)
+        for i in range(5000):
+            kws = frozenset(rng.sample(range(100 * (i // 250 + 1)), 10))
+            store.add(ArticleRecord(f"a{i:04d}", 1990 + i // 250, kws, kws))
+        config = LedgerConfig(k=3, shard_count=4, memory_budget_bytes=512 << 10)
+    built, refs = {}, []
+    comb = passes_mod._comb_indices
+
+    def recording(*args):
+        idx = comb(*args)
+        if args[0] <= 24:
+            built.setdefault(args[:3], set()).add(id(idx))
+        refs.append(weakref.ref(idx))
+        return idx
+
+    monkeypatch.setattr(passes_mod, "_comb_indices", recording)
+    firsts = _recorded(monkeypatch, "_tally_pass", 5)
+    series = tabulate(store, config)
+    assert len(firsts) > (1 if shape == "wide" else 40)
+    assert built and all(len(ids) == 1 for ids in built.values())
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+    if shape == "wide":
+        assert series.new_simplices == [math.comb(60, 4)]
+
+
 def test_quartet_spill_stays_within_memory_budget(tmp_path):
     # The benchmark's quartet-spill shape: 5,000 articles of 10 keywords at
     # k = 3, 4 shards and 512 KiB, in about 49 passes; the whole tabulate
@@ -1484,7 +1594,7 @@ def test_quartet_spill_stays_within_memory_budget(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _manifest(tmp_path / "k3" / "all")["passes"] > 40
+    assert _pass_count(_tally_file(tmp_path, 3)) > 40
     assert peak <= budget
     assert series == tabulate(store, LedgerConfig(k=3))
 
@@ -1544,7 +1654,7 @@ def test_one_bucket_is_counted_in_memory_and_two_in_the_log(tmp_path, monkeypatc
             assert tabulate(corpus, config) == oracle
             assert bool(plans) == spill.exists() == planned
             if planned:
-                assert _manifest(spill / f"k{k}" / "all")["passes"] >= 2
+                assert _pass_count(_tally_file(spill, k)) >= 2
 
 
 def test_in_memory_ledger_needs_no_disk(tmp_path, monkeypatch):
