@@ -35,7 +35,7 @@ _EXPORTS = {
     "BranchFilter": "ontology",
     "CorpusStore": "corpus",
     "Descriptor": "ontology",
-    "FilterConfig": "corpus",
+    "FilterConfig": "ingest",
     "FitResult": "fitting",
     "LedgerConfig": "ledger",
     "LedgerSeries": "ledger",
@@ -48,8 +48,8 @@ _EXPORTS = {
     "fit_exponential": "fitting",
     "fit_linear": "fitting",
     "generate_synthetic": "synth",
-    "ingest_pubmed_xml": "corpus",
-    "ingest_tsv": "corpus",
+    "ingest_pubmed_xml": "ingest",
+    "ingest_tsv": "ingest",
     "keyword_debut_years": "ledger",
     "load_ontology": "ontology",
     "oracle_tabulate": "ledger",

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import fcntl
+import gc
 import glob
 import hashlib
 import math
@@ -41,24 +42,28 @@ import simplexledger
 from simplexledger.corpus import (
     REFINEMENTS,
     CorpusStore,
-    FilterConfig,
-    ingest_pubmed_xml,
-    ingest_tsv,
     load_store,
     replace_on_success,
     save_store,
 )
-from simplexledger.ontology import BranchFilter, load_ontology
 
-# The names of the stages only `run` and `report` use, each loaded on first
-# use by the package's `lazy_loader` and bound here, so that `ingest`
-# compiles none of their modules.  They stay attributes of this module
-# because the benchmark's tracer (perfbench/tracer.py) and the tests wrap
-# them here; the commands reach them through `_cli`, which looks each up in
-# this module's globals when used, so a wrapper set beforehand is the one
-# called, also when the module runs as ``__main__`` in a namespace of its own
-# (``python -m cProfile -m simplexledger.cli``).
+# The names of the stages that only some commands use, each loaded on first
+# use by the package's `lazy_loader` and bound here.  The readers, their
+# filter and the ontology serve raw input alone, so that `run --store`
+# compiles none of their modules; the ledger, metrics, fits and charts
+# serve `run` and `report` alone, so that `ingest` compiles none of theirs.
+# They stay attributes of this module because the benchmark's tracer
+# (perfbench/tracer.py) and the tests wrap them here; the commands reach
+# them through `_cli`, which looks each up in this module's globals when
+# used, so a wrapper set beforehand is the one called, also when the module
+# runs as ``__main__`` in a namespace of its own (``python -m cProfile -m
+# simplexledger.cli``).
 _STAGES = {
+    "FilterConfig": "ingest",
+    "ingest_pubmed_xml": "ingest",
+    "ingest_tsv": "ingest",
+    "BranchFilter": "ontology",
+    "load_ontology": "ontology",
     "FIT_CSV_COLUMNS": "fitting",
     "PRESET_WINDOWS": "fitting",
     "FitError": "fitting",
@@ -99,14 +104,14 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _filter_config(args: argparse.Namespace) -> FilterConfig:
+def _filter_config(args: argparse.Namespace) -> _cli.FilterConfig:
     """The filter flags given; `FilterConfig`'s defaults fill the rest."""
     options: dict = {}
     if args.min_year is not None:
         options["min_year"] = args.min_year
     if args.branches:
-        options["branch_filter"] = BranchFilter(frozenset(args.branches))
-    return FilterConfig(**options)
+        options["branch_filter"] = _cli.BranchFilter(frozenset(args.branches))
+    return _cli.FilterConfig(**options)
 
 
 def _load_corpus(args: argparse.Namespace) -> tuple[CorpusStore, list[Path]]:
@@ -124,8 +129,8 @@ def _load_corpus(args: argparse.Namespace) -> tuple[CorpusStore, list[Path]]:
     inputs = [Path(args.ontology), Path(args.input)]
     # Binary, so that the readers can name the line of a non-UTF-8 byte.
     with open(inputs[0], "rb") as f:
-        ontology = load_ontology(f)
-    ingest = ingest_pubmed_xml if args.format == "xml" else ingest_tsv
+        ontology = _cli.load_ontology(f)
+    ingest = _cli.ingest_pubmed_xml if args.format == "xml" else _cli.ingest_tsv
     with open(inputs[1], "rb") as f:
         return ingest(f, ontology, _filter_config(args)), inputs
 
@@ -540,8 +545,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command ``argv``, or ``sys.argv``'s as a program.
+
+    As a program, the process ends once the command returns, so the heap is
+    frozen then: interpreter shutdown skips its collections of the frozen
+    objects, tens of thousands of them after ``import numpy``, which hold
+    no garbage.  Exit hooks, the flush of the standard streams and every
+    free by reference count still run.  A caller's ``main(argv)`` leaves
+    the caller's heap as it is.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    status = args.func(args)
+    if argv is None:
+        gc.freeze()
+    return status
 
 
 if __name__ == "__main__":

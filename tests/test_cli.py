@@ -1,5 +1,6 @@
 import csv
 import fcntl
+import gc
 import hashlib
 import io
 import json
@@ -22,11 +23,10 @@ from simplexledger.corpus import (
     ArticleRecord,
     CorpusError,
     CorpusStore,
-    FilterConfig,
-    ingest_tsv,
     load_store,
     save_store,
 )
+from simplexledger.ingest import FilterConfig, ingest_tsv
 from simplexledger.ledger import LedgerSeries, oracle_tabulate
 from simplexledger.metrics import build_metrics, write_ledger_csv
 from simplexledger.ontology import BranchFilter, OntologyError, load_ontology
@@ -285,6 +285,36 @@ def test_run_reads_and_hashes_its_store_once(tmp_path, monkeypatch):
     assert manifest["inputs"] == {str(store): hashlib.sha256(store.read_bytes()).hexdigest()}
 
 
+def test_run_builds_each_refinements_view_once(tmp_path, monkeypatch):
+    # The ledgers of one refinement run together on its one cached view.
+    store, built = _synth(tmp_path), []
+    view = CorpusStore._view
+
+    def counting(self, refinement):
+        built.append(refinement)
+        return view(self, refinement)
+
+    monkeypatch.setattr(CorpusStore, "_view", counting)
+    argv = ["run", "--store", str(store), "--k", "1,2,3",
+            "--refinement", "all,major", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert built == ["all", "major"]
+
+
+_ROOT = Path(cli.__file__).resolve().parents[2]
+
+
+def _child(*args):
+    """``python *args`` with this checkout's package first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True
+    )
+
+
 _RUNPY_CHILD = """
 import runpy, sys
 sys.argv[0] = "simplexledger"
@@ -296,19 +326,66 @@ def test_cli_runs_as_main_in_a_namespace_of_its_own(tmp_path):
     # `runpy` without ``alter_sys``, as under ``python -m cProfile -m``, runs
     # the module as ``__main__`` in a namespace that is not sys.modules'.
     store = _synth(tmp_path)
-    root = Path(cli.__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
-    child = subprocess.run(
-        [sys.executable, "-c", _RUNPY_CHILD, *_run_argv(store, tmp_path / "out")],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    child = _child("-c", _RUNPY_CHILD, *_run_argv(store, tmp_path / "out"))
     assert child.returncode == 0, child.stderr
     _assert_ledger_is_oracle(store, tmp_path / "out")
+
+
+# An exit hook that reports whether the heap was frozen, and which of the
+# modules that only raw input needs were loaded; the entry point follows.
+_AT_EXIT = """
+import atexit, gc, sys
+raw_input_only = {"simplexledger.ontology", "simplexledger.ingest", "string"}
+atexit.register(
+    lambda: print(gc.get_freeze_count() > 0, sorted(raw_input_only & set(sys.modules)))
+)
+"""
+_CONSOLE_SCRIPT = """
+from simplexledger.cli import main
+sys.argv[0] = "simplexledger"
+sys.exit(main())
+"""
+
+
+@pytest.mark.parametrize(
+    "entry", [_RUNPY_CHILD, _CONSOLE_SCRIPT], ids=["runpy", "script"]
+)
+def test_the_program_exits_with_its_heap_frozen(tmp_path, entry):
+    # As a program, `main` freezes the heap once the command returns, so
+    # that interpreter shutdown does not collect it.
+    store = _synth(tmp_path)
+    child = _child("-c", _AT_EXIT + entry, *_run_argv(store, tmp_path / "out"))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1].startswith("True ")
+    _assert_ledger_is_oracle(store, tmp_path / "out")
+
+
+def test_main_with_arguments_leaves_the_callers_heap_unfrozen(tmp_path):
+    store = _synth(tmp_path)
+    frozen = gc.get_freeze_count()
+    assert main(_run_argv(store, tmp_path / "out")) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_every_command_closes_its_own_files(tmp_path, demo_files):
+    # A frozen heap is not collected at exit, so a file that only a cycle
+    # held would go unclosed; each command must close its own.
+    ontology, corpus = demo_files
+    raw = ["--ontology", str(ontology), "--input", str(corpus)]
+    store = tmp_path / "syn.bin"
+    commands = [
+        ["synth", "--n-articles", "300", "--output", str(store)],
+        ["ingest", *raw, "--output", str(tmp_path / "demo.bin")],
+        ["run", "--store", str(store), "--out", str(tmp_path / "a")],
+        ["run", *raw, "--out", str(tmp_path / "b")],
+        ["report", "--metrics", str(tmp_path / "a" / "metrics_k1_all.csv"),
+         "--out", str(tmp_path / "r")],
+    ]
+    for argv in commands:
+        child = _child("-X", "dev", "-W", "error::ResourceWarning",
+                       "-m", "simplexledger.cli", *argv)
+        assert child.returncode == 0, (argv, child.stderr)
+        assert "ResourceWarning" not in child.stderr, argv
 
 
 class _Torn:
@@ -922,10 +999,10 @@ def test_verify_reports_a_mismatch(tmp_path, monkeypatch, capsys):
     assert "mismatch" in statuses
 
 
-def test_cli_import_loads_only_what_its_commands_run():
+def test_cli_import_loads_only_what_its_commands_run(tmp_path):
     # Every child process compiles every module it imports; these serve
-    # only `run`, `report`, `verify`, `synth`, the XML reader, a warning or
-    # nothing at all.
+    # only `run`, `report`, `verify`, `synth`, raw input, the XML reader, a
+    # warning or nothing at all.
     child = """
 import sys
 
@@ -935,7 +1012,8 @@ import simplexledger.cli as cli
 heavy = ["xml.etree.ElementTree", "fractions", "decimal", "logging",
          "simplexledger.synth", "simplexledger.scenarios",
          "simplexledger.ledger", "simplexledger.metrics",
-         "simplexledger.fitting", "simplexledger.plots", "csv", "json"]
+         "simplexledger.fitting", "simplexledger.plots", "csv", "json",
+         "simplexledger.ontology", "simplexledger.ingest"]
 print([name for name in heavy if name in set(sys.modules) - before])
 sys.path.insert(0, sys.argv[1])
 from tracer import WRAPPED
@@ -952,21 +1030,17 @@ for name in simplexledger.__all__:
         unimportable.append(name)
 print(unimportable, len(wrapped), len(simplexledger.__all__))
 """
-    root = Path(cli.__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", child, str(root / "perfbench")],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    out = _child("-c", child, str(_ROOT / "perfbench"))
+    assert out.returncode == 0, out.stderr
     heavy, missing, rest = out.stdout.splitlines()
     assert heavy == "[]"
     assert missing == "[]"
     unimportable, wrapped, exported = rest.rsplit(" ", 2)
     assert unimportable == "[]"
     assert int(wrapped) >= 10 and int(exported) >= 20
+    # `run --store` reads no raw input, so it loads neither the readers nor
+    # the ontology.
+    store = _synth(tmp_path)
+    run = _child("-c", _AT_EXIT + _RUNPY_CHILD, *_run_argv(store, tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].endswith(" []")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import os
 import random
 import struct
@@ -11,18 +12,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import simplexledger.corpus as corpus_mod
+import simplexledger.ingest as ingest_mod
 from simplexledger.corpus import (
-    PUB_TYPES,
     ArticleRecord,
     CorpusError,
     CorpusStore,
-    FilterConfig,
     IngestStats,
-    ingest_pubmed_xml,
-    ingest_tsv,
     load_store,
     save_store,
 )
+from simplexledger.ingest import PUB_TYPES, FilterConfig, ingest_pubmed_xml, ingest_tsv
 from simplexledger.ledger import LedgerConfig, tabulate
 from simplexledger.ontology import is_eligible, load_ontology
 from simplexledger.synth import SynthParams, generate_synthetic
@@ -323,7 +322,7 @@ def _block_boundary_articles():
     both sides of the boundary.  The keywords repeat one as Major and
     plain, and carry an unknown code and a space-padded ``*``-token of a
     code the branch filter drops (D000003)."""
-    block = corpus_mod._BLOCK
+    block = ingest_mod._BLOCK
     keywords = [
         [("D000001", True), ("D000002", False), ("D000001", False)],
         [("D000004", False), (" *D000003 ", False), ("D999999", True),
@@ -342,7 +341,7 @@ def _block_boundary_articles():
 
 def _block_boundary_lines():
     lines = [_tsv_row(*a) + "\n" for a in _block_boundary_articles()]
-    block = corpus_mod._BLOCK
+    block = ingest_mod._BLOCK
     # Malformed lines, their numbers recorded, before and after the boundary.
     lines[block - 1 : block - 1] = ["p-bad\t19x5\tReview\tD000001;D000002\n"]
     lines[block + 2 : block + 2] = ["p-short\t1995\tReview\n"]
@@ -353,10 +352,10 @@ def test_admission_across_a_block_boundary():
     articles = _block_boundary_articles()
     lines = _block_boundary_lines()
     expected, counters = _reference_tsv(lines, _ONTOLOGY)
-    assert counters.malformed_lines == [corpus_mod._BLOCK, corpus_mod._BLOCK + 3]
+    assert counters.malformed_lines == [ingest_mod._BLOCK, ingest_mod._BLOCK + 3]
     assert counters.rejected_pub_type == counters.rejected_year == 2
     assert counters.rejected_too_few_keywords == 2
-    assert counters.accepted == corpus_mod._BLOCK + 1
+    assert counters.accepted == ingest_mod._BLOCK + 1
     assert counters.unknown_keyword_codes > 0
     # The XML input has no malformed record.
     _, via_xml = _reference_tsv([_tsv_row(*a) for a in articles], _ONTOLOGY)
@@ -619,6 +618,36 @@ def test_over_long_article_id_is_malformed(ontology, caplog):
     store = ingest_pubmed_xml(_xml_doc(articles), ontology)
     assert store.stats == IngestStats(accepted=2, rejected_malformed=1)
     assert sorted(r.article_id for r in store.iter_records()) == ["1", "é" * 32]
+
+
+def test_xml_parse_memory_is_flat_in_the_record_count(monkeypatch):
+    # Each read record, a skipped one too, leaves the document's root, so
+    # the parse peaks no higher over 4N records than over the first N.
+    monkeypatch.setattr(ingest_mod, "_warn", lambda *args: None)
+    mesh = [("D000001", True), ("D000002", False)]
+    # The parser's module loads on the first record, before the count.
+    warm_up = _xml_doc([("1", 1998, ["Review"], mesh)])
+    for _ in ingest_mod._xml_articles(warm_up, IngestStats()):
+        pass
+    n = 5_000
+    # Every tenth record has an empty PMID and is skipped.
+    articles = [
+        ("" if i % 10 == 0 else str(i), 1998, ["Review"], mesh) for i in range(4 * n)
+    ]
+    stats = IngestStats()
+    records = ingest_mod._xml_articles(_xml_doc(articles), stats)
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(records, n):
+            pass
+        _, first = tracemalloc.get_traced_memory()
+        for _ in records:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.rejected_malformed == 4 * n // 10
+    assert peak - first < 64 << 10
 
 
 def test_xml_fixture_equals_hand_converted_tsv(ontology):
