@@ -34,8 +34,11 @@ ids are kept.  The debut order is a table, indexed by keyword id, of each
 keyword's first position, filled a chunk of ids at a time by one
 scatter-min (``np.minimum.at``); the keywords rank by that position.
 Ids sparser than the refinement's id count are first ranked by one sort,
-so the table never has more entries than there are ids.  A refinement
-holds at most 2^32 ids, refused before any pass over them.
+so the table never has more entries than there are ids.  The view also
+holds the CSR's transpose, each dense id's places in the ids and their row
+positions, about 5 bytes an id, so that the ledger reads a keyword's
+occurrences as one slice.  A refinement holds at most 2^32 ids, refused
+before any pass over them.
 
 A store file (format version 2) is a 40-byte header (magic ``SLEDGER1``,
 version, article count, id count, article-id bytes), the raw little-endian
@@ -194,17 +197,61 @@ def _joined(column: np.ndarray, tail, dtype) -> np.ndarray:
     return np.concatenate((column, tail)) if column.size else tail
 
 
-def article_chunks(
-    offsets: np.ndarray, size: int = _CHUNK, a: int = 0
+def _article_chunks(
+    offsets: np.ndarray, size: int = _CHUNK
 ) -> Iterator[tuple[int, int]]:
-    """Ranges [a, b) of the articles from ``a`` on, each of at most
-    ``size`` ids or of one article."""
-    n = offsets.size - 1
+    """Ranges [a, b) of the articles, each of at most ``size`` ids or of
+    one article."""
+    a, n = 0, offsets.size - 1
     while a < n:
         b = int(np.searchsorted(offsets, offsets[a] + size, "right")) - 1
         b = max(b, a + 1)
         yield a, b
         a = b
+
+
+def _transpose(
+    offsets: np.ndarray, ids: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR of articles ``offsets`` and dense ``ids`` 0..n-1 transposed:
+    id ``d`` lies at the places ``places[heads[d]:heads[d+1]]`` in the ids,
+    ascending, at the row positions of the same slice of ``positions``, of
+    the smallest type that holds the widest row's last.
+
+    One pass counts each id's places and the widest row; a second sorts
+    each chunk's (id, place) words and scatters them to a cursor per id.  A
+    chunk of articles holds 1/128 of the ids, from 8,192 to 131,072, so no
+    array of the ids' length is made beside the three kept, and each id's
+    places are written in runs as long as a chunk in cache allows."""
+    size = max(_CHUNK // 2, min(_CHUNK << 3, ids.size >> 7))
+    heads = np.zeros(n + 1, dtype=np.int64)
+    widest = 0
+    for a, b in _article_chunks(offsets, size):
+        heads[1:] += np.bincount(ids[offsets[a] : offsets[b]], minlength=n)
+        widest = max(widest, int(np.diff(offsets[a : b + 1]).max()))
+    np.cumsum(heads, out=heads)
+    cursor = heads[:-1].copy()
+    places = np.empty(ids.size, dtype=np.uint32)
+    positions = np.empty(ids.size, dtype=np.min_scalar_type(widest - 1))
+    for a, b in _article_chunks(offsets, size):
+        lo, hi = int(offsets[a]), int(offsets[b])
+        at = np.arange(lo, hi, dtype=np.uint64)
+        counts = np.diff(offsets[a : b + 1])
+        position = at - np.repeat(offsets[a:b].view(np.uint64), counts)
+        words = ids[lo:hi].astype(np.uint64) << np.uint64(32)
+        words |= at
+        words.sort()
+        keys = words >> np.uint64(32)
+        starts = np.flatnonzero(run_heads(keys))
+        first = keys[starts].astype(np.intp)
+        runs = np.diff(starts, append=words.size)
+        to = np.repeat(cursor[first] - starts, runs)
+        to += np.arange(words.size)
+        cursor[first] += runs
+        at = words.astype(np.uint32)
+        places[to] = at
+        positions[to] = position[at - np.uint32(lo)]
+    return heads, places, positions
 
 
 class CorpusStore:
@@ -334,7 +381,7 @@ class CorpusStore:
         )
         text = np.frombuffer(article_ids, np.uint8)
         done = 0
-        for a, b in article_chunks(offsets):
+        for a, b in _article_chunks(offsets):
             rows, lo, hi = order[a:b], offsets[a], offsets[b]
             gather = np.arange(lo, hi)
             gather += np.repeat(starts[rows] - offsets[a:b], counts[a:b])
@@ -364,12 +411,15 @@ class CorpusStore:
 
     def view(self, refinement: str) -> tuple[np.ndarray, ...]:
         """The refinement's articles, with its keywords renumbered in debut
-        order: (years, starts, offsets, ids, keywords, debuts).
+        order: (years, starts, offsets, ids, keywords, debuts, heads,
+        places, positions).
 
         ``years`` are the distinct years (int32), and year ``t`` holds the
         articles ``starts[t]:starts[t+1]``.  Article ``i`` carries the dense
         ids ``ids[offsets[i]:offsets[i+1]]``; dense id ``d`` is the keyword
-        ``keywords[d]``, which debuted in ``years[debuts[d]]``.  One view is
+        ``keywords[d]``, which debuted in ``years[debuts[d]]``, and lies at
+        the places ``places[heads[d]:heads[d+1]]`` in the ids, ascending, at
+        the row positions of the same slice of ``positions``.  One view is
         cached at a time, until the columns change: asking for the other
         refinement drops it before building that one.
         """
@@ -413,7 +463,7 @@ class CorpusStore:
         # ids.  The words are 64-bit, as the ledger's are, so that both
         # sorts run the same code.
         dense = np.empty_like(ids) if ids is self._ids else ids
-        for a, b in article_chunks(offsets, _CHUNK // 2):
+        for a, b in _article_chunks(offsets, _CHUNK // 2):
             lo, hi = offsets[a], offsets[b]
             np.take(rank, ids[lo:hi], out=dense[lo:hi])
             words = np.arange(b - a, dtype=np.uint64) << np.uint64(32)
@@ -421,7 +471,8 @@ class CorpusStore:
             words |= dense[lo:hi]
             words.sort()
             np.copyto(dense[lo:hi], words, casting="unsafe")
-        return years, starts, offsets, dense, keywords, debuts
+        transpose = _transpose(offsets, dense, kids.size)
+        return years, starts, offsets, dense, keywords, debuts, *transpose
 
     def records_in(self, year: int) -> list[ArticleRecord]:
         """The year's articles as records, in article-id order."""

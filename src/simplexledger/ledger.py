@@ -57,7 +57,7 @@ def keyword_debut_years(corpus: CorpusStore, refinement: str = ALL) -> dict[int,
     """Earliest year each keyword appears in any article, per refinement."""
     if refinement not in REFINEMENTS:
         raise LedgerError(f"unknown refinement {refinement!r}")
-    years, _, _, _, keywords, debuts = corpus.view(refinement)
+    years, _, _, _, keywords, debuts = corpus.view(refinement)[:6]
     return dict(zip(keywords.tolist(), years[debuts].tolist()))
 
 
@@ -225,7 +225,7 @@ def tabulate(corpus: CorpusStore, config: LedgerConfig) -> LedgerSeries:
     """
     s = config.k + 1
     view = corpus.view(config.refinement)
-    years, _, _, _, keywords, debuts = view
+    years, _, _, _, keywords, debuts = view[:6]
     if not years.size:
         return LedgerSeries(k=config.k, refinement=config.refinement)
     _check_span(int(years[0]), int(years[-1]), config)

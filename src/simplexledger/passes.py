@@ -20,17 +20,19 @@ cells `_row_cells` reads off the rows themselves.  Otherwise `plan` counts
 each id's emissions and index entries and cuts the ranges at a pass's
 capacity, at the key's width and into at least ``shard_count`` passes.  An
 id whose own emissions exceed a pass becomes a holder: its combinations are
-cut again, one order lower, by the next id below it, from a scan of the
-articles that hold every holder, down to k holders.  A pass under holders
-takes the combinations that hold them all, and emits, for an id at row
-position j before them, the C(j, k - r) combinations of it with the ids
-before it and the r holders.  An id that still outnumbers a pass under k
-holders is one whole combination, new in the year of the first article that
-holds it.  `tallies` runs the passes: they read their cells from a
-per-position index, built once for each group of consecutive passes with
-the same holders whose entries fit a share of the budget, in the same words
-array the passes then use.  The plan, each index and each whole pass read
-the rows through one scan, `_scan`.
+cut again, one order lower, by the next id below it, down to k holders.  A
+pass under r holders takes the combinations that hold them all, and emits,
+for an id at row position j before them, the C(j, k - r) combinations of
+it with the ids before it and the holders.  An id that still outnumbers a
+pass under k holders is one whole combination, new in the year of the
+first article that holds it.  `tallies` runs the passes: each reads its
+cells from its own per-position index, built in the words array that the
+pass then uses.
+
+Every read is a step of slices of the view's transpose, each dense id's
+places in the ids and their row positions: the plan sums each id's own, a
+plain pass reads its ids', and under holders only the rows before the last
+holder of the articles that hold them all are read.
 """
 
 from __future__ import annotations
@@ -42,27 +44,24 @@ from typing import Iterator
 
 import numpy as np
 
-from simplexledger.corpus import article_chunks, keep_first
+from simplexledger.corpus import keep_first, run_heads
 
 _EMIT_CHUNK = 1 << 14  # words per emission batch
 _COUNT_CHUNK = 1 << 14  # words per step of `_count_words`' bincounts
 _CENSUS_CHUNK = 1 << 12  # articles per step of the emission count
-_SCAN_CHUNK = 1 << 16  # ids per step of the plan and of an index build
+_READ_CHUNK = 1 << 16  # places per step of the plan and of an index build
 # Bytes of budget per emission of a pass.  Its word takes 8, and
-# `keep_first` about 1 more; beside it a group's index takes at most 1/6 of
-# the budget and an emission batch's temporaries at most 1/4.
+# `keep_first` about 1 more; beside it the pass's index takes 4 bytes an
+# entry, at most one an emission, and an emission batch's temporaries at
+# most 1/4 of the budget.
 PASS_BYTES_PER_KEY = 24
 # An emission batch's temporaries: bytes per word, and per id of its rows.
 _BATCH_BYTES_PER_WORD = 8
 _BATCH_BYTES_PER_ID = 48
 # Bytes of budget per article of an emission range.
 _RANGE_BYTES_PER_ARTICLE = 512
-# Bytes of budget per entry of a group's index: it is built as 8-byte
-# words in the passes' words array, which holds 24 bytes of budget a word,
-# before any pass of the group uses it, and kept as 4-byte places.
-_INDEX_BYTES_PER_ENTRY = 24
-# Bytes of budget per id of a scan step, and per word of a count step.
-_SCAN_BYTES_PER_ID = 256
+# Bytes of budget per place of a read step, and per word of a count step.
+_READ_BYTES_PER_PLACE = 256
 _COUNT_BYTES_PER_WORD = 128
 
 
@@ -195,7 +194,7 @@ def census(view: tuple[np.ndarray, ...], s: int) -> tuple[int, np.ndarray]:
     """The exact number of size-s combinations over all articles, and each
     year's count of articles with at least s keywords, from one pass over
     the offsets a range of articles at a time."""
-    _, year_starts, offsets, _, _, _ = view
+    _, year_starts, offsets = view[:3]
     emissions = 0
     processed = np.zeros(year_starts.size - 1, dtype=np.int64)
     for tag, lo, hi in _ranges(year_starts, _CENSUS_CHUNK):
@@ -245,77 +244,83 @@ class Plan:
     positions: int
 
 
-def _before(
-    row: np.ndarray, starts: np.ndarray, holders: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The places in ``row``, the ids of articles that start at ``starts``,
-    of the ids before the last of ``holders`` in the articles that hold
-    them all, and their row positions: one pass over ``row`` for each
-    holder finds the articles that hold it, and the rest takes time in the
-    ids found."""
-    hits = np.flatnonzero(row == holders[-1])
-    held = np.searchsorted(starts, hits, "right") - 1
-    for holder in holders[:-1]:
-        others = np.searchsorted(starts, np.flatnonzero(row == holder), "right") - 1
-        keep = np.isin(held, others)
-        hits, held = hits[keep], held[keep]
-    begins = starts[held]
-    runs = hits - begins
-    heads = np.cumsum(runs) - runs
-    position = np.arange(int(runs.sum())) - np.repeat(heads, runs)
-    return position + np.repeat(begins, runs), position
+def _common(
+    view: tuple[np.ndarray, ...], ids: tuple[int, ...], step: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The places and row positions, ``step`` at a time, of the last of
+    dense ``ids`` in the articles that hold them all.  An id lies at most
+    once in an article, so an article holds one when that id's first place
+    at or after the article's start lies in it."""
+    heads, places, positions = view[6:9]
+    at, position = (x[heads[ids[-1]] : heads[ids[-1] + 1]] for x in (places, positions))
+    for lo in range(0, at.size, step):
+        hits, j = at[lo : lo + step], position[lo : lo + step]
+        for d in ids[:-1]:
+            there, starts = places[heads[d] : heads[d + 1]], hits - j
+            i = np.minimum(np.searchsorted(there, starts), there.size - 1)
+            keep = there[i] - positions[heads[d] + i] == starts
+            hits, j = hits[keep], j[keep]
+        yield hits, j
 
 
-def _scan(
-    view: tuple[np.ndarray, ...], step: int, holders: tuple[int, ...] = (), since: int = 0
+def _reads(
+    view: tuple[np.ndarray, ...], step: int, holders: tuple[int, ...], first: int,
+    last: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One scan of the rows, ``step`` ids at a time, from the debut year of
-    id ``since``, or of the first of ``holders``, on, since no earlier
-    article holds it.
-
-    Each chunk yields the places in the ids, the ids and the row positions
-    of its candidate ids: every id, or with ``holders`` the ids before the
-    last in the articles that hold them all.
-    """
-    _, year_starts, offsets, ids, _, debuts = view
-    since = holders[0] if holders else since
-    # Id 0 debuts first, and the view may hold no id at all.
-    begin = int(year_starts[debuts[since]]) if since else 0
-    for a, b in article_chunks(offsets, step, begin):
-        lo, hi = int(offsets[a]), int(offsets[b])
-        row = ids[lo:hi]
-        if not holders:
-            at = np.arange(lo, hi)
-            yield at, row, at - np.repeat(offsets[a:b], np.diff(offsets[a : b + 1]))
-        else:
-            at, position = _before(row, offsets[a:b] - lo, holders)
-            yield at + lo, row[at], position
+    """The places in the ids, the ids and the row positions of a pass's
+    candidate entries, about ``step`` at a time: the slices of ids
+    first..last-1 in the view's transpose, or under ``holders`` the ids
+    before the last holder in the articles that hold them all."""
+    ids, heads, places, positions = view[3], view[6], view[7], view[8]
+    if not holders:
+        end = int(heads[last])
+        for lo in range(int(heads[first]), end, step):
+            hi = min(lo + step, end)
+            d = int(np.searchsorted(heads, lo, "right")) - 1
+            runs = np.diff(np.clip(heads[d : np.searchsorted(heads, hi) + 1], lo, hi))
+            row = np.repeat(np.arange(d, d + runs.size, dtype=np.uint32), runs)
+            yield places[lo:hi], row, positions[lo:hi]
+        return
+    for hits, j in _common(view, holders, step):
+        starts, j = hits - j, j.astype(np.int64)
+        cuts = _cut(j, step, j.size)
+        for a, b in zip(cuts, cuts[1:]):
+            runs = j[a:b]
+            position = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+            at = np.repeat(starts[a:b], runs)
+            np.add(at, position, out=at, casting="unsafe")
+            yield at, ids[at], position
 
 
 def _weigh(
-    view: tuple[np.ndarray, ...], r: int, step: int, holders: tuple[int, ...] = ()
-) -> tuple[np.ndarray, np.ndarray, int]:
+    view: tuple[np.ndarray, ...],
+    r: int,
+    widest: int,
+    step: int,
+    holders: tuple[int, ...] = (),
+) -> tuple[np.ndarray, np.ndarray]:
     """Per dense id, the sum of C(j, r) over the row positions j where it
-    lies, and how many of those are r or more; and the widest row's width.
+    lies, and how many of those are r or more, for rows of at most
+    ``widest`` ids.
 
-    With ``holders``, only the ids below the last in the articles holding
-    them all count, each the next largest id of C(j, r) combinations ending
-    in it and the holders.  One `_scan` of the rows, from the first
-    holder's debut year.
+    Without holders each id's own places are summed, a run of them at a
+    time.  With ``holders``, only the ids below the last in the articles
+    holding them all count, each the next largest id of C(j, r)
+    combinations ending in it and the holders.
     """
     n = holders[-1] if holders else view[4].size
     sums = np.zeros(n, dtype=np.int64)
     entries = np.zeros(n, dtype=np.int64)
-    weights = np.zeros(0, dtype=np.int64)
-    for _, row, position in _scan(view, step, holders):
-        if not row.size:
-            continue
-        widest = int(position.max()) + 1
-        if widest > weights.size:
-            weights = np.array([math.comb(j, r) for j in range(widest)], np.int64)
-        np.add.at(sums, row, weights[position])
-        entries += np.bincount(row[position >= r], minlength=n)
-    return sums, entries, weights.size
+    weights = np.array([math.comb(j, r) for j in range(widest)], np.int64)
+    for _, row, position in _reads(view, step, holders, 0, n):
+        if holders:
+            np.add.at(sums, row, weights[position])
+            entries += np.bincount(row[position >= r], minlength=n)
+        else:
+            cuts = np.flatnonzero(run_heads(row))
+            sums[row[cuts]] += np.add.reduceat(weights[position], cuts)
+            entries[row[cuts]] += np.add.reduceat(position >= r, cuts, dtype=np.int64)
+    return sums, entries
 
 
 def _cut(counts: np.ndarray, target: int, most: int) -> list[int]:
@@ -335,19 +340,21 @@ def plan(
 ) -> Plan:
     """The exact plan of a ledger's passes.
 
-    One scan of the rows, a chunk at a time, counts each dense id's
-    emissions, the C(j, k) combinations it ends at each row position j, and
-    its index entries.  Ranges of ids are cut at a pass's capacity of
-    budget / 24 emissions, at most 2^id_bits ids, and at E / shard_count
-    emissions, unless one id alone holds more.  An id whose own emissions
-    exceed a pass becomes a holder: a scan of the articles holding it and
-    the holders above it counts its combinations by their next largest id,
+    Each dense id's emissions, the C(j, k) combinations it ends at each row
+    position j, and its index entries are summed over its slice of the
+    transpose.  Ranges of ids are cut at a pass's capacity of budget / 24
+    emissions, at most 2^id_bits ids, and at E / shard_count emissions,
+    unless one id alone holds more.  An id whose own emissions exceed a
+    pass becomes a holder: the rows of the articles holding it and the
+    holders above it count its combinations by their next largest id,
     C(j, k - r) at row position j under r holders, and the same cuts divide
     them into passes, down to k holders.  An id that still outnumbers a
     pass under k holders is a whole pass, one combination.
     """
-    step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
-    emissions, entries, widest = _weigh(view, k, step)
+    step = _step(budget, _READ_BYTES_PER_PLACE, _READ_CHUNK)
+    positions = view[8]
+    widest = int(positions.max()) + 1 if positions.size else 0
+    emissions, entries = _weigh(view, k, widest, step)
     cap = budget // PASS_BYTES_PER_KEY
     target = min(cap, max(1, int(emissions.sum()) // shard_count))
     passes = []
@@ -365,63 +372,45 @@ def plan(
             elif len(holders) < k:
                 # A range whose first id alone exceeds a pass is that id alone.
                 below = holders + (a,)
-                cut(below, *_weigh(view, k - len(below), step, below)[:2], a)
+                cut(below, *_weigh(view, k - len(below), widest, step, below), a)
             else:
                 passes.append(_Pass(holders, a, b, size, 0, whole=True))
 
     cut((), emissions, entries, 1 << layout.id_bits)
+    # `cut` calls itself: its closure would keep the view until a collection.
+    del cut
     return Plan(passes, max(1, widest - k))
 
 
 def _index(
-    view: tuple[np.ndarray, ...],
-    k: int,
-    plan: Plan,
-    p0: int,
-    p1: int,
-    step: int,
-    words: np.ndarray,
-    places: np.ndarray,
+    view: tuple[np.ndarray, ...], k: int, part: _Pass, positions: int, step: int,
+    words: np.ndarray, places: np.ndarray,
 ) -> np.ndarray:
-    """The index of passes p0..p1-1: in the front of ``places``, the place
-    in the ids of each of their entries' ids, ordered by pass and then row
-    position; returns where each (pass, position) cell of them ends, with a
-    0 before the first.
+    """The index of pass ``part``: in the front of ``places``, the place in
+    the ids of each of its entries' ids, ordered by row position; returns
+    where the cell of each position from k - len(holders) on ends, with a 0
+    before the first.
 
-    The passes share their holders, and an entry's row position is at
-    least k less their count.  One `_scan` finds the entries from the debut
-    year of the group's first id, or of its first holder, on.  Each entry
-    becomes one word in the front of ``words``, its cell above its place,
-    and one sort orders them.
+    `_reads` finds the entries: the slices of the pass's ids, or under
+    holders the rows before the last holder in the articles holding them
+    all.  Each entry becomes one word in the front of ``words``, its cell
+    above its place, and one sort orders them.
     """
-    group = plan.passes[p0:p1]
-    holders = group[0].holders
-    least = k - len(holders)
-    bounds = [p.first for p in group] + [group[-1].last]
-    first, last = bounds[0], bounds[-1]
-    # Each of the group's ids' first cell, less the least row position, so
-    # that an entry's cell is this plus its row position.
-    cell_of = np.repeat(
-        np.arange(p1 - p0, dtype=np.int64) * plan.positions - least, np.diff(bounds)
-    )
-    words = words[: sum(p.entries for p in group)]
+    least = k - len(part.holders)
+    words = words[: part.entries]
     end = 0
-    for at, row, position in _scan(view, step, holders, first):
-        rel = row - np.uint32(first)
-        # One nonzero search and three integer takes beat three boolean masks.
-        chosen = np.flatnonzero((rel < np.uint32(last - first)) & (position >= least))
-        if not chosen.size:
-            continue
-        at = at[chosen]
-        cell = cell_of[rel[chosen]]
-        cell += position[chosen]
-        word = words[end : end + at.size]
-        np.left_shift(cell, 32, out=word, casting="unsafe")
-        word |= at.view(np.uint64)
-        end += at.size
+    for at, row, position in _reads(view, step, part.holders, part.first, part.last):
+        rel = row - np.uint32(part.first)
+        # One nonzero search and two integer takes beat two boolean masks.
+        chosen = np.flatnonzero((rel < part.last - part.first) & (position >= least))
+        word = words[end : end + chosen.size]
+        np.subtract(position[chosen], least, out=word, casting="unsafe")
+        word <<= np.uint64(32)
+        word |= at[chosen]
+        end += chosen.size
     _filled(words, end)
     words.sort()
-    cells = np.arange((p1 - p0) * plan.positions + 1, dtype=np.uint64)
+    cells = np.arange(positions + 1, dtype=np.uint64)
     ends = np.searchsorted(words, cells << np.uint64(32))
     np.bitwise_and(words, np.uint64(0xFFFFFFFF), out=places[: words.size], casting="unsafe")
     return ends
@@ -447,7 +436,7 @@ def _emit_pass(
     Under holders, ``first`` is the first holder, the largest id of every
     combination.
     """
-    _, year_starts, offsets, ids, _, _ = view
+    _, year_starts, offsets, ids = view[:4]
     year_places = offsets[year_starts]
     tail = 1 + len(holders)
     # The holders, ascending, as rows under each batch's rows.
@@ -565,18 +554,18 @@ def _tally_whole(
     layout: Layout,
     part: _Pass,
     debut_index: np.ndarray,
-    budget: int,
+    step: int,
 ) -> np.ndarray:
     """The new and peripheral counts of whole pass ``part``: its one
-    combination is new in the year of the first article that holds it, and
-    peripheral when its largest id, the first holder, debuted then."""
-    _, year_starts, offsets, _, _, _ = view
+    combination is new in the year of the first article that holds it, the
+    first that holds its holders and id ``first``, read ``step`` places of
+    that id at a time, and peripheral when its largest id, the first
+    holder, debuted then."""
+    _, year_starts, offsets = view[:3]
     tally = np.zeros((2, layout.years), dtype=np.int64)
-    step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
-    for at, row, _ in _scan(view, step, part.holders):
-        held = at[row == part.first]
-        if held.size:
-            year = int(np.searchsorted(offsets[year_starts], held[0], "right")) - 1
+    for at, _ in _common(view, (*part.holders, part.first), step):
+        if at.size:
+            year = int(np.searchsorted(offsets[year_starts], at[0], "right")) - 1
             tally[:, year] = 1, debut_index[part.base] == year
             break
     return tally
@@ -600,34 +589,6 @@ def tally_all(
     return _checked(0, view[0], _count_words(words, layout, 0, debut_index, count))
 
 
-def _group(
-    view: tuple[np.ndarray, ...],
-    k: int,
-    layout: Layout,
-    plan: Plan,
-    p0: int,
-    p1: int,
-    debut_index: np.ndarray,
-    words: np.ndarray,
-    places: np.ndarray,
-    budget: int,
-    indices: dict,
-) -> Iterator[np.ndarray]:
-    """The checked tallies of passes p0..p1-1, from one index built in
-    ``words`` and ``places``; each pass then takes the front of ``words``
-    for its own."""
-    cells = plan.positions
-    step = _step(budget, _SCAN_BYTES_PER_ID, _SCAN_CHUNK)
-    ends = _index(view, k, plan, p0, p1, step, words, places)
-    for p, part in enumerate(plan.passes[p0:p1], p0):
-        at = (p - p0) * cells
-        tally = _tally_pass(
-            view, k, layout, places, ends[at : at + cells + 1], part,
-            words[: part.size], debut_index, budget, indices,
-        )
-        yield _checked(p, view[0], tally)
-
-
 def tallies(
     view: tuple[np.ndarray, ...],
     k: int,
@@ -639,42 +600,29 @@ def tallies(
 ) -> Iterator[np.ndarray]:
     """Each pass's checked tally from pass ``done`` on.
 
-    Consecutive passes with the same holders whose index entries fit 1/24
-    of the budget share one index; a whole pass runs alone and needs none.
-    Every index and pass is built in the same two arrays, allocated once,
-    so that no group allocates anew beside the last one's pages, and the
+    Each pass builds its own index, which reads only its own entries; a
+    whole pass needs none.  Every index and pass is built in the same two
+    arrays, allocated once, so that no pass allocates anew beside the last
+    one's pages: an index is sorted as (cell, place) words in the front of
+    ``words`` and kept as places, and the pass then takes the front of
+    ``words`` for its own words; it has at most one entry an emission.  The
     passes share one cache of combination indices, dropped when the last
     pass is done.
     """
-    share = budget // _INDEX_BYTES_PER_ENTRY
-    # A cell of the index, (pass, position), fits 32 bits of a word.
-    most = (1 << 32) // plan.positions
-    passes, groups = plan.passes, []
-    p0 = done
-    while p0 < len(passes):
-        p1, held = p0 + 1, passes[p0].entries
-        while (
-            p1 < len(passes)
-            and p1 - p0 < most
-            and not (passes[p0].whole or passes[p1].whole)
-            and passes[p1].holders == passes[p0].holders
-            and held + passes[p1].entries <= share
-        ):
-            held += passes[p1].entries
-            p1 += 1
-        groups.append((p0, p1, held))
-        p0 = p1
-    entries = max((held for _, _, held in groups), default=0)
-    sizes = [part.size for part in passes[done:] if not part.whole]
-    words = np.empty(max([entries] + sizes), dtype=np.uint64)
-    places = np.empty(entries, dtype=np.uint32)
+    passes = plan.passes[done:]
+    sizes = [part.size for part in passes if not part.whole]
+    words = np.empty(max(sizes, default=0), dtype=np.uint64)
+    entries = [part.entries for part in passes]
+    places = np.empty(max(entries, default=0), dtype=np.uint32)
+    step = _step(budget, _READ_BYTES_PER_PLACE, _READ_CHUNK)
     indices: dict = {}
-    for p0, p1, _ in groups:
-        if passes[p0].whole:
-            tally = _tally_whole(view, layout, passes[p0], debut_index, budget)
-            yield _checked(p0, view[0], tally)
+    for p, part in enumerate(passes, done):
+        if part.whole:
+            tally = _tally_whole(view, layout, part, debut_index, step)
         else:
-            yield from _group(
-                view, k, layout, plan, p0, p1, debut_index, words, places, budget,
-                indices,
+            ends = _index(view, k, part, plan.positions, step, words, places)
+            tally = _tally_pass(
+                view, k, layout, places, ends, part, words[: part.size], debut_index,
+                budget, indices,
             )
+        yield _checked(p, view[0], tally)

@@ -209,10 +209,10 @@ def test_admission_rules_agree_across_readers(
         return sorted(by_code[code] for code in codes)
 
     keywords, major = admitted
-    years, _, _, ids, kids, _ = store.view("all")
+    years, _, _, ids, kids, _, _, _, _ = store.view("all")
     assert years.tolist() == [year]
     assert kids[ids].tolist() == ids_of(keywords)  # one entry per keyword
-    _, _, _, ids, kids, _ = store.view("major")
+    _, _, _, ids, kids, _, _, _, _ = store.view("major")
     assert kids[ids].tolist() == ids_of(major)
 
 
@@ -1183,7 +1183,8 @@ def test_views_match_a_reference_from_the_records(records):
     article_years = [record.year for record in store.iter_records()]
     for views in (store, load_store(io.BytesIO(buf.getvalue()))):
         for refinement in ("all", "major"):
-            years, starts, offsets, ids, keywords, debuts = views.view(refinement)
+            view = views.view(refinement)
+            years, starts, offsets, ids, keywords, debuts, heads, places, positions = view
             assert years.dtype == np.int32 and starts[0] == 0
             assert np.repeat(years, np.diff(starts)).tolist() == article_years
             got = (offsets, keywords[ids], keywords, years[debuts], ids)
@@ -1193,6 +1194,20 @@ def test_views_match_a_reference_from_the_records(records):
             assert [a.tolist() for a in got] == list(
                 _reference_views(store, refinement)
             )
+            # The transpose: each dense id's places in the ids, ascending,
+            # and each place's row position in its article.
+            widest = int(np.diff(offsets).max(initial=0))
+            assert (heads.dtype, places.dtype) == (np.int64, np.uint32)
+            assert positions.dtype == np.min_scalar_type(widest - 1)
+            assert heads.size == keywords.size + 1 and heads[0] == 0
+            assert places.size == positions.size == heads[-1] == ids.size
+            article = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+            for d in range(keywords.size):
+                at = np.flatnonzero(ids == d)
+                assert places[heads[d] : heads[d + 1]].tolist() == at.tolist()
+                assert positions[heads[d] : heads[d + 1]].tolist() == (
+                    at - offsets[article[at]]
+                ).tolist()
 
 
 def test_debut_order_refuses_more_ids_than_32_bit_positions():
@@ -1235,13 +1250,14 @@ def test_debut_order_of_dense_ids_holds_no_transient():
         )
         tracemalloc.start()
         try:
-            years, _, offsets, dense, keywords, debuts = store.view(refinement)
+            years, _, offsets, dense, keywords, debuts, _, _, _ = store.view(refinement)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # The refinement's positions among all ids.
         kept = np.arange(ids.size) if refinement == "all" else np.flatnonzero(major)
-        assert held >= 4 * kept.size  # the dense ids
+        # The dense ids, and the transpose's places and one-byte positions.
+        assert held >= 9 * kept.size
         assert peak <= 1.1 * held
         bounds = np.arange(articles + 1) * 11
         assert offsets.tolist() == np.searchsorted(kept, bounds).tolist()

@@ -570,7 +570,7 @@ def test_keyword_capacity_counts_distinct_used_keywords(tmp_path):
     for i, kws in enumerate(late):
         year = 2003 if i < 6 else 2004
         store.add(ArticleRecord(f"b{i:02d}", year, frozenset(kws), frozenset()))
-    _, _, _, _, keywords, _ = store.view("all")
+    _, _, _, _, keywords, _, _, _, _ = store.view("all")
     dense = {kw: d for d, kw in enumerate(keywords.tolist())}
     assert dense[49152] - dense[0] == 1 << 13 < dense[16]
     oracle = oracle_tabulate(store, 3, "all")
@@ -1573,6 +1573,24 @@ def test_combination_indices_live_and_die_with_their_ledger(monkeypatch, shape):
         assert series.new_simplices == [math.comb(60, 4)]
 
 
+def test_a_planned_ledger_leaves_its_view_to_the_store(monkeypatch):
+    # With the collector off, the view that a plan of passes read dies as
+    # soon as the store drops it for the other refinement: no reference
+    # cycle left by the engine keeps it beside the next view.
+    store = _random_corpus(3, n_articles=3000, vocab=100)
+    budgets = _recorded(monkeypatch, "plan", 3)
+    refs = [weakref.ref(a) for a in store.view("all")[3:]]
+    gc.disable()
+    try:
+        tabulate(store, LedgerConfig(k=1, memory_budget_bytes=_MIN_BUDGET))
+        store.view("major")
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert budgets == [_MIN_BUDGET]
+    assert alive and not any(alive)
+
+
 def test_quartet_spill_stays_within_memory_budget(tmp_path):
     # The benchmark's quartet-spill shape: 5,000 articles of 10 keywords at
     # k = 3, 4 shards and 512 KiB, in about 49 passes; the whole tabulate
@@ -1752,6 +1770,38 @@ def test_per_article_counts_stay_within_memory_budget(tmp_path, k, shard_count, 
     finally:
         tracemalloc.stop()
     assert peak <= bound * _MIN_BUDGET
+    assert series == oracle_tabulate(store, k, "all")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_holder_passes_stay_within_memory_budget(monkeypatch, k):
+    # 25,000 articles in 2000 of 3 keywords from 1..499, and 25,000 in 2001
+    # of 3 more and keyword 999, at the smallest budget: keyword 999 is a
+    # holder, whose 25,000 places alone take 1.5 budgets and the 75,000 ids
+    # before it in its articles 4.6, so its articles and their rows are read
+    # a step at a time (all of them at once peaked at 37 and 34 budgets).
+    rng = random.Random(37)
+    store = CorpusStore()
+    for i in range(50_000):
+        kws = set(rng.sample(range(1, 500), 3))
+        if i >= 25_000:
+            kws.add(999)
+        year = 2000 + i // 25_000
+        store.add(ArticleRecord(f"a{i:05d}", year, frozenset(kws), frozenset(kws)))
+    store.view("all")
+    plans = []
+    make_plan = passes_mod.plan
+    monkeypatch.setattr(
+        passes_mod, "plan", lambda *args: plans.append(make_plan(*args)) or plans[-1]
+    )
+    tracemalloc.start()
+    try:
+        series = tabulate(store, LedgerConfig(k=k, memory_budget_bytes=_MIN_BUDGET))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert any(part.holders for part in plans[0].passes)
+    assert peak <= 2 * _MIN_BUDGET
     assert series == oracle_tabulate(store, k, "all")
 
 
